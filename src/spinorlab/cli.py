@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,6 +39,27 @@ def _parse_sig(text) -> Signature:
         return Signature(p, q)
     except Exception as err:
         raise argparse.ArgumentTypeError(f"signature must be 'p,q': {err}")
+
+
+def _parse_cone(text) -> Signature:
+    sig = _parse_sig(text)
+    if sig.p < 1 or sig.n < 2:
+        raise argparse.ArgumentTypeError(f"cone {text} needs p >= 1 and p + q >= 2")
+    return sig
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _positive_float(text) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
+    return value
 
 
 def _emit(payload, fmt="json"):
@@ -257,12 +279,11 @@ def build_parser():
     p.set_defaults(func=cmd_cone_report)
 
     p = sub.add_parser("model-verify", help="numeric Killing checks on a hyperquadric")
-    p.add_argument("--cone", type=_parse_sig, required=True)
+    p.add_argument("--cone", type=_parse_cone, required=True)
     p.add_argument("--lambda-sign", default="auto", choices=("auto", "1", "-1"))
-    p.add_argument("--h", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
+    p.add_argument("--h", type=_positive_float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--samples", type=_positive_int, default=16)
     p.set_defaults(func=cmd_model_verify)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")

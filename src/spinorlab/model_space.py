@@ -12,6 +12,7 @@ from the exact modules, converted to float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,28 @@ def _halton(index, base):
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
+def _worst(values) -> float:
+    """Largest of non-negative residuals, failing closed: a NaN or
+    infinite residual makes the result inf, which no tolerance passes."""
+    values = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in values):
+        return math.inf
+    return max(values, default=0.0)
+
+
+@dataclass(frozen=True)
+class SamplePoint:
+    """Geometry at one sample point x: its frame patch and tangent frame,
+    and per frame direction e_i the spin connection Omega(x, e_i) and the
+    intrinsic action gamma^M_(e_i)."""
+
+    x: np.ndarray
+    patch: tuple
+    frame: np.ndarray
+    omegas: tuple
+    gammas: tuple
+
+
 class HyperquadricModel:
     """Unit hyperquadric of a flat cone with deterministic sample points.
 
@@ -57,6 +80,7 @@ class HyperquadricModel:
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
         self.samples = self._sample_points(num_samples)
+        self._points = []  # SamplePoint of samples[k], built in sample order
 
     # -- geometry ---------------------------------------------------------
 
@@ -75,6 +99,20 @@ class HyperquadricModel:
             if norm > 0.3:
                 pts.append(v / np.sqrt(norm))
         return pts
+
+    def sample_points(self, count=None):
+        """The SamplePoint of each of samples[:count], built on first use
+        and shared by every field, candidate lambda and residual sweep."""
+        wanted = len(self.samples[:count])
+        while len(self._points) < wanted:
+            x = self.samples[len(self._points)]
+            patch = self.select_patch(x)
+            frame = self.tangent_frame(x, patch)
+            directions = [frame[:, i] for i in range(self.n)]
+            omegas = tuple(spin_connection(self, x, d, patch) for d in directions)
+            gammas = tuple(self.gamma_intrinsic(x, d) for d in directions)
+            self._points.append(SamplePoint(x, patch, frame, omegas, gammas))
+        return self._points[:wanted]
 
     def curve(self, x, direction, t):
         """Point on the quadric with position x and velocity `direction`."""
@@ -264,15 +302,38 @@ def spin_connection(model, x, direction, patch=None):
     return -mu_full + theta
 
 
-def covariant_derivative(model, field, x, direction, patch=None):
-    if patch is None:
-        patch = model.select_patch(x)
+def _field_derivative(model, field, x, direction, patch):
     h = model.step
     plus = field.eval(model, model.curve(x, direction, h), patch)
     minus = field.eval(model, model.curve(x, direction, -h), patch)
-    d_field = (plus - minus) / (2.0 * h)
+    return (plus - minus) / (2.0 * h)
+
+
+def covariant_derivative(model, field, x, direction, patch=None):
+    if patch is None:
+        patch = model.select_patch(x)
+    d_field = _field_derivative(model, field, x, direction, patch)
     omega = spin_connection(model, x, direction, patch)
     return d_field + omega @ field.eval(model, x, patch)
+
+
+def _nablas(model, field, point, s_here):
+    """nabla_(e_i) s at a sample point for every frame direction e_i, with
+    Omega read from the sample table; s_here is s at the point."""
+    return [
+        _field_derivative(model, field, point.x, point.frame[:, i], point.patch)
+        + omega @ s_here
+        for i, omega in enumerate(point.omegas)
+    ]
+
+
+def _covariant_sweep(model, field):
+    """(point, s(x), [nabla_(e_i) s at x]) for every sample point."""
+    sweep = []
+    for point in model.sample_points():
+        s_here = field.eval(model, point.x, point.patch)
+        sweep.append((point, s_here, _nablas(model, field, point, s_here)))
+    return sweep
 
 
 @dataclass
@@ -289,19 +350,15 @@ def killing_residual(model, field, killing_number=None) -> KillingReport:
     per field by picking the smaller residual.
     """
     candidates = [killing_number] if killing_number is not None else [0.5, -0.5]
-    residuals = []
-    for lam in candidates:
-        worst = 0.0
-        for x in model.samples:
-            patch = model.select_patch(x)
-            frame = model.tangent_frame(x, patch)
-            s_here = field.eval(model, x, patch)
-            for i in range(model.n):
-                direction = frame[:, i]
-                nabla = covariant_derivative(model, field, x, direction, patch)
-                target = lam * model.gamma_intrinsic(x, direction) @ s_here
-                worst = max(worst, float(np.max(np.abs(nabla - target))))
-        residuals.append(worst)
+    sweep = _covariant_sweep(model, field)
+    residuals = [
+        _worst(
+            np.max(np.abs(nabla - lam * gamma @ s_here))
+            for point, s_here, nablas in sweep
+            for nabla, gamma in zip(nablas, point.gammas)
+        )
+        for lam in candidates
+    ]
     if killing_number is not None:
         return KillingReport(killing_number, residuals[0], float("nan"))
     best = int(np.argmin(residuals))
@@ -313,21 +370,21 @@ def detect_epsilon(model, field) -> int:
     return 1 if report.killing_number > 0 else -1
 
 
+def _dirac(model, point, nablas):
+    """Frame Dirac sum sum_i eta_i gamma^M_(e_i) nabla_(e_i) at a sample point."""
+    eta_base = model.base_signature.eta()
+    dirac = np.zeros(model.N)
+    for eta, gamma, nabla in zip(eta_base, point.gammas, nablas):
+        dirac += eta * gamma @ nabla
+    return dirac
+
+
 def dirac_residual(model, field, killing_number) -> float:
     """max over samples of |D s + n lambda s| with the frame Dirac sum."""
-    worst = 0.0
-    eta_base = np.array(model.base_signature.eta(), float)
-    for x in model.samples:
-        patch = model.select_patch(x)
-        frame = model.tangent_frame(x, patch)
-        s_here = field.eval(model, x, patch)
-        dirac = np.zeros(model.N)
-        for i in range(model.n):
-            direction = frame[:, i]
-            nabla = covariant_derivative(model, field, x, direction, patch)
-            dirac += eta_base[i] * model.gamma_intrinsic(x, direction) @ nabla
-        worst = max(worst, float(np.max(np.abs(dirac + model.n * killing_number * s_here))))
-    return worst
+    return _worst(
+        np.max(np.abs(_dirac(model, point, nablas) + model.n * killing_number * s_here))
+        for point, s_here, nablas in _covariant_sweep(model, field)
+    )
 
 
 # -- polyvector fields -------------------------------------------------------
@@ -350,24 +407,29 @@ def _frame_blades_to_ambient(model, frame, coeffs, k):
     return total
 
 
+def _bracket_at(model, frame, gammas, h_mat, s_val, t_val, k):
+    """[s,t]_k at one point from its frame and the frame's gamma^M."""
+    eta_base = model.base_signature.eta()
+    coeffs = []
+    for indices in blade_index_list(model.n, k):
+        g_blade = np.eye(model.N)
+        denom = 1.0
+        for i in indices:
+            g_blade = g_blade @ gammas[i]
+            denom *= eta_base[i]
+        coeffs.append(float((g_blade @ s_val) @ h_mat @ t_val) / denom)
+    return _frame_blades_to_ambient(model, frame, coeffs, k)
+
+
 def bracket_field(model, form_field, s_field, t_field, k):
     """Pointwise bracket [s,t]_k as an ambient polyvector field."""
 
     def at(y, patch):
         frame = model.tangent_frame(y, patch)
-        h_mat = form_field(y)
+        gammas = [model.gamma_intrinsic(y, frame[:, i]) for i in range(model.n)] if k else []
         s_val = s_field.eval(model, y, patch)
         t_val = t_field.eval(model, y, patch)
-        eta_base = model.base_signature.eta()
-        coeffs = []
-        for indices in blade_index_list(model.n, k):
-            g_blade = np.eye(model.N)
-            denom = 1.0
-            for i in indices:
-                g_blade = g_blade @ model.gamma_intrinsic(y, frame[:, i])
-                denom *= eta_base[i]
-            coeffs.append(float((g_blade @ s_val) @ h_mat @ t_val) / denom)
-        return _frame_blades_to_ambient(model, frame, coeffs, k)
+        return _bracket_at(model, frame, gammas, form_field(y), s_val, t_val, k)
 
     return at
 
@@ -438,15 +500,11 @@ def bracket_field_checks(
     is_killing_case = abs(lambda_t - ((-1.0) ** k) * tau_intrinsic * lambda_s) < 1e-12
     eta_list = list(model.eta_hat)
 
-    conformal = 0.0
-    killing_pv = 0.0 if is_killing_case else None
-    killing_vec = 0.0 if (k == 1 and tau_intrinsic == -1) else None
-    geodesic = 0.0
-    dirac_cons = 0.0 if k == 1 else None
+    want_killing_vec = k == 1 and tau_intrinsic == -1
 
-    for x in model.samples[:12]:
-        patch = model.select_patch(x)
-        frame = model.tangent_frame(x, patch)
+    conformal, killing_pv, killing_vec, geodesic, dirac_cons = [], [], [], [], []
+    for point in model.sample_points(12):
+        x, patch, frame = point.x, point.patch, point.frame
         tilde = lower_field(x, patch).scale(tilde_factor)
         nablas = []
         for i in range(model.n):
@@ -456,35 +514,31 @@ def bracket_field_checks(
             contraction = nabla.interior(list(direction), eta_list)
             gxx = model.g_hat(direction, direction)
             resid = contraction - tilde.scale(gxx)
-            conformal = max(conformal, max(abs(c) for c in resid.coeffs))
+            conformal.extend(abs(c) for c in resid.coeffs)
             if is_killing_case:
-                killing_pv = max(killing_pv, max(abs(c) for c in contraction.coeffs))
-        if killing_vec is not None:
+                killing_pv.extend(abs(c) for c in contraction.coeffs)
+        if want_killing_vec:
             for i in range(model.n):
                 for j in range(model.n):
                     sym = _pv_inner(nablas[i], frame[:, j], eta_list) + _pv_inner(
                         nablas[j], frame[:, i], eta_list
                     )
-                    killing_vec = max(killing_vec, abs(sym))
+                    killing_vec.append(abs(sym))
         # geodesic conservation along the frame directions
         for i in range(min(model.n, 2)):
-            geodesic = max(
-                geodesic,
-                _geodesic_transport_residual(model, omega_field, x, frame[:, i], patch),
+            geodesic.append(
+                _geodesic_transport_residual(model, omega_field, x, frame[:, i], patch)
             )
-        if dirac_cons is not None:
-            dirac_cons = max(
-                dirac_cons,
-                _dirac_form_consistency(
-                    model, form_field, s_field, t_field, x, patch, tilde_factor
-                ),
+        if k == 1:
+            dirac_cons.append(
+                _dirac_form_consistency(model, form_field, s_field, t_field, point, tilde_factor)
             )
     return BracketFieldReport(
-        conformal_residual=conformal,
-        killing_polyvector_residual=killing_pv,
-        killing_vector_residual=killing_vec,
-        geodesic_residual=geodesic,
-        dirac_consistency_residual=dirac_cons,
+        conformal_residual=_worst(conformal),
+        killing_polyvector_residual=_worst(killing_pv) if is_killing_case else None,
+        killing_vector_residual=_worst(killing_vec) if want_killing_vec else None,
+        geodesic_residual=_worst(geodesic),
+        dirac_consistency_residual=_worst(dirac_cons) if k == 1 else None,
     )
 
 
@@ -520,37 +574,28 @@ def _geodesic_transport_residual(model, omega_field, x, direction, patch):
         tuple((a - b) / (2.0 * t) for a, b in zip(plus.coeffs, minus.coeffs)),
     )
     projected = _exterior_projector_apply(model.tangent_projector(x), diff)
-    if not projected.coeffs:
-        return 0.0
-    return max(abs(c) for c in projected.coeffs)
+    return _worst(abs(c) for c in projected.coeffs)
 
 
-def _dirac_form_consistency(model, form_field, s_field, t_field, x, patch, tilde_factor):
+def _dirac_form_consistency(model, form_field, s_field, t_field, point, tilde_factor):
     """n omega_tilde against the degree-0 Dirac combination at k = 1."""
-    frame = model.tangent_frame(x, patch)
-    eta_base = np.array(model.base_signature.eta(), float)
+    x, patch = point.x, point.patch
     h_mat = form_field(x)
     s_val = s_field.eval(model, x, patch)
     t_val = t_field.eval(model, x, patch)
-    ds = np.zeros(model.N)
-    dt = np.zeros(model.N)
-    for i in range(model.n):
-        direction = frame[:, i]
-        gamma_i = model.gamma_intrinsic(x, direction)
-        ds += eta_base[i] * gamma_i @ covariant_derivative(model, s_field, x, direction, patch)
-        dt += eta_base[i] * gamma_i @ covariant_derivative(model, t_field, x, direction, patch)
+    ds = _dirac(model, point, _nablas(model, s_field, point, s_val))
+    dt = _dirac(model, point, _nablas(model, t_field, point, t_val))
     # n * omega_tilde = (-1)^(k-1) h(Ds, t) + tau h(s, Dt) at k = 1; the
     # intrinsic type of the supplied form field decides tau
-    tau = _intrinsic_tau(model, form_field, x)
+    tau = _intrinsic_tau(form_field, point)
     lhs = model.n * tilde_factor * float(s_val @ h_mat @ t_val)
     rhs = float(ds @ h_mat @ t_val) + tau * float(s_val @ h_mat @ dt)
     return abs(lhs - rhs)
 
 
-def _intrinsic_tau(model, form_field, x):
-    h_mat = form_field(x)
-    frame = model.tangent_frame(x, model.select_patch(x))
-    g1 = model.gamma_intrinsic(x, frame[:, 0])
+def _intrinsic_tau(form_field, point):
+    h_mat = form_field(point.x)
+    g1 = point.gammas[0]
     plus = np.max(np.abs(g1.T @ h_mat - h_mat @ g1))
     minus = np.max(np.abs(g1.T @ h_mat + h_mat @ g1))
     return 1.0 if plus < minus else -1.0
@@ -560,13 +605,14 @@ def homogeneity_span(model, fields, tau_intrinsic=-1, tol=1e-6):
     """Dimension of span{[s_i, s_j]_1(x)} at every sample point."""
     form_field = model.cone_form(tau_intrinsic)
     dims = []
-    for x in model.samples[:8]:
-        patch = model.select_patch(x)
-        vectors = []
-        for s in fields:
-            for t in fields:
-                pv = bracket_field(model, form_field, s, t, 1)(x, patch)
-                vectors.append(list(pv.coeffs))
+    for point in model.sample_points(8):
+        h_mat = form_field(point.x)
+        values = [s.eval(model, point.x, point.patch) for s in fields]
+        vectors = [
+            list(_bracket_at(model, point.frame, point.gammas, h_mat, s_val, t_val, 1).coeffs)
+            for s_val in values
+            for t_val in values
+        ]
         mat = np.array(vectors, dtype=float)
         svals = np.linalg.svd(mat, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
@@ -644,13 +690,12 @@ def kappa_upper_bound(curv_model, killing_number, tol=1e-8) -> int:
 def scalar_curvature_residual(model, killing_number) -> float:
     """|scal_numeric - 4 n (n-1) lambda^2| with scal from the numeric
     second fundamental form through the flat-ambient curvature relation."""
-    worst = 0.0
+    residuals = []
     target = 4.0 * model.n * (model.n - 1) * killing_number**2
     h = model.step
-    for x in model.samples[:8]:
-        patch = model.select_patch(x)
-        frame = model.tangent_frame(x, patch)
-        eta_base = np.array(model.base_signature.eta(), float)
+    eta_base = np.array(model.base_signature.eta(), float)
+    for point in model.sample_points(8):
+        x, patch, frame = point.x, point.patch, point.frame
         alpha = np.zeros((model.n, model.n))
         for i in range(model.n):
             fp = model.tangent_frame(model.curve(x, frame[:, i], h), patch)
@@ -665,5 +710,5 @@ def scalar_curvature_residual(model, killing_number) -> float:
                     scal += eta_base[i] * eta_base[j] * (
                         alpha[i, i] * alpha[j, j] - alpha[i, j] ** 2
                     )
-        worst = max(worst, abs(scal - target))
-    return worst
+        residuals.append(abs(scal - target))
+    return _worst(residuals)

@@ -6,6 +6,7 @@ CLI can render failures as falsification reports.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -450,6 +451,10 @@ def criterion_convergence(base_step=1e-2, noise_floor=1e-10) -> CheckResult:
     at_floor = []
     ok = True
     for name, (coarse_r, fine_r) in pairs.items():
+        if not (math.isfinite(coarse_r) and math.isfinite(fine_r)):
+            ratios[name] = None  # a non-finite residual has no convergence rate
+            ok = False
+            continue
         if coarse_r < noise_floor and fine_r < noise_floor:
             at_floor.append(name)
             continue

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its runtime against the stated budget."""
 
+import pytest
+
 from spinorlab import verify
 
 SEED = 7
@@ -79,3 +81,18 @@ def test_c12_convergence():
     _report(result)
     for name, ratio in result.details["ratios"].items():
         assert ratio >= 3.0, name
+
+
+@pytest.mark.parametrize("nan_step", [1e-2, 5e-3], ids=["coarse", "fine"])
+def test_c12_convergence_fails_on_nan_residual(monkeypatch, nan_step):
+    # a NaN residual on either side of the step halving has no rate and
+    # must fail the criterion, not pass as ratio inf or as nan < 3
+    scal = verify.scalar_curvature_residual
+
+    def nan_at_step(model, killing_number):
+        return float("nan") if model.step == nan_step else scal(model, killing_number)
+
+    monkeypatch.setattr(verify, "scalar_curvature_residual", nan_at_step)
+    result = verify.criterion_convergence()
+    assert not result.passed
+    assert result.details["ratios"]["scal"] is None

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spinorlab.cli import main
 
 
@@ -109,3 +111,24 @@ def test_verify_all_passes(capsys):
     assert len(payloads) == 12
     assert all(p["passed"] for p in payloads)
     assert all("elapsed_s" not in p for p in payloads)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--h", "0"],
+        ["--h", "-1e-4"],
+        ["--h", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "0"],
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--cone", "1,0"],
+        ["--cone", "0,3"],
+    ],
+)
+def test_model_verify_rejects_bad_values_in_parser(flags):
+    argv = ["model-verify", "--cone", "3,0", "--samples", "4", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -245,9 +245,9 @@ def test_bracket_conformal_with_type_plus_form(sphere):
 def test_intrinsic_form_types(sphere):
     from spinorlab.model_space import _intrinsic_tau
 
-    x = sphere.samples[0]
-    assert _intrinsic_tau(sphere, sphere.cone_form(-1), x) == -1.0
-    assert _intrinsic_tau(sphere, sphere.cone_form(1), x) == 1.0
+    point = sphere.sample_points(1)[0]
+    assert _intrinsic_tau(sphere.cone_form(-1), point) == -1.0
+    assert _intrinsic_tau(sphere.cone_form(1), point) == 1.0
 
 
 def test_kappa_product_lambda_zero_logged():
@@ -268,3 +268,61 @@ def test_convergence_second_order():
     d_coarse = dirac_residual(coarse, s, 0.5)
     d_fine = dirac_residual(fine, s, 0.5)
     assert d_coarse / d_fine >= 3.0
+
+
+def test_zero_step_fails_closed():
+    # step 0 makes every central difference 0/0; the NaN residuals must
+    # fail, not vanish in the max reduction
+    model = HyperquadricModel(Signature(3, 0), num_samples=4, step=0.0)
+    s = ConstantSpinorField(np.eye(model.N)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = killing_residual(model, s)
+        dirac = dirac_residual(model, s, 0.5)
+    assert not report.residual < model.tol
+    assert not dirac < model.tol
+
+
+def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys):
+    from spinorlab import model_space
+    from spinorlab.cli import main
+
+    calls = []
+    original = model_space.spin_connection
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_space, "spin_connection", counting)
+    assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4 * 2  # samples x frame directions, for all N fields
+
+
+def test_table_residuals_match_public_derivative_bit_for_bit():
+    model = HyperquadricModel(Signature(4, 1), num_samples=4, step=1e-4)
+
+    def direct(field, lam):
+        killing, dirac = 0.0, 0.0
+        eta = model.base_signature.eta()
+        for x in model.samples:
+            patch = model.select_patch(x)
+            frame = model.tangent_frame(x, patch)
+            s_here = field.eval(model, x, patch)
+            d_sum = np.zeros(model.N)
+            for i in range(model.n):
+                gamma = model.gamma_intrinsic(x, frame[:, i])
+                nabla = covariant_derivative(model, field, x, frame[:, i], patch)
+                killing = max(killing, float(np.max(np.abs(nabla - lam * gamma @ s_here))))
+                d_sum += eta[i] * gamma @ nabla
+            dirac = max(dirac, float(np.max(np.abs(d_sum + model.n * lam * s_here))))
+        return killing, dirac
+
+    for field in (
+        ConstantSpinorField(np.eye(model.N)[0]),
+        VolumeFlippedField(ConstantSpinorField(np.eye(model.N)[1])),
+    ):
+        report = killing_residual(model, field)
+        lam = report.killing_number
+        assert (report.residual, dirac_residual(model, field, lam)) == direct(field, lam)
+        assert report.residual_opposite == direct(field, -lam)[0]
