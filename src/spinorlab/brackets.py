@@ -8,6 +8,7 @@ on a fixed spinor module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .admissible_forms import BilinearForm
 from .clifford_core import (
@@ -108,34 +109,32 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     d = space.dim
     if d == 0:
         return Matrix.identity(rep.n)
-    rows = []
+    # one d x d pairing block B^T H gamma_i B per generator; row (a, c)
+    # of the obstruction system collects entry (a, c) of every block
     b = space.basis
     bt_h = b.transpose() * form.matrix
-    for a in range(d):
-        for c in range(d):
-            row = []
-            for i in range(rep.n):
-                g_b = rep.generators[i] * b
-                val = sum(
-                    bt_h.data[a][m] * g_b.data[m][c] for m in range(rep.N)
-                )
-                row.append(val)
-            rows.append(row)
+    blocks = [bt_h * (g * b) for g in rep.generators]
+    rows = [[blk.data[a][c] for blk in blocks] for a in range(d) for c in range(d)]
     return kernel(Matrix(rows))
 
 
 def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorSubspace):
-    """(dimension, basis) of span{[s,t]_1 : s in A, t in B} over basis pairs."""
-    cols = []
-    for i in range(a.dim):
-        s = a.basis.col(i)
-        for j in range(b.dim):
-            t = b.basis.col(j)
-            cols.append(list(bracket_k(rep, form, s, t, 1).coeffs))
-    if not cols:
+    """(dimension, basis) of span{[s,t]_1 : s in A, t in B} over basis pairs.
+
+    Column (i, j) is bracket_k(A_i, B_j, 1), read out of the d_A x d_B
+    pairing blocks (gamma_k A)^T H B, one per generator.
+    """
+    if not a.dim or not b.dim:
         return 0, Matrix([[] for _ in range(rep.n)])
-    m = Matrix.from_columns(cols)
-    basis = column_space_basis(m)
+    if not form.nondegenerate:
+        raise ValueError("bracket requires a nondegenerate form")
+    blocks = [(g * a.basis).transpose() * form.matrix * b.basis for g in rep.generators]
+    cols = [
+        [blk.data[i][j] if e == 1 else -blk.data[i][j] for blk, e in zip(blocks, rep.eta)]
+        for i in range(a.dim)
+        for j in range(b.dim)
+    ]
+    basis = column_space_basis(Matrix.from_columns(cols))
     return basis.cols, basis
 
 
@@ -187,9 +186,16 @@ def random_subspace(rep: CliffordRep, dim: int, rng, bound=3) -> SpinorSubspace:
     if dim > rep.N:
         raise ValueError("dimension exceeds the module")
     cols = []
+    echelon = []  # (pivot, integer row) per accepted column, reduced in order
     while len(cols) < dim:
         cand = [rng.randint(-bound, bound) for _ in range(rep.N)]
-        trial = cols + [cand]
-        if rank(Matrix.from_columns(trial)) == len(trial):
+        r = cand
+        for p, v in echelon:
+            if r[p]:
+                r = [v[p] * x - r[p] * y for x, y in zip(r, v)]
+        pivot = next((m for m, x in enumerate(r) if x), None)
+        if pivot is not None:  # cand is outside the span of the accepted columns
+            g = gcd(*r)
+            echelon.append((pivot, [x // g for x in r]))
             cols.append(cand)
     return SpinorSubspace(rep, Matrix.from_columns(cols))

@@ -116,6 +116,9 @@ def cmd_bound_search(args):
     sig = args.sig
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
+    if args.dim is not None and args.dim > rep.N:
+        print(f"error: --dim {args.dim} exceeds the module dimension N = {rep.N}", file=sys.stderr)
+        return 2
     dim = args.dim if args.dim is not None else 3 * rep.N // 4 + 1
     sweep = random_surjectivity_sweep(rep, form, dim, args.trials, args.seed)
     payload = {
@@ -241,12 +244,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rep-table", help="signature, module dimension, commutant type")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_positive_int, default=8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_rep_table)
 
     p = sub.add_parser("admissible-table", help="admissible form table per signature")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_positive_int, default=8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_admissible_table)
 
@@ -258,8 +261,8 @@ def build_parser():
 
     p = sub.add_parser("bound-search", help="random subspace surjectivity sweep")
     p.add_argument("--sig", type=_parse_sig, required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--dim", type=_positive_int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_bound_search)
 
@@ -287,7 +290,7 @@ def build_parser():
     p.set_defaults(func=cmd_model_verify)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--witness", default=None)
     p.set_defaults(func=cmd_verify_all)

@@ -290,13 +290,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _clear_row_denominators(row):
+    if all(type(x) is int for x in row):
+        return list(row)
     m = 1
     for x in row:
         d = _denominator_lcm(x)
         m = m * d // gcd(m, d)
-    if m == 1:
-        return list(row)
-    return [x * m for x in row]
+    # integral Fractions become ints so Bareiss takes the integer divmod path
+    return [(x * m).numerator if isinstance(x, Fraction) else x * m for x in row]
 
 
 def _echelonize(matrix: Matrix):
@@ -415,11 +416,6 @@ def column_space_basis(matrix: Matrix) -> Matrix:
     if not pivots:
         return Matrix([[] for _ in range(matrix.rows)])
     return matrix.select_columns(pivots)
-
-
-def solve_in_span(basis: Matrix, vector) -> list | None:
-    """Coefficients expressing `vector` in the columns of `basis`, or None."""
-    return solve(basis, vector)
 
 
 class SignedUnionFind:

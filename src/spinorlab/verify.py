@@ -472,22 +472,6 @@ def criterion_convergence(base_step=1e-2, noise_floor=1e-10) -> CheckResult:
     )
 
 
-ALL_CRITERIA = [
-    criterion_clifford_relations,
-    criterion_admissible_table,
-    criterion_null_kernel,
-    criterion_beta,
-    criterion_bound_tightness,
-    criterion_spin23,
-    criterion_spin45,
-    criterion_mixed_bound,
-    criterion_cone_iso,
-    criterion_invariant_spinors,
-    criterion_model_sphere,
-    criterion_convergence,
-]
-
-
 def run_all(max_n=8, seed=0, witness_path=None) -> list[CheckResult]:
     results = []
     results.append(criterion_clifford_relations(max_n, seed))

@@ -26,7 +26,7 @@ from spinorlab.clifford_core import (
     gamma_vector,
     wedge_vectors,
 )
-from spinorlab.exact_linalg import Matrix
+from spinorlab.exact_linalg import Matrix, column_space_basis, kernel, rank
 
 
 def indefinite_signatures(max_n):
@@ -256,3 +256,142 @@ def test_bracket_bilinear_property(s1, s2, t, c):
     right = bracket_k(rep, form, t, mixed, 1)
     rsplit = bracket_k(rep, form, t, s1, 1).scale(c) + bracket_k(rep, form, t, s2, 1)
     assert right.coeffs == rsplit.coeffs
+
+
+# Slow oracles for the block-assembled fast paths: the per-pair loops the
+# library used before it read everything out of one pairing block per
+# generator.
+
+
+def _obstruction_oracle(rep, form, space):
+    d = space.dim
+    if d == 0:
+        return Matrix.identity(rep.n)
+    b = space.basis
+    bt_h = b.transpose() * form.matrix
+    rows = []
+    for a in range(d):
+        for c in range(d):
+            row = []
+            for i in range(rep.n):
+                g_b = rep.generators[i] * b
+                row.append(sum(bt_h.data[a][m] * g_b.data[m][c] for m in range(rep.N)))
+            rows.append(row)
+    return kernel(Matrix(rows))
+
+
+def _pi_image_oracle(rep, form, a, b):
+    cols = [
+        list(bracket_k(rep, form, s, t, 1).coeffs)
+        for s in a.basis.columns()
+        for t in b.basis.columns()
+    ]
+    if not cols:
+        return 0, Matrix([[] for _ in range(rep.n)])
+    basis = column_space_basis(Matrix.from_columns(cols))
+    return basis.cols, basis
+
+
+def _random_subspace_oracle(rep, dim, rng, bound=3):
+    cols = []
+    while len(cols) < dim:
+        cand = [rng.randint(-bound, bound) for _ in range(rep.N)]
+        trial = cols + [cand]
+        if rank(Matrix.from_columns(trial)) == len(trial):
+            cols.append(cand)
+    return Matrix.from_columns(cols)
+
+
+def _assert_identical(fast, slow):
+    assert fast == slow
+    assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
+    assert [[type(x) for x in row] for row in fast.data] == [
+        [type(x) for x in row] for row in slow.data
+    ]
+
+
+def _oracle_subspaces(sig, seed):
+    rep = build_rep(sig)
+    form = first_nondegenerate(rep)
+    rng = random.Random(seed)
+    subs = [SpinorSubspace.full(rep), SpinorSubspace.trivial(rep)]
+    subs += [random_subspace(rep, d, rng) for d in range(1, rep.N + 1)]
+    if not sig.is_definite():
+        subs += [null_kernel(rep, form, random_null_vector(sig, rng)) for _ in range(2)]
+    return rep, form, subs
+
+
+_ORACLE_SIGNATURES = [
+    Signature(2, 3),
+    Signature(1, 3),
+    Signature(3, 3),
+    Signature(4, 1),
+    Signature(3, 0),
+]
+
+
+@pytest.mark.parametrize("sig", _ORACLE_SIGNATURES, ids=str)
+def test_obstruction_vectors_match_per_pair_oracle(sig):
+    rep, form, subs = _oracle_subspaces(sig, seed=sig.p * 10 + sig.q)
+    for sub in subs:
+        _assert_identical(
+            obstruction_vectors(rep, form, sub), _obstruction_oracle(rep, form, sub)
+        )
+
+
+@pytest.mark.parametrize("sig", _ORACLE_SIGNATURES, ids=str)
+def test_pi_image_matches_bracket_k_oracle(sig):
+    rep, form, subs = _oracle_subspaces(sig, seed=sig.p * 10 + sig.q + 1)
+    # every ordered pair, so A != B in dimension and in content
+    for a in subs[::2]:
+        for b in subs[1::2] + [a]:
+            fast_dim, fast = pi_image(rep, form, a, b)
+            slow_dim, slow = _pi_image_oracle(rep, form, a, b)
+            assert fast_dim == slow_dim
+            _assert_identical(fast, slow)
+
+
+def test_pi_image_degenerate_form_and_empty_spaces():
+    from spinorlab.admissible_forms import BilinearForm
+
+    rep = build_rep(Signature(2, 1))
+    bad = BilinearForm(Matrix.zero(rep.N, rep.N), 1, -1, False)
+    full, trivial = SpinorSubspace.full(rep), SpinorSubspace.trivial(rep)
+    with pytest.raises(ValueError):
+        pi_image(rep, bad, full, full)
+    for a, b in ((trivial, full), (full, trivial), (trivial, trivial)):
+        dim, basis = pi_image(rep, bad, a, b)
+        assert dim == 0
+        assert (basis.rows, basis.cols) == (rep.n, 0)
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+@pytest.mark.parametrize(
+    "sig, dims, bound",
+    [
+        (Signature(2, 3), (1, 2, 3, 4), 3),
+        (Signature(3, 3), (5, 7, 8), 3),
+        (Signature(4, 1), (3, 6), 2),
+        (Signature(2, 0), (2, 3, 4), 1),
+    ],
+    ids=str,
+)
+def test_random_subspace_matches_rank_per_candidate(sig, dims, bound):
+    rep = build_rep(sig)
+    rejected = 0
+    for seed in range(6):
+        for dim in dims:
+            fast_rng, slow_rng = _CountingRandom(seed), random.Random(seed)
+            sub = random_subspace(rep, dim, fast_rng, bound=bound)
+            assert sub.basis == _random_subspace_oracle(rep, dim, slow_rng, bound=bound)
+            assert fast_rng.getstate() == slow_rng.getstate()
+            rejected += fast_rng.draws // rep.N - dim
+    if bound == 1:
+        assert rejected > 0  # dependent candidates were drawn and skipped

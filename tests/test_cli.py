@@ -132,3 +132,32 @@ def test_model_verify_rejects_bad_values_in_parser(flags):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-search", "--sig", "2,3", "--trials", "-5"],
+        ["bound-search", "--sig", "2,3", "--trials", "0"],
+        ["bound-search", "--sig", "2,3", "--trials", "0", "--dim", "0"],
+        ["bound-search", "--sig", "2,3", "--dim", "-1"],
+        ["bound-search", "--sig", "2,3", "--dim", "5"],  # N = 4 for (2,3)
+        ["bound-search", "--sig", "3,3", "--dim", "9"],  # N = 8 for (3,3)
+        ["rep-table", "--max-n", "0", "--format", "csv"],
+        ["rep-table", "--max-n", "-2"],
+        ["admissible-table", "--max-n", "0"],
+        ["verify-all", "--max-n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_count_flags_exit_2_without_output(argv, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a rejected flag must not reach the sweep")
+
+    monkeypatch.setattr("spinorlab.cli.random_surjectivity_sweep", no_sweep)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -102,6 +102,28 @@ def test_fraction_entries():
     assert (m * k).is_zero()
 
 
+def test_integral_fraction_rows_eliminate_over_int():
+    from spinorlab.exact_linalg import _echelonize
+
+    ints = [[2, 4, 6, 1], [1, 3, 5, 0], [3, 7, 11, 1]]  # rank 2
+    as_fractions = Matrix([[Fraction(x) for x in row] for row in ints])
+    halves = Matrix([[Fraction(x, 2) for x in row] for row in ints])
+    for m in (as_fractions, halves):
+        rows, pivots = _echelonize(m)
+        assert pivots == [0, 1]
+        assert all(type(x) is int for row in rows for x in row)
+    want = kernel(Matrix(ints))
+    for m in (as_fractions, halves):
+        k = kernel(m)
+        assert k == want and k.cols == 2
+        assert [[type(x) for x in row] for row in k.data] == [
+            [type(x) for x in row] for row in want.data
+        ]
+    sol = solve(as_fractions, [Fraction(1), Fraction(1), Fraction(2)])
+    assert sol == solve(Matrix(ints), [1, 1, 2])
+    assert all(type(x) is Fraction for x in sol)
+
+
 def test_gaussian_rational_arithmetic():
     z = GaussianRational(1, 2)
     w = GaussianRational(3, -1)
