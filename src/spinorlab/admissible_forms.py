@@ -17,7 +17,7 @@ from .clifford_core import (
     blade_index_list,
     build_rep,
     gamma_blade,
-    signed_permutation,
+    monomial_relations,
 )
 from .exact_linalg import Matrix, kernel, rank, signed_relation_basis
 
@@ -57,7 +57,7 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
     N = rep.N
-    relations = _type_relations(rep, tau)
+    relations = monomial_relations([(g, g) for g in rep.generators], N, tau)
     for r in range(N):
         for s in range(r, N):
             relations.append((r * N + s, s * N + r, sigma))
@@ -72,23 +72,6 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
             )
         )
     return forms
-
-
-def _type_relations(rep: CliffordRep, tau: int):
-    N = rep.N
-    relations = []
-    for g in rep.generators:
-        sp = signed_permutation(g)
-        if sp is None:
-            raise ValueError("generators must be signed permutations")
-        perm, signs = sp
-        for r in range(N):
-            for s in range(N):
-                # d(r) H[perm(r), s] == tau d(s) H[r, perm(s)]
-                relations.append(
-                    (perm[r] * N + s, r * N + perm[s], tau * signs[r] * signs[s])
-                )
-    return relations
 
 
 def admissible_space_dense(rep: CliffordRep, sigma: int, tau: int) -> int:

@@ -18,6 +18,7 @@ from .clifford_core import (
     gamma_blade,
     gamma_vector,
     metric_value,
+    null_pair,
 )
 from .exact_linalg import Matrix, column_space_basis, kernel, rank
 
@@ -166,8 +167,6 @@ def random_vector(n, rng, bound=3):
 def random_null_vector(sig, rng, bound=3):
     """Nonzero null vector built from a hyperbolic pair: given any z with
     g(z,p) != 0 for null p, the vector 2 g(z,p) z - g(z,z) p is null."""
-    from .clifford_core import null_pair
-
     eta = sig.eta()
     p_vec, _ = null_pair(sig)
     while True:
@@ -182,9 +181,14 @@ def random_null_vector(sig, rng, bound=3):
 
 
 def random_subspace(rep: CliffordRep, dim: int, rng, bound=3) -> SpinorSubspace:
-    """Seeded integer subspace of the given dimension with rank repair."""
+    """Seeded integer subspace of the given dimension with rank repair;
+    dimension 0 gives the trivial subspace without drawing."""
+    if dim < 0:
+        raise ValueError(f"subspace dimension {dim} is negative")
     if dim > rep.N:
         raise ValueError("dimension exceeds the module")
+    if dim == 0:
+        return SpinorSubspace.trivial(rep)
     cols = []
     echelon = []  # (pivot, integer row) per accepted column, reduced in order
     while len(cols) < dim:

@@ -4,9 +4,11 @@ and seeds, JSON by default, CSV for the table commands."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import random
 import sys
 
 from . import serialize, verify
@@ -26,8 +28,6 @@ from .subspace_lab import (
     spin45_search,
 )
 
-import random
-
 
 def _default_seed():
     return int(os.environ.get("SPINORLAB_SEED", "0"))
@@ -36,15 +36,18 @@ def _default_seed():
 def _parse_sig(text) -> Signature:
     try:
         p, q = (int(x) for x in text.split(","))
-        return Signature(p, q)
+        sig = Signature(p, q)
     except Exception as err:
         raise argparse.ArgumentTypeError(f"signature must be 'p,q': {err}")
+    if sig.n < 1:
+        raise argparse.ArgumentTypeError(f"signature {text} needs p + q >= 1")
+    return sig
 
 
-def _parse_cone(text) -> Signature:
+def _parse_cone(text, min_n=2) -> Signature:
     sig = _parse_sig(text)
-    if sig.p < 1 or sig.n < 2:
-        raise argparse.ArgumentTypeError(f"cone {text} needs p >= 1 and p + q >= 2")
+    if sig.p < 1 or sig.n < min_n:
+        raise argparse.ArgumentTypeError(f"cone {text} needs p >= 1 and p + q >= {min_n}")
     return sig
 
 
@@ -85,6 +88,9 @@ def cmd_admissible_table(args):
 
 def cmd_bracket(args):
     sig = args.sig
+    if not 0 <= args.k <= sig.n:
+        print(f"error: --k {args.k} is outside 0..n = {sig.n}", file=sys.stderr)
+        return 2
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
     rng = random.Random(args.seed)
@@ -267,18 +273,18 @@ def build_parser():
     p.set_defaults(func=cmd_bound_search)
 
     p = sub.add_parser("spin23", help="isotropic-plane bracket scan on (2,3)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_spin23)
 
     p = sub.add_parser("spin45", help="search for the dim-4 bracket witness on (4,5)")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_positive_int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spin45)
 
     p = sub.add_parser("cone-report", help="semi-spinor split and invariant dims")
-    p.add_argument("--sig", type=_parse_sig, required=True)
+    p.add_argument("--sig", type=functools.partial(_parse_cone, min_n=1), required=True)
     p.set_defaults(func=cmd_cone_report)
 
     p = sub.add_parser("model-verify", help="numeric Killing checks on a hyperquadric")

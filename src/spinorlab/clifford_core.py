@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Matrix, kron, signed_relation_basis, kernel
+from .exact_linalg import Matrix, kron, signed_relation_basis
 
 
 @dataclass(frozen=True)
@@ -268,56 +268,55 @@ def _build(p, q):
     return positives, negatives, comm
 
 
+def monomial_relations(pairs, N, c=1):
+    """Two-term relations (index, index, sign) for L^T X = c X R on N x N
+    matrices X, one block per pair (L, R) of signed permutations; the
+    input of exact_linalg.signed_relation_basis."""
+    relations = []
+    for left, right in pairs:
+        lsp, rsp = signed_permutation(left), signed_permutation(right)
+        if lsp is None or rsp is None:
+            raise ValueError("relation matrices must be signed permutations")
+        (lp, ls), (rp, rs) = lsp, rsp
+        for r in range(N):
+            for s in range(N):
+                relations.append((lp[r] * N + s, r * N + rp[s], c * ls[r] * rs[s]))
+    return relations
+
+
 def commutant_dimension(generators, N) -> int:
     """Dimension of {X : X G = G X for all generators G}.
 
-    Uses the signed two-term relation solver; requires signed-permutation
-    generators (always true for built reps).
+    Uses the signed two-term relation solver; raises ValueError unless
+    every generator is a signed permutation (always true for built reps).
     """
-    relations = []
-    for g in generators:
-        sp = signed_permutation(g)
-        if sp is None:
-            return _commutant_dimension_dense(generators, N)
-        perm, signs = sp
-        inv = [0] * N
-        for j, i in enumerate(perm):
-            inv[i] = j
-        for r in range(N):
-            a = inv[r]
-            da = signs[a]
-            for s in range(N):
-                # d_a X[a, s] == d_s X[r, perm[s]]
-                relations.append((a * N + s, r * N + perm[s], da * signs[s]))
+    relations = monomial_relations(((g.transpose(), g) for g in generators), N)
     return len(signed_relation_basis(N * N, relations))
 
 
-def _commutant_dimension_dense(generators, N):
-    rows = []
-    for g in generators:
-        for r in range(N):
-            for s in range(N):
-                row = [0] * (N * N)
-                for k in range(N):
-                    if g.data[r][k]:
-                        row[k * N + s] += g.data[r][k]
-                    if g.data[k][s]:
-                        row[r * N + k] -= g.data[k][s]
-                rows.append(row)
-    return kernel(Matrix(rows)).cols
+def clifford_relation_failures(generators, eta):
+    """(i, j) pairs, i <= j in row-major order, where
+    G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta."""
+    N = generators[0].rows
+    ident = Matrix.identity(N)
+    zero = Matrix.zero(N, N)
+    failures = []
+    for i, gi in enumerate(generators):
+        for j in range(i, len(generators)):
+            gj = generators[j]
+            want = ident.scale(-2 * eta[i]) if i == j else zero
+            if gi * gj + gj * gi != want:
+                failures.append((i, j))
+    return failures
 
 
 def _verify_rep(rep: CliffordRep):
-    ident = Matrix.identity(rep.N)
-    for i, gi in enumerate(rep.generators):
-        for j in range(i, rep.n):
-            gj = rep.generators[j]
-            anti = gi * gj + gj * gi
-            want = ident.scale(-2 * rep.eta[i]) if i == j else Matrix.zero(rep.N, rep.N)
-            if anti != want:
-                raise ArithmeticError(
-                    f"Clifford relation failed at ({i},{j}) for {rep.signature}"
-                )
+    failures = clifford_relation_failures(rep.generators, rep.eta)
+    if failures:
+        i, j = failures[0]
+        raise ArithmeticError(
+            f"Clifford relation failed at ({i},{j}) for {rep.signature}"
+        )
     for x in rep.commutant_basis:
         for g in rep.generators:
             if not _commutes(x, g):
@@ -586,6 +585,12 @@ def null_pair(sig: Signature):
     return p_vec, q_vec
 
 
+def even_subalgebra_images(rep_cone: CliffordRep):
+    """Images e_i e_0 of the base generators in the cone's even subalgebra."""
+    g0 = rep_cone.generators[0]
+    return [rep_cone.generators[i] * g0 for i in range(1, rep_cone.n)]
+
+
 @dataclass(frozen=True)
 class ConeIsoReport:
     ok: bool
@@ -610,23 +615,15 @@ def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport
     if (cone.p, cone.q) != (base.p + 1, base.q):
         raise ValueError("cone signature must be (p+1, q) over the base")
     n = base.n
-    g0 = rep_cone.generators[0]
-    images = [rep_cone.generators[i + 1] * g0 for i in range(n)]
-    ident_c = Matrix.identity(rep_cone.N)
-    ident_b = Matrix.identity(rep_base.N)
+    even_failures = clifford_relation_failures(even_subalgebra_images(rep_cone), base.eta())
+    base_failures = clifford_relation_failures(rep_base.generators, base.eta())
     failures = []
     checked = 0
     for i in range(n):
         for j in range(i, n):
-            want = -2 * (base.eta()[i] if i == j else 0)
-            lhs = images[i] * images[j] + images[j] * images[i]
-            if lhs != ident_c.scale(want):
+            if (i, j) in even_failures:
                 failures.append(f"even_relation({i},{j})")
-            rhs = (
-                rep_base.generators[i] * rep_base.generators[j]
-                + rep_base.generators[j] * rep_base.generators[i]
-            )
-            if rhs != ident_b.scale(want):
+            if (i, j) in base_failures:
                 failures.append(f"base_relation({i},{j})")
             checked += 1
     return ConeIsoReport(

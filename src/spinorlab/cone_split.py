@@ -14,9 +14,11 @@ from fractions import Fraction
 from .clifford_core import (
     CliffordRep,
     Signature,
+    clifford_relation_failures,
+    even_subalgebra_images,
     gamma_polyvector,
+    monomial_relations,
     null_pair,
-    signed_permutation,
     volume_element,
     wedge_vectors,
 )
@@ -66,16 +68,9 @@ def complex_clifford_rep(m: int):
     return gens, grading
 
 
-def _check_complex_clifford(gens, dim):
-    ident = Matrix.identity(dim)
-    for i, gi in enumerate(gens):
-        for j in range(i, len(gens)):
-            gj = gens[j]
-            anti = gi * gj + gj * gi
-            want = ident.scale(-2) if i == j else Matrix.zero(dim, dim)
-            if anti != want:
-                return f"relation({i},{j})"
-    return None
+def _check_complex_clifford(gens):
+    failures = clifford_relation_failures(gens, (1,) * len(gens))
+    return "relation({},{})".format(*failures[0]) if failures else None
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
             vol1 = vol1.scale(I_UNIT)
         images = [kron(g, Matrix.identity(d2)) for g in gens1]
         images += [kron(vol1, k) for k in gens2]
-        err = _check_complex_clifford(images, d1 * d2)
+        err = _check_complex_clifford(images)
         if err:
             failures.append(err)
         dims = {
@@ -147,7 +142,7 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
     images = [kron(g, Matrix.identity(d2)) for g in gens1]
     images += [kron(grading1, k) for k in gens2]
     dim = d1 * d2
-    err = _check_complex_clifford(images, dim)
+    err = _check_complex_clifford(images)
     if err:
         failures.append(err)
     # Koszul rule on homogeneous generators: (1 (x) b)(a (x) 1) picks up
@@ -249,29 +244,10 @@ def null_plane_rotations(rep: CliffordRep):
     return out
 
 
-def even_subalgebra_images(rep_cone: CliffordRep):
-    g0 = rep_cone.generators[0]
-    return [rep_cone.generators[i] * g0 for i in range(1, rep_cone.n)]
-
-
 def _even_commutant_matrices(rep_cone: CliffordRep):
-    images = even_subalgebra_images(rep_cone)
     N = rep_cone.N
-    relations = []
-    for g in images:
-        sp = signed_permutation(g)
-        if sp is None:
-            raise ValueError("even images must be signed permutations")
-        perm, signs = sp
-        inv = [0] * N
-        for j, i in enumerate(perm):
-            inv[i] = j
-        for r in range(N):
-            a = inv[r]
-            da = signs[a]
-            for s in range(N):
-                relations.append((a * N + s, r * N + perm[s], da * signs[s]))
-    vecs = signed_relation_basis(N * N, relations)
+    pairs = ((g.transpose(), g) for g in even_subalgebra_images(rep_cone))
+    vecs = signed_relation_basis(N * N, monomial_relations(pairs, N))
     return [Matrix([v[r * N : (r + 1) * N] for r in range(N)]) for v in vecs]
 
 

@@ -105,10 +105,14 @@ def isotropic_subspace(gram: Matrix, symmetric: bool, target_dim: int) -> Matrix
         raise IsotropicSearchError("target exceeds the maximal isotropic dimension")
     if symmetric:
         return _symmetric_isotropic(gram, target_dim)
-    return _greedy_isotropic(gram, target_dim, check_square=False)
+    return _skew_isotropic(gram, target_dim)
 
 
-def _greedy_isotropic(gram: Matrix, target_dim: int, check_square: bool) -> Matrix:
+def _skew_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
+    """Greedy isotropic extension for an antisymmetric form: each step
+    adds a vector of the running h-orthogonal space outside the current
+    span.  Without an rng the kernel columns are tried in order; with one,
+    up to 50 random integer combinations of them."""
     d = gram.rows
     iso = []
     while len(iso) < target_dim:
@@ -123,30 +127,30 @@ def _greedy_isotropic(gram: Matrix, target_dim: int, check_square: bool) -> Matr
             space = kernel(Matrix(rows))
         else:
             space = Matrix.identity(d)
-        added = False
-        for c in range(space.cols):
-            cand = space.col(c)
-            trial = iso + [cand]
-            if rank(Matrix.from_columns(trial)) != len(trial):
+        for t in range(space.cols if rng is None else 50):
+            if rng is None:
+                cand = space.col(t)
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in range(space.cols)]
+                cand = [
+                    sum(space[i, c] * coeffs[c] for c in range(space.cols))
+                    for i in range(d)
+                ]
+            if not any(cand):
                 continue
-            if check_square:
-                val = sum(
-                    gram[a, b] * cand[a] * cand[b]
-                    for a in range(d)
-                    for b in range(d)
-                    if cand[a] and cand[b]
-                )
-                if val != 0:
-                    continue
-            iso.append(cand)
-            added = True
-            break
-        if not added:
+            trial = iso + [cand]
+            if rank(Matrix.from_columns(trial)) == len(trial):
+                iso.append(cand)
+                break
+        else:
             raise IsotropicSearchError("greedy extension exhausted")
     return Matrix.from_columns(iso)
 
 
-def _symmetric_isotropic(gram: Matrix, target_dim: int) -> Matrix:
+def _symmetric_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
+    """Witt reduction for a symmetric form: each step takes a rational
+    null vector and peels its hyperbolic plane off.  With an rng the found
+    null vector x is replaced by a random one, 2 h(z,x) z - h(z,z) x."""
     d = gram.rows
     ambient = Matrix.identity(d)  # columns: current working basis
     iso_cols = []
@@ -158,6 +162,17 @@ def _symmetric_isotropic(gram: Matrix, target_dim: int) -> Matrix:
                 "no rational null direction found; isotropic construction failed"
             )
         dd = current.rows
+        if rng is not None:
+            for _ in range(60):
+                z = [rng.randint(-2, 2) for _ in range(dd)]
+                bzx = _bilin(current, z, x)
+                if bzx == 0:
+                    continue
+                bzz = _bilin(current, z, z)
+                cand = [2 * bzx * zi - bzz * xi for zi, xi in zip(z, x)]
+                if any(cand):
+                    x = cand
+                    break
         # partner with nonzero pairing, by nondegeneracy
         pairing = [
             sum(current[a, b] * x[a] for a in range(dd)) for b in range(dd)
@@ -175,6 +190,13 @@ def _symmetric_isotropic(gram: Matrix, target_dim: int) -> Matrix:
         ambient = ambient * comp
         current = comp.transpose() * current * comp
     return Matrix.from_columns(iso_cols)
+
+
+def _bilin(gram, x, y):
+    d = gram.rows
+    return sum(
+        gram[a, b] * x[a] * y[b] for a in range(d) for b in range(d) if x[a] and y[b]
+    )
 
 
 @dataclass(frozen=True)
@@ -284,90 +306,12 @@ def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSub
     symmetric ones run a randomized hyperbolic-plane reduction.  Isotropy
     is re-verified exactly before returning.
     """
-    n = rep.N
-    target = n // 2
-    if form.sigma == -1:
-        iso = []
-        while len(iso) < target:
-            if iso:
-                rows = [
-                    [
-                        sum(u[a] * form.matrix[a, b] for a in range(n) if u[a])
-                        for b in range(n)
-                    ]
-                    for u in iso
-                ]
-                space = kernel(Matrix(rows))
-            else:
-                space = Matrix.identity(n)
-            for _ in range(50):
-                coeffs = [rng.randint(-2, 2) for _ in range(space.cols)]
-                cand = [
-                    sum(space[i, c] * coeffs[c] for c in range(space.cols))
-                    for i in range(n)
-                ]
-                if not any(cand):
-                    continue
-                trial = iso + [cand]
-                if rank(Matrix.from_columns(trial)) == len(trial):
-                    iso.append(cand)
-                    break
-            else:
-                raise IsotropicSearchError("random isotropic extension stalled")
-        basis = Matrix.from_columns(iso)
-    else:
-        basis = _random_symmetric_isotropic(form.matrix, target, rng)
+    build = _skew_isotropic if form.sigma == -1 else _symmetric_isotropic
+    basis = build(form.matrix, rep.N // 2, rng)
     pairing = basis.transpose() * form.matrix * basis
     if not pairing.is_zero():
         raise ArithmeticError("sampled subspace is not isotropic")
     return SpinorSubspace(rep, basis)
-
-
-def _bilin(gram, x, y):
-    d = gram.rows
-    return sum(
-        gram[a, b] * x[a] * y[b] for a in range(d) for b in range(d) if x[a] and y[b]
-    )
-
-
-def _random_symmetric_isotropic(gram: Matrix, target: int, rng) -> Matrix:
-    """Randomized Witt reduction: each step draws a random rational null
-    vector (via the hyperbolic-pair identity) and peels its plane off."""
-    d = gram.rows
-    ambient = Matrix.identity(d)
-    iso_cols = []
-    current = gram
-    for step in range(target):
-        x0 = _find_null_direction(current)
-        if x0 is None:
-            raise IsotropicSearchError("no rational null direction found")
-        dd = current.rows
-        v = x0
-        for _ in range(60):
-            z = [rng.randint(-2, 2) for _ in range(dd)]
-            bzx = _bilin(current, z, x0)
-            if bzx == 0:
-                continue
-            bzz = _bilin(current, z, z)
-            cand = [2 * bzx * zi - bzz * xi for zi, xi in zip(z, x0)]
-            if any(cand):
-                v = cand
-                break
-        pairing = [sum(current[a, b] * v[a] for a in range(dd)) for b in range(dd)]
-        y_idx = next(b for b in range(dd) if pairing[b] != 0)
-        iso_cols.append(
-            [
-                sum(ambient[i, a] * v[a] for a in range(ambient.cols) if v[a])
-                for i in range(d)
-            ]
-        )
-        if step + 1 == target:
-            break
-        rows = [pairing, [current[y_idx, b] for b in range(dd)]]
-        comp = kernel(Matrix(rows))
-        ambient = ambient * comp
-        current = comp.transpose() * current * comp
-    return Matrix.from_columns(iso_cols)
 
 
 @dataclass(frozen=True)
@@ -409,11 +353,6 @@ def _structured_spin45_candidate(rep, form, rng):
     partners, span{K, gamma_w b, gamma_w gamma_w' b} is half-dimensional;
     isotropy is checked by the caller.
     """
-    from fractions import Fraction
-
-    from .clifford_core import gamma_vector
-    from .exact_linalg import kernel as _kernel
-
     pos = rng.sample(range(rep.signature.p), 3)
     neg = rng.sample(range(rep.signature.p, rep.n), 3)
     signs = [rng.choice([1, -1]) for _ in range(3)]

@@ -23,6 +23,7 @@ from .brackets import (
 from .clifford_core import (
     Signature,
     build_rep,
+    clifford_relation_failures,
     cone_even_iso,
     gamma_vector,
     metric_value,
@@ -96,12 +97,8 @@ def criterion_clifford_relations(max_n=8, seed=0) -> CheckResult:
     for sig in _signatures(max_n):
         rep = build_rep(sig)
         ident = Matrix.identity(rep.N)
-        for i in range(rep.n):
-            for j in range(i, rep.n):
-                gi, gj = rep.generators[i], rep.generators[j]
-                want = ident.scale(-2 * rep.eta[i]) if i == j else Matrix.zero(rep.N, rep.N)
-                if gi * gj + gj * gi != want:
-                    failures.append(f"{sig}:relation({i},{j})")
+        for i, j in clifford_relation_failures(rep.generators, rep.eta):
+            failures.append(f"{sig}:relation({i},{j})")
         for _ in range(10):
             v = [rng.randint(-3, 3) for _ in range(rep.n)]
             gv = gamma_vector(rep, v)

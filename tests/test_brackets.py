@@ -222,6 +222,17 @@ def test_random_subspace_rank():
     assert sub.dim == 3
 
 
+def test_random_subspace_edge_dimensions():
+    rep = build_rep(Signature(2, 3))
+    rng = random.Random(1)
+    state = rng.getstate()
+    sub = random_subspace(rep, 0, rng)
+    assert sub.dim == 0 and sub.basis.rows == rep.N
+    assert rng.getstate() == state  # nothing drawn
+    with pytest.raises(ValueError, match="dimension -1"):
+        random_subspace(rep, -1, rng)
+
+
 _spinor4 = st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4)
 
 

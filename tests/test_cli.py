@@ -1,17 +1,22 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from spinorlab.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(argv):
+    # run from src/ so `-m` finds the checkout's package without an install
     proc = subprocess.run(
         [sys.executable, "-m", "spinorlab.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     return proc
 
@@ -89,6 +94,7 @@ def test_cone_report(capsys):
     assert main(["cone-report", "--sig", "4,0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["split"] is True
+    assert main(["cone-report", "--sig", "1,0"]) == 0  # the smallest cone
 
 
 def test_model_verify(capsys):
@@ -147,6 +153,14 @@ def test_model_verify_rejects_bad_values_in_parser(flags):
         ["rep-table", "--max-n", "-2"],
         ["admissible-table", "--max-n", "0"],
         ["verify-all", "--max-n", "0"],
+        ["spin23", "--trials", "-5"],
+        ["spin23", "--trials", "0"],
+        ["spin45", "--budget", "0"],
+        ["bracket", "--sig", "0,0"],
+        ["bound-search", "--sig", "0,0"],
+        ["cone-report", "--sig", "0,3"],
+        ["bracket", "--sig", "2,3", "--k", "9"],
+        ["bracket", "--sig", "2,3", "--k", "-1"],
     ],
     ids=" ".join,
 )
@@ -154,7 +168,14 @@ def test_count_flags_exit_2_without_output(argv, capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("a rejected flag must not reach the sweep")
 
-    monkeypatch.setattr("spinorlab.cli.random_surjectivity_sweep", no_sweep)
+    for name in (
+        "random_surjectivity_sweep",
+        "spin23_isotropic_scan",
+        "spin45_search",
+        "bracket_k",
+        "semispinor_projectors",
+    ):
+        monkeypatch.setattr(f"spinorlab.cli.{name}", no_sweep)
     try:
         code = main(argv)
     except SystemExit as exc:

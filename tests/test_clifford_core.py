@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,20 +8,24 @@ from spinorlab.clifford_core import (
     Polyvector,
     Signature,
     build_rep,
+    clifford_relation_failures,
     commutant_dimension,
     cone_even_iso,
+    even_subalgebra_images,
     gamma_alternating,
     gamma_blade,
     gamma_polyvector,
     gamma_vector,
     metric_value,
+    monomial_relations,
     null_pair,
     rep_table,
+    signed_permutation,
     volume_element,
     volume_square_sign,
     wedge_vectors,
 )
-from spinorlab.exact_linalg import Matrix
+from spinorlab.exact_linalg import Matrix, kernel
 
 
 def all_signatures(max_n):
@@ -85,10 +90,101 @@ def test_commutant_matches_mod8_table():
         assert dim == {"R": 1, "C": 2, "H": 4}[rep.commutant_type]
 
 
+def _commutant_dimension_dense(generators, N):
+    """Brute-force oracle: kernel of the stacked N^2 x N^2 system GX - XG."""
+    rows = []
+    for g in generators:
+        for r in range(N):
+            for s in range(N):
+                row = [0] * (N * N)
+                for k in range(N):
+                    if g.data[r][k]:
+                        row[k * N + s] += g.data[r][k]
+                    if g.data[k][s]:
+                        row[r * N + k] -= g.data[k][s]
+                rows.append(row)
+    return kernel(Matrix(rows)).cols
+
+
+def _commutant_relations_oracle(mats, N):
+    """The relation loop commutant_dimension and the even commutant each
+    inlined before monomial_relations: d_a X[a, s] == d_s X[r, perm[s]]."""
+    relations = []
+    for g in mats:
+        perm, signs = signed_permutation(g)
+        inv = [0] * N
+        for j, i in enumerate(perm):
+            inv[i] = j
+        for r in range(N):
+            a = inv[r]
+            da = signs[a]
+            for s in range(N):
+                relations.append((a * N + s, r * N + perm[s], da * signs[s]))
+    return relations
+
+
+def _type_relations_oracle(rep, tau):
+    """The relation loop find_admissible used before monomial_relations:
+    d(r) H[perm(r), s] == tau d(s) H[r, perm(s)]."""
+    N = rep.N
+    relations = []
+    for g in rep.generators:
+        perm, signs = signed_permutation(g)
+        for r in range(N):
+            for s in range(N):
+                relations.append(
+                    (perm[r] * N + s, r * N + perm[s], tau * signs[r] * signs[s])
+                )
+    return relations
+
+
+def test_monomial_relations_match_inline_builders():
+    for sig in all_signatures(6):
+        rep = build_rep(sig)
+        gens, N = rep.generators, rep.N
+        commutant = monomial_relations([(g.transpose(), g) for g in gens], N)
+        assert commutant == _commutant_relations_oracle(gens, N), str(sig)
+        for tau in (1, -1):
+            typed = monomial_relations([(g, g) for g in gens], N, tau)
+            assert typed == _type_relations_oracle(rep, tau), (str(sig), tau)
+        if sig.p >= 1 and sig.n >= 2:
+            images = even_subalgebra_images(rep)
+            even = monomial_relations([(g.transpose(), g) for g in images], N)
+            assert even == _commutant_relations_oracle(images, N), str(sig)
+    # generators are involutions up to sign, so only a non-involutive
+    # monomial tells L from R
+    cycle = Matrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]])
+    got = monomial_relations([(cycle.transpose(), cycle)], 3)
+    assert got == _commutant_relations_oracle([cycle], 3)
+
+
+def test_commutant_dimension_rejects_non_monomial_generators():
+    shear = Matrix([[1, 1], [0, 1]])
+    assert _commutant_dimension_dense([shear], 2) == 2
+    with pytest.raises(ValueError):
+        commutant_dimension([shear], 2)
+
+
+def test_clifford_relation_failures_reports_broken_pairs():
+    for sig in all_signatures(6):
+        rep = build_rep(sig)
+        assert clifford_relation_failures(rep.generators, rep.eta) == [], str(sig)
+        # G_k := G_m breaks (k, m), and (k, k) when the squares differ
+        for k in range(rep.n):
+            for m in range(rep.n):
+                if k == m:
+                    continue
+                gens = list(rep.generators)
+                gens[k] = gens[m]
+                want = [tuple(sorted((k, m)))]
+                if rep.eta[k] != rep.eta[m]:
+                    want.append((k, k))
+                got = clifford_relation_failures(gens, rep.eta)
+                assert got == sorted(want), (str(sig), k, m)
+
+
 def test_commutant_table_against_dense_solver():
     # re-derive the residue table by brute force on small signatures
-    from spinorlab.clifford_core import _commutant_dimension_dense
-
     for sig in all_signatures(5):
         rep = build_rep(sig)
         dense = _commutant_dimension_dense(rep.generators, rep.N)
@@ -188,6 +284,25 @@ def test_cone_even_iso_small():
         report = cone_even_iso(rep_base, rep_cone)
         assert report.ok, report.failures
         assert report.dim_even_subalgebra == 2 ** base.n
+
+
+def test_cone_even_iso_reports_broken_relations_interleaved():
+    rep_base = build_rep(Signature(2, 1))
+    rep_cone = build_rep(Signature(3, 1))
+    g = rep_base.generators
+    broken_base = dataclasses.replace(rep_base, generators=(g[0], g[0], g[0]))
+    c = rep_cone.generators
+    broken_cone = dataclasses.replace(rep_cone, generators=(c[0], c[1], c[1], c[3]))
+    report = cone_even_iso(broken_base, broken_cone)
+    assert not report.ok
+    assert report.checked == 6
+    assert report.failures == (
+        "even_relation(0,1)",
+        "base_relation(0,1)",
+        "base_relation(0,2)",
+        "base_relation(1,2)",
+        "base_relation(2,2)",
+    )
 
 
 def test_cone_even_iso_all_small_n():

@@ -3,12 +3,17 @@ from pathlib import Path
 
 import pytest
 
+from spinorlab import subspace_lab
 from spinorlab.admissible_forms import first_nondegenerate
 from spinorlab.brackets import pi_image
 from spinorlab.clifford_core import Signature, build_rep, metric_value
-from spinorlab.exact_linalg import Matrix, rank
+from spinorlab.exact_linalg import Matrix, kernel, rank
 from spinorlab.subspace_lab import (
     IsotropicSearchError,
+    _bilin,
+    _find_null_direction,
+    _skew_isotropic,
+    _symmetric_isotropic,
     extremal_obstructed_subspace,
     extremal_witness,
     isotropic_subspace,
@@ -21,6 +26,155 @@ from spinorlab.subspace_lab import (
 )
 
 WITNESS_PATH = Path(__file__).resolve().parent.parent / "witnesses" / "spin45_max_isotropic.json"
+
+
+# Oracles: the three isotropic builders as they were written before
+# _skew_isotropic and _symmetric_isotropic replaced them.
+
+
+def _greedy_isotropic_oracle(gram, target_dim):
+    d = gram.rows
+    iso = []
+    while len(iso) < target_dim:
+        if iso:
+            rows = [
+                [sum(u[a] * gram[a, b] for a in range(d) if u[a]) for b in range(d)]
+                for u in iso
+            ]
+            space = kernel(Matrix(rows))
+        else:
+            space = Matrix.identity(d)
+        added = False
+        for c in range(space.cols):
+            cand = space.col(c)
+            trial = iso + [cand]
+            if rank(Matrix.from_columns(trial)) != len(trial):
+                continue
+            iso.append(cand)
+            added = True
+            break
+        if not added:
+            raise IsotropicSearchError("greedy extension exhausted")
+    return Matrix.from_columns(iso)
+
+
+def _random_skew_isotropic_oracle(gram, target, rng):
+    """The skew branch of random_max_isotropic."""
+    n = gram.rows
+    iso = []
+    while len(iso) < target:
+        if iso:
+            rows = [
+                [sum(u[a] * gram[a, b] for a in range(n) if u[a]) for b in range(n)]
+                for u in iso
+            ]
+            space = kernel(Matrix(rows))
+        else:
+            space = Matrix.identity(n)
+        for _ in range(50):
+            coeffs = [rng.randint(-2, 2) for _ in range(space.cols)]
+            cand = [
+                sum(space[i, c] * coeffs[c] for c in range(space.cols))
+                for i in range(n)
+            ]
+            if not any(cand):
+                continue
+            trial = iso + [cand]
+            if rank(Matrix.from_columns(trial)) == len(trial):
+                iso.append(cand)
+                break
+        else:
+            raise IsotropicSearchError("random isotropic extension stalled")
+    return Matrix.from_columns(iso)
+
+
+def _random_symmetric_isotropic_oracle(gram, target, rng):
+    d = gram.rows
+    ambient = Matrix.identity(d)
+    iso_cols = []
+    current = gram
+    for step in range(target):
+        x0 = _find_null_direction(current)
+        if x0 is None:
+            raise IsotropicSearchError("no rational null direction found")
+        dd = current.rows
+        v = x0
+        for _ in range(60):
+            z = [rng.randint(-2, 2) for _ in range(dd)]
+            bzx = _bilin(current, z, x0)
+            if bzx == 0:
+                continue
+            bzz = _bilin(current, z, z)
+            cand = [2 * bzx * zi - bzz * xi for zi, xi in zip(z, x0)]
+            if any(cand):
+                v = cand
+                break
+        pairing = [sum(current[a, b] * v[a] for a in range(dd)) for b in range(dd)]
+        y_idx = next(b for b in range(dd) if pairing[b] != 0)
+        iso_cols.append(
+            [
+                sum(ambient[i, a] * v[a] for a in range(ambient.cols) if v[a])
+                for i in range(d)
+            ]
+        )
+        if step + 1 == target:
+            break
+        rows = [pairing, [current[y_idx, b] for b in range(dd)]]
+        comp = kernel(Matrix(rows))
+        ambient = ambient * comp
+        current = comp.transpose() * current * comp
+    return Matrix.from_columns(iso_cols)
+
+
+def _typed_entries(m):
+    return [[(x, type(x)) for x in row] for row in m.data]
+
+
+def test_skew_isotropic_replays_random_skew_branch():
+    rep = build_rep(Signature(2, 3))
+    form = first_nondegenerate(rep, tau=1)  # the spin23 form
+    assert form.sigma == -1
+    for seed in range(8):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = _skew_isotropic(form.matrix, rep.N // 2, rng)
+        want = _random_skew_isotropic_oracle(form.matrix, rep.N // 2, oracle_rng)
+        assert _typed_entries(got) == _typed_entries(want), seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+def test_symmetric_isotropic_replays_random_symmetric_builder():
+    rep = build_rep(Signature(4, 5))
+    form = first_nondegenerate(rep, tau=1)  # the spin45 form
+    assert form.sigma == 1
+    for seed in range(6):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = _symmetric_isotropic(form.matrix, rep.N // 2, rng)
+        want = _random_symmetric_isotropic_oracle(form.matrix, rep.N // 2, oracle_rng)
+        assert _typed_entries(got) == _typed_entries(want), seed
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+def test_isotropic_builders_without_rng_on_extremal_grams(monkeypatch):
+    grams = []
+    original = subspace_lab.isotropic_subspace
+
+    def record(gram, symmetric, target_dim):
+        grams.append((gram, symmetric, target_dim))
+        return original(gram, symmetric, target_dim)
+
+    monkeypatch.setattr(subspace_lab, "isotropic_subspace", record)
+    for sig in (Signature(2, 3), Signature(1, 3), Signature(3, 3)):
+        extremal_witness(sig)
+    # (1,3) tries a symmetric pairing without rational null directions first
+    assert [sym for _, sym, _ in grams] == [False, True, False, False]
+    for gram, symmetric, target in grams:
+        if symmetric:
+            message = "^no rational null direction found; isotropic construction failed$"
+            with pytest.raises(IsotropicSearchError, match=message):
+                _symmetric_isotropic(gram, target)
+        else:
+            got = _skew_isotropic(gram, target)
+            assert _typed_entries(got) == _typed_entries(_greedy_isotropic_oracle(gram, target))
 
 
 def test_isotropic_subspace_skew():
