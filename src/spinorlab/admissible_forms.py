@@ -16,8 +16,10 @@ from .clifford_core import (
     Signature,
     blade_index_list,
     build_rep,
+    cell_maps,
     gamma_blade,
-    monomial_relations,
+    signed_permutations,
+    transposed,
 )
 from .exact_linalg import Matrix, kernel, rank, signed_relation_basis
 
@@ -57,11 +59,12 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
     N = rep.N
-    relations = monomial_relations([(g, g) for g in rep.generators], N, tau)
-    for r in range(N):
-        for s in range(r, N):
-            relations.append((r * N + s, s * N + r, sigma))
-    basis = signed_relation_basis(N * N, relations)
+    # G^T H = tau H G is H = tau G H G, since G^T = G^-1
+    sps = signed_permutations(rep.generators)
+    maps = cell_maps([(sp, transposed(sp)) for sp in sps], N, tau)
+    transpose = [s * N + r for r in range(N) for s in range(N)]
+    maps.append((transpose, [sigma] * (N * N)))
+    basis = signed_relation_basis(N * N, maps)
     forms = []
     for vec in basis:
         m = Matrix([vec[r * N : (r + 1) * N] for r in range(N)])
@@ -72,34 +75,6 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
             )
         )
     return forms
-
-
-def admissible_space_dense(rep: CliffordRep, sigma: int, tau: int) -> int:
-    """Dimension of the same solution space from a stacked dense kernel.
-
-    Independent brute-force oracle; quadratic memory in N^2, so meant
-    for small modules.
-    """
-    N = rep.N
-    rows = []
-    for g in rep.generators:
-        gt = g.transpose()
-        for r in range(N):
-            for s in range(N):
-                row = [0] * (N * N)
-                for k in range(N):
-                    if gt.data[r][k]:
-                        row[k * N + s] += gt.data[r][k]
-                    if g.data[k][s]:
-                        row[r * N + k] -= tau * g.data[k][s]
-                rows.append(row)
-    for r in range(N):
-        for s in range(N):
-            row = [0] * (N * N)
-            row[r * N + s] += 1
-            row[s * N + r] -= sigma
-            rows.append(row)
-    return kernel(Matrix(rows)).cols
 
 
 def all_admissible(rep: CliffordRep):

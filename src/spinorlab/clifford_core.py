@@ -268,30 +268,48 @@ def _build(p, q):
     return positives, negatives, comm
 
 
-def monomial_relations(pairs, N, c=1):
-    """Two-term relations (index, index, sign) for L^T X = c X R on N x N
-    matrices X, one block per pair (L, R) of signed permutations; the
-    input of exact_linalg.signed_relation_basis."""
-    relations = []
-    for left, right in pairs:
-        lsp, rsp = signed_permutation(left), signed_permutation(right)
-        if lsp is None or rsp is None:
-            raise ValueError("relation matrices must be signed permutations")
-        (lp, ls), (rp, rs) = lsp, rsp
-        for r in range(N):
-            for s in range(N):
-                relations.append((lp[r] * N + s, r * N + rp[s], c * ls[r] * rs[s]))
-    return relations
+def signed_permutations(matrices):
+    """signed_permutation of each matrix; ValueError unless every one is."""
+    out = [signed_permutation(m) for m in matrices]
+    if None in out:
+        raise ValueError("relation matrices must be signed permutations")
+    return out
+
+
+def transposed(sp):
+    """(perm, signs) of the transpose of the signed permutation sp."""
+    perm, signs = sp
+    inv, inv_signs = [0] * len(perm), [0] * len(perm)
+    for j, i in enumerate(perm):
+        inv[i] = j
+        inv_signs[i] = signs[j]
+    return inv, inv_signs
+
+
+def cell_maps(pairs, N, c=1):
+    """The relation X = c L X R^T on N x N matrices X as one signed cell
+    map (target, sign) per pair (L, R) of signed permutations given as
+    (perm, signs): cell a*N + s goes to lp[a]*N + rp[s] with sign
+    c * ls[a] * rs[s].  The input of exact_linalg.signed_relation_basis."""
+    maps = []
+    for (lp, ls), (rp, rs) in pairs:
+        target = [x * N + y for x in lp for y in rp]
+        sign = [c * x * y for x in ls for y in rs]
+        maps.append((target, sign))
+    return maps
+
+
+def commutant_vectors(matrices, N):
+    """Basis of {X : X M = M X for every M in matrices}, each element as
+    a flat row-major vector of N*N ints; ValueError unless every matrix
+    is a signed permutation (always true for built reps)."""
+    sps = signed_permutations(matrices)
+    return signed_relation_basis(N * N, cell_maps([(sp, sp) for sp in sps], N))
 
 
 def commutant_dimension(generators, N) -> int:
-    """Dimension of {X : X G = G X for all generators G}.
-
-    Uses the signed two-term relation solver; raises ValueError unless
-    every generator is a signed permutation (always true for built reps).
-    """
-    relations = monomial_relations(((g.transpose(), g) for g in generators), N)
-    return len(signed_relation_basis(N * N, relations))
+    """Dimension of {X : X G = G X for all generators G}."""
+    return len(commutant_vectors(generators, N))
 
 
 def clifford_relation_failures(generators, eta):
@@ -355,11 +373,20 @@ def build_rep(sig: Signature) -> CliffordRep:
 def gamma_vector(rep: CliffordRep, v) -> Matrix:
     if len(v) != rep.n:
         raise ValueError("vector length mismatch")
-    out = Matrix.zero(rep.N, rep.N)
+    # the sum of the c_i G_i over nonzero c_i: every entry, zero or not,
+    # takes the type of the sum of the c_i * 0
+    zero = 0
+    for c in v:
+        if c:
+            zero = zero + c * 0
+    out = [[zero] * rep.N for _ in range(rep.N)]
     for c, g in zip(v, rep.generators):
         if c:
-            out = out + g.scale(c)
-    return out
+            for row, acc in zip(g.data, out):
+                for j, x in enumerate(row):
+                    if x:
+                        acc[j] = acc[j] + c * x
+    return Matrix(out)
 
 
 def metric_value(eta, v, w):
@@ -514,39 +541,6 @@ def gamma_polyvector(rep: CliffordRep, xi: Polyvector) -> Matrix:
     return out
 
 
-def gamma_alternating(rep: CliffordRep, vectors) -> Matrix:
-    """(1/k!) sum over permutations of signed products; the defining
-    antisymmetrization, used as an independent oracle for gamma_polyvector."""
-    k = len(vectors)
-    if k == 0:
-        return Matrix.identity(rep.N)
-    gammas = [gamma_vector(rep, v) for v in vectors]
-    out = Matrix.zero(rep.N, rep.N)
-    for perm in itertools.permutations(range(k)):
-        sign = _permutation_sign(perm)
-        prod = gammas[perm[0]]
-        for idx in perm[1:]:
-            prod = prod * gammas[idx]
-        out = out + prod.scale(sign)
-    return out.scale(Fraction(1, _factorial(k)))
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _permutation_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def wedge_vectors(vectors) -> Polyvector:
     n = len(vectors[0])
     out = Polyvector.from_vector(tuple(vectors[0]))
@@ -598,8 +592,6 @@ class ConeIsoReport:
     cone_signature: Signature
     checked: int
     failures: tuple
-    dim_even_subalgebra: int
-    dim_base_algebra: int
 
 
 def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport:
@@ -632,8 +624,6 @@ def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport
         cone_signature=cone,
         checked=checked,
         failures=tuple(failures),
-        dim_even_subalgebra=2 ** n,
-        dim_base_algebra=2 ** n,
     )
 
 

@@ -15,9 +15,9 @@ from .clifford_core import (
     CliffordRep,
     Signature,
     clifford_relation_failures,
+    commutant_vectors,
     even_subalgebra_images,
     gamma_polyvector,
-    monomial_relations,
     null_pair,
     volume_element,
     wedge_vectors,
@@ -29,7 +29,6 @@ from .exact_linalg import (
     kernel,
     kron,
     rank,
-    signed_relation_basis,
 )
 
 _SX = Matrix([[0, 1], [1, 0]])
@@ -246,8 +245,7 @@ def null_plane_rotations(rep: CliffordRep):
 
 def _even_commutant_matrices(rep_cone: CliffordRep):
     N = rep_cone.N
-    pairs = ((g.transpose(), g) for g in even_subalgebra_images(rep_cone))
-    vecs = signed_relation_basis(N * N, monomial_relations(pairs, N))
+    vecs = commutant_vectors(even_subalgebra_images(rep_cone), N)
     return [Matrix([v[r * N : (r + 1) * N] for r in range(N)]) for v in vecs]
 
 

@@ -418,84 +418,39 @@ def column_space_basis(matrix: Matrix) -> Matrix:
     return matrix.select_columns(pivots)
 
 
-class SignedUnionFind:
-    """Union-find over cells with +-1 relative signs.
+def signed_relation_basis(n_cells, maps):
+    """Solution basis of x_c == sign[c] * x_target[c] for every cell c
+    and every signed cell map (target, sign) in maps.
 
-    Supports relations cell_a == sign * cell_b; a contradictory cycle
-    forces the whole component to zero.
+    Each map is a signed bijection of range(n_cells).  The cells are
+    walked orbit by orbit (breadth first under all maps), each orbit
+    rooted at its lowest-index unvisited cell with value +1; an orbit
+    that reaches one of its cells with both signs admits only zero.
+    Returns one vector (a list of ints in {-1, 0, 1}) per surviving
+    orbit, in order of the orbit's lowest cell.
     """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.dead = [False] * n
-
-    def find(self, a):
-        path = []
-        node = a
-        while self.parent[node] != node:
-            path.append(node)
-            node = self.parent[node]
-        root = node
-        cum = 1
-        for node in reversed(path):
-            cum = self.sign[node] * cum
-            self.parent[node] = root
-            self.sign[node] = cum
-        return root, (cum if path else 1)
-
-    def union(self, a, b, rel_sign):
-        ra, sa = self.find(a)
-        rb, sb = self.find(b)
-        if ra == rb:
-            if sa != rel_sign * sb:
-                self.dead[ra] = True
-            return
-        self.parent[rb] = ra
-        self.sign[rb] = sa * rel_sign * sb
-        if self.dead[rb]:
-            self.dead[ra] = True
-
-    def kill(self, a):
-        ra, _ = self.find(a)
-        self.dead[ra] = True
-
-    def components(self):
-        """Map root -> list of (cell, sign) for surviving components."""
-        out = {}
-        for c in range(len(self.parent)):
-            r, s = self.find(c)
-            if self.dead[r]:
-                continue
-            out.setdefault(r, []).append((c, s))
-        return out
-
-
-def signed_relation_basis(n_cells, relations, killed=()):
-    """Solution basis of a system of two-term relations x_a == s * x_b.
-
-    relations: iterable of (a, b, sign); killed: cells forced to zero.
-    Returns a list of solution vectors (lists of ints in {-1,0,1}), one
-    per surviving component, normalized so the first (lowest-index) cell
-    of each component equals +1.
-    """
-    uf = SignedUnionFind(n_cells)
-    for a, b, s in relations:
-        if a == b:
-            if s == -1:
-                uf.kill(a)
-            continue
-        uf.union(a, b, s)
-    for c in killed:
-        uf.kill(c)
-    comps = uf.components()
+    value = [0] * n_cells  # 0 marks an unvisited cell
     basis = []
-    for cells in comps.values():
-        cells.sort()
-        first_cell, first_sign = cells[0]
-        vec = [0] * n_cells
-        for cell, s in cells:
-            vec[cell] = s * first_sign  # normalize: first cell -> +1
-        basis.append((first_cell, vec))
-    basis.sort()
-    return [vec for _, vec in basis]
+    for root in range(n_cells):
+        if value[root]:
+            continue
+        value[root] = 1
+        orbit = [root]
+        alive = True
+        for cell in orbit:  # grows while walked
+            v = value[cell]
+            for target, sign in maps:
+                t = target[cell]
+                w = v * sign[cell]
+                seen = value[t]
+                if not seen:
+                    value[t] = w
+                    orbit.append(t)
+                elif seen != w:
+                    alive = False
+        if alive:
+            vec = [0] * n_cells
+            for cell in orbit:
+                vec[cell] = value[cell]
+            basis.append(vec)
+    return basis

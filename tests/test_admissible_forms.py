@@ -1,5 +1,4 @@
 from spinorlab.admissible_forms import (
-    admissible_space_dense,
     all_admissible,
     find_admissible,
     find_hypercomplex,
@@ -9,7 +8,7 @@ from spinorlab.admissible_forms import (
     polyvector_type_rule_check,
 )
 from spinorlab.clifford_core import Signature, build_rep
-from spinorlab.exact_linalg import Matrix, rank
+from spinorlab.exact_linalg import Matrix, kernel, rank
 
 
 def all_signatures(max_n):
@@ -38,6 +37,34 @@ def test_forms_satisfy_constraints():
                 for g in rep.generators:
                     assert g.transpose() * h == (h * g).scale(tau)
                 assert form.nondegenerate == (rank(h) == rep.N)
+
+
+def admissible_space_dense(rep, sigma: int, tau: int) -> int:
+    """Dimension of the same solution space from a stacked dense kernel.
+
+    Independent brute-force oracle; quadratic memory in N^2, so meant
+    for small modules.
+    """
+    N = rep.N
+    rows = []
+    for g in rep.generators:
+        gt = g.transpose()
+        for r in range(N):
+            for s in range(N):
+                row = [0] * (N * N)
+                for k in range(N):
+                    if gt.data[r][k]:
+                        row[k * N + s] += gt.data[r][k]
+                    if g.data[k][s]:
+                        row[r * N + k] -= tau * g.data[k][s]
+                rows.append(row)
+    for r in range(N):
+        for s in range(N):
+            row = [0] * (N * N)
+            row[r * N + s] += 1
+            row[s * N + r] -= sigma
+            rows.append(row)
+    return kernel(Matrix(rows)).cols
 
 
 def test_solution_dims_match_dense_oracle():

@@ -4,6 +4,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorlab.admissible_forms import find_admissible
+from spinorlab.clifford_core import (
+    Signature,
+    build_rep,
+    commutant_vectors,
+    even_subalgebra_images,
+    signed_permutation,
+)
 from spinorlab.exact_linalg import (
     GaussianRational,
     I_UNIT,
@@ -156,36 +164,199 @@ def test_column_space_basis():
     assert rank(b) == 2
 
 
+def _maps(n_cells, relations):
+    """Signed cell maps from (cell, target, sign) triples; cells that no
+    triple names map to themselves with sign +1."""
+    target, sign = list(range(n_cells)), [1] * n_cells
+    for a, b, s in relations:
+        target[a], sign[a] = b, s
+    return [(target, sign)]
+
+
 def test_signed_relations_simple():
-    # x0 == x1, x1 == -x2: one component (1, 1, -1)
-    basis = signed_relation_basis(3, [(0, 1, 1), (1, 2, -1)])
+    # x0 == x1, x1 == -x2, x2 == -x0: one orbit (1, 1, -1)
+    basis = signed_relation_basis(3, _maps(3, [(0, 1, 1), (1, 2, -1), (2, 0, -1)]))
     assert basis == [[1, 1, -1]]
 
 
 def test_signed_relations_contradiction():
-    basis = signed_relation_basis(2, [(0, 1, 1), (0, 1, -1)])
+    # x0 == x1 and x1 == -x0
+    basis = signed_relation_basis(2, _maps(2, [(0, 1, 1), (1, 0, -1)]))
     assert basis == []
 
 
 def test_signed_relations_self_negative():
-    basis = signed_relation_basis(2, [(0, 0, -1)])
+    basis = signed_relation_basis(2, _maps(2, [(0, 0, -1)]))
     assert basis == [[0, 1]]
 
 
+def _random_maps(rng, n_cells, n_maps):
+    """Random signed bijections; about a third of the cells of each are
+    fixed points, a quarter of all signs -1."""
+    maps = []
+    for _ in range(n_maps):
+        moved = [c for c in range(n_cells) if rng.random() < 0.67]
+        shuffled = moved[:]
+        rng.shuffle(shuffled)
+        target = list(range(n_cells))
+        for a, b in zip(moved, shuffled):
+            target[a] = b
+        sign = [rng.choice([1, 1, 1, -1]) for _ in range(n_cells)]
+        maps.append((target, sign))
+    return maps
+
+
 def test_signed_relations_match_dense_kernel():
-    # the component solver must agree with the dense kernel of the
+    # the orbit solver must agree with the dense kernel of the
     # equivalent constraint matrix
     rng = random.Random(11)
-    n = 6
-    rels = []
-    rows = []
-    for _ in range(7):
-        a, b = rng.randrange(n), rng.randrange(n)
-        s = rng.choice([1, -1])
-        rels.append((a, b, s))
-        row = [0] * n
-        row[a] += 1
-        row[b] -= s
-        rows.append(row)
-    dense_dim = kernel(Matrix(rows)).cols
-    assert len(signed_relation_basis(n, rels)) == dense_dim
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        maps = _random_maps(rng, n, rng.randint(1, 3))
+        rows = []
+        for target, sign in maps:
+            for c in range(n):
+                row = [0] * n
+                row[c] += 1
+                row[target[c]] -= sign[c]
+                rows.append(row)
+        basis = signed_relation_basis(n, maps)
+        assert len(basis) == kernel(Matrix(rows)).cols
+        for vec in basis:
+            assert (Matrix(rows) * Matrix.column(vec)).is_zero()
+
+
+class SignedUnionFind:
+    """Union-find over cells with +-1 relative signs: the solver the
+    orbit walk replaced, kept as its oracle.
+
+    Supports relations cell_a == sign * cell_b; a contradictory cycle
+    forces the whole component to zero.
+    """
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.dead = [False] * n
+
+    def find(self, a):
+        path = []
+        node = a
+        while self.parent[node] != node:
+            path.append(node)
+            node = self.parent[node]
+        root = node
+        cum = 1
+        for node in reversed(path):
+            cum = self.sign[node] * cum
+            self.parent[node] = root
+            self.sign[node] = cum
+        return root, (cum if path else 1)
+
+    def union(self, a, b, rel_sign):
+        ra, sa = self.find(a)
+        rb, sb = self.find(b)
+        if ra == rb:
+            if sa != rel_sign * sb:
+                self.dead[ra] = True
+            return
+        self.parent[rb] = ra
+        self.sign[rb] = sa * rel_sign * sb
+        if self.dead[rb]:
+            self.dead[ra] = True
+
+    def kill(self, a):
+        ra, _ = self.find(a)
+        self.dead[ra] = True
+
+    def components(self):
+        """Map root -> list of (cell, sign) for surviving components."""
+        out = {}
+        for c in range(len(self.parent)):
+            r, s = self.find(c)
+            if self.dead[r]:
+                continue
+            out.setdefault(r, []).append((c, s))
+        return out
+
+
+def _union_find_basis(n_cells, relations):
+    """The two-term relation solver the orbit walk replaced: relations
+    are (a, b, sign) triples for x_a == sign * x_b."""
+    uf = SignedUnionFind(n_cells)
+    for a, b, s in relations:
+        if a == b:
+            if s == -1:
+                uf.kill(a)
+            continue
+        uf.union(a, b, s)
+    comps = uf.components()
+    basis = []
+    for cells in comps.values():
+        cells.sort()
+        first_cell, first_sign = cells[0]
+        vec = [0] * n_cells
+        for cell, s in cells:
+            vec[cell] = s * first_sign  # normalize: first cell -> +1
+        basis.append((first_cell, vec))
+    basis.sort()
+    return [vec for _, vec in basis]
+
+
+def _monomial_relations(pairs, N, c=1):
+    """The relation tuples the orbit walk replaced: L^T X = c X R on
+    N x N matrices X, one block per pair (L, R) of signed permutations."""
+    relations = []
+    for left, right in pairs:
+        (lp, ls), (rp, rs) = signed_permutation(left), signed_permutation(right)
+        for r in range(N):
+            for s in range(N):
+                relations.append((lp[r] * N + s, r * N + rp[s], c * ls[r] * rs[s]))
+    return relations
+
+
+def _matrices(vectors, N):
+    return [Matrix([v[r * N : (r + 1) * N] for r in range(N)]) for v in vectors]
+
+
+def test_orbit_solver_matches_union_find_on_reps():
+    for n in range(1, 8):
+        for p in range(n + 1):
+            rep = build_rep(Signature(p, n - p))
+            gens, N = rep.generators, rep.N
+            pairs = [(g.transpose(), g) for g in gens]
+            want = _union_find_basis(N * N, _monomial_relations(pairs, N))
+            assert commutant_vectors(gens, N) == want, (p, n - p)
+            for sigma in (1, -1):
+                for tau in (1, -1):
+                    rels = _monomial_relations([(g, g) for g in gens], N, tau)
+                    for r in range(N):
+                        for s in range(r, N):
+                            rels.append((r * N + s, s * N + r, sigma))
+                    want = _matrices(_union_find_basis(N * N, rels), N)
+                    got = [f.matrix for f in find_admissible(rep, sigma, tau)]
+                    assert got == want, (p, n - p, sigma, tau)
+            if p >= 1 and n >= 2:
+                images = even_subalgebra_images(rep)
+                pairs = [(g.transpose(), g) for g in images]
+                want = _union_find_basis(N * N, _monomial_relations(pairs, N))
+                assert commutant_vectors(images, N) == want, (p, n - p)
+
+
+def test_orbit_solver_matches_union_find_on_random_maps():
+    rng = random.Random(5)
+    conflicts = negative_fixed = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        maps = _random_maps(rng, n, rng.randint(1, 3))
+        rels = [
+            (c, target[c], sign[c]) for target, sign in maps for c in range(n)
+        ]
+        want = _union_find_basis(n, rels)
+        assert signed_relation_basis(n, maps) == want
+        has_negative_fixed = any(a == b and s == -1 for a, b, s in rels)
+        negative_fixed += has_negative_fixed
+        orbits = _union_find_basis(n, [(a, b, 1) for a, b, _ in rels])
+        conflicts += len(want) < len(orbits) and not has_negative_fixed
+    # both ways an orbit dies occur among the seeded systems
+    assert conflicts >= 20 and negative_fixed >= 20
