@@ -18,10 +18,8 @@ from .clifford_core import (
     build_rep,
     cell_maps,
     gamma_blade,
-    signed_permutations,
-    transposed,
 )
-from .exact_linalg import Matrix, kernel, rank, signed_relation_basis
+from .exact_linalg import Matrix, SignedPerm, kernel, rank, signed_relation_basis
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,9 @@ class BilinearForm:
 
 @dataclass(frozen=True)
 class HypercomplexStructure:
-    j1: Matrix
-    j2: Matrix
-    j3: Matrix
+    j1: SignedPerm
+    j2: SignedPerm
+    j3: SignedPerm
 
 
 def _normalize_first_entry(m: Matrix) -> Matrix:
@@ -60,8 +58,7 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
         raise ValueError("sigma and tau must be +-1")
     N = rep.N
     # G^T H = tau H G is H = tau G H G, since G^T = G^-1
-    sps = signed_permutations(rep.generators)
-    maps = cell_maps([(sp, transposed(sp)) for sp in sps], N, tau)
+    maps = cell_maps([(g, g.transpose()) for g in rep.generators], N, tau)
     transpose = [s * N + r for r in range(N) for s in range(N)]
     maps.append((transpose, [sigma] * (N * N)))
     basis = signed_relation_basis(N * N, maps)

@@ -88,8 +88,6 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     basis = kernel(gv)
     if 2 * basis.cols != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
-    if rank(gv) != rep.N - basis.cols:
-        raise ArithmeticError("rank defect")
     if not (gv * gv).is_zero():
         raise ArithmeticError("gamma_v squared must vanish on a null vector")
     # im = ker follows from gv^2 = 0 plus the dimension count
@@ -115,7 +113,8 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     b = space.basis
     bt_h = b.transpose() * form.matrix
     blocks = [bt_h * (g * b) for g in rep.generators]
-    rows = [[blk.data[a][c] for blk in blocks] for a in range(d) for c in range(d)]
+    # every block is (sigma*tau)-symmetric, so row (c, a) is +-row (a, c)
+    rows = [[blk.data[a][c] for blk in blocks] for a in range(d) for c in range(a, d)]
     return kernel(Matrix(rows))
 
 

@@ -29,10 +29,6 @@ from .subspace_lab import (
 )
 
 
-def _default_seed():
-    return int(os.environ.get("SPINORLAB_SEED", "0"))
-
-
 def _parse_sig(text) -> Signature:
     try:
         p, q = (int(x) for x in text.split(","))
@@ -246,6 +242,9 @@ def cmd_verify_all(args):
 
 
 def build_parser():
+    # argparse runs string defaults through `type`, so a malformed
+    # SPINORLAB_SEED exits 2 from whichever seeded subcommand reads it
+    seed = os.environ.get("SPINORLAB_SEED", "0")
     parser = argparse.ArgumentParser(prog="spinorlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,23 +261,23 @@ def build_parser():
     p = sub.add_parser("bracket", help="seeded bracket evaluation and lemma checks")
     p.add_argument("--sig", type=_parse_sig, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("bound-search", help="random subspace surjectivity sweep")
     p.add_argument("--sig", type=_parse_sig, required=True)
     p.add_argument("--dim", type=_positive_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_bound_search)
 
     p = sub.add_parser("spin23", help="isotropic-plane bracket scan on (2,3)")
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_spin23)
 
     p = sub.add_parser("spin45", help="search for the dim-4 bracket witness on (4,5)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--budget", type=_positive_int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spin45)
@@ -297,7 +296,7 @@ def build_parser():
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--max-n", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--witness", default=None)
     p.set_defaults(func=cmd_verify_all)
 
@@ -309,9 +308,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # malformed flag values
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ArithmeticError as err:  # a verified identity failed
         print(f"falsification: {err}", file=sys.stderr)
         return 1

@@ -6,8 +6,9 @@ so gamma_v^2 = -g(v,v) Id; positive-norm directions square to -Id.
 Representations are assembled from explicit base cases (n <= 1) and the
 tensor recursions against the rank-2 algebras; whenever a tensor step
 produces a reducible module it is cut down by projecting onto the +1
-eigenspace of an involution in the tracked commutant.  Every matrix
-entry stays in {-1, 0, 1} and construction is deterministic.
+eigenspace of an involution in the tracked commutant.  Every generator,
+blade and tracked commutant element is a SignedPerm, and construction
+is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Matrix, kron, signed_relation_basis
+from .exact_linalg import Matrix, SignedPerm, signed_relation_basis
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,6 @@ class Signature:
     @property
     def s(self) -> int:
         return self.p - self.q
-
-    @property
-    def n_mod4(self) -> int:
-        return self.n % 4
-
-    @property
-    def s_mod4(self) -> int:
-        return self.s % 4
 
     @property
     def s_mod8(self) -> int:
@@ -79,105 +72,59 @@ EXPECTED_COMMUTANT = {0: "R", 1: "C", 2: "H", 3: "H", 4: "H", 5: "C", 6: "R", 7:
 
 _COMM_DIM = {"R": 1, "C": 2, "H": 4}
 
-# rank-2 building blocks; entries are the usual signed-permutation models
-_F_POS = Matrix([[0, -1], [1, 0]])  # squares to -Id
-_F_NEG = Matrix([[0, 1], [1, 0]])  # squares to +Id
-_K_NEG2_A = Matrix([[0, 1], [1, 0]])
-_K_NEG2_B = Matrix([[1, 0], [0, -1]])
+# rank-2 building blocks, the usual signed-permutation models
+_F_POS = SignedPerm((1, 0), (1, -1))  # [[0, -1], [1, 0]], squares to -Id
+_F_NEG = SignedPerm((1, 0), (1, 1))  # [[0, 1], [1, 0]], squares to +Id
+_K_NEG2_A = _F_NEG
+_K_NEG2_B = SignedPerm((0, 1), (1, -1))  # [[1, 0], [0, -1]]
 # left multiplications by i, j on the quaternions as R^4 = (1, i, j, k)
-_L_I = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-_L_J = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+_L_I = SignedPerm((1, 0, 3, 2), (1, -1, 1, -1))
+_L_J = SignedPerm((2, 3, 0, 1), (1, -1, -1, 1))
 # right multiplications by i, j, k (the commutant of the left action)
-_R_I = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-_R_J = Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
-_R_K = Matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
+_R_I = SignedPerm((1, 0, 3, 2), (1, -1, -1, 1))
+_R_J = SignedPerm((2, 3, 0, 1), (1, 1, -1, -1))
+_R_K = SignedPerm((3, 2, 1, 0), (1, -1, 1, -1))
 
 
-def signed_permutation(matrix: Matrix):
-    """(perm, signs) with matrix @ e_j == signs[j] * e_perm[j], or None."""
-    perm = [None] * matrix.cols
-    signs = [0] * matrix.cols
-    for j in range(matrix.cols):
-        hit = None
-        for i in range(matrix.rows):
-            x = matrix.data[i][j]
-            if x:
-                if hit is not None or x not in (1, -1):
-                    return None
-                hit = i
-                signs[j] = x
-        if hit is None:
-            return None
-        perm[j] = hit
-    return perm, signs
-
-
-def _plus_eigenbasis(z: Matrix):
-    """Column basis of the +1 eigenspace of a monomial involution z.
+def _plus_eigenbasis(z: SignedPerm):
+    """Column basis of the +1 eigenspace of a signed-permutation involution z.
 
     Returns (columns, representatives): each column is an integer vector
     with one or two nonzero entries, and representatives[i] is the index
     where column i has entry 1 (distinct across columns).
     """
-    sp = signed_permutation(z)
-    if sp is None:
-        raise ValueError("involution is not a signed permutation")
-    perm, signs = sp
-    n = z.rows
+    n = len(z.perm)
     cols = []
     reps = []
-    for s in range(n):
-        t = perm[s]
-        if t == s:
-            if signs[s] == 1:
-                vec = [0] * n
-                vec[s] = 1
-                cols.append(vec)
-                reps.append(s)
-        elif t > s:
-            vec = [0] * n
-            vec[s] = 1
-            vec[t] = signs[s]
-            cols.append(vec)
-            reps.append(s)
+    for s, (t, sign) in enumerate(zip(z.perm, z.signs)):
+        if t < s or (t == s and sign == -1):
+            continue
+        vec = [0] * n
+        vec[s] = 1
+        vec[t] = sign
+        cols.append(vec)
+        reps.append(s)
     return cols, reps
 
 
-def _restrict(m: Matrix, cols, reps):
+def _restrict(m: SignedPerm, cols, reps):
     """Express the action of m on span(cols) in that basis.
 
-    Requires m to preserve the span; verified exactly.
+    Requires m to preserve the span; verified exactly.  A signed
+    permutation that does maps each column to plus or minus another.
     """
-    n = m.rows
-    d = len(cols)
-    out = [[0] * d for _ in range(d)]
-    for b_idx, b in enumerate(cols):
-        w = [0] * n
-        for i in range(n):
-            row = m.data[i]
-            acc = 0
-            for j in range(n):
-                if b[j] and row[j]:
-                    acc += row[j] * b[j]
-            w[i] = acc
-        coeffs = [w[r] for r in reps]
-        # exact check that w lies in the span with these coefficients
-        recon = [0] * n
-        for a, c in enumerate(coeffs):
-            if c:
-                col = cols[a]
-                for i in range(n):
-                    if col[i]:
-                        recon[i] += c * col[i]
-        if recon != w:
+    where = {r: a for a, r in enumerate(reps)}
+    perm, signs = [], []
+    for b in cols:
+        w = [0] * len(b)
+        for j, x in enumerate(b):
+            w[m.perm[j]] = m.signs[j] * x
+        hits = [i for i, x in enumerate(w) if x and i in where]
+        if len(hits) != 1 or [w[hits[0]] * x for x in cols[where[hits[0]]]] != w:
             raise ArithmeticError("matrix does not preserve the eigenspace")
-        for i in range(d):
-            out[i][b_idx] = coeffs[i]
-    return Matrix(out)
-
-
-def _commutes(a: Matrix, b: Matrix) -> bool:
-    return a * b == b * a
+        perm.append(where[hits[0]])
+        signs.append(w[hits[0]])
+    return SignedPerm(tuple(perm), tuple(signs))
 
 
 def _reduce_module(positives, negatives, comm):
@@ -195,7 +142,7 @@ def _reduce_module(positives, negatives, comm):
         cols, reps = _plus_eigenbasis(z)
         positives = [_restrict(g, cols, reps) for g in positives]
         negatives = [_restrict(g, cols, reps) for g in negatives]
-        comm = [_restrict(x, cols, reps) for x in comm if _commutes(x, z)]
+        comm = [_restrict(x, cols, reps) for x in comm if x * z == z * x]
 
 
 def _classify_commutant(comm, N):
@@ -230,81 +177,61 @@ def _build(p, q):
     if (p, q) == (1, 0):
         return [_F_POS], [], [_F_POS]
     if (p, q) == (0, 1):
-        return [], [Matrix([[1]])], []
+        return [], [SignedPerm((0,), (1,))], []
     if p >= 1 and q >= 1:
         sub_pos, sub_neg, sub_comm = _build(p - 1, q - 1)
-        sub_n = sub_pos[0].rows if sub_pos else (sub_neg[0].rows if sub_neg else 1)
-        ident = Matrix.identity(sub_n)
+        sub_n = len((sub_pos + sub_neg)[0].perm) if sub_pos or sub_neg else 1
+        ident = SignedPerm.identity(sub_n)
         vol2 = _F_POS * _F_NEG
-        positives = [kron(ident, _F_POS)] + [kron(g, vol2) for g in sub_pos]
-        negatives = [kron(ident, _F_NEG)] + [kron(g, vol2) for g in sub_neg]
-        comm = [kron(x, Matrix.identity(2)) for x in sub_comm]
+        positives = [ident.kron(_F_POS)] + [g.kron(vol2) for g in sub_pos]
+        negatives = [ident.kron(_F_NEG)] + [g.kron(vol2) for g in sub_neg]
+        comm = [x.kron(SignedPerm.identity(2)) for x in sub_comm]
         return positives, negatives, comm
     if q == 0:  # p >= 2: tensor the swapped algebra with the quaternion block
         sub_pos, sub_neg, sub_comm = _build(0, p - 2)
-        sub_n = sub_neg[0].rows if sub_neg else 1
-        ident = Matrix.identity(sub_n)
+        sub_n = len(sub_neg[0].perm) if sub_neg else 1
+        ident = SignedPerm.identity(sub_n)
         vol2 = _L_I * _L_J
-        positives = [kron(ident, _L_I), kron(ident, _L_J)] + [
-            kron(g, vol2) for g in sub_neg
+        positives = [ident.kron(_L_I), ident.kron(_L_J)] + [
+            g.kron(vol2) for g in sub_neg
         ]
-        negatives = [kron(g, vol2) for g in sub_pos]
+        negatives = [g.kron(vol2) for g in sub_pos]
         comm = []
         for a in [ident] + list(sub_comm):
             for r in (_R_I, _R_J, _R_K):
-                comm.append(kron(a, r))
-        comm += [kron(x, Matrix.identity(4)) for x in sub_comm]
+                comm.append(a.kron(r))
+        comm += [x.kron(SignedPerm.identity(4)) for x in sub_comm]
         return _reduce_module(positives, negatives, comm)
     # p == 0, q >= 2: mirror step with the split rank-2 block
     sub_pos, sub_neg, sub_comm = _build(q - 2, 0)
-    sub_n = sub_pos[0].rows if sub_pos else 1
-    ident = Matrix.identity(sub_n)
+    sub_n = len(sub_pos[0].perm) if sub_pos else 1
+    ident = SignedPerm.identity(sub_n)
     vol2 = _K_NEG2_A * _K_NEG2_B
-    positives = [kron(g, vol2) for g in sub_neg]
-    negatives = [kron(ident, _K_NEG2_A), kron(ident, _K_NEG2_B)] + [
-        kron(g, vol2) for g in sub_pos
+    positives = [g.kron(vol2) for g in sub_neg]
+    negatives = [ident.kron(_K_NEG2_A), ident.kron(_K_NEG2_B)] + [
+        g.kron(vol2) for g in sub_pos
     ]
-    comm = [kron(x, Matrix.identity(2)) for x in sub_comm]
+    comm = [x.kron(SignedPerm.identity(2)) for x in sub_comm]
     return positives, negatives, comm
-
-
-def signed_permutations(matrices):
-    """signed_permutation of each matrix; ValueError unless every one is."""
-    out = [signed_permutation(m) for m in matrices]
-    if None in out:
-        raise ValueError("relation matrices must be signed permutations")
-    return out
-
-
-def transposed(sp):
-    """(perm, signs) of the transpose of the signed permutation sp."""
-    perm, signs = sp
-    inv, inv_signs = [0] * len(perm), [0] * len(perm)
-    for j, i in enumerate(perm):
-        inv[i] = j
-        inv_signs[i] = signs[j]
-    return inv, inv_signs
 
 
 def cell_maps(pairs, N, c=1):
     """The relation X = c L X R^T on N x N matrices X as one signed cell
-    map (target, sign) per pair (L, R) of signed permutations given as
-    (perm, signs): cell a*N + s goes to lp[a]*N + rp[s] with sign
-    c * ls[a] * rs[s].  The input of exact_linalg.signed_relation_basis."""
+    map (target, sign) per pair (L, R) of SignedPerms: cell a*N + s goes
+    to L.perm[a]*N + R.perm[s] with sign c * L.signs[a] * R.signs[s].
+    The input of exact_linalg.signed_relation_basis."""
     maps = []
-    for (lp, ls), (rp, rs) in pairs:
-        target = [x * N + y for x in lp for y in rp]
-        sign = [c * x * y for x in ls for y in rs]
+    for left, right in pairs:
+        target = [x * N + y for x in left.perm for y in right.perm]
+        sign = [c * x * y for x in left.signs for y in right.signs]
         maps.append((target, sign))
     return maps
 
 
-def commutant_vectors(matrices, N):
-    """Basis of {X : X M = M X for every M in matrices}, each element as
-    a flat row-major vector of N*N ints; ValueError unless every matrix
-    is a signed permutation (always true for built reps)."""
-    sps = signed_permutations(matrices)
-    return signed_relation_basis(N * N, cell_maps([(sp, sp) for sp in sps], N))
+def commutant_vectors(perms, N):
+    """Basis of {X : X M = M X for every SignedPerm M in perms}, each
+    element as a flat row-major vector of N*N ints."""
+    return signed_relation_basis(N * N, cell_maps([(m, m) for m in perms], N))
 
 
 def commutant_dimension(generators, N) -> int:
@@ -314,16 +241,15 @@ def commutant_dimension(generators, N) -> int:
 
 def clifford_relation_failures(generators, eta):
     """(i, j) pairs, i <= j in row-major order, where
-    G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta."""
-    N = generators[0].rows
-    ident = Matrix.identity(N)
-    zero = Matrix.zero(N, N)
+    G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta:
+    G_i^2 != -eta_i Id, or G_i G_j != -G_j G_i for i < j."""
     failures = []
     for i, gi in enumerate(generators):
-        for j in range(i, len(generators)):
+        if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:
+            failures.append((i, i))
+        for j in range(i + 1, len(generators)):
             gj = generators[j]
-            want = ident.scale(-2 * eta[i]) if i == j else zero
-            if gi * gj + gj * gi != want:
+            if gi * gj != -(gj * gi):
                 failures.append((i, j))
     return failures
 
@@ -337,7 +263,7 @@ def _verify_rep(rep: CliffordRep):
         )
     for x in rep.commutant_basis:
         for g in rep.generators:
-            if not _commutes(x, g):
+            if x * g != g * x:
                 raise ArithmeticError(f"commutant element fails for {rep.signature}")
     dim = commutant_dimension(rep.generators, rep.N)
     if dim != _COMM_DIM[rep.commutant_type]:
@@ -350,7 +276,7 @@ def _verify_rep(rep: CliffordRep):
 def _build_rep_cached(p, q):
     positives, negatives, comm = _build(p, q)
     gens = positives + negatives
-    N = gens[0].rows if gens else 1
+    N = len(gens[0].perm) if gens else 1
     ctype, cbasis = _classify_commutant(comm, N)
     rep = CliffordRep(
         signature=Signature(p, q),
@@ -382,10 +308,8 @@ def gamma_vector(rep: CliffordRep, v) -> Matrix:
     out = [[zero] * rep.N for _ in range(rep.N)]
     for c, g in zip(v, rep.generators):
         if c:
-            for row, acc in zip(g.data, out):
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j] = acc[j] + c * x
+            for j, (i, x) in enumerate(zip(g.perm, g.signs)):
+                out[i][j] = out[i][j] + c * x
     return Matrix(out)
 
 
@@ -522,8 +446,8 @@ def _merge_sign(I, J):
     return sign
 
 
-def gamma_blade(rep: CliffordRep, indices) -> Matrix:
-    out = Matrix.identity(rep.N)
+def gamma_blade(rep: CliffordRep, indices) -> SignedPerm:
+    out = SignedPerm.identity(rep.N)
     for i in indices:
         out = out * rep.generators[i]
     return out
@@ -537,7 +461,7 @@ def gamma_polyvector(rep: CliffordRep, xi: Polyvector) -> Matrix:
     out = Matrix.zero(rep.N, rep.N)
     for I, c in zip(blade_index_list(xi.n, xi.k), xi.coeffs):
         if c:
-            out = out + gamma_blade(rep, I).scale(c)
+            out = out + gamma_blade(rep, I).dense().scale(c)
     return out
 
 
@@ -549,7 +473,7 @@ def wedge_vectors(vectors) -> Polyvector:
     return out
 
 
-def volume_element(rep: CliffordRep) -> Matrix:
+def volume_element(rep: CliffordRep) -> SignedPerm:
     return gamma_blade(rep, range(rep.n))
 
 

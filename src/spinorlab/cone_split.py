@@ -26,6 +26,7 @@ from .exact_linalg import (
     GaussianRational,
     I_UNIT,
     Matrix,
+    SignedPerm,
     kernel,
     kron,
     rank,
@@ -310,12 +311,12 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     images = even_subalgebra_images(rep_cone)
     # canonical candidate: the image of the base volume element, valid
     # only when it is central in the even action (odd base dimension)
-    omega = Matrix.identity(N)
+    omega = SignedPerm.identity(N)
     for e in images:
         omega = omega * e
     candidates = list(comm)
     if all(e * omega == omega * e for e in images):
-        candidates.insert(0, omega)
+        candidates.insert(0, omega.dense())
     z = _find_involution(candidates, N)
     split = z is not None
     residue_split = base.s_mod8 not in IRREDUCIBLE_RESIDUES

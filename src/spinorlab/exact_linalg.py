@@ -8,6 +8,7 @@ kernels and ranks are reproducible bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -71,9 +72,6 @@ class GaussianRational:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
@@ -180,6 +178,8 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self.data])
 
     def __mul__(self, other):
+        if isinstance(other, SignedPerm):
+            return NotImplemented  # SignedPerm.__rmul__ gathers the columns
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
@@ -270,6 +270,67 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.to_lists()!r})"
+
+
+@dataclass(frozen=True)
+class SignedPerm:
+    """Signed permutation matrix: column j is signs[j] * e_perm[j].
+
+    Products, transposes and Kronecker products stay signed permutations
+    and cost O(N); a product with a dense Matrix is a row gather (on the
+    left) or a column gather (on the right).
+    """
+
+    perm: tuple
+    signs: tuple
+
+    @classmethod
+    def identity(cls, n):
+        return cls(tuple(range(n)), (1,) * n)
+
+    def __mul__(self, other):
+        if isinstance(other, SignedPerm):
+            return SignedPerm(
+                tuple(self.perm[k] for k in other.perm),
+                tuple(s * self.signs[k] for k, s in zip(other.perm, other.signs)),
+            )
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        # row perm[j] of the product is signs[j] * row j of other
+        out = [None] * len(self.perm)
+        for row, i, s in zip(other.data, self.perm, self.signs):
+            out[i] = row if s == 1 else [-x for x in row]
+        return Matrix(out)
+
+    def __rmul__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        # column j of the product is signs[j] * column perm[j] of other
+        pairs = list(zip(self.perm, self.signs))
+        return Matrix([[s * row[i] for i, s in pairs] for row in other.data])
+
+    def __neg__(self):
+        return SignedPerm(self.perm, tuple(-s for s in self.signs))
+
+    def transpose(self):
+        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        return SignedPerm(tuple(inverse), tuple(self.signs[j] for j in inverse))
+
+    def kron(self, other):
+        n = len(other.perm)
+        return SignedPerm(
+            tuple(i * n + k for i in self.perm for k in other.perm),
+            tuple(s * t for s in self.signs for t in other.signs),
+        )
+
+    def is_scalar_multiple_of_identity(self):
+        if self.perm == tuple(range(len(self.perm))) and len(set(self.signs)) == 1:
+            return self.signs[0]
+        return None
+
+    def dense(self) -> Matrix:
+        pairs = list(zip(self.perm, self.signs))
+        return Matrix([[s if i == r else 0 for i, s in pairs] for r in range(len(pairs))])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

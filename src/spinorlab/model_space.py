@@ -75,7 +75,7 @@ class HyperquadricModel:
         self.tol = tol
         self.rep = build_rep(cone_signature)
         self.N = self.rep.N
-        self.gammas = [_to_numpy(g) for g in self.rep.generators]
+        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
@@ -633,7 +633,7 @@ class SphereProductModel:
         self.signature = Signature(self.n, 0)
         self.rep = build_rep(self.signature)
         self.N = self.rep.N
-        self.gammas = [_to_numpy(g) for g in self.rep.generators]
+        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
         self.eta = np.ones(self.n)
 
     def riemann_lowered(self, i, j, k, l):
@@ -652,7 +652,7 @@ class ConstantCurvatureFrameModel:
         self.rep = build_rep(base_signature)
         self.N = self.rep.N
         self.n = base_signature.n
-        self.gammas = [_to_numpy(g) for g in self.rep.generators]
+        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
         self.eta = np.array(base_signature.eta(), dtype=float)
 
     def riemann_lowered(self, i, j, k, l):

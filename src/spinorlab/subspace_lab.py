@@ -199,12 +199,6 @@ def _bilin(gram, x, y):
     )
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
-    subspace: SpinorSubspace
-    obstruction_dim: int
-
-
 def extremal_obstructed_subspace(
     rep: CliffordRep, form: BilinearForm, v
 ) -> SpinorSubspace:

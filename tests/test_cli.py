@@ -103,11 +103,26 @@ def test_model_verify(capsys):
     assert all(row["passed"] for row in payload["rows"])
 
 
-def test_env_seed_default(monkeypatch):
+def test_env_seed_default(monkeypatch, capsys):
+    argv = ["bracket", "--sig", "2,3", "--k", "2"]
+    assert main([*argv, "--seed", "11"]) == 0
+    want = capsys.readouterr().out
     monkeypatch.setenv("SPINORLAB_SEED", "11")
-    from spinorlab.cli import _default_seed
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
-    assert _default_seed() == 11
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_bad_env_seed_exits_2_only_where_a_seed_is_read(value, monkeypatch, capsys):
+    monkeypatch.setenv("SPINORLAB_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["spin23", "--trials", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value" in captured.err
+    assert main(["rep-table", "--max-n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"]
 
 
 def test_verify_all_passes(capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from spinorlab.clifford_core import (
     EXPECTED_COMMUTANT,
+    _plus_eigenbasis,
+    _restrict,
     Polyvector,
     Signature,
     build_rep,
@@ -21,14 +23,11 @@ from spinorlab.clifford_core import (
     metric_value,
     null_pair,
     rep_table,
-    signed_permutation,
-    signed_permutations,
-    transposed,
     volume_element,
     volume_square_sign,
     wedge_vectors,
 )
-from spinorlab.exact_linalg import Matrix, kernel
+from spinorlab.exact_linalg import Matrix, SignedPerm, kernel
 
 
 def all_signatures(max_n):
@@ -41,11 +40,11 @@ def test_base_cases():
     r10 = build_rep(Signature(1, 0))
     assert r10.N == 2
     g = r10.generators[0]
-    assert (g * g) == Matrix.identity(2).scale(-1)
+    assert (g * g).dense() == Matrix.identity(2).scale(-1)
 
     r01 = build_rep(Signature(0, 1))
     assert r01.N == 1
-    assert r01.generators[0] == Matrix([[1]])
+    assert r01.generators[0].dense() == Matrix([[1]])
 
 
 def test_known_dimensions():
@@ -68,7 +67,7 @@ def test_clifford_relations_all_signatures():
         ident = Matrix.identity(rep.N)
         for i in range(rep.n):
             for j in range(i, rep.n):
-                gi, gj = rep.generators[i], rep.generators[j]
+                gi, gj = rep.generators[i].dense(), rep.generators[j].dense()
                 anti = gi * gj + gj * gi
                 want = ident.scale(-2 * rep.eta[i]) if i == j else Matrix.zero(rep.N, rep.N)
                 assert anti == want, f"{sig} ({i},{j})"
@@ -90,7 +89,7 @@ def _gamma_vector_oracle(rep, v):
     out = Matrix.zero(rep.N, rep.N)
     for c, g in zip(v, rep.generators):
         if c:
-            out = out + g.scale(c)
+            out = out + g.dense().scale(c)
     return out
 
 
@@ -137,12 +136,32 @@ def _commutant_dimension_dense(generators, N):
     return kernel(Matrix(rows)).cols
 
 
+def signed_permutation(matrix: Matrix):
+    """(perm, signs) with matrix @ e_j == signs[j] * e_perm[j], or None:
+    the dense extraction the builder used before it kept SignedPerms."""
+    perm = [None] * matrix.cols
+    signs = [0] * matrix.cols
+    for j in range(matrix.cols):
+        hit = None
+        for i in range(matrix.rows):
+            x = matrix.data[i][j]
+            if x:
+                if hit is not None or x not in (1, -1):
+                    return None
+                hit = i
+                signs[j] = x
+        if hit is None:
+            return None
+        perm[j] = hit
+    return tuple(perm), tuple(signs)
+
+
 def _commutant_relations_oracle(mats, N):
     """The relation loop commutant_dimension and the even commutant each
     inlined before monomial_relations: d_a X[a, s] == d_s X[r, perm[s]]."""
     relations = []
     for g in mats:
-        perm, signs = signed_permutation(g)
+        perm, signs = signed_permutation(g.dense())
         inv = [0] * N
         for j, i in enumerate(perm):
             inv[i] = j
@@ -159,7 +178,7 @@ def _type_relations_oracle(generators, N, tau):
     d(r) H[perm(r), s] == tau d(s) H[r, perm(s)]."""
     relations = []
     for g in generators:
-        perm, signs = signed_permutation(g)
+        perm, signs = signed_permutation(g.dense())
         for r in range(N):
             for s in range(N):
                 relations.append(
@@ -181,11 +200,10 @@ def _map_edges(maps):
 
 def test_cell_maps_match_inline_builders():
     def commutant_maps(mats, N):
-        return cell_maps([(sp, sp) for sp in signed_permutations(mats)], N)
+        return cell_maps([(m, m) for m in mats], N)
 
     def type_maps(mats, N, tau):
-        sps = signed_permutations(mats)
-        return cell_maps([(sp, transposed(sp)) for sp in sps], N, tau)
+        return cell_maps([(m, m.transpose()) for m in mats], N, tau)
 
     for sig in all_signatures(6):
         rep = build_rep(sig)
@@ -201,7 +219,7 @@ def test_cell_maps_match_inline_builders():
             assert _map_edges(commutant_maps(images, N)) == want, str(sig)
     # generators are involutions up to sign, so only a non-involutive
     # monomial tells a permutation from its inverse
-    cycle = Matrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]])
+    cycle = SignedPerm(*signed_permutation(Matrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]])))
     want = _edges(_commutant_relations_oracle([cycle], 3))
     assert _map_edges(commutant_maps([cycle], 3)) == want
     for tau in (1, -1):
@@ -212,8 +230,49 @@ def test_cell_maps_match_inline_builders():
 def test_commutant_dimension_rejects_non_monomial_generators():
     shear = Matrix([[1, 1], [0, 1]])
     assert _commutant_dimension_dense([shear], 2) == 2
-    with pytest.raises(ValueError):
-        commutant_dimension([shear], 2)
+
+
+def _restrict_dense(m, cols, reps):
+    """The dense restriction _restrict replaced: w = m b, coefficients
+    read at the representatives, and an exact reconstruction check;
+    None when some m b leaves span(cols)."""
+    n = m.rows
+    out = [[0] * len(cols) for _ in cols]
+    for b_idx, b in enumerate(cols):
+        w = [sum(m.data[i][j] * b[j] for j in range(n)) for i in range(n)]
+        coeffs = [w[r] for r in reps]
+        if [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)] != w:
+            return None
+        for i, c in enumerate(coeffs):
+            out[i][b_idx] = c
+    return Matrix(out)
+
+
+def test_restrict_matches_dense_restriction_on_every_signed_perm_of_size_4():
+    involutions = [
+        SignedPerm((1, 0, 2, 3), (1, 1, 1, -1)),
+        SignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
+        SignedPerm((1, 0, 3, 2), (-1, -1, 1, 1)),
+        SignedPerm((0, 1, 2, 3), (1, -1, 1, -1)),
+    ]
+    kept = rejected = 0
+    for z in involutions:
+        cols, reps = _plus_eigenbasis(z)
+        ident = Matrix.identity(4)
+        assert all(z.dense() * Matrix.column(c) == Matrix.column(c) for c in cols)
+        assert len(cols) == kernel(z.dense() - ident).cols
+        for perm in itertools.permutations(range(4)):
+            for signs in itertools.product((1, -1), repeat=4):
+                m = SignedPerm(perm, signs)
+                want = _restrict_dense(m.dense(), cols, reps)
+                if want is None:
+                    with pytest.raises(ArithmeticError, match="does not preserve the eigenspace"):
+                        _restrict(m, cols, reps)
+                    rejected += 1
+                else:
+                    assert _restrict(m, cols, reps).dense() == want, (z, m)
+                    kept += 1
+    assert kept and rejected
 
 
 def test_clifford_relation_failures_reports_broken_pairs():
@@ -238,7 +297,7 @@ def test_commutant_table_against_dense_solver():
     # re-derive the residue table by brute force on small signatures
     for sig in all_signatures(5):
         rep = build_rep(sig)
-        dense = _commutant_dimension_dense(rep.generators, rep.N)
+        dense = _commutant_dimension_dense([g.dense() for g in rep.generators], rep.N)
         assert dense == {"R": 1, "C": 2, "H": 4}[EXPECTED_COMMUTANT[sig.s_mod8]]
 
 
@@ -296,7 +355,7 @@ def test_gamma_blade_matches_antisymmetrization():
     rep = build_rep(Signature(2, 1))
     e0 = [1, 0, 0]
     e1 = [0, 1, 0]
-    assert gamma_blade(rep, (0, 1)) == gamma_alternating(rep, [e0, e1])
+    assert gamma_blade(rep, (0, 1)).dense() == gamma_alternating(rep, [e0, e1])
     # non-orthogonal pair: gamma(v ^ w) = gamma_v gamma_w + g(v,w) Id
     v = [1, 2, 0]
     w = [0, 1, 1]
@@ -327,7 +386,7 @@ def test_gamma_degree_filtration_basis_pairs():
                 ej = [1 if a == j else 0 for a in range(rep.n)]
                 lhs = gamma_polyvector(rep, wedge_vectors([ei, ej]))
                 gi, gj = rep.generators[i], rep.generators[j]
-                rhs = gi * gj + Matrix.identity(rep.N).scale(
+                rhs = (gi * gj).dense() + Matrix.identity(rep.N).scale(
                     metric_value(rep.eta, ei, ej)
                 )
                 assert lhs == rhs
@@ -420,7 +479,7 @@ def test_hypercomplex_commutant_examples():
     rep = build_rep(Signature(2, 0))
     assert rep.commutant_type == "H"
     j1, j2, j3 = rep.commutant_basis
-    assert (j1 * j1) == Matrix.identity(4).scale(-1)
+    assert (j1 * j1).dense() == Matrix.identity(4).scale(-1)
     assert j3 == j1 * j2
     assert j1 * j2 == -(j2 * j1)
 

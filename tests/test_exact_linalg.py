@@ -10,12 +10,12 @@ from spinorlab.clifford_core import (
     build_rep,
     commutant_vectors,
     even_subalgebra_images,
-    signed_permutation,
 )
 from spinorlab.exact_linalg import (
     GaussianRational,
     I_UNIT,
     Matrix,
+    SignedPerm,
     column_space_basis,
     kernel,
     kron,
@@ -308,7 +308,7 @@ def _monomial_relations(pairs, N, c=1):
     N x N matrices X, one block per pair (L, R) of signed permutations."""
     relations = []
     for left, right in pairs:
-        (lp, ls), (rp, rs) = signed_permutation(left), signed_permutation(right)
+        (lp, ls), (rp, rs) = (left.perm, left.signs), (right.perm, right.signs)
         for r in range(N):
             for s in range(N):
                 relations.append((lp[r] * N + s, r * N + rp[s], c * ls[r] * rs[s]))
@@ -360,3 +360,90 @@ def test_orbit_solver_matches_union_find_on_random_maps():
         conflicts += len(want) < len(orbits) and not has_negative_fixed
     # both ways an orbit dies occur among the seeded systems
     assert conflicts >= 20 and negative_fixed >= 20
+
+
+# SignedPerm against the dense product it replaced: every operation is
+# compared with the same operation on dense() matrices.  Values must
+# match always; entry types must match when the dense operand is all int.
+# A gather keeps a Fraction(0) entry of its Matrix operand where the dense
+# product writes int 0, and a column gather keeps Fraction(1) where the
+# dense product writes int 1, so types are compared only for int input.
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def signed_perms(draw, n=None):
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()) and draw(st.booleans()):  # +-Id a quarter of the time
+        return SignedPerm(tuple(range(n)), (draw(st.sampled_from((1, -1))),) * n)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return SignedPerm(tuple(perm), tuple(signs))
+
+
+@st.composite
+def perm_pairs(draw):
+    a = draw(signed_perms())
+    return a, draw(signed_perms(len(a.perm)))
+
+
+exact_entries = st.one_of(
+    small_entries,
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m.data]
+
+
+def _all_int(m):
+    return all(type(x) is int for row in m.data for x in row)
+
+
+@given(perm_pairs())
+@DIFFERENTIAL
+def test_signed_perm_compose_matches_dense(pair):
+    a, b = pair
+    got, want = (a * b).dense(), a.dense() * b.dense()
+    assert got == want
+    assert _types(got) == _types(want)
+    assert (a == b) == (a.dense() == b.dense())
+
+
+@given(signed_perms())
+@DIFFERENTIAL
+def test_signed_perm_transpose_and_negation_match_dense(a):
+    assert a.transpose().dense() == a.dense().transpose()
+    assert (-a).dense() == -a.dense()
+    assert a * a.transpose() == SignedPerm.identity(len(a.perm))
+
+
+@given(signed_perms(), signed_perms())
+@DIFFERENTIAL
+def test_signed_perm_kron_matches_dense(a, b):
+    assert a.kron(b).dense() == kron(a.dense(), b.dense())
+
+
+@given(signed_perms())
+@DIFFERENTIAL
+def test_signed_perm_scalar_check_matches_dense(a):
+    for m in (a, a * a):
+        assert m.is_scalar_multiple_of_identity() == m.dense().is_scalar_multiple_of_identity()
+
+
+@given(signed_perms(), st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+@DIFFERENTIAL
+def test_signed_perm_matrix_products_match_dense(a, k, int_only, data):
+    n = len(a.perm)
+    entries = small_entries if int_only else exact_entries
+    left = Matrix([[data.draw(entries) for _ in range(k)] for _ in range(n)])
+    right = Matrix([[data.draw(entries) for _ in range(n)] for _ in range(k)])
+    for got, want, operand in ((a * left, a.dense() * left, left),
+                               (right * a, right * a.dense(), right)):
+        assert isinstance(got, Matrix)
+        assert got == want
+        if _all_int(operand):
+            assert _types(got) == _types(want)
