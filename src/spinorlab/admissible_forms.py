@@ -66,11 +66,11 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
     for vec in basis:
         m = Matrix([vec[r * N : (r + 1) * N] for r in range(N)])
         m = _normalize_first_entry(m)
-        forms.append(
-            BilinearForm(
-                matrix=m, sigma=sigma, tau=tau, nondegenerate=rank(m) == N
-            )
-        )
+        # one nonzero per row and per column: a signed permutation, invertible
+        cells = [c for c, x in enumerate(vec) if x]
+        monomial = len(cells) == len({c // N for c in cells}) == len({c % N for c in cells}) == N
+        nondeg = monomial or rank(m) == N
+        forms.append(BilinearForm(matrix=m, sigma=sigma, tau=tau, nondegenerate=nondeg))
     return forms
 
 

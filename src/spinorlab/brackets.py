@@ -20,7 +20,7 @@ from .clifford_core import (
     metric_value,
     null_pair,
 )
-from .exact_linalg import Matrix, column_space_basis, kernel, rank
+from .exact_linalg import Matrix, clear_denominators, column_space_basis, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,11 @@ class SpinorSubspace:
     def __post_init__(self):
         if self.basis.rows != self.rep.N:
             raise ValueError("basis rows must equal the module dimension")
-        if self.basis.cols and rank(self.basis) != self.basis.cols:
+        # a row whose one nonzero is in column j marks j; rows marking every
+        # column form a nonsingular diagonal minor (kernel bases have one)
+        rows = (row for row in self.basis.data if sum(map(bool, row)) == 1)
+        marked = {next(j for j, x in enumerate(row) if x) for row in rows}
+        if len(marked) < self.basis.cols and rank(self.basis) != self.basis.cols:
             raise ValueError("basis columns must be independent")
 
     @property
@@ -90,9 +94,10 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
         raise ArithmeticError("kernel dimension is not N/2")
     if not (gv * gv).is_zero():
         raise ArithmeticError("gamma_v squared must vanish on a null vector")
-    # im = ker follows from gv^2 = 0 plus the dimension count
-    pairing = basis.transpose() * form.matrix * basis
-    if not pairing.is_zero():
+    # im = ker follows from gv^2 = 0 plus the dimension count; isotropy
+    # is checked on K D, D the invertible diagonal of column denominators
+    k_d = Matrix.from_columns([clear_denominators(c) for c in basis.columns()])
+    if not (k_d.transpose() * (form.matrix * k_d)).is_zero():
         raise ArithmeticError("kernel is not h-isotropic")
     return SpinorSubspace(rep, basis)
 

@@ -61,6 +61,12 @@ def _positive_float(text) -> float:
     return value
 
 
+def _output_path(text) -> str:
+    if not os.path.isdir(os.path.dirname(text) or ".") or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is not a file path in an existing directory")
+    return text
+
+
 def _emit(payload, fmt="json"):
     if fmt == "json":
         print(json.dumps({"schema": serialize.SCHEMA, **payload}, sort_keys=True))
@@ -279,7 +285,7 @@ def build_parser():
     p = sub.add_parser("spin45", help="search for the dim-4 bracket witness on (4,5)")
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--budget", type=_positive_int, default=200)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output_path, default=None)
     p.set_defaults(func=cmd_spin45)
 
     p = sub.add_parser("cone-report", help="semi-spinor split and invariant dims")

@@ -326,20 +326,22 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
         )
     projectors = None
     if split:
-        half = Matrix.identity(N)
-        p_plus = (half + z).scale(Fraction(1, 2))
-        p_minus = (half - z).scale(Fraction(1, 2))
-        for p in (p_plus, p_minus):
-            if p * p != p:
+        # checked on the integer a = Id +- z = 2p: p p = p reads a a = 2a,
+        # and rank, annihilation and commutation ignore the factor 2
+        ident = Matrix.identity(N)
+        a_plus, a_minus = pair = (ident + z, ident - z)
+        for a in pair:
+            if a * a != a.scale(2):
                 raise ArithmeticError("projector is not idempotent")
-            if rank(p) * 2 != N:
+            if rank(a) * 2 != N:
                 raise ArithmeticError("projector rank is not N/2")
-        if not (p_plus * p_minus).is_zero():
+        if not (a_plus * a_minus).is_zero():
             raise ArithmeticError("projectors do not annihilate each other")
         for e in images:
-            if e * p_plus != p_plus * e:
+            if e * a_plus != a_plus * e:
                 raise ArithmeticError("projector does not commute with the even action")
-        projectors = (p_plus, p_minus)
+        half = {x: Fraction(x, 2) for x in {x for a in pair for row in a.data for x in row}}
+        projectors = tuple(Matrix([[half[x] for x in row] for row in a.data]) for a in pair)
     return SemiSpinorReport(
         cone_signature=cone,
         base_signature=base,

@@ -3,14 +3,17 @@
 Scalars are python ints / fractions.Fraction, plus an adjoined imaginary
 unit (GaussianRational) for complexified checks.  Elimination is
 fraction-free (Bareiss) with deterministic first-nonzero pivoting, so
-kernels and ranks are reproducible bit for bit.
+kernels and ranks are reproducible bit for bit.  Kernel and solve
+back-substitution stays in Z on integer echelon rows (input that is int
+or Fraction with cleared row denominators): it carries d * x, d the last
+Bareiss pivot, which Cramer's rule makes integral, and divides by d once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 class GaussianRational:
@@ -93,8 +96,7 @@ def _denominator_lcm(x):
     if isinstance(x, Fraction):
         return x.denominator
     if isinstance(x, GaussianRational):
-        a, b = x.re.denominator, x.im.denominator
-        return a * b // gcd(a, b)
+        return lcm(x.re.denominator, x.im.denominator)
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
@@ -350,15 +352,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
-def _clear_row_denominators(row):
+def clear_denominators(row):
+    """The row times the lcm of its denominators, as ints where rational."""
     if all(type(x) is int for x in row):
         return list(row)
-    m = 1
-    for x in row:
-        d = _denominator_lcm(x)
-        m = m * d // gcd(m, d)
+    m = lcm(*map(_denominator_lcm, row))
     # integral Fractions become ints so Bareiss takes the integer divmod path
-    return [(x * m).numerator if isinstance(x, Fraction) else x * m for x in row]
+    return [x.numerator * (m // x.denominator) if isinstance(x, Fraction) else x * m for x in row]
 
 
 def _echelonize(matrix: Matrix):
@@ -368,7 +368,7 @@ def _echelonize(matrix: Matrix):
     entry scanning rows top-down within each column, columns left to
     right, so results are deterministic for identical input.
     """
-    rows = [_clear_row_denominators(r) for r in matrix.data]
+    rows = [clear_denominators(r) for r in matrix.data]
     n_rows, n_cols = matrix.rows, matrix.cols
     pivot_cols = []
     piv_r = 0
@@ -407,10 +407,36 @@ def _echelonize(matrix: Matrix):
     return rows[:piv_r], pivot_cols
 
 
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
+def _pivot_solutions(ech, pivots, n_cols, free):
+    """For each f in free, the pivot entries of the x with x[f] = 1, x = 0
+    at the other free columns, and every echelon row annihilating x.
+
+    Integer rows back-substitute y = d * x in Z, d the last Bareiss pivot:
+    d is the determinant of the pivot minor, so y is integral by Cramer's
+    rule and every division is exact; then x = Fraction(y, d).  Rows with
+    GaussianRational entries run the same loop with d = 1.
+    """
+    integral = all(type(x) is int for row in ech for x in row)
+    d = ech[-1][pivots[-1]] if integral and pivots else Fraction(1)
+    out = []
+    for f in free:
+        y = [0] * n_cols
+        y[f] = d
+        for r in range(len(pivots) - 1, -1, -1):  # bottom-up
+            pc = pivots[r]
+            row = ech[r]
+            s = 0
+            for c in range(pc + 1, n_cols):
+                if row[c] and y[c]:
+                    s = s + row[c] * y[c]
+            if s and integral:
+                y[pc], rem = divmod(-s, row[pc])
+                if rem:
+                    raise ArithmeticError("inexact integer back-substitution")
+            elif s:
+                y[pc] = -s / row[pc]
+        out.append([Fraction(y[pc], d) if integral else y[pc] / d for pc in pivots])
+    return out
 
 
 def rank(matrix: Matrix) -> int:
@@ -429,18 +455,11 @@ def kernel(matrix: Matrix) -> Matrix:
     n_cols = matrix.cols
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
-    for f in free:
+    for f, values in zip(free, _pivot_solutions(ech, pivots, n_cols, free)):
         sol = [0] * n_cols
         sol[f] = Fraction(1)
-        # back substitution over the echelon rows, bottom-up
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = 0
-            row = ech[r]
-            for c in range(pc + 1, n_cols):
-                if row[c] and sol[c]:
-                    s = s + row[c] * sol[c]
-            sol[pc] = _exact_div(-s, row[pc]) if s else Fraction(0)
+        for pc, x in zip(pivots, values):
+            sol[pc] = x
         basis.append(sol)
     if not basis:
         return Matrix([[] for _ in range(n_cols)])
@@ -459,15 +478,11 @@ def solve(matrix: Matrix, rhs) -> list | None:
     n = matrix.cols
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
+    # the kernel vector of [matrix | rhs] with x[n] = 1 has matrix * x = -rhs
     sol = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = ech[r]
-        s = row[n]
-        for c in range(pc + 1, n):
-            if row[c] and sol[c]:
-                s = s - row[c] * sol[c]
-        sol[pc] = _exact_div(s, row[pc]) if s else Fraction(0)
+    (values,) = _pivot_solutions(ech, pivots, n + 1, [n])
+    for pc, x in zip(pivots, values):
+        sol[pc] = -x
     return sol
 
 

@@ -172,3 +172,29 @@ def test_j_invariant_form():
     for j in (hc.j1, hc.j2, hc.j3):
         assert j.transpose() * form.matrix * j == form.matrix
         assert (j.transpose() * form.matrix + form.matrix * j).is_zero()
+
+
+def test_nondegenerate_flag_matches_rank_on_every_form():
+    # the signed-permutation shortcut must agree with elimination
+    for sig in all_signatures(7):
+        rep = build_rep(sig)
+        for sigma in (1, -1):
+            for tau in (1, -1):
+                for form in find_admissible(rep, sigma, tau):
+                    assert form.nondegenerate == (rank(form.matrix) == rep.N), str(sig)
+
+
+def test_nondegenerate_flag_on_planted_orbit_bases(monkeypatch):
+    # N nonzeros that are not one per row and per column must go to rank
+    rep = build_rep(Signature(1, 1))  # N = 2
+    planted = [
+        [1, 1, 0, 0],  # both in row 0
+        [1, 0, 1, 0],  # both in column 0
+        [0, 1, 1, 0],  # a signed permutation
+        [1, 0, 0, -1],
+        [1, 1, 1, 1],
+    ]
+    monkeypatch.setattr("spinorlab.admissible_forms.signed_relation_basis", lambda n, maps: planted)
+    forms = find_admissible(rep, 1, 1)
+    assert [f.nondegenerate for f in forms] == [False, False, True, True, False]
+    assert all(f.nondegenerate == (rank(f.matrix) == rep.N) for f in forms)

@@ -147,6 +147,54 @@ def test_null_kernel_rejections():
         null_kernel(rep2, form2, [0, 0])
 
 
+def test_spinor_subspace_accepts_kernel_bases_and_rejects_dependent_columns():
+    rep = build_rep(Signature(2, 2))  # N = 4
+    form = first_nondegenerate(rep)
+    SpinorSubspace(rep, null_kernel(rep, form, [1, 0, 1, 0]).basis)
+    # independent, but only column 0 has a single-nonzero row: rank decides
+    SpinorSubspace(rep, Matrix.from_columns([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 0]]))
+    dependent = [
+        # rows 0 and 1 mark columns 0 and 1, column 3 = 2 * column 2
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]],
+        # row 0 marks column 0 only
+        [[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 4, 0]],
+        # rows 0, 1 and 2 all mark column 0: three marking rows, one mark
+        [[1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 2]],
+        [[1, 1, 0, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [1, 0, 0, 0]],
+        [[0, 1, 0, 0], [0, 0, 0, 0]],
+        [[1, 2, 3, 4], [2, 4, 6, 8]],
+    ]
+    for cols in dependent:
+        with pytest.raises(ValueError, match="independent"):
+            SpinorSubspace(rep, Matrix.from_columns(cols))
+
+
+def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
+    rep = build_rep(Signature(2, 2))  # N = 4
+    form = first_nondegenerate(rep)
+    v = [1, 0, 1, 0]
+    true_basis = kernel(gamma_vector(rep, v))
+    # the true kernel with rational column scales is isotropic and accepted
+    scaled = Matrix([[x * c for x, c in zip(row, (Fraction(2, 3), Fraction(-5, 7)))]
+                     for row in true_basis.data])
+    monkeypatch.setattr("spinorlab.brackets.kernel", lambda m: scaled)
+    assert null_kernel(rep, form, v).basis == scaled
+    # a half-dimensional Fraction basis that is not isotropic is rejected
+    h = form.matrix
+    for i in range(rep.N):
+        for j in range(i + 1, rep.N):
+            cols = [[Fraction(1, 3) if r == i else 0 for r in range(rep.N)],
+                    [Fraction(1, 2) if r == j else 0 for r in range(rep.N)]]
+            planted = Matrix.from_columns(cols)
+            if not (planted.transpose() * h * planted).is_zero():
+                monkeypatch.setattr("spinorlab.brackets.kernel", lambda m: planted)
+                with pytest.raises(ArithmeticError, match="not h-isotropic"):
+                    null_kernel(rep, form, v)
+                return
+    raise AssertionError("no non-isotropic coordinate plane found")
+
+
 def test_obstruction_full_space():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)

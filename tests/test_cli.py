@@ -90,6 +90,21 @@ def test_spin45_search(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/w.json", "missing/deeper/w.json", "."])
+def test_spin45_unwritable_out_exits_2_in_parser(target, tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a rejected --out must not reach the search")
+
+    monkeypatch.setattr("spinorlab.cli.spin45_search", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["spin45", "--seed", "7", "--budget", "40", "--out", str(tmp_path / target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "existing directory" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cone_report(capsys):
     assert main(["cone-report", "--sig", "4,0"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from spinorlab.clifford_core import (
     Signature,
     build_rep,
@@ -109,6 +113,9 @@ def test_semispinor_residue_rule_all_bases():
                 p_plus, p_minus = report.projectors
                 assert (p_plus + p_minus) == Matrix.identity(cone.N)
                 assert (p_plus * p_minus).is_zero()
+                for proj in report.projectors:
+                    assert proj * proj == proj
+                    assert all(type(x) is Fraction for row in proj.data for x in row)
 
 
 def test_semispinor_specific_cases():
@@ -124,6 +131,28 @@ def test_semispinor_specific_cases():
     r = semispinor_projectors(build_rep(Signature(2, 1)))
     assert r.split and not r.quoted_list_agrees
     assert build_rep(Signature(2, 1)).N == 2 * build_rep(Signature(1, 1)).N
+
+
+def _mixed_sign_diagonal(N):
+    return Matrix.diagonal([1] * (N // 2) + [-1] * (N // 2))
+
+
+@pytest.mark.parametrize(
+    "bad_z, message",
+    [
+        (lambda N: Matrix.zero(N, N), "not idempotent"),  # z^2 = 0
+        (lambda N: Matrix.identity(N).scale(2), "not idempotent"),  # z^2 = 4 Id
+        (lambda N: Matrix.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
+        (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
+    ],
+)
+def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, monkeypatch):
+    # (4,0) splits by the residue rule, so a planted z reaches the
+    # projector checks instead of the split/residue comparison
+    cone = build_rep(Signature(4, 0))
+    monkeypatch.setattr("spinorlab.cone_split._find_involution", lambda cands, N: bad_z(N))
+    with pytest.raises(ArithmeticError, match=message):
+        semispinor_projectors(cone)
 
 
 def test_volume_flip_parity():

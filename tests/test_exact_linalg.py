@@ -20,6 +20,7 @@ from spinorlab.exact_linalg import (
     kernel,
     kron,
     rank,
+    _echelonize,
     signed_relation_basis,
     solve,
 )
@@ -447,3 +448,121 @@ def test_signed_perm_matrix_products_match_dense(a, k, int_only, data):
         assert got == want
         if _all_int(operand):
             assert _types(got) == _types(want)
+
+
+# kernel and solve against the Fraction back-substitutions they replaced.
+# The oracles run on the same echelon rows, so values and entry types must
+# match: for kernel, Fraction(1) at the free variable, int 0 at the other
+# free positions and Fraction at the pivots; for solve, Fraction(0) at the
+# free positions.
+
+def _div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
+def _fraction_back_substitution(matrix):
+    ech, pivots = _echelonize(matrix)
+    n_cols = matrix.cols
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        sol = [0] * n_cols
+        sol[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = 0
+            row = ech[r]
+            for c in range(pc + 1, n_cols):
+                if row[c] and sol[c]:
+                    s = s + row[c] * sol[c]
+            sol[pc] = _div(-s, row[pc]) if s else Fraction(0)
+        basis.append(sol)
+    return basis
+
+
+def _fraction_solve(matrix, rhs):
+    ech, pivots = _echelonize(matrix.hstack(Matrix.column(list(rhs))))
+    n = matrix.cols
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        row = ech[r]
+        s = row[n]
+        for c in range(pc + 1, n):
+            if row[c] and sol[c]:
+                s = s - row[c] * sol[c]
+        sol[pc] = _div(s, row[pc]) if s else Fraction(0)
+    return sol
+
+
+def _assert_kernel_matches_oracle(m):
+    got = kernel(m).columns()
+    want = _fraction_back_substitution(m)
+    assert got == want
+    assert [[type(x) for x in col] for col in got] == [[type(x) for x in col] for col in want]
+    # a consistent right-hand side (a column of m) and an often inconsistent one
+    for rhs in (m.col(m.cols - 1), [row[0] + i for i, row in enumerate(m.data)]):
+        got, want = solve(m, rhs), _fraction_solve(m, rhs)
+        assert got == want
+        if want is not None:
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+huge_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**31, 2**64),
+    st.integers(-(2**64), -(2**31)),
+)
+
+
+@st.composite
+def planted_rank_matrices(draw, entries=huge_entries):
+    """L R with inner dimension r < min(rows, cols) most of the time."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(rows, cols)))
+    left = [[draw(entries) for _ in range(r)] for _ in range(rows)]
+    right = [[draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(r)]
+    return Matrix([[sum(a * b for a, b in zip(lrow, rcol)) for rcol in zip(*right)] if r else [0] * cols
+                   for lrow in left])
+
+
+@given(planted_rank_matrices())
+@DIFFERENTIAL
+def test_kernel_matches_fraction_back_substitution_on_large_ints(m):
+    _assert_kernel_matches_oracle(m)
+
+
+@given(planted_rank_matrices(), st.data())
+@DIFFERENTIAL
+def test_kernel_matches_fraction_back_substitution_on_fractions(m, data):
+    # D1 M D2 with rational diagonals keeps the planted rank
+    row_scale = [data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))) for _ in range(m.rows)]
+    col_scale = [data.draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))) for _ in range(m.cols)]
+    scaled = Matrix([[a * x * b for x, b in zip(row, col_scale)] for a, row in zip(row_scale, m.data)])
+    _assert_kernel_matches_oracle(scaled)
+
+
+gaussian_entries = st.builds(GaussianRational, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@given(planted_rank_matrices(entries=gaussian_entries))
+@DIFFERENTIAL
+def test_kernel_matches_fraction_back_substitution_on_gaussian_rationals(m):
+    _assert_kernel_matches_oracle(m)
+
+
+def test_kernel_back_substitution_fixed_cases():
+    big = 2**40 + 3
+    cases = [
+        Matrix([[big, 2 * big, 1], [3, 6, big]]),
+        Matrix([[Fraction(1, 3), Fraction(2, 7), 0], [Fraction(2, 3), Fraction(4, 7), 0]]),
+        Matrix([[GaussianRational(1), I_UNIT, 2], [I_UNIT, GaussianRational(-1), 2 * I_UNIT]]),
+        Matrix.zero(2, 3),
+    ]
+    for m in cases:
+        _assert_kernel_matches_oracle(m)
+        assert (m * kernel(m)).is_zero()
