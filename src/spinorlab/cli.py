@@ -201,7 +201,6 @@ def cmd_model_verify(args):
     from .model_space import (
         ConstantSpinorField,
         HyperquadricModel,
-        dirac_residual,
         killing_residual,
     )
 
@@ -221,7 +220,7 @@ def cmd_model_verify(args):
                 "spinor": i,
                 "killing_number": rep.killing_number,
                 "residual": float(rep.residual),
-                "dirac_residual": float(dirac_residual(model, field, rep.killing_number)),
+                "dirac_residual": float(rep.dirac_residual),
                 "passed": passed,
             }
         )

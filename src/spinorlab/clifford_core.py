@@ -242,7 +242,10 @@ def commutant_dimension(generators, N) -> int:
 def clifford_relation_failures(generators, eta):
     """(i, j) pairs, i <= j in row-major order, where
     G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta:
-    G_i^2 != -eta_i Id, or G_i G_j != -G_j G_i for i < j."""
+    G_i^2 != -eta_i Id, or G_i G_j != -G_j G_i for i < j.
+
+    The generators are SignedPerms: a real rep's, or the realified
+    complex Pauli chains of cone_split."""
     failures = []
     for i, gi in enumerate(generators):
         if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:

@@ -1,8 +1,9 @@
 """Tensor decompositions, semi-spinor splittings and invariant-spinor
 counting for cone representations.
 
-Complexified checks run over Gaussian rationals with Pauli-chain
-representations, so every eigenspace dimension is exact.
+Complexified checks run on Pauli chains realified to signed permutations
+of twice the complex dimension, so every relation is a permutation
+identity and every eigenspace dimension an exact integer rank.
 """
 
 from __future__ import annotations
@@ -23,53 +24,75 @@ from .clifford_core import (
     wedge_vectors,
 )
 from .exact_linalg import (
-    GaussianRational,
-    I_UNIT,
     Matrix,
     SignedPerm,
     kernel,
-    kron,
     rank,
 )
 
-_SX = Matrix([[0, 1], [1, 0]])
-_SY = Matrix([[GaussianRational(0), GaussianRational(0, -1)], [GaussianRational(0, 1), GaussianRational(0)]])
-_SZ = Matrix([[1, 0], [0, -1]])
+# A complex phase monomial i^e P, P a real signed permutation, is kept as
+# the pair (P, K) with K = J^e in {+-Id_2, +-J}, and acts on C^d = R^2d as
+# its realification P.kron(K).  Realification is an injective ring map, so
+# products, relations and scalar checks carry over exactly.
+_ID2 = SignedPerm.identity(2)
+_J = SignedPerm((1, 0), (1, -1))  # [[0, -1], [1, 0]]: i acting on C = R^2
+_SX = (SignedPerm((1, 0), (1, 1)), _ID2)
+_SY = (_J, _J)  # [[0, -i], [i, 0]] = i [[0, -1], [1, 0]]
+_SZ = (SignedPerm((0, 1), (1, -1)), _ID2)
+
+
+def _identity(d):
+    return SignedPerm.identity(d), _ID2
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _kron(a, b):
+    return a[0].kron(b[0]), a[1] * b[1]
+
+
+def _times_i(a):
+    return a[0], a[1] * _J
+
+
+def _realify(a) -> SignedPerm:
+    return a[0].kron(a[1])
+
+
+def _product(factors, d):
+    out = _identity(d)
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+def _squares_to(a):
+    return _realify(_mul(a, a)).is_scalar_multiple_of_identity()
 
 
 def _pauli_chain(total, position, op):
-    mats = []
+    out = _identity(1)
     for slot in range(total):
-        if slot < position:
-            mats.append(_SZ)
-        elif slot == position:
-            mats.append(op)
-        else:
-            mats.append(Matrix.identity(2))
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
+        out = _kron(out, _SZ if slot < position else op if slot == position else _identity(2))
     return out
 
 
 def complex_clifford_rep(m: int):
     """Generators of the complex Clifford algebra on m generators squaring
-    to -Id, plus the grading involution; dimension 2^ceil(m/2)."""
+    to -Id, plus the grading involution; dimension 2^ceil(m/2).
+
+    Each generator is i times a Pauli chain and the grading a chain of
+    sigma_z, all as (P, K) pairs (see _realify)."""
     qubits = (m + 1) // 2
-    if qubits == 0:
-        return [], Matrix.identity(1)
-    gens = []
-    for k in range(m):
-        op = _SX if k % 2 == 0 else _SY
-        gens.append(_pauli_chain(qubits, k // 2, op).scale(I_UNIT))
-    grading = Matrix.identity(1)
-    for _ in range(qubits):
-        grading = kron(grading, _SZ)
-    return gens, grading
+    gens = [_times_i(_pauli_chain(qubits, k // 2, _SY if k % 2 else _SX)) for k in range(m)]
+    # the grading is the sigma_z string over every qubit
+    return gens, _pauli_chain(qubits, qubits, None)
 
 
-def _check_complex_clifford(gens):
-    failures = clifford_relation_failures(gens, (1,) * len(gens))
+def _check_complex_clifford(images):
+    failures = clifford_relation_failures([_realify(x) for x in images], (1,) * len(images))
     return "relation({},{})".format(*failures[0]) if failures else None
 
 
@@ -102,22 +125,19 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
     if n1 < 1 or n2 < 1:
         raise ValueError("need n1, n2 >= 1")
     gens1, grading1 = complex_clifford_rep(n1)
-    gens2, _ = complex_clifford_rep(n2)
-    d1 = gens1[0].rows
-    d2 = gens2[0].rows
+    gens2, grading2 = complex_clifford_rep(n2)
+    d1 = len(grading1[0].perm)
+    d2 = len(grading2[0].perm)
     failures = []
     if n1 % 2 == 0 or n2 % 2 == 0:
         if n1 % 2 == 1:  # make the even factor first
             swapped = graded_tensor_check(n2, n1)
             return dataclasses.replace(swapped, n1=n1, n2=n2)
-        vol1 = Matrix.identity(d1)
-        for g in gens1:
-            vol1 = vol1 * g
-        sq = (vol1 * vol1).is_scalar_multiple_of_identity()
-        if sq == -1:
-            vol1 = vol1.scale(I_UNIT)
-        images = [kron(g, Matrix.identity(d2)) for g in gens1]
-        images += [kron(vol1, k) for k in gens2]
+        vol1 = _product(gens1, d1)
+        if _squares_to(vol1) == -1:
+            vol1 = _times_i(vol1)
+        images = [_kron(g, _identity(d2)) for g in gens1]
+        images += [_kron(vol1, k) for k in gens2]
         err = _check_complex_clifford(images)
         if err:
             failures.append(err)
@@ -125,7 +145,7 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
             "module": d1 * d2,
             "factor_1": d1,
             "factor_2": d2,
-            "direct": complex_clifford_rep(n1 + n2)[0][0].rows,
+            "direct": len(complex_clifford_rep(n1 + n2)[1][0].perm),
         }
         return GradedTensorReport(
             n1=n1,
@@ -139,48 +159,39 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
             failures=tuple(failures),
         )
     # both odd: graded tensor product via the grading twist
-    images = [kron(g, Matrix.identity(d2)) for g in gens1]
-    images += [kron(grading1, k) for k in gens2]
+    images = [_kron(g, _identity(d2)) for g in gens1]
+    images += [_kron(grading1, k) for k in gens2]
     dim = d1 * d2
     err = _check_complex_clifford(images)
     if err:
         failures.append(err)
     # Koszul rule on homogeneous generators: (1 (x) b)(a (x) 1) picks up
     # a sign from moving the odd b past the odd a
-    sign_rule_ok = True
-    for k in gens2:
-        right = kron(grading1, k)
-        for f in gens1:
-            left = kron(f, Matrix.identity(d2))
-            if right * left != (left * right).scale(-1):
-                sign_rule_ok = False
-    xi = Matrix.identity(dim)
-    for im in images:
-        xi = xi * im
-    sq = (xi * xi).is_scalar_multiple_of_identity()
-    if sq == 1:
-        xi = xi.scale(I_UNIT)
-    xi_ok = (xi * xi).is_scalar_multiple_of_identity() == -1
+    real = [_realify(x) for x in images]
+    left, right = real[: len(gens1)], real[len(gens1) :]
+    sign_rule_ok = all(b * a == -(a * b) for b in right for a in left)
+    xi = _product(images, dim)
+    if _squares_to(xi) == 1:
+        xi = _times_i(xi)
+    xi_ok = _squares_to(xi) == -1
     # centrality in the even part: xi commutes with generator pairs
-    for a in images:
-        for b in images:
-            ab = a * b
-            if xi * ab != ab * xi:
-                failures.append("xi_not_central_in_even_part")
-                break
-        else:
-            continue
-        break
-    # restrict xi to the even part, the +1 eigenspace of the total grading
-    total_grading = kron(grading1, _grading_of(n2))
-    even_idx = [
-        i for i in range(dim) if total_grading[i, i] == 1
-    ]
-    xi_even = Matrix([[xi[i, j] for j in even_idx] for i in even_idx])
-    plus = kernel(xi_even - Matrix.identity(len(even_idx)).scale(I_UNIT))
-    minus = kernel(xi_even + Matrix.identity(len(even_idx)).scale(I_UNIT))
-    eigendims = (plus.cols, minus.cols)
-    if plus.cols != minus.cols:
+    x = _realify(xi)
+    if any(x * a * b != a * b * x for a in real for b in real):
+        failures.append("xi_not_central_in_even_part")
+    # restrict xi to the even part, the +1 eigenspace of the total grading;
+    # the +-i eigenspaces of xi there are the kernels of x -+ i Id, each of
+    # twice the complex dimension after realification
+    total_grading = _realify(_kron(grading1, grading2))
+    even = [r for r, s in enumerate(total_grading.signs) if s == 1]
+
+    def even_block(m: SignedPerm) -> Matrix:
+        dense = m.dense().data
+        return Matrix([[dense[r][c] for c in even] for r in even])
+
+    x_even = even_block(x)
+    i_even = even_block(_realify(_times_i(_identity(dim))))
+    eigendims = tuple((len(even) - rank(x_even - sign * i_even)) // 2 for sign in (1, -1))
+    if eigendims[0] != eigendims[1]:
         failures.append("unequal_semi_spinor_dimensions")
     # spinor module of the even part doubles the plain product of the
     # ungraded odd-factor modules
@@ -188,7 +199,7 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
     ungraded2 = 2 ** ((n2 - 1) // 2)
     dims = {
         "module": dim,
-        "even_part": len(even_idx),
+        "even_part": len(even) // 2,
         "ungraded_product_doubled": 2 * ungraded1 * ungraded2,
     }
     if dims["even_part"] != dims["ungraded_product_doubled"]:
@@ -204,13 +215,6 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
         dims=dims,
         failures=tuple(failures),
     )
-
-
-def _grading_of(m):
-    out = Matrix.identity(1)
-    for _ in range((m + 1) // 2):
-        out = kron(out, _SZ)
-    return out
 
 
 def invariant_spinors(rep: CliffordRep, bivectors) -> tuple[int, Matrix]:

@@ -1,12 +1,12 @@
 """Exact scalar and matrix substrate.
 
-Scalars are python ints / fractions.Fraction, plus an adjoined imaginary
-unit (GaussianRational) for complexified checks.  Elimination is
-fraction-free (Bareiss) with deterministic first-nonzero pivoting, so
-kernels and ranks are reproducible bit for bit.  Kernel and solve
-back-substitution stays in Z on integer echelon rows (input that is int
-or Fraction with cleared row denominators): it carries d * x, d the last
-Bareiss pivot, which Cramer's rule makes integral, and divides by d once.
+Scalars are python ints and fractions.Fraction; any other entry type
+is a TypeError in elimination.  Elimination clears each row's
+denominators and runs fraction-free (Bareiss) over Z with deterministic
+first-nonzero pivoting, so kernels and ranks are reproducible bit for
+bit.  Kernel and solve back-substitution stays in Z as well: it carries
+d * x, d the last Bareiss pivot, which Cramer's rule makes integral, and
+divides by d once.
 """
 
 from __future__ import annotations
@@ -16,92 +16,17 @@ from fractions import Fraction
 from math import lcm
 
 
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _gaussian(other) - self
-
-    def __mul__(self, other):
-        other = _gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _gaussian(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        return _gaussian(other) / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
-
-
-I_UNIT = GaussianRational(0, 1)
-
-
-def _gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
 def _denominator_lcm(x):
     """lcm of the denominators appearing in a scalar."""
     if isinstance(x, int):
         return 1
     if isinstance(x, Fraction):
         return x.denominator
-    if isinstance(x, GaussianRational):
-        return lcm(x.re.denominator, x.im.denominator)
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
 class Matrix:
-    """Dense exact matrix; entries int, Fraction or GaussianRational.
+    """Dense exact matrix; entries int or Fraction.
 
     Instances are treated as immutable after construction.
     """
@@ -222,12 +147,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def trace(self):
-        t = 0
-        for i in range(min(self.rows, self.cols)):
-            t = t + self.data[i][i]
-        return t
-
     def is_zero(self):
         return all(not x for row in self.data for x in row)
 
@@ -335,29 +254,11 @@ class SignedPerm:
         return Matrix([[s if i == r else 0 for i, s in pairs] for r in range(len(pairs))])
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    out = [
-        [0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)
-    ]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.data[i][j]
-            if not x:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    y = b.data[k][l]
-                    if y:
-                        out[i * b.rows + k][j * b.cols + l] = x * y
-    return Matrix(out)
-
-
 def clear_denominators(row):
     """The row times the lcm of its denominators, as ints where rational."""
     if all(type(x) is int for x in row):
         return list(row)
     m = lcm(*map(_denominator_lcm, row))
-    # integral Fractions become ints so Bareiss takes the integer divmod path
     return [x.numerator * (m // x.denominator) if isinstance(x, Fraction) else x * m for x in row]
 
 
@@ -390,15 +291,11 @@ def _echelonize(matrix: Matrix):
             row_p = rows[piv_r]
             for c in range(col, n_cols):
                 num = p * row_r[c] - x * row_p[c] if x else p * row_r[c]
-                if prev == 1:
-                    row_r[c] = num
-                elif isinstance(num, int) and isinstance(prev, int):
-                    quot, rem = divmod(num, prev)
+                if prev != 1:
+                    num, rem = divmod(num, prev)
                     if rem:  # Bareiss division must be exact over Z
                         raise ArithmeticError("inexact fraction-free division")
-                    row_r[c] = quot
-                else:
-                    row_r[c] = num / prev
+                row_r[c] = num
         pivot_cols.append(col)
         prev = p
         piv_r += 1
@@ -411,13 +308,11 @@ def _pivot_solutions(ech, pivots, n_cols, free):
     """For each f in free, the pivot entries of the x with x[f] = 1, x = 0
     at the other free columns, and every echelon row annihilating x.
 
-    Integer rows back-substitute y = d * x in Z, d the last Bareiss pivot:
-    d is the determinant of the pivot minor, so y is integral by Cramer's
-    rule and every division is exact; then x = Fraction(y, d).  Rows with
-    GaussianRational entries run the same loop with d = 1.
+    The integer rows back-substitute y = d * x in Z, d the last Bareiss
+    pivot: d is the determinant of the pivot minor, so y is integral by
+    Cramer's rule and every division is exact; then x = Fraction(y, d).
     """
-    integral = all(type(x) is int for row in ech for x in row)
-    d = ech[-1][pivots[-1]] if integral and pivots else Fraction(1)
+    d = ech[-1][pivots[-1]] if pivots else 1
     out = []
     for f in free:
         y = [0] * n_cols
@@ -429,13 +324,11 @@ def _pivot_solutions(ech, pivots, n_cols, free):
             for c in range(pc + 1, n_cols):
                 if row[c] and y[c]:
                     s = s + row[c] * y[c]
-            if s and integral:
+            if s:
                 y[pc], rem = divmod(-s, row[pc])
                 if rem:
                     raise ArithmeticError("inexact integer back-substitution")
-            elif s:
-                y[pc] = -s / row[pc]
-        out.append([Fraction(y[pc], d) if integral else y[pc] / d for pc in pivots])
+        out.append([Fraction(y[pc], d) for pc in pivots])
     return out
 
 

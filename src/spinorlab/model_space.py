@@ -341,10 +341,12 @@ class KillingReport:
     killing_number: float
     residual: float
     residual_opposite: float
+    dirac_residual: float  # max over samples of |D s + n lambda s|
 
 
 def killing_residual(model, field, killing_number=None) -> KillingReport:
-    """max over samples and frame directions of |nabla_X s - lambda X s|.
+    """max over samples and frame directions of |nabla_X s - lambda X s|,
+    and from the same nabla sweep the Dirac residual at that lambda.
 
     With killing_number None the sign of lambda = +-1/2 is auto-detected
     per field by picking the smaller residual.
@@ -359,15 +361,14 @@ def killing_residual(model, field, killing_number=None) -> KillingReport:
         )
         for lam in candidates
     ]
-    if killing_number is not None:
-        return KillingReport(killing_number, residuals[0], float("nan"))
     best = int(np.argmin(residuals))
-    return KillingReport(candidates[best], residuals[best], residuals[1 - best])
-
-
-def detect_epsilon(model, field) -> int:
-    report = killing_residual(model, field)
-    return 1 if report.killing_number > 0 else -1
+    lam = candidates[best]
+    dirac = _worst(
+        np.max(np.abs(_dirac(model, point, nablas) + model.n * lam * s_here))
+        for point, s_here, nablas in sweep
+    )
+    opposite = residuals[1 - best] if killing_number is None else float("nan")
+    return KillingReport(lam, residuals[best], opposite, dirac)
 
 
 def _dirac(model, point, nablas):
@@ -377,14 +378,6 @@ def _dirac(model, point, nablas):
     for eta, gamma, nabla in zip(eta_base, point.gammas, nablas):
         dirac += eta * gamma @ nabla
     return dirac
-
-
-def dirac_residual(model, field, killing_number) -> float:
-    """max over samples of |D s + n lambda s| with the frame Dirac sum."""
-    return _worst(
-        np.max(np.abs(_dirac(model, point, nablas) + model.n * killing_number * s_here))
-        for point, s_here, nablas in _covariant_sweep(model, field)
-    )
 
 
 # -- polyvector fields -------------------------------------------------------

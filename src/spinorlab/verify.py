@@ -40,7 +40,6 @@ from .model_space import (
     HyperquadricModel,
     SphereProductModel,
     bracket_field_checks,
-    dirac_residual,
     homogeneity_span,
     kappa_upper_bound,
     killing_residual,
@@ -366,10 +365,10 @@ def criterion_model_sphere(step=1e-4, tol=1e-6) -> CheckResult:
     fields = [ConstantSpinorField(np.eye(model.N)[i]) for i in range(model.N)]
     passing = []
     lam = None
-    for i, s in enumerate(fields):
+    for s in fields:
         rep = killing_residual(model, s)
         if rep.residual < tol:
-            passing.append(i)
+            passing.append(rep)
             lam = rep.killing_number
     details["killing_passing"] = len(passing)
     if len(passing) != 4:
@@ -383,7 +382,7 @@ def criterion_model_sphere(step=1e-4, tol=1e-6) -> CheckResult:
             180.0,
             {**details, "failures": failures + ["no_killing_spinors"]},
         )
-    d_res = max(dirac_residual(model, fields[i], lam) for i in passing)
+    d_res = max(rep.dirac_residual for rep in passing)
     details["dirac_residual"] = d_res
     if d_res >= 1e-5:
         failures.append("dirac")
@@ -429,12 +428,10 @@ def criterion_convergence(base_step=1e-2, noise_floor=1e-10) -> CheckResult:
     fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=base_step / 2)
     s = ConstantSpinorField(np.eye(coarse.N)[0])
     t = ConstantSpinorField(np.eye(coarse.N)[1])
+    kc, kf = killing_residual(coarse, s, 0.5), killing_residual(fine, s, 0.5)
     pairs = {
-        "killing": (
-            killing_residual(coarse, s, 0.5).residual,
-            killing_residual(fine, s, 0.5).residual,
-        ),
-        "dirac": (dirac_residual(coarse, s, 0.5), dirac_residual(fine, s, 0.5)),
+        "killing": (kc.residual, kf.residual),
+        "dirac": (kc.dirac_residual, kf.dirac_residual),
         "scal": (
             scalar_curvature_residual(coarse, 0.5),
             scalar_curvature_residual(fine, 0.5),

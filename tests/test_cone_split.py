@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinorlab.clifford_core import (
@@ -7,7 +8,9 @@ from spinorlab.clifford_core import (
     build_rep,
     wedge_vectors,
 )
+from spinorlab import cone_split
 from spinorlab.cone_split import (
+    _realify,
     complex_clifford_rep,
     graded_tensor_check,
     invariant_spinors,
@@ -15,14 +18,16 @@ from spinorlab.cone_split import (
     semispinor_projectors,
     volume_flip_degree,
 )
-from spinorlab.exact_linalg import Matrix
+from spinorlab.exact_linalg import Matrix, SignedPerm
 
 
 def test_complex_clifford_relations():
     for m in range(1, 7):
         gens, grading = complex_clifford_rep(m)
+        gens = [_realify(g).dense() for g in gens]
+        grading = _realify(grading).dense()
         dim = gens[0].rows
-        assert dim == 2 ** ((m + 1) // 2)
+        assert dim == 2 * 2 ** ((m + 1) // 2)  # realified: twice the complex dimension
         ident = Matrix.identity(dim)
         for i, gi in enumerate(gens):
             for j in range(i, m):
@@ -30,6 +35,78 @@ def test_complex_clifford_relations():
                 want = ident.scale(-2) if i == j else Matrix.zero(dim, dim)
                 assert gi * gj + gj * gi == want
             assert grading * gi == -(gi * grading)
+
+
+def _numpy_pauli_rep(m):
+    """i times the Pauli chains Z..Z (X or Y) 1..1, and the Z string, in complex128."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1, -1]).astype(complex)
+    qubits = (m + 1) // 2
+
+    def chain(position, op):
+        out = np.eye(1, dtype=complex)
+        for slot in range(qubits):
+            out = np.kron(out, z if slot < position else op if slot == position else np.eye(2))
+        return out
+
+    return [1j * chain(k // 2, y if k % 2 else x) for k in range(m)], chain(qubits, None)
+
+
+def _numpy_realify(c):
+    """Each entry a + ib becomes the 2 x 2 block [[a, -b], [b, a]]."""
+    out = np.zeros((2 * c.shape[0], 2 * c.shape[1]))
+    out[0::2, 0::2] = c.real
+    out[0::2, 1::2] = -c.imag
+    out[1::2, 0::2] = c.imag
+    out[1::2, 1::2] = c.real
+    return out
+
+
+def test_realified_pauli_chains_match_numpy_complex():
+    # entries are 0, +-1 and +-i, so the float comparison is exact
+    for m in range(0, 7):
+        gens, grading = complex_clifford_rep(m)
+        want_gens, want_grading = _numpy_pauli_rep(m)
+        assert len(gens) == len(want_gens) == m
+        for got, want in zip(gens + [grading], want_gens + [want_grading]):
+            dense = np.array(_realify(got).dense().to_lists(), dtype=float)
+            assert np.array_equal(dense, _numpy_realify(want))
+
+
+def _flip_one_sign(monkeypatch, m_target, gen_index):
+    original = cone_split.complex_clifford_rep
+
+    def patched(m):
+        gens, grading = original(m)
+        if m == m_target:
+            p, k = gens[gen_index]
+            gens[gen_index] = (SignedPerm(p.perm, (-p.signs[0],) + p.signs[1:]), k)
+        return gens, grading
+
+    monkeypatch.setattr(cone_split, "complex_clifford_rep", patched)
+
+
+@pytest.mark.parametrize("n1, n2, want", [(3, 3, "relation(0,1)"), (2, 1, "relation(0,1)")])
+def test_graded_tensor_reports_a_broken_generator(monkeypatch, n1, n2, want):
+    _flip_one_sign(monkeypatch, n1, 1)
+    report = graded_tensor_check(n1, n2)
+    assert not report.relations_ok and not report.ok
+    assert report.failures[0] == want
+
+
+def test_graded_tensor_reports_a_grading_that_commutes(monkeypatch):
+    original = cone_split.complex_clifford_rep
+
+    def ungraded(m):
+        gens, grading = original(m)
+        return gens, (SignedPerm.identity(len(grading[0].perm)), grading[1])
+
+    monkeypatch.setattr(cone_split, "complex_clifford_rep", ungraded)
+    report = graded_tensor_check(3, 3)
+    assert report.case == "graded"
+    assert report.sign_rule_ok is False
+    assert not report.ok
 
 
 def test_graded_tensor_odd_odd():
@@ -59,6 +136,17 @@ def test_graded_tensor_dimension_doubling():
 def test_graded_tensor_more_cases():
     for n1, n2 in [(1, 3), (3, 1), (2, 2), (2, 4), (1, 5), (3, 2)]:
         assert graded_tensor_check(n1, n2).ok, (n1, n2)
+
+
+def test_graded_tensor_xi_on_odd_pairs():
+    # the product of all generators squares to +Id when n1 + n2 = 0 mod 4,
+    # so there xi is i times it
+    for n1 in (1, 3, 5):
+        for n2 in (1, 3, 5):
+            report = graded_tensor_check(n1, n2)
+            half = report.dims["even_part"] // 2
+            assert report.xi_squares_to_minus_id is True, (n1, n2)
+            assert report.eigenspace_dims == (half, half), (n1, n2)
 
 
 def test_invariant_spinors_empty_list():

@@ -10,8 +10,6 @@ from spinorlab.model_space import (
     VolumeFlippedField,
     bracket_field_checks,
     covariant_derivative,
-    detect_epsilon,
-    dirac_residual,
     frame_rotation_rates,
     homogeneity_span,
     kappa_upper_bound,
@@ -86,16 +84,16 @@ def test_all_constant_spinors_killing_on_sphere(sphere):
 
 
 def test_epsilon_detection_stable(sphere):
-    eps = {detect_epsilon(sphere, ConstantSpinorField(np.eye(4)[i])) for i in range(4)}
+    eps = {killing_residual(sphere, ConstantSpinorField(np.eye(4)[i])).killing_number for i in range(4)}
     assert len(eps) == 1
 
 
 def test_dirac_on_sphere(sphere):
     s = ConstantSpinorField(np.eye(4)[0])
     rep = killing_residual(sphere, s)
-    assert dirac_residual(sphere, s, rep.killing_number) < 1e-5
+    assert rep.dirac_residual < 1e-5
     zero = ConstantSpinorField(np.zeros(4))
-    assert dirac_residual(sphere, zero, 0.5) == 0.0
+    assert killing_residual(sphere, zero, 0.5).dirac_residual == 0.0
 
 
 def test_volume_flip_reverses_killing_number(sphere):
@@ -174,7 +172,7 @@ def test_epsilon_stable_across_steps():
     eps = set()
     for h in (1e-3, 1e-4):
         model = HyperquadricModel(Signature(3, 0), num_samples=4, step=h)
-        eps.add(detect_epsilon(model, s))
+        eps.add(killing_residual(model, s).killing_number)
     assert len(eps) == 1
 
 
@@ -262,12 +260,10 @@ def test_convergence_second_order():
     s = ConstantSpinorField(np.eye(4)[0])
     coarse = HyperquadricModel(Signature(3, 0), num_samples=4, step=1e-2)
     fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=5e-3)
-    r_coarse = killing_residual(coarse, s, 0.5).residual
-    r_fine = killing_residual(fine, s, 0.5).residual
-    assert r_coarse / r_fine >= 3.0
-    d_coarse = dirac_residual(coarse, s, 0.5)
-    d_fine = dirac_residual(fine, s, 0.5)
-    assert d_coarse / d_fine >= 3.0
+    r_coarse = killing_residual(coarse, s, 0.5)
+    r_fine = killing_residual(fine, s, 0.5)
+    assert r_coarse.residual / r_fine.residual >= 3.0
+    assert r_coarse.dirac_residual / r_fine.dirac_residual >= 3.0
 
 
 def test_zero_step_fails_closed():
@@ -277,9 +273,8 @@ def test_zero_step_fails_closed():
     s = ConstantSpinorField(np.eye(model.N)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         report = killing_residual(model, s)
-        dirac = dirac_residual(model, s, 0.5)
     assert not report.residual < model.tol
-    assert not dirac < model.tol
+    assert not report.dirac_residual < model.tol
 
 
 def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys):
@@ -297,6 +292,24 @@ def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys
     assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
     capsys.readouterr()
     assert len(calls) == 4 * 2  # samples x frame directions, for all N fields
+
+
+def test_one_covariant_sweep_per_field(monkeypatch, capsys):
+    # the Killing and Dirac residuals of a field share one nabla sweep
+    from spinorlab import model_space
+    from spinorlab.cli import main
+
+    sweeps = []
+    original = model_space._covariant_sweep
+
+    def counting(model, field):
+        sweeps.append(field)
+        return original(model, field)
+
+    monkeypatch.setattr(model_space, "_covariant_sweep", counting)
+    assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
+    capsys.readouterr()
+    assert len(sweeps) == 4  # N = 4 fields
 
 
 def test_table_residuals_match_public_derivative_bit_for_bit():
@@ -324,5 +337,5 @@ def test_table_residuals_match_public_derivative_bit_for_bit():
     ):
         report = killing_residual(model, field)
         lam = report.killing_number
-        assert (report.residual, dirac_residual(model, field, lam)) == direct(field, lam)
+        assert (report.residual, report.dirac_residual) == direct(field, lam)
         assert report.residual_opposite == direct(field, -lam)[0]
