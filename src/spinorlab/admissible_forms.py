@@ -9,25 +9,23 @@ The full solution space of these constraints is computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .clifford_core import (
-    CliffordRep,
-    Signature,
-    blade_index_list,
-    build_rep,
-    cell_maps,
-    gamma_blade,
-)
-from .exact_linalg import Matrix, SignedPerm, kernel, rank, signed_relation_basis
+from .clifford_core import CliffordRep, Signature, build_rep, cell_maps
+from .exact_linalg import Matrix, SignedPerm, kernel, signed_relation_basis
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    matrix: Matrix
+    """An admissible form; its matrix H is a signed permutation, so the
+    form is nondegenerate and every product with H is a signed gather."""
+
+    matrix: SignedPerm
     sigma: int
     tau: int
-    nondegenerate: bool
+
+    def __post_init__(self):
+        if not isinstance(self.matrix, SignedPerm):
+            raise TypeError("an admissible form matrix must be a SignedPerm")
 
 
 @dataclass(frozen=True)
@@ -37,22 +35,14 @@ class HypercomplexStructure:
     j3: SignedPerm
 
 
-def _normalize_first_entry(m: Matrix) -> Matrix:
-    for row in m.data:
-        for x in row:
-            if x:
-                if x == 1:
-                    return m
-                inv = Fraction(1, x) if isinstance(x, int) else 1 / x
-                return m.scale(inv)
-    return m
-
-
 def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm]:
     """Exact basis of {H : H^T = sigma H, G_i^T H = tau H G_i}.
 
-    Each basis form is normalized to first nonzero entry 1 in row-major
-    order and flagged for nondegeneracy.
+    Each basis form is one signed orbit of the relations, with value +1
+    at its lowest row-major cell.  On an irreducible module every such
+    orbit is a signed permutation (ker H is a submodule, so a nonzero
+    admissible H is invertible); an orbit that is not one raises
+    ArithmeticError.
     """
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
@@ -61,58 +51,38 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
     maps = cell_maps([(g, g.transpose()) for g in rep.generators], N, tau)
     transpose = [s * N + r for r in range(N) for s in range(N)]
     maps.append((transpose, [sigma] * (N * N)))
-    basis = signed_relation_basis(N * N, maps)
     forms = []
-    for vec in basis:
-        m = Matrix([vec[r * N : (r + 1) * N] for r in range(N)])
-        m = _normalize_first_entry(m)
-        # one nonzero per row and per column: a signed permutation, invertible
-        cells = [c for c, x in enumerate(vec) if x]
-        monomial = len(cells) == len({c // N for c in cells}) == len({c % N for c in cells}) == N
-        nondeg = monomial or rank(m) == N
-        forms.append(BilinearForm(matrix=m, sigma=sigma, tau=tau, nondegenerate=nondeg))
+    for vec in signed_relation_basis(N * N, maps):
+        # cell r*N + s with value x is column s of a signed permutation
+        entries = sorted((c % N, c // N, x) for c, x in enumerate(vec) if x)
+        perm = tuple(r for _, r, _ in entries)
+        signs = tuple(x for _, _, x in entries)
+        columns = [s for s, _, _ in entries]
+        if columns != list(range(N)) or sorted(perm) != columns or not {*signs} <= {1, -1}:
+            raise ArithmeticError(
+                f"admissible form of {rep.signature} with (sigma, tau) = "
+                f"({sigma}, {tau}) is not a signed permutation"
+            )
+        forms.append(BilinearForm(SignedPerm(perm, signs), sigma, tau))
     return forms
 
 
-def all_admissible(rep: CliffordRep):
-    """All four (sigma, tau) solution spaces in a fixed scan order."""
-    out = {}
-    for sigma in (1, -1):
-        for tau in (-1, 1):
-            out[(sigma, tau)] = find_admissible(rep, sigma, tau)
-    return out
-
-
 def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:
-    """Canonical nondegenerate admissible form.
+    """Canonical admissible form (every basis form is nondegenerate).
 
     Scan order: tau = -1 before +1, sigma = +1 before -1; restricted to
     the given tau when provided.
     """
     for t in ((-1, 1) if tau is None else (tau,)):
         for sigma in (1, -1):
-            for form in find_admissible(rep, sigma, t):
-                if form.nondegenerate:
-                    return form
+            forms = find_admissible(rep, sigma, t)
+            if forms:
+                return forms[0]
     raise ValueError(f"no nondegenerate admissible form for {rep.signature}")
 
 
 def nondegenerate_tau_exists(rep: CliffordRep, tau: int) -> bool:
-    for sigma in (1, -1):
-        if any(f.nondegenerate for f in find_admissible(rep, sigma, tau)):
-            return True
-    return False
-
-
-def polyvector_type_rule_check(rep: CliffordRep, form: BilinearForm, k: int) -> bool:
-    """gamma_xi^T H == tau^k (-1)^(k(k-1)/2) H gamma_xi on all basis k-blades."""
-    sign = (form.tau ** k) * ((-1) ** (k * (k - 1) // 2))
-    h = form.matrix
-    for indices in blade_index_list(rep.n, k):
-        g = gamma_blade(rep, indices)
-        if g.transpose() * h != (h * g).scale(sign):
-            return False
-    return True
+    return any(find_admissible(rep, sigma, tau) for sigma in (1, -1))
 
 
 def find_hypercomplex(rep: CliffordRep) -> HypercomplexStructure | None:
@@ -129,12 +99,14 @@ def find_hypercomplex(rep: CliffordRep) -> HypercomplexStructure | None:
 
 
 def j_invariant_form(rep: CliffordRep, hyper: HypercomplexStructure) -> BilinearForm:
-    """The (unique up to scale) nondegenerate type +1 form with
+    """The (unique up to scale) type +1 form with
     h(J_a s, t) + h(s, J_a t) = 0 for a = 1, 2, 3.
 
     Skewness with respect to each J_a is equivalent to invariance
-    H = J_a^T H J_a given J_a^2 = -Id.  Raises if the solution space is
-    not one-dimensional.
+    H = J_a^T H J_a given J_a^2 = -Id.  The skewness conditions on the
+    type +1 basis forms are solved by a dense coefficient kernel, which
+    must be one-dimensional and select exactly one basis form; that form
+    is returned after its identities are checked exactly.
     """
     candidates = []
     for sigma in (1, -1):
@@ -142,46 +114,35 @@ def j_invariant_form(rep: CliffordRep, hyper: HypercomplexStructure) -> Bilinear
     if not candidates:
         raise ValueError("no type +1 admissible forms")
     js = (hyper.j1, hyper.j2, hyper.j3)
-    rows = []
     constraint_mats = []
     for h in candidates:
         flat = []
         for j in js:
-            c = j.transpose() * h.matrix + h.matrix * j
+            c = (j.transpose() * h.matrix).dense() + (h.matrix * j).dense()
             flat.extend(x for row in c.data for x in row)
         constraint_mats.append(flat)
-    stacked = Matrix(constraint_mats).transpose()
-    coeff_kernel = kernel(stacked)
+    coeff_kernel = kernel(Matrix(constraint_mats).transpose())
     if coeff_kernel.cols != 1:
         raise ArithmeticError(
             f"J-invariant solution space has dimension {coeff_kernel.cols}, expected 1"
         )
-    coeffs = coeff_kernel.col(0)
-    h_mat = Matrix.zero(rep.N, rep.N)
-    for c, form in zip(coeffs, candidates):
-        if c:
-            h_mat = h_mat + form.matrix.scale(c)
-    h_mat = _normalize_first_entry(h_mat)
-    ht = h_mat.transpose()
-    if ht == h_mat:
-        sigma = 1
-    elif ht == -h_mat:
-        sigma = -1
-    else:
-        raise ArithmeticError("J-invariant form has no definite symmetry")
+    selected = [form for c, form in zip(coeff_kernel.col(0), candidates) if c]
+    if len(selected) != 1:
+        raise ArithmeticError(
+            f"J-invariant form combines {len(selected)} basis forms, expected 1"
+        )
+    form = selected[0]
+    h = form.matrix
     # verify the five identities exactly
     for j in js:
-        if j.transpose() * h_mat + h_mat * j != Matrix.zero(rep.N, rep.N):
+        if j.transpose() * h != -(h * j):
             raise ArithmeticError("skew identity failed")
-        if j.transpose() * h_mat * j != h_mat:
+        if j.transpose() * h * j != h:
             raise ArithmeticError("invariance identity failed")
     for g in rep.generators:
-        if g.transpose() * h_mat != h_mat * g:
+        if g.transpose() * h != h * g:
             raise ArithmeticError("type identity failed")
-    nondeg = rank(h_mat) == rep.N
-    if not nondeg:
-        raise ArithmeticError("J-invariant form is degenerate")
-    return BilinearForm(matrix=h_mat, sigma=sigma, tau=1, nondegenerate=True)
+    return form
 
 
 def admissible_table(max_n: int):
@@ -199,7 +160,7 @@ def admissible_table(max_n: int):
                             "sigma": sigma,
                             "tau": tau,
                             "dim": len(forms),
-                            "nondegenerate": any(f.nondegenerate for f in forms),
+                            "nondegenerate": bool(forms),
                         }
                     )
     return rows

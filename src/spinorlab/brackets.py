@@ -60,8 +60,6 @@ def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> Polyvector:
 
     For k = 0 this is the scalar h(s, t).
     """
-    if not form.nondegenerate:
-        raise ValueError("bracket requires a nondegenerate form")
     if not 0 <= k <= rep.n:
         raise ValueError("degree out of range")
     h = form.matrix
@@ -108,8 +106,6 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     The restricted bracket S0 x S0 -> R^n is surjective exactly when
     this space is zero.
     """
-    if not form.nondegenerate:
-        raise ValueError("requires a nondegenerate form")
     d = space.dim
     if d == 0:
         return Matrix.identity(rep.n)
@@ -131,8 +127,6 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     """
     if not a.dim or not b.dim:
         return 0, Matrix([[] for _ in range(rep.n)])
-    if not form.nondegenerate:
-        raise ValueError("bracket requires a nondegenerate form")
     blocks = [(g * a.basis).transpose() * form.matrix * b.basis for g in rep.generators]
     cols = [
         [blk.data[i][j] if e == 1 else -blk.data[i][j] for blk, e in zip(blocks, rep.eta)]

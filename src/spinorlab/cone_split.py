@@ -102,7 +102,6 @@ class GradedTensorReport:
     n2: int
     case: str  # "ungraded" or "graded"
     relations_ok: bool
-    sign_rule_ok: bool
     xi_squares_to_minus_id: bool | None
     eigenspace_dims: tuple | None
     dims: dict
@@ -110,7 +109,7 @@ class GradedTensorReport:
 
     @property
     def ok(self):
-        return self.relations_ok and self.sign_rule_ok and not self.failures
+        return self.relations_ok and not self.failures
 
 
 def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
@@ -152,7 +151,6 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
             n2=n2,
             case="ungraded",
             relations_ok=not failures,
-            sign_rule_ok=True,
             xi_squares_to_minus_id=None,
             eigenspace_dims=None,
             dims=dims,
@@ -162,20 +160,18 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
     images = [_kron(g, _identity(d2)) for g in gens1]
     images += [_kron(grading1, k) for k in gens2]
     dim = d1 * d2
+    # the relation check covers the Koszul rule: a cross pair (a (x) 1,
+    # grading (x) b) must anticommute, the sign of moving odd b past odd a
     err = _check_complex_clifford(images)
     if err:
         failures.append(err)
-    # Koszul rule on homogeneous generators: (1 (x) b)(a (x) 1) picks up
-    # a sign from moving the odd b past the odd a
-    real = [_realify(x) for x in images]
-    left, right = real[: len(gens1)], real[len(gens1) :]
-    sign_rule_ok = all(b * a == -(a * b) for b in right for a in left)
     xi = _product(images, dim)
     if _squares_to(xi) == 1:
         xi = _times_i(xi)
     xi_ok = _squares_to(xi) == -1
     # centrality in the even part: xi commutes with generator pairs
     x = _realify(xi)
+    real = [_realify(g) for g in images]
     if any(x * a * b != a * b * x for a in real for b in real):
         failures.append("xi_not_central_in_even_part")
     # restrict xi to the even part, the +1 eigenspace of the total grading;
@@ -209,7 +205,6 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
         n2=n2,
         case="graded",
         relations_ok=err is None,
-        sign_rule_ok=sign_rule_ok,
         xi_squares_to_minus_id=xi_ok,
         eigenspace_dims=eigendims,
         dims=dims,

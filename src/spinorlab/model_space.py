@@ -198,19 +198,16 @@ class HyperquadricModel:
         Any constant cone-admissible H gives intrinsic type -1; composing
         with gamma_x gives type +1.
         """
-        h = None
-        for sigma in (1, -1):
-            for tau in (-1, 1):
-                for form in find_admissible(self.rep, sigma, tau):
-                    if form.nondegenerate:
-                        h = _to_numpy(form.matrix)
-                        break
-                if h is not None:
-                    break
-            if h is not None:
-                break
-        if h is None:
+        forms = (
+            form
+            for sigma in (1, -1)
+            for tau in (-1, 1)
+            for form in find_admissible(self.rep, sigma, tau)
+        )
+        form = next(forms, None)
+        if form is None:
             raise ArithmeticError("no nondegenerate cone form")
+        h = _to_numpy(form.matrix.dense())
         if tau_intrinsic == -1:
             return lambda x: h
         return lambda x: h @ self.gamma_ambient(x)

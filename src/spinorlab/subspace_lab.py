@@ -238,7 +238,7 @@ def extremal_obstructed_subspace(
 
 def extremal_witness(sig: Signature, seed: int = 0):
     """(form, v, subspace) certifying tightness of the 3/4 bound for a
-    signature: nondegenerate forms are scanned in a fixed order and the
+    signature: admissible basis forms are scanned in a fixed order and the
     first whose induced pairing admits the isotropic lift is kept."""
     rep = build_rep(sig)
     rng = _trial_rng(seed, 0)
@@ -247,8 +247,6 @@ def extremal_witness(sig: Signature, seed: int = 0):
     for sigma in (1, -1):
         for tau in (-1, 1):
             for form in find_admissible(rep, sigma, tau):
-                if not form.nondegenerate:
-                    continue
                 try:
                     return form, v, extremal_obstructed_subspace(rep, form, v)
                 except IsotropicSearchError as err:
@@ -301,7 +299,7 @@ def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSub
     is re-verified exactly before returning.
     """
     build = _skew_isotropic if form.sigma == -1 else _symmetric_isotropic
-    basis = build(form.matrix, rep.N // 2, rng)
+    basis = build(form.matrix.dense(), rep.N // 2, rng)
     pairing = basis.transpose() * form.matrix * basis
     if not pairing.is_zero():
         raise ArithmeticError("sampled subspace is not isotropic")

@@ -1,13 +1,13 @@
+import pytest
+
 from spinorlab.admissible_forms import (
-    all_admissible,
     find_admissible,
     find_hypercomplex,
     first_nondegenerate,
     j_invariant_form,
     nondegenerate_tau_exists,
-    polyvector_type_rule_check,
 )
-from spinorlab.clifford_core import Signature, build_rep
+from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
 from spinorlab.exact_linalg import Matrix, kernel, rank
 
 
@@ -15,6 +15,27 @@ def all_signatures(max_n):
     for n in range(1, max_n + 1):
         for p in range(n + 1):
             yield Signature(p, n - p)
+
+
+def all_admissible(rep):
+    """All four (sigma, tau) solution spaces in a fixed scan order."""
+    out = {}
+    for sigma in (1, -1):
+        for tau in (-1, 1):
+            out[(sigma, tau)] = find_admissible(rep, sigma, tau)
+    return out
+
+
+def polyvector_type_rule_check(rep, form, k):
+    """gamma_xi^T H == tau^k (-1)^(k(k-1)/2) H gamma_xi on all basis
+    k-blades, as dense products."""
+    sign = (form.tau ** k) * ((-1) ** (k * (k - 1) // 2))
+    h = form.matrix.dense()
+    for indices in blade_index_list(rep.n, k):
+        g = gamma_blade(rep, indices).dense()
+        if g.transpose() * h != (h * g).scale(sign):
+            return False
+    return True
 
 
 def test_one_generator_full_table():
@@ -32,11 +53,12 @@ def test_forms_satisfy_constraints():
         rep = build_rep(sig)
         for (sigma, tau), forms in all_admissible(rep).items():
             for form in forms:
-                h = form.matrix
+                assert (form.sigma, form.tau) == (sigma, tau)
+                h = form.matrix.dense()
                 assert h.transpose() == h.scale(sigma)
                 for g in rep.generators:
+                    g = g.dense()
                     assert g.transpose() * h == (h * g).scale(tau)
-                assert form.nondegenerate == (rank(h) == rep.N)
 
 
 def admissible_space_dense(rep, sigma: int, tau: int) -> int:
@@ -83,7 +105,7 @@ def test_existence_of_nondegenerate_form():
     for sig in all_signatures(8):
         rep = build_rep(sig)
         form = first_nondegenerate(rep)
-        assert form.nondegenerate
+        assert rank(form.matrix.dense()) == rep.N
 
 
 def test_tau_minus_exclusion_rule():
@@ -100,10 +122,10 @@ def test_definite_tau_minus_has_definite_representative():
         found = None
         for sigma in (1, -1):
             for form in find_admissible(rep, sigma, -1):
-                if form.nondegenerate and form.sigma == 1:
+                if form.sigma == 1:
                     found = form
         assert found is not None
-        assert _is_definite(found.matrix)
+        assert _is_definite(found.matrix.dense())
 
 
 def _is_definite(h):
@@ -168,33 +190,43 @@ def test_j_invariant_form():
     assert sig.n % 4 == 1 and sig.s % 8 == 3
     hc = find_hypercomplex(rep)
     form = j_invariant_form(rep, hc)
-    assert form.tau == 1 and form.nondegenerate
+    assert form.tau == 1
+    h = form.matrix.dense()
+    assert rank(h) == rep.N
     for j in (hc.j1, hc.j2, hc.j3):
-        assert j.transpose() * form.matrix * j == form.matrix
-        assert (j.transpose() * form.matrix + form.matrix * j).is_zero()
+        j = j.dense()
+        assert j.transpose() * h * j == h
+        assert (j.transpose() * h + h * j).is_zero()
 
 
-def test_nondegenerate_flag_matches_rank_on_every_form():
-    # the signed-permutation shortcut must agree with elimination
+def test_every_basis_form_has_full_rank():
+    # elimination agrees that every signed-permutation form is invertible
     for sig in all_signatures(7):
         rep = build_rep(sig)
         for sigma in (1, -1):
             for tau in (1, -1):
                 for form in find_admissible(rep, sigma, tau):
-                    assert form.nondegenerate == (rank(form.matrix) == rep.N), str(sig)
+                    assert rank(form.matrix.dense()) == rep.N, str(sig)
 
 
-def test_nondegenerate_flag_on_planted_orbit_bases(monkeypatch):
-    # N nonzeros that are not one per row and per column must go to rank
+def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
     rep = build_rep(Signature(1, 1))  # N = 2
-    planted = [
+    monomial = [
+        [0, 1, 1, 0],
+        [1, 0, 0, -1],
+    ]
+    not_monomial = [
         [1, 1, 0, 0],  # both in row 0
         [1, 0, 1, 0],  # both in column 0
-        [0, 1, 1, 0],  # a signed permutation
-        [1, 0, 0, -1],
+        [1, 0, 0, 0],  # too few nonzeros
         [1, 1, 1, 1],
+        [2, 0, 0, 1],  # not a unit sign
     ]
-    monkeypatch.setattr("spinorlab.admissible_forms.signed_relation_basis", lambda n, maps: planted)
+    target = "spinorlab.admissible_forms.signed_relation_basis"
+    monkeypatch.setattr(target, lambda n, maps: monomial)
     forms = find_admissible(rep, 1, 1)
-    assert [f.nondegenerate for f in forms] == [False, False, True, True, False]
-    assert all(f.nondegenerate == (rank(f.matrix) == rep.N) for f in forms)
+    assert [f.matrix.dense().to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+    for vec in not_monomial:
+        monkeypatch.setattr(target, lambda n, maps: [vec])
+        with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
+            find_admissible(rep, 1, 1)

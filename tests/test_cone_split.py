@@ -105,7 +105,9 @@ def test_graded_tensor_reports_a_grading_that_commutes(monkeypatch):
     monkeypatch.setattr(cone_split, "complex_clifford_rep", ungraded)
     report = graded_tensor_check(3, 3)
     assert report.case == "graded"
-    assert report.sign_rule_ok is False
+    # the cross pair (a (x) 1, 1 (x) b) of the first odd generators commutes
+    assert report.relations_ok is False
+    assert report.failures[0] == "relation(0,3)"
     assert not report.ok
 
 

@@ -134,10 +134,11 @@ def test_skew_isotropic_replays_random_skew_branch():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep, tau=1)  # the spin23 form
     assert form.sigma == -1
+    gram = form.matrix.dense()
     for seed in range(8):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        got = _skew_isotropic(form.matrix, rep.N // 2, rng)
-        want = _random_skew_isotropic_oracle(form.matrix, rep.N // 2, oracle_rng)
+        got = _skew_isotropic(gram, rep.N // 2, rng)
+        want = _random_skew_isotropic_oracle(gram, rep.N // 2, oracle_rng)
         assert _typed_entries(got) == _typed_entries(want), seed
         assert rng.getstate() == oracle_rng.getstate(), seed
 
@@ -146,10 +147,11 @@ def test_symmetric_isotropic_replays_random_symmetric_builder():
     rep = build_rep(Signature(4, 5))
     form = first_nondegenerate(rep, tau=1)  # the spin45 form
     assert form.sigma == 1
+    gram = form.matrix.dense()
     for seed in range(6):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        got = _symmetric_isotropic(form.matrix, rep.N // 2, rng)
-        want = _random_symmetric_isotropic_oracle(form.matrix, rep.N // 2, oracle_rng)
+        got = _symmetric_isotropic(gram, rep.N // 2, rng)
+        want = _random_symmetric_isotropic_oracle(gram, rep.N // 2, oracle_rng)
         assert _typed_entries(got) == _typed_entries(want), seed
         assert rng.getstate() == oracle_rng.getstate(), seed
 
