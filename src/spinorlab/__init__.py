@@ -12,14 +12,11 @@ from .clifford_core import (  # noqa: F401
     cone_even_iso,
     gamma_polyvector,
     gamma_vector,
-    volume_element,
 )
 from .admissible_forms import (  # noqa: F401
     BilinearForm,
     find_admissible,
-    find_hypercomplex,
     first_nondegenerate,
-    j_invariant_form,
 )
 from .brackets import (  # noqa: F401
     SpinorSubspace,

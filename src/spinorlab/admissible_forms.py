@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clifford_core import CliffordRep, Signature, build_rep, cell_maps
-from .exact_linalg import Matrix, SignedPerm, kernel, signed_relation_basis
+from .exact_linalg import SignedPerm, signed_relation_basis
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,6 @@ class BilinearForm:
     def __post_init__(self):
         if not isinstance(self.matrix, SignedPerm):
             raise TypeError("an admissible form matrix must be a SignedPerm")
-
-
-@dataclass(frozen=True)
-class HypercomplexStructure:
-    j1: SignedPerm
-    j2: SignedPerm
-    j3: SignedPerm
 
 
 def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm]:
@@ -83,66 +76,6 @@ def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:
 
 def nondegenerate_tau_exists(rep: CliffordRep, tau: int) -> bool:
     return any(find_admissible(rep, sigma, tau) for sigma in (1, -1))
-
-
-def find_hypercomplex(rep: CliffordRep) -> HypercomplexStructure | None:
-    """The parallel quaternion triple in the commutant, or None.
-
-    Present exactly when the commutant is quaternionic; the triple
-    satisfies J_a^2 = -Id, J_3 = J_1 J_2, J_1 J_2 = -J_2 J_1 and each
-    J_a commutes with every generator (verified at construction).
-    """
-    if rep.commutant_type != "H":
-        return None
-    j1, j2, j3 = rep.commutant_basis
-    return HypercomplexStructure(j1, j2, j3)
-
-
-def j_invariant_form(rep: CliffordRep, hyper: HypercomplexStructure) -> BilinearForm:
-    """The (unique up to scale) type +1 form with
-    h(J_a s, t) + h(s, J_a t) = 0 for a = 1, 2, 3.
-
-    Skewness with respect to each J_a is equivalent to invariance
-    H = J_a^T H J_a given J_a^2 = -Id.  The skewness conditions on the
-    type +1 basis forms are solved by a dense coefficient kernel, which
-    must be one-dimensional and select exactly one basis form; that form
-    is returned after its identities are checked exactly.
-    """
-    candidates = []
-    for sigma in (1, -1):
-        candidates.extend(find_admissible(rep, sigma, 1))
-    if not candidates:
-        raise ValueError("no type +1 admissible forms")
-    js = (hyper.j1, hyper.j2, hyper.j3)
-    constraint_mats = []
-    for h in candidates:
-        flat = []
-        for j in js:
-            c = (j.transpose() * h.matrix).dense() + (h.matrix * j).dense()
-            flat.extend(x for row in c.data for x in row)
-        constraint_mats.append(flat)
-    coeff_kernel = kernel(Matrix(constraint_mats).transpose())
-    if coeff_kernel.cols != 1:
-        raise ArithmeticError(
-            f"J-invariant solution space has dimension {coeff_kernel.cols}, expected 1"
-        )
-    selected = [form for c, form in zip(coeff_kernel.col(0), candidates) if c]
-    if len(selected) != 1:
-        raise ArithmeticError(
-            f"J-invariant form combines {len(selected)} basis forms, expected 1"
-        )
-    form = selected[0]
-    h = form.matrix
-    # verify the five identities exactly
-    for j in js:
-        if j.transpose() * h != -(h * j):
-            raise ArithmeticError("skew identity failed")
-        if j.transpose() * h * j != h:
-            raise ArithmeticError("invariance identity failed")
-    for g in rep.generators:
-        if g.transpose() * h != h * g:
-            raise ArithmeticError("type identity failed")
-    return form
 
 
 def admissible_table(max_n: int):

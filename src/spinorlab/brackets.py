@@ -43,10 +43,6 @@ class SpinorSubspace:
         return self.basis.cols
 
     @classmethod
-    def full(cls, rep):
-        return cls(rep, Matrix.identity(rep.N))
-
-    @classmethod
     def trivial(cls, rep):
         return cls(rep, Matrix([[] for _ in range(rep.N)]))
 
@@ -154,21 +150,19 @@ def beta_form(rep: CliffordRep, form: BilinearForm, v) -> BetaReport:
     return BetaReport(matrix=beta, rank=rank(beta), symmetry=st if not beta.is_zero() else None)
 
 
-def random_spinor(rep: CliffordRep, rng, bound=3):
-    return [rng.randint(-bound, bound) for _ in range(rep.N)]
+def random_spinor(rep: CliffordRep, rng):
+    """Seeded integer spinor with entries in -3..3."""
+    return [rng.randint(-3, 3) for _ in range(rep.N)]
 
 
-def random_vector(n, rng, bound=3):
-    return [rng.randint(-bound, bound) for _ in range(n)]
-
-
-def random_null_vector(sig, rng, bound=3):
+def random_null_vector(sig, rng):
     """Nonzero null vector built from a hyperbolic pair: given any z with
-    g(z,p) != 0 for null p, the vector 2 g(z,p) z - g(z,z) p is null."""
+    g(z,p) != 0 for null p, the vector 2 g(z,p) z - g(z,z) p is null;
+    z has entries in -3..3."""
     eta = sig.eta()
     p_vec, _ = null_pair(sig)
     while True:
-        z = [rng.randint(-bound, bound) for _ in range(sig.n)]
+        z = [rng.randint(-3, 3) for _ in range(sig.n)]
         gzp = metric_value(eta, z, p_vec)
         if gzp == 0:
             continue

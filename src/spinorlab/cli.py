@@ -21,6 +21,7 @@ from .cone_split import (
     semispinor_projectors,
 )
 from .subspace_lab import (
+    IsotropicSearchError,
     extremal_witness,
     random_surjectivity_sweep,
     save_spin45_witness,
@@ -140,7 +141,7 @@ def cmd_bound_search(args):
         try:
             _, _, sub = extremal_witness(sig, args.seed)
             payload["extremal_dim"] = sub.dim
-        except Exception as err:
+        except (IsotropicSearchError, ArithmeticError) as err:  # a failed construction
             payload["extremal_error"] = str(err)
     _emit(payload)
     return 1 if (sweep.in_hypothesis and sweep.counterexamples) else 0
@@ -204,7 +205,7 @@ def cmd_model_verify(args):
         killing_residual,
     )
 
-    model = HyperquadricModel(args.cone, num_samples=args.samples, step=args.h, tol=args.tol)
+    model = HyperquadricModel(args.cone, num_samples=args.samples, step=args.h)
     rows = []
     ok = True
     for i in range(model.N):

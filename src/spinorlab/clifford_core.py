@@ -244,8 +244,7 @@ def clifford_relation_failures(generators, eta):
     G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta:
     G_i^2 != -eta_i Id, or G_i G_j != -G_j G_i for i < j.
 
-    The generators are SignedPerms: a real rep's, or the realified
-    complex Pauli chains of cone_split."""
+    The generators are SignedPerms, such as a real rep's."""
     failures = []
     for i, gi in enumerate(generators):
         if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:
@@ -358,19 +357,6 @@ class Polyvector:
     def from_vector(cls, coords):
         return cls(len(coords), 1, tuple(coords))
 
-    @classmethod
-    def from_blade(cls, n, indices, coeff=1):
-        indices = tuple(indices)
-        if list(indices) != sorted(set(indices)):
-            raise ValueError("blade indices must be strictly increasing")
-        k = len(indices)
-        coeffs = [0] * len(blade_index_list(n, k))
-        coeffs[blade_index_map(n, k)[indices]] = coeff
-        return cls(n, k, tuple(coeffs))
-
-    def coefficient(self, indices):
-        return self.coeffs[blade_index_map(self.n, self.k)[tuple(indices)]]
-
     def __add__(self, other):
         if (self.n, self.k) != (other.n, other.k):
             raise ValueError("degree mismatch")
@@ -476,17 +462,6 @@ def wedge_vectors(vectors) -> Polyvector:
     return out
 
 
-def volume_element(rep: CliffordRep) -> SignedPerm:
-    return gamma_blade(rep, range(rep.n))
-
-
-def volume_square_sign(rep: CliffordRep) -> int:
-    sq = (volume_element(rep) * volume_element(rep)).is_scalar_multiple_of_identity()
-    if sq not in (1, -1):
-        raise ArithmeticError("volume element square is not +-Id")
-    return sq
-
-
 def null_pair(sig: Signature):
     """A rational hyperbolic pair (p_vec, q_vec): both null, g(p,q) = 1.
 
@@ -515,8 +490,6 @@ def even_subalgebra_images(rep_cone: CliffordRep):
 @dataclass(frozen=True)
 class ConeIsoReport:
     ok: bool
-    base_signature: Signature
-    cone_signature: Signature
     checked: int
     failures: tuple
 
@@ -545,13 +518,7 @@ def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport
             if (i, j) in base_failures:
                 failures.append(f"base_relation({i},{j})")
             checked += 1
-    return ConeIsoReport(
-        ok=not failures,
-        base_signature=base,
-        cone_signature=cone,
-        checked=checked,
-        failures=tuple(failures),
-    )
+    return ConeIsoReport(ok=not failures, checked=checked, failures=tuple(failures))
 
 
 def rep_table(max_n: int):

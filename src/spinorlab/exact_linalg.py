@@ -50,11 +50,6 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, values):
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def column(cls, values):
         return cls([[v] for v in values])
 
@@ -68,9 +63,6 @@ class Matrix:
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]
-
-    def row(self, i):
-        return list(self.data[i])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]

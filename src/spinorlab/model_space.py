@@ -66,13 +66,12 @@ class HyperquadricModel:
     cone_signature: the ambient (P, Q); the base has signature (P-1, Q).
     """
 
-    def __init__(self, cone_signature: Signature, num_samples=32, step=1e-4, tol=1e-6):
+    def __init__(self, cone_signature: Signature, num_samples=32, step=1e-4):
         if cone_signature.p < 1:
             raise ValueError("the cone needs a positive-norm direction")
         self.cone_signature = cone_signature
         self.base_signature = Signature(cone_signature.p - 1, cone_signature.q)
         self.step = step
-        self.tol = tol
         self.rep = build_rep(cone_signature)
         self.N = self.rep.N
         self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
@@ -213,34 +212,15 @@ class HyperquadricModel:
         return lambda x: h @ self.gamma_ambient(x)
 
 
-class SpinorField:
-    """A rule assigning a cone-spinor column to each point."""
+class ConstantSpinorField:
+    """The cone-spinor field with one constant column at every point; any
+    object with this eval method is a spinor field."""
 
-    def eval(self, model, y, patch):
-        raise NotImplementedError
-
-
-class ConstantSpinorField(SpinorField):
     def __init__(self, column):
         self.column = np.asarray(column, dtype=float)
 
     def eval(self, model, y, patch):
         return self.column
-
-
-class VolumeFlippedField(SpinorField):
-    """The intrinsic volume element applied to another field; flips the
-    Killing number by (-1)^(n+1)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def eval(self, model, y, patch):
-        frame = model.tangent_frame(y, patch)
-        vol = np.eye(model.N)
-        for i in range(model.n):
-            vol = vol @ model.gamma_intrinsic(y, frame[:, i])
-        return vol @ self.inner.eval(model, y, patch)
 
 
 def frame_rotation_rates(model, x, direction, patch=None):
@@ -304,14 +284,6 @@ def _field_derivative(model, field, x, direction, patch):
     plus = field.eval(model, model.curve(x, direction, h), patch)
     minus = field.eval(model, model.curve(x, direction, -h), patch)
     return (plus - minus) / (2.0 * h)
-
-
-def covariant_derivative(model, field, x, direction, patch=None):
-    if patch is None:
-        patch = model.select_patch(x)
-    d_field = _field_derivative(model, field, x, direction, patch)
-    omega = spin_connection(model, x, direction, patch)
-    return d_field + omega @ field.eval(model, x, patch)
 
 
 def _nablas(model, field, point, s_here):
@@ -485,7 +457,6 @@ def bracket_field_checks(
     """
     form_field = model.cone_form(tau_intrinsic)
     omega_field = bracket_field(model, form_field, s_field, t_field, k)
-    lower_field = bracket_field(model, form_field, s_field, t_field, k - 1)
     tilde_factor = lambda_s * ((-1.0) ** k) - lambda_t * tau_intrinsic
     is_killing_case = abs(lambda_t - ((-1.0) ** k) * tau_intrinsic * lambda_s) < 1e-12
     eta_list = list(model.eta_hat)
@@ -495,7 +466,9 @@ def bracket_field_checks(
     conformal, killing_pv, killing_vec, geodesic, dirac_cons = [], [], [], [], []
     for point in model.sample_points(12):
         x, patch, frame = point.x, point.patch, point.frame
-        tilde = lower_field(x, patch).scale(tilde_factor)
+        s_val, t_val = s_field.eval(model, x, patch), t_field.eval(model, x, patch)
+        tilde = _bracket_at(model, frame, point.gammas, form_field(x), s_val, t_val, k - 1)
+        tilde = tilde.scale(tilde_factor)
         nablas = []
         for i in range(model.n):
             direction = frame[:, i]
@@ -591,9 +564,11 @@ def _intrinsic_tau(form_field, point):
     return 1.0 if plus < minus else -1.0
 
 
-def homogeneity_span(model, fields, tau_intrinsic=-1, tol=1e-6):
-    """Dimension of span{[s_i, s_j]_1(x)} at every sample point."""
-    form_field = model.cone_form(tau_intrinsic)
+def homogeneity_span(model, fields):
+    """Dimension of span{[s_i, s_j]_1(x)} at every sample point, against
+    the type -1 intrinsic form; singular values below 1e-6 of the largest
+    count as zero."""
+    form_field = model.cone_form(-1)
     dims = []
     for point in model.sample_points(8):
         h_mat = form_field(point.x)
@@ -606,7 +581,7 @@ def homogeneity_span(model, fields, tau_intrinsic=-1, tol=1e-6):
         mat = np.array(vectors, dtype=float)
         svals = np.linalg.svd(mat, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        dims.append(int(np.sum(svals > tol * scale)))
+        dims.append(int(np.sum(svals > 1e-6 * scale)))
     return dims
 
 
@@ -652,10 +627,11 @@ class ConstantCurvatureFrameModel:
         )
 
 
-def kappa_upper_bound(curv_model, killing_number, tol=1e-8) -> int:
-    """Dimension of the joint numeric kernel of the modified-connection
-    curvature operators R_spin(e_i, e_j) + lambda^2 [gamma_i, gamma_j];
-    upper-bounds the Killing-spinor count at that number."""
+def kappa_upper_bound(curv_model, killing_number) -> int:
+    """Dimension of the joint numeric kernel (singular values below 1e-8)
+    of the modified-connection curvature operators
+    R_spin(e_i, e_j) + lambda^2 [gamma_i, gamma_j]; upper-bounds the
+    Killing-spinor count at that number."""
     n, N = curv_model.n, curv_model.N
     gammas = curv_model.gammas
     eta = curv_model.eta
@@ -674,7 +650,7 @@ def kappa_upper_bound(curv_model, killing_number, tol=1e-8) -> int:
             blocks.append(r_spin + killing_number**2 * commutator)
     stacked = np.vstack(blocks)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals < tol))
+    return int(np.sum(svals < 1e-8))
 
 
 def scalar_curvature_residual(model, killing_number) -> float:

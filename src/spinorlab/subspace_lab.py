@@ -380,9 +380,9 @@ def _structured_spin45_candidate(rep, form, rng):
     return SpinorSubspace(rep, basis)
 
 
-def spin45_search(seed: int, budget: int, target_dim: int = 4) -> WitnessReport:
+def spin45_search(seed: int, budget: int) -> WitnessReport:
     """Randomized search for a maximally isotropic subspace of the (4,5)
-    module whose bracket image has the given dimension.
+    module whose bracket image has dimension 4.
 
     Even trials build a candidate around a random totally null coordinate
     3-plane; odd trials draw an unstructured random half-dimensional
@@ -401,7 +401,7 @@ def spin45_search(seed: int, budget: int, target_dim: int = 4) -> WitnessReport:
             sub = random_max_isotropic(rep, form, rng)
         dim, _ = pi_image(rep, form, sub, sub)
         dist[dim] = dist.get(dim, 0) + 1
-        if dim == target_dim:
+        if dim == 4:
             return WitnessReport(
                 found=True,
                 trials_used=t + 1,

@@ -46,6 +46,7 @@ from .model_space import (
     scalar_curvature_residual,
 )
 from .subspace_lab import (
+    IsotropicSearchError,
     extremal_witness,
     load_and_verify_spin45_witness,
     mixed_rank_inequality,
@@ -203,7 +204,7 @@ def criterion_bound_tightness(seed=0, trials=500) -> CheckResult:
             details[f"extremal{sig}"] = sub.dim
             if sub.dim != 3 * rep.N // 4:
                 failures.append(f"{sig}:extremal_dim")
-        except Exception as err:  # honest failure surfaces in the report
+        except (IsotropicSearchError, ArithmeticError) as err:  # a failed construction
             failures.append(f"{sig}:extremal:{err}")
         form = first_nondegenerate(rep)
         sweep = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, trials, seed)
@@ -316,8 +317,6 @@ def criterion_cone_iso(max_n=8) -> CheckResult:
             continue
         if not report.quoted_list_agrees:
             quoted_disagreements.append(f"{sig}(s%8={sig.s_mod8})")
-        if report.split and report.projectors is None:
-            failures.append(f"{sig}:missing_projectors")
     # the quoted residue lists are falsified exactly on the s = 0 bases;
     # anything else disagreeing is a failure
     unexpected = [d for d in quoted_disagreements if "s%8=0" not in d]
@@ -357,11 +356,12 @@ def criterion_invariant_spinors(max_n=8) -> CheckResult:
     )
 
 
-def criterion_model_sphere(step=1e-4, tol=1e-6) -> CheckResult:
+def criterion_model_sphere() -> CheckResult:
     start = time.time()
     failures = []
     details = {}
-    model = HyperquadricModel(Signature(3, 0), num_samples=32, step=step, tol=tol)
+    tol = 1e-6
+    model = HyperquadricModel(Signature(3, 0), num_samples=32, step=1e-4)
     fields = [ConstantSpinorField(np.eye(model.N)[i]) for i in range(model.N)]
     passing = []
     lam = None
@@ -417,15 +417,16 @@ def criterion_model_sphere(step=1e-4, tol=1e-6) -> CheckResult:
     )
 
 
-def criterion_convergence(base_step=1e-2, noise_floor=1e-10) -> CheckResult:
+def criterion_convergence() -> CheckResult:
     """Every residual must shrink at least 3x under step halving, except
     residuals already at the rounding floor: quantities that are exactly
     constant along the probe curves (the contraction of a Killing vector
     along geodesics, for instance) have no truncation error to converge
     and only show float noise."""
     start = time.time()
-    coarse = HyperquadricModel(Signature(3, 0), num_samples=4, step=base_step)
-    fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=base_step / 2)
+    noise_floor = 1e-10
+    coarse = HyperquadricModel(Signature(3, 0), num_samples=4, step=1e-2)
+    fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=5e-3)
     s = ConstantSpinorField(np.eye(coarse.N)[0])
     t = ConstantSpinorField(np.eye(coarse.N)[1])
     kc, kf = killing_residual(coarse, s, 0.5), killing_residual(fine, s, 0.5)

@@ -4,6 +4,7 @@ line with its runtime against the stated budget."""
 import pytest
 
 from spinorlab import verify
+from spinorlab.subspace_lab import IsotropicSearchError
 
 SEED = 7
 
@@ -40,6 +41,22 @@ def test_c05_bound_tightness():
     _report(verify.criterion_bound_tightness(seed=SEED, trials=500))
 
 
+def test_c05_reports_a_failed_construction_but_not_a_defect(monkeypatch):
+    def raising(err):
+        def raise_it(*args, **kwargs):
+            raise err
+
+        return raise_it
+
+    monkeypatch.setattr(verify, "extremal_witness", raising(IsotropicSearchError("no lift")))
+    result = verify.criterion_bound_tightness(seed=SEED, trials=1)
+    assert not result.passed
+    assert "(2,3):extremal:no lift" in result.details["failures"]
+    monkeypatch.setattr(verify, "extremal_witness", raising(TypeError("planted defect")))
+    with pytest.raises(TypeError, match="planted defect"):
+        verify.criterion_bound_tightness(seed=SEED, trials=1)
+
+
 def test_c06_spin23_remark():
     _report(verify.criterion_spin23(seed=SEED, trials=200))
 
@@ -65,7 +82,7 @@ def test_c10_invariant_spinors():
 
 
 def test_c11_model_space_sphere():
-    result = verify.criterion_model_sphere(step=1e-4, tol=1e-6)
+    result = verify.criterion_model_sphere()
     _report(result)
     assert result.details["killing_passing"] == 4
     assert result.details["dirac_residual"] < 1e-5

@@ -2,9 +2,7 @@ import pytest
 
 from spinorlab.admissible_forms import (
     find_admissible,
-    find_hypercomplex,
     first_nondegenerate,
-    j_invariant_form,
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
@@ -163,24 +161,50 @@ def test_polyvector_type_rule():
     assert polyvector_type_rule_check(rep, form, 3)
 
 
-def test_hypercomplex_presence():
-    assert find_hypercomplex(build_rep(Signature(1, 0))) is None
-    assert find_hypercomplex(build_rep(Signature(0, 1))) is None
-    hc = find_hypercomplex(build_rep(Signature(2, 0)))
-    assert hc is not None
-    rep = build_rep(Signature(2, 0))
-    ident = Matrix.identity(rep.N)
-    assert (hc.j1 * hc.j1).dense() == ident.scale(-1)
-    assert hc.j3 == hc.j1 * hc.j2
+def j_invariant_form(rep, js):
+    """The (unique up to scale) type +1 form with
+    h(J_a s, t) + h(s, J_a t) = 0 for the quaternion triple js = (J_1, J_2, J_3).
+
+    Skewness with respect to each J_a is equivalent to invariance
+    H = J_a^T H J_a given J_a^2 = -Id.  The skewness conditions on the
+    type +1 basis forms are solved by a dense coefficient kernel, which
+    must be one-dimensional and select exactly one basis form; that form
+    is returned after its identities are checked exactly.
+    """
+    candidates = []
+    for sigma in (1, -1):
+        candidates.extend(find_admissible(rep, sigma, 1))
+    if not candidates:
+        raise ValueError("no type +1 admissible forms")
+    constraint_mats = []
+    for h in candidates:
+        flat = []
+        for j in js:
+            c = (j.transpose() * h.matrix).dense() + (h.matrix * j).dense()
+            flat.extend(x for row in c.data for x in row)
+        constraint_mats.append(flat)
+    coeff_kernel = kernel(Matrix(constraint_mats).transpose())
+    if coeff_kernel.cols != 1:
+        raise ArithmeticError(
+            f"J-invariant solution space has dimension {coeff_kernel.cols}, expected 1"
+        )
+    selected = [form for c, form in zip(coeff_kernel.col(0), candidates) if c]
+    if len(selected) != 1:
+        raise ArithmeticError(
+            f"J-invariant form combines {len(selected)} basis forms, expected 1"
+        )
+    form = selected[0]
+    h = form.matrix
+    # verify the five identities exactly
+    for j in js:
+        if j.transpose() * h != -(h * j):
+            raise ArithmeticError("skew identity failed")
+        if j.transpose() * h * j != h:
+            raise ArithmeticError("invariance identity failed")
     for g in rep.generators:
-        assert hc.j1 * g == g * hc.j1
-
-
-def test_hypercomplex_matches_commutant_type():
-    for sig in all_signatures(6):
-        rep = build_rep(sig)
-        hc = find_hypercomplex(rep)
-        assert (hc is not None) == (rep.commutant_type == "H")
+        if g.transpose() * h != h * g:
+            raise ArithmeticError("type identity failed")
+    return form
 
 
 def test_j_invariant_form():
@@ -188,12 +212,12 @@ def test_j_invariant_form():
     sig = Signature(4, 1)
     rep = build_rep(sig)
     assert sig.n % 4 == 1 and sig.s % 8 == 3
-    hc = find_hypercomplex(rep)
-    form = j_invariant_form(rep, hc)
+    assert rep.commutant_type == "H"
+    form = j_invariant_form(rep, rep.commutant_basis)
     assert form.tau == 1
     h = form.matrix.dense()
     assert rank(h) == rep.N
-    for j in (hc.j1, hc.j2, hc.j3):
+    for j in rep.commutant_basis:
         j = j.dense()
         assert j.transpose() * h * j == h
         assert (j.transpose() * h + h * j).is_zero()

@@ -16,7 +16,6 @@ from spinorlab.brackets import (
     random_null_vector,
     random_spinor,
     random_subspace,
-    random_vector,
 )
 from spinorlab.clifford_core import (
     Polyvector,
@@ -64,7 +63,7 @@ def test_bracket_defining_identity_vectors():
     for _ in range(20):
         s = random_spinor(rep, rng)
         t = random_spinor(rep, rng)
-        v = random_vector(rep.n, rng)
+        v = [rng.randint(-3, 3) for _ in range(rep.n)]
         omega = bracket_k(rep, form, s, t, 1)
         lhs = omega.metric_inner(Polyvector.from_vector(v), eta)
         gv = gamma_vector(rep, v)
@@ -82,7 +81,7 @@ def test_bracket_defining_identity_general_blades():
         for _ in range(6):
             s = random_spinor(rep, rng)
             t = random_spinor(rep, rng)
-            vs = [random_vector(rep.n, rng) for _ in range(k)]
+            vs = [[rng.randint(-3, 3) for _ in range(rep.n)] for _ in range(k)]
             xi = wedge_vectors(vs)
             omega = bracket_k(rep, form, s, t, k)
             lhs = omega.metric_inner(xi, eta)
@@ -196,7 +195,7 @@ def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
 def test_obstruction_full_space():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
-    obs = obstruction_vectors(rep, form, SpinorSubspace.full(rep))
+    obs = obstruction_vectors(rep, form, SpinorSubspace(rep, Matrix.identity(rep.N)))
     assert obs.cols == 0
 
 
@@ -225,7 +224,7 @@ def test_obstruction_contains_null_vector():
 def test_pi_image_full_and_empty():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
-    full = SpinorSubspace.full(rep)
+    full = SpinorSubspace(rep, Matrix.identity(rep.N))
     dim, _ = pi_image(rep, form, full, full)
     assert dim == rep.n
     dim0, _ = pi_image(rep, form, SpinorSubspace.trivial(rep), full)
@@ -293,7 +292,7 @@ def test_bracket_defining_identity_property(s, t, k):
     from spinorlab.clifford_core import blade_index_list, gamma_blade
 
     for indices in blade_index_list(rep.n, k):
-        xi = Polyvector.from_blade(rep.n, indices)
+        xi = Polyvector(rep.n, k, tuple(int(b == indices) for b in blade_index_list(rep.n, k)))
         lhs = omega.metric_inner(xi, eta)
         g_xi = gamma_blade(rep, indices)
         rhs = ((g_xi.dense() * Matrix.column(s)).transpose() * h * Matrix.column(t))[0, 0]
@@ -377,7 +376,7 @@ def _oracle_subspaces(sig, seed, dim):
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
     rng = random.Random(seed)
-    subs = [SpinorSubspace.full(rep), SpinorSubspace.trivial(rep)]
+    subs = [SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)]
     subs.append(random_subspace(rep, 1 + (dim - 1) % rep.N, rng))
     if not sig.is_definite():
         subs.append(null_kernel(rep, form, random_null_vector(sig, rng)))
@@ -428,7 +427,7 @@ def test_pi_image_degenerate_form_and_empty_spaces():
     with pytest.raises(TypeError, match="SignedPerm"):
         BilinearForm(Matrix.zero(rep.N, rep.N), 1, -1)
     form = first_nondegenerate(rep)
-    full, trivial = SpinorSubspace.full(rep), SpinorSubspace.trivial(rep)
+    full, trivial = SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)
     for a, b in ((trivial, full), (full, trivial), (trivial, trivial)):
         dim, basis = pi_image(rep, form, a, b)
         assert dim == 0

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from spinorlab import cli
 from spinorlab.cli import main
+from spinorlab.subspace_lab import IsotropicSearchError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -74,6 +76,23 @@ def test_bound_search(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["counterexamples"] == 0
     assert payload["extremal_dim"] == 3
+
+
+def _raising(err):
+    def raise_it(*args, **kwargs):
+        raise err
+
+    return raise_it
+
+
+def test_bound_search_reports_a_failed_construction_but_not_a_defect(monkeypatch, capsys):
+    argv = ["bound-search", "--sig", "2,3", "--trials", "2", "--seed", "3"]
+    monkeypatch.setattr(cli, "extremal_witness", _raising(IsotropicSearchError("no lift")))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["extremal_error"] == "no lift"
+    monkeypatch.setattr(cli, "extremal_witness", _raising(TypeError("planted defect")))
+    with pytest.raises(TypeError, match="planted defect"):
+        main(argv)
 
 
 def test_spin23_scan(capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinorlab.clifford_core import (
     EXPECTED_COMMUTANT,
@@ -23,8 +25,6 @@ from spinorlab.clifford_core import (
     metric_value,
     null_pair,
     rep_table,
-    volume_element,
-    volume_square_sign,
     wedge_vectors,
 )
 from spinorlab.exact_linalg import Matrix, SignedPerm, kernel
@@ -93,23 +93,38 @@ def _gamma_vector_oracle(rep, v):
     return out
 
 
-def test_gamma_vector_matches_dense_sum_oracle():
-    rng = random.Random(4)
-    for sig in all_signatures(6):
-        rep = build_rep(sig)
-        n = rep.n
-        vectors = [
-            [rng.randint(-3, 3) for _ in range(n)],
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)],
-            [Fraction(0)] * n,
-            [0] * n,
-            [Fraction(1, 2) if i == n - 1 else i - 1 for i in range(n)],
-        ]
-        for v in vectors:
-            got, want = gamma_vector(rep, v), _gamma_vector_oracle(rep, v)
-            assert got == want, (str(sig), v)
-            types = [[type(x) for x in row] for row in got.data]
-            assert types == [[type(x) for x in row] for row in want.data], (str(sig), v)
+# the same example budget as the differential searches of test_exact_linalg
+DIFFERENTIAL = settings(max_examples=150)
+
+_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
+)
+
+
+@st.composite
+def reps_and_vectors(draw):
+    """A rep with n <= 6 and a vector of int and Fraction entries."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.integers(min_value=0, max_value=n))
+    return build_rep(Signature(p, n - p)), draw(st.lists(_entries, min_size=n, max_size=n))
+
+
+_R23 = build_rep(Signature(2, 3))
+
+
+@given(reps_and_vectors())
+@example((_R23, [Fraction(0)] * 5))  # Fraction zeros are skipped: int entries
+@example((_R23, [0] * 5))
+@example((_R23, [-1, 0, 1, 2, Fraction(1, 2)]))  # one Fraction makes every entry one
+@DIFFERENTIAL
+def test_gamma_vector_matches_dense_sum_oracle(rep_and_vector):
+    rep, v = rep_and_vector
+    got, want = gamma_vector(rep, v), _gamma_vector_oracle(rep, v)
+    assert got == want
+    assert [[type(x) for x in row] for row in got.data] == [
+        [type(x) for x in row] for row in want.data
+    ]
 
 
 def test_commutant_matches_mod8_table():
@@ -404,9 +419,11 @@ def test_gamma_polyvector_degenerate_cases():
 
 def test_volume_element():
     r01 = build_rep(Signature(0, 1))
-    assert volume_element(r01) == r01.generators[0]
-    assert volume_square_sign(build_rep(Signature(2, 0))) == -1
-    assert volume_square_sign(build_rep(Signature(1, 1))) == 1
+    assert gamma_blade(r01, range(r01.n)) == r01.generators[0]
+    for sig, square in ((Signature(2, 0), -1), (Signature(1, 1), 1)):
+        rep = build_rep(sig)
+        nu = gamma_blade(rep, range(rep.n))
+        assert (nu * nu).is_scalar_multiple_of_identity() == square
 
 
 def test_null_pair():

@@ -1,4 +1,6 @@
-from fractions import Fraction
+import dataclasses
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,19 +8,202 @@ import pytest
 from spinorlab.clifford_core import (
     Signature,
     build_rep,
+    clifford_relation_failures,
+    gamma_blade,
     wedge_vectors,
 )
 from spinorlab import cone_split
 from spinorlab.cone_split import (
-    _realify,
-    complex_clifford_rep,
-    graded_tensor_check,
     invariant_spinors,
     null_plane_rotations,
     semispinor_projectors,
-    volume_flip_degree,
 )
-from spinorlab.exact_linalg import Matrix, SignedPerm
+from spinorlab.exact_linalg import Matrix, SignedPerm, rank
+
+THIS = sys.modules[__name__]
+
+# Tensor factorization of the complex Clifford algebra, checked on Pauli
+# chains.  A complex phase monomial i^e P, P a real signed permutation, is
+# kept as the pair (P, K) with K = J^e in {+-Id_2, +-J}, and acts on
+# C^d = R^2d as its realification P.kron(K).  Realification is an
+# injective ring map, so products, relations and scalar checks carry over
+# exactly.
+_ID2 = SignedPerm.identity(2)
+_J = SignedPerm((1, 0), (1, -1))  # [[0, -1], [1, 0]]: i acting on C = R^2
+_SX = (SignedPerm((1, 0), (1, 1)), _ID2)
+_SY = (_J, _J)  # [[0, -i], [i, 0]] = i [[0, -1], [1, 0]]
+_SZ = (SignedPerm((0, 1), (1, -1)), _ID2)
+
+
+def _identity(d):
+    return SignedPerm.identity(d), _ID2
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _kron(a, b):
+    return a[0].kron(b[0]), a[1] * b[1]
+
+
+def _times_i(a):
+    return a[0], a[1] * _J
+
+
+def _realify(a) -> SignedPerm:
+    return a[0].kron(a[1])
+
+
+def _product(factors, d):
+    out = _identity(d)
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+def _squares_to(a):
+    return _realify(_mul(a, a)).is_scalar_multiple_of_identity()
+
+
+def _pauli_chain(total, position, op):
+    out = _identity(1)
+    for slot in range(total):
+        out = _kron(out, _SZ if slot < position else op if slot == position else _identity(2))
+    return out
+
+
+def complex_clifford_rep(m: int):
+    """Generators of the complex Clifford algebra on m generators squaring
+    to -Id, plus the grading involution; dimension 2^ceil(m/2).
+
+    Each generator is i times a Pauli chain and the grading a chain of
+    sigma_z, all as (P, K) pairs (see _realify)."""
+    qubits = (m + 1) // 2
+    gens = [_times_i(_pauli_chain(qubits, k // 2, _SY if k % 2 else _SX)) for k in range(m)]
+    # the grading is the sigma_z string over every qubit
+    return gens, _pauli_chain(qubits, qubits, None)
+
+
+def _check_complex_clifford(images):
+    failures = clifford_relation_failures([_realify(x) for x in images], (1,) * len(images))
+    return "relation({},{})".format(*failures[0]) if failures else None
+
+
+@dataclass(frozen=True)
+class GradedTensorReport:
+    n1: int
+    n2: int
+    case: str  # "ungraded" or "graded"
+    relations_ok: bool
+    xi_squares_to_minus_id: bool | None
+    eigenspace_dims: tuple | None
+    dims: dict
+    failures: tuple
+
+    @property
+    def ok(self):
+        return self.relations_ok and not self.failures
+
+
+def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
+    """Verify the tensor factorization of the complex Clifford algebra on
+    an orthogonal splitting into pieces of sizes n1, n2.
+
+    When a piece is even-dimensional the plain tensor product is checked
+    on generators; when both are odd the graded tensor product is built
+    with the Koszul rule and the central even element xi is analyzed:
+    xi^2 = -Id with +-i eigenspaces of equal dimension.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("need n1, n2 >= 1")
+    gens1, grading1 = complex_clifford_rep(n1)
+    gens2, grading2 = complex_clifford_rep(n2)
+    d1 = len(grading1[0].perm)
+    d2 = len(grading2[0].perm)
+    failures = []
+    if n1 % 2 == 0 or n2 % 2 == 0:
+        if n1 % 2 == 1:  # make the even factor first
+            swapped = graded_tensor_check(n2, n1)
+            return dataclasses.replace(swapped, n1=n1, n2=n2)
+        vol1 = _product(gens1, d1)
+        if _squares_to(vol1) == -1:
+            vol1 = _times_i(vol1)
+        images = [_kron(g, _identity(d2)) for g in gens1]
+        images += [_kron(vol1, k) for k in gens2]
+        err = _check_complex_clifford(images)
+        if err:
+            failures.append(err)
+        dims = {
+            "module": d1 * d2,
+            "factor_1": d1,
+            "factor_2": d2,
+            "direct": len(complex_clifford_rep(n1 + n2)[1][0].perm),
+        }
+        return GradedTensorReport(
+            n1=n1,
+            n2=n2,
+            case="ungraded",
+            relations_ok=not failures,
+            xi_squares_to_minus_id=None,
+            eigenspace_dims=None,
+            dims=dims,
+            failures=tuple(failures),
+        )
+    # both odd: graded tensor product via the grading twist
+    images = [_kron(g, _identity(d2)) for g in gens1]
+    images += [_kron(grading1, k) for k in gens2]
+    dim = d1 * d2
+    # the relation check covers the Koszul rule: a cross pair (a (x) 1,
+    # grading (x) b) must anticommute, the sign of moving odd b past odd a
+    err = _check_complex_clifford(images)
+    if err:
+        failures.append(err)
+    xi = _product(images, dim)
+    if _squares_to(xi) == 1:
+        xi = _times_i(xi)
+    xi_ok = _squares_to(xi) == -1
+    # centrality in the even part: xi commutes with generator pairs
+    x = _realify(xi)
+    real = [_realify(g) for g in images]
+    if any(x * a * b != a * b * x for a in real for b in real):
+        failures.append("xi_not_central_in_even_part")
+    # restrict xi to the even part, the +1 eigenspace of the total grading;
+    # the +-i eigenspaces of xi there are the kernels of x -+ i Id, each of
+    # twice the complex dimension after realification
+    total_grading = _realify(_kron(grading1, grading2))
+    even = [r for r, s in enumerate(total_grading.signs) if s == 1]
+
+    def even_block(m: SignedPerm) -> Matrix:
+        dense = m.dense().data
+        return Matrix([[dense[r][c] for c in even] for r in even])
+
+    x_even = even_block(x)
+    i_even = even_block(_realify(_times_i(_identity(dim))))
+    eigendims = tuple((len(even) - rank(x_even - sign * i_even)) // 2 for sign in (1, -1))
+    if eigendims[0] != eigendims[1]:
+        failures.append("unequal_semi_spinor_dimensions")
+    # spinor module of the even part doubles the plain product of the
+    # ungraded odd-factor modules
+    ungraded1 = 2 ** ((n1 - 1) // 2)
+    ungraded2 = 2 ** ((n2 - 1) // 2)
+    dims = {
+        "module": dim,
+        "even_part": len(even) // 2,
+        "ungraded_product_doubled": 2 * ungraded1 * ungraded2,
+    }
+    if dims["even_part"] != dims["ungraded_product_doubled"]:
+        failures.append("dimension_bookkeeping")
+    return GradedTensorReport(
+        n1=n1,
+        n2=n2,
+        case="graded",
+        relations_ok=err is None,
+        xi_squares_to_minus_id=xi_ok,
+        eigenspace_dims=eigendims,
+        dims=dims,
+        failures=tuple(failures),
+    )
 
 
 def test_complex_clifford_relations():
@@ -75,7 +260,7 @@ def test_realified_pauli_chains_match_numpy_complex():
 
 
 def _flip_one_sign(monkeypatch, m_target, gen_index):
-    original = cone_split.complex_clifford_rep
+    original = complex_clifford_rep
 
     def patched(m):
         gens, grading = original(m)
@@ -84,7 +269,7 @@ def _flip_one_sign(monkeypatch, m_target, gen_index):
             gens[gen_index] = (SignedPerm(p.perm, (-p.signs[0],) + p.signs[1:]), k)
         return gens, grading
 
-    monkeypatch.setattr(cone_split, "complex_clifford_rep", patched)
+    monkeypatch.setattr(THIS, "complex_clifford_rep", patched)
 
 
 @pytest.mark.parametrize("n1, n2, want", [(3, 3, "relation(0,1)"), (2, 1, "relation(0,1)")])
@@ -96,13 +281,13 @@ def test_graded_tensor_reports_a_broken_generator(monkeypatch, n1, n2, want):
 
 
 def test_graded_tensor_reports_a_grading_that_commutes(monkeypatch):
-    original = cone_split.complex_clifford_rep
+    original = complex_clifford_rep
 
     def ungraded(m):
         gens, grading = original(m)
         return gens, (SignedPerm.identity(len(grading[0].perm)), grading[1])
 
-    monkeypatch.setattr(cone_split, "complex_clifford_rep", ungraded)
+    monkeypatch.setattr(THIS, "complex_clifford_rep", ungraded)
     report = graded_tensor_check(3, 3)
     assert report.case == "graded"
     # the cross pair (a (x) 1, 1 (x) b) of the first odd generators commutes
@@ -190,7 +375,16 @@ def test_null_plane_scale_invariance():
     assert dim == dim2
 
 
-def test_semispinor_residue_rule_all_bases():
+def test_semispinor_residue_rule_all_bases(monkeypatch):
+    # the involution z behind each split gives the projectors (Id +- z)/2
+    found = []
+    find = cone_split._find_involution
+
+    def recording(candidates, N):
+        found.append(find(candidates, N))
+        return found[-1]
+
+    monkeypatch.setattr(cone_split, "_find_involution", recording)
     for n in range(1, 9):
         for p in range(n + 1):
             base = Signature(p, n - p)
@@ -199,13 +393,15 @@ def test_semispinor_residue_rule_all_bases():
             assert report.split == (base.s_mod8 in (0, 1, 3, 7)), str(base)
             # the quoted residue lists disagree exactly on the s = 0 bases
             assert report.quoted_list_agrees == (base.s_mod8 != 0), str(base)
+            assert report.split == (found[-1] is not None), str(base)
             if report.split:
-                p_plus, p_minus = report.projectors
-                assert (p_plus + p_minus) == Matrix.identity(cone.N)
+                ident = Matrix.identity(cone.N)
+                p_plus, p_minus = (ident + found[-1], ident - found[-1])  # twice the projectors
+                assert (p_plus + p_minus) == ident.scale(2)
                 assert (p_plus * p_minus).is_zero()
-                for proj in report.projectors:
-                    assert proj * proj == proj
-                    assert all(type(x) is Fraction for row in proj.data for x in row)
+                for proj in (p_plus, p_minus):
+                    assert proj * proj == proj.scale(2)
+                    assert 2 * rank(proj) == cone.N
 
 
 def test_semispinor_specific_cases():
@@ -224,7 +420,7 @@ def test_semispinor_specific_cases():
 
 
 def _mixed_sign_diagonal(N):
-    return Matrix.diagonal([1] * (N // 2) + [-1] * (N // 2))
+    return Matrix([[(1 if i < N // 2 else -1) if i == j else 0 for j in range(N)] for i in range(N)])
 
 
 @pytest.mark.parametrize(
@@ -246,7 +442,10 @@ def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, mon
 
 
 def test_volume_flip_parity():
-    even = volume_flip_degree(build_rep(Signature(2, 0)))
-    assert even.anticommutes and not even.commutes
-    odd = volume_flip_degree(build_rep(Signature(2, 1)))
-    assert odd.commutes and not odd.anticommutes
+    # the volume element commutes with every generator for n odd and
+    # anticommutes for n even: the sign behind the Killing-number flip
+    for sig, sign in ((Signature(2, 0), -1), (Signature(2, 1), 1)):
+        rep = build_rep(sig)
+        nu = gamma_blade(rep, range(rep.n))
+        assert all(nu * g == g * nu for g in rep.generators) == (sign == 1)
+        assert all(nu * g == -(g * nu) for g in rep.generators) == (sign == -1)

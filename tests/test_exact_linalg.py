@@ -376,14 +376,33 @@ def test_orbit_solver_matches_union_find_on_random_maps():
     assert conflicts >= 20 and negative_fixed >= 20
 
 
+# every differential search below draws this many examples
+DIFFERENTIAL = settings(max_examples=150)
+
+
+@st.composite
+def signed_bijection_systems(draw):
+    """1 to 12 cells and 1 to 3 signed bijections of them."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+    n_maps = draw(st.integers(min_value=1, max_value=3))
+    return n, [(draw(st.permutations(range(n))), draw(signs)) for _ in range(n_maps)]
+
+
+@given(signed_bijection_systems())
+@DIFFERENTIAL
+def test_orbit_solver_matches_union_find_on_drawn_maps(system):
+    n, maps = system
+    rels = [(c, target[c], sign[c]) for target, sign in maps for c in range(n)]
+    assert signed_relation_basis(n, maps) == _union_find_basis(n, rels)
+
+
 # SignedPerm against the dense product it replaced: every operation is
 # compared with the same operation on dense() matrices.  Values must
 # match always; entry types must match when the dense operand is all int.
 # A gather keeps a Fraction(0) entry of its Matrix operand where the dense
 # product writes int 0, and a column gather keeps Fraction(1) where the
 # dense product writes int 1, so types are compared only for int input.
-
-DIFFERENTIAL = settings(max_examples=150)
 
 
 @st.composite
