@@ -8,7 +8,7 @@ on a fixed spinor module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import mul
 
 from .admissible_forms import BilinearForm
 from .clifford_core import (
@@ -20,7 +20,7 @@ from .clifford_core import (
     metric_value,
     null_pair,
 )
-from .exact_linalg import Matrix, clear_denominators, column_space_basis, kernel, rank
+from .exact_linalg import Echelon, Matrix, clear_denominators, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,15 @@ class SpinorSubspace:
         marked = {next(j for j, x in enumerate(row) if x) for row in rows}
         if len(marked) < self.basis.cols and rank(self.basis) != self.basis.cols:
             raise ValueError("basis columns must be independent")
+
+    @classmethod
+    def _certified(cls, rep, basis):
+        """A subspace on a basis whose columns the caller has already
+        certified independent, skipping the check in __post_init__."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "rep", rep)
+        object.__setattr__(space, "basis", basis)
+        return space
 
     @property
     def dim(self):
@@ -100,37 +109,60 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     """Basis of {v : gamma_v S0 is h-orthogonal to S0}, an n x k matrix.
 
     The restricted bracket S0 x S0 -> R^n is surjective exactly when
-    this space is zero.
+    this space is zero.  Rows of the obstruction system are built one at
+    a time and reduced incrementally; n independent rows certify the
+    zero space, and only a rank-deficient system is solved in full.
     """
     d = space.dim
     if d == 0:
         return Matrix.identity(rep.n)
-    # one d x d pairing block B^T H gamma_i B per generator; row (a, c)
-    # of the obstruction system collects entry (a, c) of every block
+    # row (a, c) of the system collects entry (a, c) of every pairing block
+    # B^T H gamma_i B, i.e. (H^T b_a) . (gamma_i b_c); every block is
+    # (sigma*tau)-symmetric, so row (c, a) is +-row (a, c) and a <= c suffices
     b = space.basis
-    bt_h = b.transpose() * form.matrix
-    blocks = [bt_h * (g * b) for g in rep.generators]
-    # every block is (sigma*tau)-symmetric, so row (c, a) is +-row (a, c)
-    rows = [[blk.data[a][c] for blk in blocks] for a in range(d) for c in range(a, d)]
+    bt_h = (b.transpose() * form.matrix).data
+    rows = []
+    echelon = Echelon()
+    for c, b_c in enumerate(b.columns()):
+        g_bc = [g.apply(b_c) for g in rep.generators]
+        for a in range(c + 1):
+            row = [sum(map(mul, bt_h[a], g_b)) for g_b in g_bc]
+            rows.append(row)
+            if echelon.add(row) and len(echelon) == rep.n:
+                return Matrix([[] for _ in range(rep.n)])
+    # the kernel depends only on the row space, not on the row order
     return kernel(Matrix(rows))
+
+
+def _bracket_columns(rep, form, a, b):
+    """bracket_k(A_i, B_j, 1) in (i, j) order, read out of row i of the
+    d_A x d_B pairing blocks (gamma_k A)^T H B, one per generator; each
+    row of blocks is formed only when its first column is asked for."""
+    gens_h = [(g * a.basis).transpose() * form.matrix for g in rep.generators]
+    for i in range(a.dim):
+        block = (Matrix([g_h.data[i] for g_h in gens_h]) * b.basis).data
+        for j in range(b.dim):
+            yield [x[j] if e == 1 else -x[j] for x, e in zip(block, rep.eta)]
 
 
 def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorSubspace):
     """(dimension, basis) of span{[s,t]_1 : s in A, t in B} over basis pairs.
 
-    Column (i, j) is bracket_k(A_i, B_j, 1), read out of the d_A x d_B
-    pairing blocks (gamma_k A)^T H B, one per generator.
+    The basis is the bracket columns, in (i, j) order, that are independent
+    of the columns before them: the pivot columns of the full column
+    matrix.  The scan stops once they span R^n.
     """
-    if not a.dim or not b.dim:
+    basis = []
+    if a.dim and b.dim:
+        echelon = Echelon()
+        for col in _bracket_columns(rep, form, a, b):
+            if echelon.add(col):
+                basis.append(col)
+                if len(basis) == rep.n:
+                    break
+    if not basis:
         return 0, Matrix([[] for _ in range(rep.n)])
-    blocks = [(g * a.basis).transpose() * form.matrix * b.basis for g in rep.generators]
-    cols = [
-        [blk.data[i][j] if e == 1 else -blk.data[i][j] for blk, e in zip(blocks, rep.eta)]
-        for i in range(a.dim)
-        for j in range(b.dim)
-    ]
-    basis = column_space_basis(Matrix.from_columns(cols))
-    return basis.cols, basis
+    return len(basis), Matrix.from_columns(basis)
 
 
 @dataclass(frozen=True)
@@ -182,16 +214,9 @@ def random_subspace(rep: CliffordRep, dim: int, rng, bound=3) -> SpinorSubspace:
     if dim == 0:
         return SpinorSubspace.trivial(rep)
     cols = []
-    echelon = []  # (pivot, integer row) per accepted column, reduced in order
+    echelon = Echelon()
     while len(cols) < dim:
         cand = [rng.randint(-bound, bound) for _ in range(rep.N)]
-        r = cand
-        for p, v in echelon:
-            if r[p]:
-                r = [v[p] * x - r[p] * y for x, y in zip(r, v)]
-        pivot = next((m for m, x in enumerate(r) if x), None)
-        if pivot is not None:  # cand is outside the span of the accepted columns
-            g = gcd(*r)
-            echelon.append((pivot, [x // g for x in r]))
+        if echelon.add(cand):  # cand is outside the span of the accepted columns
             cols.append(cand)
-    return SpinorSubspace(rep, Matrix.from_columns(cols))
+    return SpinorSubspace._certified(rep, Matrix.from_columns(cols))

@@ -66,10 +66,6 @@ class CliffordRep:
         return self.signature.n
 
 
-# commutant type of the irreducible real module by s mod 8; cross-checked
-# against the dense commutant solver in the test suite
-EXPECTED_COMMUTANT = {0: "R", 1: "C", 2: "H", 3: "H", 4: "H", 5: "C", 6: "R", 7: "R"}
-
 _COMM_DIM = {"R": 1, "C": 2, "H": 4}
 
 # rank-2 building blocks, the usual signed-permutation models
@@ -490,7 +486,6 @@ def even_subalgebra_images(rep_cone: CliffordRep):
 @dataclass(frozen=True)
 class ConeIsoReport:
     ok: bool
-    checked: int
     failures: tuple
 
 
@@ -510,15 +505,13 @@ def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport
     even_failures = clifford_relation_failures(even_subalgebra_images(rep_cone), base.eta())
     base_failures = clifford_relation_failures(rep_base.generators, base.eta())
     failures = []
-    checked = 0
     for i in range(n):
         for j in range(i, n):
             if (i, j) in even_failures:
                 failures.append(f"even_relation({i},{j})")
             if (i, j) in base_failures:
                 failures.append(f"base_relation({i},{j})")
-            checked += 1
-    return ConeIsoReport(ok=not failures, checked=checked, failures=tuple(failures))
+    return ConeIsoReport(ok=not failures, failures=tuple(failures))
 
 
 def rep_table(max_n: int):

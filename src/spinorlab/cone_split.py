@@ -24,7 +24,6 @@ from .exact_linalg import (
     Matrix,
     SignedPerm,
     kernel,
-    rank,
 )
 
 
@@ -136,13 +135,14 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
         )
     if split:
         # checked on the integer a = Id +- z = 2p: p p = p reads a a = 2a,
-        # and rank, annihilation and commutation ignore the factor 2
+        # and annihilation and commutation ignore the factor 2; an
+        # idempotent's rank is its trace, so rank p = N/2 reads trace a = N
         ident = Matrix.identity(N)
         a_plus, a_minus = pair = (ident + z, ident - z)
         for a in pair:
             if a * a != a.scale(2):
                 raise ArithmeticError("projector is not idempotent")
-            if rank(a) * 2 != N:
+            if sum(a[i, i] for i in range(N)) != N:
                 raise ArithmeticError("projector rank is not N/2")
         if not (a_plus * a_minus).is_zero():
             raise ArithmeticError("projectors do not annihilate each other")

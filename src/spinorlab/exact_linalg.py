@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _denominator_lcm(x):
@@ -173,11 +173,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(list(self.data) + list(other.data))
 
-    def select_columns(self, indices):
-        return Matrix(
-            [[self.data[i][j] for j in indices] for i in range(self.rows)]
-        )
-
     def to_lists(self):
         return [list(row) for row in self.data]
 
@@ -222,6 +217,13 @@ class SignedPerm:
         pairs = list(zip(self.perm, self.signs))
         return Matrix([[s * row[i] for i, s in pairs] for row in other.data])
 
+    def apply(self, x):
+        """self times the vector x, as a list: a signed gather, O(N)."""
+        out = [0] * len(x)
+        for xj, i, s in zip(x, self.perm, self.signs):
+            out[i] = xj if s == 1 else -xj
+        return out
+
     def __neg__(self):
         return SignedPerm(self.perm, tuple(-s for s in self.signs))
 
@@ -252,6 +254,39 @@ def clear_denominators(row):
         return list(row)
     m = lcm(*map(_denominator_lcm, row))
     return [x.numerator * (m // x.denominator) if isinstance(x, Fraction) else x * m for x in row]
+
+
+class Echelon:
+    """Incremental exact row echelon over Z, one vector at a time.
+
+    add(v) clears v's denominators, reduces it by the accepted rows in
+    acceptance order and accepts it when a nonzero remainder is left,
+    stored divided by its gcd with its first nonzero entry as pivot.
+    Reduction by a row zeroes that row's pivot and keeps every earlier
+    pivot zero, so a remainder is zero exactly when v lies in the span
+    of the accepted vectors; a rejected vector leaves the state
+    unchanged.  len() is the rank certified so far.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []  # (pivot, integer row), in acceptance order
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, vector) -> bool:
+        r = clear_denominators(vector)
+        for p, v in self.rows:
+            if r[p]:
+                r = [v[p] * x - r[p] * y for x, y in zip(r, v)]
+        pivot = next((m for m, x in enumerate(r) if x), None)
+        if pivot is None:
+            return False
+        g = gcd(*r)
+        self.rows.append((pivot, [x // g for x in r]))
+        return True
 
 
 def _echelonize(matrix: Matrix):
@@ -369,14 +404,6 @@ def solve(matrix: Matrix, rhs) -> list | None:
     for pc, x in zip(pivots, values):
         sol[pc] = -x
     return sol
-
-
-def column_space_basis(matrix: Matrix) -> Matrix:
-    """Columns of `matrix` at the pivot positions of its echelon form."""
-    _, pivots = _echelonize(matrix)
-    if not pivots:
-        return Matrix([[] for _ in range(matrix.rows)])
-    return matrix.select_columns(pivots)
 
 
 def signed_relation_basis(n_cells, maps):

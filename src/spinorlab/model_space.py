@@ -40,11 +40,12 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 def _worst(values) -> float:
     """Largest of non-negative residuals, failing closed: a NaN or
-    infinite residual makes the result inf, which no tolerance passes."""
+    infinite residual, or no residual at all, makes the result inf,
+    which no tolerance passes."""
     values = [float(v) for v in values]
     if not all(math.isfinite(v) for v in values):
         return math.inf
-    return max(values, default=0.0)
+    return max(values, default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ class HyperquadricModel:
     def __init__(self, cone_signature: Signature, num_samples=32, step=1e-4):
         if cone_signature.p < 1:
             raise ValueError("the cone needs a positive-norm direction")
+        if num_samples < 1:
+            raise ValueError("the model needs at least one sample point")
         self.cone_signature = cone_signature
         self.base_signature = Signature(cone_signature.p - 1, cone_signature.q)
         self.step = step

@@ -23,7 +23,7 @@ from .brackets import (
     random_subspace,
 )
 from .clifford_core import CliffordRep, Signature, build_rep, gamma_vector
-from .exact_linalg import Matrix, kernel, rank, solve
+from .exact_linalg import Echelon, Matrix, kernel, rank, solve
 from . import serialize
 
 
@@ -115,6 +115,7 @@ def _skew_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
     up to 50 random integer combinations of them."""
     d = gram.rows
     iso = []
+    echelon = Echelon()
     while len(iso) < target_dim:
         if iso:
             rows = [
@@ -136,10 +137,7 @@ def _skew_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
                     sum(space[i, c] * coeffs[c] for c in range(space.cols))
                     for i in range(d)
                 ]
-            if not any(cand):
-                continue
-            trial = iso + [cand]
-            if rank(Matrix.from_columns(trial)) == len(trial):
+            if echelon.add(cand):
                 iso.append(cand)
                 break
         else:
@@ -213,11 +211,14 @@ def extremal_obstructed_subspace(
     n_half = rep.N // 2
     # deterministic complement: standard basis vectors keeping full rank
     cols = lv.basis.columns()
+    echelon = Echelon()
+    if sum(map(echelon.add, cols)) != n_half:
+        raise ArithmeticError("kernel columns are not independent")
     comp = []
     for i in range(rep.N):
         e = [0] * rep.N
         e[i] = 1
-        if rank(Matrix.from_columns(cols + comp + [e])) == n_half + len(comp) + 1:
+        if echelon.add(e):
             comp.append(e)
         if len(comp) == n_half:
             break
@@ -465,8 +466,6 @@ def load_and_verify_spin45_witness(path) -> dict:
 @dataclass(frozen=True)
 class MixedBoundReport:
     signature: Signature
-    k_plus: int
-    k_minus: int
     trials: int
     seed: int
     in_hypothesis: bool
@@ -516,8 +515,6 @@ def mixed_rank_inequality(
             bad.append((t, a.basis, b.basis))
     return MixedBoundReport(
         signature=rep.signature,
-        k_plus=k_plus,
-        k_minus=k_minus,
         trials=trials,
         seed=seed,
         in_hypothesis=in_hypothesis,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorlab import brackets
 from spinorlab.admissible_forms import BilinearForm, first_nondegenerate
 from spinorlab.brackets import (
     SpinorSubspace,
@@ -25,7 +26,8 @@ from spinorlab.clifford_core import (
     gamma_vector,
     wedge_vectors,
 )
-from spinorlab.exact_linalg import Matrix, column_space_basis, kernel, rank
+from spinorlab.exact_linalg import Echelon, Matrix, _echelonize, kernel, rank
+from spinorlab.subspace_lab import extremal_witness
 
 
 def indefinite_signatures(max_n):
@@ -346,10 +348,11 @@ def _pi_image_oracle(rep, form, a, b):
         for s in a.basis.columns()
         for t in b.basis.columns()
     ]
-    if not cols:
+    _, pivots = _echelonize(Matrix.from_columns(cols)) if cols else (None, [])
+    if not pivots:
         return 0, Matrix([[] for _ in range(rep.n)])
-    basis = column_space_basis(Matrix.from_columns(cols))
-    return basis.cols, basis
+    # the Bareiss pivot columns
+    return len(pivots), Matrix.from_columns([cols[p] for p in pivots])
 
 
 def _random_subspace_oracle(rep, dim, rng, bound=3):
@@ -420,6 +423,68 @@ def test_pi_image_matches_bracket_k_oracle(sig, seed, dim):
             slow_dim, slow = _pi_image_oracle(rep, form, a, b)
             assert fast_dim == slow_dim
             _assert_identical(fast, slow)
+
+
+class _CountingEchelon(Echelon):
+    adds = 0
+
+    def add(self, vector):
+        _CountingEchelon.adds += 1
+        return super().add(vector)
+
+
+_EXTREMAL_SIGNATURES = [Signature(2, 3), Signature(1, 3), Signature(3, 3), Signature(4, 1)]
+
+
+@pytest.mark.parametrize("sig", _EXTREMAL_SIGNATURES, ids=str)
+def test_obstruction_vectors_match_oracle_on_early_exit_and_extremal_subspaces(sig, monkeypatch):
+    rep = build_rep(sig)
+    form, v, extremal = extremal_witness(sig, 7)
+    rng = random.Random(11)
+    full_rank = [random_subspace(rep, 3 * rep.N // 4 + 1, rng) for _ in range(6)]
+    deficient = [extremal, null_kernel(rep, form, v), random_subspace(rep, 1, rng)]
+    monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
+    kernel_calls = []
+
+    def counted_kernel(matrix, _original=brackets.kernel):
+        kernel_calls.append(matrix)
+        return _original(matrix)
+
+    monkeypatch.setattr(brackets, "kernel", counted_kernel)
+    for sub in full_rank:
+        _CountingEchelon.adds = 0
+        fast = obstruction_vectors(rep, form, sub)
+        _assert_identical(fast, _obstruction_oracle(rep, form, sub))
+        assert fast.cols == 0
+        assert _CountingEchelon.adds < sub.dim * (sub.dim + 1) // 2  # stopped early
+    assert kernel_calls == []
+    for sub in deficient:
+        fast = obstruction_vectors(rep, form, sub)
+        _assert_identical(fast, _obstruction_oracle(rep, form, sub))
+        assert fast.cols > 0
+    assert len(kernel_calls) == len(deficient)
+
+
+@pytest.mark.parametrize(
+    "sig, dims",
+    [(Signature(2, 3), [(4, 4), (4, 3), (3, 4)]), (Signature(4, 1), [(8, 5), (7, 6), (8, 8)])],
+    ids=str,
+)
+def test_pi_image_stops_at_full_image_and_matches_oracle(sig, dims, monkeypatch):
+    # the mixed-bound dimensions, where the bracket image is all of R^n
+    rep = build_rep(sig)
+    form = first_nondegenerate(rep, tau=1)
+    monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
+    rng = random.Random(5)
+    for k_a, k_b in dims:
+        for _ in range(3):
+            a, b = random_subspace(rep, k_a, rng), random_subspace(rep, k_b, rng)
+            _CountingEchelon.adds = 0
+            fast_dim, fast = pi_image(rep, form, a, b)
+            slow_dim, slow = _pi_image_oracle(rep, form, a, b)
+            assert fast_dim == slow_dim == rep.n
+            _assert_identical(fast, slow)
+            assert _CountingEchelon.adds < a.dim * b.dim  # stopped early
 
 
 def test_pi_image_degenerate_form_and_empty_spaces():

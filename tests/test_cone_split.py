@@ -385,7 +385,7 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(cone_split, "_find_involution", recording)
-    for n in range(1, 9):
+    for n in range(1, 10):  # every cone with n <= 10
         for p in range(n + 1):
             base = Signature(p, n - p)
             cone = build_rep(Signature(p + 1, n - p))
@@ -402,6 +402,8 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                 for proj in (p_plus, p_minus):
                     assert proj * proj == proj.scale(2)
                     assert 2 * rank(proj) == cone.N
+                    # the library reads the rank off the trace
+                    assert rank(proj) == sum(proj[i, i] for i in range(cone.N)) // 2
 
 
 def test_semispinor_specific_cases():

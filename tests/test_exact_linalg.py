@@ -16,7 +16,7 @@ from spinorlab.clifford_core import (
 from spinorlab.exact_linalg import (
     Matrix,
     SignedPerm,
-    column_space_basis,
+    Echelon,
     kernel,
     rank,
     _echelonize,
@@ -172,10 +172,12 @@ def test_kron_shapes():
 
 
 def test_column_space_basis():
+    # the columns an Echelon accepts in order are the Bareiss pivot columns
     m = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    b = column_space_basis(m)
-    assert b.cols == 2
-    assert rank(b) == 2
+    echelon = Echelon()
+    assert [echelon.add(c) for c in m.columns()] == [True, False, True]
+    assert _echelonize(m)[1] == [0, 2]
+    assert len(echelon) == rank(m) == 2
 
 
 def _maps(n_cells, relations):
@@ -588,3 +590,40 @@ def test_kernel_back_substitution_fixed_cases():
     for m in cases:
         _assert_kernel_matches_oracle(m)
         assert (m * kernel(m)).is_zero()
+
+
+_rationals = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+)
+
+
+@st.composite
+def planted_sequences(draw):
+    """Vectors of length 1 to 6, each drawn fresh (int or Fraction entries)
+    or planted as a rational combination of earlier ones; zero vectors and
+    repeats occur."""
+    length = draw(st.integers(min_value=1, max_value=6))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        if vectors and draw(st.booleans()):
+            coeffs = [draw(_rationals) for _ in vectors]
+            vectors.append(
+                [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(length)]
+            )
+        else:
+            vectors.append(draw(st.lists(_rationals, min_size=length, max_size=length)))
+    return vectors
+
+
+@given(planted_sequences())
+@DIFFERENTIAL
+def test_echelon_accepts_exactly_where_the_bareiss_rank_grows(vectors):
+    echelon = Echelon()
+    ranks = [0] + [rank(Matrix.from_columns(vectors[: k + 1])) for k in range(len(vectors))]
+    for k, vector in enumerate(vectors):
+        before = [(p, list(row)) for p, row in echelon.rows]
+        accepted = echelon.add(vector)
+        assert accepted == (ranks[k + 1] > ranks[k])
+        if not accepted:
+            assert echelon.rows == before  # a rejected vector changes nothing
+        assert len(echelon) == ranks[k + 1]

@@ -1,7 +1,8 @@
-"""Every public module-level function and class under src/spinorlab/ is
-used by the library itself: a name referenced only at its own definition
-or in the package's __init__.py serves the tests or nothing, and belongs
-in the test that uses it."""
+"""Every public module-level function, class and constant under
+src/spinorlab/, and every field of a dataclass there, is used by the
+library itself: a name referenced only at its own definition or in the
+package's __init__.py serves the tests or nothing, and belongs in the
+test that uses it."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,45 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "spinorlab"
 
 
+def _assigned_name(node):
+    """The name an assignment statement binds, or None."""
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+        if isinstance(target, ast.Name):
+            return target.id
+    return None
+
+
 def _public_definitions(tree):
+    """(name, node) for each public module-level function, class and
+    constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif (name := _assigned_name(node)) is not None:
+            out.append((name, node))
+    return [(name, node) for name, node in out if not name.startswith("_")]
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree):
+    """(class.field, node) for each annotated field of a dataclass."""
     return [
-        node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        (f"{cls.name}.{field.target.id}", field)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
     ]
 
 
@@ -34,16 +69,51 @@ def _references(tree, skip):
     return out
 
 
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_public_name_is_used_by_the_library():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     unreached = []
     for module, tree in trees.items():
-        for definition in _public_definitions(tree):
+        for name, definition in _public_definitions(tree):
             used = any(
-                definition.name in _references(other, {definition})
-                for name, other in trees.items()
-                if name != "__init__.py"
+                name in _references(other, {definition})
+                for key, other in trees.items()
+                if key != "__init__.py"
             )
             if not used:
-                unreached.append(f"{module[:-3]}.{definition.name}")
+                unreached.append(f"{module[:-3]}.{name}")
     assert unreached == []
+
+
+# Dataclass fields that only the tests read, each a computed value that the
+# verifier neither checks nor reports; this list may only shrink.
+TEST_ONLY_FIELDS = [
+    "brackets.BetaReport.symmetry",
+    "model_space.KillingReport.residual_opposite",
+    "model_space.BracketFieldReport.killing_polyvector_residual",
+    "model_space.BracketFieldReport.dirac_consistency_residual",
+    "subspace_lab.MixedBoundReport.rank_chain_fails",
+]
+
+
+def test_every_dataclass_field_is_read_by_the_library():
+    # a field is read as an attribute, so a local variable of the same
+    # name does not count
+    trees = _trees()
+    reads = set().union(
+        *(_attribute_reads(tree) for key, tree in trees.items() if key != "__init__.py")
+    )
+    unread = [
+        f"{module[:-3]}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, _ in _dataclass_fields(tree)
+        if qualname.rsplit(".", 1)[1] not in reads
+    ]
+    assert unread == TEST_ONLY_FIELDS

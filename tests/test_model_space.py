@@ -300,6 +300,25 @@ def test_zero_step_fails_closed():
     assert not report.dirac_residual < 1e-6
 
 
+class _LinearField:
+    """arange(N) scaled by the first cone coordinate: not a Killing field."""
+
+    def eval(self, model, y, patch):
+        return np.arange(model.N) * y[0]
+
+
+def test_empty_sample_set_fails_closed():
+    with pytest.raises(ValueError, match="at least one sample point"):
+        HyperquadricModel(Signature(3, 0), num_samples=0)
+    model = HyperquadricModel(Signature(3, 0), num_samples=4)
+    field = _LinearField()
+    assert not killing_residual(model, field).residual < 1e-6
+    # with its sample set emptied the model still cannot rate the field 0.0
+    model.samples = []
+    report = killing_residual(model, field)
+    assert report.residual == report.dirac_residual == np.inf
+
+
 def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys):
     from spinorlab import model_space
     from spinorlab.cli import main

@@ -1,12 +1,13 @@
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from spinorlab import subspace_lab
-from spinorlab.admissible_forms import first_nondegenerate
-from spinorlab.brackets import pi_image
-from spinorlab.clifford_core import Signature, build_rep, metric_value
+from spinorlab import brackets, subspace_lab
+from spinorlab.admissible_forms import find_admissible, first_nondegenerate
+from spinorlab.brackets import null_kernel, pi_image, random_null_vector
+from spinorlab.clifford_core import Signature, build_rep, gamma_vector, metric_value
 from spinorlab.exact_linalg import Matrix, kernel, rank
 from spinorlab.subspace_lab import (
     IsotropicSearchError,
@@ -219,6 +220,80 @@ def test_extremal_witness_signatures():
         rep = build_rep(sig)
         assert sub.dim == 3 * rep.N // 4
         assert metric_value(rep.eta, v, v) == 0
+
+
+def _extremal_obstructed_oracle(rep, form, v):
+    """extremal_obstructed_subspace as written before the incremental
+    reducer: the complement re-ranks the growing column list per step."""
+    lv = null_kernel(rep, form, v)
+    n_half = rep.N // 2
+    cols = lv.basis.columns()
+    comp = []
+    for i in range(rep.N):
+        e = [0] * rep.N
+        e[i] = 1
+        if rank(Matrix.from_columns(cols + comp + [e])) == n_half + len(comp) + 1:
+            comp.append(e)
+        if len(comp) == n_half:
+            break
+    comp_m = Matrix.from_columns(comp)
+    gram = comp_m.transpose() * form.matrix.dense() * gamma_vector(rep, v) * comp_m
+    if form.sigma * form.tau == 1:
+        iso = _symmetric_isotropic(gram, rep.N // 4)
+    else:
+        iso = _greedy_isotropic_oracle(gram, rep.N // 4)
+    return Matrix.from_columns(cols + (comp_m * iso).columns())
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(2, 3), Signature(1, 3), Signature(3, 3), Signature(2, 2), Signature(4, 1)],
+    ids=str,
+)
+def test_extremal_subspace_matches_re_ranking_oracle(sig):
+    rep = build_rep(sig)
+    built = 0
+    for seed in range(3):
+        v = random_null_vector(sig, random.Random(seed))
+        for sigma, tau in ((1, -1), (1, 1), (-1, -1), (-1, 1)):
+            for form in find_admissible(rep, sigma, tau):
+                try:
+                    want = _extremal_obstructed_oracle(rep, form, v)
+                except IsotropicSearchError:
+                    with pytest.raises(IsotropicSearchError):
+                        extremal_obstructed_subspace(rep, form, v)
+                    continue
+                got = extremal_obstructed_subspace(rep, form, v).basis
+                assert _typed_entries(got) == _typed_entries(want)
+                built += 1
+    assert built > 0
+
+
+def test_extremal_rejects_dependent_kernel_columns(monkeypatch):
+    rep = build_rep(Signature(2, 3))
+    form = first_nondegenerate(rep)
+    column = [1] + [0] * (rep.N - 1)
+    dependent = SimpleNamespace(basis=Matrix.from_columns([column, column]))
+    monkeypatch.setattr(subspace_lab, "null_kernel", lambda *args: dependent)
+    with pytest.raises(ArithmeticError, match="kernel columns are not independent"):
+        extremal_obstructed_subspace(rep, form, [1, 0, 1, 0, 0])
+
+
+def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
+    # every subspace above 3N/4 is surjective, so each obstruction system
+    # stops at rank n, and random_subspace certifies its basis only once
+    rep = build_rep(Signature(3, 3))
+    form = first_nondegenerate(rep)
+    calls = []
+    for name in ("kernel", "rank"):
+
+        def counted(*args, _original=getattr(brackets, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(brackets, name, counted)
+    report = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, 40, 7)
+    assert report.in_hypothesis and not report.counterexamples
+    assert calls == []
 
 
 def test_extremal_rejects_bad_module_dimension():
