@@ -169,7 +169,6 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
 class BetaReport:
     matrix: Matrix
     rank: int
-    symmetry: int | None  # sigma*tau when the form matrix is (anti)symmetric
 
 
 def beta_form(rep: CliffordRep, form: BilinearForm, v) -> BetaReport:
@@ -179,7 +178,7 @@ def beta_form(rep: CliffordRep, form: BilinearForm, v) -> BetaReport:
     bt = beta.transpose()
     if bt != beta.scale(st):
         raise ArithmeticError("beta does not have symmetry sigma*tau")
-    return BetaReport(matrix=beta, rank=rank(beta), symmetry=st if not beta.is_zero() else None)
+    return BetaReport(matrix=beta, rank=rank(beta))
 
 
 def random_spinor(rep: CliffordRep, rng):

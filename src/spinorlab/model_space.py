@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .admissible_forms import find_admissible
 from .clifford_core import Polyvector, Signature, blade_index_list, build_rep
-from .exact_linalg import Matrix
+from .exact_linalg import Matrix, rank
 
 
 def _to_numpy(m: Matrix) -> np.ndarray:
@@ -226,12 +228,10 @@ class ConstantSpinorField:
         return self.column
 
 
-def frame_rotation_rates(model, x, direction, patch=None):
+def frame_rotation_rates(model, x, direction, patch):
     """Lowered rotation-rate matrix of the cone-adapted frame along a
     tangent direction, by central differences; antisymmetric up to the
     truncation error."""
-    if patch is None:
-        patch = model.select_patch(x)
     h = model.step
     f0 = model.cone_frame(x, patch)
     fp = model.cone_frame(model.curve(x, direction, h), patch)
@@ -241,7 +241,7 @@ def frame_rotation_rates(model, x, direction, patch=None):
     return lam_low, f0
 
 
-def spin_connection(model, x, direction, patch=None):
+def spin_connection(model, x, direction, patch):
     """Connection matrix Omega with nabla_X phi = X(phi) + Omega phi for
     cone-spinor components phi in the constant ambient trivialization.
 
@@ -249,8 +249,6 @@ def spin_connection(model, x, direction, patch=None):
     terms: the full-frame term uses the ambient Clifford action, the
     tangential term the intrinsic action gamma^M.
     """
-    if patch is None:
-        patch = model.select_patch(x)
     if abs(model.g_hat(x, direction)) > 1e-9:
         raise ValueError("direction must be tangent to the hyperquadric")
     lam_low, f0 = frame_rotation_rates(model, x, direction, patch)
@@ -312,7 +310,6 @@ def _covariant_sweep(model, field):
 class KillingReport:
     killing_number: float
     residual: float
-    residual_opposite: float
     dirac_residual: float  # max over samples of |D s + n lambda s|
 
 
@@ -339,8 +336,7 @@ def killing_residual(model, field, killing_number=None) -> KillingReport:
         np.max(np.abs(_dirac(model, point, nablas) + model.n * lam * s_here))
         for point, s_here, nablas in sweep
     )
-    opposite = residuals[1 - best] if killing_number is None else float("nan")
-    return KillingReport(lam, residuals[best], opposite, dirac)
+    return KillingReport(lam, residuals[best], dirac)
 
 
 def _dirac(model, point, nablas):
@@ -405,7 +401,6 @@ def _exterior_projector_apply(proj, omega: Polyvector) -> Polyvector:
     if k == 0:
         return omega
     out = [0.0] * len(blade_index_list(n, k))
-    idx_map = {ind: pos for pos, ind in enumerate(blade_index_list(n, k))}
     for big_idx, big in enumerate(blade_index_list(n, k)):
         acc = 0.0
         for small, c in zip(blade_index_list(n, k), omega.coeffs):
@@ -417,25 +412,30 @@ def _exterior_projector_apply(proj, omega: Polyvector) -> Polyvector:
     return Polyvector(n, k, tuple(out))
 
 
-def polyvector_covariant_derivative(model, omega_field, x, direction, patch):
-    """Tangential projection of the flat ambient derivative of the ambient
-    polyvector components (the submanifold connection on tangent tensors)."""
+def _tangential_difference(model, x, plus, minus):
+    """Tangential projection at x of the central difference of two ambient
+    polyvectors taken one model step either side of x."""
     h = model.step
-    plus = omega_field(model.curve(x, direction, h), patch)
-    minus = omega_field(model.curve(x, direction, -h), patch)
     diff = Polyvector(
         plus.n, plus.k, tuple((a - b) / (2.0 * h) for a, b in zip(plus.coeffs, minus.coeffs))
     )
     return _exterior_projector_apply(model.tangent_projector(x), diff)
 
 
+def polyvector_covariant_derivative(model, omega_field, x, direction, patch):
+    """Tangential projection of the flat ambient derivative of the ambient
+    polyvector components (the submanifold connection on tangent tensors)."""
+    h = model.step
+    plus = omega_field(model.curve(x, direction, h), patch)
+    minus = omega_field(model.curve(x, direction, -h), patch)
+    return _tangential_difference(model, x, plus, minus)
+
+
 @dataclass
 class BracketFieldReport:
     conformal_residual: float
-    killing_polyvector_residual: float | None
     killing_vector_residual: float | None
     geodesic_residual: float
-    dirac_consistency_residual: float | None
 
 
 def bracket_field_checks(
@@ -450,23 +450,21 @@ def bracket_field_checks(
     """Residuals of the polyvector equations for omega = [s,t]_k.
 
     (a) the conformal equation X -| nabla_X omega = g(X,X) omega_tilde
-        with omega_tilde = (lambda (-1)^k - mu tau) [s,t]_(k-1);
-    (b) when mu = (-1)^k tau lambda: X -| nabla_X omega = 0;
-    (c) for k = 1 with tau = -1 and lambda = mu: the Killing-vector
+        with omega_tilde = (lambda (-1)^k - mu tau) [s,t]_(k-1), which
+        vanishes when mu = (-1)^k tau lambda;
+    (b) for k = 1 with tau = -1 and lambda = mu: the Killing-vector
         equation via the symmetrized lowered derivative;
-    (d) parallel transport of the contraction along great-circle
-        geodesics;
-    (e) at k = 1: consistency of n omega_tilde with the Dirac forms.
+    (c) parallel transport of the contraction along great-circle
+        geodesics.
     """
     form_field = model.cone_form(tau_intrinsic)
     omega_field = bracket_field(model, form_field, s_field, t_field, k)
     tilde_factor = lambda_s * ((-1.0) ** k) - lambda_t * tau_intrinsic
-    is_killing_case = abs(lambda_t - ((-1.0) ** k) * tau_intrinsic * lambda_s) < 1e-12
     eta_list = list(model.eta_hat)
 
     want_killing_vec = k == 1 and tau_intrinsic == -1
 
-    conformal, killing_pv, killing_vec, geodesic, dirac_cons = [], [], [], [], []
+    conformal, killing_vec, geodesic = [], [], []
     for point in model.sample_points(12):
         x, patch, frame = point.x, point.patch, point.frame
         s_val, t_val = s_field.eval(model, x, patch), t_field.eval(model, x, patch)
@@ -481,8 +479,6 @@ def bracket_field_checks(
             gxx = model.g_hat(direction, direction)
             resid = contraction - tilde.scale(gxx)
             conformal.extend(abs(c) for c in resid.coeffs)
-            if is_killing_case:
-                killing_pv.extend(abs(c) for c in contraction.coeffs)
         if want_killing_vec:
             for i in range(model.n):
                 for j in range(model.n):
@@ -495,16 +491,10 @@ def bracket_field_checks(
             geodesic.append(
                 _geodesic_transport_residual(model, omega_field, x, frame[:, i], patch)
             )
-        if k == 1:
-            dirac_cons.append(
-                _dirac_form_consistency(model, form_field, s_field, t_field, point, tilde_factor)
-            )
     return BracketFieldReport(
         conformal_residual=_worst(conformal),
-        killing_polyvector_residual=_worst(killing_pv) if is_killing_case else None,
         killing_vector_residual=_worst(killing_vec) if want_killing_vec else None,
         geodesic_residual=_worst(geodesic),
-        dirac_consistency_residual=_worst(dirac_cons) if k == 1 else None,
     )
 
 
@@ -530,41 +520,10 @@ def _geodesic_transport_residual(model, omega_field, x, direction, patch):
 
     def contraction(tt):
         pt, vel = point_and_velocity(tt)
-        return omega_field(pt, patch).interior(list(vel), list(model.eta_hat)), pt
+        return omega_field(pt, patch).interior(list(vel), list(model.eta_hat))
 
-    plus, _ = contraction(t)
-    minus, _ = contraction(-t)
-    diff = Polyvector(
-        plus.n,
-        plus.k,
-        tuple((a - b) / (2.0 * t) for a, b in zip(plus.coeffs, minus.coeffs)),
-    )
-    projected = _exterior_projector_apply(model.tangent_projector(x), diff)
+    projected = _tangential_difference(model, x, contraction(t), contraction(-t))
     return _worst(abs(c) for c in projected.coeffs)
-
-
-def _dirac_form_consistency(model, form_field, s_field, t_field, point, tilde_factor):
-    """n omega_tilde against the degree-0 Dirac combination at k = 1."""
-    x, patch = point.x, point.patch
-    h_mat = form_field(x)
-    s_val = s_field.eval(model, x, patch)
-    t_val = t_field.eval(model, x, patch)
-    ds = _dirac(model, point, _nablas(model, s_field, point, s_val))
-    dt = _dirac(model, point, _nablas(model, t_field, point, t_val))
-    # n * omega_tilde = (-1)^(k-1) h(Ds, t) + tau h(s, Dt) at k = 1; the
-    # intrinsic type of the supplied form field decides tau
-    tau = _intrinsic_tau(form_field, point)
-    lhs = model.n * tilde_factor * float(s_val @ h_mat @ t_val)
-    rhs = float(ds @ h_mat @ t_val) + tau * float(s_val @ h_mat @ dt)
-    return abs(lhs - rhs)
-
-
-def _intrinsic_tau(form_field, point):
-    h_mat = form_field(point.x)
-    g1 = point.gammas[0]
-    plus = np.max(np.abs(g1.T @ h_mat - h_mat @ g1))
-    minus = np.max(np.abs(g1.T @ h_mat + h_mat @ g1))
-    return 1.0 if plus < minus else -1.0
 
 
 def homogeneity_span(model, fields):
@@ -591,69 +550,45 @@ def homogeneity_span(model, fields):
 # -- curvature ---------------------------------------------------------------
 
 
-class SphereProductModel:
-    """Product of two unit round spheres; definite signature, block
-    curvature, used for the modified-connection kernel bound."""
+def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
+    """Dimension of the joint kernel of the modified-connection curvature
+    operators R_spin(e_i, e_j) + lambda^2 [gamma_i, gamma_j]; upper-bounds
+    the Killing-spinor count at that number.
 
-    def __init__(self, n1, n2):
-        self.n1, self.n2 = n1, n2
-        self.n = n1 + n2
-        self.signature = Signature(self.n, 0)
-        self.rep = build_rep(self.signature)
-        self.N = self.rep.N
-        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
-        self.eta = np.ones(self.n)
+    The metric is a product of unit constant-curvature factors with block
+    dimensions `factors` in frame order: R_ijkl = eta_i eta_j (d_ik d_jl -
+    d_il d_jk) when i, j, k, l lie in one block and 0 otherwise, so (2, 2)
+    is S^2 x S^2 and (n,) a round frame.  Each operator is formed exactly,
+    times 4, from signed-permutation products of the generators, and the
+    kernel dimension is N minus the rank of their stack.
+    """
+    if sum(factors) != signature.n:
+        raise ValueError("the factor dimensions must add up to n")
+    rep = build_rep(signature)
+    n, N, eta, gammas = signature.n, rep.N, signature.eta(), rep.generators
+    block = [b for b, size in enumerate(factors) for _ in range(size)]
+    lam_sq = Fraction(killing_number) ** 2
 
-    def riemann_lowered(self, i, j, k, l):
-        blocks = [0] * self.n1 + [1] * self.n2
-        if not (blocks[i] == blocks[j] == blocks[k] == blocks[l]):
-            return 0.0
-        return float((i == k) * (j == l) - (i == l) * (j == k))
+    def riemann(i, j, k, l):
+        if not block[i] == block[j] == block[k] == block[l]:
+            return 0
+        return eta[i] * eta[j] * ((i == k) * (j == l) - (i == l) * (j == k))
 
-
-class ConstantCurvatureFrameModel:
-    """Frame-level curvature data of a unit hyperquadric: constant
-    sectional curvature one in any orthonormal frame."""
-
-    def __init__(self, base_signature: Signature):
-        self.signature = base_signature
-        self.rep = build_rep(base_signature)
-        self.N = self.rep.N
-        self.n = base_signature.n
-        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
-        self.eta = np.array(base_signature.eta(), dtype=float)
-
-    def riemann_lowered(self, i, j, k, l):
-        return float(
-            self.eta[i] * (i == k) * self.eta[j] * (j == l)
-            - self.eta[i] * (i == l) * self.eta[j] * (j == k)
-        )
-
-
-def kappa_upper_bound(curv_model, killing_number) -> int:
-    """Dimension of the joint numeric kernel (singular values below 1e-8)
-    of the modified-connection curvature operators
-    R_spin(e_i, e_j) + lambda^2 [gamma_i, gamma_j]; upper-bounds the
-    Killing-spinor count at that number."""
-    n, N = curv_model.n, curv_model.N
-    gammas = curv_model.gammas
-    eta = curv_model.eta
-    blocks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r_spin = np.zeros((N, N))
-            for k in range(n):
-                for l in range(n):
-                    if k == l:
-                        continue
-                    r = curv_model.riemann_lowered(i, j, k, l)
-                    if r:
-                        r_spin -= 0.25 * r * eta[k] * eta[l] * (gammas[k] @ gammas[l])
-            commutator = gammas[i] @ gammas[j] - gammas[j] @ gammas[i]
-            blocks.append(r_spin + killing_number**2 * commutator)
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals < 1e-8))
+    rows = []
+    for i, j in combinations(range(n), 2):
+        # 4 R_spin(e_i, e_j) = -sum over k != l of R_ijkl eta_k eta_l gamma_k gamma_l
+        terms = [
+            (-r * eta[k] * eta[l], gammas[k] * gammas[l])
+            for k, l in permutations(range(n), 2)
+            if (r := riemann(i, j, k, l))
+        ]
+        terms += [(4 * lam_sq, gammas[i] * gammas[j]), (-4 * lam_sq, gammas[j] * gammas[i])]
+        op = [[0] * N for _ in range(N)]
+        for c, g in terms:
+            for col, (row, sign) in enumerate(zip(g.perm, g.signs)):
+                op[row][col] += c * sign
+        rows.extend(op)
+    return N - rank(Matrix(rows))
 
 
 def scalar_curvature_residual(model, killing_number) -> float:

@@ -469,7 +469,6 @@ class MixedBoundReport:
     trials: int
     seed: int
     in_hypothesis: bool
-    rank_chain_fails: bool
     image_dims: tuple
     counterexamples: tuple
 
@@ -486,7 +485,7 @@ def mixed_rank_inequality(
     k_plus + k_minus > 3N/2 (> N for definite metrics) the bracket image
     must be all of R^n.
 
-    Also records the rank bookkeeping: N/2 <= 2N - k_plus - k_minus is
+    Also checks the rank bookkeeping: N/2 <= 2N - k_plus - k_minus is
     exactly the negation of the indefinite hypothesis.
     """
     if form.tau != 1:
@@ -518,7 +517,6 @@ def mixed_rank_inequality(
         trials=trials,
         seed=seed,
         in_hypothesis=in_hypothesis,
-        rank_chain_fails=rank_chain_fails,
         image_dims=tuple(dims),
         counterexamples=tuple(bad),
     )

@@ -35,10 +35,8 @@ from .cone_split import (
 )
 from .exact_linalg import Matrix
 from .model_space import (
-    ConstantCurvatureFrameModel,
     ConstantSpinorField,
     HyperquadricModel,
-    SphereProductModel,
     bracket_field_checks,
     homogeneity_span,
     kappa_upper_bound,
@@ -396,13 +394,15 @@ def criterion_model_sphere() -> CheckResult:
     details["homogeneity_dims"] = sorted(set(spans))
     if set(spans) != {2}:
         failures.append("homogeneity")
-    kappa = kappa_upper_bound(SphereProductModel(2, 2), 0.5)
+    kappa = kappa_upper_bound(Signature(4, 0), (2, 2), 0.5)
     details["kappa_product_bound"] = kappa
     if kappa != 0:
         failures.append("kappa_product")
-    details["kappa_sphere_bound"] = kappa_upper_bound(
-        ConstantCurvatureFrameModel(Signature(2, 0)), 0.5
-    )
+    # on the round S^2 every spinor is Killing with number 1/2
+    kappa = kappa_upper_bound(Signature(2, 0), (2,), 0.5)
+    details["kappa_sphere_bound"] = kappa
+    if kappa != build_rep(Signature(2, 0)).N:
+        failures.append("kappa_sphere")
     scal = scalar_curvature_residual(model, lam)
     details["scal_residual"] = scal
     if scal >= 1e-6:

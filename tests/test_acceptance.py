@@ -93,6 +93,20 @@ def test_c11_model_space_sphere():
     assert result.details["scal_residual"] < 1e-6
 
 
+def test_c11_fails_on_a_wrong_sphere_kappa(monkeypatch):
+    # the round S^2 bound is checked against N = 4, not only reported
+    kappa = verify.kappa_upper_bound
+
+    def short_on_sphere(signature, factors, killing_number):
+        return 3 if factors == (2,) else kappa(signature, factors, killing_number)
+
+    monkeypatch.setattr(verify, "kappa_upper_bound", short_on_sphere)
+    result = verify.criterion_model_sphere()
+    assert not result.passed
+    assert result.details["kappa_sphere_bound"] == 3
+    assert result.details["failures"] == ["kappa_sphere"]
+
+
 def test_c12_convergence():
     result = verify.criterion_convergence()
     _report(result)

@@ -243,7 +243,7 @@ def test_beta_form_properties():
     v = random_null_vector(sig, rng)
     rep_beta = beta_form(rep, form, v)
     assert rep_beta.rank == rep.N // 2
-    assert rep_beta.symmetry == form.sigma * form.tau
+    assert rep_beta.matrix.transpose() == rep_beta.matrix.scale(form.sigma * form.tau)
     w = [1, 0, 0, 0, 0]  # non-null
     assert beta_form(rep, form, w).rank == rep.N
 

@@ -92,17 +92,6 @@ def test_every_public_name_is_used_by_the_library():
     assert unreached == []
 
 
-# Dataclass fields that only the tests read, each a computed value that the
-# verifier neither checks nor reports; this list may only shrink.
-TEST_ONLY_FIELDS = [
-    "brackets.BetaReport.symmetry",
-    "model_space.KillingReport.residual_opposite",
-    "model_space.BracketFieldReport.killing_polyvector_residual",
-    "model_space.BracketFieldReport.dirac_consistency_residual",
-    "subspace_lab.MixedBoundReport.rank_chain_fails",
-]
-
-
 def test_every_dataclass_field_is_read_by_the_library():
     # a field is read as an attribute, so a local variable of the same
     # name does not count
@@ -116,4 +105,4 @@ def test_every_dataclass_field_is_read_by_the_library():
         for qualname, _ in _dataclass_fields(tree)
         if qualname.rsplit(".", 1)[1] not in reads
     ]
-    assert unread == TEST_ONLY_FIELDS
+    assert unread == []

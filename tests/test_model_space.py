@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from spinorlab.clifford_core import Signature
+from spinorlab.clifford_core import Signature, build_rep
 from spinorlab.model_space import (
-    ConstantCurvatureFrameModel,
     ConstantSpinorField,
     HyperquadricModel,
-    SphereProductModel,
+    _dirac,
+    _nablas,
+    _worst,
     bracket_field_checks,
     frame_rotation_rates,
     homogeneity_span,
@@ -40,6 +41,87 @@ def covariant_derivative(model, field, x, direction, patch):
     minus = field.eval(model, model.curve(x, direction, -h), patch)
     omega = spin_connection(model, x, direction, patch)
     return (plus - minus) / (2.0 * h) + omega @ field.eval(model, x, patch)
+
+
+def dirac_form_consistency(model, s_field, t_field, tau_intrinsic, lambda_s, lambda_t):
+    """Worst |n omega_tilde - (h(Ds, t) + tau h(s, Dt))| of the degree-one
+    bracket over its sample points, with omega_tilde = -(lambda_s + tau
+    lambda_t) h(s, t) and D the frame Dirac sum; the identity follows from
+    D s = -n lambda s."""
+    form_field = model.cone_form(tau_intrinsic)
+    tilde_factor = -lambda_s - lambda_t * tau_intrinsic
+    gaps = []
+    for point in model.sample_points(12):
+        x, patch = point.x, point.patch
+        h_mat = form_field(x)
+        s_val = s_field.eval(model, x, patch)
+        t_val = t_field.eval(model, x, patch)
+        ds = _dirac(model, point, _nablas(model, s_field, point, s_val))
+        dt = _dirac(model, point, _nablas(model, t_field, point, t_val))
+        # the intrinsic type of the form field decides tau
+        tau = _intrinsic_tau(form_field, point)
+        lhs = model.n * tilde_factor * float(s_val @ h_mat @ t_val)
+        rhs = float(ds @ h_mat @ t_val) + tau * float(s_val @ h_mat @ dt)
+        gaps.append(abs(lhs - rhs))
+    return _worst(gaps)
+
+
+def _intrinsic_tau(form_field, point):
+    h_mat = form_field(point.x)
+    g1 = point.gammas[0]
+    plus = np.max(np.abs(g1.T @ h_mat - h_mat @ g1))
+    minus = np.max(np.abs(g1.T @ h_mat + h_mat @ g1))
+    return 1.0 if plus < minus else -1.0
+
+
+def svd_kappa(signature, riemann, killing_number):
+    """Float oracle for kappa_upper_bound: the singular values below 1e-8
+    of the stacked operators R_spin(e_i, e_j) + lambda^2 [gamma_i, gamma_j],
+    from dense float generators and a Riemann tensor callable."""
+    rep = build_rep(signature)
+    n, N = signature.n, rep.N
+    gammas = [np.array(g.dense().to_lists(), dtype=float) for g in rep.generators]
+    eta = signature.eta()
+    blocks = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r_spin = np.zeros((N, N))
+            for k in range(n):
+                for l in range(n):
+                    if k == l:
+                        continue
+                    r = riemann(i, j, k, l)
+                    if r:
+                        r_spin -= 0.25 * r * eta[k] * eta[l] * (gammas[k] @ gammas[l])
+            commutator = gammas[i] @ gammas[j] - gammas[j] @ gammas[i]
+            blocks.append(r_spin + killing_number**2 * commutator)
+    svals = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return int(np.sum(svals < 1e-8))
+
+
+def sphere_product_riemann(n1, n2):
+    """Lowered curvature of the product of unit round spheres S^n1 x S^n2."""
+    blocks = [0] * n1 + [1] * n2
+
+    def riemann(i, j, k, l):
+        if not (blocks[i] == blocks[j] == blocks[k] == blocks[l]):
+            return 0.0
+        return float((i == k) * (j == l) - (i == l) * (j == k))
+
+    return riemann
+
+
+def round_riemann(signature):
+    """Lowered curvature of constant sectional curvature one in an
+    orthonormal frame of the given signature."""
+    eta = signature.eta()
+
+    def riemann(i, j, k, l):
+        return float(
+            eta[i] * (i == k) * eta[j] * (j == l) - eta[i] * (i == l) * eta[j] * (j == k)
+        )
+
+    return riemann
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +164,7 @@ def test_rotation_rates_antisymmetric(sphere):
 def test_spin_connection_rejects_non_tangent(sphere):
     x = sphere.samples[0]
     with pytest.raises(ValueError):
-        spin_connection(sphere, x, x)
+        spin_connection(sphere, x, x, sphere.select_patch(x))
 
 
 def test_constant_field_flat_along_rays(sphere):
@@ -99,10 +181,11 @@ def test_constant_field_flat_along_rays(sphere):
 def test_all_constant_spinors_killing_on_sphere(sphere):
     passing = 0
     for i in range(sphere.N):
-        rep = killing_residual(sphere, ConstantSpinorField(np.eye(sphere.N)[i]))
+        field = ConstantSpinorField(np.eye(sphere.N)[i])
+        rep = killing_residual(sphere, field)
         if rep.residual < 1e-6:
             passing += 1
-        assert rep.residual_opposite > 0.1
+        assert killing_residual(sphere, field, -rep.killing_number).residual > 0.1
     assert passing == 4
 
 
@@ -134,10 +217,9 @@ def test_bracket_killing_vector_on_sphere(sphere):
         sphere, s, t, k=1, tau_intrinsic=-1, lambda_s=0.5, lambda_t=0.5
     )
     assert report.conformal_residual < 1e-5
-    assert report.killing_polyvector_residual < 1e-5
     assert report.killing_vector_residual < 1e-5
     assert report.geodesic_residual < 1e-5
-    assert report.dirac_consistency_residual < 1e-5
+    assert dirac_form_consistency(sphere, s, t, -1, 0.5, 0.5) < 1e-5
 
 
 def test_bracket_zero_fields(sphere):
@@ -156,7 +238,7 @@ def test_bracket_degree_two_killing_case(sphere):
     report = bracket_field_checks(
         sphere, s, VolumeFlippedField(s), k=2, tau_intrinsic=-1, lambda_s=0.5, lambda_t=-0.5
     )
-    assert report.killing_polyvector_residual < 1e-5
+    assert report.conformal_residual < 1e-5
 
 
 def test_homogeneity_span_sphere(sphere):
@@ -182,8 +264,32 @@ def test_pseudo_sphere_killing_and_span(pseudo_sphere):
 
 
 def test_kappa_bounds():
-    assert kappa_upper_bound(ConstantCurvatureFrameModel(Signature(2, 0)), 0.5) == 4
-    assert kappa_upper_bound(SphereProductModel(2, 2), 0.5) == 0
+    assert kappa_upper_bound(Signature(2, 0), (2,), 0.5) == 4
+    assert kappa_upper_bound(Signature(4, 0), (2, 2), 0.5) == 0
+    with pytest.raises(ValueError, match="add up to n"):
+        kappa_upper_bound(Signature(4, 0), (2,), 0.5)
+
+
+def test_exact_kappa_matches_svd_oracle():
+    cases = [
+        (Signature(4, 0), (2, 2), sphere_product_riemann(2, 2)),
+        (Signature(5, 0), (3, 2), sphere_product_riemann(3, 2)),
+    ] + [
+        (sig, (sig.n,), round_riemann(sig))
+        for sig in (
+            Signature(2, 0),
+            Signature(3, 0),
+            Signature(5, 0),
+            Signature(7, 0),
+            Signature(1, 3),
+            Signature(2, 3),
+            Signature(3, 3),
+        )
+    ]
+    for signature, factors, riemann in cases:
+        for lam in (0, 0.5, 1):
+            want = svd_kappa(signature, riemann, lam)
+            assert kappa_upper_bound(signature, factors, lam) == want, (str(signature), lam)
 
 
 def test_scalar_curvature(sphere):
@@ -260,23 +366,21 @@ def test_bracket_conformal_with_type_plus_form(sphere):
         sphere, s, t, k=1, tau_intrinsic=1, lambda_s=0.5, lambda_t=0.5
     )
     assert report.conformal_residual < 1e-5
-    assert report.dirac_consistency_residual < 1e-5
+    assert dirac_form_consistency(sphere, s, t, 1, 0.5, 0.5) < 1e-5
 
 
 def test_intrinsic_form_types(sphere):
-    from spinorlab.model_space import _intrinsic_tau
-
     point = sphere.sample_points(1)[0]
     assert _intrinsic_tau(sphere.cone_form(-1), point) == -1.0
     assert _intrinsic_tau(sphere.cone_form(1), point) == 1.0
 
 
 def test_kappa_product_lambda_zero_logged():
-    # no assertion on the value beyond consistency: the joint kernel at
-    # lambda = 0 bounds the parallel spinors of the product
-    bound = kappa_upper_bound(SphereProductModel(2, 2), 0.0)
+    # the joint kernel at lambda = 0 bounds the parallel spinors of the
+    # product, and S^2 x S^2 has none
+    bound = kappa_upper_bound(Signature(4, 0), (2, 2), 0)
     print(f"parallel-spinor bound on the sphere product: {bound}")
-    assert bound >= 0
+    assert bound == 0
 
 
 def test_convergence_second_order():
@@ -380,4 +484,4 @@ def test_table_residuals_match_public_derivative_bit_for_bit():
         report = killing_residual(model, field)
         lam = report.killing_number
         assert (report.residual, report.dirac_residual) == direct(field, lam)
-        assert report.residual_opposite == direct(field, -lam)[0]
+        assert killing_residual(model, field, -lam).residual == direct(field, -lam)[0]
