@@ -111,7 +111,8 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     The restricted bracket S0 x S0 -> R^n is surjective exactly when
     this space is zero.  Rows of the obstruction system are built one at
     a time and reduced incrementally; n independent rows certify the
-    zero space, and only a rank-deficient system is solved in full.
+    zero space, and a rank-deficient system's kernel is read from the
+    same echelon.
     """
     d = space.dim
     if d == 0:
@@ -121,17 +122,14 @@ def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubsp
     # (sigma*tau)-symmetric, so row (c, a) is +-row (a, c) and a <= c suffices
     b = space.basis
     bt_h = (b.transpose() * form.matrix).data
-    rows = []
     echelon = Echelon()
     for c, b_c in enumerate(b.columns()):
         g_bc = [g.apply(b_c) for g in rep.generators]
         for a in range(c + 1):
             row = [sum(map(mul, bt_h[a], g_b)) for g_b in g_bc]
-            rows.append(row)
             if echelon.add(row) and len(echelon) == rep.n:
                 return Matrix([[] for _ in range(rep.n)])
-    # the kernel depends only on the row space, not on the row order
-    return kernel(Matrix(rows))
+    return echelon.kernel(rep.n)
 
 
 def _bracket_columns(rep, form, a, b):

@@ -1,11 +1,12 @@
 """Exact scalar and matrix substrate.
 
 Scalars are python ints and fractions.Fraction; any other entry type
-is a TypeError in elimination.  Elimination clears each row's
-denominators and runs fraction-free (Bareiss) over Z with deterministic
-first-nonzero pivoting, so kernels and ranks are reproducible bit for
-bit.  Kernel and solve back-substitution stays in Z as well: it carries
-d * x, d the last Bareiss pivot, which Cramer's rule makes integral, and
+is a TypeError in elimination.  The one elimination is Echelon: it
+clears each vector's denominators and reduces it over Z against the
+rows accepted so far, so rank certificates, span tests and kernels are
+reproducible bit for bit.  rank and kernel feed a matrix's rows to one
+Echelon; kernel back-substitution stays in Z, carrying d * x for d the
+determinant of the pivot minor, which Cramer's rule makes integral, and
 divides by d once.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 
 def _denominator_lcm(x):
@@ -161,13 +163,6 @@ class Matrix:
     def __hash__(self):
         return hash(self.data)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
-        )
-
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -259,19 +254,24 @@ def clear_denominators(row):
 class Echelon:
     """Incremental exact row echelon over Z, one vector at a time.
 
-    add(v) clears v's denominators, reduces it by the accepted rows in
-    acceptance order and accepts it when a nonzero remainder is left,
-    stored divided by its gcd with its first nonzero entry as pivot.
+    Echelon(vectors) adds each vector in turn.  add(v) clears v's
+    denominators, reduces it by the accepted rows in acceptance order
+    and accepts it when a nonzero remainder is left, stored divided by
+    its gcd with its first nonzero entry as pivot.
     Reduction by a row zeroes that row's pivot and keeps every earlier
     pivot zero, so a remainder is zero exactly when v lies in the span
     of the accepted vectors; a rejected vector leaves the state
-    unchanged.  len() is the rank certified so far.
+    unchanged.  len() is the rank certified so far.  The pivots are
+    distinct leading positions of the row space, so they are its
+    reduced-echelon pivot columns, whatever the order of the vectors.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows = []  # (pivot, integer row), in acceptance order
+        for vector in vectors:
+            self.add(vector)
 
     def __len__(self):
         return len(self.rows)
@@ -288,80 +288,42 @@ class Echelon:
         self.rows.append((pivot, [x // g for x in r]))
         return True
 
-
-def _echelonize(matrix: Matrix):
-    """Fraction-free (Bareiss) row echelon form.
-
-    Returns (rows, pivot_cols).  Pivots are chosen as the first nonzero
-    entry scanning rows top-down within each column, columns left to
-    right, so results are deterministic for identical input.
-    """
-    rows = [clear_denominators(r) for r in matrix.data]
-    n_rows, n_cols = matrix.rows, matrix.cols
-    pivot_cols = []
-    piv_r = 0
-    prev = 1
-    for col in range(n_cols):
-        sel = None
-        for r in range(piv_r, n_rows):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != piv_r:
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        p = rows[piv_r][col]
-        for r in range(piv_r + 1, n_rows):
-            x = rows[r][col]
-            row_r = rows[r]
-            row_p = rows[piv_r]
-            for c in range(col, n_cols):
-                num = p * row_r[c] - x * row_p[c] if x else p * row_r[c]
-                if prev != 1:
-                    num, rem = divmod(num, prev)
-                    if rem:  # Bareiss division must be exact over Z
-                        raise ArithmeticError("inexact fraction-free division")
-                row_r[c] = num
-        pivot_cols.append(col)
-        prev = p
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return rows[:piv_r], pivot_cols
-
-
-def _pivot_solutions(ech, pivots, n_cols, free):
-    """For each f in free, the pivot entries of the x with x[f] = 1, x = 0
-    at the other free columns, and every echelon row annihilating x.
-
-    The integer rows back-substitute y = d * x in Z, d the last Bareiss
-    pivot: d is the determinant of the pivot minor, so y is integral by
-    Cramer's rule and every division is exact; then x = Fraction(y, d).
-    """
-    d = ech[-1][pivots[-1]] if pivots else 1
-    out = []
-    for f in free:
-        y = [0] * n_cols
-        y[f] = d
-        for r in range(len(pivots) - 1, -1, -1):  # bottom-up
-            pc = pivots[r]
-            row = ech[r]
-            s = 0
-            for c in range(pc + 1, n_cols):
-                if row[c] and y[c]:
-                    s = s + row[c] * y[c]
-            if s:
-                y[pc], rem = divmod(-s, row[pc])
-                if rem:
-                    raise ArithmeticError("inexact integer back-substitution")
-        out.append([Fraction(y[pc], d) for pc in pivots])
-    return out
+    def kernel(self, n_cols) -> Matrix:
+        """Basis of the vectors every accepted row annihilates, one column
+        per free (non-pivot) column f: x[f] = 1, x = 0 at the other free
+        columns, Fraction entries at the pivots.  It depends only on the
+        row space.  Row k is zero at every pivot accepted before it, so
+        the pivot minor is triangular in acceptance order, d = the product
+        of the pivot entries is its determinant, and y = d * x is solved
+        in Z in reverse acceptance order, each division exact.  An empty
+        kernel is an n_cols x 0 matrix.
+        """
+        pivots = {p for p, _ in self.rows}
+        d = prod(row[p] for p, row in self.rows)
+        basis = []
+        for f in range(n_cols):
+            if f in pivots:
+                continue
+            y = [0] * n_cols
+            y[f] = d
+            for p, row in reversed(self.rows):
+                s = sum(map(mul, row, y))
+                if s:
+                    y[p], rem = divmod(-s, row[p])
+                    if rem:
+                        raise ArithmeticError("inexact integer back-substitution")
+            x = [0] * n_cols
+            x[f] = Fraction(1)
+            for p, _ in self.rows:
+                x[p] = Fraction(y[p], d)
+            basis.append(x)
+        if not basis:
+            return Matrix([[] for _ in range(n_cols)])
+        return Matrix.from_columns(basis)
 
 
 def rank(matrix: Matrix) -> int:
-    _, pivots = _echelonize(matrix)
-    return len(pivots)
+    return len(Echelon(matrix.data))
 
 
 def kernel(matrix: Matrix) -> Matrix:
@@ -371,39 +333,7 @@ def kernel(matrix: Matrix) -> Matrix:
     variable of each column is set to 1 and the rest back-substituted.
     An empty kernel is returned as an n x 0 matrix.
     """
-    ech, pivots = _echelonize(matrix)
-    n_cols = matrix.cols
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f, values in zip(free, _pivot_solutions(ech, pivots, n_cols, free)):
-        sol = [0] * n_cols
-        sol[f] = Fraction(1)
-        for pc, x in zip(pivots, values):
-            sol[pc] = x
-        basis.append(sol)
-    if not basis:
-        return Matrix([[] for _ in range(n_cols)])
-    return Matrix.from_columns(basis)
-
-
-def solve(matrix: Matrix, rhs) -> list | None:
-    """Solve matrix * x == rhs exactly; None when inconsistent.
-
-    rhs is a flat sequence of length matrix.rows.
-    """
-    if len(rhs) != matrix.rows:
-        raise ValueError("rhs length mismatch")
-    aug = matrix.hstack(Matrix.column(list(rhs)))
-    ech, pivots = _echelonize(aug)
-    n = matrix.cols
-    if n in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    # the kernel vector of [matrix | rhs] with x[n] = 1 has matrix * x = -rhs
-    sol = [Fraction(0)] * n
-    (values,) = _pivot_solutions(ech, pivots, n + 1, [n])
-    for pc, x in zip(pivots, values):
-        sol[pc] = -x
-    return sol
+    return Echelon(matrix.data).kernel(matrix.cols)
 
 
 def signed_relation_basis(n_cells, maps):

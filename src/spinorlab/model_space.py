@@ -37,7 +37,15 @@ def _halton(index, base):
     return out
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _first_primes(count):
+    """The first count primes, by trial division: the Halton bases."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def _worst(values) -> float:
@@ -92,12 +100,11 @@ class HyperquadricModel:
         return float(np.dot(x * self.eta_hat, y))
 
     def _sample_points(self, count):
+        bases = _first_primes(self.dim)
         pts = []
         idx = 1
         while len(pts) < count:
-            v = np.array(
-                [2.0 * _halton(idx, _PRIMES[d]) - 1.0 for d in range(self.dim)]
-            )
+            v = np.array([2.0 * _halton(idx, b) - 1.0 for b in bases])
             idx += 1
             norm = self.g_hat(v, v)
             if norm > 0.3:

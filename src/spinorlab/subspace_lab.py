@@ -23,7 +23,7 @@ from .brackets import (
     random_subspace,
 )
 from .clifford_core import CliffordRep, Signature, build_rep, gamma_vector
-from .exact_linalg import Echelon, Matrix, kernel, rank, solve
+from .exact_linalg import Echelon, Matrix, kernel, rank
 from . import serialize
 
 
@@ -115,19 +115,16 @@ def _skew_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
     up to 50 random integer combinations of them."""
     d = gram.rows
     iso = []
-    echelon = Echelon()
+    echelon = Echelon()  # the accepted vectors
+    orthogonal = Echelon()  # their rows u^T gram
+    space = Matrix.identity(d)
     while len(iso) < target_dim:
         if iso:
-            rows = [
-                [
-                    sum(u[a] * gram[a, b] for a in range(d) if u[a])
-                    for b in range(d)
-                ]
-                for u in iso
-            ]
-            space = kernel(Matrix(rows))
-        else:
-            space = Matrix.identity(d)
+            u = iso[-1]
+            orthogonal.add(
+                [sum(u[a] * gram[a, b] for a in range(d) if u[a]) for b in range(d)]
+            )
+            space = orthogonal.kernel(d)
         for t in range(space.cols if rng is None else 50):
             if rng is None:
                 cand = space.col(t)
@@ -231,8 +228,8 @@ def extremal_obstructed_subspace(
     s0 = SpinorSubspace(rep, Matrix.from_columns(cols + w_cols))
     if s0.dim != 3 * rep.N // 4:
         raise ArithmeticError("constructed subspace has the wrong dimension")
-    obs = obstruction_vectors(rep, form, s0)
-    if solve(obs, list(v)) is None:
+    obs = Echelon(obstruction_vectors(rep, form, s0).columns())
+    if obs.add(v):  # v is outside the span of the obstruction basis
         raise ArithmeticError("null vector missing from the obstruction space")
     return s0
 

@@ -26,8 +26,9 @@ from spinorlab.clifford_core import (
     gamma_vector,
     wedge_vectors,
 )
-from spinorlab.exact_linalg import Echelon, Matrix, _echelonize, kernel, rank
+from spinorlab.exact_linalg import Echelon, Matrix, kernel
 from spinorlab.subspace_lab import extremal_witness
+from test_exact_linalg import bareiss_echelon, bareiss_kernel, bareiss_rank
 
 
 def indefinite_signatures(max_n):
@@ -218,9 +219,7 @@ def test_obstruction_contains_null_vector():
     obs = obstruction_vectors(rep, form, sub)
     assert obs.cols >= 1
     # v lies in the span of the obstruction basis
-    from spinorlab.exact_linalg import solve
-
-    assert solve(obs, [Fraction(c) for c in v]) is not None
+    assert bareiss_rank(Matrix.from_columns(obs.columns() + [v])) == obs.cols
 
 
 def test_pi_image_full_and_empty():
@@ -335,7 +334,7 @@ def _obstruction_oracle(rep, form, space):
             for g_b in g_bs:
                 row.append(sum(bt_h.data[a][m] * g_b.data[m][c] for m in range(rep.N)))
             rows.append(row)
-    return kernel(Matrix(rows))
+    return bareiss_kernel(Matrix(rows))
 
 
 def _pi_image_oracle(rep, form, a, b):
@@ -348,7 +347,7 @@ def _pi_image_oracle(rep, form, a, b):
         for s in a.basis.columns()
         for t in b.basis.columns()
     ]
-    _, pivots = _echelonize(Matrix.from_columns(cols)) if cols else (None, [])
+    _, pivots = bareiss_echelon(Matrix.from_columns(cols)) if cols else (None, [])
     if not pivots:
         return 0, Matrix([[] for _ in range(rep.n)])
     # the Bareiss pivot columns
@@ -360,7 +359,7 @@ def _random_subspace_oracle(rep, dim, rng, bound=3):
     while len(cols) < dim:
         cand = [rng.randint(-bound, bound) for _ in range(rep.N)]
         trial = cols + [cand]
-        if rank(Matrix.from_columns(trial)) == len(trial):
+        if bareiss_rank(Matrix.from_columns(trial)) == len(trial):
             cols.append(cand)
     return Matrix.from_columns(cols)
 
@@ -427,10 +426,15 @@ def test_pi_image_matches_bracket_k_oracle(sig, seed, dim):
 
 class _CountingEchelon(Echelon):
     adds = 0
+    kernels = 0
 
     def add(self, vector):
         _CountingEchelon.adds += 1
         return super().add(vector)
+
+    def kernel(self, n_cols):
+        _CountingEchelon.kernels += 1
+        return super().kernel(n_cols)
 
 
 _EXTREMAL_SIGNATURES = [Signature(2, 3), Signature(1, 3), Signature(3, 3), Signature(4, 1)]
@@ -444,25 +448,19 @@ def test_obstruction_vectors_match_oracle_on_early_exit_and_extremal_subspaces(s
     full_rank = [random_subspace(rep, 3 * rep.N // 4 + 1, rng) for _ in range(6)]
     deficient = [extremal, null_kernel(rep, form, v), random_subspace(rep, 1, rng)]
     monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
-    kernel_calls = []
-
-    def counted_kernel(matrix, _original=brackets.kernel):
-        kernel_calls.append(matrix)
-        return _original(matrix)
-
-    monkeypatch.setattr(brackets, "kernel", counted_kernel)
+    _CountingEchelon.kernels = 0
     for sub in full_rank:
         _CountingEchelon.adds = 0
         fast = obstruction_vectors(rep, form, sub)
         _assert_identical(fast, _obstruction_oracle(rep, form, sub))
         assert fast.cols == 0
         assert _CountingEchelon.adds < sub.dim * (sub.dim + 1) // 2  # stopped early
-    assert kernel_calls == []
+    assert _CountingEchelon.kernels == 0
     for sub in deficient:
         fast = obstruction_vectors(rep, form, sub)
         _assert_identical(fast, _obstruction_oracle(rep, form, sub))
         assert fast.cols > 0
-    assert len(kernel_calls) == len(deficient)
+    assert _CountingEchelon.kernels == len(deficient)
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,14 @@ def test_model_verify(capsys):
     assert all(row["passed"] for row in payload["rows"])
 
 
+def test_model_verify_on_a_cone_past_eight_dimensions(capsys):
+    # (9, 0) needs a ninth Halton base
+    assert main(["model-verify", "--cone", "9,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["rows"]) == 32
+    assert all(row["passed"] for row in payload["rows"])
+
+
 def test_env_seed_default(monkeypatch, capsys):
     argv = ["bracket", "--sig", "2,3", "--k", "2"]
     assert main([*argv, "--seed", "11"]) == 0

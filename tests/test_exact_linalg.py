@@ -17,12 +17,83 @@ from spinorlab.exact_linalg import (
     Matrix,
     SignedPerm,
     Echelon,
+    clear_denominators,
     kernel,
     rank,
-    _echelonize,
     signed_relation_basis,
-    solve,
 )
+
+
+# Fraction-free (Bareiss) elimination with Fraction back-substitution: the
+# slow oracle for the library's one elimination, Echelon, and for rank and
+# kernel built on it (Bareiss, Math. Comp. 22 (1968)).
+
+
+def bareiss_echelon(matrix: Matrix):
+    """Fraction-free (Bareiss) row echelon form.
+
+    Returns (rows, pivot_cols).  Pivots are chosen as the first nonzero
+    entry scanning rows top-down within each column, columns left to
+    right, so results are deterministic for identical input.
+    """
+    rows = [clear_denominators(r) for r in matrix.data]
+    n_rows, n_cols = matrix.rows, matrix.cols
+    pivot_cols = []
+    piv_r = 0
+    prev = 1
+    for col in range(n_cols):
+        sel = next((r for r in range(piv_r, n_rows) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        p = rows[piv_r][col]
+        for r in range(piv_r + 1, n_rows):
+            x = rows[r][col]
+            row_r, row_p = rows[r], rows[piv_r]
+            for c in range(col, n_cols):
+                num, rem = divmod(p * row_r[c] - x * row_p[c], prev)
+                assert not rem  # Bareiss division is exact over Z
+                row_r[c] = num
+        pivot_cols.append(col)
+        prev = p
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    return rows[:piv_r], pivot_cols
+
+
+def bareiss_rank(matrix: Matrix) -> int:
+    return len(bareiss_echelon(matrix)[1])
+
+
+def _div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
+def bareiss_kernel(matrix: Matrix) -> Matrix:
+    """Normalized kernel basis by Fraction back-substitution on the Bareiss
+    rows: Fraction(1) at the free variable, int 0 at the other free
+    positions and Fraction at the pivots; an empty kernel is n x 0."""
+    ech, pivots = bareiss_echelon(matrix)
+    n_cols = matrix.cols
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        sol = [0] * n_cols
+        sol[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = 0
+            row = ech[r]
+            for c in range(pc + 1, n_cols):
+                if row[c] and sol[c]:
+                    s = s + row[c] * sol[c]
+            sol[pc] = _div(-s, row[pc]) if s else Fraction(0)
+        basis.append(sol)
+    if not basis:
+        return Matrix([[] for _ in range(n_cols)])
+    return Matrix.from_columns(basis)
 
 
 def test_kernel_identity_empty():
@@ -43,18 +114,6 @@ def test_kernel_rank_one():
     # proportional to (1, -1)
     assert v[0] == -v[1]
     assert (m * k).is_zero()
-
-
-def test_solve_identity():
-    assert solve(Matrix.identity(2), [5, 7]) == [5, 7]
-
-
-def test_solve_half():
-    assert solve(Matrix([[2]]), [1]) == [Fraction(1, 2)]
-
-
-def test_solve_inconsistent():
-    assert solve(Matrix([[1], [1]]), [0, 1]) is None
 
 
 def test_rank_basics():
@@ -92,17 +151,6 @@ def test_rank_nullity(m):
         assert rank(k) == k.cols
 
 
-@given(small_matrices(max_dim=4), st.data())
-@settings(max_examples=60)
-def test_solve_roundtrip(m, data):
-    x = [data.draw(small_entries) for _ in range(m.cols)]
-    rhs = [sum(m[i, j] * x[j] for j in range(m.cols)) for i in range(m.rows)]
-    sol = solve(m, rhs)
-    assert sol is not None
-    out = [sum(m[i, j] * sol[j] for j in range(m.cols)) for i in range(m.rows)]
-    assert out == [Fraction(r) for r in rhs]
-
-
 def test_fraction_entries():
     m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
     assert rank(m) == 1
@@ -111,15 +159,14 @@ def test_fraction_entries():
 
 
 def test_integral_fraction_rows_eliminate_over_int():
-    from spinorlab.exact_linalg import _echelonize
-
     ints = [[2, 4, 6, 1], [1, 3, 5, 0], [3, 7, 11, 1]]  # rank 2
     as_fractions = Matrix([[Fraction(x) for x in row] for row in ints])
     halves = Matrix([[Fraction(x, 2) for x in row] for row in ints])
     for m in (as_fractions, halves):
-        rows, pivots = _echelonize(m)
-        assert pivots == [0, 1]
-        assert all(type(x) is int for row in rows for x in row)
+        echelon = Echelon()
+        assert [echelon.add(row) for row in m.data] == [True, True, False]
+        assert [p for p, _ in echelon.rows] == [0, 1]
+        assert all(type(x) is int for _, row in echelon.rows for x in row)
     want = kernel(Matrix(ints))
     for m in (as_fractions, halves):
         k = kernel(m)
@@ -127,9 +174,6 @@ def test_integral_fraction_rows_eliminate_over_int():
         assert [[type(x) for x in row] for row in k.data] == [
             [type(x) for x in row] for row in want.data
         ]
-    sol = solve(as_fractions, [Fraction(1), Fraction(1), Fraction(2)])
-    assert sol == solve(Matrix(ints), [1, 1, 2])
-    assert all(type(x) is Fraction for x in sol)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -156,11 +200,13 @@ def test_elimination_rejects_non_rational_entries(bad):
     # any other scalar is refused by name rather than computed with
     name = type(bad).__name__
     m = Matrix([[1, 2], [bad, 4]])
-    for call in (rank, kernel, lambda m: solve(m, [1, 2])):
+    for call in (rank, kernel):
         with pytest.raises(TypeError, match=name):
             call(m)
-    with pytest.raises(TypeError, match=name):
-        solve(Matrix([[1, 2], [3, 4]]), [1, bad])
+    for seed in ([], [[1, 2]], [[1, 2], [0, 1]]):  # empty, partial, full rank
+        echelon = Echelon(seed)
+        with pytest.raises(TypeError, match=name):
+            echelon.add([3, bad])
 
 
 def test_kron_shapes():
@@ -176,8 +222,8 @@ def test_column_space_basis():
     m = Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     echelon = Echelon()
     assert [echelon.add(c) for c in m.columns()] == [True, False, True]
-    assert _echelonize(m)[1] == [0, 2]
-    assert len(echelon) == rank(m) == 2
+    assert bareiss_echelon(m)[1] == [0, 2]
+    assert len(echelon) == rank(m) == bareiss_rank(m) == 2
 
 
 def _maps(n_cells, relations):
@@ -484,65 +530,16 @@ def test_signed_perm_matrix_products_match_dense(a, k, int_only, data):
             assert _types(got) == _types(want)
 
 
-# kernel and solve against the Fraction back-substitutions they replaced.
-# The oracles run on the same echelon rows, so values and entry types must
-# match: for kernel, Fraction(1) at the free variable, int 0 at the other
-# free positions and Fraction at the pivots; for solve, Fraction(0) at the
-# free positions.
-
-def _div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
-
-
-def _fraction_back_substitution(matrix):
-    ech, pivots = _echelonize(matrix)
-    n_cols = matrix.cols
-    basis = []
-    for f in (c for c in range(n_cols) if c not in pivots):
-        sol = [0] * n_cols
-        sol[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = 0
-            row = ech[r]
-            for c in range(pc + 1, n_cols):
-                if row[c] and sol[c]:
-                    s = s + row[c] * sol[c]
-            sol[pc] = _div(-s, row[pc]) if s else Fraction(0)
-        basis.append(sol)
-    return basis
-
-
-def _fraction_solve(matrix, rhs):
-    ech, pivots = _echelonize(matrix.hstack(Matrix.column(list(rhs))))
-    n = matrix.cols
-    if n in pivots:
-        return None
-    sol = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = ech[r]
-        s = row[n]
-        for c in range(pc + 1, n):
-            if row[c] and sol[c]:
-                s = s - row[c] * sol[c]
-        sol[pc] = _div(s, row[pc]) if s else Fraction(0)
-    return sol
-
+# rank and kernel against the Bareiss oracle.  The normalized kernel basis
+# depends only on the row space, so values and entry types must match:
+# Fraction(1) at the free variable, int 0 at the other free positions and
+# Fraction at the pivots, whatever the order in which the rows are fed.
 
 def _assert_kernel_matches_oracle(m):
-    got = kernel(m).columns()
-    want = _fraction_back_substitution(m)
-    assert got == want
-    assert [[type(x) for x in col] for col in got] == [[type(x) for x in col] for col in want]
-    # a consistent right-hand side (a column of m) and an often inconsistent one
-    for rhs in (m.col(m.cols - 1), [row[0] + i for i, row in enumerate(m.data)]):
-        got, want = solve(m, rhs), _fraction_solve(m, rhs)
-        assert got == want
-        if want is not None:
-            assert [type(x) for x in got] == [type(x) for x in want]
+    got, want = kernel(m), bareiss_kernel(m)
+    assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert _types(got) == _types(want)
+    assert rank(m) == bareiss_rank(m) == m.cols - want.cols
 
 
 huge_entries = st.one_of(
@@ -568,6 +565,16 @@ def planted_rank_matrices(draw, entries=huge_entries):
 @DIFFERENTIAL
 def test_kernel_matches_fraction_back_substitution_on_large_ints(m):
     _assert_kernel_matches_oracle(m)
+
+
+@given(planted_rank_matrices(), st.randoms(use_true_random=False))
+@DIFFERENTIAL
+def test_echelon_kernel_ignores_row_order(m, rng):
+    shuffled = list(m.data)
+    rng.shuffle(shuffled)
+    got, want = Echelon(shuffled).kernel(m.cols), bareiss_kernel(m)
+    assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert _types(got) == _types(want)
 
 
 @given(planted_rank_matrices(), st.data())
@@ -619,7 +626,7 @@ def planted_sequences(draw):
 @DIFFERENTIAL
 def test_echelon_accepts_exactly_where_the_bareiss_rank_grows(vectors):
     echelon = Echelon()
-    ranks = [0] + [rank(Matrix.from_columns(vectors[: k + 1])) for k in range(len(vectors))]
+    ranks = [0] + [bareiss_rank(Matrix.from_columns(vectors[: k + 1])) for k in range(len(vectors))]
     for k, vector in enumerate(vectors):
         before = [(p, list(row)) for p, row in echelon.rows]
         accepted = echelon.add(vector)

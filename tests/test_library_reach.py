@@ -1,8 +1,8 @@
 """Every public module-level function, class and constant under
-src/spinorlab/, and every field of a dataclass there, is used by the
-library itself: a name referenced only at its own definition or in the
-package's __init__.py serves the tests or nothing, and belongs in the
-test that uses it."""
+src/spinorlab/, every public method of a class there and every field of
+a dataclass there, is used by the library itself: a name referenced
+only at its own definition or in the package's __init__.py serves the
+tests or nothing, and belongs in the test that uses it."""
 
 import ast
 from pathlib import Path
@@ -52,6 +52,17 @@ def _dataclass_fields(tree):
     ]
 
 
+def _public_methods(tree):
+    """(class.method, node) for each public method of a class."""
+    return [
+        (f"{cls.name}.{method.name}", method)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+    ]
+
+
 def _references(tree, skip):
     """Names read in tree (as a bare name or an attribute), outside the
     nodes in skip."""
@@ -92,17 +103,25 @@ def test_every_public_name_is_used_by_the_library():
     assert unreached == []
 
 
-def test_every_dataclass_field_is_read_by_the_library():
-    # a field is read as an attribute, so a local variable of the same
-    # name does not count
+def _unread(members):
+    """The members, per module tree, whose name the library never reads
+    as an attribute; a local variable of the same name does not count."""
     trees = _trees()
     reads = set().union(
         *(_attribute_reads(tree) for key, tree in trees.items() if key != "__init__.py")
     )
-    unread = [
+    return [
         f"{module[:-3]}.{qualname}"
         for module, tree in trees.items()
-        for qualname, _ in _dataclass_fields(tree)
+        for qualname, _ in members(tree)
         if qualname.rsplit(".", 1)[1] not in reads
     ]
-    assert unread == []
+
+
+def test_every_dataclass_field_is_read_by_the_library():
+    assert _unread(_dataclass_fields) == []
+
+
+def test_every_public_method_is_read_by_the_library():
+    # a method is called as an attribute, like a field is read
+    assert _unread(_public_methods) == []

@@ -6,6 +6,7 @@ from spinorlab.model_space import (
     ConstantSpinorField,
     HyperquadricModel,
     _dirac,
+    _first_primes,
     _nablas,
     _worst,
     bracket_field_checks,
@@ -138,6 +139,21 @@ def test_samples_on_quadric(sphere, pseudo_sphere):
     for model in (sphere, pseudo_sphere):
         for x in model.samples:
             assert abs(model.g_hat(x, x) - 1.0) < 1e-12
+
+
+def test_every_cone_up_to_ten_builds_its_sample_points():
+    # one Halton base per ambient coordinate; the first eight are the
+    # bases every cone with p + q <= 8 has always used
+    assert _first_primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert _first_primes(10)[8:] == [23, 29]
+    for n in range(2, 11):
+        for p in range(1, n + 1):
+            model = HyperquadricModel(Signature(p, n - p), num_samples=4)
+            assert len(model.samples) == 4
+            for x in model.samples:
+                assert abs(model.g_hat(x, x) - 1.0) < 1e-12
+            (point,) = model.sample_points(1)
+            assert point.frame.shape == (n, n - 1)
 
 
 def test_frames_orthonormal(sphere, pseudo_sphere):

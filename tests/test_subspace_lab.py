@@ -8,7 +8,7 @@ from spinorlab import brackets, subspace_lab
 from spinorlab.admissible_forms import find_admissible, first_nondegenerate
 from spinorlab.brackets import null_kernel, pi_image, random_null_vector
 from spinorlab.clifford_core import Signature, build_rep, gamma_vector, metric_value
-from spinorlab.exact_linalg import Matrix, kernel, rank
+from spinorlab.exact_linalg import Matrix
 from spinorlab.subspace_lab import (
     IsotropicSearchError,
     _bilin,
@@ -25,6 +25,8 @@ from spinorlab.subspace_lab import (
     spin23_isotropic_scan,
     spin45_search,
 )
+from test_brackets import _CountingEchelon
+from test_exact_linalg import bareiss_kernel, bareiss_rank
 
 WITNESS_PATH = Path(__file__).resolve().parent.parent / "witnesses" / "spin45_max_isotropic.json"
 
@@ -42,14 +44,14 @@ def _greedy_isotropic_oracle(gram, target_dim):
                 [sum(u[a] * gram[a, b] for a in range(d) if u[a]) for b in range(d)]
                 for u in iso
             ]
-            space = kernel(Matrix(rows))
+            space = bareiss_kernel(Matrix(rows))
         else:
             space = Matrix.identity(d)
         added = False
         for c in range(space.cols):
             cand = space.col(c)
             trial = iso + [cand]
-            if rank(Matrix.from_columns(trial)) != len(trial):
+            if bareiss_rank(Matrix.from_columns(trial)) != len(trial):
                 continue
             iso.append(cand)
             added = True
@@ -69,7 +71,7 @@ def _random_skew_isotropic_oracle(gram, target, rng):
                 [sum(u[a] * gram[a, b] for a in range(n) if u[a]) for b in range(n)]
                 for u in iso
             ]
-            space = kernel(Matrix(rows))
+            space = bareiss_kernel(Matrix(rows))
         else:
             space = Matrix.identity(n)
         for _ in range(50):
@@ -81,7 +83,7 @@ def _random_skew_isotropic_oracle(gram, target, rng):
             if not any(cand):
                 continue
             trial = iso + [cand]
-            if rank(Matrix.from_columns(trial)) == len(trial):
+            if bareiss_rank(Matrix.from_columns(trial)) == len(trial):
                 iso.append(cand)
                 break
         else:
@@ -121,7 +123,7 @@ def _random_symmetric_isotropic_oracle(gram, target, rng):
         if step + 1 == target:
             break
         rows = [pairing, [current[y_idx, b] for b in range(dd)]]
-        comp = kernel(Matrix(rows))
+        comp = bareiss_kernel(Matrix(rows))
         ambient = ambient * comp
         current = comp.transpose() * current * comp
     return Matrix.from_columns(iso_cols)
@@ -191,7 +193,7 @@ def test_isotropic_subspace_symmetric_split():
     gram = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     iso = isotropic_subspace(gram, symmetric=True, target_dim=2)
     assert (iso.transpose() * gram * iso).is_zero()
-    assert rank(iso) == 2
+    assert bareiss_rank(iso) == 2
 
 
 def test_isotropic_subspace_definite_fails():
@@ -232,7 +234,7 @@ def _extremal_obstructed_oracle(rep, form, v):
     for i in range(rep.N):
         e = [0] * rep.N
         e[i] = 1
-        if rank(Matrix.from_columns(cols + comp + [e])) == n_half + len(comp) + 1:
+        if bareiss_rank(Matrix.from_columns(cols + comp + [e])) == n_half + len(comp) + 1:
             comp.append(e)
         if len(comp) == n_half:
             break
@@ -278,6 +280,20 @@ def test_extremal_rejects_dependent_kernel_columns(monkeypatch):
         extremal_obstructed_subspace(rep, form, [1, 0, 1, 0, 0])
 
 
+def test_extremal_checks_that_v_lies_in_the_obstruction_space(monkeypatch):
+    sig = Signature(2, 3)
+    rep = build_rep(sig)
+    form, v, extremal = extremal_witness(sig)
+    e0 = [1] + [0] * (rep.n - 1)  # a null v has two nonzero entries, so e0 misses it
+    spanned = Matrix.from_columns([[2 * x + y for x, y in zip(v, e0)], e0])
+    monkeypatch.setattr(subspace_lab, "obstruction_vectors", lambda *args: spanned)
+    assert extremal_obstructed_subspace(rep, form, v).basis == extremal.basis
+    missing = Matrix.from_columns([e0])
+    monkeypatch.setattr(subspace_lab, "obstruction_vectors", lambda *args: missing)
+    with pytest.raises(ArithmeticError, match="null vector missing"):
+        extremal_obstructed_subspace(rep, form, v)
+
+
 def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
     # every subspace above 3N/4 is surjective, so each obstruction system
     # stops at rank n, and random_subspace certifies its basis only once
@@ -291,9 +307,12 @@ def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(brackets, name, counted)
+    monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
+    _CountingEchelon.kernels = 0
     report = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, 40, 7)
     assert report.in_hypothesis and not report.counterexamples
     assert calls == []
+    assert _CountingEchelon.kernels == 0
 
 
 def test_extremal_rejects_bad_module_dimension():
