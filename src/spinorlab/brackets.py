@@ -56,10 +56,6 @@ class SpinorSubspace:
         return cls(rep, Matrix([[] for _ in range(rep.N)]))
 
 
-def _column(values):
-    return Matrix.column(list(values))
-
-
 def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> Polyvector:
     """The degree-k polyvector with g(., e_I) = h(gamma_{e_I} s, t).
 
@@ -67,13 +63,10 @@ def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> Polyvector:
     """
     if not 0 <= k <= rep.n:
         raise ValueError("degree out of range")
-    h = form.matrix
-    s_col = _column(s)
-    t_col = _column(t)
+    ht = form.matrix.apply(t)
     coeffs = []
     for indices in blade_index_list(rep.n, k):
-        g_i = gamma_blade(rep, indices)
-        val = ((g_i * s_col).transpose() * h * t_col)[0, 0]
+        val = sum(map(mul, gamma_blade(rep, indices).apply(s), ht))
         denom = 1
         for i in indices:
             denom *= rep.eta[i]

@@ -342,32 +342,8 @@ class Polyvector:
             raise ValueError("coefficient count mismatch")
 
     @classmethod
-    def zero(cls, n, k):
-        return cls(n, k, (0,) * len(blade_index_list(n, k)))
-
-    @classmethod
-    def scalar(cls, n, value):
-        return cls(n, 0, (value,))
-
-    @classmethod
     def from_vector(cls, coords):
         return cls(len(coords), 1, tuple(coords))
-
-    def __add__(self, other):
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("degree mismatch")
-        return Polyvector(
-            self.n, self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Polyvector(self.n, self.k, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
 
     def wedge(self, other):
         if self.n != other.n:
@@ -387,38 +363,6 @@ class Polyvector:
                 sign = _merge_sign(I, J)
                 out[idx[merged]] += sign * a * b
         return Polyvector(n, k, tuple(out))
-
-    def interior(self, v, eta):
-        """Metric contraction v -| self; defined by g(v -| w, xi) = g(w, v ^ xi)."""
-        if self.k == 0:
-            raise ValueError("cannot contract a scalar")
-        n, k = self.n, self.k - 1
-        out = [0] * len(blade_index_list(n, k))
-        pos = blade_index_map(n, k)
-        full = blade_index_map(self.n, self.k)
-        for J in blade_index_list(n, k):
-            acc = 0
-            for i in range(n):
-                if i in J or not v[i]:
-                    continue
-                merged = tuple(sorted((i,) + J))
-                sign = _merge_sign((i,), J)
-                acc += v[i] * eta[i] * sign * self.coeffs[full[merged]]
-            out[pos[J]] = acc
-        return Polyvector(n, k, tuple(out))
-
-    def metric_inner(self, other, eta):
-        """Extension of g with orthonormal blades orthogonal, g(e_I, e_I) = prod eta."""
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("degree mismatch")
-        acc = 0
-        for I, a, b in zip(blade_index_list(self.n, self.k), self.coeffs, other.coeffs):
-            if a and b:
-                w = 1
-                for i in I:
-                    w *= eta[i]
-                acc += w * a * b
-        return acc
 
 
 def _merge_sign(I, J):

@@ -52,10 +52,6 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, values):
-        return cls([[v] for v in values])
-
-    @classmethod
     def from_columns(cls, columns):
         if not columns:
             raise ValueError("need at least one column")

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
-from .admissible_forms import find_admissible
-from .clifford_core import Polyvector, Signature, blade_index_list, build_rep
+from .admissible_forms import first_nondegenerate
+from .clifford_core import Signature, build_rep
 from .exact_linalg import Matrix, rank
 
 
@@ -203,25 +204,12 @@ class HyperquadricModel:
         """gamma^M_v = gamma_v gamma_x through the cone identification."""
         return self.gamma_ambient(v) @ self.gamma_ambient(x)
 
-    def cone_form(self, tau_intrinsic=-1):
-        """Matrix field H(x) of a parallel intrinsic admissible form.
-
-        Any constant cone-admissible H gives intrinsic type -1; composing
-        with gamma_x gives type +1.
-        """
-        forms = (
-            form
-            for sigma in (1, -1)
-            for tau in (-1, 1)
-            for form in find_admissible(self.rep, sigma, tau)
-        )
-        form = next(forms, None)
-        if form is None:
-            raise ArithmeticError("no nondegenerate cone form")
-        h = _to_numpy(form.matrix.dense())
-        if tau_intrinsic == -1:
-            return lambda x: h
-        return lambda x: h @ self.gamma_ambient(x)
+    @cached_property
+    def form_matrix(self):
+        """H of the first nondegenerate cone-admissible form; constant on
+        the cone, hence parallel, and of intrinsic type -1 for every cone
+        type, since gamma^M_X = gamma_X gamma_x."""
+        return _to_numpy(first_nondegenerate(self.rep).matrix.dense())
 
 
 class ConstantSpinorField:
@@ -355,166 +343,85 @@ def _dirac(model, point, nablas):
     return dirac
 
 
-# -- polyvector fields -------------------------------------------------------
+# -- the degree-one bracket ----------------------------------------------------
 
 
-def _frame_blades_to_ambient(model, frame, coeffs, k):
-    """Expand frame-blade coefficients into an ambient degree-k polyvector."""
-    n_amb = model.dim
-    total = Polyvector.zero(n_amb, k)
-    for indices, c in zip(blade_index_list(model.n, k), coeffs):
-        if not c:
-            continue
-        if k == 0:
-            total = total + Polyvector.scalar(n_amb, c)
-            continue
-        blade = Polyvector.from_vector(tuple(frame[:, indices[0]]))
-        for idx in indices[1:]:
-            blade = blade.wedge(Polyvector.from_vector(tuple(frame[:, idx])))
-        total = total + blade.scale(c)
-    return total
+def _bracket_vector(model, frame, gammas, s_val, t_val):
+    """X = [s,t]_1 = sum_i eta_i h(gamma^M_(e_i) s, t) e_i as an ambient
+    vector, from a point's frame and the frame's gamma^M."""
+    out = np.zeros(model.dim)
+    for eta, gamma, e in zip(model.base_signature.eta(), gammas, frame.T):
+        c = float((gamma @ s_val) @ model.form_matrix @ t_val) / eta
+        if c:
+            out = out + c * e
+    return out
 
 
-def _bracket_at(model, frame, gammas, h_mat, s_val, t_val, k):
-    """[s,t]_k at one point from its frame and the frame's gamma^M."""
-    eta_base = model.base_signature.eta()
-    coeffs = []
-    for indices in blade_index_list(model.n, k):
-        g_blade = np.eye(model.N)
-        denom = 1.0
-        for i in indices:
-            g_blade = g_blade @ gammas[i]
-            denom *= eta_base[i]
-        coeffs.append(float((g_blade @ s_val) @ h_mat @ t_val) / denom)
-    return _frame_blades_to_ambient(model, frame, coeffs, k)
-
-
-def bracket_field(model, form_field, s_field, t_field, k):
-    """Pointwise bracket [s,t]_k as an ambient polyvector field."""
-
-    def at(y, patch):
-        frame = model.tangent_frame(y, patch)
-        gammas = [model.gamma_intrinsic(y, frame[:, i]) for i in range(model.n)] if k else []
-        s_val = s_field.eval(model, y, patch)
-        t_val = t_field.eval(model, y, patch)
-        return _bracket_at(model, frame, gammas, form_field(y), s_val, t_val, k)
-
-    return at
-
-
-def _exterior_projector_apply(proj, omega: Polyvector) -> Polyvector:
-    """Apply a linear map slot-wise to a polyvector (k-th exterior power)."""
-    n, k = omega.n, omega.k
-    if k == 0:
-        return omega
-    out = [0.0] * len(blade_index_list(n, k))
-    for big_idx, big in enumerate(blade_index_list(n, k)):
-        acc = 0.0
-        for small, c in zip(blade_index_list(n, k), omega.coeffs):
-            if not c:
-                continue
-            sub = proj[np.ix_(big, small)]
-            acc += c * np.linalg.det(sub)
-        out[big_idx] = acc
-    return Polyvector(n, k, tuple(out))
+def _bracket_at(model, s_field, t_field, y, patch):
+    """[s,t]_1 at a point off the sample table, from a fresh frame."""
+    frame = model.tangent_frame(y, patch)
+    gammas = [model.gamma_intrinsic(y, e) for e in frame.T]
+    s_val, t_val = s_field.eval(model, y, patch), t_field.eval(model, y, patch)
+    return _bracket_vector(model, frame, gammas, s_val, t_val)
 
 
 def _tangential_difference(model, x, plus, minus):
     """Tangential projection at x of the central difference of two ambient
-    polyvectors taken one model step either side of x."""
-    h = model.step
-    diff = Polyvector(
-        plus.n, plus.k, tuple((a - b) / (2.0 * h) for a, b in zip(plus.coeffs, minus.coeffs))
-    )
-    return _exterior_projector_apply(model.tangent_projector(x), diff)
-
-
-def polyvector_covariant_derivative(model, omega_field, x, direction, patch):
-    """Tangential projection of the flat ambient derivative of the ambient
-    polyvector components (the submanifold connection on tangent tensors)."""
-    h = model.step
-    plus = omega_field(model.curve(x, direction, h), patch)
-    minus = omega_field(model.curve(x, direction, -h), patch)
-    return _tangential_difference(model, x, plus, minus)
+    vectors taken one model step either side of x.  The projector's
+    columns are added one at a time in ambient order, so the last bits do
+    not depend on a BLAS summation order."""
+    diff = (plus - minus) / (2.0 * model.step)
+    proj = model.tangent_projector(x)
+    out = np.zeros(model.dim)
+    for d, column in zip(diff, proj.T):
+        if d:
+            out = out + d * column
+    return out
 
 
 @dataclass
 class BracketFieldReport:
     conformal_residual: float
-    killing_vector_residual: float | None
+    killing_vector_residual: float
     geodesic_residual: float
 
 
-def bracket_field_checks(
-    model,
-    s_field,
-    t_field,
-    k,
-    tau_intrinsic,
-    lambda_s,
-    lambda_t,
-) -> BracketFieldReport:
-    """Residuals of the polyvector equations for omega = [s,t]_k.
+def bracket_field_checks(model, s_field, t_field) -> BracketFieldReport:
+    """Residuals of the Killing-vector equations for X = [s,t]_1 against
+    the model's type -1 form, for s and t with one Killing number:
 
-    (a) the conformal equation X -| nabla_X omega = g(X,X) omega_tilde
-        with omega_tilde = (lambda (-1)^k - mu tau) [s,t]_(k-1), which
-        vanishes when mu = (-1)^k tau lambda;
-    (b) for k = 1 with tau = -1 and lambda = mu: the Killing-vector
-        equation via the symmetrized lowered derivative;
-    (c) parallel transport of the contraction along great-circle
-        geodesics.
+    (a) the conformal equation g(e_i, nabla_(e_i) X) = 0;
+    (b) the Killing-vector equation, the symmetrized lowered derivative
+        g(nabla_(e_i) X, e_j) + g(nabla_(e_j) X, e_i) = 0;
+    (c) conservation of g(velocity, X) along geodesics.
     """
-    form_field = model.cone_form(tau_intrinsic)
-    omega_field = bracket_field(model, form_field, s_field, t_field, k)
-    tilde_factor = lambda_s * ((-1.0) ** k) - lambda_t * tau_intrinsic
-    eta_list = list(model.eta_hat)
-
-    want_killing_vec = k == 1 and tau_intrinsic == -1
-
+    h = model.step
     conformal, killing_vec, geodesic = [], [], []
     for point in model.sample_points(12):
         x, patch, frame = point.x, point.patch, point.frame
-        s_val, t_val = s_field.eval(model, x, patch), t_field.eval(model, x, patch)
-        tilde = _bracket_at(model, frame, point.gammas, form_field(x), s_val, t_val, k - 1)
-        tilde = tilde.scale(tilde_factor)
         nablas = []
-        for i in range(model.n):
-            direction = frame[:, i]
-            nabla = polyvector_covariant_derivative(model, omega_field, x, direction, patch)
-            nablas.append(nabla)
-            contraction = nabla.interior(list(direction), eta_list)
-            gxx = model.g_hat(direction, direction)
-            resid = contraction - tilde.scale(gxx)
-            conformal.extend(abs(c) for c in resid.coeffs)
-        if want_killing_vec:
-            for i in range(model.n):
-                for j in range(model.n):
-                    sym = _pv_inner(nablas[i], frame[:, j], eta_list) + _pv_inner(
-                        nablas[j], frame[:, i], eta_list
-                    )
-                    killing_vec.append(abs(sym))
-        # geodesic conservation along the frame directions
-        for i in range(min(model.n, 2)):
-            geodesic.append(
-                _geodesic_transport_residual(model, omega_field, x, frame[:, i], patch)
-            )
+        for e in frame.T:
+            plus = _bracket_at(model, s_field, t_field, model.curve(x, e, h), patch)
+            minus = _bracket_at(model, s_field, t_field, model.curve(x, e, -h), patch)
+            nablas.append(_tangential_difference(model, x, plus, minus))
+            conformal.append(abs(model.g_hat(e, nablas[-1])))
+        for i, j in combinations_with_replacement(range(model.n), 2):
+            sym = model.g_hat(nablas[i], frame[:, j]) + model.g_hat(nablas[j], frame[:, i])
+            killing_vec.append(abs(sym))
+        for e in frame.T[:2]:
+            geodesic.append(_geodesic_residual(model, s_field, t_field, x, e, patch))
     return BracketFieldReport(
         conformal_residual=_worst(conformal),
-        killing_vector_residual=_worst(killing_vec) if want_killing_vec else None,
+        killing_vector_residual=_worst(killing_vec),
         geodesic_residual=_worst(geodesic),
     )
 
 
-def _pv_inner(omega: Polyvector, direction, eta_list):
-    xi = Polyvector.from_vector(tuple(direction))
-    return float(omega.metric_inner(xi, eta_list))
-
-
-def _geodesic_transport_residual(model, omega_field, x, direction, patch):
-    """Residual of parallel transport of velocity -| omega along the
-    geodesic with initial data (x, direction)."""
+def _geodesic_residual(model, s_field, t_field, x, direction, patch):
+    """|d/dt g(velocity, X)| at t = 0 along the geodesic with initial data
+    (x, direction); zero when X is a Killing vector."""
     gxx = model.g_hat(direction, direction)
-    t = model.step
+    h = model.step
 
     def point_and_velocity(tt):
         if abs(gxx - 1.0) < 1e-9:
@@ -527,27 +434,25 @@ def _geodesic_transport_residual(model, omega_field, x, direction, patch):
 
     def contraction(tt):
         pt, vel = point_and_velocity(tt)
-        return omega_field(pt, patch).interior(list(vel), list(model.eta_hat))
+        return model.g_hat(vel, _bracket_at(model, s_field, t_field, pt, patch))
 
-    projected = _tangential_difference(model, x, contraction(t), contraction(-t))
-    return _worst(abs(c) for c in projected.coeffs)
+    return abs((contraction(h) - contraction(-h)) / (2.0 * h))
 
 
 def homogeneity_span(model, fields):
     """Dimension of span{[s_i, s_j]_1(x)} at every sample point, against
     the type -1 intrinsic form; singular values below 1e-6 of the largest
     count as zero."""
-    form_field = model.cone_form(-1)
     dims = []
     for point in model.sample_points(8):
-        h_mat = form_field(point.x)
         values = [s.eval(model, point.x, point.patch) for s in fields]
-        vectors = [
-            list(_bracket_at(model, point.frame, point.gammas, h_mat, s_val, t_val, 1).coeffs)
-            for s_val in values
-            for t_val in values
-        ]
-        mat = np.array(vectors, dtype=float)
+        mat = np.array(
+            [
+                _bracket_vector(model, point.frame, point.gammas, s_val, t_val)
+                for s_val in values
+                for t_val in values
+            ]
+        )
         svals = np.linalg.svd(mat, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         dims.append(int(np.sum(svals > 1e-6 * scale)))

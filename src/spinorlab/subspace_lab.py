@@ -371,11 +371,12 @@ def _structured_spin45_candidate(rep, form, rng):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         cols += (gw[i] * gw[j] * b_line).columns()
     basis = Matrix.from_columns(cols)
+    # the N/2 columns have rank N/2: independence is certified here
     if rank(basis) != rep.N // 2:
         return None
     if not (basis.transpose() * form.matrix * basis).is_zero():
         return None
-    return SpinorSubspace(rep, basis)
+    return SpinorSubspace._certified(rep, basis)
 
 
 def spin45_search(seed: int, budget: int) -> WitnessReport:

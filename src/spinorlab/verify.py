@@ -384,9 +384,7 @@ def criterion_model_sphere() -> CheckResult:
     details["dirac_residual"] = d_res
     if d_res >= 1e-5:
         failures.append("dirac")
-    bracket = bracket_field_checks(
-        model, fields[0], fields[1], k=1, tau_intrinsic=-1, lambda_s=lam, lambda_t=lam
-    )
+    bracket = bracket_field_checks(model, fields[0], fields[1])
     details["killing_vector_residual"] = bracket.killing_vector_residual
     if bracket.killing_vector_residual >= 1e-5:
         failures.append("killing_vector")
@@ -438,8 +436,8 @@ def criterion_convergence() -> CheckResult:
             scalar_curvature_residual(fine, 0.5),
         ),
     }
-    bc = bracket_field_checks(coarse, s, t, 1, -1, 0.5, 0.5)
-    bf = bracket_field_checks(fine, s, t, 1, -1, 0.5, 0.5)
+    bc = bracket_field_checks(coarse, s, t)
+    bf = bracket_field_checks(fine, s, t)
     pairs["bracket_conformal"] = (bc.conformal_residual, bf.conformal_residual)
     pairs["bracket_geodesic"] = (bc.geodesic_residual, bf.geodesic_residual)
     ratios = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinorlab.clifford_core import (
+    Polyvector,
     Signature,
     build_rep,
     clifford_relation_failures,
@@ -370,7 +371,7 @@ def test_null_plane_scale_invariance():
     rep = build_rep(Signature(1, 4))
     bivs = null_plane_rotations(rep)
     dim, _ = invariant_spinors(rep, bivs)
-    scaled = [b.scale(2) for b in bivs]
+    scaled = [Polyvector(b.n, b.k, tuple(2 * c for c in b.coeffs)) for b in bivs]
     dim2, _ = invariant_spinors(rep, scaled)
     assert dim == dim2
 

@@ -285,7 +285,7 @@ def test_signed_relations_match_dense_kernel():
         basis = signed_relation_basis(n, maps)
         assert len(basis) == kernel(Matrix(rows)).cols
         for vec in basis:
-            assert (Matrix(rows) * Matrix.column(vec)).is_zero()
+            assert (Matrix(rows) * Matrix.from_columns([vec])).is_zero()
 
 
 class SignedUnionFind:

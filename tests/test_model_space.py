@@ -44,31 +44,28 @@ def covariant_derivative(model, field, x, direction, patch):
     return (plus - minus) / (2.0 * h) + omega @ field.eval(model, x, patch)
 
 
-def dirac_form_consistency(model, s_field, t_field, tau_intrinsic, lambda_s, lambda_t):
+def dirac_form_consistency(model, s_field, t_field, lambda_s, lambda_t):
     """Worst |n omega_tilde - (h(Ds, t) + tau h(s, Dt))| of the degree-one
-    bracket over its sample points, with omega_tilde = -(lambda_s + tau
-    lambda_t) h(s, t) and D the frame Dirac sum; the identity follows from
-    D s = -n lambda s."""
-    form_field = model.cone_form(tau_intrinsic)
-    tilde_factor = -lambda_s - lambda_t * tau_intrinsic
+    bracket over its sample points, against the model's form, with
+    omega_tilde = -(lambda_s + tau lambda_t) h(s, t) and D the frame Dirac
+    sum; the identity follows from D s = -n lambda s."""
+    h_mat = model.form_matrix
     gaps = []
     for point in model.sample_points(12):
         x, patch = point.x, point.patch
-        h_mat = form_field(x)
         s_val = s_field.eval(model, x, patch)
         t_val = t_field.eval(model, x, patch)
         ds = _dirac(model, point, _nablas(model, s_field, point, s_val))
         dt = _dirac(model, point, _nablas(model, t_field, point, t_val))
-        # the intrinsic type of the form field decides tau
-        tau = _intrinsic_tau(form_field, point)
-        lhs = model.n * tilde_factor * float(s_val @ h_mat @ t_val)
+        # the intrinsic type of the form decides tau
+        tau = _intrinsic_tau(h_mat, point)
+        lhs = -model.n * (lambda_s + tau * lambda_t) * float(s_val @ h_mat @ t_val)
         rhs = float(ds @ h_mat @ t_val) + tau * float(s_val @ h_mat @ dt)
         gaps.append(abs(lhs - rhs))
     return _worst(gaps)
 
 
-def _intrinsic_tau(form_field, point):
-    h_mat = form_field(point.x)
+def _intrinsic_tau(h_mat, point):
     g1 = point.gammas[0]
     plus = np.max(np.abs(g1.T @ h_mat - h_mat @ g1))
     minus = np.max(np.abs(g1.T @ h_mat + h_mat @ g1))
@@ -229,32 +226,29 @@ def test_volume_flip_reverses_killing_number(sphere):
 def test_bracket_killing_vector_on_sphere(sphere):
     s = ConstantSpinorField(np.eye(4)[0])
     t = ConstantSpinorField(np.eye(4)[1])
-    report = bracket_field_checks(
-        sphere, s, t, k=1, tau_intrinsic=-1, lambda_s=0.5, lambda_t=0.5
-    )
+    report = bracket_field_checks(sphere, s, t)
     assert report.conformal_residual < 1e-5
     assert report.killing_vector_residual < 1e-5
     assert report.geodesic_residual < 1e-5
-    assert dirac_form_consistency(sphere, s, t, -1, 0.5, 0.5) < 1e-5
+    assert dirac_form_consistency(sphere, s, t, 0.5, 0.5) < 1e-5
+
+
+def test_bracket_of_opposite_killing_numbers_is_not_a_killing_vector(sphere):
+    # the negative control: s and its volume flip have Killing numbers of
+    # opposite sign, so [s,t]_1 is neither conformal nor Killing
+    s = ConstantSpinorField(np.eye(4)[0])
+    t = VolumeFlippedField(ConstantSpinorField(np.eye(4)[1]))
+    report = bracket_field_checks(sphere, s, t)
+    assert report.killing_vector_residual > 0.1
+    assert report.conformal_residual > 0.1
 
 
 def test_bracket_zero_fields(sphere):
     zero = ConstantSpinorField(np.zeros(4))
-    report = bracket_field_checks(
-        sphere, zero, zero, k=1, tau_intrinsic=-1, lambda_s=0.5, lambda_t=0.5
-    )
+    report = bracket_field_checks(sphere, zero, zero)
     assert report.conformal_residual == 0.0
+    assert report.killing_vector_residual == 0.0
     assert report.geodesic_residual == 0.0
-
-
-def test_bracket_degree_two_killing_case(sphere):
-    # mu = (-1)^k tau lambda with k = 2, tau = -1 needs mu = -lambda: pair a
-    # spinor with its volume flip
-    s = ConstantSpinorField(np.eye(4)[0])
-    report = bracket_field_checks(
-        sphere, s, VolumeFlippedField(s), k=2, tau_intrinsic=-1, lambda_s=0.5, lambda_t=-0.5
-    )
-    assert report.conformal_residual < 1e-5
 
 
 def test_homogeneity_span_sphere(sphere):
@@ -373,22 +367,9 @@ def test_connection_clifford_compatibility(sphere):
             assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
-def test_bracket_conformal_with_type_plus_form(sphere):
-    # same Killing numbers against a type +1 intrinsic form: not a Killing
-    # vector, but still conformal with omega_tilde = -2 lambda h(s,t)
-    s = ConstantSpinorField(np.eye(4)[0])
-    t = ConstantSpinorField(np.eye(4)[1])
-    report = bracket_field_checks(
-        sphere, s, t, k=1, tau_intrinsic=1, lambda_s=0.5, lambda_t=0.5
-    )
-    assert report.conformal_residual < 1e-5
-    assert dirac_form_consistency(sphere, s, t, 1, 0.5, 0.5) < 1e-5
-
-
 def test_intrinsic_form_types(sphere):
     point = sphere.sample_points(1)[0]
-    assert _intrinsic_tau(sphere.cone_form(-1), point) == -1.0
-    assert _intrinsic_tau(sphere.cone_form(1), point) == 1.0
+    assert _intrinsic_tau(sphere.form_matrix, point) == -1.0
 
 
 def test_kappa_product_lambda_zero_logged():
