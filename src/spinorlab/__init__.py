@@ -6,11 +6,8 @@ __version__ = "0.1.0"
 
 from .clifford_core import (  # noqa: F401
     CliffordRep,
-    Polyvector,
     Signature,
     build_rep,
-    cone_even_iso,
-    gamma_polyvector,
     gamma_vector,
 )
 from .admissible_forms import (  # noqa: F401

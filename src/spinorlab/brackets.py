@@ -1,8 +1,8 @@
 """The spinor-to-polyvector bracket and the pointwise rank lemmas.
 
-bracket_k solves g([s,t]_k, xi) = h(gamma_xi s, t) for the unique
-degree-k polyvector; everything here is exact coordinate linear algebra
-on a fixed spinor module.
+bracket_k solves g([s,t]_k, xi) = h(gamma_xi s, t) for the coefficients
+of the unique degree-k polyvector; everything here is exact coordinate
+linear algebra on a fixed spinor module.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from operator import mul
 from .admissible_forms import BilinearForm
 from .clifford_core import (
     CliffordRep,
-    Polyvector,
     blade_index_list,
     gamma_blade,
     gamma_vector,
@@ -56,10 +55,12 @@ class SpinorSubspace:
         return cls(rep, Matrix([[] for _ in range(rep.N)]))
 
 
-def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> Polyvector:
-    """The degree-k polyvector with g(., e_I) = h(gamma_{e_I} s, t).
+def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> tuple:
+    """The coefficients of the degree-k polyvector with
+    g(., e_I) = h(gamma_{e_I} s, t), over the increasing multi-indices I
+    of blade_index_list(n, k).
 
-    For k = 0 this is the scalar h(s, t).
+    For k = 0 this is the 1-tuple of the scalar h(s, t).
     """
     if not 0 <= k <= rep.n:
         raise ValueError("degree out of range")
@@ -71,7 +72,7 @@ def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> Polyvector:
         for i in indices:
             denom *= rep.eta[i]
         coeffs.append(val if denom == 1 else -val)
-    return Polyvector(rep.n, k, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:

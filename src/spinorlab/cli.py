@@ -107,7 +107,7 @@ def cmd_bracket(args):
         "tau": form.tau,
         "s": [serialize.scalar_to_json(x) for x in s],
         "t": [serialize.scalar_to_json(x) for x in t],
-        "bracket": [serialize.scalar_to_json(c) for c in omega.coeffs],
+        "bracket": [serialize.scalar_to_json(c) for c in omega],
     }
     if not sig.is_definite():
         v = random_null_vector(sig, rng)
@@ -187,7 +187,7 @@ def cmd_cone_report(args):
         "even_commutant_dim": report.commutant_dim,
     }
     if min(sig.p, sig.q) >= 1 and sig.n >= 3:
-        dim, _ = invariant_spinors(rep, null_plane_rotations(rep))
+        dim = invariant_spinors(rep, null_plane_rotations(rep))
         payload["null_plane_invariants"] = {
             "dim": dim,
             "half_module": 2 * dim == rep.N,

@@ -1,4 +1,5 @@
-"""Irreducible real Clifford representations and polyvector actions.
+"""Irreducible real Clifford representations and the actions of vectors
+and basis blades.
 
 Sign convention: generators satisfy G_i G_j + G_j G_i = -2 eta_ij Id,
 so gamma_v^2 = -g(v,v) Id; positive-norm directions square to -Id.
@@ -316,7 +317,7 @@ def metric_value(eta, v, w):
 
 
 # ---------------------------------------------------------------------------
-# polyvectors
+# blades
 
 
 @lru_cache(maxsize=None)
@@ -324,81 +325,10 @@ def blade_index_list(n, k):
     return list(itertools.combinations(range(n), k))
 
 
-@lru_cache(maxsize=None)
-def blade_index_map(n, k):
-    return {I: pos for pos, I in enumerate(blade_index_list(n, k))}
-
-
-@dataclass(frozen=True)
-class Polyvector:
-    """Degree-k exterior element in coordinates over increasing multi-indices."""
-
-    n: int
-    k: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(blade_index_list(self.n, self.k)):
-            raise ValueError("coefficient count mismatch")
-
-    @classmethod
-    def from_vector(cls, coords):
-        return cls(len(coords), 1, tuple(coords))
-
-    def wedge(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n, k = self.n, self.k + other.k
-        out = [0] * len(blade_index_list(n, k))
-        idx = blade_index_map(n, k)
-        for I, a in zip(blade_index_list(n, self.k), self.coeffs):
-            if not a:
-                continue
-            for J, b in zip(blade_index_list(n, other.k), other.coeffs):
-                if not b:
-                    continue
-                if set(I) & set(J):
-                    continue
-                merged = tuple(sorted(I + J))
-                sign = _merge_sign(I, J)
-                out[idx[merged]] += sign * a * b
-        return Polyvector(n, k, tuple(out))
-
-
-def _merge_sign(I, J):
-    """Sign of sorting the concatenation I+J of disjoint increasing tuples."""
-    sign = 1
-    for i in I:
-        for j in J:
-            if i > j:
-                sign = -sign
-    return sign
-
-
 def gamma_blade(rep: CliffordRep, indices) -> SignedPerm:
     out = SignedPerm.identity(rep.N)
     for i in indices:
         out = out * rep.generators[i]
-    return out
-
-
-def gamma_polyvector(rep: CliffordRep, xi: Polyvector) -> Matrix:
-    if xi.n != rep.n:
-        raise ValueError("dimension mismatch")
-    if not 0 <= xi.k <= rep.n:
-        raise ValueError("degree out of range")
-    out = Matrix.zero(rep.N, rep.N)
-    for I, c in zip(blade_index_list(xi.n, xi.k), xi.coeffs):
-        if c:
-            out = out + gamma_blade(rep, I).dense().scale(c)
-    return out
-
-
-def wedge_vectors(vectors) -> Polyvector:
-    n = len(vectors[0])
-    out = Polyvector.from_vector(tuple(vectors[0]))
-    for v in vectors[1:]:
-        out = out.wedge(Polyvector.from_vector(tuple(v)))
     return out
 
 
@@ -425,37 +355,6 @@ def even_subalgebra_images(rep_cone: CliffordRep):
     """Images e_i e_0 of the base generators in the cone's even subalgebra."""
     g0 = rep_cone.generators[0]
     return [rep_cone.generators[i] * g0 for i in range(1, rep_cone.n)]
-
-
-@dataclass(frozen=True)
-class ConeIsoReport:
-    ok: bool
-    failures: tuple
-
-
-def cone_even_iso(rep_base: CliffordRep, rep_cone: CliffordRep) -> ConeIsoReport:
-    """Check that e_i e_0 -> e_i extends to an isomorphism of the cone's
-    even subalgebra onto the base Clifford algebra.
-
-    Generator 0 of the cone rep is the new positive-norm direction; the
-    correspondence is verified through exact matrix identities on the
-    defining relations of both sides.
-    """
-    base = rep_base.signature
-    cone = rep_cone.signature
-    if (cone.p, cone.q) != (base.p + 1, base.q):
-        raise ValueError("cone signature must be (p+1, q) over the base")
-    n = base.n
-    even_failures = clifford_relation_failures(even_subalgebra_images(rep_cone), base.eta())
-    base_failures = clifford_relation_failures(rep_base.generators, base.eta())
-    failures = []
-    for i in range(n):
-        for j in range(i, n):
-            if (i, j) in even_failures:
-                failures.append(f"even_relation({i},{j})")
-            if (i, j) in base_failures:
-                failures.append(f"base_relation({i},{j})")
-    return ConeIsoReport(ok=not failures, failures=tuple(failures))
 
 
 def rep_table(max_n: int):

@@ -16,46 +16,31 @@ from .clifford_core import (
     Signature,
     commutant_vectors,
     even_subalgebra_images,
-    gamma_polyvector,
+    gamma_vector,
     null_pair,
-    wedge_vectors,
 )
 from .exact_linalg import (
     Matrix,
     SignedPerm,
-    kernel,
+    rank,
 )
 
 
-def invariant_spinors(rep: CliffordRep, bivectors) -> tuple[int, Matrix]:
-    """Dimension and basis of the joint kernel of the listed degree-2
-    polyvector actions."""
-    stacked = None
-    for b in bivectors:
-        if b.k != 2:
-            raise ValueError("generators must be degree-2 polyvectors")
-        g = gamma_polyvector(rep, b)
-        stacked = g if stacked is None else stacked.vstack(g)
-    if stacked is None:
-        return rep.N, Matrix.identity(rep.N)
-    basis = kernel(stacked)
-    return basis.cols, basis
+def invariant_spinors(rep: CliffordRep, operators) -> int:
+    """Dimension of the joint kernel of the listed N x N operators; N for
+    an empty list."""
+    return rep.N - rank(Matrix([row for op in operators for row in op.data]))
 
 
 def null_plane_rotations(rep: CliffordRep):
-    """The abelian set {p ^ e : e in E} for the rational null direction p
-    and the definite complement E of the hyperbolic plane."""
+    """The actions gamma_p gamma_e of the abelian set {p ^ e : e in E},
+    for the rational null direction p and the definite complement E of
+    the hyperbolic plane; e is orthogonal to p, so gamma_{p ^ e} is the
+    product."""
     sig = rep.signature
     p_vec, _ = null_pair(sig)
-    used = {0, sig.p}
-    out = []
-    for j in range(sig.n):
-        if j in used:
-            continue
-        e = [0] * sig.n
-        e[j] = 1
-        out.append(wedge_vectors([p_vec, e]))
-    return out
+    gamma_p = gamma_vector(rep, p_vec)
+    return [gamma_p * g for j, g in enumerate(rep.generators) if j not in (0, sig.p)]
 
 
 def _even_commutant_matrices(rep_cone: CliffordRep):

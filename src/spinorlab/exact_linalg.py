@@ -44,10 +44,6 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -158,11 +154,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self.data)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(list(self.data) + list(other.data))
 
     def to_lists(self):
         return [list(row) for row in self.data]

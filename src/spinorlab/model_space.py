@@ -22,7 +22,7 @@ import numpy as np
 
 from .admissible_forms import first_nondegenerate
 from .clifford_core import Signature, build_rep
-from .exact_linalg import Matrix, rank
+from .exact_linalg import Matrix
 
 
 def _to_numpy(m: Matrix) -> np.ndarray:
@@ -470,14 +470,16 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
     The metric is a product of unit constant-curvature factors with block
     dimensions `factors` in frame order: R_ijkl = eta_i eta_j (d_ik d_jl -
     d_il d_jk) when i, j, k, l lie in one block and 0 otherwise, so (2, 2)
-    is S^2 x S^2 and (n,) a round frame.  Each operator is formed exactly,
-    times 4, from signed-permutation products of the generators, and the
-    kernel dimension is N minus the rank of their stack.
+    is S^2 x S^2 and (n,) a round frame.  Every term of the operator of
+    the pair (i, j), times 4, is an exact multiple of the signed
+    permutation +-gamma_i gamma_j, so the operator is c gamma_i gamma_j:
+    the kernel is 0 once one c is nonzero (gamma_i gamma_j is
+    invertible) and N otherwise.
     """
     if sum(factors) != signature.n:
         raise ValueError("the factor dimensions must add up to n")
     rep = build_rep(signature)
-    n, N, eta, gammas = signature.n, rep.N, signature.eta(), rep.generators
+    n, eta, gammas = signature.n, signature.eta(), rep.generators
     block = [b for b, size in enumerate(factors) for _ in range(size)]
     lam_sq = Fraction(killing_number) ** 2
 
@@ -486,7 +488,6 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
             return 0
         return eta[i] * eta[j] * ((i == k) * (j == l) - (i == l) * (j == k))
 
-    rows = []
     for i, j in combinations(range(n), 2):
         # 4 R_spin(e_i, e_j) = -sum over k != l of R_ijkl eta_k eta_l gamma_k gamma_l
         terms = [
@@ -495,12 +496,20 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
             if (r := riemann(i, j, k, l))
         ]
         terms += [(4 * lam_sq, gammas[i] * gammas[j]), (-4 * lam_sq, gammas[j] * gammas[i])]
-        op = [[0] * N for _ in range(N)]
-        for c, g in terms:
-            for col, (row, sign) in enumerate(zip(g.perm, g.signs)):
-                op[row][col] += c * sign
-        rows.extend(op)
-    return N - rank(Matrix(rows))
+        g_ij = gammas[i] * gammas[j]
+        c = 0
+        for coeff, g in terms:
+            if g == g_ij:
+                c += coeff
+            elif g == -g_ij:
+                c -= coeff
+            else:
+                raise ArithmeticError(
+                    f"a curvature term of ({i},{j}) is not +-gamma_i gamma_j"
+                )
+        if c:
+            return 0
+    return rep.N
 
 
 def scalar_curvature_residual(model, killing_number) -> float:

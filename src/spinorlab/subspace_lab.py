@@ -359,7 +359,7 @@ def _structured_spin45_candidate(rep, form, rng):
     u = [0] * rep.n
     u[rng.choice(rem_pos)] = 1
     u[rng.choice(rem_neg)] = rng.choice([1, -1])
-    k3 = kernel(gv[0].vstack(gv[1]).vstack(gv[2]))
+    k3 = kernel(Matrix(gv[0].data + gv[1].data + gv[2].data))
     if k3.cols != 2:
         return None
     b_line = k3 * kernel(gamma_vector(rep, u) * k3)

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its runtime against the stated budget."""
 
+import dataclasses
+
 import pytest
 
 from spinorlab import verify
@@ -75,6 +77,24 @@ def test_c09_cone_even_iso_and_semispinors():
     # the quoted residue lists break exactly on the s = 0 mod 8 bases
     assert result.details["quoted_list_falsified_on"]
     assert all("s%8=0" in d for d in result.details["quoted_list_falsified_on"])
+
+
+def test_c09_reports_broken_even_relations(monkeypatch):
+    # the (3,1) cone with generator 2 := generator 1: its images e_1 e_0
+    # and e_2 e_0 coincide, so they fail to anticommute, and every
+    # square still matches the base metric
+    images = verify.even_subalgebra_images
+
+    def broken_on_31(cone):
+        if cone.signature == verify.Signature(3, 1):
+            c = cone.generators
+            cone = dataclasses.replace(cone, generators=(c[0], c[1], c[1], c[3]))
+        return images(cone)
+
+    monkeypatch.setattr(verify, "even_subalgebra_images", broken_on_31)
+    result = verify.criterion_cone_iso(max_n=1)
+    assert not result.passed
+    assert result.details["failures"] == ["(2,1):even_relation(0,1)"]
 
 
 def test_c10_invariant_spinors():

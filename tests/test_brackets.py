@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -20,30 +21,42 @@ from spinorlab.brackets import (
     random_subspace,
 )
 from spinorlab.clifford_core import (
-    Polyvector,
     Signature,
     blade_index_list,
     build_rep,
     gamma_blade,
-    gamma_polyvector,
     gamma_vector,
-    wedge_vectors,
 )
 from spinorlab.exact_linalg import Echelon, Matrix, kernel
 from spinorlab.subspace_lab import extremal_witness
-from test_exact_linalg import bareiss_echelon, bareiss_kernel, bareiss_rank
+from test_clifford_core import _permutation_sign, gamma_alternating
+from test_exact_linalg import bareiss_echelon, bareiss_kernel, bareiss_rank, zero_matrix
 
 
 def _column(values):
     return Matrix.from_columns([list(values)])
 
 
-def metric_inner(omega, xi, eta):
-    """The extension of g to degree-k polyvectors: orthonormal blades are
-    orthogonal, and g(e_I, e_I) is the product of eta over I."""
+def metric_inner(k, omega, xi, eta):
+    """The extension of g to degree-k polyvectors, given by their
+    coefficient tuples over blade_index_list(n, k): orthonormal blades
+    are orthogonal, and g(e_I, e_I) is the product of eta over I."""
     return sum(
         a * b * prod(eta[i] for i in indices)
-        for indices, a, b in zip(blade_index_list(omega.n, omega.k), omega.coeffs, xi.coeffs)
+        for indices, a, b in zip(blade_index_list(len(eta), k), omega, xi, strict=True)
+    )
+
+
+def wedge_coefficients(vectors, n):
+    """The coefficients of v_1 ^ ... ^ v_k over blade_index_list(n, k):
+    the k x k minors of the vectors' coordinates on the columns I."""
+    k = len(vectors)
+    return tuple(
+        sum(
+            _permutation_sign(perm) * prod(vectors[r][indices[perm[r]]] for r in range(k))
+            for perm in itertools.permutations(range(k))
+        )
+        for indices in blade_index_list(n, k)
     )
 
 
@@ -62,7 +75,7 @@ def test_bracket_degree_zero():
         t = random_spinor(rep, rng)
         b = bracket_k(rep, form, s, t, 0)
         h_val = (_column(s).transpose() * form.matrix.dense() * _column(t))[0, 0]
-        assert b.coeffs == (h_val,)
+        assert b == (h_val,)
 
 
 def test_bracket_zero_spinor():
@@ -71,7 +84,7 @@ def test_bracket_zero_spinor():
     zero = [0] * rep.N
     t = [1] * rep.N
     for k in range(rep.n + 1):
-        assert not any(bracket_k(rep, form, zero, t, k).coeffs)
+        assert not any(bracket_k(rep, form, zero, t, k))
 
 
 def test_bracket_defining_identity_vectors():
@@ -84,7 +97,7 @@ def test_bracket_defining_identity_vectors():
         t = random_spinor(rep, rng)
         v = [rng.randint(-3, 3) for _ in range(rep.n)]
         omega = bracket_k(rep, form, s, t, 1)
-        lhs = metric_inner(omega, Polyvector.from_vector(v), eta)
+        lhs = metric_inner(1, omega, v, eta)
         gv = gamma_vector(rep, v)
         rhs = ((gv * _column(s)).transpose() * form.matrix.dense() * _column(t))[0, 0]
         assert lhs == rhs
@@ -101,10 +114,9 @@ def test_bracket_defining_identity_general_blades():
             s = random_spinor(rep, rng)
             t = random_spinor(rep, rng)
             vs = [[rng.randint(-3, 3) for _ in range(rep.n)] for _ in range(k)]
-            xi = wedge_vectors(vs)
             omega = bracket_k(rep, form, s, t, k)
-            lhs = metric_inner(omega, xi, eta)
-            g_xi = gamma_polyvector(rep, xi)
+            lhs = metric_inner(k, omega, wedge_coefficients(vs, rep.n), eta)
+            g_xi = gamma_alternating(rep, vs)
             rhs = ((g_xi * _column(s)).transpose() * h * _column(t))[0, 0]
             assert lhs == rhs
 
@@ -121,16 +133,16 @@ def test_bracket_bilinearity():
         split = tuple(
             2 * a - 3 * b
             for a, b in zip(
-                bracket_k(rep, form, s1, t, k).coeffs, bracket_k(rep, form, s2, t, k).coeffs
+                bracket_k(rep, form, s1, t, k), bracket_k(rep, form, s2, t, k)
             )
         )
-        assert combined.coeffs == split
+        assert combined == split
 
 
 def test_bracket_rejects_degenerate_form():
     # a form that reaches bracket_k is a signed permutation, so invertible;
     # a dense matrix, degenerate or not, is refused when the form is built
-    for dense in (Matrix.zero(4, 4), Matrix.identity(4)):
+    for dense in (zero_matrix(4, 4), Matrix.identity(4)):
         with pytest.raises(TypeError, match="SignedPerm"):
             BilinearForm(dense, 1, -1)
 
@@ -310,8 +322,8 @@ def test_bracket_defining_identity_property(s, t, k):
     omega = bracket_k(rep, form, s, t, k)
     eta = rep.eta
     for indices in blade_index_list(rep.n, k):
-        xi = Polyvector(rep.n, k, tuple(int(b == indices) for b in blade_index_list(rep.n, k)))
-        lhs = metric_inner(omega, xi, eta)
+        xi = tuple(int(b == indices) for b in blade_index_list(rep.n, k))
+        lhs = metric_inner(k, omega, xi, eta)
         g_xi = gamma_blade(rep, indices)
         rhs = ((g_xi.dense() * _column(s)).transpose() * h * _column(t))[0, 0]
         assert lhs == rhs
@@ -324,11 +336,11 @@ def test_bracket_bilinear_property(s1, s2, t, c):
     form = first_nondegenerate(rep)
     mixed = [c * a + b for a, b in zip(s1, s2)]
     left = bracket_k(rep, form, mixed, t, 1)
-    split = zip(bracket_k(rep, form, s1, t, 1).coeffs, bracket_k(rep, form, s2, t, 1).coeffs)
-    assert left.coeffs == tuple(c * a + b for a, b in split)
+    split = zip(bracket_k(rep, form, s1, t, 1), bracket_k(rep, form, s2, t, 1))
+    assert left == tuple(c * a + b for a, b in split)
     right = bracket_k(rep, form, t, mixed, 1)
-    rsplit = zip(bracket_k(rep, form, t, s1, 1).coeffs, bracket_k(rep, form, t, s2, 1).coeffs)
-    assert right.coeffs == tuple(c * a + b for a, b in rsplit)
+    rsplit = zip(bracket_k(rep, form, t, s1, 1), bracket_k(rep, form, t, s2, 1))
+    assert right == tuple(c * a + b for a, b in rsplit)
 
 
 # Slow oracles for the block-assembled fast paths: the per-pair loops the
@@ -505,7 +517,7 @@ def test_pi_image_stops_at_full_image_and_matches_oracle(sig, dims, monkeypatch)
 def test_pi_image_degenerate_form_and_empty_spaces():
     rep = build_rep(Signature(2, 1))
     with pytest.raises(TypeError, match="SignedPerm"):
-        BilinearForm(Matrix.zero(rep.N, rep.N), 1, -1)
+        BilinearForm(zero_matrix(rep.N, rep.N), 1, -1)
     form = first_nondegenerate(rep)
     full, trivial = SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)
     for a, b in ((trivial, full), (full, trivial), (trivial, trivial)):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from spinorlab.clifford_core import (
-    Polyvector,
     Signature,
     build_rep,
     clifford_relation_failures,
     gamma_blade,
-    wedge_vectors,
+    null_pair,
 )
 from spinorlab import cone_split
 from spinorlab.cone_split import (
@@ -20,6 +19,8 @@ from spinorlab.cone_split import (
     semispinor_projectors,
 )
 from spinorlab.exact_linalg import Matrix, SignedPerm, rank
+from test_clifford_core import gamma_alternating
+from test_exact_linalg import zero_matrix
 
 THIS = sys.modules[__name__]
 
@@ -218,7 +219,7 @@ def test_complex_clifford_relations():
         for i, gi in enumerate(gens):
             for j in range(i, m):
                 gj = gens[j]
-                want = ident.scale(-2) if i == j else Matrix.zero(dim, dim)
+                want = ident.scale(-2) if i == j else zero_matrix(dim, dim)
                 assert gi * gj + gj * gi == want
             assert grading * gi == -(gi * grading)
 
@@ -339,20 +340,13 @@ def test_graded_tensor_xi_on_odd_pairs():
 
 def test_invariant_spinors_empty_list():
     rep = build_rep(Signature(2, 1))
-    dim, basis = invariant_spinors(rep, [])
-    assert dim == rep.N
+    assert invariant_spinors(rep, []) == rep.N
 
 
 def test_invariant_spinors_full_rotation_algebra():
     rep = build_rep(Signature(3, 0))
-    bivs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ei = [1 if a == i else 0 for a in range(3)]
-            ej = [1 if a == j else 0 for a in range(3)]
-            bivs.append(wedge_vectors([ei, ej]))
-    dim, _ = invariant_spinors(rep, bivs)
-    assert dim == 0
+    rotations = [gamma_blade(rep, (i, j)).dense() for i in range(3) for j in range(i + 1, 3)]
+    assert invariant_spinors(rep, rotations) == 0
 
 
 def test_null_plane_invariants_lorentzian_cones():
@@ -361,19 +355,21 @@ def test_null_plane_invariants_lorentzian_cones():
     for n in range(3, 10):
         for (p, q) in [(1, n - 1), (n - 1, 1)]:
             rep = build_rep(Signature(p, q))
-            bivs = null_plane_rotations(rep)
-            assert len(bivs) == n - 2
-            dim, _ = invariant_spinors(rep, bivs)
-            assert 2 * dim == rep.N, f"({p},{q})"
+            rotations = null_plane_rotations(rep)
+            # each is the action of p ^ e_j, j outside the hyperbolic plane
+            p_vec, _ = null_pair(rep.signature)
+            directions = [j for j in range(n) if j not in (0, p)]
+            for j, rotation in zip(directions, rotations, strict=True):
+                e = [int(a == j) for a in range(n)]
+                assert rotation == gamma_alternating(rep, [p_vec, e]), (p, q, j)
+            assert 2 * invariant_spinors(rep, rotations) == rep.N, f"({p},{q})"
 
 
 def test_null_plane_scale_invariance():
     rep = build_rep(Signature(1, 4))
-    bivs = null_plane_rotations(rep)
-    dim, _ = invariant_spinors(rep, bivs)
-    scaled = [Polyvector(b.n, b.k, tuple(2 * c for c in b.coeffs)) for b in bivs]
-    dim2, _ = invariant_spinors(rep, scaled)
-    assert dim == dim2
+    rotations = null_plane_rotations(rep)
+    scaled = [r.scale(2) for r in rotations]
+    assert invariant_spinors(rep, rotations) == invariant_spinors(rep, scaled)
 
 
 def test_semispinor_residue_rule_all_bases(monkeypatch):
@@ -429,7 +425,7 @@ def _mixed_sign_diagonal(N):
 @pytest.mark.parametrize(
     "bad_z, message",
     [
-        (lambda N: Matrix.zero(N, N), "not idempotent"),  # z^2 = 0
+        (lambda N: zero_matrix(N, N), "not idempotent"),  # z^2 = 0
         (lambda N: Matrix.identity(N).scale(2), "not idempotent"),  # z^2 = 4 Id
         (lambda N: Matrix.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
         (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
