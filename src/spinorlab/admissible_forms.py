@@ -3,14 +3,15 @@
 A form h is admissible of symmetry sigma and type tau when
 h(s,t) = sigma h(t,s) and h(gamma_X s, t) = tau h(s, gamma_X t); in
 matrix terms H^T = sigma H and G_i^T H = tau H G_i for every generator.
-The full solution space of these constraints is computed exactly.
+The full solution space is exact_linalg's signed_relation_basis of the
+pairs (G_i, G_i^T) with the transposition move, one SignedPerm per form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford_core import CliffordRep, Signature, build_rep, cell_maps
+from .clifford_core import CliffordRep, Signature, build_rep
 from .exact_linalg import SignedPerm, signed_relation_basis
 
 
@@ -41,17 +42,11 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
         raise ValueError("sigma and tau must be +-1")
     N = rep.N
     # G^T H = tau H G is H = tau G H G, since G^T = G^-1
-    maps = cell_maps([(g, g.transpose()) for g in rep.generators], N, tau)
-    transpose = [s * N + r for r in range(N) for s in range(N)]
-    maps.append((transpose, [sigma] * (N * N)))
+    pairs = [(g, g.transpose()) for g in rep.generators]
     forms = []
-    for vec in signed_relation_basis(N * N, maps):
-        # cell r*N + s with value x is column s of a signed permutation
-        entries = sorted((c % N, c // N, x) for c, x in enumerate(vec) if x)
-        perm = tuple(r for _, r, _ in entries)
-        signs = tuple(x for _, _, x in entries)
-        columns = [s for s, _, _ in entries]
-        if columns != list(range(N)) or sorted(perm) != columns or not {*signs} <= {1, -1}:
+    for element in signed_relation_basis(N, pairs, tau, sigma):
+        perm, signs = zip(*(element.get(s, (-1, 0)) for s in range(N)))
+        if sorted(perm) != list(range(N)) or not {*signs} <= {1, -1}:
             raise ArithmeticError(
                 f"admissible form of {rep.signature} with (sigma, tau) = "
                 f"({sigma}, {tau}) is not a signed permutation"

@@ -68,6 +68,12 @@ def _output_path(text) -> str:
     return text
 
 
+def _existing_file(text) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"{text} is not an existing file")
+    return text
+
+
 def _emit(payload, fmt="json"):
     if fmt == "json":
         print(json.dumps({"schema": serialize.SCHEMA, **payload}, sort_keys=True))
@@ -303,7 +309,7 @@ def build_parser():
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--max-n", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--witness", default=None)
+    p.add_argument("--witness", type=_existing_file, default=None)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -142,7 +142,7 @@ def _reduce_module(positives, negatives, comm):
         comm = [_restrict(x, cols, reps) for x in comm if x * z == z * x]
 
 
-def _classify_commutant(comm, N):
+def _classify_commutant(comm):
     """Identify the division algebra generated by tracked commutant elements."""
     nonscalar = [x for x in comm if x.is_scalar_multiple_of_identity() is None]
     j1 = None
@@ -212,28 +212,9 @@ def _build(p, q):
     return positives, negatives, comm
 
 
-def cell_maps(pairs, N, c=1):
-    """The relation X = c L X R^T on N x N matrices X as one signed cell
-    map (target, sign) per pair (L, R) of SignedPerms: cell a*N + s goes
-    to L.perm[a]*N + R.perm[s] with sign c * L.signs[a] * R.signs[s].
-    The input of exact_linalg.signed_relation_basis."""
-    maps = []
-    for left, right in pairs:
-        target = [x * N + y for x in left.perm for y in right.perm]
-        sign = [c * x * y for x in left.signs for y in right.signs]
-        maps.append((target, sign))
-    return maps
-
-
-def commutant_vectors(perms, N):
-    """Basis of {X : X M = M X for every SignedPerm M in perms}, each
-    element as a flat row-major vector of N*N ints."""
-    return signed_relation_basis(N * N, cell_maps([(m, m) for m in perms], N))
-
-
 def commutant_dimension(generators, N) -> int:
     """Dimension of {X : X G = G X for all generators G}."""
-    return len(commutant_vectors(generators, N))
+    return len(signed_relation_basis(N, [(g, g) for g in generators]))
 
 
 def clifford_relation_failures(generators, eta):
@@ -276,7 +257,7 @@ def _build_rep_cached(p, q):
     positives, negatives, comm = _build(p, q)
     gens = positives + negatives
     N = len(gens[0].perm) if gens else 1
-    ctype, cbasis = _classify_commutant(comm, N)
+    ctype, cbasis = _classify_commutant(comm)
     rep = CliffordRep(
         signature=Signature(p, q),
         N=N,

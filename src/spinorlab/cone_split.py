@@ -14,16 +14,11 @@ from dataclasses import dataclass
 from .clifford_core import (
     CliffordRep,
     Signature,
-    commutant_vectors,
     even_subalgebra_images,
     gamma_vector,
     null_pair,
 )
-from .exact_linalg import (
-    Matrix,
-    SignedPerm,
-    rank,
-)
+from .exact_linalg import Matrix, SignedPerm, rank, signed_relation_basis
 
 
 def invariant_spinors(rep: CliffordRep, operators) -> int:
@@ -43,13 +38,9 @@ def null_plane_rotations(rep: CliffordRep):
     return [gamma_p * g for j, g in enumerate(rep.generators) if j not in (0, sig.p)]
 
 
-def _even_commutant_matrices(rep_cone: CliffordRep):
-    N = rep_cone.N
-    vecs = commutant_vectors(even_subalgebra_images(rep_cone), N)
-    return [Matrix([v[r * N : (r + 1) * N] for r in range(N)]) for v in vecs]
-
-
 def _find_involution(candidates, N):
+    """The first non-scalar involution among the candidates, then among
+    the differences x - y of two of them, in order; None if there is none."""
     ident = Matrix.identity(N)
     seen = []
     for x in candidates:
@@ -60,14 +51,9 @@ def _find_involution(candidates, N):
         seen.append(x)
     for i, x in enumerate(seen):
         for y in seen[i + 1 :]:
-            for z in (x + y, x - y):
-                if z.is_scalar_multiple_of_identity() is not None:
-                    continue
-                if z * z == ident:
-                    return z
-            p = x * y
-            if p.is_scalar_multiple_of_identity() is None and p * p == ident:
-                return p
+            z = x - y
+            if z.is_scalar_multiple_of_identity() is None and z * z == ident:
+                return z
     return None
 
 
@@ -101,15 +87,20 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     if cone.p < 1:
         raise ValueError("cone signature needs a positive direction")
     base = Signature(cone.p - 1, cone.q)
-    comm = _even_commutant_matrices(rep_cone)
     N = rep_cone.N
     images = even_subalgebra_images(rep_cone)
+    comm = signed_relation_basis(N, [(e, e) for e in images])
+    candidates = []
+    for element in comm:
+        rows = [[0] * N for _ in range(N)]
+        for col, (row, sign) in element.items():
+            rows[row][col] = sign
+        candidates.append(Matrix(rows))
     # canonical candidate: the image of the base volume element, valid
     # only when it is central in the even action (odd base dimension)
     omega = SignedPerm.identity(N)
     for e in images:
         omega = omega * e
-    candidates = list(comm)
     if all(e * omega == omega * e for e in images):
         candidates.insert(0, omega.dense())
     z = _find_involution(candidates, N)

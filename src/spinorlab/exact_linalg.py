@@ -7,7 +7,8 @@ rows accepted so far, so rank certificates, span tests and kernels are
 reproducible bit for bit.  rank and kernel feed a matrix's rows to one
 Echelon; kernel back-substitution stays in Z, carrying d * x for d the
 determinant of the pivot minor, which Cramer's rule makes integral, and
-divides by d once.
+divides by d once.  signed_relation_basis solves the monomial relations
+X = c L X R^T of SignedPerm pairs by orbit walks, without elimination.
 """
 
 from __future__ import annotations
@@ -323,39 +324,64 @@ def kernel(matrix: Matrix) -> Matrix:
     return Echelon(matrix.data).kernel(matrix.cols)
 
 
-def signed_relation_basis(n_cells, maps):
-    """Solution basis of x_c == sign[c] * x_target[c] for every cell c
-    and every signed cell map (target, sign) in maps.
+def signed_relation_basis(N, pairs, c=1, sigma=None):
+    """Solution basis of X = c L X R^T on N x N matrices X for every
+    SignedPerm pair (L, R) in pairs, and of X^T = sigma X unless sigma
+    is None: one dict {column: (row, sign)} per surviving cell orbit,
+    +1 at its lowest row-major cell, in order of that cell.
 
-    Each map is a signed bijection of range(n_cells).  The cells are
-    walked orbit by orbit (breadth first under all maps), each orbit
-    rooted at its lowest-index unvisited cell with value +1; an orbit
-    that reaches one of its cells with both signs admits only zero.
-    Returns one vector (a list of ints in {-1, 0, 1}) per surviving
-    orbit, in order of the orbit's lowest cell.
+    Every cell orbit meets the lowest column of some column orbit of the
+    R's, so walks start at each row of those columns.  A surviving orbit
+    with two rows in one column raises ArithmeticError.
     """
-    value = [0] * n_cells  # 0 marks an unvisited cell
-    basis = []
-    for root in range(n_cells):
+    moves = [(l.perm, l.signs, r.perm, r.signs) for l, r in pairs]
+    roots, columns = [], set()
+    for s0 in range(N):
+        if s0 in columns:
+            continue
+        roots += range(s0, N * N, N)  # every row of column s0
+        stack = [s0]
+        while stack:
+            s = stack.pop()
+            if s not in columns:
+                columns.add(s)
+                stack += [rp[s] for _, _, rp, _ in moves]
+    value = [0] * (N * N)  # 0 unvisited, else +-1, or 2 on a dead orbit
+    found = []
+    for root in roots:
         if value[root]:
             continue
-        value[root] = 1
-        orbit = [root]
-        alive = True
-        for cell in orbit:  # grows while walked
-            v = value[cell]
-            for target, sign in maps:
-                t = target[cell]
-                w = v * sign[cell]
-                seen = value[t]
-                if not seen:
-                    value[t] = w
-                    orbit.append(t)
-                elif seen != w:
-                    alive = False
-        if alive:
-            vec = [0] * n_cells
+        orbit = _walk(value, root, N, moves, c, sigma)
+        if orbit:
+            low = min(orbit)
+            element = {}
             for cell in orbit:
-                vec[cell] = value[cell]
-            basis.append(vec)
-    return basis
+                row, col = divmod(cell, N)
+                if col in element:
+                    raise ArithmeticError(f"an orbit holds two rows in column {col}")
+                element[col] = (row, value[low] * value[cell])
+            found.append((low, element))
+    return [element for _, element in sorted(found, key=lambda item: item[0])]
+
+
+def _walk(value, root, N, moves, c, sigma):
+    """Walk root's orbit breadth first from value +1: cell (a, s) moves
+    to (L.perm[a], R.perm[s]) with sign c * L.signs[a] * R.signs[s], and
+    to (s, a) with sign sigma.  Its cells, or None at the first sign
+    clash, after marking them dead: the orbit admits only zero."""
+    value[root], orbit = 1, [root]
+    for cell in orbit:  # grows while walked
+        a, s = divmod(cell, N)
+        v = value[cell]
+        steps = [(lp[a] * N + rp[s], c * v * ls[a] * rs[s]) for lp, ls, rp, rs in moves]
+        if sigma is not None:
+            steps.append((s * N + a, sigma * v))
+        for t, w in steps:
+            if not value[t]:
+                value[t] = w
+                orbit.append(t)
+            elif value[t] != w:  # a dead cell clashes with every value
+                for dead in orbit:
+                    value[dead] = 2
+                return None
+    return orbit

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spinorlab.admissible_forms import (
@@ -6,7 +8,7 @@ from spinorlab.admissible_forms import (
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
-from spinorlab.exact_linalg import Matrix, kernel, rank
+from spinorlab.exact_linalg import Matrix, SignedPerm, kernel, rank
 
 
 def all_signatures(max_n):
@@ -236,21 +238,26 @@ def test_every_basis_form_has_full_rank():
 def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
     rep = build_rep(Signature(1, 1))  # N = 2
     monomial = [
-        [0, 1, 1, 0],
-        [1, 0, 0, -1],
+        {1: (0, 1), 0: (1, 1)},
+        {0: (0, 1), 1: (1, -1)},
     ]
     not_monomial = [
-        [1, 1, 0, 0],  # both in row 0
-        [1, 0, 1, 0],  # both in column 0
-        [1, 0, 0, 0],  # too few nonzeros
-        [1, 1, 1, 1],
-        [2, 0, 0, 1],  # not a unit sign
+        {0: (0, 1), 1: (0, 1)},  # both in row 0
+        {0: (0, 1)},  # too few columns
+        {0: (0, 2), 1: (1, 1)},  # not a unit sign
     ]
     target = "spinorlab.admissible_forms.signed_relation_basis"
-    monkeypatch.setattr(target, lambda n, maps: monomial)
-    forms = find_admissible(rep, 1, 1)
-    assert [f.matrix.dense().to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
-    for vec in not_monomial:
-        monkeypatch.setattr(target, lambda n, maps: [vec])
-        with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
-            find_admissible(rep, 1, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(target, lambda N, pairs, c, sigma: monomial)
+        forms = find_admissible(rep, 1, 1)
+        assert [f.matrix.dense().to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+        for element in not_monomial:
+            patch.setattr(target, lambda N, pairs, c, sigma: [element])
+            with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
+                find_admissible(rep, 1, 1)
+    # two rows in one column: the walk itself refuses the orbit, here
+    # {(0, 2), (1, 2), (2, 0), (2, 1)} of a generator that fixes column 2
+    swap = SignedPerm((1, 0, 2), (1, 1, 1))
+    planted = dataclasses.replace(rep, N=3, generators=(swap,))
+    with pytest.raises(ArithmeticError, match="two rows in column 2"):
+        find_admissible(planted, 1, 1)

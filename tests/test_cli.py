@@ -210,6 +210,7 @@ def test_model_verify_rejects_bad_values_in_parser(flags):
         ["rep-table", "--max-n", "-2"],
         ["admissible-table", "--max-n", "0"],
         ["verify-all", "--max-n", "0"],
+        ["verify-all", "--witness", "no-such-witness.json"],
         ["spin23", "--trials", "-5"],
         ["spin23", "--trials", "0"],
         ["spin45", "--budget", "0"],

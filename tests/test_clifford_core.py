@@ -11,7 +11,6 @@ from spinorlab.clifford_core import (
     _restrict,
     Signature,
     build_rep,
-    cell_maps,
     clifford_relation_failures,
     commutant_dimension,
     even_subalgebra_images,
@@ -149,97 +148,6 @@ def _commutant_dimension_dense(generators, N):
                         row[r * N + k] -= g.data[k][s]
                 rows.append(row)
     return kernel(Matrix(rows)).cols
-
-
-def signed_permutation(matrix: Matrix):
-    """(perm, signs) with matrix @ e_j == signs[j] * e_perm[j], or None:
-    the dense extraction the builder used before it kept SignedPerms."""
-    perm = [None] * matrix.cols
-    signs = [0] * matrix.cols
-    for j in range(matrix.cols):
-        hit = None
-        for i in range(matrix.rows):
-            x = matrix.data[i][j]
-            if x:
-                if hit is not None or x not in (1, -1):
-                    return None
-                hit = i
-                signs[j] = x
-        if hit is None:
-            return None
-        perm[j] = hit
-    return tuple(perm), tuple(signs)
-
-
-def _commutant_relations_oracle(mats, N):
-    """The relation loop commutant_dimension and the even commutant each
-    inlined before monomial_relations: d_a X[a, s] == d_s X[r, perm[s]]."""
-    relations = []
-    for g in mats:
-        perm, signs = signed_permutation(g.dense())
-        inv = [0] * N
-        for j, i in enumerate(perm):
-            inv[i] = j
-        for r in range(N):
-            a = inv[r]
-            da = signs[a]
-            for s in range(N):
-                relations.append((a * N + s, r * N + perm[s], da * signs[s]))
-    return relations
-
-
-def _type_relations_oracle(generators, N, tau):
-    """The relation loop find_admissible used before monomial_relations:
-    d(r) H[perm(r), s] == tau d(s) H[r, perm(s)]."""
-    relations = []
-    for g in generators:
-        perm, signs = signed_permutation(g.dense())
-        for r in range(N):
-            for s in range(N):
-                relations.append(
-                    (perm[r] * N + s, r * N + perm[s], tau * signs[r] * signs[s])
-                )
-    return relations
-
-
-def _edges(relations):
-    """Two-term relations as a sorted list of undirected signed edges."""
-    return sorted((min(a, b), max(a, b), s) for a, b, s in relations)
-
-
-def _map_edges(maps):
-    return _edges(
-        (c, t, s) for target, sign in maps for c, (t, s) in enumerate(zip(target, sign))
-    )
-
-
-def test_cell_maps_match_inline_builders():
-    def commutant_maps(mats, N):
-        return cell_maps([(m, m) for m in mats], N)
-
-    def type_maps(mats, N, tau):
-        return cell_maps([(m, m.transpose()) for m in mats], N, tau)
-
-    for sig in all_signatures(6):
-        rep = build_rep(sig)
-        gens, N = rep.generators, rep.N
-        want = _edges(_commutant_relations_oracle(gens, N))
-        assert _map_edges(commutant_maps(gens, N)) == want, str(sig)
-        for tau in (1, -1):
-            want = _edges(_type_relations_oracle(gens, N, tau))
-            assert _map_edges(type_maps(gens, N, tau)) == want, (str(sig), tau)
-        if sig.p >= 1 and sig.n >= 2:
-            images = even_subalgebra_images(rep)
-            want = _edges(_commutant_relations_oracle(images, N))
-            assert _map_edges(commutant_maps(images, N)) == want, str(sig)
-    # generators are involutions up to sign, so only a non-involutive
-    # monomial tells a permutation from its inverse
-    cycle = SignedPerm(*signed_permutation(Matrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]])))
-    want = _edges(_commutant_relations_oracle([cycle], 3))
-    assert _map_edges(commutant_maps([cycle], 3)) == want
-    for tau in (1, -1):
-        want = _edges(_type_relations_oracle([cycle], 3, tau))
-        assert _map_edges(type_maps([cycle], 3, tau)) == want
 
 
 def test_commutant_dimension_rejects_non_monomial_generators():

@@ -10,7 +10,6 @@ from spinorlab.admissible_forms import find_admissible
 from spinorlab.clifford_core import (
     Signature,
     build_rep,
-    commutant_vectors,
     even_subalgebra_images,
 )
 from spinorlab.exact_linalg import (
@@ -230,66 +229,116 @@ def test_column_space_basis():
     assert len(echelon) == rank(m) == bareiss_rank(m) == 2
 
 
-def _maps(n_cells, relations):
-    """Signed cell maps from (cell, target, sign) triples; cells that no
-    triple names map to themselves with sign +1."""
-    target, sign = list(range(n_cells)), [1] * n_cells
-    for a, b, s in relations:
-        target[a], sign[a] = b, s
-    return [(target, sign)]
+ID2 = SignedPerm.identity(2)
 
 
 def test_signed_relations_simple():
-    # x0 == x1, x1 == -x2, x2 == -x0: one orbit (1, 1, -1)
-    basis = signed_relation_basis(3, _maps(3, [(0, 1, 1), (1, 2, -1), (2, 0, -1)]))
-    assert basis == [[1, 1, -1]]
+    # X = X R^T reads X[a, 0] == X[a, 1], X[a, 1] == -X[a, 2] and
+    # X[a, 2] == -X[a, 0] on every row a: one orbit (1, 1, -1) per row
+    chain = SignedPerm((1, 2, 0), (1, -1, -1))
+    basis = signed_relation_basis(3, [(SignedPerm.identity(3), chain)])
+    assert basis == [{0: (a, 1), 1: (a, 1), 2: (a, -1)} for a in range(3)]
 
 
 def test_signed_relations_contradiction():
-    # x0 == x1 and x1 == -x0
-    basis = signed_relation_basis(2, _maps(2, [(0, 1, 1), (1, 0, -1)]))
-    assert basis == []
+    # X[a, 0] == X[a, 1] and X[a, 1] == -X[a, 0]
+    assert signed_relation_basis(2, [(ID2, SignedPerm((1, 0), (1, -1)))]) == []
 
 
 def test_signed_relations_self_negative():
-    basis = signed_relation_basis(2, _maps(2, [(0, 0, -1)]))
-    assert basis == [[0, 1]]
+    # X[a, 0] == -X[a, 0]; column 1 is free, one cell per row
+    basis = signed_relation_basis(2, [(ID2, SignedPerm((0, 1), (-1, 1)))])
+    assert basis == [{1: (0, 1)}, {1: (1, 1)}]
 
 
-def _random_maps(rng, n_cells, n_maps):
-    """Random signed bijections; about a third of the cells of each are
-    fixed points, a quarter of all signs -1."""
-    maps = []
-    for _ in range(n_maps):
-        moved = [c for c in range(n_cells) if rng.random() < 0.67]
-        shuffled = moved[:]
-        rng.shuffle(shuffled)
-        target = list(range(n_cells))
-        for a, b in zip(moved, shuffled):
-            target[a] = b
-        sign = [rng.choice([1, 1, 1, -1]) for _ in range(n_cells)]
-        maps.append((target, sign))
-    return maps
+def test_signed_relations_transposition_move():
+    # X^T = -X: the diagonal dies, and X[1, 0] == -X[0, 1]
+    assert signed_relation_basis(2, [], sigma=-1) == [{1: (0, 1), 0: (1, -1)}]
+    # with no relation at all, every cell is its own orbit, row-major
+    assert signed_relation_basis(2, []) == [{s: (a, 1)} for a in range(2) for s in range(2)]
+
+
+def test_signed_relations_reject_two_rows_in_a_column():
+    # X = L X with L the row swap: X[0, s] == X[1, s] survives with two rows
+    swap = SignedPerm((1, 0), (1, 1))
+    with pytest.raises(ArithmeticError, match="two rows in column 0"):
+        signed_relation_basis(2, [(swap, ID2)])
+    # with a sign clash the orbit dies instead, and nothing is left to raise on
+    assert signed_relation_basis(2, [(SignedPerm((1, 0), (1, -1)), ID2)]) == []
+
+
+def _random_signed_perm(rng, N):
+    """About a third of the points fixed, a quarter of all signs -1; the
+    fixed points give R's with more than one column orbit."""
+    moved = [c for c in range(N) if rng.random() < 0.67]
+    shuffled = moved[:]
+    rng.shuffle(shuffled)
+    perm = list(range(N))
+    for a, b in zip(moved, shuffled):
+        perm[a] = b
+    return SignedPerm(tuple(perm), tuple(rng.choice([1, 1, 1, -1]) for _ in range(N)))
+
+
+def _random_pair_system(rng):
+    """(N, pairs, c, sigma): 1 to 3 pairs of 1 to 5 point signed
+    permutations, R = L, R = L^T or an independent R, and the
+    transposition move two thirds of the time."""
+    N = rng.randint(1, 5)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        left = _random_signed_perm(rng, N)
+        right = rng.choice([left, left.transpose(), _random_signed_perm(rng, N)])
+        pairs.append((left, right))
+    return N, pairs, rng.choice([1, -1]), rng.choice([None, 1, -1])
+
+
+def _relation_rows(N, pairs, c, sigma):
+    """The equations X - c L X R^T = 0 and X - sigma X^T = 0 over the
+    row-major cells of X, one row per cell (a, s), from dense matrices."""
+    rows = []
+    for left, right in pairs:
+        lm, rm = left.dense(), right.dense()
+        for a in range(N):
+            for s in range(N):
+                row = [-c * lm[a, k] * rm[s, m] for k in range(N) for m in range(N)]
+                row[a * N + s] += 1
+                rows.append(row)
+    if sigma is not None:
+        for a in range(N):
+            for s in range(N):
+                row = [0] * (N * N)
+                row[a * N + s] += 1
+                row[s * N + a] -= sigma
+                rows.append(row)
+    return rows
+
+
+def _dense(element, N):
+    rows = [[0] * N for _ in range(N)]
+    for col, (row, sign) in element.items():
+        rows[row][col] = sign
+    return Matrix(rows)
 
 
 def test_signed_relations_match_dense_kernel():
-    # the orbit solver must agree with the dense kernel of the
-    # equivalent constraint matrix
+    # every basis element the orbit solver returns solves the dense
+    # constraint matrix, and together they span its kernel
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 8)
-        maps = _random_maps(rng, n, rng.randint(1, 3))
-        rows = []
-        for target, sign in maps:
-            for c in range(n):
-                row = [0] * n
-                row[c] += 1
-                row[target[c]] -= sign[c]
-                rows.append(row)
-        basis = signed_relation_basis(n, maps)
-        assert len(basis) == kernel(Matrix(rows)).cols
-        for vec in basis:
-            assert (Matrix(rows) * Matrix.from_columns([vec])).is_zero()
+    solved = raised = 0
+    for _ in range(60):
+        N, pairs, c, sigma = _random_pair_system(rng)
+        constraints = Matrix(_relation_rows(N, pairs, c, sigma))
+        try:
+            basis = signed_relation_basis(N, pairs, c, sigma)
+        except ArithmeticError:
+            raised += 1
+            continue
+        solved += 1
+        assert len(basis) == kernel(constraints).cols
+        for element in basis:
+            flat = [x for row in _dense(element, N).data for x in row]
+            assert (constraints * Matrix.from_columns([flat])).is_zero()
+    assert solved >= 20 and raised >= 5
 
 
 class SignedUnionFind:
@@ -381,8 +430,37 @@ def _monomial_relations(pairs, N, c=1):
     return relations
 
 
-def _matrices(vectors, N):
-    return [Matrix([v[r * N : (r + 1) * N] for r in range(N)]) for v in vectors]
+def _pair_relations(N, pairs, c=1, sigma=None):
+    """X = c L X R^T as L^T X = c X R^T, and X^T = sigma X, as relation
+    triples over the N^2 row-major cells."""
+    relations = _monomial_relations([(l, r.transpose()) for l, r in pairs], N, c)
+    if sigma is not None:
+        relations += [(a * N + s, s * N + a, sigma) for a in range(N) for s in range(N)]
+    return relations
+
+
+def _union_find_solution(N, pairs, c=1, sigma=None):
+    """signed_relation_basis by union-find over the N^2 cells.  Each
+    vector becomes {column: (row, sign)}; a vector with two rows in one
+    column raises ArithmeticError, as the walk does."""
+    basis = []
+    for vec in _union_find_basis(N * N, _pair_relations(N, pairs, c, sigma)):
+        element = {}
+        for cell, x in enumerate(vec):
+            if x:
+                row, col = divmod(cell, N)
+                if col in element:
+                    raise ArithmeticError("two rows in one column")
+                element[col] = (row, x)
+        basis.append(element)
+    return basis
+
+
+def _outcome(solver, *system):
+    try:
+        return solver(*system)
+    except ArithmeticError:
+        return "raises"
 
 
 def test_orbit_solver_matches_union_find_on_reps():
@@ -390,42 +468,43 @@ def test_orbit_solver_matches_union_find_on_reps():
         for p in range(n + 1):
             rep = build_rep(Signature(p, n - p))
             gens, N = rep.generators, rep.N
-            pairs = [(g.transpose(), g) for g in gens]
-            want = _union_find_basis(N * N, _monomial_relations(pairs, N))
-            assert commutant_vectors(gens, N) == want, (p, n - p)
+            pairs = [(g, g) for g in gens]
+            assert signed_relation_basis(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
             for sigma in (1, -1):
                 for tau in (1, -1):
-                    rels = _monomial_relations([(g, g) for g in gens], N, tau)
-                    for r in range(N):
-                        for s in range(r, N):
-                            rels.append((r * N + s, s * N + r, sigma))
-                    want = _matrices(_union_find_basis(N * N, rels), N)
+                    system = (N, [(g, g.transpose()) for g in gens], tau, sigma)
+                    want = [_dense(e, N) for e in _union_find_solution(*system)]
                     got = [f.matrix.dense() for f in find_admissible(rep, sigma, tau)]
                     assert got == want, (p, n - p, sigma, tau)
             if p >= 1 and n >= 2:
-                images = even_subalgebra_images(rep)
-                pairs = [(g.transpose(), g) for g in images]
-                want = _union_find_basis(N * N, _monomial_relations(pairs, N))
-                assert commutant_vectors(images, N) == want, (p, n - p)
+                pairs = [(g, g) for g in even_subalgebra_images(rep)]
+                assert signed_relation_basis(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
+
+
+def _column_orbits(N, pairs):
+    return len(_union_find_basis(N, [(s, r.perm[s], 1) for _, r in pairs for s in range(N)]))
 
 
 def test_orbit_solver_matches_union_find_on_random_maps():
     rng = random.Random(5)
-    conflicts = negative_fixed = 0
+    seen = dict.fromkeys(
+        ("solved", "raised", "clash", "negative_fixed", "split_columns", "transposed"), 0
+    )
     for _ in range(300):
-        n = rng.randint(1, 12)
-        maps = _random_maps(rng, n, rng.randint(1, 3))
-        rels = [
-            (c, target[c], sign[c]) for target, sign in maps for c in range(n)
-        ]
-        want = _union_find_basis(n, rels)
-        assert signed_relation_basis(n, maps) == want
-        has_negative_fixed = any(a == b and s == -1 for a, b, s in rels)
-        negative_fixed += has_negative_fixed
-        orbits = _union_find_basis(n, [(a, b, 1) for a, b, _ in rels])
-        conflicts += len(want) < len(orbits) and not has_negative_fixed
-    # both ways an orbit dies occur among the seeded systems
-    assert conflicts >= 20 and negative_fixed >= 20
+        system = _random_pair_system(rng)
+        want = _outcome(_union_find_solution, *system)
+        assert _outcome(signed_relation_basis, *system) == want, system
+        N, pairs, c, sigma = system
+        seen["raised" if want == "raises" else "solved"] += 1
+        rels = _pair_relations(*system)
+        orbits = _union_find_basis(N * N, [(a, b, 1) for a, b, _ in rels])
+        cycles = [(a, b, s) for a, b, s in rels if a != b]
+        seen["negative_fixed"] += any(a == b and s == -1 for a, b, s in rels)
+        seen["clash"] += len(_union_find_basis(N * N, cycles)) < len(orbits)
+        seen["split_columns"] += _column_orbits(N, pairs) > 1
+        seen["transposed"] += sigma is not None
+    # each way a walk ends, and each kind of system, occurs among the seeded draws
+    assert min(seen.values()) >= 20, seen
 
 
 # every differential search below draws this many examples
@@ -433,20 +512,22 @@ DIFFERENTIAL = settings(max_examples=150)
 
 
 @st.composite
-def signed_bijection_systems(draw):
-    """1 to 12 cells and 1 to 3 signed bijections of them."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
-    n_maps = draw(st.integers(min_value=1, max_value=3))
-    return n, [(draw(st.permutations(range(n))), draw(signs)) for _ in range(n_maps)]
+def signed_pair_systems(draw):
+    """1 to 5 points, 1 to 3 pairs (L, R) with R = L, R = L^T or an
+    independent R, a sign c and maybe the transposition move."""
+    N = draw(st.integers(min_value=1, max_value=5))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        left = draw(signed_perms(N))
+        right = draw(st.sampled_from([left, left.transpose(), draw(signed_perms(N))]))
+        pairs.append((left, right))
+    return N, pairs, draw(st.sampled_from([1, -1])), draw(st.sampled_from([None, 1, -1]))
 
 
-@given(signed_bijection_systems())
+@given(signed_pair_systems())
 @DIFFERENTIAL
 def test_orbit_solver_matches_union_find_on_drawn_maps(system):
-    n, maps = system
-    rels = [(c, target[c], sign[c]) for target, sign in maps for c in range(n)]
-    assert signed_relation_basis(n, maps) == _union_find_basis(n, rels)
+    assert _outcome(signed_relation_basis, *system) == _outcome(_union_find_solution, *system)
 
 
 # SignedPerm against the dense product it replaced: every operation is
