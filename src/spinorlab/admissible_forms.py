@@ -45,13 +45,13 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
     pairs = [(g, g.transpose()) for g in rep.generators]
     forms = []
     for element in signed_relation_basis(N, pairs, tau, sigma):
-        perm, signs = zip(*(element.get(s, (-1, 0)) for s in range(N)))
-        if sorted(perm) != list(range(N)) or not {*signs} <= {1, -1}:
+        matrix = SignedPerm.from_cells(element, N)
+        if matrix is None:
             raise ArithmeticError(
                 f"admissible form of {rep.signature} with (sigma, tau) = "
                 f"({sigma}, {tau}) is not a signed permutation"
             )
-        forms.append(BilinearForm(SignedPerm(perm, signs), sigma, tau))
+        forms.append(BilinearForm(matrix, sigma, tau))
     return forms
 
 

@@ -124,16 +124,16 @@ def _restrict(m: SignedPerm, cols, reps):
     return SignedPerm(tuple(perm), tuple(signs))
 
 
+def first_square_root(elements, c):
+    """The first non-scalar SignedPerm x among the elements with x x = c Id, or None."""
+    scalar = SignedPerm.is_scalar_multiple_of_identity
+    return next((x for x in elements if scalar(x) is None and scalar(x * x) == c), None)
+
+
 def _reduce_module(positives, negatives, comm):
     """Split off +1 eigenspaces of commutant involutions until none remain."""
     while True:
-        z = None
-        for x in comm:
-            if x.is_scalar_multiple_of_identity() is not None:
-                continue
-            if (x * x).is_scalar_multiple_of_identity() == 1:
-                z = x
-                break
+        z = first_square_root(comm, 1)
         if z is None:
             return positives, negatives, comm
         cols, reps = _plus_eigenbasis(z)
@@ -144,21 +144,11 @@ def _reduce_module(positives, negatives, comm):
 
 def _classify_commutant(comm):
     """Identify the division algebra generated by tracked commutant elements."""
-    nonscalar = [x for x in comm if x.is_scalar_multiple_of_identity() is None]
-    j1 = None
-    for x in nonscalar:
-        if (x * x).is_scalar_multiple_of_identity() == -1:
-            j1 = x
-            break
+    j1 = first_square_root(comm, -1)
     if j1 is None:
         return "R", ()
-    j2 = None
-    for x in nonscalar:
-        if x == j1:
-            continue
-        if (x * x).is_scalar_multiple_of_identity() == -1 and x * j1 == -(j1 * x):
-            j2 = x
-            break
+    # j1 commutes with itself, so the anticommuting elements leave it out
+    j2 = first_square_root((x for x in comm if x * j1 == -(j1 * x)), -1)
     if j2 is None:
         return "C", (j1,)
     j3 = j1 * j2

@@ -15,6 +15,7 @@ from .clifford_core import (
     CliffordRep,
     Signature,
     even_subalgebra_images,
+    first_square_root,
     gamma_vector,
     null_pair,
 )
@@ -39,22 +40,27 @@ def null_plane_rotations(rep: CliffordRep):
 
 
 def _find_involution(candidates, N):
-    """The first non-scalar involution among the candidates, then among
-    the differences x - y of two of them, in order; None if there is none."""
-    ident = Matrix.identity(N)
-    seen = []
-    for x in candidates:
-        if x.is_scalar_multiple_of_identity() is not None:
-            continue
-        if (x * x) == ident:
-            return x
-        seen.append(x)
-    for i, x in enumerate(seen):
-        for y in seen[i + 1 :]:
-            z = x - y
-            if z.is_scalar_multiple_of_identity() is None and z * z == ident:
-                return z
-    return None
+    """The first non-scalar involution among the {column: (row, sign)}
+    candidates that are signed permutations, then among the differences
+    x - y of two of them, each in order; None if there is none.
+
+    A difference is tried only when x and y have disjoint columns: on a
+    shared column x - y has two entries or a non-unit one, so it is not
+    a signed permutation; on disjoint columns it is one exactly when the
+    rows are disjoint too.  The residue cross-check rejects a split missed
+    for want of a dense, non-monomial involution.
+    """
+    perms = (SignedPerm.from_cells(x, N) for x in candidates)
+    z = first_square_root((x for x in perms if x is not None), 1)
+    if z is not None:
+        return z
+    differences = (
+        SignedPerm.from_cells({**x, **{col: (row, -sign) for col, (row, sign) in y.items()}}, N)
+        for i, x in enumerate(candidates)
+        for y in candidates[i + 1 :]
+        if x.keys().isdisjoint(y)
+    )
+    return first_square_root((z for z in differences if z is not None), 1)
 
 
 # residues (base s mod 8) with irreducible even restriction, certified by
@@ -90,19 +96,14 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     N = rep_cone.N
     images = even_subalgebra_images(rep_cone)
     comm = signed_relation_basis(N, [(e, e) for e in images])
-    candidates = []
-    for element in comm:
-        rows = [[0] * N for _ in range(N)]
-        for col, (row, sign) in element.items():
-            rows[row][col] = sign
-        candidates.append(Matrix(rows))
     # canonical candidate: the image of the base volume element, valid
     # only when it is central in the even action (odd base dimension)
     omega = SignedPerm.identity(N)
     for e in images:
         omega = omega * e
+    candidates = list(comm)
     if all(e * omega == omega * e for e in images):
-        candidates.insert(0, omega.dense())
+        candidates.insert(0, dict(enumerate(zip(omega.perm, omega.signs))))
     z = _find_involution(candidates, N)
     split = z is not None
     if split != (base.s_mod8 not in IRREDUCIBLE_RESIDUES):
@@ -110,21 +111,15 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
             f"computed split={split} contradicts the residue rule for base {base}"
         )
     if split:
-        # checked on the integer a = Id +- z = 2p: p p = p reads a a = 2a,
-        # and annihilation and commutation ignore the factor 2; an
-        # idempotent's rank is its trace, so rank p = N/2 reads trace a = N
-        ident = Matrix.identity(N)
-        a_plus, a_minus = pair = (ident + z, ident - z)
-        for a in pair:
-            if a * a != a.scale(2):
-                raise ArithmeticError("projector is not idempotent")
-            if sum(a[i, i] for i in range(N)) != N:
-                raise ArithmeticError("projector rank is not N/2")
-        if not (a_plus * a_minus).is_zero():
-            raise ArithmeticError("projectors do not annihilate each other")
-        for e in images:
-            if e * a_plus != a_plus * e:
-                raise ArithmeticError("projector does not commute with the even action")
+        # the projectors (Id +- z)/2 are idempotent, and annihilate each
+        # other as their product is (Id - z z)/4, once z z = Id; their
+        # ranks (N +- trace z)/2 are N/2 once trace z = 0
+        if z * z != SignedPerm.identity(N):
+            raise ArithmeticError("projector is not idempotent")
+        if sum(s for j, (i, s) in enumerate(zip(z.perm, z.signs)) if i == j):
+            raise ArithmeticError("projector rank is not N/2")
+        if any(e * z != z * e for e in images):
+            raise ArithmeticError("projector does not commute with the even action")
     return SemiSpinorReport(
         split=split,
         commutant_dim=len(comm),

@@ -137,17 +137,6 @@ class Matrix:
     def is_zero(self):
         return all(not x for row in self.data for x in row)
 
-    def is_scalar_multiple_of_identity(self):
-        if self.rows != self.cols:
-            return None
-        c = self.data[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = c if i == j else 0
-                if self.data[i][j] != want:
-                    return None
-        return c
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -178,6 +167,19 @@ class SignedPerm:
     @classmethod
     def identity(cls, n):
         return cls(tuple(range(n)), (1,) * n)
+
+    @classmethod
+    def from_cells(cls, cells, n):
+        """The n x n signed permutation of a {column: (row, sign)} dict,
+        such as one element of signed_relation_basis; None unless the
+        cells fill all n columns and n distinct rows with signs +-1."""
+        if cells.keys() != set(range(n)):
+            return None
+        perm = tuple(cells[j][0] for j in range(n))
+        signs = tuple(cells[j][1] for j in range(n))
+        if {*perm} != set(range(n)) or not {*signs} <= {1, -1}:
+            return None
+        return cls(perm, signs)
 
     def __mul__(self, other):
         if isinstance(other, SignedPerm):

@@ -22,11 +22,15 @@ import numpy as np
 
 from .admissible_forms import first_nondegenerate
 from .clifford_core import Signature, build_rep
-from .exact_linalg import Matrix
+from .exact_linalg import SignedPerm
 
 
-def _to_numpy(m: Matrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m.data], dtype=float)
+def _to_numpy(m: SignedPerm) -> np.ndarray:
+    """m as a float64 array: signs[j] at row perm[j] of column j."""
+    n = len(m.perm)
+    out = np.zeros((n, n))
+    out[m.perm, range(n)] = m.signs
+    return out
 
 
 def _halton(index, base):
@@ -88,7 +92,7 @@ class HyperquadricModel:
         self.step = step
         self.rep = build_rep(cone_signature)
         self.N = self.rep.N
-        self.gammas = [_to_numpy(g.dense()) for g in self.rep.generators]
+        self.gammas = [_to_numpy(g) for g in self.rep.generators]
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
@@ -209,7 +213,7 @@ class HyperquadricModel:
         """H of the first nondegenerate cone-admissible form; constant on
         the cone, hence parallel, and of intrinsic type -1 for every cone
         type, since gamma^M_X = gamma_X gamma_x."""
-        return _to_numpy(first_nondegenerate(self.rep).matrix.dense())
+        return _to_numpy(first_nondegenerate(self.rep).matrix)
 
 
 class ConstantSpinorField:

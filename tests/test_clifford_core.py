@@ -14,6 +14,7 @@ from spinorlab.clifford_core import (
     clifford_relation_failures,
     commutant_dimension,
     even_subalgebra_images,
+    first_square_root,
     gamma_blade,
     gamma_vector,
     metric_value,
@@ -21,7 +22,7 @@ from spinorlab.clifford_core import (
     rep_table,
 )
 from spinorlab.exact_linalg import Matrix, SignedPerm, kernel
-from test_exact_linalg import zero_matrix
+from test_exact_linalg import dense_scalar, signed_perms, zero_matrix
 
 
 # commutant type of the irreducible real module by s mod 8 (the classical
@@ -344,3 +345,21 @@ def test_hypercomplex_commutant_examples():
     assert build_rep(Signature(1, 0)).commutant_type == "C"
     assert build_rep(Signature(0, 1)).commutant_type == "R"
 
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(signed_perms(n), max_size=6)),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=150)
+def test_first_square_root_matches_dense_search(elements, c):
+    # the first element that is not scalar and squares to c Id, as dense
+    # products; drawn perms are +-Id a quarter of the time
+    want = None
+    for x in elements:
+        d = x.dense()
+        if dense_scalar(d) is None and dense_scalar(d * d) == c:
+            want = x
+            break
+    assert first_square_root(elements, c) == want
+    assert first_square_root(iter(elements), c) == want

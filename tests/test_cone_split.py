@@ -9,6 +9,7 @@ from spinorlab.clifford_core import (
     Signature,
     build_rep,
     clifford_relation_failures,
+    even_subalgebra_images,
     gamma_blade,
     null_pair,
 )
@@ -18,9 +19,9 @@ from spinorlab.cone_split import (
     null_plane_rotations,
     semispinor_projectors,
 )
-from spinorlab.exact_linalg import Matrix, SignedPerm, rank
+from spinorlab.exact_linalg import Matrix, SignedPerm, rank, signed_relation_basis
 from test_clifford_core import gamma_alternating
-from test_exact_linalg import zero_matrix
+from test_exact_linalg import dense_cells, dense_scalar, zero_matrix
 
 THIS = sys.modules[__name__]
 
@@ -372,6 +373,54 @@ def test_null_plane_scale_invariance():
     assert invariant_spinors(rep, rotations) == invariant_spinors(rep, scaled)
 
 
+def _dense_involution(candidates, N):
+    """Oracle: the first non-scalar involution among the dense candidates,
+    then among the differences x - y of two of them, in order, squared
+    as dense products; None if there is none."""
+    ident = Matrix.identity(N)
+    seen = []
+    for x in candidates:
+        if dense_scalar(x) is not None:
+            continue
+        if (x * x) == ident:
+            return x
+        seen.append(x)
+    for i, x in enumerate(seen):
+        for y in seen[i + 1 :]:
+            z = x - y
+            if dense_scalar(z) is None and z * z == ident:
+                return z
+    return None
+
+
+def _dense_candidates(cone):
+    """The even commutant basis as dense matrices, led by the base volume
+    element when it is central in the even action."""
+    N = cone.N
+    images = even_subalgebra_images(cone)
+    candidates = [dense_cells(x, N) for x in signed_relation_basis(N, [(e, e) for e in images])]
+    omega = gamma_blade(cone, ())
+    for e in images:
+        omega = omega * e
+    if all(e * omega == omega * e for e in images):
+        candidates.insert(0, omega.dense())
+    return candidates
+
+
+def test_find_involution_tries_only_monomial_differences():
+    cases = [
+        # x - y has rows 1 and 2 in the shared column 1, and is no dense
+        # involution; a merge overwriting that column would read diag(1, -1, -1)
+        ([{0: (0, 1), 1: (2, 1)}, {1: (1, 1), 2: (2, 1)}], 3, None),
+        ([{0: (1, 1)}, {1: (0, -1)}], 2, SignedPerm((1, 0), (1, 1))),  # the swap
+        ([{0: (0, 1)}, {1: (0, 1)}], 2, None),  # disjoint columns, one row
+    ]
+    for candidates, N, want in cases:
+        assert cone_split._find_involution(candidates, N) == want
+        dense = _dense_involution([dense_cells(x, N) for x in candidates], N)
+        assert dense == (None if want is None else want.dense())
+
+
 def test_semispinor_residue_rule_all_bases(monkeypatch):
     # the involution z behind each split gives the projectors (Id +- z)/2
     found = []
@@ -391,15 +440,20 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
             # the quoted residue lists disagree exactly on the s = 0 bases
             assert report.quoted_list_agrees == (base.s_mod8 != 0), str(base)
             assert report.split == (found[-1] is not None), str(base)
+            # the dense search picks the same z, so the same split
+            want = _dense_involution(_dense_candidates(cone), cone.N)
+            assert (want is None) == (found[-1] is None), str(base)
             if report.split:
+                z = found[-1].dense()
+                assert z == want, str(base)
                 ident = Matrix.identity(cone.N)
-                p_plus, p_minus = (ident + found[-1], ident - found[-1])  # twice the projectors
+                p_plus, p_minus = (ident + z, ident - z)  # twice the projectors
                 assert (p_plus + p_minus) == ident.scale(2)
                 assert (p_plus * p_minus).is_zero()
                 for proj in (p_plus, p_minus):
                     assert proj * proj == proj.scale(2)
                     assert 2 * rank(proj) == cone.N
-                    # the library reads the rank off the trace
+                    # the library reads the rank off the trace of z
                     assert rank(proj) == sum(proj[i, i] for i in range(cone.N)) // 2
 
 
@@ -419,15 +473,15 @@ def test_semispinor_specific_cases():
 
 
 def _mixed_sign_diagonal(N):
-    return Matrix([[(1 if i < N // 2 else -1) if i == j else 0 for j in range(N)] for i in range(N)])
+    return SignedPerm(tuple(range(N)), (1,) * (N // 2) + (-1,) * (N // 2))
 
 
 @pytest.mark.parametrize(
     "bad_z, message",
     [
-        (lambda N: zero_matrix(N, N), "not idempotent"),  # z^2 = 0
-        (lambda N: Matrix.identity(N).scale(2), "not idempotent"),  # z^2 = 4 Id
-        (lambda N: Matrix.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
+        # swaps columns 2k, 2k + 1 with signs +1, -1: z^2 = -Id
+        (lambda N: SignedPerm(tuple(j ^ 1 for j in range(N)), (1, -1) * (N // 2)), "not idempotent"),
+        (lambda N: SignedPerm.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
         (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
     ],
 )

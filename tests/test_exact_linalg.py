@@ -27,6 +27,15 @@ def zero_matrix(rows, cols):
     return Matrix([[0] * cols for _ in range(rows)])
 
 
+def dense_scalar(m: Matrix):
+    """c when the square Matrix m is c Id, else None: the dense oracle
+    for SignedPerm.is_scalar_multiple_of_identity."""
+    c = m.data[0][0]
+    if m.rows == m.cols and m == Matrix.identity(m.rows).scale(c):
+        return c
+    return None
+
+
 # Fraction-free (Bareiss) elimination with Fraction back-substitution: the
 # slow oracle for the library's one elimination, Echelon, and for rank and
 # kernel built on it (Bareiss, Math. Comp. 22 (1968)).
@@ -313,7 +322,8 @@ def _relation_rows(N, pairs, c, sigma):
     return rows
 
 
-def _dense(element, N):
+def dense_cells(element, N):
+    """The N x N Matrix of a {column: (row, sign)} dict."""
     rows = [[0] * N for _ in range(N)]
     for col, (row, sign) in element.items():
         rows[row][col] = sign
@@ -336,7 +346,7 @@ def test_signed_relations_match_dense_kernel():
         solved += 1
         assert len(basis) == kernel(constraints).cols
         for element in basis:
-            flat = [x for row in _dense(element, N).data for x in row]
+            flat = [x for row in dense_cells(element, N).data for x in row]
             assert (constraints * Matrix.from_columns([flat])).is_zero()
     assert solved >= 20 and raised >= 5
 
@@ -473,7 +483,7 @@ def test_orbit_solver_matches_union_find_on_reps():
             for sigma in (1, -1):
                 for tau in (1, -1):
                     system = (N, [(g, g.transpose()) for g in gens], tau, sigma)
-                    want = [_dense(e, N) for e in _union_find_solution(*system)]
+                    want = [dense_cells(e, N) for e in _union_find_solution(*system)]
                     got = [f.matrix.dense() for f in find_admissible(rep, sigma, tau)]
                     assert got == want, (p, n - p, sigma, tau)
             if p >= 1 and n >= 2:
@@ -597,7 +607,31 @@ def test_signed_perm_kron_matches_dense(a, b):
 @DIFFERENTIAL
 def test_signed_perm_scalar_check_matches_dense(a):
     for m in (a, a * a):
-        assert m.is_scalar_multiple_of_identity() == m.dense().is_scalar_multiple_of_identity()
+        assert m.is_scalar_multiple_of_identity() == dense_scalar(m.dense())
+
+
+def _cells(a: SignedPerm):
+    return dict(enumerate(zip(a.perm, a.signs)))
+
+
+@given(signed_perms())
+@DIFFERENTIAL
+def test_signed_perm_from_cells_round_trips(a):
+    n = len(a.perm)
+    assert SignedPerm.from_cells(_cells(a), n) == a
+    assert SignedPerm.from_cells(_cells(a), n + 1) is None  # a column short
+
+
+def test_signed_perm_from_cells_rejects_what_is_not_one():
+    assert SignedPerm.from_cells({1: (0, 1), 0: (1, -1)}, 2) == SignedPerm((1, 0), (-1, 1))
+    for cells in (
+        {0: (0, 1)},  # a column short
+        {0: (0, 1), 2: (1, 1)},  # column 2 out of range, column 1 missing
+        {0: (1, 1), 1: (1, -1)},  # both in row 1
+        {0: (0, 1), 1: (2, 1)},  # row 2 out of range
+        {0: (0, 1), 1: (1, 2)},  # not a unit sign
+    ):
+        assert SignedPerm.from_cells(cells, 2) is None, cells
 
 
 @given(signed_perms(), st.integers(min_value=1, max_value=4), st.booleans(), st.data())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinorlab.admissible_forms import first_nondegenerate
 from spinorlab.clifford_core import Signature, build_rep
 from spinorlab.model_space import (
     ConstantSpinorField,
@@ -482,3 +483,20 @@ def test_table_residuals_match_public_derivative_bit_for_bit():
         lam = report.killing_number
         assert (report.residual, report.dirac_residual) == direct(field, lam)
         assert killing_residual(model, field, -lam).residual == direct(field, -lam)[0]
+
+
+def test_float_clifford_data_is_the_dense_conversion_bit_for_bit():
+    # the generators and the form are scattered from their SignedPerms;
+    # the float64 bytes equal those of the dense exact matrices
+    def from_dense(m):
+        return np.array([[float(x) for x in row] for row in m.dense().data], dtype=float)
+
+    for sig in (Signature(1, 0), Signature(3, 0), Signature(2, 2), Signature(5, 3)):
+        model = HyperquadricModel(sig, num_samples=1)
+        rep = build_rep(sig)
+        pairs = list(zip(model.gammas, rep.generators, strict=True))
+        pairs.append((model.form_matrix, first_nondegenerate(rep).matrix))
+        for got, exact in pairs:
+            want = from_dense(exact)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
