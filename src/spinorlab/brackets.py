@@ -75,24 +75,31 @@ def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
-    """L_v = ker gamma_v for a nonzero null vector, with the lemma checks:
-    dim = N/2, ker = im, and the h-pairing vanishes on L_v x L_v.
-    """
+def check_null_vector(rep: CliffordRep, v):
+    """Raise ValueError unless v is a nonzero null vector of an
+    indefinite signature."""
     if all(not c for c in v):
         raise ValueError("null vector must be nonzero")
     if rep.signature.is_definite():
         raise ValueError("definite signature admits no nonzero null vectors")
     if metric_value(rep.eta, v, v) != 0:
         raise ValueError("not null")
-    gv = gamma_vector(rep, v)
-    basis = kernel(gv)
+
+
+def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
+    """A basis of L_v = ker gamma_v for a nonzero null vector.
+
+    beta_form certifies the lemma (dim = N/2, ker = im, h-isotropic);
+    the basis comes from an elimination, and its count and its
+    h-pairing are checked again here.
+    """
+    check_null_vector(rep, v)
+    beta_form(rep, form, v)
+    basis = kernel(gamma_vector(rep, v))
     if 2 * basis.cols != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
-    if not (gv * gv).is_zero():
-        raise ArithmeticError("gamma_v squared must vanish on a null vector")
-    # im = ker follows from gv^2 = 0 plus the dimension count; isotropy
-    # is checked on K D, D the invertible diagonal of column denominators
+    # isotropy is checked on K D, D the invertible diagonal of column
+    # denominators
     k_d = Matrix.from_columns([clear_denominators(c) for c in basis.columns()])
     if not (k_d.transpose() * (form.matrix * k_d)).is_zero():
         raise ArithmeticError("kernel is not h-isotropic")
@@ -157,20 +164,89 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     return len(basis), Matrix.from_columns(basis)
 
 
-@dataclass(frozen=True)
-class BetaReport:
-    matrix: Matrix
-    rank: int
+def gamma_columns(rep: CliffordRep, v) -> list:
+    """gamma_v's N columns as {row: coefficient} dicts with at most n
+    entries each, some of which may cancel to 0: column j is
+    sum_i v_i signs_i[j] e_{perm_i[j]}."""
+    if len(v) != rep.n:
+        raise ValueError("vector length mismatch")
+    cols = [{} for _ in range(rep.N)]
+    for c, g in zip(v, rep.generators):
+        if c:
+            for col, i, s in zip(cols, g.perm, g.signs):
+                col[i] = col.get(i, 0) + (c if s == 1 else -c)
+    return cols
 
 
-def beta_form(rep: CliffordRep, form: BilinearForm, v) -> BetaReport:
-    """beta = H gamma_v with its exact rank and verified symmetry sigma*tau."""
-    beta = form.matrix * gamma_vector(rep, v)
+def squares_to_scalar(cols, c) -> bool:
+    """Whether the N x N matrix with these sparse columns squares to
+    c Id, column by column: n^2 products per gamma_columns column."""
+    N = len(cols)
+    for j, col in enumerate(cols):
+        square = [0] * N
+        square[j] = -c
+        for r, x in col.items():
+            for i, y in cols[r].items():
+                square[i] += x * y
+        if any(square):
+            return False
+    return True
+
+
+def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
+    """rank beta = rank gamma_v for beta = H gamma_v (H is a signed
+    permutation, so invertible), certified from Clifford identities on
+    gamma_columns: no elimination and no dense product.
+
+    Each check raises ArithmeticError naming its identity:
+    - gamma_v^2 = -g(v,v) Id;
+    - beta^T = sigma*tau beta.
+    Then g(v,v) != 0 gives rank N, as gamma_v is invertible, and v = 0
+    gives rank 0.  For a null v != 0 take the first k with v_k != 0 and
+    c = -2 eta_k v_k != 0, and check
+    - gamma_v gamma_k + gamma_k gamma_v = c Id (two signed gathers).
+    Then the rank is N/2.
+
+    Proof.  Rank is subadditive and rank(XY) <= rank X, so
+    N = rank(c Id) <= rank(gamma_v gamma_k) + rank(gamma_k gamma_v)
+    <= 2 rank gamma_v.  gamma_v^2 = 0 puts im gamma_v inside ker gamma_v,
+    so rank gamma_v <= N/2.  Hence rank gamma_v = N/2 and
+    L_v = ker gamma_v = im gamma_v.  (So P = gamma_v gamma_k / c, which
+    these identities make idempotent, has trace N/2 without a separate
+    check.)  L_v is h-isotropic: beta = sigma*tau beta^T gives
+    gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
+    im gamma_v.
+    """
+    cols = gamma_columns(rep, v)
+    q = metric_value(rep.eta, v, v)
+    if not squares_to_scalar(cols, -q):
+        if q == 0:
+            raise ArithmeticError("gamma_v squared must vanish on a null vector")
+        raise ArithmeticError("gamma_v squared is not -g(v,v) Id")
+    # column j of beta gathers column j of gamma_v through H
+    h = form.matrix
+    beta = [{h.perm[r]: x * h.signs[r] for r, x in col.items()} for col in cols]
     st = form.sigma * form.tau
-    bt = beta.transpose()
-    if bt != beta.scale(st):
+    if any(beta[r].get(j, 0) != st * x for j, col in enumerate(beta) for r, x in col.items()):
         raise ArithmeticError("beta does not have symmetry sigma*tau")
-    return BetaReport(matrix=beta, rank=rank(beta))
+    if q != 0:
+        return rep.N
+    k = next((k for k, x in enumerate(v) if x), None)
+    if k is None:
+        return 0
+    g, c = rep.generators[k], -2 * rep.eta[k] * v[k]
+    for j, col in enumerate(cols):
+        anti = [0] * rep.N
+        anti[j] = -c
+        # gamma_v gamma_k e_j = signs[j] gamma_v e_perm[j] (a column gather)
+        for r, x in cols[g.perm[j]].items():
+            anti[r] += x * g.signs[j]
+        # gamma_k gamma_v e_j (a row gather)
+        for r, x in col.items():
+            anti[g.perm[r]] += x * g.signs[r]
+        if any(anti):
+            raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
+    return rep.N // 2
 
 
 def random_spinor(rep: CliffordRep, rng):

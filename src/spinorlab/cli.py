@@ -13,7 +13,7 @@ import sys
 
 from . import serialize, verify
 from .admissible_forms import admissible_table, first_nondegenerate
-from .brackets import bracket_k, null_kernel, random_null_vector, random_spinor
+from .brackets import beta_form, bracket_k, random_null_vector, random_spinor
 from .clifford_core import Signature, build_rep, rep_table
 from .cone_split import (
     invariant_spinors,
@@ -117,11 +117,11 @@ def cmd_bracket(args):
     }
     if not sig.is_definite():
         v = random_null_vector(sig, rng)
-        sub = null_kernel(rep, form, v)
+        dim = rep.N - beta_form(rep, form, v)  # dim ker gamma_v
         payload["null_kernel"] = {
             "v": [serialize.scalar_to_json(x) for x in v],
-            "dim": sub.dim,
-            "half_module": 2 * sub.dim == rep.N,
+            "dim": dim,
+            "half_module": 2 * dim == rep.N,
         }
     _emit(payload)
     return 0

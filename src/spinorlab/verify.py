@@ -17,15 +17,16 @@ import numpy as np
 from .admissible_forms import first_nondegenerate, nondegenerate_tau_exists
 from .brackets import (
     beta_form,
-    null_kernel,
+    check_null_vector,
+    gamma_columns,
     random_null_vector,
+    squares_to_scalar,
 )
 from .clifford_core import (
     Signature,
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
-    gamma_vector,
     metric_value,
 )
 from .cone_split import (
@@ -33,7 +34,6 @@ from .cone_split import (
     null_plane_rotations,
     semispinor_projectors,
 )
-from .exact_linalg import Matrix
 from .model_space import (
     ConstantSpinorField,
     HyperquadricModel,
@@ -94,13 +94,11 @@ def criterion_clifford_relations(max_n=8, seed=0) -> CheckResult:
     rng = random.Random(seed)
     for sig in _signatures(max_n):
         rep = build_rep(sig)
-        ident = Matrix.identity(rep.N)
         for i, j in clifford_relation_failures(rep.generators, rep.eta):
             failures.append(f"{sig}:relation({i},{j})")
         for _ in range(10):
             v = [rng.randint(-3, 3) for _ in range(rep.n)]
-            gv = gamma_vector(rep, v)
-            if gv * gv != ident.scale(-metric_value(rep.eta, v, v)):
+            if not squares_to_scalar(gamma_columns(rep, v), -metric_value(rep.eta, v, v)):
                 failures.append(f"{sig}:square({v})")
     return CheckResult(
         1,
@@ -147,10 +145,12 @@ def criterion_null_kernel(max_n=8, seed=0) -> CheckResult:
         rng = random.Random(seed * 7919 + sig.p * 64 + sig.q)
         for _ in range(10):
             v = random_null_vector(sig, rng)
+            check_null_vector(rep, v)
             try:
-                sub = null_kernel(rep, form, v)
+                # dim L_v = dim ker gamma_v = N - rank beta
+                dim = rep.N - beta_form(rep, form, v)
                 checked += 1
-                if 2 * sub.dim != rep.N:
+                if 2 * dim != rep.N:
                     failures.append(f"{sig}:dim")
             except ArithmeticError as err:
                 failures.append(f"{sig}:{err}")
@@ -175,9 +175,9 @@ def criterion_beta(max_n=8, seed=0) -> CheckResult:
         for _ in range(10):
             v = random_null_vector(sig, rng)
             try:
-                report = beta_form(rep, form, v)
+                rank = beta_form(rep, form, v)
                 checked += 1
-                if 2 * report.rank != rep.N:
+                if 2 * rank != rep.N:
                     failures.append(f"{sig}:rank")
             except ArithmeticError as err:
                 failures.append(f"{sig}:{err}")

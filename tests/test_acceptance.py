@@ -6,7 +6,10 @@ import dataclasses
 import pytest
 
 from spinorlab import verify
+from spinorlab.admissible_forms import BilinearForm
+from spinorlab.exact_linalg import Echelon, Matrix
 from spinorlab.subspace_lab import IsotropicSearchError
+from test_brackets import _flip_sign
 
 SEED = 7
 
@@ -37,6 +40,66 @@ def test_c03_null_kernel_lemma():
 
 def test_c04_beta_symmetry_and_rank():
     _report(verify.criterion_beta(max_n=8, seed=SEED))
+
+
+def _unchanged(x):
+    return x
+
+
+def _wrong_sigma(form):
+    return BilinearForm(form.matrix, -form.sigma, form.tau)
+
+
+def _negated_eta(rep):
+    """rep with -eta: null vectors stay null and gamma_v is unchanged, but
+    the anticommutator constant -2 eta_k v_k changes sign."""
+    return dataclasses.replace(rep, eta=tuple(-e for e in rep.eta))
+
+
+@pytest.mark.parametrize("check", [verify.criterion_null_kernel, verify.criterion_beta],
+                         ids=["c03", "c04"])
+@pytest.mark.parametrize(
+    "break_rep, break_form, message, everywhere",
+    [
+        (lambda rep: _flip_sign(rep, 0), _unchanged,
+         "gamma_v squared must vanish on a null vector", False),
+        (_unchanged, _wrong_sigma, "beta does not have symmetry sigma*tau", True),
+        (_negated_eta, _unchanged, "gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id", True),
+    ],
+    ids=["square", "symmetry", "anticommutator"],
+)
+def test_c03_c04_report_each_failed_identity(monkeypatch, check, break_rep, break_form,
+                                             message, everywhere):
+    # the admissible form is found on the true rep, then broken or not
+    build, first = verify.build_rep, verify.first_nondegenerate
+    monkeypatch.setattr(verify, "build_rep", lambda sig: break_rep(build(sig)))
+    monkeypatch.setattr(verify, "first_nondegenerate",
+                        lambda rep: break_form(first(build(rep.signature))))
+    result = check(max_n=4, seed=SEED)
+    failures = result.details["failures"]
+    assert not result.passed
+    named = [f for f in failures if f.endswith(":" + message)]
+    assert named
+    if everywhere:  # all 10 vectors on each of the 6 indefinite signatures
+        assert named == failures and len(failures) == 60
+
+
+def test_c03_c04_run_without_elimination_or_dense_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an elimination or a dense product on the c03/c04 path")
+
+    monkeypatch.setattr(Echelon, "add", refuse)
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    _report(verify.criterion_null_kernel(max_n=7, seed=SEED))
+    _report(verify.criterion_beta(max_n=7, seed=SEED))
+
+
+def test_c01_reports_a_broken_square(monkeypatch):
+    build = verify.build_rep
+    monkeypatch.setattr(verify, "build_rep", lambda sig: _flip_sign(build(sig), 0))
+    result = verify.criterion_clifford_relations(max_n=2, seed=SEED)
+    assert not result.passed
+    assert any(":square([" in f for f in result.details["failures"])
 
 
 def test_c05_bound_tightness():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -26,8 +27,9 @@ from spinorlab.clifford_core import (
     build_rep,
     gamma_blade,
     gamma_vector,
+    metric_value,
 )
-from spinorlab.exact_linalg import Echelon, Matrix, kernel
+from spinorlab.exact_linalg import Echelon, Matrix, SignedPerm, kernel, rank
 from spinorlab.subspace_lab import extremal_witness
 from test_clifford_core import _permutation_sign, gamma_alternating
 from test_exact_linalg import bareiss_echelon, bareiss_kernel, bareiss_rank, zero_matrix
@@ -268,14 +270,13 @@ def test_beta_form_properties():
     sig = Signature(2, 3)
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
-    zero = beta_form(rep, form, [0] * 5)
-    assert zero.rank == 0
+    assert beta_form(rep, form, [0] * 5) == 0
     v = random_null_vector(sig, rng)
-    rep_beta = beta_form(rep, form, v)
-    assert rep_beta.rank == rep.N // 2
-    assert rep_beta.matrix.transpose() == rep_beta.matrix.scale(form.sigma * form.tau)
+    beta = form.matrix * gamma_vector(rep, v)  # the dense oracle
+    assert beta_form(rep, form, v) == rank(beta) == rep.N // 2
+    assert beta.transpose() == beta.scale(form.sigma * form.tau)
     w = [1, 0, 0, 0, 0]  # non-null
-    assert beta_form(rep, form, w).rank == rep.N
+    assert beta_form(rep, form, w) == rep.N
 
 
 def test_beta_symmetry_sweep():
@@ -285,11 +286,77 @@ def test_beta_symmetry_sweep():
         form = first_nondegenerate(rep)
         for _ in range(4):
             v = random_null_vector(sig, rng)
-            report = beta_form(rep, form, v)
-            assert report.rank == rep.N // 2
-            assert report.matrix.transpose() == report.matrix.scale(
-                form.sigma * form.tau
-            )
+            beta = form.matrix * gamma_vector(rep, v)
+            assert beta_form(rep, form, v) == rank(beta) == rep.N // 2
+            assert beta.transpose() == beta.scale(form.sigma * form.tau)
+
+
+def _certificate_vectors(sig, rng):
+    """Zero, integer, Fraction and (when indefinite) null vectors of sig."""
+    n = sig.n
+    vectors = [[0] * n, [0] * (n - 1) + [1]]
+    vectors += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+    vectors.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
+    if not sig.is_definite():
+        null = random_null_vector(sig, rng)
+        vectors += [null, [Fraction(3, 7) * x for x in null]]
+    return vectors
+
+
+def test_beta_form_rank_matches_elimination_and_bareiss_oracles():
+    rng = random.Random(31)
+    seen = {"zero": 0, "null": 0, "non-null": 0}
+    for n in range(1, 8):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            rep = build_rep(sig)
+            form = first_nondegenerate(rep)
+            for v in _certificate_vectors(sig, rng):
+                gv = gamma_vector(rep, v)
+                beta = form.matrix * gv
+                assert beta_form(rep, form, v) == rank(beta) == bareiss_rank(beta), (sig, v)
+                if not any(v):
+                    seen["zero"] += 1
+                elif metric_value(rep.eta, v, v):
+                    seen["non-null"] += 1
+                else:
+                    seen["null"] += 1
+                    # the idempotent P = gamma_v gamma_k / c has trace N/2
+                    k = next(i for i, x in enumerate(v) if x)
+                    c = -2 * rep.eta[k] * v[k]
+                    prod_k = gv * rep.generators[k]
+                    assert 2 * sum(prod_k[i, i] for i in range(rep.N)) == c * rep.N
+    assert min(seen.values()) >= 35, seen
+
+
+def _flip_sign(rep, i):
+    """A broken copy of rep: column 0 of generator i negated."""
+    g = rep.generators[i]
+    flipped = SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:])
+    gens = rep.generators[:i] + (flipped,) + rep.generators[i + 1:]
+    return dataclasses.replace(rep, generators=gens)
+
+
+def test_beta_form_names_each_failed_identity():
+    rep = build_rep(Signature(1, 1))
+    form = first_nondegenerate(rep)
+    null, non_null = [1, 1], [2, 1]
+    broken = _flip_sign(rep, 0)
+    with pytest.raises(ArithmeticError, match="gamma_v squared must vanish on a null vector"):
+        beta_form(broken, form, [1, -1])
+    with pytest.raises(ArithmeticError, match=r"gamma_v squared is not -g\(v,v\) Id"):
+        beta_form(broken, form, non_null)
+    # on (1, 1) the broken gamma_v still squares to 0: only c Id catches it
+    with pytest.raises(ArithmeticError, match=r"gamma_v gamma_k \+ gamma_k gamma_v is not"):
+        beta_form(broken, form, null)
+    wrong_sigma = BilinearForm(form.matrix, -form.sigma, form.tau)
+    for v in (null, non_null):
+        with pytest.raises(ArithmeticError, match=r"beta does not have symmetry sigma\*tau"):
+            beta_form(rep, wrong_sigma, v)
+    # negating eta keeps v null and gamma_v unchanged, so only c is wrong
+    wrong_eta = dataclasses.replace(rep, eta=tuple(-e for e in rep.eta))
+    with pytest.raises(ArithmeticError, match=r"gamma_v gamma_k \+ gamma_k gamma_v is not"):
+        beta_form(wrong_eta, form, null)
 
 
 def test_random_subspace_rank():
