@@ -10,6 +10,7 @@ pairs (G_i, G_i^T) with the transposition move, one SignedPerm per form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clifford_core import CliffordRep, Signature, build_rep
 from .exact_linalg import SignedPerm, signed_relation_basis
@@ -29,14 +30,17 @@ class BilinearForm:
             raise TypeError("an admissible form matrix must be a SignedPerm")
 
 
-def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm]:
+@lru_cache(maxsize=None)
+def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearForm, ...]:
     """Exact basis of {H : H^T = sigma H, G_i^T H = tau H G_i}.
 
     Each basis form is one signed orbit of the relations, with value +1
     at its lowest row-major cell.  On an irreducible module every such
     orbit is a signed permutation (ker H is a submodule, so a nonzero
     admissible H is invertible); an orbit that is not one raises
-    ArithmeticError.
+    ArithmeticError.  Solved once per (rep, sigma, tau), keyed on the
+    whole rep rather than its signature, and returned as a tuple so that
+    no caller can change what later callers get.
     """
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
@@ -52,7 +56,7 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> list[BilinearForm
                 f"({sigma}, {tau}) is not a signed permutation"
             )
         forms.append(BilinearForm(matrix, sigma, tau))
-    return forms
+    return tuple(forms)
 
 
 def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:

@@ -249,9 +249,25 @@ def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
     return rep.N // 2
 
 
+def random_integers(rng, count, bound) -> list:
+    """count draws of rng.randint(-bound, bound), read from
+    rng.getrandbits by the same rejection sampler randint uses, so the
+    values and the generator's state after them are randint's."""
+    width = 2 * bound + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(r - bound)
+    return out
+
+
 def random_spinor(rep: CliffordRep, rng):
     """Seeded integer spinor with entries in -3..3."""
-    return [rng.randint(-3, 3) for _ in range(rep.N)]
+    return random_integers(rng, rep.N, 3)
 
 
 def random_null_vector(sig, rng):
@@ -283,7 +299,7 @@ def random_subspace(rep: CliffordRep, dim: int, rng, bound=3) -> SpinorSubspace:
     cols = []
     echelon = Echelon()
     while len(cols) < dim:
-        cand = [rng.randint(-bound, bound) for _ in range(rep.N)]
+        cand = random_integers(rng, rep.N, bound)
         if echelon.add(cand):  # cand is outside the span of the accepted columns
             cols.append(cand)
     return SpinorSubspace._certified(rep, Matrix.from_columns(cols))

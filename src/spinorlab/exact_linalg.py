@@ -1,13 +1,16 @@
 """Exact scalar and matrix substrate.
 
 Scalars are python ints and fractions.Fraction; any other entry type
-is a TypeError in elimination.  The one elimination is Echelon: it
+is a TypeError in elimination.  The exact elimination is Echelon: it
 clears each vector's denominators and reduces it over Z against the
 rows accepted so far, so rank certificates, span tests and kernels are
 reproducible bit for bit.  rank and kernel feed a matrix's rows to one
 Echelon; kernel back-substitution stays in Z, carrying d * x for d the
 determinant of the pivot minor, which Cramer's rule makes integral, and
-divides by d once.  signed_relation_basis solves the monomial relations
+divides by d once.  The only other elimination is full_rank_mod_p, a
+one-sided certificate on a stack of integer matrices at once: full rank
+mod PRIME implies full rank over Q, and a failed certificate proves
+nothing.  signed_relation_basis solves the monomial relations
 X = c L X R^T of SignedPerm pairs by orbit walks, without elimination.
 """
 
@@ -17,6 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+
+import numpy as np
+
+# The prime of full_rank_mod_p: below 2**31, so the product of two
+# residues fits in an int64.
+PRIME = 2**31 - 1
 
 
 def _denominator_lcm(x):
@@ -310,6 +319,35 @@ class Echelon:
         if not basis:
             return Matrix([[] for _ in range(n_cols)])
         return Matrix.from_columns(basis)
+
+
+def full_rank_mod_p(stack) -> np.ndarray:
+    """Per matrix of an integer array of shape (T, r, c), r >= c, whether
+    its columns are independent mod PRIME, by one fraction-free Gaussian
+    elimination over the whole stack.
+
+    A nonzero c x c minor mod PRIME is a nonzero integer minor, so True
+    certifies rank c over Q; False may be an unlucky prime and certifies
+    nothing.  Row j below the pivot row k becomes
+    a_kk * row_j - a_jk * row_k mod PRIME, invertible as a_kk != 0.
+    """
+    a = np.asarray(stack, dtype=np.int64) % PRIME
+    count, rows, cols = a.shape
+    if rows < cols:
+        raise ValueError("full_rank_mod_p needs at least as many rows as columns")
+    ok = np.ones(count, dtype=bool)
+    every = np.arange(count)
+    for k in range(cols):
+        pivot = k + (a[:, k:, k] != 0).argmax(axis=1)  # k when column k is zero
+        top = a[every, pivot]  # a copy: advanced indexing
+        a[every, pivot] = a[:, k]
+        a[:, k] = top
+        ok &= top[:, k] != 0
+        a[:, k + 1:, k + 1:] = (
+            top[:, None, None, k] * a[:, k + 1:, k + 1:]
+            - a[:, k + 1:, k, None] * top[:, None, k + 1:]
+        ) % PRIME
+    return ok
 
 
 def rank(matrix: Matrix) -> int:

@@ -13,18 +13,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .admissible_forms import BilinearForm, find_admissible, first_nondegenerate
 from .brackets import (
     SpinorSubspace,
     null_kernel,
     obstruction_vectors,
     pi_image,
+    random_integers,
     random_null_vector,
     random_subspace,
 )
 from .clifford_core import CliffordRep, Signature, build_rep, gamma_vector
-from .exact_linalg import Echelon, Matrix, kernel, rank
+from .exact_linalg import Echelon, Matrix, full_rank_mod_p, kernel, rank
 from . import serialize
+
+# Trials per batched certificate in random_surjectivity_sweep.
+SWEEP_BLOCK = 64
+# The sweep's subspace entries lie in -_SWEEP_BOUND.._SWEEP_BOUND.
+_SWEEP_BOUND = 3
 
 
 class IsotropicSearchError(RuntimeError):
@@ -268,17 +276,26 @@ def random_surjectivity_sweep(
     rep: CliffordRep, form: BilinearForm, dim: int, trials: int, seed: int
 ) -> SweepReport:
     """Seeded random subspaces of the given dimension; a counterexample is
-    a subspace with nonzero obstruction space, returned verbatim."""
+    a subspace with nonzero obstruction space, returned verbatim.
+
+    Trials run in blocks of SWEEP_BLOCK.  A trial that _block_surjective
+    certifies is surjective; every other one builds random_subspace from
+    its own generator and solves obstruction_vectors exactly, so the
+    report is the one a per-trial exact loop gives.
+    """
     sig = rep.signature
     threshold = rep.N // 2 if sig.is_definite() else 3 * rep.N // 4
     in_hypothesis = dim > threshold
     bad = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        sub = random_subspace(rep, dim, rng)
-        obs = obstruction_vectors(rep, form, sub)
-        if obs.cols != 0:
-            bad.append((t, sub.basis, obs))
+    for start in range(0, trials, SWEEP_BLOCK):
+        block = range(start, min(start + SWEEP_BLOCK, trials))
+        for t, surjective in zip(block, _block_surjective(rep, form, dim, seed, block)):
+            if surjective:
+                continue
+            sub = random_subspace(rep, dim, _trial_rng(seed, t), _SWEEP_BOUND)
+            obs = obstruction_vectors(rep, form, sub)
+            if obs.cols != 0:
+                bad.append((t, sub.basis, obs))
     return SweepReport(
         signature=sig,
         dim=dim,
@@ -287,6 +304,31 @@ def random_surjectivity_sweep(
         in_hypothesis=in_hypothesis,
         counterexamples=tuple(bad),
     )
+
+
+def _block_surjective(rep, form, dim, seed, block):
+    """Per trial t of block, whether the first dim draws of
+    _trial_rng(seed, t) are independent and their obstruction rows
+    h(b_a, gamma_i b_c), a <= c, have rank n, both certified mod PRIME
+    by one full_rank_mod_p each.  random_subspace keeps exactly those
+    draws when they are independent, and rank n is a zero obstruction
+    space, so a certified trial is surjective.  All False where no
+    certificate can pass (dim 0, dim > N, fewer than n rows) or an
+    entry N * bound**2 could overflow int64."""
+    N, n = rep.N, rep.n
+    rows = dim * (dim + 1) // 2
+    if not (0 < dim <= N and rows >= n and N * _SWEEP_BOUND**2 <= np.iinfo(np.int64).max):
+        return [False] * len(block)
+    draws = [random_integers(_trial_rng(seed, t), dim * N, _SWEEP_BOUND) for t in block]
+    bt = np.array(draws, dtype=np.int64).reshape(len(block), dim, N)  # B^T per trial
+    b = bt.transpose(0, 2, 1)
+    upper = tuple(zip(*((a, c) for c in range(dim) for a in range(c + 1))))  # a <= c
+    obstruction = np.empty((len(block), rows, n), dtype=np.int64)
+    for i, g in enumerate(rep.generators):
+        hg = form.matrix * g  # column j of B^T H gamma_i: signs[j] * column perm[j] of B^T
+        pairing = (bt[:, :, hg.perm] * np.array(hg.signs)) @ b
+        obstruction[:, :, i] = pairing[:, upper[0], upper[1]]
+    return full_rank_mod_p(b) & full_rank_mod_p(obstruction)
 
 
 def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSubspace:

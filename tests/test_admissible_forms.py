@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from spinorlab import admissible_forms
 from spinorlab.admissible_forms import (
     find_admissible,
     first_nondegenerate,
@@ -150,8 +151,8 @@ def _is_definite(h):
 
 def test_spin23_tau_minus_absent():
     rep = build_rep(Signature(2, 3))
-    assert find_admissible(rep, 1, -1) == []
-    assert find_admissible(rep, -1, -1) == []
+    assert find_admissible(rep, 1, -1) == ()
+    assert find_admissible(rep, -1, -1) == ()
 
 
 def test_polyvector_type_rule():
@@ -248,16 +249,42 @@ def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
     ]
     target = "spinorlab.admissible_forms.signed_relation_basis"
     with monkeypatch.context() as patch:
+        find_admissible.cache_clear()  # solve afresh with each planted walker
         patch.setattr(target, lambda N, pairs, c, sigma: monomial)
         forms = find_admissible(rep, 1, 1)
         assert [f.matrix.dense().to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
         for element in not_monomial:
+            find_admissible.cache_clear()
             patch.setattr(target, lambda N, pairs, c, sigma: [element])
             with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
                 find_admissible(rep, 1, 1)
+    find_admissible.cache_clear()  # drop the planted forms
     # two rows in one column: the walk itself refuses the orbit, here
     # {(0, 2), (1, 2), (2, 0), (2, 1)} of a generator that fixes column 2
     swap = SignedPerm((1, 0, 2), (1, 1, 1))
     planted = dataclasses.replace(rep, N=3, generators=(swap,))
     with pytest.raises(ArithmeticError, match="two rows in column 2"):
         find_admissible(planted, 1, 1)
+
+
+def test_find_admissible_is_solved_once_per_rep_and_form_type(monkeypatch):
+    rep = build_rep(Signature(2, 3))
+    find_admissible.cache_clear()
+    solves = []
+    original = admissible_forms.signed_relation_basis
+    monkeypatch.setattr(
+        admissible_forms, "signed_relation_basis", lambda *args: solves.append(args) or original(*args)
+    )
+    first = find_admissible(rep, -1, 1)
+    assert isinstance(first, tuple) and first
+    assert find_admissible(rep, -1, 1) is first
+    assert len(solves) == 1
+    assert find_admissible(rep, 1, 1) == ()  # another (sigma, tau), another solve
+    assert len(solves) == 2
+    assert first_nondegenerate(rep, tau=1) is first[0]  # both are cached now
+    assert len(solves) == 2
+    # a rep built by hand with the same signature is not served rep's forms
+    one_generator = dataclasses.replace(rep, generators=rep.generators[:1])
+    assert len(find_admissible(one_generator, -1, 1)) == 2
+    assert len(solves) == 3
+    find_admissible.cache_clear()  # drop the hand-built rep

@@ -17,6 +17,7 @@ from spinorlab.brackets import (
     null_kernel,
     obstruction_vectors,
     pi_image,
+    random_integers,
     random_null_vector,
     random_spinor,
     random_subspace,
@@ -601,6 +602,18 @@ class _CountingRandom(random.Random):
         return super().randint(a, b)
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+def test_random_integers_replays_randint(bound):
+    # the getrandbits sampler is randint's: same values, same state after
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        count = 1 + seed % 40
+        assert random_integers(fast, count, bound) == [
+            slow.randint(-bound, bound) for _ in range(count)
+        ]
+        assert fast.getstate() == slow.getstate()
+
+
 @pytest.mark.parametrize(
     "sig, dims, bound",
     [
@@ -616,10 +629,10 @@ def test_random_subspace_matches_rank_per_candidate(sig, dims, bound):
     rejected = 0
     for seed in range(6):
         for dim in dims:
-            fast_rng, slow_rng = _CountingRandom(seed), random.Random(seed)
+            fast_rng, slow_rng = random.Random(seed), _CountingRandom(seed)
             sub = random_subspace(rep, dim, fast_rng, bound=bound)
             assert sub.basis == _random_subspace_oracle(rep, dim, slow_rng, bound=bound)
             assert fast_rng.getstate() == slow_rng.getstate()
-            rejected += fast_rng.draws // rep.N - dim
+            rejected += slow_rng.draws // rep.N - dim
     if bound == 1:
         assert rejected > 0  # dependent candidates were drawn and skipped

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorlab import exact_linalg
 from spinorlab.admissible_forms import find_admissible
 from spinorlab.clifford_core import (
     Signature,
@@ -17,6 +18,7 @@ from spinorlab.exact_linalg import (
     SignedPerm,
     Echelon,
     clear_denominators,
+    full_rank_mod_p,
     kernel,
     rank,
     signed_relation_basis,
@@ -753,3 +755,36 @@ def test_echelon_accepts_exactly_where_the_bareiss_rank_grows(vectors):
         if not accepted:
             assert echelon.rows == before  # a rejected vector changes nothing
         assert len(echelon) == ranks[k + 1]
+
+
+def test_full_rank_mod_p_agrees_with_bareiss_on_random_stacks():
+    rng = random.Random(5)
+    for rows, cols in ((1, 1), (3, 2), (4, 4), (8, 7), (10, 5)):
+        for bound in (1, 3, 2**40):  # 2**40: residues, not raw entries, are multiplied
+            stack = [
+                [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+                for _ in range(40)
+            ]
+            got = full_rank_mod_p(np.array(stack)).tolist()
+            want = [bareiss_rank(Matrix(m)) == cols for m in stack]
+            assert got == want, (rows, cols, bound)
+            if bound == 1 and rows == cols:
+                assert 0 < sum(got) < len(got)  # both answers are exercised
+
+
+def test_full_rank_mod_p_is_one_sided():
+    p = exact_linalg.PRIME
+    # full rank over Q, but every minor is divisible by the prime
+    assert bareiss_rank(Matrix([[p, 0], [0, 1], [0, 2]])) == 2
+    assert full_rank_mod_p(np.array([[[p, 0], [0, 1], [0, 2]]])).tolist() == [False]
+    # the rows of a singular matrix stay dependent, however large
+    dependent = [[3, 1 - p], [6, 2 - 2 * p], [-3, p - 1]]
+    assert full_rank_mod_p(np.array([dependent, [[1, 0], [0, 1], [5, 7]]])).tolist() == [False, True]
+    # a pivot found below the diagonal, and an empty stack
+    assert full_rank_mod_p(np.array([[[0, 1], [0, 2], [1, 0]]])).tolist() == [True]
+    assert full_rank_mod_p(np.zeros((0, 3, 2), dtype=np.int64)).tolist() == []
+
+
+def test_full_rank_mod_p_refuses_wide_matrices():
+    with pytest.raises(ValueError, match="at least as many rows"):
+        full_rank_mod_p(np.zeros((2, 2, 3), dtype=np.int64))

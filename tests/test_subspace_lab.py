@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinorlab import brackets, subspace_lab
+from spinorlab import brackets, exact_linalg, subspace_lab
 from spinorlab.admissible_forms import find_admissible, first_nondegenerate
 from spinorlab.brackets import null_kernel, pi_image, random_null_vector
 from spinorlab.clifford_core import Signature, build_rep, gamma_vector, metric_value
@@ -294,9 +294,36 @@ def test_extremal_checks_that_v_lies_in_the_obstruction_space(monkeypatch):
         extremal_obstructed_subspace(rep, form, v)
 
 
+def _fallback_trials(monkeypatch, seed, trials):
+    """The trials, in call order, that the sweep sends down the exact
+    random_subspace path, each read off its generator's fresh state."""
+    fresh = {subspace_lab._trial_rng(seed, t).getstate(): t for t in range(trials)}
+    calls = []
+
+    def counted(rep, dim, rng, bound=3, _original=subspace_lab.random_subspace):
+        calls.append(fresh[rng.getstate()])
+        return _original(rep, dim, rng, bound)
+
+    monkeypatch.setattr(subspace_lab, "random_subspace", counted)
+    return calls
+
+
+def _rank_repair_trials(rep, dim, trials, seed):
+    """The trials whose random_subspace draws more than dim candidates."""
+    repaired = []
+    for t in range(trials):
+        rng = subspace_lab._trial_rng(seed, t)
+        brackets.random_subspace(rep, dim, rng)
+        first = subspace_lab._trial_rng(seed, t)
+        brackets.random_integers(first, dim * rep.N, 3)
+        if rng.getstate() != first.getstate():
+            repaired.append(t)
+    return repaired
+
+
 def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
-    # every subspace above 3N/4 is surjective, so each obstruction system
-    # stops at rank n, and random_subspace certifies its basis only once
+    # above 3N/4 on (3,3) every trial is certified mod p: no exact
+    # fallback, so no Echelon, kernel or rank at all
     rep = build_rep(Signature(3, 3))
     form = first_nondegenerate(rep)
     calls = []
@@ -308,11 +335,26 @@ def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
 
         monkeypatch.setattr(brackets, name, counted)
     monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
-    _CountingEchelon.kernels = 0
-    report = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, 40, 7)
+    _CountingEchelon.adds = _CountingEchelon.kernels = 0
+    fallbacks = _fallback_trials(monkeypatch, 7, 500)
+    report = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, 500, 7)
     assert report.in_hypothesis and not report.counterexamples
-    assert calls == []
-    assert _CountingEchelon.kernels == 0
+    assert fallbacks == [] and calls == []
+    assert _CountingEchelon.adds == _CountingEchelon.kernels == 0
+
+
+def test_in_hypothesis_sweep_falls_back_exactly_on_rank_repair(monkeypatch):
+    # on (2,3) dim = N = 4: a trial whose four draws are dependent needs
+    # rank repair, fails the column certificate and runs the exact path
+    rep = build_rep(Signature(2, 3))
+    form = first_nondegenerate(rep)
+    dim = 3 * rep.N // 4 + 1
+    repaired = _rank_repair_trials(rep, dim, 500, 7)
+    assert len(repaired) == 11
+    fallbacks = _fallback_trials(monkeypatch, 7, 500)
+    report = random_surjectivity_sweep(rep, form, dim, 500, 7)
+    assert report.in_hypothesis and not report.counterexamples
+    assert fallbacks == repaired
 
 
 def test_extremal_rejects_bad_module_dimension():
@@ -365,6 +407,121 @@ def test_sweep_reproducible():
     a = random_surjectivity_sweep(rep, form, dim=4, trials=10, seed=9)
     b = random_surjectivity_sweep(rep, form, dim=4, trials=10, seed=9)
     assert a == b
+
+
+def _sweep_oracle(rep, form, dim, trials, seed, bound=3):
+    """random_surjectivity_sweep as a per-trial exact loop: every trial
+    builds random_subspace and solves obstruction_vectors."""
+    threshold = rep.N // 2 if rep.signature.is_definite() else 3 * rep.N // 4
+    bad = []
+    for t in range(trials):
+        sub = brackets.random_subspace(rep, dim, subspace_lab._trial_rng(seed, t), bound)
+        obs = brackets.obstruction_vectors(rep, form, sub)
+        if obs.cols != 0:
+            bad.append((t, sub.basis, obs))
+    return subspace_lab.SweepReport(
+        signature=rep.signature,
+        dim=dim,
+        trials=trials,
+        seed=seed,
+        in_hypothesis=dim > threshold,
+        counterexamples=tuple(bad),
+    )
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    for (_, basis, obs), (_, want_basis, want_obs) in zip(got.counterexamples, want.counterexamples):
+        assert _typed_entries(basis) == _typed_entries(want_basis)
+        assert _typed_entries(obs) == _typed_entries(want_obs)
+
+
+_SMALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("sig", _SMALL_SIGNATURES, ids=str)
+def test_sweep_matches_per_trial_oracle_at_every_dimension(sig):
+    rep = build_rep(sig)
+    form = first_nondegenerate(rep)
+    obstructed = 0
+    for seed in (3, 7):
+        for dim in range(rep.N + 1):
+            want = _sweep_oracle(rep, form, dim, 25, seed)
+            _assert_same_report(random_surjectivity_sweep(rep, form, dim, 25, seed), want)
+            obstructed += len(want.counterexamples)
+    assert obstructed > 0  # dim 0 at least: every v obstructs the zero subspace
+
+
+def test_sweep_with_a_planted_small_prime_falls_back_and_agrees(monkeypatch):
+    # mod 3 about half of the square draws (dim = N) and of the systems
+    # with n rows look singular: those trials take the exact path, the
+    # rest stay certified, and the report does not change
+    trials = 2 * subspace_lab.SWEEP_BLOCK + 5
+    for sig, dim in ((Signature(2, 3), 4), (Signature(3, 3), 8), (Signature(3, 3), 4)):
+        rep = build_rep(sig)
+        form = first_nondegenerate(rep)
+        want = _sweep_oracle(rep, form, dim, trials, 7)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "PRIME", 3)
+            fallbacks = _fallback_trials(patch, 7, trials)
+            got = random_surjectivity_sweep(rep, form, dim, trials, 7)
+        _assert_same_report(got, want)
+        assert trials // 4 < len(fallbacks) < trials, sig
+
+
+@pytest.mark.parametrize(
+    "sig, dim",
+    [
+        (Signature(2, 3), 2),  # 3 obstruction rows < n = 5
+        (Signature(2, 3), 0),  # the zero subspace
+        (Signature(3, 3), 1),  # 1 row < n = 6
+    ],
+    ids=str,
+)
+def test_sweep_routes_uncertifiable_dimensions_to_the_exact_path(sig, dim, monkeypatch):
+    rep = build_rep(sig)
+    form = first_nondegenerate(rep)
+    trials = subspace_lab.SWEEP_BLOCK + 3
+    want = _sweep_oracle(rep, form, dim, trials, 1)
+    fallbacks = _fallback_trials(monkeypatch, 1, trials)
+    got = random_surjectivity_sweep(rep, form, dim, trials, 1)
+    _assert_same_report(got, want)
+    assert fallbacks == list(range(trials))
+    assert len(got.counterexamples) == trials  # none of these can be surjective
+
+
+def test_sweep_routes_entries_that_could_overflow_int64_to_the_exact_path(monkeypatch):
+    # N * bound**2 = 2 * 2**62 is one past the int64 maximum
+    rep = build_rep(Signature(1, 1))
+    form = first_nondegenerate(rep)
+    monkeypatch.setattr(subspace_lab, "_SWEEP_BOUND", 2**31)
+    want = _sweep_oracle(rep, form, 2, 5, 7, bound=2**31)
+    fallbacks = _fallback_trials(monkeypatch, 7, 5)
+    _assert_same_report(random_surjectivity_sweep(rep, form, 2, 5, 7), want)
+    assert fallbacks == list(range(5))
+    monkeypatch.setattr(subspace_lab, "_SWEEP_BOUND", 2**31 - 1)  # 2 * (2**31 - 1)**2 fits
+    fallbacks.clear()
+    want = _sweep_oracle(rep, form, 2, 5, 7, bound=2**31 - 1)
+    _assert_same_report(random_surjectivity_sweep(rep, form, 2, 5, 7), want)
+    assert len(fallbacks) < 5
+
+
+def test_sweep_certifies_a_partial_last_block(monkeypatch):
+    rep = build_rep(Signature(3, 3))
+    form = first_nondegenerate(rep)
+    blocks = []
+    original = subspace_lab._block_surjective
+
+    def recorded(rep, form, dim, seed, block):
+        blocks.append(block)
+        return original(rep, form, dim, seed, block)
+
+    monkeypatch.setattr(subspace_lab, "_block_surjective", recorded)
+    size = subspace_lab.SWEEP_BLOCK
+    report = random_surjectivity_sweep(rep, form, 7, 2 * size + 3, 7)
+    assert [(b.start, b.stop) for b in blocks] == [(0, size), (size, 2 * size), (2 * size, 2 * size + 3)]
+    assert report == _sweep_oracle(rep, form, 7, 2 * size + 3, 7)
+    assert random_surjectivity_sweep(rep, form, 7, 0, 7).counterexamples == ()
 
 
 def test_spin23_scan_all_one_dimensional():
