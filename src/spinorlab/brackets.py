@@ -98,70 +98,77 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     basis = kernel(gamma_vector(rep, v))
     if 2 * basis.cols != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
-    # isotropy is checked on K D, D the invertible diagonal of column
-    # denominators
-    k_d = Matrix.from_columns([clear_denominators(c) for c in basis.columns()])
-    if not (k_d.transpose() * (form.matrix * k_d)).is_zero():
+    if not isotropic(form, basis):
         raise ArithmeticError("kernel is not h-isotropic")
     return SpinorSubspace(rep, basis)
+
+
+def _integer_columns(basis: Matrix) -> list:
+    """The basis columns, each times the lcm of its denominators.  The
+    scales are positive integers, so each pairing h(a_i, gamma b_j) below
+    changes by a positive integer factor: zero stays zero, and a row
+    system keeps its row space, hence its kernel and its rank."""
+    return [clear_denominators(c) for c in basis.columns()]
+
+
+def isotropic(form: BilinearForm, basis: Matrix) -> bool:
+    """Whether h(b_i, b_j) = 0 for every pair of basis columns, checked
+    for i <= j (h is sigma-symmetric) as (H^T b_i) . b_j, H^T a gather."""
+    cols = _integer_columns(basis)
+    ht = form.matrix.transpose()
+    h_cols = [ht.apply(c) for c in cols]
+    return not any(
+        sum(map(mul, h_bi, b_j)) for j, b_j in enumerate(cols) for h_bi in h_cols[: j + 1]
+    )
+
+
+def _pairing_echelon(rep, form, a: SpinorSubspace, b: SpinorSubspace) -> Echelon:
+    """An Echelon of the h-pairing rows r_(i,j) = (h(a_i, gamma_k b_j))_k,
+    k < n, over the basis pairs, j-major, stopped at rank n.
+
+    Row (i, j) is (H^T a_i) . (gamma_k b_j): H^T gathers a_i and each
+    generator gathers b_j, on _integer_columns.  When a is b only the
+    rows i <= j are formed: every block B^T H gamma_k B is
+    (sigma*tau)-symmetric, so row (j, i) is +-row (i, j).
+    """
+    echelon = Echelon()
+    ht = form.matrix.transpose()
+    a_cols = _integer_columns(a.basis)
+    h_a = [ht.apply(c) for c in a_cols]
+    for j, b_j in enumerate(a_cols if a is b else _integer_columns(b.basis)):
+        g_b = [g.apply(b_j) for g in rep.generators]
+        for h_ai in h_a[: j + 1] if a is b else h_a:
+            if echelon.add([sum(map(mul, h_ai, x)) for x in g_b]) and len(echelon) == rep.n:
+                return echelon
+    return echelon
 
 
 def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubspace) -> Matrix:
     """Basis of {v : gamma_v S0 is h-orthogonal to S0}, an n x k matrix.
 
-    The restricted bracket S0 x S0 -> R^n is surjective exactly when
-    this space is zero.  Rows of the obstruction system are built one at
-    a time and reduced incrementally; n independent rows certify the
-    zero space, and a rank-deficient system's kernel is read from the
-    same echelon.
+    This is the kernel of the pairing rows of (S0, S0): the restricted
+    bracket S0 x S0 -> R^n is surjective exactly when it is zero.  Rank
+    n certifies the zero space without a kernel solve.
     """
-    d = space.dim
-    if d == 0:
+    if space.dim == 0:
         return Matrix.identity(rep.n)
-    # row (a, c) of the system collects entry (a, c) of every pairing block
-    # B^T H gamma_i B, i.e. (H^T b_a) . (gamma_i b_c); every block is
-    # (sigma*tau)-symmetric, so row (c, a) is +-row (a, c) and a <= c suffices
-    b = space.basis
-    bt_h = (b.transpose() * form.matrix).data
-    echelon = Echelon()
-    for c, b_c in enumerate(b.columns()):
-        g_bc = [g.apply(b_c) for g in rep.generators]
-        for a in range(c + 1):
-            row = [sum(map(mul, bt_h[a], g_b)) for g_b in g_bc]
-            if echelon.add(row) and len(echelon) == rep.n:
-                return Matrix([[] for _ in range(rep.n)])
+    echelon = _pairing_echelon(rep, form, space, space)
+    if len(echelon) == rep.n:
+        return Matrix([[] for _ in range(rep.n)])
     return echelon.kernel(rep.n)
 
 
-def _bracket_columns(rep, form, a, b):
-    """bracket_k(A_i, B_j, 1) in (i, j) order, read out of row i of the
-    d_A x d_B pairing blocks (gamma_k A)^T H B, one per generator; each
-    row of blocks is formed only when its first column is asked for."""
-    gens_h = [(g * a.basis).transpose() * form.matrix for g in rep.generators]
-    for i in range(a.dim):
-        block = (Matrix([g_h.data[i] for g_h in gens_h]) * b.basis).data
-        for j in range(b.dim):
-            yield [x[j] if e == 1 else -x[j] for x, e in zip(block, rep.eta)]
+def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorSubspace) -> int:
+    """dim span{[s,t]_1 : s in A, t in B}, the rank of the pairing rows
+    of (A, B).
 
-
-def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorSubspace):
-    """(dimension, basis) of span{[s,t]_1 : s in A, t in B} over basis pairs.
-
-    The basis is the bracket columns, in (i, j) order, that are independent
-    of the columns before them: the pivot columns of the full column
-    matrix.  The scan stops once they span R^n.
+    The bracket of basis pair (i, j) is tau diag(eta) r_(i,j), since
+    g([s,t]_1, e_k) = h(gamma_k s, t) = tau h(s, gamma_k t), so the
+    image and the row space have one dimension; by the same identity
+    the image is the g-orthogonal complement of the obstruction space
+    when A = B.
     """
-    basis = []
-    if a.dim and b.dim:
-        echelon = Echelon()
-        for col in _bracket_columns(rep, form, a, b):
-            if echelon.add(col):
-                basis.append(col)
-                if len(basis) == rep.n:
-                    break
-    if not basis:
-        return 0, Matrix([[] for _ in range(rep.n)])
-    return len(basis), Matrix.from_columns(basis)
+    return len(_pairing_echelon(rep, form, a, b))
 
 
 def gamma_columns(rep: CliffordRep, v) -> list:

@@ -86,38 +86,28 @@ _R_K = SignedPerm((3, 2, 1, 0), (1, -1, 1, -1))
 def _plus_eigenbasis(z: SignedPerm):
     """Column basis of the +1 eigenspace of a signed-permutation involution z.
 
-    Returns (columns, representatives): each column is an integer vector
-    with one or two nonzero entries, and representatives[i] is the index
-    where column i has entry 1 (distinct across columns).
+    Each column is its one or two (index, value) entries; the first is
+    (s, 1), and these representatives s are distinct across columns.
     """
-    n = len(z.perm)
-    cols = []
-    reps = []
-    for s, (t, sign) in enumerate(zip(z.perm, z.signs)):
-        if t < s or (t == s and sign == -1):
-            continue
-        vec = [0] * n
-        vec[s] = 1
-        vec[t] = sign
-        cols.append(vec)
-        reps.append(s)
-    return cols, reps
+    return [
+        ((s, 1),) if t == s else ((s, 1), (t, sign))
+        for s, (t, sign) in enumerate(zip(z.perm, z.signs))
+        if t > s or (t == s and sign == 1)
+    ]
 
 
-def _restrict(m: SignedPerm, cols, reps):
+def _restrict(m: SignedPerm, cols):
     """Express the action of m on span(cols) in that basis.
 
     Requires m to preserve the span; verified exactly.  A signed
     permutation that does maps each column to plus or minus another.
     """
-    where = {r: a for a, r in enumerate(reps)}
+    where = {col[0][0]: a for a, col in enumerate(cols)}
     perm, signs = [], []
-    for b in cols:
-        w = [0] * len(b)
-        for j, x in enumerate(b):
-            w[m.perm[j]] = m.signs[j] * x
-        hits = [i for i, x in enumerate(w) if x and i in where]
-        if len(hits) != 1 or [w[hits[0]] * x for x in cols[where[hits[0]]]] != w:
+    for col in cols:
+        w = {m.perm[j]: m.signs[j] * x for j, x in col}
+        hits = [i for i in w if i in where]
+        if len(hits) != 1 or {i: w[hits[0]] * x for i, x in cols[where[hits[0]]]} != w:
             raise ArithmeticError("matrix does not preserve the eigenspace")
         perm.append(where[hits[0]])
         signs.append(w[hits[0]])
@@ -136,10 +126,10 @@ def _reduce_module(positives, negatives, comm):
         z = first_square_root(comm, 1)
         if z is None:
             return positives, negatives, comm
-        cols, reps = _plus_eigenbasis(z)
-        positives = [_restrict(g, cols, reps) for g in positives]
-        negatives = [_restrict(g, cols, reps) for g in negatives]
-        comm = [_restrict(x, cols, reps) for x in comm if x * z == z * x]
+        cols = _plus_eigenbasis(z)
+        positives = [_restrict(g, cols) for g in positives]
+        negatives = [_restrict(g, cols) for g in negatives]
+        comm = [_restrict(x, cols) for x in comm if x * z == z * x]
 
 
 def _classify_commutant(comm):

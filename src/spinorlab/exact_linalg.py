@@ -143,9 +143,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -18,6 +18,7 @@ import numpy as np
 from .admissible_forms import BilinearForm, find_admissible, first_nondegenerate
 from .brackets import (
     SpinorSubspace,
+    isotropic,
     null_kernel,
     obstruction_vectors,
     pi_image,
@@ -340,8 +341,7 @@ def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSub
     """
     build = _skew_isotropic if form.sigma == -1 else _symmetric_isotropic
     basis = build(form.matrix.dense(), rep.N // 2, rng)
-    pairing = basis.transpose() * form.matrix * basis
-    if not pairing.is_zero():
+    if not isotropic(form, basis):
         raise ArithmeticError("sampled subspace is not isotropic")
     return SpinorSubspace(rep, basis)
 
@@ -362,7 +362,7 @@ def spin23_isotropic_scan(trials: int, seed: int) -> ScanReport:
     for t in range(trials):
         rng = _trial_rng(seed, t)
         sub = random_max_isotropic(rep, form, rng)
-        dim, _ = pi_image(rep, form, sub, sub)
+        dim = pi_image(rep, form, sub, sub)
         dist[dim] = dist.get(dim, 0) + 1
     return ScanReport(trials=trials, seed=seed, distribution=dist)
 
@@ -416,7 +416,7 @@ def _structured_spin45_candidate(rep, form, rng):
     # the N/2 columns have rank N/2: independence is certified here
     if rank(basis) != rep.N // 2:
         return None
-    if not (basis.transpose() * form.matrix * basis).is_zero():
+    if not isotropic(form, basis):
         return None
     return SpinorSubspace._certified(rep, basis)
 
@@ -440,7 +440,7 @@ def spin45_search(seed: int, budget: int) -> WitnessReport:
                 continue
         else:
             sub = random_max_isotropic(rep, form, rng)
-        dim, _ = pi_image(rep, form, sub, sub)
+        dim = pi_image(rep, form, sub, sub)
         dist[dim] = dist.get(dim, 0) + 1
         if dim == 4:
             return WitnessReport(
@@ -489,10 +489,9 @@ def load_and_verify_spin45_witness(path) -> dict:
     sub = SpinorSubspace(rep, basis)
     if sub.dim != rep.N // 2:
         raise ArithmeticError("witness is not half-dimensional")
-    pairing = basis.transpose() * form.matrix * basis
-    if not pairing.is_zero():
+    if not isotropic(form, basis):
         raise ArithmeticError("witness is not isotropic")
-    dim, _ = pi_image(rep, form, sub, sub)
+    dim = pi_image(rep, form, sub, sub)
     if dim != payload["image_dim"]:
         raise ArithmeticError("witness image dimension changed")
     return {
@@ -548,7 +547,7 @@ def mixed_rank_inequality(
         rng = _trial_rng(seed, t)
         a = random_subspace(rep, k_plus, rng)
         b = random_subspace(rep, k_minus, rng)
-        dim, _ = pi_image(rep, form, a, b)
+        dim = pi_image(rep, form, a, b)
         dims.append(dim)
         if in_hypothesis and dim != rep.n:
             bad.append((t, a.basis, b.basis))

@@ -94,6 +94,17 @@ def test_c03_c04_run_without_elimination_or_dense_products(monkeypatch):
     _report(verify.criterion_beta(max_n=7, seed=SEED))
 
 
+def test_c06_c08_form_no_dense_product(monkeypatch):
+    # the bracket images and isotropy checks run on signed gathers alone
+    def refuse(*args):
+        raise AssertionError("a dense product on the bracket-image path")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(Matrix, "transpose", refuse)
+    _report(verify.criterion_spin23(seed=SEED, trials=20))
+    _report(verify.criterion_mixed_bound(seed=SEED, trials=2))
+
+
 def test_c01_reports_a_broken_square(monkeypatch):
     build = verify.build_rep
     monkeypatch.setattr(verify, "build_rep", lambda sig: _flip_sign(build(sig), 0))

@@ -10,6 +10,7 @@ from spinorlab.admissible_forms import (
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
 from spinorlab.exact_linalg import Matrix, SignedPerm, kernel, rank
+from test_exact_linalg import is_zero
 
 
 def all_signatures(max_n):
@@ -223,7 +224,7 @@ def test_j_invariant_form():
     for j in rep.commutant_basis:
         j = j.dense()
         assert j.transpose() * h * j == h
-        assert (j.transpose() * h + h * j).is_zero()
+        assert is_zero(j.transpose() * h + h * j)
 
 
 def test_every_basis_form_has_full_rank():

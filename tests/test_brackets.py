@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import brackets
-from spinorlab.admissible_forms import BilinearForm, first_nondegenerate
+from spinorlab.admissible_forms import BilinearForm, find_admissible, first_nondegenerate
 from spinorlab.brackets import (
     SpinorSubspace,
     beta_form,
     bracket_k,
+    isotropic,
     null_kernel,
     obstruction_vectors,
     pi_image,
@@ -31,9 +32,9 @@ from spinorlab.clifford_core import (
     metric_value,
 )
 from spinorlab.exact_linalg import Echelon, Matrix, SignedPerm, kernel, rank
-from spinorlab.subspace_lab import extremal_witness
+from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
 from test_clifford_core import _permutation_sign, gamma_alternating
-from test_exact_linalg import bareiss_echelon, bareiss_kernel, bareiss_rank, zero_matrix
+from test_exact_linalg import bareiss_kernel, bareiss_rank, is_zero, zero_matrix
 
 
 def _column(values):
@@ -221,7 +222,7 @@ def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
             cols = [[Fraction(1, 3) if r == i else 0 for r in range(rep.N)],
                     [Fraction(1, 2) if r == j else 0 for r in range(rep.N)]]
             planted = Matrix.from_columns(cols)
-            if not (planted.transpose() * h * planted).is_zero():
+            if not is_zero(planted.transpose() * h * planted):
                 monkeypatch.setattr("spinorlab.brackets.kernel", lambda m: planted)
                 with pytest.raises(ArithmeticError, match="not h-isotropic"):
                     null_kernel(rep, form, v)
@@ -260,10 +261,9 @@ def test_pi_image_full_and_empty():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
     full = SpinorSubspace(rep, Matrix.identity(rep.N))
-    dim, _ = pi_image(rep, form, full, full)
-    assert dim == rep.n
-    dim0, _ = pi_image(rep, form, SpinorSubspace.trivial(rep), full)
-    assert dim0 == 0
+    assert pi_image(rep, form, full, full) == _pi_image_oracle(rep, form, full, full) == rep.n
+    trivial = SpinorSubspace.trivial(rep)
+    assert pi_image(rep, form, trivial, full) == _pi_image_oracle(rep, form, trivial, full) == 0
 
 
 def test_beta_form_properties():
@@ -435,7 +435,7 @@ def _obstruction_oracle(rep, form, space):
 
 
 def _pi_image_oracle(rep, form, a, b):
-    # column (s, t) is bracket_k(s, t, 1) evaluated entry by entry
+    # the rank of the columns (s, t) = bracket_k(s, t, 1), entry by entry
     h = form.matrix.dense()
     gens = [g.dense() for g in rep.generators]
     cols = [
@@ -444,11 +444,7 @@ def _pi_image_oracle(rep, form, a, b):
         for s in a.basis.columns()
         for t in b.basis.columns()
     ]
-    _, pivots = bareiss_echelon(Matrix.from_columns(cols)) if cols else (None, [])
-    if not pivots:
-        return 0, Matrix([[] for _ in range(rep.n)])
-    # the Bareiss pivot columns
-    return len(pivots), Matrix.from_columns([cols[p] for p in pivots])
+    return bareiss_rank(Matrix.from_columns(cols)) if cols else 0
 
 
 def _random_subspace_oracle(rep, dim, rng, bound=3):
@@ -515,10 +511,60 @@ def test_pi_image_matches_bracket_k_oracle(sig, seed, dim):
     # every ordered pair, so A != B in dimension and in content
     for a in subs:
         for b in subs:
-            fast_dim, fast = pi_image(rep, form, a, b)
-            slow_dim, slow = _pi_image_oracle(rep, form, a, b)
-            assert fast_dim == slow_dim
-            _assert_identical(fast, slow)
+            assert pi_image(rep, form, a, b) == _pi_image_oracle(rep, form, a, b)
+
+
+@pytest.mark.parametrize("sig", _ORACLE_SIGNATURES, ids=str)
+def test_pi_image_of_a_subspace_with_itself_equals_that_with_a_copy(sig):
+    # a is b forms only the rows i <= j, a copy forms every row
+    rep, form, subs = _oracle_subspaces(sig, 3, 5)
+    rng = random.Random(9)
+    subs += [random_subspace(rep, d, rng) for d in range(1, min(rep.N, 6) + 1)]
+    if sig == Signature(2, 3):
+        form = first_nondegenerate(rep, tau=1)
+        subs += [random_max_isotropic(rep, form, random.Random(t)) for t in range(3)]
+    for sub in subs:
+        copy = SpinorSubspace(rep, Matrix(sub.basis.data))
+        assert copy is not sub
+        assert (
+            pi_image(rep, form, sub, sub)
+            == pi_image(rep, form, sub, copy)
+            == _pi_image_oracle(rep, form, sub, sub)
+        )
+
+
+@pytest.mark.parametrize("sig", _ORACLE_SIGNATURES, ids=str)
+def test_rational_column_scales_change_neither_obstruction_nor_image(sig):
+    rep, form, subs = _oracle_subspaces(sig, 5, 3)
+    rng = random.Random(13)
+    for sub in subs:
+        scales = [Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(2, 9))
+                  for _ in range(sub.dim)]
+        basis = Matrix([[x * c for x, c in zip(row, scales)] for row in sub.basis.data])
+        scaled = SpinorSubspace(rep, basis)
+        _assert_identical(obstruction_vectors(rep, form, scaled), obstruction_vectors(rep, form, sub))
+        image = pi_image(rep, form, sub, sub)
+        assert pi_image(rep, form, scaled, scaled) == pi_image(rep, form, scaled, sub) == image
+
+
+@pytest.mark.parametrize("sig", _ORACLE_SIGNATURES, ids=str)
+def test_isotropic_matches_the_dense_pairing(sig):
+    rep = build_rep(sig)
+    rng = random.Random(17)
+    outcomes = set()
+    for form in (f for s in (1, -1) for t in (1, -1) for f in find_admissible(rep, s, t)):
+        h = form.matrix.dense()
+        for d in range(1, rep.N + 1):
+            # sparse Fraction columns, so that some of them are isotropic
+            basis = Matrix.from_columns([
+                [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+                 for _ in range(rep.N)]
+                for _ in range(d)
+            ])
+            fast = isotropic(form, basis)
+            assert fast == is_zero(basis.transpose() * h * basis)
+            outcomes.add(fast)
+    assert outcomes == {True, False}
 
 
 class _CountingEchelon(Echelon):
@@ -575,10 +621,7 @@ def test_pi_image_stops_at_full_image_and_matches_oracle(sig, dims, monkeypatch)
         for _ in range(3):
             a, b = random_subspace(rep, k_a, rng), random_subspace(rep, k_b, rng)
             _CountingEchelon.adds = 0
-            fast_dim, fast = pi_image(rep, form, a, b)
-            slow_dim, slow = _pi_image_oracle(rep, form, a, b)
-            assert fast_dim == slow_dim == rep.n
-            _assert_identical(fast, slow)
+            assert pi_image(rep, form, a, b) == _pi_image_oracle(rep, form, a, b) == rep.n
             assert _CountingEchelon.adds < a.dim * b.dim  # stopped early
 
 
@@ -589,9 +632,7 @@ def test_pi_image_degenerate_form_and_empty_spaces():
     form = first_nondegenerate(rep)
     full, trivial = SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)
     for a, b in ((trivial, full), (full, trivial), (trivial, trivial)):
-        dim, basis = pi_image(rep, form, a, b)
-        assert dim == 0
-        assert (basis.rows, basis.cols) == (rep.n, 0)
+        assert pi_image(rep, form, a, b) == _pi_image_oracle(rep, form, a, b) == 0
 
 
 class _CountingRandom(random.Random):

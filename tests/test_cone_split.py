@@ -21,7 +21,7 @@ from spinorlab.cone_split import (
 )
 from spinorlab.exact_linalg import Matrix, SignedPerm, rank, signed_relation_basis
 from test_clifford_core import gamma_alternating
-from test_exact_linalg import dense_cells, dense_scalar, zero_matrix
+from test_exact_linalg import dense_cells, dense_scalar, is_zero, zero_matrix
 
 THIS = sys.modules[__name__]
 
@@ -449,7 +449,7 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                 ident = Matrix.identity(cone.N)
                 p_plus, p_minus = (ident + z, ident - z)  # twice the projectors
                 assert (p_plus + p_minus) == ident.scale(2)
-                assert (p_plus * p_minus).is_zero()
+                assert is_zero(p_plus * p_minus)
                 for proj in (p_plus, p_minus):
                     assert proj * proj == proj.scale(2)
                     assert 2 * rank(proj) == cone.N

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from spinorlab import brackets, exact_linalg, subspace_lab
+from spinorlab import brackets, exact_linalg, serialize, subspace_lab
 from spinorlab.admissible_forms import find_admissible, first_nondegenerate
 from spinorlab.brackets import null_kernel, pi_image, random_null_vector
 from spinorlab.clifford_core import Signature, build_rep, gamma_vector, metric_value
@@ -25,8 +26,8 @@ from spinorlab.subspace_lab import (
     spin23_isotropic_scan,
     spin45_search,
 )
-from test_brackets import _CountingEchelon
-from test_exact_linalg import bareiss_kernel, bareiss_rank
+from test_brackets import _CountingEchelon, _pi_image_oracle
+from test_exact_linalg import bareiss_kernel, bareiss_rank, is_zero
 
 WITNESS_PATH = Path(__file__).resolve().parent.parent / "witnesses" / "spin45_max_isotropic.json"
 
@@ -186,13 +187,13 @@ def test_isotropic_subspace_skew():
     gram = Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     iso = isotropic_subspace(gram, symmetric=False, target_dim=2)
     assert iso.cols == 2
-    assert (iso.transpose() * gram * iso).is_zero()
+    assert is_zero(iso.transpose() * gram * iso)
 
 
 def test_isotropic_subspace_symmetric_split():
     gram = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     iso = isotropic_subspace(gram, symmetric=True, target_dim=2)
-    assert (iso.transpose() * gram * iso).is_zero()
+    assert is_zero(iso.transpose() * gram * iso)
     assert bareiss_rank(iso) == 2
 
 
@@ -535,7 +536,50 @@ def test_random_max_isotropic_symmetric_form():
     rng = random.Random(4)
     sub = random_max_isotropic(rep, form, rng)
     assert sub.dim == rep.N // 2
-    assert (sub.basis.transpose() * form.matrix * sub.basis).is_zero()
+    assert is_zero(sub.basis.transpose() * form.matrix * sub.basis)
+
+
+def _planted_nonisotropic_basis(rep, form):
+    """N/2 independent Fraction coordinate columns, among them e_0 and
+    e_perm[0], whose pairing h(e_perm[0], e_0) = signs[0] is nonzero."""
+    first = [0, form.matrix.perm[0]]
+    picks = list(dict.fromkeys(first + list(range(rep.N))))[: rep.N // 2]
+    basis = Matrix.from_columns(
+        [[Fraction(1, k + 2) if r == j else 0 for r in range(rep.N)] for k, j in enumerate(picks)]
+    )
+    assert not is_zero(basis.transpose() * form.matrix.dense() * basis)
+    return basis
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 3), Signature(4, 5)], ids=str)
+def test_random_max_isotropic_rejects_a_planted_nonisotropic_basis(sig, monkeypatch):
+    rep = build_rep(sig)
+    form = first_nondegenerate(rep, tau=1)
+    planted = _planted_nonisotropic_basis(rep, form)
+    monkeypatch.setattr(subspace_lab, "_skew_isotropic", lambda *args: planted)
+    monkeypatch.setattr(subspace_lab, "_symmetric_isotropic", lambda *args: planted)
+    with pytest.raises(ArithmeticError, match="sampled subspace is not isotropic"):
+        random_max_isotropic(rep, form, random.Random(0))
+
+
+def test_witness_loader_rejects_a_planted_nonisotropic_basis(tmp_path):
+    rep = build_rep(Signature(4, 5))
+    planted = _planted_nonisotropic_basis(rep, first_nondegenerate(rep, tau=1))
+    path = tmp_path / "planted.json"
+    serialize.dump(
+        {
+            "kind": "spin45-max-isotropic-witness",
+            "p": 4,
+            "q": 5,
+            "seed": 0,
+            "trials_used": 1,
+            "image_dim": 4,
+            "basis": serialize.matrix_to_json(planted),
+        },
+        path,
+    )
+    with pytest.raises(ArithmeticError, match="witness is not isotropic"):
+        load_and_verify_spin45_witness(path)
 
 
 def test_spin45_search_finds_witness():
@@ -598,6 +642,6 @@ def test_nonisotropic_plane_image_logged():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep, tau=1)
     sub = random_subspace(rep, 2, _random.Random(0))
-    dim, _ = pi_image(rep, form, sub, sub)
+    dim = pi_image(rep, form, sub, sub)
     print(f"generic plane bracket image dimension: {dim}")
-    assert dim >= 1
+    assert dim == _pi_image_oracle(rep, form, sub, sub) >= 1
