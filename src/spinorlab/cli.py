@@ -212,14 +212,11 @@ def cmd_model_verify(args):
     )
 
     model = HyperquadricModel(args.cone, num_samples=args.samples, step=args.h)
+    fields = [ConstantSpinorField(column) for column in np.eye(model.N)]
+    lam = None if args.lambda_sign == "auto" else 0.5 * float(args.lambda_sign)
     rows = []
     ok = True
-    for i in range(model.N):
-        field = ConstantSpinorField(np.eye(model.N)[i])
-        if args.lambda_sign == "auto":
-            rep = killing_residual(model, field)
-        else:
-            rep = killing_residual(model, field, 0.5 * float(args.lambda_sign))
+    for i, rep in enumerate(killing_residual(model, fields, lam)):
         passed = rep.residual < args.tol
         ok = ok and passed
         rows.append(

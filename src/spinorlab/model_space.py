@@ -5,9 +5,11 @@ R^(P,Q); constant spinor fields on the cone are parallel, and their
 restrictions are checked against the Killing equation through an
 independently assembled numeric spin connection: smooth local
 orthonormal frames, frame-rotation rates by central differences, and
-the quarter-sum bivector term.  Clifford data (cone generators, the
-intrinsic action gamma^M_X = gamma_X gamma_x, admissible forms) comes
-from the exact modules, converted to float64.
+the quarter-sum bivector term.  Clifford data comes from the exact
+modules: the spin connection and the intrinsic action
+gamma^M_X = gamma_X gamma_x are bivectors, scattered in O(n^2 N) from
+the signed-permutation products G_i G_j of the cone generators, and the
+admissible form is converted to float64.
 """
 
 from __future__ import annotations
@@ -92,7 +94,14 @@ class HyperquadricModel:
         self.step = step
         self.rep = build_rep(cone_signature)
         self.N = self.rep.N
-        self.gammas = [_to_numpy(g) for g in self.rep.generators]
+        # the products G_i G_j, i < j, of the cone generators: pair k puts
+        # pair_signs[k, c] at row pair_perms[k, c] of column c
+        self.pairs = np.triu_indices(cone_signature.n, 1)
+        gens = self.rep.generators
+        products = [gens[i] * gens[j] for i, j in zip(*self.pairs)]
+        self.pair_perms = np.array([g.perm for g in products], dtype=np.intp).reshape(-1, self.N)
+        self.pair_signs = np.array([g.signs for g in products], dtype=float).reshape(-1, self.N)
+        self._pair_cells = (self.pair_perms * self.N + np.arange(self.N)).ravel()
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
@@ -124,9 +133,9 @@ class HyperquadricModel:
             x = self.samples[len(self._points)]
             patch = self.select_patch(x)
             frame = self.tangent_frame(x, patch)
-            directions = [frame[:, i] for i in range(self.n)]
-            omegas = tuple(spin_connection(self, x, d, patch) for d in directions)
-            gammas = tuple(self.gamma_intrinsic(x, d) for d in directions)
+            cone_frame = np.column_stack([x, frame])
+            omegas = tuple(spin_connection(self, cone_frame, e, patch) for e in frame.T)
+            gammas = tuple(self.gamma_intrinsic(x, e) for e in frame.T)
             self._points.append(SamplePoint(x, patch, frame, omegas, gammas))
         return self._points[:wanted]
 
@@ -147,13 +156,11 @@ class HyperquadricModel:
             result = self._gram_schmidt(x, drop)
             if result is None:
                 continue
-            _, _, min_pivot = result
-            if best is None or min_pivot > best[1]:
-                best = (drop, min_pivot)
-        if best is None or best[1] < 1e-8:
+            if best is None or result[2] > best[1][2]:
+                best = (drop, result)
+        if best is None or best[1][2] < 1e-8:
             raise ArithmeticError("no usable frame patch at this sample point")
-        drop = best[0]
-        _, signs, _ = self._gram_schmidt(x, drop)
+        drop, (_, signs, _) = best
         order = sorted(range(self.n), key=lambda i: (-signs[i], i))
         return (drop, tuple(order))
 
@@ -197,16 +204,21 @@ class HyperquadricModel:
 
     # -- Clifford data ------------------------------------------------------
 
-    def gamma_ambient(self, v):
-        out = np.zeros((self.N, self.N))
-        for c, g in zip(v, self.gammas):
-            if c:
-                out += c * g
-        return out
+    def bivector(self, coeffs):
+        """The sum over pairs k of coeffs[k] G_i G_j, (i, j) = pairs[:, k],
+        as a dense N x N array: one scatter of n(n+1)/2 signed
+        permutations, O(n^2 N)."""
+        weights = (coeffs[:, None] * self.pair_signs).ravel()
+        cells = np.bincount(self._pair_cells, weights, minlength=self.N * self.N)
+        return cells.reshape(self.N, self.N)
 
     def gamma_intrinsic(self, x, v):
-        """gamma^M_v = gamma_v gamma_x through the cone identification."""
-        return self.gamma_ambient(v) @ self.gamma_ambient(x)
+        """gamma^M_v = gamma_v gamma_x through the cone identification:
+        -g(v, x) Id plus the bivector with coefficients v_i x_j - v_j x_i."""
+        i, j = self.pairs
+        out = self.bivector(v[i] * x[j] - v[j] * x[i])
+        out.flat[:: self.N + 1] -= self.g_hat(v, x)
+        return out
 
     @cached_property
     def form_matrix(self):
@@ -227,82 +239,67 @@ class ConstantSpinorField:
         return self.column
 
 
-def frame_rotation_rates(model, x, direction, patch):
-    """Lowered rotation-rate matrix of the cone-adapted frame along a
-    tangent direction, by central differences; antisymmetric up to the
-    truncation error."""
+def frame_rotation_rates(model, frame, direction, patch):
+    """Lowered rotation-rate matrix of the cone-adapted frame, given at x
+    as frame = (x, tangent frame), along a tangent direction, by central
+    differences; antisymmetric up to the truncation error."""
     h = model.step
-    f0 = model.cone_frame(x, patch)
+    x = frame[:, 0]
     fp = model.cone_frame(model.curve(x, direction, h), patch)
     fm = model.cone_frame(model.curve(x, direction, -h), patch)
     df = (fp - fm) / (2.0 * h)
-    lam_low = f0.T @ np.diag(model.eta_hat) @ df
-    return lam_low, f0
+    return frame.T @ np.diag(model.eta_hat) @ df
 
 
-def spin_connection(model, x, direction, patch):
+def spin_connection(model, frame, direction, patch):
     """Connection matrix Omega with nabla_X phi = X(phi) + Omega phi for
-    cone-spinor components phi in the constant ambient trivialization.
+    cone-spinor components phi in the constant ambient trivialization;
+    frame is the cone frame F at x: x, then the tangent frame E.
 
-    Assembled from the frame rotation rates and the quarter-sum bivector
-    terms: the full-frame term uses the ambient Clifford action, the
-    tangential term the intrinsic action gamma^M.
+    The quarter-sum terms (the full-frame term of the ambient action
+    minus the tangential term of the intrinsic action gamma^M) are one
+    bivector.  With gamma(f) = sum_i f^i G_i, R = eta Lambda eta the
+    antisymmetrized rotation rates and R_tt their tangent block,
+    Omega = sum over i < j of C_ij G_i G_j with
+    C = (F R F^T - g(x, x) E R_tt E^T) / 2, since
+    gamma^M_e gamma^M_f = g(x, x) gamma_e gamma_f for e, f tangent.
     """
+    x = frame[:, 0]
     if abs(model.g_hat(x, direction)) > 1e-9:
         raise ValueError("direction must be tangent to the hyperquadric")
-    lam_low, f0 = frame_rotation_rates(model, x, direction, patch)
-    lam_low = 0.5 * (lam_low - lam_low.T)
-    eta_frame = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
-    n_tot = model.dim
-    frame_gammas = [model.gamma_ambient(f0[:, a]) for a in range(n_tot)]
-    mu_full = np.zeros((model.N, model.N))
-    for a in range(n_tot):
-        for b in range(n_tot):
-            if a == b or lam_low[a, b] == 0.0:
-                continue
-            mu_full -= 0.25 * lam_low[a, b] * eta_frame[a] * eta_frame[b] * (
-                frame_gammas[a] @ frame_gammas[b]
-            )
-    gamma_x = model.gamma_ambient(x)
-    intrinsic = [frame_gammas[i + 1] @ gamma_x for i in range(model.n)]
-    eta_base = eta_frame[1:]
-    theta = np.zeros((model.N, model.N))
-    for i in range(model.n):
-        for j in range(model.n):
-            if i == j:
-                continue
-            w = lam_low[i + 1, j + 1]
-            if w:
-                theta -= 0.25 * w * eta_base[i] * eta_base[j] * (
-                    intrinsic[i] @ intrinsic[j]
-                )
-    return -mu_full + theta
+    lam_low = frame_rotation_rates(model, frame, direction, patch)
+    eta = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
+    rates = 0.5 * eta[:, None] * (lam_low - lam_low.T) * eta
+    tangent = frame[:, 1:]
+    c = frame @ rates @ frame.T - model.g_hat(x, x) * (tangent @ rates[1:, 1:] @ tangent.T)
+    i, j = model.pairs
+    return model.bivector(0.5 * c[i, j])
 
 
-def _field_derivative(model, field, x, direction, patch):
+def _values(model, fields, y, patch):
+    """The fields at y as the columns of one N x k array."""
+    return np.column_stack([field.eval(model, y, patch) for field in fields])
+
+
+def _nablas(model, fields, point, here):
+    """nabla_(e_i) S at a sample point for every frame direction e_i, S the
+    fields' N x k value array (here at the point), with Omega read from
+    the sample table."""
     h = model.step
-    plus = field.eval(model, model.curve(x, direction, h), patch)
-    minus = field.eval(model, model.curve(x, direction, -h), patch)
-    return (plus - minus) / (2.0 * h)
+    nablas = []
+    for direction, omega in zip(point.frame.T, point.omegas):
+        plus = _values(model, fields, model.curve(point.x, direction, h), point.patch)
+        minus = _values(model, fields, model.curve(point.x, direction, -h), point.patch)
+        nablas.append((plus - minus) / (2.0 * h) + omega @ here)
+    return nablas
 
 
-def _nablas(model, field, point, s_here):
-    """nabla_(e_i) s at a sample point for every frame direction e_i, with
-    Omega read from the sample table; s_here is s at the point."""
-    return [
-        _field_derivative(model, field, point.x, point.frame[:, i], point.patch)
-        + omega @ s_here
-        for i, omega in enumerate(point.omegas)
-    ]
-
-
-def _covariant_sweep(model, field):
-    """(point, s(x), [nabla_(e_i) s at x]) for every sample point."""
-    sweep = []
-    for point in model.sample_points():
-        s_here = field.eval(model, point.x, point.patch)
-        sweep.append((point, s_here, _nablas(model, field, point, s_here)))
-    return sweep
+def _dirac(model, point, nablas):
+    """Frame Dirac sum sum_i eta_i gamma^M_(e_i) nabla_(e_i) at a sample point."""
+    dirac = np.zeros_like(nablas[0])
+    for eta, gamma, nabla in zip(model.base_signature.eta(), point.gammas, nablas):
+        dirac += eta * gamma @ nabla
+    return dirac
 
 
 @dataclass
@@ -312,39 +309,39 @@ class KillingReport:
     dirac_residual: float  # max over samples of |D s + n lambda s|
 
 
-def killing_residual(model, field, killing_number=None) -> KillingReport:
-    """max over samples and frame directions of |nabla_X s - lambda X s|,
-    and from the same nabla sweep the Dirac residual at that lambda.
+def killing_residual(model, fields, killing_number=None) -> list:
+    """One KillingReport per field: the max over samples and frame
+    directions of |nabla_X s - lambda X s|, and from the same nabla sweep
+    the Dirac residual at that lambda.
 
-    With killing_number None the sign of lambda = +-1/2 is auto-detected
-    per field by picking the smaller residual.
+    All fields share one array sweep: at each sample point and frame
+    direction their values are the columns of one N x k array S, and
+    nabla S = dS/dt + Omega S.  With killing_number None the sign of
+    lambda = +-1/2 is auto-detected per field by picking the smaller
+    residual.
     """
     candidates = [killing_number] if killing_number is not None else [0.5, -0.5]
-    sweep = _covariant_sweep(model, field)
-    residuals = [
-        _worst(
-            np.max(np.abs(nabla - lam * gamma @ s_here))
-            for point, s_here, nablas in sweep
-            for nabla, gamma in zip(nablas, point.gammas)
-        )
-        for lam in candidates
-    ]
-    best = int(np.argmin(residuals))
-    lam = candidates[best]
-    dirac = _worst(
-        np.max(np.abs(_dirac(model, point, nablas) + model.n * lam * s_here))
-        for point, s_here, nablas in sweep
-    )
-    return KillingReport(lam, residuals[best], dirac)
-
-
-def _dirac(model, point, nablas):
-    """Frame Dirac sum sum_i eta_i gamma^M_(e_i) nabla_(e_i) at a sample point."""
-    eta_base = model.base_signature.eta()
-    dirac = np.zeros(model.N)
-    for eta, gamma, nabla in zip(eta_base, point.gammas, nablas):
-        dirac += eta * gamma @ nabla
-    return dirac
+    killing = [[] for _ in candidates]  # column maxima per point and direction
+    dirac = [[] for _ in candidates]  # column maxima per point
+    for point in model.sample_points():
+        here = _values(model, fields, point.x, point.patch)
+        nablas = _nablas(model, fields, point, here)
+        d_here = _dirac(model, point, nablas)
+        for lam, k_rows, d_rows in zip(candidates, killing, dirac):
+            k_rows.extend(
+                np.max(np.abs(nabla - lam * gamma @ here), axis=0)
+                for nabla, gamma in zip(nablas, point.gammas)
+            )
+            d_rows.append(np.max(np.abs(d_here + model.n * lam * here), axis=0))
+    # each column fails closed like _worst, even with no rows at all
+    width = len(fields)
+    killing = [[_worst(col) for col in np.reshape(rows, (-1, width)).T] for rows in killing]
+    dirac = [[_worst(col) for col in np.reshape(rows, (-1, width)).T] for rows in dirac]
+    reports = []
+    for col in range(width):
+        best = int(np.argmin([residuals[col] for residuals in killing]))
+        reports.append(KillingReport(candidates[best], killing[best][col], dirac[best][col]))
+    return reports
 
 
 # -- the degree-one bracket ----------------------------------------------------

@@ -350,13 +350,8 @@ def criterion_model_sphere() -> CheckResult:
     tol = 1e-6
     model = HyperquadricModel(Signature(3, 0), num_samples=32, step=1e-4)
     fields = [ConstantSpinorField(np.eye(model.N)[i]) for i in range(model.N)]
-    passing = []
-    lam = None
-    for s in fields:
-        rep = killing_residual(model, s)
-        if rep.residual < tol:
-            passing.append(rep)
-            lam = rep.killing_number
+    passing = [rep for rep in killing_residual(model, fields) if rep.residual < tol]
+    lam = passing[-1].killing_number if passing else None
     details["killing_passing"] = len(passing)
     if len(passing) != 4:
         failures.append("killing_count")
@@ -416,7 +411,7 @@ def criterion_convergence() -> CheckResult:
     fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=5e-3)
     s = ConstantSpinorField(np.eye(coarse.N)[0])
     t = ConstantSpinorField(np.eye(coarse.N)[1])
-    kc, kf = killing_residual(coarse, s, 0.5), killing_residual(fine, s, 0.5)
+    (kc,), (kf,) = killing_residual(coarse, [s], 0.5), killing_residual(fine, [s], 0.5)
     pairs = {
         "killing": (kc.residual, kf.residual),
         "dirac": (kc.dirac_residual, kf.dirac_residual),

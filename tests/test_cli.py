@@ -145,6 +145,14 @@ def test_model_verify_on_a_cone_past_eight_dimensions(capsys):
     assert all(row["passed"] for row in payload["rows"])
 
 
+def test_model_verify_on_a_128_component_cone(capsys):
+    # (7, 5) has N = 128: one array sweep over 128 fields
+    assert main(["model-verify", "--cone", "7,5", "--samples", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["rows"]) == 128
+    assert all(row["passed"] for row in payload["rows"])
+
+
 def test_env_seed_default(monkeypatch, capsys):
     argv = ["bracket", "--sig", "2,3", "--k", "2"]
     assert main([*argv, "--seed", "11"]) == 0

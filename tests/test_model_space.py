@@ -9,6 +9,7 @@ from spinorlab.model_space import (
     _dirac,
     _first_primes,
     _nablas,
+    _to_numpy,
     _worst,
     bracket_field_checks,
     frame_rotation_rates,
@@ -41,8 +42,50 @@ def covariant_derivative(model, field, x, direction, patch):
     h = model.step
     plus = field.eval(model, model.curve(x, direction, h), patch)
     minus = field.eval(model, model.curve(x, direction, -h), patch)
-    omega = spin_connection(model, x, direction, patch)
+    omega = spin_connection(model, model.cone_frame(x, patch), direction, patch)
     return (plus - minus) / (2.0 * h) + omega @ field.eval(model, x, patch)
+
+
+def dense_gamma(model, v):
+    """gamma_v = sum_i v^i G_i as a dense sum of the float generators."""
+    out = np.zeros((model.N, model.N))
+    for c, g in zip(v, model.rep.generators):
+        if c:
+            out += c * _to_numpy(g)
+    return out
+
+
+def dense_gamma_intrinsic(model, x, v):
+    """gamma^M_v as the dense product gamma_v gamma_x."""
+    return dense_gamma(model, v) @ dense_gamma(model, x)
+
+
+def dense_spin_connection(model, frame, direction, patch):
+    """Omega assembled term by term from dense products: minus the
+    full-frame quarter sum of the ambient action plus the tangential
+    quarter sum of the intrinsic action gamma^M."""
+    lam_low = frame_rotation_rates(model, frame, direction, patch)
+    lam_low = 0.5 * (lam_low - lam_low.T)
+    eta_frame = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
+    frame_gammas = [dense_gamma(model, f) for f in frame.T]
+    mu_full = np.zeros((model.N, model.N))
+    for a in range(model.dim):
+        for b in range(model.dim):
+            if a == b or lam_low[a, b] == 0.0:
+                continue
+            mu_full -= 0.25 * lam_low[a, b] * eta_frame[a] * eta_frame[b] * (
+                frame_gammas[a] @ frame_gammas[b]
+            )
+    gamma_x = frame_gammas[0]
+    intrinsic = [g @ gamma_x for g in frame_gammas[1:]]
+    eta_base = eta_frame[1:]
+    theta = np.zeros((model.N, model.N))
+    for i in range(model.n):
+        for j in range(model.n):
+            w = lam_low[i + 1, j + 1]
+            if i != j and w:
+                theta -= 0.25 * w * eta_base[i] * eta_base[j] * (intrinsic[i] @ intrinsic[j])
+    return -mu_full + theta
 
 
 def dirac_form_consistency(model, s_field, t_field, lambda_s, lambda_t):
@@ -56,8 +99,8 @@ def dirac_form_consistency(model, s_field, t_field, lambda_s, lambda_t):
         x, patch = point.x, point.patch
         s_val = s_field.eval(model, x, patch)
         t_val = t_field.eval(model, x, patch)
-        ds = _dirac(model, point, _nablas(model, s_field, point, s_val))
-        dt = _dirac(model, point, _nablas(model, t_field, point, t_val))
+        ds = _dirac(model, point, _nablas(model, [s_field], point, s_val[:, None]))[:, 0]
+        dt = _dirac(model, point, _nablas(model, [t_field], point, t_val[:, None]))[:, 0]
         # the intrinsic type of the form decides tau
         tau = _intrinsic_tau(h_mat, point)
         lhs = -model.n * (lambda_s + tau * lambda_t) * float(s_val @ h_mat @ t_val)
@@ -171,14 +214,15 @@ def test_rotation_rates_antisymmetric(sphere):
     x = sphere.samples[0]
     patch = sphere.select_patch(x)
     frame = sphere.tangent_frame(x, patch)
-    lam, _ = frame_rotation_rates(sphere, x, frame[:, 0], patch)
+    lam = frame_rotation_rates(sphere, sphere.cone_frame(x, patch), frame[:, 0], patch)
     assert np.max(np.abs(lam + lam.T)) < 1e-8
 
 
 def test_spin_connection_rejects_non_tangent(sphere):
     x = sphere.samples[0]
+    patch = sphere.select_patch(x)
     with pytest.raises(ValueError):
-        spin_connection(sphere, x, x, sphere.select_patch(x))
+        spin_connection(sphere, sphere.cone_frame(x, patch), x, patch)
 
 
 def test_constant_field_flat_along_rays(sphere):
@@ -196,30 +240,30 @@ def test_all_constant_spinors_killing_on_sphere(sphere):
     passing = 0
     for i in range(sphere.N):
         field = ConstantSpinorField(np.eye(sphere.N)[i])
-        rep = killing_residual(sphere, field)
+        (rep,) = killing_residual(sphere, [field])
         if rep.residual < 1e-6:
             passing += 1
-        assert killing_residual(sphere, field, -rep.killing_number).residual > 0.1
+        assert killing_residual(sphere, [field], -rep.killing_number)[0].residual > 0.1
     assert passing == 4
 
 
 def test_epsilon_detection_stable(sphere):
-    eps = {killing_residual(sphere, ConstantSpinorField(np.eye(4)[i])).killing_number for i in range(4)}
+    fields = [ConstantSpinorField(np.eye(4)[i]) for i in range(4)]
+    eps = {rep.killing_number for rep in killing_residual(sphere, fields)}
     assert len(eps) == 1
 
 
 def test_dirac_on_sphere(sphere):
     s = ConstantSpinorField(np.eye(4)[0])
-    rep = killing_residual(sphere, s)
+    (rep,) = killing_residual(sphere, [s])
     assert rep.dirac_residual < 1e-5
     zero = ConstantSpinorField(np.zeros(4))
-    assert killing_residual(sphere, zero, 0.5).dirac_residual == 0.0
+    assert killing_residual(sphere, [zero], 0.5)[0].dirac_residual == 0.0
 
 
 def test_volume_flip_reverses_killing_number(sphere):
     s = ConstantSpinorField(np.eye(4)[0])
-    base = killing_residual(sphere, s)
-    flipped = killing_residual(sphere, VolumeFlippedField(s))
+    base, flipped = killing_residual(sphere, [s, VolumeFlippedField(s)])
     assert flipped.residual < 1e-6
     assert flipped.killing_number == -base.killing_number
 
@@ -264,12 +308,9 @@ def test_single_pair_span_nonzero(sphere):
 
 
 def test_pseudo_sphere_killing_and_span(pseudo_sphere):
-    fields = []
-    for i in range(4):
-        s = ConstantSpinorField(np.eye(4)[i])
-        rep = killing_residual(pseudo_sphere, s)
+    fields = [ConstantSpinorField(np.eye(4)[i]) for i in range(4)]
+    for rep in killing_residual(pseudo_sphere, fields):
         assert rep.residual < 1e-6
-        fields.append(s)
     dims = homogeneity_span(pseudo_sphere, fields)
     assert dims == [3] * len(dims)
 
@@ -312,7 +353,7 @@ def test_epsilon_stable_across_steps():
     eps = set()
     for h in (1e-3, 1e-4):
         model = HyperquadricModel(Signature(3, 0), num_samples=4, step=h)
-        eps.add(killing_residual(model, s).killing_number)
+        eps.add(killing_residual(model, [s])[0].killing_number)
     assert len(eps) == 1
 
 
@@ -330,8 +371,8 @@ def test_default_suite_small_cones():
         Signature(2, 3),
     ]:
         model = HyperquadricModel(cone, num_samples=4, step=1e-4)
-        for i in range(model.N):
-            rep = killing_residual(model, ConstantSpinorField(np.eye(model.N)[i]))
+        fields = [ConstantSpinorField(column) for column in np.eye(model.N)]
+        for i, rep in enumerate(killing_residual(model, fields)):
             assert rep.residual < 1e-6, (str(cone), i)
 
 
@@ -356,7 +397,7 @@ def test_connection_clifford_compatibility(sphere):
             plus = product_field(sphere.curve(x, direction, h))
             minus = product_field(sphere.curve(x, direction, -h))
             d_field = (plus - minus) / (2.0 * h)
-            omega = spin_connection(sphere, x, direction, patch)
+            omega = spin_connection(sphere, sphere.cone_frame(x, patch), direction, patch)
             lhs = d_field + omega @ product_field(x)
             fp = sphere.tangent_frame(sphere.curve(x, direction, h), patch)
             fm = sphere.tangent_frame(sphere.curve(x, direction, -h), patch)
@@ -385,8 +426,8 @@ def test_convergence_second_order():
     s = ConstantSpinorField(np.eye(4)[0])
     coarse = HyperquadricModel(Signature(3, 0), num_samples=4, step=1e-2)
     fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=5e-3)
-    r_coarse = killing_residual(coarse, s, 0.5)
-    r_fine = killing_residual(fine, s, 0.5)
+    (r_coarse,) = killing_residual(coarse, [s], 0.5)
+    (r_fine,) = killing_residual(fine, [s], 0.5)
     assert r_coarse.residual / r_fine.residual >= 3.0
     assert r_coarse.dirac_residual / r_fine.dirac_residual >= 3.0
 
@@ -397,7 +438,7 @@ def test_zero_step_fails_closed():
     model = HyperquadricModel(Signature(3, 0), num_samples=4, step=0.0)
     s = ConstantSpinorField(np.eye(model.N)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        report = killing_residual(model, s)
+        (report,) = killing_residual(model, [s])
     assert not report.residual < 1e-6
     assert not report.dirac_residual < 1e-6
 
@@ -414,10 +455,10 @@ def test_empty_sample_set_fails_closed():
         HyperquadricModel(Signature(3, 0), num_samples=0)
     model = HyperquadricModel(Signature(3, 0), num_samples=4)
     field = _LinearField()
-    assert not killing_residual(model, field).residual < 1e-6
+    assert not killing_residual(model, [field])[0].residual < 1e-6
     # with its sample set emptied the model still cannot rate the field 0.0
     model.samples = []
-    report = killing_residual(model, field)
+    (report,) = killing_residual(model, [field])
     assert report.residual == report.dirac_residual == np.inf
 
 
@@ -438,22 +479,23 @@ def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys
     assert len(calls) == 4 * 2  # samples x frame directions, for all N fields
 
 
-def test_one_covariant_sweep_per_field(monkeypatch, capsys):
-    # the Killing and Dirac residuals of a field share one nabla sweep
-    from spinorlab import model_space
-    from spinorlab.cli import main
+def test_one_killing_residual_call_per_model_verify(monkeypatch, capsys):
+    # all N fields, both candidate Killing numbers and the Dirac residuals
+    # share one array sweep
+    from spinorlab import cli, model_space
 
-    sweeps = []
-    original = model_space._covariant_sweep
+    calls = []
+    original = model_space.killing_residual
 
-    def counting(model, field):
-        sweeps.append(field)
-        return original(model, field)
+    def counting(model, fields, killing_number=None):
+        calls.append(len(fields))
+        return original(model, fields, killing_number)
 
-    monkeypatch.setattr(model_space, "_covariant_sweep", counting)
-    assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
+    monkeypatch.setattr(model_space, "killing_residual", counting)
+    assert cli.main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
+    assert cli.main(["model-verify", "--cone", "4,1", "--samples", "2", "--lambda-sign", "-1"]) == 1
     capsys.readouterr()
-    assert len(sweeps) == 4  # N = 4 fields
+    assert calls == [4, 8]  # one call with all N fields per command
 
 
 def test_table_residuals_match_public_derivative_bit_for_bit():
@@ -479,24 +521,90 @@ def test_table_residuals_match_public_derivative_bit_for_bit():
         ConstantSpinorField(np.eye(model.N)[0]),
         VolumeFlippedField(ConstantSpinorField(np.eye(model.N)[1])),
     ):
-        report = killing_residual(model, field)
+        (report,) = killing_residual(model, [field])
         lam = report.killing_number
         assert (report.residual, report.dirac_residual) == direct(field, lam)
-        assert killing_residual(model, field, -lam).residual == direct(field, -lam)[0]
+        assert killing_residual(model, [field], -lam)[0].residual == direct(field, -lam)[0]
 
 
 def test_float_clifford_data_is_the_dense_conversion_bit_for_bit():
-    # the generators and the form are scattered from their SignedPerms;
-    # the float64 bytes equal those of the dense exact matrices
+    # the bivector table holds the SignedPerm products G_i G_j, i < j, and
+    # the form is scattered from its SignedPerm; the float64 bytes equal
+    # those of the dense exact matrix
     def from_dense(m):
         return np.array([[float(x) for x in row] for row in m.dense().data], dtype=float)
 
     for sig in (Signature(1, 0), Signature(3, 0), Signature(2, 2), Signature(5, 3)):
         model = HyperquadricModel(sig, num_samples=1)
         rep = build_rep(sig)
-        pairs = list(zip(model.gammas, rep.generators, strict=True))
-        pairs.append((model.form_matrix, first_nondegenerate(rep).matrix))
-        for got, exact in pairs:
-            want = from_dense(exact)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        gens = rep.generators
+        pairs = [(i, j) for i in range(sig.n) for j in range(i + 1, sig.n)]
+        assert list(zip(*model.pairs)) == pairs
+        assert model.pair_perms.shape == model.pair_signs.shape == (len(pairs), rep.N)
+        for k, (i, j) in enumerate(pairs):
+            product = gens[i] * gens[j]
+            assert model.pair_perms[k].tolist() == list(product.perm)
+            assert model.pair_signs[k].tobytes() == np.array(product.signs, float).tobytes()
+        got, want = model.form_matrix, from_dense(first_nondegenerate(rep).matrix)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cone", [(3, 0), (2, 2), (4, 1), (5, 3), (5, 4), (7, 5)])
+def test_bivector_scatter_matches_dense_oracles(cone):
+    # Omega and gamma^M of the sample table against their dense assembly
+    # from float generator products, at every direction of two samples
+    model = HyperquadricModel(Signature(*cone), num_samples=2)
+    for point in model.sample_points():
+        frame = model.cone_frame(point.x, point.patch)
+        for e, omega, gamma in zip(point.frame.T, point.omegas, point.gammas):
+            want = dense_spin_connection(model, frame, e, point.patch)
+            assert np.max(np.abs(omega - want)) < 1e-12
+            want = dense_gamma_intrinsic(model, point.x, e)
+            assert np.max(np.abs(gamma - want)) < 1e-12
+
+
+@pytest.mark.parametrize("cone", [(4, 1), (2, 2), (5, 3)])
+def test_one_sweep_for_all_fields_matches_one_field_sweeps(cone):
+    # unit fields make every product with Omega and gamma^M exact, so the
+    # Killing residuals agree bit for bit; the Dirac sum multiplies
+    # general nabla columns, whose matrix products may round differently
+    model = HyperquadricModel(Signature(*cone), num_samples=4)
+    fields = [ConstantSpinorField(column) for column in np.eye(model.N)]
+    for field, batched in zip(fields, killing_residual(model, fields), strict=True):
+        (alone,) = killing_residual(model, [field])
+        assert batched.killing_number == alone.killing_number
+        assert batched.residual == alone.residual
+        assert abs(batched.dirac_residual - alone.dirac_residual) < 1e-12
+
+
+def test_mixed_fields_keep_their_own_verdicts(sphere):
+    fields = [
+        ConstantSpinorField(np.eye(4)[0]),
+        VolumeFlippedField(ConstantSpinorField(np.eye(4)[1])),
+        _LinearField(),
+    ]
+    reports = killing_residual(sphere, fields)
+    verdicts = [(rep.killing_number, rep.residual < 1e-6) for rep in reports]
+    assert verdicts == [(0.5, True), (-0.5, True), (verdicts[2][0], False)]
+    for field, rep in zip(fields, reports, strict=True):
+        (alone,) = killing_residual(sphere, [field])
+        assert (alone.killing_number, alone.residual < 1e-6) == (
+            rep.killing_number,
+            rep.residual < 1e-6,
+        )
+        assert (alone.dirac_residual < 1e-5) == (rep.dirac_residual < 1e-5)
+
+
+def test_zero_step_and_empty_samples_fail_every_field_closed():
+    fields = [ConstantSpinorField(np.eye(4)[0]), _LinearField(), ConstantSpinorField(np.zeros(4))]
+    model = HyperquadricModel(Signature(3, 0), num_samples=4, step=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reports = killing_residual(model, fields)
+    assert all(rep.residual == rep.dirac_residual == np.inf for rep in reports)
+    model = HyperquadricModel(Signature(3, 0), num_samples=4)
+    model.samples = []
+    for lam in (None, 0.5):
+        reports = killing_residual(model, fields, lam)
+        assert len(reports) == 3
+        assert all(rep.residual == rep.dirac_residual == np.inf for rep in reports)
