@@ -19,40 +19,41 @@ from .clifford_core import (
     metric_value,
     null_pair,
 )
-from .exact_linalg import Echelon, Matrix, clear_denominators, kernel, rank
+from .exact_linalg import Echelon, clear_denominators, dense_rows
 
 
 @dataclass(frozen=True)
 class SpinorSubspace:
     rep: CliffordRep
-    basis: Matrix  # N x d, full column rank
+    basis: tuple  # d independent columns of length N
 
     def __post_init__(self):
-        if self.basis.rows != self.rep.N:
-            raise ValueError("basis rows must equal the module dimension")
+        object.__setattr__(self, "basis", tuple(self.basis))
+        if any(len(col) != self.rep.N for col in self.basis):
+            raise ValueError("basis columns must have the module dimension")
         # a row whose one nonzero is in column j marks j; rows marking every
         # column form a nonsingular diagonal minor (kernel bases have one)
-        rows = (row for row in self.basis.data if sum(map(bool, row)) == 1)
+        rows = (row for row in zip(*self.basis) if sum(map(bool, row)) == 1)
         marked = {next(j for j, x in enumerate(row) if x) for row in rows}
-        if len(marked) < self.basis.cols and rank(self.basis) != self.basis.cols:
+        if len(marked) < self.dim and len(Echelon(self.basis)) != self.dim:
             raise ValueError("basis columns must be independent")
 
     @classmethod
     def _certified(cls, rep, basis):
-        """A subspace on a basis whose columns the caller has already
-        certified independent, skipping the check in __post_init__."""
+        """A subspace on columns that the caller has already certified
+        independent, skipping the check in __post_init__."""
         space = object.__new__(cls)
         object.__setattr__(space, "rep", rep)
-        object.__setattr__(space, "basis", basis)
+        object.__setattr__(space, "basis", tuple(basis))
         return space
 
     @property
     def dim(self):
-        return self.basis.cols
+        return len(self.basis)
 
     @classmethod
     def trivial(cls, rep):
-        return cls(rep, Matrix([[] for _ in range(rep.N)]))
+        return cls(rep, ())
 
 
 def bracket_k(rep: CliffordRep, form: BilinearForm, s, t, k: int) -> tuple:
@@ -95,23 +96,23 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     """
     check_null_vector(rep, v)
     beta_form(rep, form, v)
-    basis = kernel(gamma_vector(rep, v))
-    if 2 * basis.cols != rep.N:
+    basis = Echelon(dense_rows(gamma_vector(rep, v))).kernel(rep.N)
+    if 2 * len(basis) != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
     if not isotropic(form, basis):
         raise ArithmeticError("kernel is not h-isotropic")
     return SpinorSubspace(rep, basis)
 
 
-def _integer_columns(basis: Matrix) -> list:
+def _integer_columns(basis) -> list:
     """The basis columns, each times the lcm of its denominators.  The
     scales are positive integers, so each pairing h(a_i, gamma b_j) below
     changes by a positive integer factor: zero stays zero, and a row
     system keeps its row space, hence its kernel and its rank."""
-    return [clear_denominators(c) for c in basis.columns()]
+    return [clear_denominators(c) for c in basis]
 
 
-def isotropic(form: BilinearForm, basis: Matrix) -> bool:
+def isotropic(form: BilinearForm, basis) -> bool:
     """Whether h(b_i, b_j) = 0 for every pair of basis columns, checked
     for i <= j (h is sigma-symmetric) as (H^T b_i) . b_j, H^T a gather."""
     cols = _integer_columns(basis)
@@ -143,18 +144,18 @@ def _pairing_echelon(rep, form, a: SpinorSubspace, b: SpinorSubspace) -> Echelon
     return echelon
 
 
-def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubspace) -> Matrix:
-    """Basis of {v : gamma_v S0 is h-orthogonal to S0}, an n x k matrix.
+def obstruction_vectors(rep: CliffordRep, form: BilinearForm, space: SpinorSubspace) -> list:
+    """Basis of {v : gamma_v S0 is h-orthogonal to S0}, as n-vectors.
 
     This is the kernel of the pairing rows of (S0, S0): the restricted
     bracket S0 x S0 -> R^n is surjective exactly when it is zero.  Rank
     n certifies the zero space without a kernel solve.
     """
     if space.dim == 0:
-        return Matrix.identity(rep.n)
+        return [[int(i == j) for i in range(rep.n)] for j in range(rep.n)]
     echelon = _pairing_echelon(rep, form, space, space)
     if len(echelon) == rep.n:
-        return Matrix([[] for _ in range(rep.n)])
+        return []
     return echelon.kernel(rep.n)
 
 
@@ -171,23 +172,9 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     return len(_pairing_echelon(rep, form, a, b))
 
 
-def gamma_columns(rep: CliffordRep, v) -> list:
-    """gamma_v's N columns as {row: coefficient} dicts with at most n
-    entries each, some of which may cancel to 0: column j is
-    sum_i v_i signs_i[j] e_{perm_i[j]}."""
-    if len(v) != rep.n:
-        raise ValueError("vector length mismatch")
-    cols = [{} for _ in range(rep.N)]
-    for c, g in zip(v, rep.generators):
-        if c:
-            for col, i, s in zip(cols, g.perm, g.signs):
-                col[i] = col.get(i, 0) + (c if s == 1 else -c)
-    return cols
-
-
 def squares_to_scalar(cols, c) -> bool:
     """Whether the N x N matrix with these sparse columns squares to
-    c Id, column by column: n^2 products per gamma_columns column."""
+    c Id, column by column: n^2 products per gamma_vector column."""
     N = len(cols)
     for j, col in enumerate(cols):
         square = [0] * N
@@ -203,7 +190,7 @@ def squares_to_scalar(cols, c) -> bool:
 def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
     """rank beta = rank gamma_v for beta = H gamma_v (H is a signed
     permutation, so invertible), certified from Clifford identities on
-    gamma_columns: no elimination and no dense product.
+    gamma_vector's sparse columns: no elimination and no dense product.
 
     Each check raises ArithmeticError naming its identity:
     - gamma_v^2 = -g(v,v) Id;
@@ -224,7 +211,7 @@ def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
     gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
     im gamma_v.
     """
-    cols = gamma_columns(rep, v)
+    cols = gamma_vector(rep, v)
     q = metric_value(rep.eta, v, v)
     if not squares_to_scalar(cols, -q):
         if q == 0:
@@ -309,4 +296,4 @@ def random_subspace(rep: CliffordRep, dim: int, rng, bound=3) -> SpinorSubspace:
         cand = random_integers(rng, rep.N, bound)
         if echelon.add(cand):  # cand is outside the span of the accepted columns
             cols.append(cand)
-    return SpinorSubspace._certified(rep, Matrix.from_columns(cols))
+    return SpinorSubspace._certified(rep, cols)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Matrix, SignedPerm, signed_relation_basis
+from .exact_linalg import SignedPerm, signed_relation_basis
 
 
 @dataclass(frozen=True)
@@ -256,21 +256,18 @@ def build_rep(sig: Signature) -> CliffordRep:
     return _build_rep_cached(sig.p, sig.q)
 
 
-def gamma_vector(rep: CliffordRep, v) -> Matrix:
+def gamma_vector(rep: CliffordRep, v) -> list:
+    """gamma_v's N columns as {row: coefficient} dicts with at most n
+    entries each, some of which may cancel to 0: column j is
+    sum_i v_i signs_i[j] e_{perm_i[j]}."""
     if len(v) != rep.n:
         raise ValueError("vector length mismatch")
-    # the sum of the c_i G_i over nonzero c_i: every entry, zero or not,
-    # takes the type of the sum of the c_i * 0
-    zero = 0
-    for c in v:
-        if c:
-            zero = zero + c * 0
-    out = [[zero] * rep.N for _ in range(rep.N)]
+    cols = [{} for _ in range(rep.N)]
     for c, g in zip(v, rep.generators):
         if c:
-            for j, (i, x) in enumerate(zip(g.perm, g.signs)):
-                out[i][j] = out[i][j] + c * x
-    return Matrix(out)
+            for col, i, s in zip(cols, g.perm, g.signs):
+                col[i] = col.get(i, 0) + (c if s == 1 else -c)
+    return cols
 
 
 def metric_value(eta, v, w):

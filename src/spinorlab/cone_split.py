@@ -16,27 +16,42 @@ from .clifford_core import (
     Signature,
     even_subalgebra_images,
     first_square_root,
-    gamma_vector,
     null_pair,
 )
-from .exact_linalg import Matrix, SignedPerm, rank, signed_relation_basis
+from .exact_linalg import Echelon, SignedPerm, signed_relation_basis
 
 
 def invariant_spinors(rep: CliffordRep, operators) -> int:
-    """Dimension of the joint kernel of the listed N x N operators; N for
-    an empty list."""
-    return rep.N - rank(Matrix([row for op in operators for row in op.data]))
+    """Dimension of the joint kernel of the listed N x N operators, each
+    a list of (coefficient, SignedPerm) terms; N for an empty list.
+
+    Each operator's rows are scattered from its terms' signed columns,
+    and every row of every operator goes to one Echelon."""
+    echelon = Echelon()
+    for terms in operators:
+        rows = [[0] * rep.N for _ in range(rep.N)]
+        for c, g in terms:
+            for j, (i, s) in enumerate(zip(g.perm, g.signs)):
+                rows[i][j] += c * s
+        for row in rows:
+            echelon.add(row)
+    return rep.N - len(echelon)
 
 
 def null_plane_rotations(rep: CliffordRep):
     """The actions gamma_p gamma_e of the abelian set {p ^ e : e in E},
     for the rational null direction p and the definite complement E of
     the hyperbolic plane; e is orthogonal to p, so gamma_{p ^ e} is the
-    product."""
+    product.  Each is returned as the terms (p_i, G_i G_j) of
+    gamma_p G_j = sum_i p_i G_i G_j."""
     sig = rep.signature
     p_vec, _ = null_pair(sig)
-    gamma_p = gamma_vector(rep, p_vec)
-    return [gamma_p * g for j, g in enumerate(rep.generators) if j not in (0, sig.p)]
+    gens = rep.generators
+    return [
+        [(c, g * gj) for c, g in zip(p_vec, gens) if c]
+        for j, gj in enumerate(gens)
+        if j not in (0, sig.p)
+    ]
 
 
 def _find_involution(candidates, N):

@@ -1,13 +1,15 @@
-"""Exact scalar and matrix substrate.
+"""Exact scalar and vector substrate.
 
 Scalars are python ints and fractions.Fraction; any other entry type
-is a TypeError in elimination.  The exact elimination is Echelon: it
-clears each vector's denominators and reduces it over Z against the
-rows accepted so far, so rank certificates, span tests and kernels are
-reproducible bit for bit.  rank and kernel feed a matrix's rows to one
-Echelon; kernel back-substitution stays in Z, carrying d * x for d the
-determinant of the pivot minor, which Cramer's rule makes integral, and
-divides by d once.  The only other elimination is full_rank_mod_p, a
+is a TypeError in elimination.  A vector is a list of scalars, a
+subspace basis a sequence of column vectors, and a row system a list of
+rows; the only matrices are SignedPerms.  The exact elimination is
+Echelon: it clears each vector's denominators and reduces it over Z
+against the rows accepted so far, so rank certificates, span tests and
+kernels are reproducible bit for bit.  rank and kernel feed a row
+system to one Echelon; kernel back-substitution stays in Z, carrying
+d * x for d the determinant of the pivot minor, which Cramer's rule
+makes integral, and divides by d once.  The only other elimination is full_rank_mod_p, a
 one-sided certificate on a stack of integer matrices at once: full rank
 mod PRIME implies full rank over Q, and a failed certificate proves
 nothing.  signed_relation_basis solves the monomial relations
@@ -37,134 +39,12 @@ def _denominator_lcm(x):
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
-class Matrix:
-    """Dense exact matrix; entries int or Fraction.
-
-    Instances are treated as immutable after construction.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        self.data = tuple(tuple(row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns):
-        if not columns:
-            raise ValueError("need at least one column")
-        n = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(n)])
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.data])
-
-    def scale(self, c):
-        return Matrix([[c * x for x in row] for row in self.data])
-
-    def __mul__(self, other):
-        if isinstance(other, SignedPerm):
-            return NotImplemented  # SignedPerm.__rmul__ gathers the columns
-        if not isinstance(other, Matrix):
-            return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        # row-sparse accumulation: skip zero entries, which dominates for
-        # the signed-permutation matrices produced by the Clifford builder
-        out = [[0] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i in range(self.rows):
-            row_i = self.data[i]
-            acc = out[i]
-            for k in range(self.cols):
-                a = row_i[k]
-                if not a:
-                    continue
-                brow = odata[k]
-                if a == 1:
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] = acc[j] + b
-                elif a == -1:
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] = acc[j] - b
-                else:
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] = acc[j] + a * b
-        return Matrix(out)
-
-    __rmul__ = scale
-
-    def transpose(self):
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
-
-    def __repr__(self):
-        return f"Matrix({self.to_lists()!r})"
-
-
 @dataclass(frozen=True)
 class SignedPerm:
     """Signed permutation matrix: column j is signs[j] * e_perm[j].
 
     Products, transposes and Kronecker products stay signed permutations
-    and cost O(N); a product with a dense Matrix is a row gather (on the
-    left) or a column gather (on the right).
+    and cost O(N), as does apply on a vector.
     """
 
     perm: tuple
@@ -188,25 +68,12 @@ class SignedPerm:
         return cls(perm, signs)
 
     def __mul__(self, other):
-        if isinstance(other, SignedPerm):
-            return SignedPerm(
-                tuple(self.perm[k] for k in other.perm),
-                tuple(s * self.signs[k] for k, s in zip(other.perm, other.signs)),
-            )
-        if not isinstance(other, Matrix):
+        if not isinstance(other, SignedPerm):
             return NotImplemented
-        # row perm[j] of the product is signs[j] * row j of other
-        out = [None] * len(self.perm)
-        for row, i, s in zip(other.data, self.perm, self.signs):
-            out[i] = row if s == 1 else [-x for x in row]
-        return Matrix(out)
-
-    def __rmul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        # column j of the product is signs[j] * column perm[j] of other
-        pairs = list(zip(self.perm, self.signs))
-        return Matrix([[s * row[i] for i, s in pairs] for row in other.data])
+        return SignedPerm(
+            tuple(self.perm[k] for k in other.perm),
+            tuple(s * self.signs[k] for k, s in zip(other.perm, other.signs)),
+        )
 
     def apply(self, x):
         """self times the vector x, as a list: a signed gather, O(N)."""
@@ -233,10 +100,6 @@ class SignedPerm:
         if self.perm == tuple(range(len(self.perm))) and len(set(self.signs)) == 1:
             return self.signs[0]
         return None
-
-    def dense(self) -> Matrix:
-        pairs = list(zip(self.perm, self.signs))
-        return Matrix([[s if i == r else 0 for i, s in pairs] for r in range(len(pairs))])
 
 
 def clear_denominators(row):
@@ -284,15 +147,15 @@ class Echelon:
         self.rows.append((pivot, [x // g for x in r]))
         return True
 
-    def kernel(self, n_cols) -> Matrix:
+    def kernel(self, n_cols) -> list:
         """Basis of the vectors every accepted row annihilates, one column
-        per free (non-pivot) column f: x[f] = 1, x = 0 at the other free
+        list per free (non-pivot) column f: x[f] = 1, x = 0 at the other free
         columns, Fraction entries at the pivots.  It depends only on the
         row space.  Row k is zero at every pivot accepted before it, so
         the pivot minor is triangular in acceptance order, d = the product
         of the pivot entries is its determinant, and y = d * x is solved
         in Z in reverse acceptance order, each division exact.  An empty
-        kernel is an n_cols x 0 matrix.
+        kernel is [].
         """
         pivots = {p for p, _ in self.rows}
         d = prod(row[p] for p, row in self.rows)
@@ -313,9 +176,7 @@ class Echelon:
             for p, _ in self.rows:
                 x[p] = Fraction(y[p], d)
             basis.append(x)
-        if not basis:
-            return Matrix([[] for _ in range(n_cols)])
-        return Matrix.from_columns(basis)
+        return basis
 
 
 def full_rank_mod_p(stack) -> np.ndarray:
@@ -347,18 +208,25 @@ def full_rank_mod_p(stack) -> np.ndarray:
     return ok
 
 
-def rank(matrix: Matrix) -> int:
-    return len(Echelon(matrix.data))
+def rank(rows) -> int:
+    """Rank of a row system, or of a list of columns."""
+    return len(Echelon(rows))
 
 
-def kernel(matrix: Matrix) -> Matrix:
-    """Basis of the right null space, one column per free variable.
+def kernel(rows, n_cols) -> list:
+    """Basis of the right null space of a row system over n_cols
+    unknowns, one column per free variable (see Echelon.kernel)."""
+    return Echelon(rows).kernel(n_cols)
 
-    The returned columns satisfy matrix * col == 0 exactly; the free
-    variable of each column is set to 1 and the rest back-substituted.
-    An empty kernel is returned as an n x 0 matrix.
-    """
-    return Echelon(matrix.data).kernel(matrix.cols)
+
+def dense_rows(columns) -> list:
+    """The rows of the square matrix with these sparse {row: value}
+    columns, such as clifford_core.gamma_vector's."""
+    rows = [[0] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            rows[i][j] = x
+    return rows
 
 
 def signed_relation_basis(N, pairs, c=1, sigma=None):

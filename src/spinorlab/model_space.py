@@ -318,8 +318,10 @@ def killing_residual(model, fields, killing_number=None) -> list:
     direction their values are the columns of one N x k array S, and
     nabla S = dS/dt + Omega S.  With killing_number None the sign of
     lambda = +-1/2 is auto-detected per field by picking the smaller
-    residual.
+    residual.  No fields give no reports.
     """
+    if not fields:
+        return []
     candidates = [killing_number] if killing_number is not None else [0.5, -0.5]
     killing = [[] for _ in candidates]  # column maxima per point and direction
     dirac = [[] for _ in candidates]  # column maxima per point

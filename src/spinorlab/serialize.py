@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exact_linalg import Matrix
-
 SCHEMA = "spinor-lab/1"
 
 
@@ -19,18 +17,33 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(s):
+    if not isinstance(s, str):
+        raise ValueError(f"exact scalars travel as strings, not {type(s).__name__}")
     if "/" in s:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
     return int(s)
 
 
-def matrix_to_json(m: Matrix):
-    return [[scalar_to_json(x) for x in row] for row in m.data]
+def columns_to_json(columns):
+    """A basis of columns as the list of its matrix's rows."""
+    return [[scalar_to_json(x) for x in row] for row in zip(*columns)]
 
 
-def matrix_from_json(rows) -> Matrix:
-    return Matrix([[scalar_from_json(x) for x in row] for row in rows])
+def columns_from_json(rows, n_rows) -> tuple:
+    """The columns of a matrix stored as rows by columns_to_json; a
+    ValueError names a shape other than n_rows rows of one positive
+    width."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("the basis is not a list of rows")
+    if len(rows) != n_rows:
+        raise ValueError(f"the basis has {len(rows)} rows, not {n_rows}")
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ValueError(f"the basis has ragged rows, of widths {widths}")
+    if widths == [0]:
+        raise ValueError("the basis has zero columns")
+    return tuple(list(col) for col in zip(*([scalar_from_json(x) for x in row] for row in rows)))
 
 
 def dump(payload: dict, path):
@@ -43,6 +56,6 @@ def dump(payload: dict, path):
 def load(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected schema in {path}")
     return payload

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .brackets import (
     random_subspace,
 )
 from .clifford_core import CliffordRep, Signature, build_rep, gamma_vector
-from .exact_linalg import Echelon, Matrix, full_rank_mod_p, kernel, rank
+from .exact_linalg import Echelon, dense_rows, full_rank_mod_p
 from . import serialize
 
 # Trials per batched certificate in random_surjectivity_sweep.
@@ -56,21 +57,20 @@ def _rational_sqrt(x):
     return None
 
 
-def _find_null_direction(gram: Matrix):
-    """Rational null vector of a symmetric form, or None.
+def _find_null_direction(gram):
+    """Rational null vector of a symmetric form given by its Gram rows,
+    or None.
 
     Checks the diagonal, then coordinate pairs via the discriminant,
     then a bounded integer search over leading coordinates.
     """
-    d = gram.rows
+    d = len(gram)
     for i in range(d):
-        if gram[i, i] == 0:
-            vec = [0] * d
-            vec[i] = 1
-            return vec
+        if gram[i][i] == 0:
+            return [int(k == i) for k in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            a, b, c = gram[i, i], gram[j, j], gram[i, j]
+            a, b, c = gram[i][i], gram[j][j], gram[i][j]
             root = _rational_sqrt(c * c - a * b)
             if root is None:
                 continue
@@ -83,80 +83,80 @@ def _find_null_direction(gram: Matrix):
             if any(vec):
                 return vec
     span = min(d, 5)
-    for combo in _small_vectors(span, 2):
+    for combo in itertools.product(range(-2, 3), repeat=span):
         vec = list(combo) + [0] * (d - span)
         if not any(vec):
             continue
         val = sum(
-            gram[i, j] * vec[i] * vec[j] for i in range(span) for j in range(span)
+            gram[i][j] * vec[i] * vec[j] for i in range(span) for j in range(span)
         )
         if val == 0:
             return vec
     return None
 
 
-def _small_vectors(length, bound):
-    yield from itertools.product(*([range(-bound, bound + 1)] * length))
+def _combine(columns, coeffs):
+    """sum_a coeffs[a] columns[a], over the nonzero coefficients."""
+    out = [0] * len(columns[0])
+    for c, col in zip(coeffs, columns):
+        if c:
+            for i, x in enumerate(col):
+                if x:
+                    out[i] += c * x
+    return out
 
 
-def isotropic_subspace(gram: Matrix, symmetric: bool, target_dim: int) -> Matrix:
-    """Coordinates (d x target_dim) of an isotropic subspace of a
-    nondegenerate (anti)symmetric form given by its Gram matrix.
+def isotropic_subspace(gram, symmetric: bool, target_dim: int) -> list:
+    """Columns (target_dim vectors of length d) spanning an isotropic
+    subspace of a nondegenerate (anti)symmetric form given by its d Gram
+    rows.
 
     Antisymmetric forms use the greedy orthogonal-extension argument;
     symmetric ones peel off hyperbolic planes, failing honestly when no
     rational null direction is found.
     """
-    d = gram.rows
-    if target_dim == 0:
-        return Matrix([[] for _ in range(d)])
+    d = len(gram)
     if 2 * target_dim > d:
         raise IsotropicSearchError("target exceeds the maximal isotropic dimension")
     if symmetric:
         return _symmetric_isotropic(gram, target_dim)
-    return _skew_isotropic(gram, target_dim)
+    return _skew_isotropic(lambda u: _combine(gram, u), d, target_dim)
 
 
-def _skew_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
-    """Greedy isotropic extension for an antisymmetric form: each step
-    adds a vector of the running h-orthogonal space outside the current
-    span.  Without an rng the kernel columns are tried in order; with one,
-    up to 50 random integer combinations of them."""
-    d = gram.rows
+def _skew_isotropic(pairing_row, d: int, target_dim: int, rng=None) -> list:
+    """Greedy isotropic extension for an antisymmetric form on R^d, with
+    pairing_row(u) the row u^T gram: each step adds a vector of the
+    running h-orthogonal space outside the current span.  Without an rng
+    the kernel columns are tried in order; with one, up to 50 random
+    integer combinations of them."""
     iso = []
     echelon = Echelon()  # the accepted vectors
     orthogonal = Echelon()  # their rows u^T gram
-    space = Matrix.identity(d)
+    space = [[int(i == j) for i in range(d)] for j in range(d)]
     while len(iso) < target_dim:
         if iso:
-            u = iso[-1]
-            orthogonal.add(
-                [sum(u[a] * gram[a, b] for a in range(d) if u[a]) for b in range(d)]
-            )
+            orthogonal.add(pairing_row(iso[-1]))
             space = orthogonal.kernel(d)
-        for t in range(space.cols if rng is None else 50):
+        for t in range(len(space) if rng is None else 50):
             if rng is None:
-                cand = space.col(t)
+                cand = space[t]
             else:
-                coeffs = [rng.randint(-2, 2) for _ in range(space.cols)]
-                cand = [
-                    sum(space[i, c] * coeffs[c] for c in range(space.cols))
-                    for i in range(d)
-                ]
+                coeffs = [rng.randint(-2, 2) for _ in space]
+                cand = [sum(map(mul, entries, coeffs)) for entries in zip(*space)]
             if echelon.add(cand):
                 iso.append(cand)
                 break
         else:
             raise IsotropicSearchError("greedy extension exhausted")
-    return Matrix.from_columns(iso)
+    return iso
 
 
-def _symmetric_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
-    """Witt reduction for a symmetric form: each step takes a rational
-    null vector and peels its hyperbolic plane off.  With an rng the found
-    null vector x is replaced by a random one, 2 h(z,x) z - h(z,z) x."""
-    d = gram.rows
-    ambient = Matrix.identity(d)  # columns: current working basis
+def _symmetric_isotropic(gram, target_dim: int) -> list:
+    """Witt reduction for a symmetric form given by its Gram rows: each
+    step takes a rational null vector and peels its hyperbolic plane
+    off."""
+    d = len(gram)
+    ambient = [[int(i == j) for i in range(d)] for j in range(d)]  # working basis
     iso_cols = []
     current = gram
     for step in range(target_dim):
@@ -165,42 +165,18 @@ def _symmetric_isotropic(gram: Matrix, target_dim: int, rng=None) -> Matrix:
             raise IsotropicSearchError(
                 "no rational null direction found; isotropic construction failed"
             )
-        dd = current.rows
-        if rng is not None:
-            for _ in range(60):
-                z = [rng.randint(-2, 2) for _ in range(dd)]
-                bzx = _bilin(current, z, x)
-                if bzx == 0:
-                    continue
-                bzz = _bilin(current, z, z)
-                cand = [2 * bzx * zi - bzz * xi for zi, xi in zip(z, x)]
-                if any(cand):
-                    x = cand
-                    break
         # partner with nonzero pairing, by nondegeneracy
-        pairing = [
-            sum(current[a, b] * x[a] for a in range(dd)) for b in range(dd)
-        ]
-        y_idx = next(b for b in range(dd) if pairing[b] != 0)
-        iso_cols.append([
-            sum(ambient[i, a] * x[a] for a in range(ambient.cols) if x[a])
-            for i in range(d)
-        ])
+        pairing = _combine(current, x)
+        y_idx = next(b for b, value in enumerate(pairing) if value != 0)
+        iso_cols.append(_combine(ambient, x))
         if step + 1 == target_dim:
             break
         # orthogonal complement of the hyperbolic plane span{x, e_y}
-        rows = [pairing, [current[y_idx, b] for b in range(dd)]]
-        comp = kernel(Matrix(rows))
-        ambient = ambient * comp
-        current = comp.transpose() * current * comp
-    return Matrix.from_columns(iso_cols)
-
-
-def _bilin(gram, x, y):
-    d = gram.rows
-    return sum(
-        gram[a, b] * x[a] * y[b] for a in range(d) for b in range(d) if x[a] and y[b]
-    )
+        comp = Echelon([pairing, current[y_idx]]).kernel(len(current))
+        ambient = [_combine(ambient, c) for c in comp]
+        images = [_combine(current, c) for c in comp]  # rows c^T current
+        current = [[sum(map(mul, row, c)) for c in comp] for row in images]
+    return iso_cols
 
 
 def extremal_obstructed_subspace(
@@ -210,34 +186,37 @@ def extremal_obstructed_subspace(
 
     Built as ker(gamma_v) plus an isotropic lift of the induced pairing
     of H gamma_v on a complement; certifies tightness of the 3/4 bound.
+    The complement is spanned by standard basis vectors e_c, so the
+    pairing is H gamma_v gathered at those indices, and the lift is
+    scattered back to them.
     """
     if rep.N % 4:
         raise ValueError("module dimension must be divisible by 4")
     lv = null_kernel(rep, form, v)
     n_half = rep.N // 2
-    # deterministic complement: standard basis vectors keeping full rank
-    cols = lv.basis.columns()
+    # deterministic complement: the standard basis vectors e_c that the
+    # kernel columns and the earlier e_c leave independent, N/2 of them
+    cols = list(lv.basis)
     echelon = Echelon()
     if sum(map(echelon.add, cols)) != n_half:
         raise ArithmeticError("kernel columns are not independent")
-    comp = []
-    for i in range(rep.N):
-        e = [0] * rep.N
-        e[i] = 1
-        if echelon.add(e):
-            comp.append(e)
-        if len(comp) == n_half:
-            break
-    comp_m = Matrix.from_columns(comp)
-    beta = form.matrix * gamma_vector(rep, v)
-    gram = comp_m.transpose() * beta * comp_m
+    comp = [c for c in range(rep.N) if echelon.add([int(i == c) for i in range(rep.N)])]
+    # column c of beta = H gamma_v gathers column c of gamma_v through H
+    h, gamma = form.matrix, gamma_vector(rep, v)
+    beta = [{h.perm[r]: h.signs[r] * x for r, x in gamma[c].items()} for c in comp]
+    gram = [[col.get(a, 0) for col in beta] for a in comp]
     st = form.sigma * form.tau
     iso = isotropic_subspace(gram, symmetric=(st == 1), target_dim=rep.N // 4)
-    w_cols = (comp_m * iso).columns()
-    s0 = SpinorSubspace(rep, Matrix.from_columns(cols + w_cols))
+    for w in iso:
+        lift = [0] * rep.N
+        for c, x in zip(comp, w):
+            if x:
+                lift[c] = x
+        cols.append(lift)
+    s0 = SpinorSubspace(rep, cols)
     if s0.dim != 3 * rep.N // 4:
         raise ArithmeticError("constructed subspace has the wrong dimension")
-    obs = Echelon(obstruction_vectors(rep, form, s0).columns())
+    obs = Echelon(obstruction_vectors(rep, form, s0))
     if obs.add(v):  # v is outside the span of the obstruction basis
         raise ArithmeticError("null vector missing from the obstruction space")
     return s0
@@ -295,7 +274,7 @@ def random_surjectivity_sweep(
                 continue
             sub = random_subspace(rep, dim, _trial_rng(seed, t), _SWEEP_BOUND)
             obs = obstruction_vectors(rep, form, sub)
-            if obs.cols != 0:
+            if obs:
                 bad.append((t, sub.basis, obs))
     return SweepReport(
         signature=sig,
@@ -333,17 +312,18 @@ def _block_surjective(rep, form, dim, seed, block):
 
 
 def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSubspace:
-    """Seeded maximally isotropic subspace (dimension N/2).
-
-    Skew forms extend greedily inside the running h-orthogonal space;
-    symmetric ones run a randomized hyperbolic-plane reduction.  Isotropy
-    is re-verified exactly before returning.
+    """Seeded maximally isotropic subspace (dimension N/2) of a skew
+    (sigma = -1) form, extended greedily inside the running h-orthogonal
+    space; each orthogonality row u^T H is the gather H^T u.  Isotropy is
+    re-verified exactly before returning.
     """
-    build = _skew_isotropic if form.sigma == -1 else _symmetric_isotropic
-    basis = build(form.matrix.dense(), rep.N // 2, rng)
+    if form.sigma != -1:
+        raise ValueError("random_max_isotropic needs a skew (sigma = -1) form")
+    # the extension's Echelon accepted every column: they are independent
+    basis = _skew_isotropic(form.matrix.transpose().apply, rep.N, rep.N // 2, rng)
     if not isotropic(form, basis):
         raise ArithmeticError("sampled subspace is not isotropic")
-    return SpinorSubspace(rep, basis)
+    return SpinorSubspace._certified(rep, basis)
 
 
 @dataclass(frozen=True)
@@ -377,13 +357,24 @@ class WitnessReport:
     distribution: dict
 
 
+def _apply(cols, x):
+    """The matrix with these sparse {row: value} columns times x."""
+    out = [0] * len(cols)
+    for col, xj in zip(cols, x):
+        if xj:
+            for i, c in col.items():
+                out[i] += c * xj
+    return out
+
+
 def _structured_spin45_candidate(rep, form, rng):
     """Candidate Lagrangian from a random totally null coordinate 3-plane.
 
     With K the joint kernel of the three null directions, b the line of K
     annihilated by a residual null direction, and w_i the hyperbolic
     partners, span{K, gamma_w b, gamma_w gamma_w' b} is half-dimensional;
-    isotropy is checked by the caller.
+    isotropy is checked by the caller.  Every gamma is gamma_vector's
+    sparse columns.
     """
     pos = rng.sample(range(rep.signature.p), 3)
     neg = rng.sample(range(rep.signature.p, rep.n), 3)
@@ -401,45 +392,41 @@ def _structured_spin45_candidate(rep, form, rng):
     u = [0] * rep.n
     u[rng.choice(rem_pos)] = 1
     u[rng.choice(rem_neg)] = rng.choice([1, -1])
-    k3 = kernel(Matrix(gv[0].data + gv[1].data + gv[2].data))
-    if k3.cols != 2:
+    k3 = Echelon(row for g in gv for row in dense_rows(g)).kernel(rep.N)
+    if len(k3) != 2:
         return None
-    b_line = k3 * kernel(gamma_vector(rep, u) * k3)
-    if b_line.cols != 1:
+    gamma_u = gamma_vector(rep, u)
+    # the rows of gamma_u K, K's columns as its two columns
+    line = Echelon(zip(*(_apply(gamma_u, k) for k in k3))).kernel(2)
+    if len(line) != 1:
         return None
-    cols = k3.columns()
-    for i in range(3):
-        cols += (gw[i] * b_line).columns()
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        cols += (gw[i] * gw[j] * b_line).columns()
-    basis = Matrix.from_columns(cols)
+    b = _combine(k3, line[0])
+    cols = k3 + [_apply(g, b) for g in gw]
+    cols += [_apply(gw[i], _apply(gw[j], b)) for i, j in ((0, 1), (0, 2), (1, 2))]
     # the N/2 columns have rank N/2: independence is certified here
-    if rank(basis) != rep.N // 2:
+    if len(Echelon(cols)) != rep.N // 2:
         return None
-    if not isotropic(form, basis):
+    if not isotropic(form, cols):
         return None
-    return SpinorSubspace._certified(rep, basis)
+    return SpinorSubspace._certified(rep, cols)
 
 
 def spin45_search(seed: int, budget: int) -> WitnessReport:
     """Randomized search for a maximally isotropic subspace of the (4,5)
     module whose bracket image has dimension 4.
 
-    Even trials build a candidate around a random totally null coordinate
-    3-plane; odd trials draw an unstructured random half-dimensional
-    isotropic subspace.  Every candidate is verified exactly.
+    Each trial builds a candidate around a random totally null coordinate
+    3-plane from its own generator; a trial whose construction fails
+    draws nothing more and the search goes on to the next.  Every
+    candidate is verified exactly.
     """
     rep = build_rep(Signature(4, 5))
     form = first_nondegenerate(rep, tau=1)
     dist = {}
     for t in range(budget):
-        rng = _trial_rng(seed, t)
-        if t % 2 == 0:
-            sub = _structured_spin45_candidate(rep, form, rng)
-            if sub is None:
-                continue
-        else:
-            sub = random_max_isotropic(rep, form, rng)
+        sub = _structured_spin45_candidate(rep, form, _trial_rng(seed, t))
+        if sub is None:
+            continue
         dim = pi_image(rep, form, sub, sub)
         dist[dim] = dist.get(dim, 0) + 1
         if dim == 4:
@@ -472,7 +459,7 @@ def save_spin45_witness(path, report: WitnessReport):
             "seed": report.seed,
             "trials_used": report.trials_used,
             "image_dim": report.image_dim,
-            "basis": serialize.matrix_to_json(report.subspace.basis),
+            "basis": serialize.columns_to_json(report.subspace.basis),
         },
         path,
     )
@@ -483,9 +470,12 @@ def load_and_verify_spin45_witness(path) -> dict:
     payload = serialize.load(path)
     if payload.get("kind") != "spin45-max-isotropic-witness":
         raise ValueError("not a spin45 witness file")
+    for key in ("seed", "trials_used", "image_dim"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"witness field {key} is not an integer")
     rep = build_rep(Signature(4, 5))
     form = first_nondegenerate(rep, tau=1)
-    basis = serialize.matrix_from_json(payload["basis"])
+    basis = serialize.columns_from_json(payload["basis"], rep.N)
     sub = SpinorSubspace(rep, basis)
     if sub.dim != rep.N // 2:
         raise ArithmeticError("witness is not half-dimensional")

@@ -18,7 +18,6 @@ from .admissible_forms import first_nondegenerate, nondegenerate_tau_exists
 from .brackets import (
     beta_form,
     check_null_vector,
-    gamma_columns,
     random_null_vector,
     squares_to_scalar,
 )
@@ -27,6 +26,7 @@ from .clifford_core import (
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
+    gamma_vector,
     metric_value,
 )
 from .cone_split import (
@@ -98,7 +98,7 @@ def criterion_clifford_relations(max_n=8, seed=0) -> CheckResult:
             failures.append(f"{sig}:relation({i},{j})")
         for _ in range(10):
             v = [rng.randint(-3, 3) for _ in range(rep.n)]
-            if not squares_to_scalar(gamma_columns(rep, v), -metric_value(rep.eta, v, v)):
+            if not squares_to_scalar(gamma_vector(rep, v), -metric_value(rep.eta, v, v)):
                 failures.append(f"{sig}:square({v})")
     return CheckResult(
         1,
@@ -243,7 +243,7 @@ def criterion_spin45(witness_path=None) -> CheckResult:
         details["search_reproduced"] = rerun.found and rerun.image_dim == 4
         if not details["search_reproduced"]:
             passed = False
-    except Exception as err:
+    except (OSError, ValueError, KeyError, ArithmeticError) as err:  # a bad witness file
         passed = False
         details["error"] = str(err)
     return CheckResult(

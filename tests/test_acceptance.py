@@ -5,9 +5,9 @@ import dataclasses
 
 import pytest
 
-from spinorlab import verify
+from spinorlab import brackets, subspace_lab, verify
 from spinorlab.admissible_forms import BilinearForm
-from spinorlab.exact_linalg import Echelon, Matrix
+from spinorlab.exact_linalg import Echelon
 from spinorlab.subspace_lab import IsotropicSearchError
 from test_brackets import _flip_sign
 
@@ -89,18 +89,19 @@ def test_c03_c04_run_without_elimination_or_dense_products(monkeypatch):
         raise AssertionError("an elimination or a dense product on the c03/c04 path")
 
     monkeypatch.setattr(Echelon, "add", refuse)
-    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(brackets, "dense_rows", refuse)
     _report(verify.criterion_null_kernel(max_n=7, seed=SEED))
     _report(verify.criterion_beta(max_n=7, seed=SEED))
 
 
 def test_c06_c08_form_no_dense_product(monkeypatch):
-    # the bracket images and isotropy checks run on signed gathers alone
+    # the bracket images and isotropy checks run on signed gathers alone:
+    # no gamma_v is ever expanded into dense rows
     def refuse(*args):
         raise AssertionError("a dense product on the bracket-image path")
 
-    monkeypatch.setattr(Matrix, "__mul__", refuse)
-    monkeypatch.setattr(Matrix, "transpose", refuse)
+    monkeypatch.setattr(brackets, "dense_rows", refuse)
+    monkeypatch.setattr(subspace_lab, "dense_rows", refuse)
     _report(verify.criterion_spin23(seed=SEED, trials=20))
     _report(verify.criterion_mixed_bound(seed=SEED, trials=2))
 
@@ -131,6 +132,22 @@ def test_c05_reports_a_failed_construction_but_not_a_defect(monkeypatch):
     monkeypatch.setattr(verify, "extremal_witness", raising(TypeError("planted defect")))
     with pytest.raises(TypeError, match="planted defect"):
         verify.criterion_bound_tightness(seed=SEED, trials=1)
+
+
+def test_c07_lets_a_program_defect_propagate(monkeypatch):
+    # a bad witness file fails the criterion; a defect in the program raises
+    def raise_it(err):
+        def raising(path):
+            raise err
+
+        return raising
+
+    monkeypatch.setattr(verify, "load_and_verify_spin45_witness", raise_it(ValueError("bad file")))
+    result = verify.criterion_spin45()
+    assert not result.passed and result.details == {"error": "bad file"}
+    monkeypatch.setattr(verify, "load_and_verify_spin45_witness", raise_it(TypeError("planted defect")))
+    with pytest.raises(TypeError, match="planted defect"):
+        verify.criterion_spin45()
 
 
 def test_c06_spin23_remark():

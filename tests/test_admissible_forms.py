@@ -9,8 +9,8 @@ from spinorlab.admissible_forms import (
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
-from spinorlab.exact_linalg import Matrix, SignedPerm, kernel, rank
-from test_exact_linalg import is_zero
+from spinorlab.exact_linalg import SignedPerm, rank
+from dense_oracle import Matrix, dense, is_zero, matrix_kernel
 
 
 def all_signatures(max_n):
@@ -32,9 +32,9 @@ def polyvector_type_rule_check(rep, form, k):
     """gamma_xi^T H == tau^k (-1)^(k(k-1)/2) H gamma_xi on all basis
     k-blades, as dense products."""
     sign = (form.tau ** k) * ((-1) ** (k * (k - 1) // 2))
-    h = form.matrix.dense()
+    h = dense(form.matrix)
     for indices in blade_index_list(rep.n, k):
-        g = gamma_blade(rep, indices).dense()
+        g = dense(gamma_blade(rep, indices))
         if g.transpose() * h != (h * g).scale(sign):
             return False
     return True
@@ -56,10 +56,10 @@ def test_forms_satisfy_constraints():
         for (sigma, tau), forms in all_admissible(rep).items():
             for form in forms:
                 assert (form.sigma, form.tau) == (sigma, tau)
-                h = form.matrix.dense()
+                h = dense(form.matrix)
                 assert h.transpose() == h.scale(sigma)
                 for g in rep.generators:
-                    g = g.dense()
+                    g = dense(g)
                     assert g.transpose() * h == (h * g).scale(tau)
 
 
@@ -72,7 +72,7 @@ def admissible_space_dense(rep, sigma: int, tau: int) -> int:
     N = rep.N
     rows = []
     for g in rep.generators:
-        g = g.dense()
+        g = dense(g)
         gt = g.transpose()
         for r in range(N):
             for s in range(N):
@@ -89,7 +89,7 @@ def admissible_space_dense(rep, sigma: int, tau: int) -> int:
             row[r * N + s] += 1
             row[s * N + r] -= sigma
             rows.append(row)
-    return kernel(Matrix(rows)).cols
+    return matrix_kernel(Matrix(rows)).cols
 
 
 def test_solution_dims_match_dense_oracle():
@@ -107,7 +107,7 @@ def test_existence_of_nondegenerate_form():
     for sig in all_signatures(8):
         rep = build_rep(sig)
         form = first_nondegenerate(rep)
-        assert rank(form.matrix.dense()) == rep.N
+        assert rank(dense(form.matrix).data) == rep.N
 
 
 def test_tau_minus_exclusion_rule():
@@ -127,7 +127,7 @@ def test_definite_tau_minus_has_definite_representative():
                 if form.sigma == 1:
                     found = form
         assert found is not None
-        assert _is_definite(found.matrix.dense())
+        assert _is_definite(dense(found.matrix))
 
 
 def _is_definite(h):
@@ -184,10 +184,10 @@ def j_invariant_form(rep, js):
     for h in candidates:
         flat = []
         for j in js:
-            c = (j.transpose() * h.matrix).dense() + (h.matrix * j).dense()
+            c = dense(j.transpose() * h.matrix) + dense(h.matrix * j)
             flat.extend(x for row in c.data for x in row)
         constraint_mats.append(flat)
-    coeff_kernel = kernel(Matrix(constraint_mats).transpose())
+    coeff_kernel = matrix_kernel(Matrix(constraint_mats).transpose())
     if coeff_kernel.cols != 1:
         raise ArithmeticError(
             f"J-invariant solution space has dimension {coeff_kernel.cols}, expected 1"
@@ -219,10 +219,10 @@ def test_j_invariant_form():
     assert rep.commutant_type == "H"
     form = j_invariant_form(rep, rep.commutant_basis)
     assert form.tau == 1
-    h = form.matrix.dense()
-    assert rank(h) == rep.N
+    h = dense(form.matrix)
+    assert rank(h.data) == rep.N
     for j in rep.commutant_basis:
-        j = j.dense()
+        j = dense(j)
         assert j.transpose() * h * j == h
         assert is_zero(j.transpose() * h + h * j)
 
@@ -234,7 +234,7 @@ def test_every_basis_form_has_full_rank():
         for sigma in (1, -1):
             for tau in (1, -1):
                 for form in find_admissible(rep, sigma, tau):
-                    assert rank(form.matrix.dense()) == rep.N, str(sig)
+                    assert rank(dense(form.matrix).data) == rep.N, str(sig)
 
 
 def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
@@ -253,7 +253,7 @@ def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
         find_admissible.cache_clear()  # solve afresh with each planted walker
         patch.setattr(target, lambda N, pairs, c, sigma: monomial)
         forms = find_admissible(rep, 1, 1)
-        assert [f.matrix.dense().to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+        assert [dense(f.matrix).to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
         for element in not_monomial:
             find_admissible.cache_clear()
             patch.setattr(target, lambda N, pairs, c, sigma: [element])

@@ -31,14 +31,12 @@ from spinorlab.clifford_core import (
     gamma_vector,
     metric_value,
 )
-from spinorlab.exact_linalg import Echelon, Matrix, SignedPerm, kernel, rank
+from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows, kernel, rank
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
+from dense_oracle import Matrix, dense, gamma_dense, is_zero, zero_matrix
+from dense_oracle import column as _column
 from test_clifford_core import _permutation_sign, gamma_alternating
-from test_exact_linalg import bareiss_kernel, bareiss_rank, is_zero, zero_matrix
-
-
-def _column(values):
-    return Matrix.from_columns([list(values)])
+from test_exact_linalg import bareiss_kernel, bareiss_rank
 
 
 def metric_inner(k, omega, xi, eta):
@@ -78,7 +76,7 @@ def test_bracket_degree_zero():
         s = random_spinor(rep, rng)
         t = random_spinor(rep, rng)
         b = bracket_k(rep, form, s, t, 0)
-        h_val = (_column(s).transpose() * form.matrix.dense() * _column(t))[0, 0]
+        h_val = (_column(s).transpose() * dense(form.matrix) * _column(t))[0, 0]
         assert b == (h_val,)
 
 
@@ -102,15 +100,15 @@ def test_bracket_defining_identity_vectors():
         v = [rng.randint(-3, 3) for _ in range(rep.n)]
         omega = bracket_k(rep, form, s, t, 1)
         lhs = metric_inner(1, omega, v, eta)
-        gv = gamma_vector(rep, v)
-        rhs = ((gv * _column(s)).transpose() * form.matrix.dense() * _column(t))[0, 0]
+        gv = gamma_dense(rep, v)
+        rhs = ((gv * _column(s)).transpose() * dense(form.matrix) * _column(t))[0, 0]
         assert lhs == rhs
 
 
 def test_bracket_defining_identity_general_blades():
     rep = build_rep(Signature(1, 2))
     form = first_nondegenerate(rep)
-    h = form.matrix.dense()
+    h = dense(form.matrix)
     rng = random.Random(9)
     eta = rep.eta
     for k in (1, 2, 3):
@@ -187,7 +185,7 @@ def test_spinor_subspace_accepts_kernel_bases_and_rejects_dependent_columns():
     form = first_nondegenerate(rep)
     SpinorSubspace(rep, null_kernel(rep, form, [1, 0, 1, 0]).basis)
     # independent, but only column 0 has a single-nonzero row: rank decides
-    SpinorSubspace(rep, Matrix.from_columns([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 0]]))
+    SpinorSubspace(rep, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 0]])
     dependent = [
         # rows 0 and 1 mark columns 0 and 1, column 3 = 2 * column 2
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]],
@@ -202,28 +200,40 @@ def test_spinor_subspace_accepts_kernel_bases_and_rejects_dependent_columns():
     ]
     for cols in dependent:
         with pytest.raises(ValueError, match="independent"):
-            SpinorSubspace(rep, Matrix.from_columns(cols))
+            SpinorSubspace(rep, cols)
+    with pytest.raises(ValueError, match="module dimension"):
+        SpinorSubspace(rep, [[1, 0, 0]])
+
+
+def _plant_kernel(monkeypatch, basis):
+    """Make every kernel that brackets solves return basis."""
+
+    class Planted(Echelon):
+        def kernel(self, n_cols):
+            return [list(col) for col in basis]
+
+    monkeypatch.setattr(brackets, "Echelon", Planted)
 
 
 def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
     rep = build_rep(Signature(2, 2))  # N = 4
     form = first_nondegenerate(rep)
     v = [1, 0, 1, 0]
-    true_basis = kernel(gamma_vector(rep, v))
+    true_basis = kernel(dense_rows(gamma_vector(rep, v)), rep.N)
+    assert Matrix.from_columns(true_basis) == bareiss_kernel(gamma_dense(rep, v))
     # the true kernel with rational column scales is isotropic and accepted
-    scaled = Matrix([[x * c for x, c in zip(row, (Fraction(2, 3), Fraction(-5, 7)))]
-                     for row in true_basis.data])
-    monkeypatch.setattr("spinorlab.brackets.kernel", lambda m: scaled)
-    assert null_kernel(rep, form, v).basis == scaled
+    scaled = [[x * c for x in col] for col, c in zip(true_basis, (Fraction(2, 3), Fraction(-5, 7)))]
+    _plant_kernel(monkeypatch, scaled)
+    assert list(null_kernel(rep, form, v).basis) == scaled
     # a half-dimensional Fraction basis that is not isotropic is rejected
-    h = form.matrix.dense()
+    h = dense(form.matrix)
     for i in range(rep.N):
         for j in range(i + 1, rep.N):
             cols = [[Fraction(1, 3) if r == i else 0 for r in range(rep.N)],
                     [Fraction(1, 2) if r == j else 0 for r in range(rep.N)]]
             planted = Matrix.from_columns(cols)
             if not is_zero(planted.transpose() * h * planted):
-                monkeypatch.setattr("spinorlab.brackets.kernel", lambda m: planted)
+                _plant_kernel(monkeypatch, cols)
                 with pytest.raises(ArithmeticError, match="not h-isotropic"):
                     null_kernel(rep, form, v)
                 return
@@ -233,15 +243,15 @@ def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
 def test_obstruction_full_space():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
-    obs = obstruction_vectors(rep, form, SpinorSubspace(rep, Matrix.identity(rep.N)))
-    assert obs.cols == 0
+    obs = obstruction_vectors(rep, form, SpinorSubspace(rep, Matrix.identity(rep.N).columns()))
+    assert obs == []
 
 
 def test_obstruction_trivial_space():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
     obs = obstruction_vectors(rep, form, SpinorSubspace.trivial(rep))
-    assert obs.cols == rep.n
+    assert obs == Matrix.identity(rep.n).columns()
 
 
 def test_obstruction_contains_null_vector():
@@ -252,15 +262,15 @@ def test_obstruction_contains_null_vector():
     v = random_null_vector(sig, rng)
     sub = null_kernel(rep, form, v)
     obs = obstruction_vectors(rep, form, sub)
-    assert obs.cols >= 1
+    assert len(obs) >= 1
     # v lies in the span of the obstruction basis
-    assert bareiss_rank(Matrix.from_columns(obs.columns() + [v])) == obs.cols
+    assert bareiss_rank(Matrix.from_columns(obs + [v])) == len(obs)
 
 
 def test_pi_image_full_and_empty():
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
-    full = SpinorSubspace(rep, Matrix.identity(rep.N))
+    full = SpinorSubspace(rep, Matrix.identity(rep.N).columns())
     assert pi_image(rep, form, full, full) == _pi_image_oracle(rep, form, full, full) == rep.n
     trivial = SpinorSubspace.trivial(rep)
     assert pi_image(rep, form, trivial, full) == _pi_image_oracle(rep, form, trivial, full) == 0
@@ -273,8 +283,8 @@ def test_beta_form_properties():
     form = first_nondegenerate(rep)
     assert beta_form(rep, form, [0] * 5) == 0
     v = random_null_vector(sig, rng)
-    beta = form.matrix * gamma_vector(rep, v)  # the dense oracle
-    assert beta_form(rep, form, v) == rank(beta) == rep.N // 2
+    beta = dense(form.matrix) * gamma_dense(rep, v)  # the dense oracle
+    assert beta_form(rep, form, v) == rank(beta.data) == rep.N // 2
     assert beta.transpose() == beta.scale(form.sigma * form.tau)
     w = [1, 0, 0, 0, 0]  # non-null
     assert beta_form(rep, form, w) == rep.N
@@ -287,8 +297,8 @@ def test_beta_symmetry_sweep():
         form = first_nondegenerate(rep)
         for _ in range(4):
             v = random_null_vector(sig, rng)
-            beta = form.matrix * gamma_vector(rep, v)
-            assert beta_form(rep, form, v) == rank(beta) == rep.N // 2
+            beta = dense(form.matrix) * gamma_dense(rep, v)
+            assert beta_form(rep, form, v) == rank(beta.data) == rep.N // 2
             assert beta.transpose() == beta.scale(form.sigma * form.tau)
 
 
@@ -313,9 +323,9 @@ def test_beta_form_rank_matches_elimination_and_bareiss_oracles():
             rep = build_rep(sig)
             form = first_nondegenerate(rep)
             for v in _certificate_vectors(sig, rng):
-                gv = gamma_vector(rep, v)
-                beta = form.matrix * gv
-                assert beta_form(rep, form, v) == rank(beta) == bareiss_rank(beta), (sig, v)
+                gv = gamma_dense(rep, v)
+                beta = dense(form.matrix) * gv
+                assert beta_form(rep, form, v) == rank(beta.data) == bareiss_rank(beta), (sig, v)
                 if not any(v):
                     seen["zero"] += 1
                 elif metric_value(rep.eta, v, v):
@@ -325,7 +335,7 @@ def test_beta_form_rank_matches_elimination_and_bareiss_oracles():
                     # the idempotent P = gamma_v gamma_k / c has trace N/2
                     k = next(i for i, x in enumerate(v) if x)
                     c = -2 * rep.eta[k] * v[k]
-                    prod_k = gv * rep.generators[k]
+                    prod_k = gv * dense(rep.generators[k])
                     assert 2 * sum(prod_k[i, i] for i in range(rep.N)) == c * rep.N
     assert min(seen.values()) >= 35, seen
 
@@ -372,7 +382,7 @@ def test_random_subspace_edge_dimensions():
     rng = random.Random(1)
     state = rng.getstate()
     sub = random_subspace(rep, 0, rng)
-    assert sub.dim == 0 and sub.basis.rows == rep.N
+    assert sub.dim == 0 and sub.basis == ()
     assert rng.getstate() == state  # nothing drawn
     with pytest.raises(ValueError, match="dimension -1"):
         random_subspace(rep, -1, rng)
@@ -386,14 +396,14 @@ _spinor4 = st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size
 def test_bracket_defining_identity_property(s, t, k):
     rep = build_rep(Signature(2, 2))
     form = first_nondegenerate(rep)
-    h = form.matrix.dense()
+    h = dense(form.matrix)
     omega = bracket_k(rep, form, s, t, k)
     eta = rep.eta
     for indices in blade_index_list(rep.n, k):
         xi = tuple(int(b == indices) for b in blade_index_list(rep.n, k))
         lhs = metric_inner(k, omega, xi, eta)
         g_xi = gamma_blade(rep, indices)
-        rhs = ((g_xi.dense() * _column(s)).transpose() * h * _column(t))[0, 0]
+        rhs = ((dense(g_xi) * _column(s)).transpose() * h * _column(t))[0, 0]
         assert lhs == rhs
 
 
@@ -421,9 +431,9 @@ def _obstruction_oracle(rep, form, space):
     d = space.dim
     if d == 0:
         return Matrix.identity(rep.n)
-    b = space.basis
-    bt_h = b.transpose() * form.matrix.dense()
-    g_bs = [g.dense() * b for g in rep.generators]
+    b = Matrix.from_columns(space.basis)
+    bt_h = b.transpose() * dense(form.matrix)
+    g_bs = [dense(g) * b for g in rep.generators]
     rows = []
     for a in range(d):
         for c in range(d):
@@ -436,13 +446,13 @@ def _obstruction_oracle(rep, form, space):
 
 def _pi_image_oracle(rep, form, a, b):
     # the rank of the columns (s, t) = bracket_k(s, t, 1), entry by entry
-    h = form.matrix.dense()
-    gens = [g.dense() for g in rep.generators]
+    h = dense(form.matrix)
+    gens = [dense(g) for g in rep.generators]
     cols = [
         [((g * _column(s)).transpose() * h * _column(t))[0, 0] * e
          for g, e in zip(gens, rep.eta)]
-        for s in a.basis.columns()
-        for t in b.basis.columns()
+        for s in a.basis
+        for t in b.basis
     ]
     return bareiss_rank(Matrix.from_columns(cols)) if cols else 0
 
@@ -454,10 +464,12 @@ def _random_subspace_oracle(rep, dim, rng, bound=3):
         trial = cols + [cand]
         if bareiss_rank(Matrix.from_columns(trial)) == len(trial):
             cols.append(cand)
-    return Matrix.from_columns(cols)
+    return cols
 
 
 def _assert_identical(fast, slow):
+    """fast's columns against the oracle's matrix, entry types included."""
+    fast = Matrix.from_columns(fast, slow.rows)
     assert fast == slow
     assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
     assert [[type(x) for x in row] for row in fast.data] == [
@@ -471,7 +483,7 @@ def _oracle_subspaces(sig, seed, dim):
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
     rng = random.Random(seed)
-    subs = [SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)]
+    subs = [SpinorSubspace(rep, Matrix.identity(rep.N).columns()), SpinorSubspace.trivial(rep)]
     subs.append(random_subspace(rep, 1 + (dim - 1) % rep.N, rng))
     if not sig.is_definite():
         subs.append(null_kernel(rep, form, random_null_vector(sig, rng)))
@@ -524,7 +536,7 @@ def test_pi_image_of_a_subspace_with_itself_equals_that_with_a_copy(sig):
         form = first_nondegenerate(rep, tau=1)
         subs += [random_max_isotropic(rep, form, random.Random(t)) for t in range(3)]
     for sub in subs:
-        copy = SpinorSubspace(rep, Matrix(sub.basis.data))
+        copy = SpinorSubspace(rep, [list(col) for col in sub.basis])
         assert copy is not sub
         assert (
             pi_image(rep, form, sub, sub)
@@ -540,9 +552,9 @@ def test_rational_column_scales_change_neither_obstruction_nor_image(sig):
     for sub in subs:
         scales = [Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(2, 9))
                   for _ in range(sub.dim)]
-        basis = Matrix([[x * c for x, c in zip(row, scales)] for row in sub.basis.data])
-        scaled = SpinorSubspace(rep, basis)
-        _assert_identical(obstruction_vectors(rep, form, scaled), obstruction_vectors(rep, form, sub))
+        scaled = SpinorSubspace(rep, [[x * c for x in col] for col, c in zip(sub.basis, scales)])
+        want = obstruction_vectors(rep, form, sub)
+        _assert_identical(obstruction_vectors(rep, form, scaled), Matrix.from_columns(want, rep.n))
         image = pi_image(rep, form, sub, sub)
         assert pi_image(rep, form, scaled, scaled) == pi_image(rep, form, scaled, sub) == image
 
@@ -553,7 +565,7 @@ def test_isotropic_matches_the_dense_pairing(sig):
     rng = random.Random(17)
     outcomes = set()
     for form in (f for s in (1, -1) for t in (1, -1) for f in find_admissible(rep, s, t)):
-        h = form.matrix.dense()
+        h = dense(form.matrix)
         for d in range(1, rep.N + 1):
             # sparse Fraction columns, so that some of them are isotropic
             basis = Matrix.from_columns([
@@ -561,7 +573,7 @@ def test_isotropic_matches_the_dense_pairing(sig):
                  for _ in range(rep.N)]
                 for _ in range(d)
             ])
-            fast = isotropic(form, basis)
+            fast = isotropic(form, basis.columns())
             assert fast == is_zero(basis.transpose() * h * basis)
             outcomes.add(fast)
     assert outcomes == {True, False}
@@ -596,13 +608,13 @@ def test_obstruction_vectors_match_oracle_on_early_exit_and_extremal_subspaces(s
         _CountingEchelon.adds = 0
         fast = obstruction_vectors(rep, form, sub)
         _assert_identical(fast, _obstruction_oracle(rep, form, sub))
-        assert fast.cols == 0
+        assert fast == []
         assert _CountingEchelon.adds < sub.dim * (sub.dim + 1) // 2  # stopped early
     assert _CountingEchelon.kernels == 0
     for sub in deficient:
         fast = obstruction_vectors(rep, form, sub)
         _assert_identical(fast, _obstruction_oracle(rep, form, sub))
-        assert fast.cols > 0
+        assert fast
     assert _CountingEchelon.kernels == len(deficient)
 
 
@@ -630,7 +642,8 @@ def test_pi_image_degenerate_form_and_empty_spaces():
     with pytest.raises(TypeError, match="SignedPerm"):
         BilinearForm(zero_matrix(rep.N, rep.N), 1, -1)
     form = first_nondegenerate(rep)
-    full, trivial = SpinorSubspace(rep, Matrix.identity(rep.N)), SpinorSubspace.trivial(rep)
+    full = SpinorSubspace(rep, Matrix.identity(rep.N).columns())
+    trivial = SpinorSubspace.trivial(rep)
     for a, b in ((trivial, full), (full, trivial), (trivial, trivial)):
         assert pi_image(rep, form, a, b) == _pi_image_oracle(rep, form, a, b) == 0
 
@@ -672,7 +685,7 @@ def test_random_subspace_matches_rank_per_candidate(sig, dims, bound):
         for dim in dims:
             fast_rng, slow_rng = random.Random(seed), _CountingRandom(seed)
             sub = random_subspace(rep, dim, fast_rng, bound=bound)
-            assert sub.basis == _random_subspace_oracle(rep, dim, slow_rng, bound=bound)
+            assert list(sub.basis) == _random_subspace_oracle(rep, dim, slow_rng, bound=bound)
             assert fast_rng.getstate() == slow_rng.getstate()
             rejected += slow_rng.draws // rep.N - dim
     if bound == 1:

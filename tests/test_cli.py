@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from spinorlab import cli
+from spinorlab import cli, serialize
 from spinorlab.cli import main
-from spinorlab.subspace_lab import IsotropicSearchError
+from spinorlab.subspace_lab import IsotropicSearchError, spin45_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -248,3 +249,38 @@ def test_count_flags_exit_2_without_output(argv, capsys, monkeypatch):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+# SHA-256 of the stdout of each command, recorded before the dense exact
+# matrix left the library; the JSON each prints must stay byte-identical.
+GOLDEN_STDOUT = {
+    "rep-table": "d0a1f64320761506b0eb4f1b4a8f9af51c773f7976b1ac51239b65be99e118e7",
+    "admissible-table": "3d5ae306d73adc52cdf41c6850b7bf9a678fa650c96bed38f4c2752f33964d9a",
+    "bracket --sig 2,3": "cfb0c9a7fcff7212ea9e8882c9d2225e4ac3f7f55781eeec4ac6a00e0cef5d70",
+    "bound-search --sig 2,2": "72062eb6660fd3e45155531ba3b158947f6f3b8761b10ce153ca387581e10f36",
+    "bound-search --sig 1,3": "f2d764b1d73098e39670fad1949e0c3b8f7475078514095149b66e7b4ff92b01",
+    "spin23": "be338b09d2775ae7aee19815415f36b679fbceaff0deb40bf8fe1c92a399f02e",
+    "spin45 --seed 7 --budget 20": "e886ca02ba3a1cbe03d1f282e11f53e12695c9c8eb4e22502cc67098c4317e25",
+    "cone-report --sig 3,2": "f2d0478cf86e79aa86a41433f3b43d09291077926f8e794dc979a2f6ecaf1ce1",
+    "cone-report --sig 4,4": "4dda68abc2c58a0f95bb932f1eda1dc37894e3f77fda46c5683bae6852098602",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT)
+def test_stdout_matches_its_recorded_digest(command, capsys, monkeypatch):
+    monkeypatch.delenv("SPINORLAB_SEED", raising=False)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_spin45_search_over_200_seeds_matches_its_recorded_digest():
+    # trials used, distribution and basis of spin45_search(seed, 20) for
+    # seeds 0..199, each of which finds its witness on trial 1
+    digest = hashlib.sha256()
+    for seed in range(200):
+        report = spin45_search(seed, 20)
+        assert report.trials_used == 1
+        basis = [[serialize.scalar_to_json(x) for x in col] for col in report.subspace.basis]
+        digest.update(json.dumps([report.trials_used, sorted(report.distribution.items()), basis]).encode())
+    assert digest.hexdigest() == "4701c8b16b997336e673b919e41e2b5d354f1d45f92dbc597d76a06c6c7994ea"

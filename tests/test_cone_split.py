@@ -19,9 +19,10 @@ from spinorlab.cone_split import (
     null_plane_rotations,
     semispinor_projectors,
 )
-from spinorlab.exact_linalg import Matrix, SignedPerm, rank, signed_relation_basis
+from spinorlab.exact_linalg import SignedPerm, rank, signed_relation_basis
+from dense_oracle import Matrix, dense, dense_cells, dense_scalar, is_zero, zero_matrix
 from test_clifford_core import gamma_alternating
-from test_exact_linalg import dense_cells, dense_scalar, is_zero, zero_matrix
+from test_exact_linalg import bareiss_rank
 
 THIS = sys.modules[__name__]
 
@@ -178,12 +179,12 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
     even = [r for r, s in enumerate(total_grading.signs) if s == 1]
 
     def even_block(m: SignedPerm) -> Matrix:
-        dense = m.dense().data
-        return Matrix([[dense[r][c] for c in even] for r in even])
+        cells = dense(m).data
+        return Matrix([[cells[r][c] for c in even] for r in even])
 
     x_even = even_block(x)
     i_even = even_block(_realify(_times_i(_identity(dim))))
-    eigendims = tuple((len(even) - rank(x_even - sign * i_even)) // 2 for sign in (1, -1))
+    eigendims = tuple((len(even) - rank((x_even - i_even.scale(sign)).data)) // 2 for sign in (1, -1))
     if eigendims[0] != eigendims[1]:
         failures.append("unequal_semi_spinor_dimensions")
     # spinor module of the even part doubles the plain product of the
@@ -212,8 +213,8 @@ def graded_tensor_check(n1: int, n2: int) -> GradedTensorReport:
 def test_complex_clifford_relations():
     for m in range(1, 7):
         gens, grading = complex_clifford_rep(m)
-        gens = [_realify(g).dense() for g in gens]
-        grading = _realify(grading).dense()
+        gens = [dense(_realify(g)) for g in gens]
+        grading = dense(_realify(grading))
         dim = gens[0].rows
         assert dim == 2 * 2 ** ((m + 1) // 2)  # realified: twice the complex dimension
         ident = Matrix.identity(dim)
@@ -258,8 +259,8 @@ def test_realified_pauli_chains_match_numpy_complex():
         want_gens, want_grading = _numpy_pauli_rep(m)
         assert len(gens) == len(want_gens) == m
         for got, want in zip(gens + [grading], want_gens + [want_grading]):
-            dense = np.array(_realify(got).dense().to_lists(), dtype=float)
-            assert np.array_equal(dense, _numpy_realify(want))
+            as_float = np.array(dense(_realify(got)).to_lists(), dtype=float)
+            assert np.array_equal(as_float, _numpy_realify(want))
 
 
 def _flip_one_sign(monkeypatch, m_target, gen_index):
@@ -344,10 +345,24 @@ def test_invariant_spinors_empty_list():
     assert invariant_spinors(rep, []) == rep.N
 
 
+def _operator_dense(terms, N):
+    """The dense sum of a list of (coefficient, SignedPerm) terms."""
+    out = zero_matrix(N, N)
+    for c, g in terms:
+        out = out + dense(g).scale(c)
+    return out
+
+
+def _joint_kernel_dim(rep, operators):
+    """N minus the Bareiss rank of the stacked dense operators."""
+    rows = [row for op in operators for row in _operator_dense(op, rep.N).data]
+    return rep.N - (bareiss_rank(Matrix(rows)) if rows else 0)
+
+
 def test_invariant_spinors_full_rotation_algebra():
     rep = build_rep(Signature(3, 0))
-    rotations = [gamma_blade(rep, (i, j)).dense() for i in range(3) for j in range(i + 1, 3)]
-    assert invariant_spinors(rep, rotations) == 0
+    rotations = [[(1, gamma_blade(rep, (i, j)))] for i in range(3) for j in range(i + 1, 3)]
+    assert invariant_spinors(rep, rotations) == _joint_kernel_dim(rep, rotations) == 0
 
 
 def test_null_plane_invariants_lorentzian_cones():
@@ -362,14 +377,17 @@ def test_null_plane_invariants_lorentzian_cones():
             directions = [j for j in range(n) if j not in (0, p)]
             for j, rotation in zip(directions, rotations, strict=True):
                 e = [int(a == j) for a in range(n)]
-                assert rotation == gamma_alternating(rep, [p_vec, e]), (p, q, j)
-            assert 2 * invariant_spinors(rep, rotations) == rep.N, f"({p},{q})"
+                assert _operator_dense(rotation, rep.N) == gamma_alternating(rep, [p_vec, e]), (p, q, j)
+            dim = invariant_spinors(rep, rotations)
+            assert 2 * dim == rep.N, f"({p},{q})"
+            if n <= 6:
+                assert dim == _joint_kernel_dim(rep, rotations), f"({p},{q})"
 
 
 def test_null_plane_scale_invariance():
     rep = build_rep(Signature(1, 4))
     rotations = null_plane_rotations(rep)
-    scaled = [r.scale(2) for r in rotations]
+    scaled = [[(2 * c, g) for c, g in r] for r in rotations]
     assert invariant_spinors(rep, rotations) == invariant_spinors(rep, scaled)
 
 
@@ -403,7 +421,7 @@ def _dense_candidates(cone):
     for e in images:
         omega = omega * e
     if all(e * omega == omega * e for e in images):
-        candidates.insert(0, omega.dense())
+        candidates.insert(0, dense(omega))
     return candidates
 
 
@@ -417,8 +435,8 @@ def test_find_involution_tries_only_monomial_differences():
     ]
     for candidates, N, want in cases:
         assert cone_split._find_involution(candidates, N) == want
-        dense = _dense_involution([dense_cells(x, N) for x in candidates], N)
-        assert dense == (None if want is None else want.dense())
+        found = _dense_involution([dense_cells(x, N) for x in candidates], N)
+        assert found == (None if want is None else dense(want))
 
 
 def test_semispinor_residue_rule_all_bases(monkeypatch):
@@ -444,7 +462,7 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
             want = _dense_involution(_dense_candidates(cone), cone.N)
             assert (want is None) == (found[-1] is None), str(base)
             if report.split:
-                z = found[-1].dense()
+                z = dense(found[-1])
                 assert z == want, str(base)
                 ident = Matrix.identity(cone.N)
                 p_plus, p_minus = (ident + z, ident - z)  # twice the projectors
@@ -452,9 +470,9 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                 assert is_zero(p_plus * p_minus)
                 for proj in (p_plus, p_minus):
                     assert proj * proj == proj.scale(2)
-                    assert 2 * rank(proj) == cone.N
+                    assert 2 * rank(proj.data) == cone.N
                     # the library reads the rank off the trace of z
-                    assert rank(proj) == sum(proj[i, i] for i in range(cone.N)) // 2
+                    assert rank(proj.data) == sum(proj[i, i] for i in range(cone.N)) // 2
 
 
 def test_semispinor_specific_cases():

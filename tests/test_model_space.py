@@ -19,6 +19,7 @@ from spinorlab.model_space import (
     scalar_curvature_residual,
     spin_connection,
 )
+from dense_oracle import dense
 
 
 class VolumeFlippedField:
@@ -122,7 +123,7 @@ def svd_kappa(signature, riemann, killing_number):
     from dense float generators and a Riemann tensor callable."""
     rep = build_rep(signature)
     n, N = signature.n, rep.N
-    gammas = [np.array(g.dense().to_lists(), dtype=float) for g in rep.generators]
+    gammas = [np.array(dense(g).to_lists(), dtype=float) for g in rep.generators]
     eta = signature.eta()
     blocks = []
     for i in range(n):
@@ -462,6 +463,20 @@ def test_empty_sample_set_fails_closed():
     assert report.residual == report.dirac_residual == np.inf
 
 
+def test_killing_residual_of_no_fields_is_no_reports():
+    model = HyperquadricModel(Signature(3, 0), num_samples=4)
+    assert killing_residual(model, []) == []
+    assert killing_residual(model, [], 0.5) == []
+    model.samples = []  # no fields and no points: still no reports
+    assert killing_residual(model, []) == []
+
+
+def test_a_model_without_sample_points_is_refused():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            HyperquadricModel(Signature(2, 1), num_samples=count)
+
+
 def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys):
     from spinorlab import model_space
     from spinorlab.cli import main
@@ -532,7 +547,7 @@ def test_float_clifford_data_is_the_dense_conversion_bit_for_bit():
     # the form is scattered from its SignedPerm; the float64 bytes equal
     # those of the dense exact matrix
     def from_dense(m):
-        return np.array([[float(x) for x in row] for row in m.dense().data], dtype=float)
+        return np.array([[float(x) for x in row] for row in dense(m).data], dtype=float)
 
     for sig in (Signature(1, 0), Signature(3, 0), Signature(2, 2), Signature(5, 3)):
         model = HyperquadricModel(sig, num_samples=1)

@@ -8,11 +8,9 @@ import pytest
 from spinorlab import brackets, exact_linalg, serialize, subspace_lab
 from spinorlab.admissible_forms import find_admissible, first_nondegenerate
 from spinorlab.brackets import null_kernel, pi_image, random_null_vector
-from spinorlab.clifford_core import Signature, build_rep, gamma_vector, metric_value
-from spinorlab.exact_linalg import Matrix
+from spinorlab.clifford_core import Signature, build_rep, metric_value
 from spinorlab.subspace_lab import (
     IsotropicSearchError,
-    _bilin,
     _find_null_direction,
     _skew_isotropic,
     _symmetric_isotropic,
@@ -26,14 +24,15 @@ from spinorlab.subspace_lab import (
     spin23_isotropic_scan,
     spin45_search,
 )
+from dense_oracle import Matrix, dense, gamma_dense, is_zero
 from test_brackets import _CountingEchelon, _pi_image_oracle
-from test_exact_linalg import bareiss_kernel, bareiss_rank, is_zero
+from test_exact_linalg import bareiss_kernel, bareiss_rank
 
 WITNESS_PATH = Path(__file__).resolve().parent.parent / "witnesses" / "spin45_max_isotropic.json"
 
 
-# Oracles: the three isotropic builders as they were written before
-# _skew_isotropic and _symmetric_isotropic replaced them.
+# Oracles: the two greedy isotropic builders as they were written before
+# _skew_isotropic replaced them, on dense Gram matrices.
 
 
 def _greedy_isotropic_oracle(gram, target_dim):
@@ -92,70 +91,24 @@ def _random_skew_isotropic_oracle(gram, target, rng):
     return Matrix.from_columns(iso)
 
 
-def _random_symmetric_isotropic_oracle(gram, target, rng):
-    d = gram.rows
-    ambient = Matrix.identity(d)
-    iso_cols = []
-    current = gram
-    for step in range(target):
-        x0 = _find_null_direction(current)
-        if x0 is None:
-            raise IsotropicSearchError("no rational null direction found")
-        dd = current.rows
-        v = x0
-        for _ in range(60):
-            z = [rng.randint(-2, 2) for _ in range(dd)]
-            bzx = _bilin(current, z, x0)
-            if bzx == 0:
-                continue
-            bzz = _bilin(current, z, z)
-            cand = [2 * bzx * zi - bzz * xi for zi, xi in zip(z, x0)]
-            if any(cand):
-                v = cand
-                break
-        pairing = [sum(current[a, b] * v[a] for a in range(dd)) for b in range(dd)]
-        y_idx = next(b for b in range(dd) if pairing[b] != 0)
-        iso_cols.append(
-            [
-                sum(ambient[i, a] * v[a] for a in range(ambient.cols) if v[a])
-                for i in range(d)
-            ]
-        )
-        if step + 1 == target:
-            break
-        rows = [pairing, [current[y_idx, b] for b in range(dd)]]
-        comp = bareiss_kernel(Matrix(rows))
-        ambient = ambient * comp
-        current = comp.transpose() * current * comp
-    return Matrix.from_columns(iso_cols)
-
-
-def _typed_entries(m):
-    return [[(x, type(x)) for x in row] for row in m.data]
+def _typed_entries(columns):
+    """(value, type) per entry, column by column, of a Matrix or a list
+    of columns."""
+    if isinstance(columns, Matrix):
+        columns = columns.columns()
+    return [[(x, type(x)) for x in col] for col in columns]
 
 
 def test_skew_isotropic_replays_random_skew_branch():
+    # the gathered rows H^T u against rows read off the dense Gram matrix
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep, tau=1)  # the spin23 form
     assert form.sigma == -1
-    gram = form.matrix.dense()
+    gram = dense(form.matrix)
     for seed in range(8):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        got = _skew_isotropic(gram, rep.N // 2, rng)
+        got = _skew_isotropic(form.matrix.transpose().apply, rep.N, rep.N // 2, rng)
         want = _random_skew_isotropic_oracle(gram, rep.N // 2, oracle_rng)
-        assert _typed_entries(got) == _typed_entries(want), seed
-        assert rng.getstate() == oracle_rng.getstate(), seed
-
-
-def test_symmetric_isotropic_replays_random_symmetric_builder():
-    rep = build_rep(Signature(4, 5))
-    form = first_nondegenerate(rep, tau=1)  # the spin45 form
-    assert form.sigma == 1
-    gram = form.matrix.dense()
-    for seed in range(6):
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
-        got = _symmetric_isotropic(gram, rep.N // 2, rng)
-        want = _random_symmetric_isotropic_oracle(gram, rep.N // 2, oracle_rng)
         assert _typed_entries(got) == _typed_entries(want), seed
         assert rng.getstate() == oracle_rng.getstate(), seed
 
@@ -179,26 +132,27 @@ def test_isotropic_builders_without_rng_on_extremal_grams(monkeypatch):
             with pytest.raises(IsotropicSearchError, match=message):
                 _symmetric_isotropic(gram, target)
         else:
-            got = _skew_isotropic(gram, target)
-            assert _typed_entries(got) == _typed_entries(_greedy_isotropic_oracle(gram, target))
+            got = original(gram, False, target)
+            want = _greedy_isotropic_oracle(Matrix(gram), target)
+            assert _typed_entries(got) == _typed_entries(want)
 
 
 def test_isotropic_subspace_skew():
-    gram = Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    iso = isotropic_subspace(gram, symmetric=False, target_dim=2)
+    gram = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    iso = Matrix.from_columns(isotropic_subspace(gram, symmetric=False, target_dim=2))
     assert iso.cols == 2
-    assert is_zero(iso.transpose() * gram * iso)
+    assert is_zero(iso.transpose() * Matrix(gram) * iso)
 
 
 def test_isotropic_subspace_symmetric_split():
-    gram = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-    iso = isotropic_subspace(gram, symmetric=True, target_dim=2)
-    assert is_zero(iso.transpose() * gram * iso)
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    iso = Matrix.from_columns(isotropic_subspace(gram, symmetric=True, target_dim=2))
+    assert is_zero(iso.transpose() * Matrix(gram) * iso)
     assert bareiss_rank(iso) == 2
 
 
 def test_isotropic_subspace_definite_fails():
-    gram = Matrix.identity(4)
+    gram = Matrix.identity(4).to_lists()
     with pytest.raises(IsotropicSearchError):
         isotropic_subspace(gram, symmetric=True, target_dim=1)
 
@@ -210,10 +164,10 @@ def test_null_direction_fractional_discriminant():
 
     # no zero diagonal, discriminant (5/2)^2 - 4 = 9/4: the pair path needs
     # the exact rational square root
-    gram = Matrix([[2, Fraction(5, 2)], [Fraction(5, 2), 2]])
+    gram = [[2, Fraction(5, 2)], [Fraction(5, 2), 2]]
     vec = _find_null_direction(gram)
     assert vec is not None
-    val = sum(gram[i, j] * vec[i] * vec[j] for i in range(2) for j in range(2))
+    val = sum(gram[i][j] * vec[i] * vec[j] for i in range(2) for j in range(2))
     assert val == 0
 
 
@@ -230,7 +184,7 @@ def _extremal_obstructed_oracle(rep, form, v):
     reducer: the complement re-ranks the growing column list per step."""
     lv = null_kernel(rep, form, v)
     n_half = rep.N // 2
-    cols = lv.basis.columns()
+    cols = list(lv.basis)
     comp = []
     for i in range(rep.N):
         e = [0] * rep.N
@@ -240,9 +194,9 @@ def _extremal_obstructed_oracle(rep, form, v):
         if len(comp) == n_half:
             break
     comp_m = Matrix.from_columns(comp)
-    gram = comp_m.transpose() * form.matrix.dense() * gamma_vector(rep, v) * comp_m
+    gram = comp_m.transpose() * dense(form.matrix) * gamma_dense(rep, v) * comp_m
     if form.sigma * form.tau == 1:
-        iso = _symmetric_isotropic(gram, rep.N // 4)
+        iso = Matrix.from_columns(_symmetric_isotropic(gram.to_lists(), rep.N // 4))
     else:
         iso = _greedy_isotropic_oracle(gram, rep.N // 4)
     return Matrix.from_columns(cols + (comp_m * iso).columns())
@@ -275,7 +229,7 @@ def test_extremal_rejects_dependent_kernel_columns(monkeypatch):
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep)
     column = [1] + [0] * (rep.N - 1)
-    dependent = SimpleNamespace(basis=Matrix.from_columns([column, column]))
+    dependent = SimpleNamespace(basis=(column, column))
     monkeypatch.setattr(subspace_lab, "null_kernel", lambda *args: dependent)
     with pytest.raises(ArithmeticError, match="kernel columns are not independent"):
         extremal_obstructed_subspace(rep, form, [1, 0, 1, 0, 0])
@@ -286,10 +240,10 @@ def test_extremal_checks_that_v_lies_in_the_obstruction_space(monkeypatch):
     rep = build_rep(sig)
     form, v, extremal = extremal_witness(sig)
     e0 = [1] + [0] * (rep.n - 1)  # a null v has two nonzero entries, so e0 misses it
-    spanned = Matrix.from_columns([[2 * x + y for x, y in zip(v, e0)], e0])
+    spanned = [[2 * x + y for x, y in zip(v, e0)], e0]
     monkeypatch.setattr(subspace_lab, "obstruction_vectors", lambda *args: spanned)
     assert extremal_obstructed_subspace(rep, form, v).basis == extremal.basis
-    missing = Matrix.from_columns([e0])
+    missing = [e0]
     monkeypatch.setattr(subspace_lab, "obstruction_vectors", lambda *args: missing)
     with pytest.raises(ArithmeticError, match="null vector missing"):
         extremal_obstructed_subspace(rep, form, v)
@@ -324,23 +278,17 @@ def _rank_repair_trials(rep, dim, trials, seed):
 
 def test_in_hypothesis_sweep_solves_no_kernel_and_re_ranks_nothing(monkeypatch):
     # above 3N/4 on (3,3) every trial is certified mod p: no exact
-    # fallback, so no Echelon, kernel or rank at all
+    # fallback, so no Echelon at all (brackets eliminates only through it)
     rep = build_rep(Signature(3, 3))
     form = first_nondegenerate(rep)
-    calls = []
-    for name in ("kernel", "rank"):
-
-        def counted(*args, _original=getattr(brackets, name), _name=name):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(brackets, name, counted)
+    assert not hasattr(brackets, "kernel") and not hasattr(brackets, "rank")
     monkeypatch.setattr(brackets, "Echelon", _CountingEchelon)
+    monkeypatch.setattr(subspace_lab, "Echelon", _CountingEchelon)
     _CountingEchelon.adds = _CountingEchelon.kernels = 0
     fallbacks = _fallback_trials(monkeypatch, 7, 500)
     report = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, 500, 7)
     assert report.in_hypothesis and not report.counterexamples
-    assert fallbacks == [] and calls == []
+    assert fallbacks == []
     assert _CountingEchelon.adds == _CountingEchelon.kernels == 0
 
 
@@ -375,7 +323,7 @@ def test_obstructed_instances_respect_three_quarter_bound():
         form, v, extremal = extremal_witness(sig)
         assert extremal.dim <= 3 * rep.N // 4
         kernel_sub = null_kernel(rep, first_nondegenerate(rep), v)
-        assert obstruction_vectors(rep, first_nondegenerate(rep), kernel_sub).cols >= 1
+        assert len(obstruction_vectors(rep, first_nondegenerate(rep), kernel_sub)) >= 1
         assert kernel_sub.dim <= 3 * rep.N // 4
 
 
@@ -418,7 +366,7 @@ def _sweep_oracle(rep, form, dim, trials, seed, bound=3):
     for t in range(trials):
         sub = brackets.random_subspace(rep, dim, subspace_lab._trial_rng(seed, t), bound)
         obs = brackets.obstruction_vectors(rep, form, sub)
-        if obs.cols != 0:
+        if obs:
             bad.append((t, sub.basis, obs))
     return subspace_lab.SweepReport(
         signature=rep.signature,
@@ -531,12 +479,19 @@ def test_spin23_scan_all_one_dimensional():
 
 
 def test_random_max_isotropic_symmetric_form():
+    # only skew forms are sampled: the (4,5) spin45 form is symmetric
     rep = build_rep(Signature(4, 5))
     form = first_nondegenerate(rep, tau=1)
+    assert form.sigma == 1
     rng = random.Random(4)
-    sub = random_max_isotropic(rep, form, rng)
-    assert sub.dim == rep.N // 2
-    assert is_zero(sub.basis.transpose() * form.matrix * sub.basis)
+    with pytest.raises(ValueError, match="skew"):
+        random_max_isotropic(rep, form, rng)
+    assert rng.getstate() == random.Random(4).getstate()  # nothing drawn
+    skew = build_rep(Signature(2, 3))
+    sub = random_max_isotropic(skew, first_nondegenerate(skew, tau=1), rng)
+    basis = Matrix.from_columns(sub.basis)
+    assert sub.dim == skew.N // 2 == bareiss_rank(basis)
+    assert is_zero(basis.transpose() * dense(first_nondegenerate(skew, tau=1).matrix) * basis)
 
 
 def _planted_nonisotropic_basis(rep, form):
@@ -544,28 +499,24 @@ def _planted_nonisotropic_basis(rep, form):
     e_perm[0], whose pairing h(e_perm[0], e_0) = signs[0] is nonzero."""
     first = [0, form.matrix.perm[0]]
     picks = list(dict.fromkeys(first + list(range(rep.N))))[: rep.N // 2]
-    basis = Matrix.from_columns(
-        [[Fraction(1, k + 2) if r == j else 0 for r in range(rep.N)] for k, j in enumerate(picks)]
-    )
-    assert not is_zero(basis.transpose() * form.matrix.dense() * basis)
+    basis = [[Fraction(1, k + 2) if r == j else 0 for r in range(rep.N)] for k, j in enumerate(picks)]
+    dense_basis = Matrix.from_columns(basis)
+    assert not is_zero(dense_basis.transpose() * dense(form.matrix) * dense_basis)
     return basis
 
 
-@pytest.mark.parametrize("sig", [Signature(2, 3), Signature(4, 5)], ids=str)
+@pytest.mark.parametrize("sig", [Signature(2, 3), Signature(3, 3)], ids=str)
 def test_random_max_isotropic_rejects_a_planted_nonisotropic_basis(sig, monkeypatch):
     rep = build_rep(sig)
     form = first_nondegenerate(rep, tau=1)
+    assert form.sigma == -1
     planted = _planted_nonisotropic_basis(rep, form)
     monkeypatch.setattr(subspace_lab, "_skew_isotropic", lambda *args: planted)
-    monkeypatch.setattr(subspace_lab, "_symmetric_isotropic", lambda *args: planted)
     with pytest.raises(ArithmeticError, match="sampled subspace is not isotropic"):
         random_max_isotropic(rep, form, random.Random(0))
 
 
-def test_witness_loader_rejects_a_planted_nonisotropic_basis(tmp_path):
-    rep = build_rep(Signature(4, 5))
-    planted = _planted_nonisotropic_basis(rep, first_nondegenerate(rep, tau=1))
-    path = tmp_path / "planted.json"
+def _write_witness(path, rows):
     serialize.dump(
         {
             "kind": "spin45-max-isotropic-witness",
@@ -574,12 +525,64 @@ def test_witness_loader_rejects_a_planted_nonisotropic_basis(tmp_path):
             "seed": 0,
             "trials_used": 1,
             "image_dim": 4,
-            "basis": serialize.matrix_to_json(planted),
+            "basis": rows,
         },
         path,
     )
+
+
+def test_witness_loader_rejects_a_planted_nonisotropic_basis(tmp_path):
+    rep = build_rep(Signature(4, 5))
+    planted = _planted_nonisotropic_basis(rep, first_nondegenerate(rep, tau=1))
+    path = tmp_path / "planted.json"
+    _write_witness(path, serialize.columns_to_json(planted))
     with pytest.raises(ArithmeticError, match="witness is not isotropic"):
         load_and_verify_spin45_witness(path)
+
+
+def _archived_rows():
+    return serialize.load(WITNESS_PATH)["basis"]
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda rows: rows[:-1] + [rows[-1][:-1]], r"ragged rows, of widths \[7, 8\]"),
+        (lambda rows: rows[:-1], "has 15 rows, not 16"),
+        (lambda rows: rows + [rows[0]], "has 17 rows, not 16"),
+        (lambda rows: [[] for _ in rows], "zero columns"),
+        (lambda rows: [], "has 0 rows, not 16"),
+        (lambda rows: {"0": rows}, "not a list of rows"),
+        (lambda rows: [[int(x) for x in row] for row in rows], "as strings, not int"),
+    ],
+    ids=["ragged", "short", "long", "no-columns", "no-rows", "not-a-list", "raw-ints"],
+)
+def test_witness_loader_names_a_planted_bad_shape(plant, message, tmp_path):
+    path = tmp_path / "planted.json"
+    _write_witness(path, plant(_archived_rows()))
+    with pytest.raises(ValueError, match=message):
+        load_and_verify_spin45_witness(path)
+
+
+@pytest.mark.parametrize("key, value", [("seed", "7"), ("trials_used", 1.0), ("image_dim", True)])
+def test_witness_loader_refuses_a_non_integer_field(key, value, tmp_path):
+    path = tmp_path / "planted.json"
+    _write_witness(path, _archived_rows())
+    payload = serialize.load(path)
+    payload[key] = value
+    serialize.dump(payload, path)
+    with pytest.raises(ValueError, match=f"witness field {key} is not an integer"):
+        load_and_verify_spin45_witness(path)
+    path.write_text("[]")  # valid JSON, but no witness object
+    with pytest.raises(ValueError, match="unexpected schema"):
+        load_and_verify_spin45_witness(path)
+
+
+def test_witness_basis_round_trips_through_its_row_format():
+    rows = _archived_rows()
+    columns = serialize.columns_from_json(rows, 16)
+    assert len(columns) == 8 and all(len(col) == 16 for col in columns)
+    assert serialize.columns_to_json(columns) == rows
 
 
 def test_spin45_search_finds_witness():
@@ -587,6 +590,26 @@ def test_spin45_search_finds_witness():
     assert report.found
     assert report.image_dim == 4
     assert report.subspace.dim == 8
+
+
+def test_spin45_search_moves_past_a_failed_construction(monkeypatch):
+    # a trial without a candidate counts as used, enters no distribution,
+    # and the next trial builds from its own fresh generator
+    original = subspace_lab._structured_spin45_candidate
+    fresh = {subspace_lab._trial_rng(7, t).getstate(): t for t in range(5)}
+    seen = []
+
+    def failing_twice(rep, form, rng):
+        seen.append(fresh[rng.getstate()])
+        return None if len(seen) <= 2 else original(rep, form, rng)
+
+    monkeypatch.setattr(subspace_lab, "_structured_spin45_candidate", failing_twice)
+    report = spin45_search(seed=7, budget=5)
+    assert seen == [0, 1, 2]
+    assert report.found and report.trials_used == 3 and report.distribution == {4: 1}
+    monkeypatch.setattr(subspace_lab, "_structured_spin45_candidate", lambda *args: None)
+    report = spin45_search(seed=7, budget=4)
+    assert not report.found and report.trials_used == 4 and report.distribution == {}
 
 
 def test_spin45_archived_witness_reverifies():
