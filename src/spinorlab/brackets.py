@@ -17,7 +17,7 @@ from .clifford_core import (
     gamma_blade,
     gamma_vector,
     metric_value,
-    null_pair,
+    null_direction,
 )
 from .exact_linalg import Echelon, clear_denominators, dense_rows
 
@@ -265,11 +265,11 @@ def random_spinor(rep: CliffordRep, rng):
 
 
 def random_null_vector(sig, rng):
-    """Nonzero null vector built from a hyperbolic pair: given any z with
-    g(z,p) != 0 for null p, the vector 2 g(z,p) z - g(z,z) p is null;
+    """Nonzero null vector built from null_direction's p: given any z
+    with g(z,p) != 0, the vector 2 g(z,p) z - g(z,z) p is null;
     z has entries in -3..3."""
     eta = sig.eta()
-    p_vec, _ = null_pair(sig)
+    p_vec = null_direction(sig)
     while True:
         z = [rng.randint(-3, 3) for _ in range(sig.n)]
         gzp = metric_value(eta, z, p_vec)

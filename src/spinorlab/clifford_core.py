@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import SignedPerm, signed_relation_basis
@@ -290,23 +289,14 @@ def gamma_blade(rep: CliffordRep, indices) -> SignedPerm:
     return out
 
 
-def null_pair(sig: Signature):
-    """A rational hyperbolic pair (p_vec, q_vec): both null, g(p,q) = 1.
-
-    Uses the first positive direction f and first negative direction e:
-    p = f + e, q = (f - e)/2.
-    """
+def null_direction(sig: Signature):
+    """The integer null vector p = f + e of the first positive direction f
+    and the first negative direction e."""
     if sig.p == 0 or sig.q == 0:
         raise ValueError("needs indefinite signature")
-    n = sig.n
-    f_idx, e_idx = 0, sig.p
-    p_vec = [0] * n
-    q_vec = [Fraction(0)] * n
-    p_vec[f_idx] = 1
-    p_vec[e_idx] = 1
-    q_vec[f_idx] = Fraction(1, 2)
-    q_vec[e_idx] = Fraction(-1, 2)
-    return p_vec, q_vec
+    p_vec = [0] * sig.n
+    p_vec[0] = p_vec[sig.p] = 1
+    return p_vec
 
 
 def even_subalgebra_images(rep_cone: CliffordRep):

@@ -16,7 +16,7 @@ from .clifford_core import (
     Signature,
     even_subalgebra_images,
     first_square_root,
-    null_pair,
+    null_direction,
 )
 from .exact_linalg import Echelon, SignedPerm, signed_relation_basis
 
@@ -45,7 +45,7 @@ def null_plane_rotations(rep: CliffordRep):
     product.  Each is returned as the terms (p_i, G_i G_j) of
     gamma_p G_j = sum_i p_i G_i G_j."""
     sig = rep.signature
-    p_vec, _ = null_pair(sig)
+    p_vec = null_direction(sig)
     gens = rep.generators
     return [
         [(c, g * gj) for c, g in zip(p_vec, gens) if c]

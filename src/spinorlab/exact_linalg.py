@@ -6,10 +6,10 @@ subspace basis a sequence of column vectors, and a row system a list of
 rows; the only matrices are SignedPerms.  The exact elimination is
 Echelon: it clears each vector's denominators and reduces it over Z
 against the rows accepted so far, so rank certificates, span tests and
-kernels are reproducible bit for bit.  rank and kernel feed a row
-system to one Echelon; kernel back-substitution stays in Z, carrying
-d * x for d the determinant of the pivot minor, which Cramer's rule
-makes integral, and divides by d once.  The only other elimination is full_rank_mod_p, a
+kernels are reproducible bit for bit.  Echelon.kernel's
+back-substitution stays in Z, carrying d * x for d the determinant of
+the pivot minor, which Cramer's rule makes integral, and divides by d
+once.  The only other elimination is full_rank_mod_p, a
 one-sided certificate on a stack of integer matrices at once: full rank
 mod PRIME implies full rank over Q, and a failed certificate proves
 nothing.  signed_relation_basis solves the monomial relations
@@ -206,17 +206,6 @@ def full_rank_mod_p(stack) -> np.ndarray:
             - a[:, k + 1:, k, None] * top[:, None, k + 1:]
         ) % PRIME
     return ok
-
-
-def rank(rows) -> int:
-    """Rank of a row system, or of a list of columns."""
-    return len(Echelon(rows))
-
-
-def kernel(rows, n_cols) -> list:
-    """Basis of the right null space of a row system over n_cols
-    unknowns, one column per free variable (see Echelon.kernel)."""
-    return Echelon(rows).kernel(n_cols)
 
 
 def dense_rows(columns) -> list:

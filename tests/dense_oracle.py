@@ -5,7 +5,7 @@ Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
 """
 
-from spinorlab.exact_linalg import SignedPerm, dense_rows, kernel
+from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 
 
 class Matrix:
@@ -147,6 +147,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         out[i * b.rows + k][j * b.cols + l] = x * y
     return Matrix(out)
+
+
+def rank(rows) -> int:
+    """Rank of a row system, or of a list of columns, by one Echelon."""
+    return len(Echelon(rows))
+
+
+def kernel(rows, n_cols) -> list:
+    """Echelon.kernel of a row system over n_cols unknowns."""
+    return Echelon(rows).kernel(n_cols)
 
 
 def matrix_kernel(m: Matrix) -> Matrix:

@@ -5,9 +5,10 @@ import dataclasses
 
 import pytest
 
-from spinorlab import brackets, subspace_lab, verify
+from spinorlab import brackets, clifford_core, subspace_lab, verify
 from spinorlab.admissible_forms import BilinearForm
-from spinorlab.exact_linalg import Echelon
+from spinorlab.cli import main
+from spinorlab.exact_linalg import Echelon, SignedPerm
 from spinorlab.subspace_lab import IsotropicSearchError
 from test_brackets import _flip_sign
 
@@ -112,6 +113,31 @@ def test_c01_reports_a_broken_square(monkeypatch):
     result = verify.criterion_clifford_relations(max_n=2, seed=SEED)
     assert not result.passed
     assert any(":square([" in f for f in result.details["failures"])
+
+
+def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
+    # c01 leaves the generator relations to build_rep, which checks them
+    # on every rep it builds: a sign flipped inside the tensor recursion
+    # is a falsification before any criterion reports
+    build = clifford_core._build
+
+    def broken(p, q):
+        positives, negatives, comm = build(p, q)
+        if (p, q) == (1, 1):
+            g = positives[0]
+            positives[0] = SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:])
+        return positives, negatives, comm
+
+    monkeypatch.setattr(clifford_core, "_build", broken)
+    clifford_core._build_rep_cached.cache_clear()
+    try:
+        code = main(["verify-all", "--max-n", "2", "--seed", str(SEED)])
+    finally:
+        clifford_core._build_rep_cached.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "falsification: Clifford relation failed at (0,0) for (1,1)" in err
 
 
 def test_c05_bound_tightness():

@@ -9,8 +9,8 @@ from spinorlab.admissible_forms import (
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
-from spinorlab.exact_linalg import SignedPerm, rank
-from dense_oracle import Matrix, dense, is_zero, matrix_kernel
+from spinorlab.exact_linalg import SignedPerm
+from dense_oracle import Matrix, dense, is_zero, matrix_kernel, rank
 
 
 def all_signatures(max_n):

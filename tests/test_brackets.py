@@ -31,9 +31,9 @@ from spinorlab.clifford_core import (
     gamma_vector,
     metric_value,
 )
-from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows, kernel, rank
+from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
-from dense_oracle import Matrix, dense, gamma_dense, is_zero, zero_matrix
+from dense_oracle import Matrix, dense, gamma_dense, is_zero, kernel, rank, zero_matrix
 from dense_oracle import column as _column
 from test_clifford_core import _permutation_sign, gamma_alternating
 from test_exact_linalg import bareiss_kernel, bareiss_rank

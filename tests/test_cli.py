@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,27 @@ def test_stdout_matches_its_recorded_digest(command, capsys, monkeypatch):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+# SHA-256 of the first ten stdout lines of `verify-all --max-n 6 --seed 7`,
+# recorded before the criterion harness; criteria 11 and 12 print float
+# residuals whose last bits may change, and are left out.
+VERIFY_ALL_DIGEST = "2724b173c18332106ed789460fa1a9619e972b7417c4b327aea70ba2d89b374f"
+
+
+def test_verify_all_exact_criteria_match_their_recorded_digest(capsys):
+    assert main(["verify-all", "--max-n", "6", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert [json.loads(line)["criterion"] for line in lines] == list(range(1, 13))
+    assert hashlib.sha256("".join(lines[:10]).encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+def test_verify_all_times_each_criterion_on_stderr(capsys):
+    assert main(["verify-all", "--max-n", "3", "--seed", "7"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 12
+    for k, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"criterion {k} ran in \d+\.\d+s", line), line
 
 
 def test_spin45_search_over_200_seeds_matches_its_recorded_digest():

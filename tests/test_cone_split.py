@@ -11,7 +11,7 @@ from spinorlab.clifford_core import (
     clifford_relation_failures,
     even_subalgebra_images,
     gamma_blade,
-    null_pair,
+    null_direction,
 )
 from spinorlab import cone_split
 from spinorlab.cone_split import (
@@ -19,8 +19,8 @@ from spinorlab.cone_split import (
     null_plane_rotations,
     semispinor_projectors,
 )
-from spinorlab.exact_linalg import SignedPerm, rank, signed_relation_basis
-from dense_oracle import Matrix, dense, dense_cells, dense_scalar, is_zero, zero_matrix
+from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
+from dense_oracle import Matrix, dense, dense_cells, dense_scalar, is_zero, rank, zero_matrix
 from test_clifford_core import gamma_alternating
 from test_exact_linalg import bareiss_rank
 
@@ -373,7 +373,7 @@ def test_null_plane_invariants_lorentzian_cones():
             rep = build_rep(Signature(p, q))
             rotations = null_plane_rotations(rep)
             # each is the action of p ^ e_j, j outside the hyperbolic plane
-            p_vec, _ = null_pair(rep.signature)
+            p_vec = null_direction(rep.signature)
             directions = [j for j in range(n) if j not in (0, p)]
             for j, rotation in zip(directions, rotations, strict=True):
                 e = [int(a == j) for a in range(n)]

@@ -19,8 +19,6 @@ from spinorlab.exact_linalg import (
     clear_denominators,
     dense_rows,
     full_rank_mod_p,
-    kernel,
-    rank,
     signed_relation_basis,
 )
 from dense_oracle import (
@@ -29,8 +27,10 @@ from dense_oracle import (
     dense_cells,
     dense_scalar,
     is_zero,
+    kernel,
     kron,
     matrix_kernel,
+    rank,
     zero_matrix,
 )
 

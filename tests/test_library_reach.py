@@ -1,8 +1,13 @@
 """Every public module-level function, class and constant under
 src/spinorlab/, every public method of a class there and every field of
-a dataclass there, is used by the library itself: a name referenced
-only at its own definition or in the package's __init__.py serves the
-tests or nothing, and belongs in the test that uses it."""
+a dataclass there, is used by the library itself: a name used only at
+its own definition or in the package's __init__.py serves the tests or
+nothing, and belongs in the test that uses it.
+
+A module-level name is used where another module imports it from its
+module or reads it as module.name, or where its own module reads it
+outside its definition; a local or an attribute of the same name in
+another module does not count."""
 
 import ast
 from pathlib import Path
@@ -63,21 +68,37 @@ def _public_methods(tree):
     ]
 
 
-def _references(tree, skip):
-    """Names read in tree (as a bare name or an attribute), outside the
-    nodes in skip."""
+def _bare_reads(tree, skip):
+    """Names read in tree as a bare name, outside the nodes in skip."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return out
+
+
+def _sibling_uses(tree):
+    """(module, name) for each name tree imports from a sibling module,
+    as in `from .module import name`, or reads as `module.name` after
+    `from . import module`."""
+    uses, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    uses.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                uses.add((modules[node.value.id], node.attr))
+    return uses
 
 
 def _attribute_reads(tree):
@@ -90,16 +111,15 @@ def _trees():
 
 def test_every_public_name_is_used_by_the_library():
     trees = _trees()
-    unreached = []
-    for module, tree in trees.items():
-        for name, definition in _public_definitions(tree):
-            used = any(
-                name in _references(other, {definition})
-                for key, other in trees.items()
-                if key != "__init__.py"
-            )
-            if not used:
-                unreached.append(f"{module[:-3]}.{name}")
+    imported = set().union(
+        *(_sibling_uses(tree) for key, tree in trees.items() if key != "__init__.py")
+    )
+    unreached = [
+        f"{module[:-3]}.{name}"
+        for module, tree in trees.items()
+        for name, definition in _public_definitions(tree)
+        if (module[:-3], name) not in imported and name not in _bare_reads(tree, {definition})
+    ]
     assert unreached == []
 
 
