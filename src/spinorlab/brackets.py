@@ -10,12 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .admissible_forms import BilinearForm
 from .clifford_core import (
     CliffordRep,
     blade_index_list,
     gamma_blade,
+    gamma_stack,
     gamma_vector,
+    generator_table,
     metric_value,
     null_direction,
 )
@@ -95,7 +99,9 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     h-pairing are checked again here.
     """
     check_null_vector(rep, v)
-    beta_form(rep, form, v)
+    (result,) = beta_form(rep, form, [v])
+    if isinstance(result, ArithmeticError):
+        raise result
     basis = Echelon(dense_rows(gamma_vector(rep, v))).kernel(rep.N)
     if 2 * len(basis) != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
@@ -172,34 +178,61 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     return len(_pairing_echelon(rep, form, a, b))
 
 
-def squares_to_scalar(cols, c) -> bool:
-    """Whether the N x N matrix with these sparse columns squares to
-    c Id, column by column: n^2 products per gamma_vector column."""
-    N = len(cols)
-    for j, col in enumerate(cols):
-        square = [0] * N
-        square[j] = -c
-        for r, x in col.items():
-            for i, y in cols[r].items():
-                square[i] += x * y
-        if any(square):
-            return False
-    return True
+def _vanishes(stack) -> list:
+    """For each matrix of a (B, N, N) stack, whether it is zero."""
+    return (~(stack != 0).any(axis=(1, 2))).tolist()
 
 
-def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
-    """rank beta = rank gamma_v for beta = H gamma_v (H is a signed
-    permutation, so invertible), certified from Clifford identities on
-    gamma_vector's sparse columns: no elimination and no dense product.
+def squares_to_scalar(rep: CliffordRep, vectors, gammas) -> list:
+    """Whether gamma_v^2 = -g(v,v) Id, for each v of the vectors and its
+    gamma_v in the gamma_stack gammas.  gamma_v^2 = sum_i v_i gamma_v G_i
+    is formed from n signed column gathers of the stack, O(B n N^2)."""
+    perm, sign = generator_table(rep.generators)
+    coeffs = np.array(vectors, dtype=gammas.dtype).reshape(-1, rep.n)
+    square = np.zeros_like(gammas)
+    diag = np.arange(rep.N)
+    square[:, diag, diag] = np.array(
+        [metric_value(rep.eta, v, v) for v in vectors], dtype=gammas.dtype
+    )[:, None]
+    for i in range(rep.n):
+        # column c of gamma_v G_i is sign[i, c] times column perm[i, c] of gamma_v
+        term = gammas[:, :, perm[i]]
+        term *= sign[i]
+        term *= coeffs[:, i, None, None]
+        square += term
+    return _vanishes(square)
 
-    Each check raises ArithmeticError naming its identity:
+
+def _anticommutator_checks(rep: CliffordRep, vectors, gammas) -> list:
+    """For each nonzero v, with k its first index where v_k != 0, whether
+    gamma_v gamma_k + gamma_k gamma_v = -2 eta_k v_k Id: a column gather
+    and a row scatter of the stack."""
+    ks = [next(k for k, x in enumerate(v) if x) for v in vectors]
+    perm, sign = (array[ks] for array in generator_table(rep.generators))
+    # gamma_v gamma_k: column j is sign_k[j] times column perm_k[j] of gamma_v
+    total = np.take_along_axis(gammas, perm[:, None, :], axis=2) * sign[:, None, :]
+    # gamma_k gamma_v: row r of gamma_v, times sign_k[r], lands in row perm_k[r]
+    total[np.arange(len(ks))[:, None], perm] += sign[:, :, None] * gammas
+    diag = np.arange(rep.N)
+    total[:, diag, diag] += np.array(
+        [2 * rep.eta[k] * v[k] for k, v in zip(ks, vectors)], dtype=gammas.dtype
+    )[:, None]
+    return _vanishes(total)
+
+
+def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
+    """For each v of the vectors, rank beta = rank gamma_v for
+    beta = H gamma_v (H is a signed permutation, so invertible), or the
+    ArithmeticError naming the first of these Clifford identities that
+    fails for v:
     - gamma_v^2 = -g(v,v) Id;
     - beta^T = sigma*tau beta.
     Then g(v,v) != 0 gives rank N, as gamma_v is invertible, and v = 0
     gives rank 0.  For a null v != 0 take the first k with v_k != 0 and
     c = -2 eta_k v_k != 0, and check
-    - gamma_v gamma_k + gamma_k gamma_v = c Id (two signed gathers).
-    Then the rank is N/2.
+    - gamma_v gamma_k + gamma_k gamma_v = c Id.
+    Then the rank is N/2.  The identities are certified on one
+    gamma_stack of the batch: no elimination and no dense product.
 
     Proof.  Rank is subadditive and rank(XY) <= rank X, so
     N = rank(c Id) <= rank(gamma_v gamma_k) + rank(gamma_k gamma_v)
@@ -211,36 +244,37 @@ def beta_form(rep: CliffordRep, form: BilinearForm, v) -> int:
     gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
     im gamma_v.
     """
-    cols = gamma_vector(rep, v)
-    q = metric_value(rep.eta, v, v)
-    if not squares_to_scalar(cols, -q):
-        if q == 0:
-            raise ArithmeticError("gamma_v squared must vanish on a null vector")
-        raise ArithmeticError("gamma_v squared is not -g(v,v) Id")
-    # column j of beta gathers column j of gamma_v through H
+    gammas = gamma_stack(rep, vectors)
+    squares = squares_to_scalar(rep, vectors, gammas)
+    # row perm[r] of beta is signs[r] times row r of gamma_v
     h = form.matrix
-    beta = [{h.perm[r]: x * h.signs[r] for r, x in col.items()} for col in cols]
-    st = form.sigma * form.tau
-    if any(beta[r].get(j, 0) != st * x for j, col in enumerate(beta) for r, x in col.items()):
-        raise ArithmeticError("beta does not have symmetry sigma*tau")
-    if q != 0:
-        return rep.N
-    k = next((k for k, x in enumerate(v) if x), None)
-    if k is None:
-        return 0
-    g, c = rep.generators[k], -2 * rep.eta[k] * v[k]
-    for j, col in enumerate(cols):
-        anti = [0] * rep.N
-        anti[j] = -c
-        # gamma_v gamma_k e_j = signs[j] gamma_v e_perm[j] (a column gather)
-        for r, x in cols[g.perm[j]].items():
-            anti[r] += x * g.signs[j]
-        # gamma_k gamma_v e_j (a row gather)
-        for r, x in col.items():
-            anti[g.perm[r]] += x * g.signs[r]
-        if any(anti):
-            raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
-    return rep.N // 2
+    beta = np.zeros_like(gammas)
+    beta[:, list(h.perm), :] = gammas * np.array(h.signs)[:, None]
+    symmetric = _vanishes(beta.swapaxes(1, 2) - form.sigma * form.tau * beta)
+    norms = [metric_value(rep.eta, v, v) for v in vectors]
+    null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]
+    checks = _anticommutator_checks(rep, [vectors[b] for b in null], gammas[null])
+    anticommutes = dict(zip(null, checks))
+    results = []
+    for b, q in enumerate(norms):
+        if not squares[b]:
+            if q == 0:
+                results.append(ArithmeticError("gamma_v squared must vanish on a null vector"))
+            else:
+                results.append(ArithmeticError("gamma_v squared is not -g(v,v) Id"))
+        elif not symmetric[b]:
+            results.append(ArithmeticError("beta does not have symmetry sigma*tau"))
+        elif q != 0:
+            results.append(rep.N)
+        elif b not in anticommutes:
+            results.append(0)
+        elif not anticommutes[b]:
+            results.append(
+                ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
+            )
+        else:
+            results.append(rep.N // 2)
+    return results
 
 
 def random_integers(rng, count, bound) -> list:
@@ -271,7 +305,7 @@ def random_null_vector(sig, rng):
     eta = sig.eta()
     p_vec = null_direction(sig)
     while True:
-        z = [rng.randint(-3, 3) for _ in range(sig.n)]
+        z = random_integers(rng, sig.n, 3)
         gzp = metric_value(eta, z, p_vec)
         if gzp == 0:
             continue

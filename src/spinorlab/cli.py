@@ -117,7 +117,10 @@ def cmd_bracket(args):
     }
     if not sig.is_definite():
         v = random_null_vector(sig, rng)
-        dim = rep.N - beta_form(rep, form, v)  # dim ker gamma_v
+        (rank,) = beta_form(rep, form, [v])
+        if isinstance(rank, ArithmeticError):
+            raise rank
+        dim = rep.N - rank  # dim ker gamma_v
         payload["null_kernel"] = {
             "v": [serialize.scalar_to_json(x) for x in v],
             "dim": dim,

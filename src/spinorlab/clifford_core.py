@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .exact_linalg import SignedPerm, signed_relation_basis
 
 
@@ -191,6 +193,34 @@ def _build(p, q):
     return positives, negatives, comm
 
 
+def _stack(elements):
+    """The (perm, sign) arrays, of shape (len(elements), N), of N x N
+    SignedPerms: element a puts sign[a, c] at row perm[a, c] of column c."""
+    N = len(elements[0].perm) if elements else 0
+    perm = np.array([x.perm for x in elements], dtype=np.intp).reshape(-1, N)
+    return perm, np.array([x.signs for x in elements], dtype=np.int64).reshape(-1, N)
+
+
+def signed_products(left, right):
+    """All products L_a R_b of two (perm, sign) stacks of signed
+    permutations, as a (perm, sign) pair of shape (len(L), len(R), N):
+    one gather."""
+    (left_perm, left_sign), (right_perm, right_sign) = left, right
+    return left_perm[:, right_perm], left_sign[:, right_perm] * right_sign
+
+
+@lru_cache(maxsize=1024)
+def generator_table(generators: tuple):
+    """The exact integer table of a tuple of SignedPerm generators: their
+    read-only (perm, sign) stack, of shape (n, N), built once per tuple.
+    It is keyed on the generators themselves, so a rep copied with other
+    generators gets its own table."""
+    table = _stack(generators)
+    for array in table:
+        array.flags.writeable = False  # shared by every holder of the generators
+    return table
+
+
 def commutant_dimension(generators, N) -> int:
     """Dimension of {X : X G = G X for all generators G}."""
     return len(signed_relation_basis(N, [(g, g) for g in generators]))
@@ -201,16 +231,17 @@ def clifford_relation_failures(generators, eta):
     G_i G_j + G_j G_i != -2 eta_ij Id for the diagonal metric eta:
     G_i^2 != -eta_i Id, or G_i G_j != -G_j G_i for i < j.
 
-    The generators are SignedPerms, such as a real rep's."""
-    failures = []
-    for i, gi in enumerate(generators):
-        if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:
-            failures.append((i, i))
-        for j in range(i + 1, len(generators)):
-            gj = generators[j]
-            if gi * gj != -(gj * gi):
-                failures.append((i, j))
-    return failures
+    The generators are SignedPerms, such as a real rep's; the check reads
+    the diagonal and the antisymmetry of their product table."""
+    table = generator_table(tuple(generators))
+    n, N = table[0].shape
+    perm, sign = signed_products(table, table)
+    bad = (perm != perm.swapaxes(0, 1)).any(axis=2) | (sign != -sign.swapaxes(0, 1)).any(axis=2)
+    diag = np.arange(n)
+    bad[diag, diag] = (perm[diag, diag] != np.arange(N)).any(axis=1) | (
+        sign[diag, diag] != -np.asarray(eta)[:, None]
+    ).any(axis=1)
+    return [(int(i), int(j)) for i, j in np.argwhere(np.triu(bad))]
 
 
 def _verify_rep(rep: CliffordRep):
@@ -220,10 +251,11 @@ def _verify_rep(rep: CliffordRep):
         raise ArithmeticError(
             f"Clifford relation failed at ({i},{j}) for {rep.signature}"
         )
-    for x in rep.commutant_basis:
-        for g in rep.generators:
-            if x * g != g * x:
-                raise ArithmeticError(f"commutant element fails for {rep.signature}")
+    if rep.commutant_basis:
+        gens, comm = generator_table(rep.generators), _stack(rep.commutant_basis)
+        x_g, g_x = signed_products(comm, gens), signed_products(gens, comm)
+        if any((a != b.swapaxes(0, 1)).any() for a, b in zip(x_g, g_x)):
+            raise ArithmeticError(f"commutant element fails for {rep.signature}")
     dim = commutant_dimension(rep.generators, rep.N)
     if dim != _COMM_DIM[rep.commutant_type]:
         raise ArithmeticError(
@@ -267,6 +299,32 @@ def gamma_vector(rep: CliffordRep, v) -> list:
             for col, i, s in zip(cols, g.perm, g.signs):
                 col[i] = col.get(i, 0) + (c if s == 1 else -c)
     return cols
+
+
+def gamma_stack(rep: CliffordRep, vectors) -> np.ndarray:
+    """gamma_v for each of the vectors, as an exact (B, N, N) stack from
+    n signed scatters: generator i adds v_i sign[i, c] at row perm[i, c]
+    of column c.
+
+    The dtype is int64 only when every entry is an int and
+    N M^2 < 2^62 for M the largest sum_k |v_k|.  Then no certificate on
+    the stack overflows: an entry of gamma_v is at most M in absolute
+    value, a partial sum of gamma_v^2 + g(v,v) Id at most 2 M^2, and one
+    of beta or of the anticommutator check at most 4 M.  Otherwise the
+    dtype is object, on Python ints and Fractions; no entry goes through
+    a float.
+    """
+    if any(len(v) != rep.n for v in vectors):
+        raise ValueError("vector length mismatch")
+    perm, sign = generator_table(rep.generators)
+    M = max((sum(map(abs, v)) for v in vectors), default=0)
+    small = rep.N * M * M < 2**62 and all(type(x) is int for v in vectors for x in v)
+    coeffs = np.array(vectors, dtype=np.int64 if small else object).reshape(-1, rep.n)
+    out = np.zeros((len(coeffs), rep.N, rep.N), dtype=coeffs.dtype)
+    cols = np.arange(rep.N)
+    for i in range(rep.n):
+        out[:, perm[i], cols] += coeffs[:, i, None] * sign[i]
+    return out
 
 
 def metric_value(eta, v, w):

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import numpy as np
 
 from .admissible_forms import first_nondegenerate
-from .clifford_core import Signature, build_rep
+from .clifford_core import Signature, build_rep, generator_table, signed_products
 from .exact_linalg import SignedPerm
 
 
@@ -97,10 +97,9 @@ class HyperquadricModel:
         # the products G_i G_j, i < j, of the cone generators: pair k puts
         # pair_signs[k, c] at row pair_perms[k, c] of column c
         self.pairs = np.triu_indices(cone_signature.n, 1)
-        gens = self.rep.generators
-        products = [gens[i] * gens[j] for i, j in zip(*self.pairs)]
-        self.pair_perms = np.array([g.perm for g in products], dtype=np.intp).reshape(-1, self.N)
-        self.pair_signs = np.array([g.signs for g in products], dtype=float).reshape(-1, self.N)
+        table = generator_table(self.rep.generators)
+        perm, sign = signed_products(table, table)
+        self.pair_perms, self.pair_signs = perm[self.pairs], sign[self.pairs].astype(float)
         self._pair_cells = (self.pair_perms * self.N + np.arange(self.N)).ravel()
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n

@@ -22,6 +22,7 @@ from .admissible_forms import first_nondegenerate, nondegenerate_tau_exists
 from .brackets import (
     beta_form,
     check_null_vector,
+    random_integers,
     random_null_vector,
     squares_to_scalar,
 )
@@ -30,8 +31,7 @@ from .clifford_core import (
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
-    gamma_vector,
-    metric_value,
+    gamma_stack,
 )
 from .cone_split import (
     invariant_spinors,
@@ -117,9 +117,9 @@ def criterion_clifford_relations(max_n=8, seed=0):
     rng = random.Random(seed)
     for sig in _signatures(max_n):
         rep = build_rep(sig)
-        for _ in range(10):
-            v = [rng.randint(-3, 3) for _ in range(rep.n)]
-            if not squares_to_scalar(gamma_vector(rep, v), -metric_value(rep.eta, v, v)):
+        vectors = [random_integers(rng, rep.n, 3) for _ in range(10)]
+        for v, ok in zip(vectors, squares_to_scalar(rep, vectors, gamma_stack(rep, vectors))):
+            if not ok:
                 failures.append(f"{sig}:square({v})")
     return not failures, {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures}
 
@@ -153,13 +153,12 @@ def _beta_rank_details(max_n, rng_offset, key, suffix):
         rep = build_rep(sig)
         form = first_nondegenerate(rep)
         rng = random.Random(rng_offset + sig.p * 64 + sig.q)
-        for _ in range(10):
-            v = random_null_vector(sig, rng)
+        vectors = [random_null_vector(sig, rng) for _ in range(10)]
+        for v in vectors:
             check_null_vector(rep, v)
-            try:
-                rank = beta_form(rep, form, v)
-            except ArithmeticError as err:
-                failures.append(f"{sig}:{err}")
+        for rank in beta_form(rep, form, vectors):
+            if isinstance(rank, ArithmeticError):
+                failures.append(f"{sig}:{rank}")
                 continue
             checked += 1
             if 2 * rank != rep.N:

@@ -1,10 +1,13 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
-sparse-column and row-system fast path of spinorlab is checked against.
+sparse-column and row-system fast path of spinorlab is checked against;
+and the per-vector and pairwise loops that the array certificates of
+spinorlab replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
 """
 
+from spinorlab.clifford_core import gamma_vector, metric_value
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 
 
@@ -162,3 +165,69 @@ def kernel(rows, n_cols) -> list:
 def matrix_kernel(m: Matrix) -> Matrix:
     """The library kernel of m's rows, as a Matrix of columns."""
     return Matrix.from_columns(kernel(m.data, m.cols), m.cols)
+
+
+def clifford_relation_failures_oracle(generators, eta):
+    """The pairwise SignedPerm loop for clifford_relation_failures: (i, j),
+    i <= j in row-major order, where G_i^2 != -eta_i Id or, for i < j,
+    G_i G_j != -G_j G_i."""
+    failures = []
+    for i, gi in enumerate(generators):
+        if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:
+            failures.append((i, i))
+        for j in range(i + 1, len(generators)):
+            gj = generators[j]
+            if gi * gj != -(gj * gi):
+                failures.append((i, j))
+    return failures
+
+
+def squares_to_scalar_oracle(cols, c) -> bool:
+    """Whether the N x N matrix with these sparse columns squares to
+    c Id, column by column: n^2 products per gamma_vector column."""
+    N = len(cols)
+    for j, col in enumerate(cols):
+        square = [0] * N
+        square[j] = -c
+        for r, x in col.items():
+            for i, y in cols[r].items():
+                square[i] += x * y
+        if any(square):
+            return False
+    return True
+
+
+def beta_form_oracle(rep, form, v) -> int:
+    """The per-vector loop for brackets.beta_form on gamma_vector's
+    sparse columns: rank beta, or ArithmeticError naming the first
+    identity that fails, checked in beta_form's order."""
+    cols = gamma_vector(rep, v)
+    q = metric_value(rep.eta, v, v)
+    if not squares_to_scalar_oracle(cols, -q):
+        if q == 0:
+            raise ArithmeticError("gamma_v squared must vanish on a null vector")
+        raise ArithmeticError("gamma_v squared is not -g(v,v) Id")
+    # column j of beta gathers column j of gamma_v through H
+    h = form.matrix
+    beta = [{h.perm[r]: x * h.signs[r] for r, x in col.items()} for col in cols]
+    st = form.sigma * form.tau
+    if any(beta[r].get(j, 0) != st * x for j, col in enumerate(beta) for r, x in col.items()):
+        raise ArithmeticError("beta does not have symmetry sigma*tau")
+    if q != 0:
+        return rep.N
+    k = next((k for k, x in enumerate(v) if x), None)
+    if k is None:
+        return 0
+    g, c = rep.generators[k], -2 * rep.eta[k] * v[k]
+    for j, col in enumerate(cols):
+        anti = [0] * rep.N
+        anti[j] = -c
+        # gamma_v gamma_k e_j = signs[j] gamma_v e_perm[j] (a column gather)
+        for r, x in cols[g.perm[j]].items():
+            anti[r] += x * g.signs[j]
+        # gamma_k gamma_v e_j (a row gather)
+        for r, x in col.items():
+            anti[g.perm[r]] += x * g.signs[r]
+        if any(anti):
+            raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
+    return rep.N // 2

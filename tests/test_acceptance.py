@@ -2,6 +2,7 @@
 line with its runtime against the stated budget."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -105,6 +106,54 @@ def test_c06_c08_form_no_dense_product(monkeypatch):
     monkeypatch.setattr(subspace_lab, "dense_rows", refuse)
     _report(verify.criterion_spin23(seed=SEED, trials=20))
     _report(verify.criterion_mixed_bound(seed=SEED, trials=2))
+
+
+def _randint_null_vector(sig, rng):
+    """random_null_vector with its z drawn by a randint loop."""
+    eta, p_vec = sig.eta(), clifford_core.null_direction(sig)
+    while True:
+        z = [rng.randint(-3, 3) for _ in range(sig.n)]
+        gzp = clifford_core.metric_value(eta, z, p_vec)
+        if gzp == 0:
+            continue
+        gzz = clifford_core.metric_value(eta, z, z)
+        v = [2 * gzp * zi - gzz * pi for zi, pi in zip(z, p_vec)]
+        if any(v):
+            return v
+
+
+def test_c01_c03_c04_draw_the_vectors_of_a_randint_loop(monkeypatch):
+    # each signature's ten vectors are drawn before its one batched call,
+    # through random_integers; they are the vectors of the randint loop
+    drawn = []
+    squares, beta = verify.squares_to_scalar, verify.beta_form
+
+    def record_squares(rep, vectors, gammas):
+        drawn.append((rep.signature, vectors))
+        return squares(rep, vectors, gammas)
+
+    def record_beta(rep, form, vectors):
+        drawn.append((rep.signature, vectors))
+        return beta(rep, form, vectors)
+
+    monkeypatch.setattr(verify, "squares_to_scalar", record_squares)
+    monkeypatch.setattr(verify, "beta_form", record_beta)
+    signatures = [clifford_core.Signature(p, n - p) for n in range(1, 10) for p in range(n + 1)]
+    rng = random.Random(SEED)
+    want = [(sig, [[rng.randint(-3, 3) for _ in range(sig.n)] for _ in range(10)])
+            for sig in signatures]
+    assert verify.criterion_clifford_relations(max_n=9, seed=SEED).passed
+    assert drawn == want
+    for check, offset in ((verify.criterion_null_kernel, SEED * 7919),
+                          (verify.criterion_beta, SEED * 104729)):
+        drawn.clear()
+        assert check(max_n=9, seed=SEED).passed
+        want = []
+        for sig in signatures:
+            if not sig.is_definite():
+                rng = random.Random(offset + 64 * sig.p + sig.q)
+                want.append((sig, [_randint_null_vector(sig, rng) for _ in range(10)]))
+        assert drawn == want
 
 
 def test_c01_reports_a_broken_square(monkeypatch):

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,12 +30,13 @@ from spinorlab.clifford_core import (
     blade_index_list,
     build_rep,
     gamma_blade,
+    gamma_stack,
     gamma_vector,
     metric_value,
 )
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
-from dense_oracle import Matrix, dense, gamma_dense, is_zero, kernel, rank, zero_matrix
+from dense_oracle import Matrix, beta_form_oracle, dense, gamma_dense, is_zero, kernel, rank, zero_matrix
 from dense_oracle import column as _column
 from test_clifford_core import _permutation_sign, gamma_alternating
 from test_exact_linalg import bareiss_kernel, bareiss_rank
@@ -276,18 +279,26 @@ def test_pi_image_full_and_empty():
     assert pi_image(rep, form, trivial, full) == _pi_image_oracle(rep, form, trivial, full) == 0
 
 
+def beta_rank(rep, form, v):
+    """beta_form on the one vector v: its rank, or its error raised."""
+    (result,) = beta_form(rep, form, [v])
+    if isinstance(result, ArithmeticError):
+        raise result
+    return result
+
+
 def test_beta_form_properties():
     rng = random.Random(23)
     sig = Signature(2, 3)
     rep = build_rep(sig)
     form = first_nondegenerate(rep)
-    assert beta_form(rep, form, [0] * 5) == 0
+    assert beta_rank(rep, form, [0] * 5) == 0
     v = random_null_vector(sig, rng)
     beta = dense(form.matrix) * gamma_dense(rep, v)  # the dense oracle
-    assert beta_form(rep, form, v) == rank(beta.data) == rep.N // 2
+    assert beta_rank(rep, form, v) == rank(beta.data) == rep.N // 2
     assert beta.transpose() == beta.scale(form.sigma * form.tau)
     w = [1, 0, 0, 0, 0]  # non-null
-    assert beta_form(rep, form, w) == rep.N
+    assert beta_rank(rep, form, w) == rep.N
 
 
 def test_beta_symmetry_sweep():
@@ -298,7 +309,7 @@ def test_beta_symmetry_sweep():
         for _ in range(4):
             v = random_null_vector(sig, rng)
             beta = dense(form.matrix) * gamma_dense(rep, v)
-            assert beta_form(rep, form, v) == rank(beta.data) == rep.N // 2
+            assert beta_rank(rep, form, v) == rank(beta.data) == rep.N // 2
             assert beta.transpose() == beta.scale(form.sigma * form.tau)
 
 
@@ -325,7 +336,7 @@ def test_beta_form_rank_matches_elimination_and_bareiss_oracles():
             for v in _certificate_vectors(sig, rng):
                 gv = gamma_dense(rep, v)
                 beta = dense(form.matrix) * gv
-                assert beta_form(rep, form, v) == rank(beta.data) == bareiss_rank(beta), (sig, v)
+                assert beta_rank(rep, form, v) == rank(beta.data) == bareiss_rank(beta), (sig, v)
                 if not any(v):
                     seen["zero"] += 1
                 elif metric_value(rep.eta, v, v):
@@ -354,20 +365,111 @@ def test_beta_form_names_each_failed_identity():
     null, non_null = [1, 1], [2, 1]
     broken = _flip_sign(rep, 0)
     with pytest.raises(ArithmeticError, match="gamma_v squared must vanish on a null vector"):
-        beta_form(broken, form, [1, -1])
+        beta_rank(broken, form, [1, -1])
     with pytest.raises(ArithmeticError, match=r"gamma_v squared is not -g\(v,v\) Id"):
-        beta_form(broken, form, non_null)
+        beta_rank(broken, form, non_null)
     # on (1, 1) the broken gamma_v still squares to 0: only c Id catches it
     with pytest.raises(ArithmeticError, match=r"gamma_v gamma_k \+ gamma_k gamma_v is not"):
-        beta_form(broken, form, null)
+        beta_rank(broken, form, null)
     wrong_sigma = BilinearForm(form.matrix, -form.sigma, form.tau)
     for v in (null, non_null):
         with pytest.raises(ArithmeticError, match=r"beta does not have symmetry sigma\*tau"):
-            beta_form(rep, wrong_sigma, v)
+            beta_rank(rep, wrong_sigma, v)
     # negating eta keeps v null and gamma_v unchanged, so only c is wrong
     wrong_eta = dataclasses.replace(rep, eta=tuple(-e for e in rep.eta))
     with pytest.raises(ArithmeticError, match=r"gamma_v gamma_k \+ gamma_k gamma_v is not"):
-        beta_form(wrong_eta, form, null)
+        beta_rank(wrong_eta, form, null)
+
+
+def _verdicts(results):
+    """beta_form's results with each error as its message."""
+    return [str(r) if isinstance(r, ArithmeticError) else r for r in results]
+
+
+def _oracle_verdicts(rep, form, vectors):
+    """The per-vector oracle's rank, or its error message, per vector."""
+    out = []
+    for v in vectors:
+        try:
+            out.append(beta_form_oracle(rep, form, v))
+        except ArithmeticError as err:
+            out.append(str(err))
+    return out
+
+
+def _swap_perm(rep, i):
+    """A broken copy of rep: entries 0 and 1 of generator i's perm swapped."""
+    g = rep.generators[i]
+    swapped = SignedPerm((g.perm[1], g.perm[0]) + g.perm[2:], g.signs)
+    gens = rep.generators[:i] + (swapped,) + rep.generators[i + 1:]
+    return dataclasses.replace(rep, generators=gens)
+
+
+def test_batched_beta_form_matches_the_per_vector_oracle():
+    rng = random.Random(37)
+    for n in range(1, 9):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            rep = build_rep(sig)
+            form = first_nondegenerate(rep)
+            ints = [[0] * n] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]
+            if not sig.is_definite():
+                ints += [random_null_vector(sig, rng) for _ in range(4)]
+            assert gamma_stack(rep, ints).dtype == np.int64
+            mixed = _certificate_vectors(sig, rng)  # holds a Fraction vector
+            assert gamma_stack(rep, mixed).dtype == object
+            for vectors in (ints, mixed):
+                want = _oracle_verdicts(rep, form, vectors)
+                assert _verdicts(beta_form(rep, form, vectors)) == want, sig
+    assert beta_form(rep, form, []) == []
+
+
+def test_batched_beta_form_matches_the_oracle_on_planted_reps():
+    rng = random.Random(41)
+    seen = set()
+    for sig in indefinite_signatures(6):
+        rep = build_rep(sig)
+        form = first_nondegenerate(rep)
+        wrong_sigma = BilinearForm(form.matrix, -form.sigma, form.tau)
+        wrong_eta = dataclasses.replace(rep, eta=tuple(-e for e in rep.eta))
+        planted = [(wrong_eta, form), (rep, wrong_sigma)]
+        for i in range(rep.n):
+            planted += [(_flip_sign(rep, i), form), (_swap_perm(rep, i), form)]
+        vectors = [[0] * sig.n, [rng.randint(-3, 3) for _ in range(sig.n)]]
+        vectors += [random_null_vector(sig, rng) for _ in range(3)]
+        for broken, broken_form in planted:
+            want = _oracle_verdicts(broken, broken_form, vectors)
+            assert _verdicts(beta_form(broken, broken_form, vectors)) == want, sig
+            seen.update(x for x in want if isinstance(x, str))
+    assert seen == {
+        "gamma_v squared must vanish on a null vector",
+        "gamma_v squared is not -g(v,v) Id",
+        "beta does not have symmetry sigma*tau",
+        "gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id",
+    }
+
+
+def test_beta_form_takes_the_object_path_past_the_int64_bound():
+    # entries near 2^40 put N M^2 past 2^62: the stack holds Python ints,
+    # and the verdicts are the oracle's, where int64 would overflow
+    rng = random.Random(43)
+    for sig in (Signature(2, 3), Signature(4, 4), Signature(1, 1)):
+        rep = build_rep(sig)
+        form = first_nondegenerate(rep)
+        null = random_null_vector(sig, rng)
+        big = [[2**40 * x for x in null], [2**40 + rng.randint(-9, 9) for _ in range(sig.n)]]
+        stack = gamma_stack(rep, big)
+        assert stack.dtype == object and {type(x) for x in stack.ravel()} == {int}
+        got = _verdicts(beta_form(rep, form, big))
+        assert got == _oracle_verdicts(rep, form, big) and got[0] == rep.N // 2
+        for broken in (_flip_sign(rep, 0), _swap_perm(rep, 0)):
+            assert _verdicts(beta_form(broken, form, big)) == _oracle_verdicts(broken, form, big)
+        assert gamma_stack(rep, [null]).dtype == np.int64
+    # the bound itself: N M^2 < 2^62 keeps int64, and one more does not
+    rep = build_rep(Signature(2, 0))
+    edge = math.isqrt((2**62 - 1) // rep.N)
+    assert gamma_stack(rep, [[edge, 0]]).dtype == np.int64
+    assert gamma_stack(rep, [[edge + 1, 0]]).dtype == object
 
 
 def test_random_subspace_rank():

@@ -288,6 +288,30 @@ def test_verify_all_exact_criteria_match_their_recorded_digest(capsys):
     assert hashlib.sha256("".join(lines[:10]).encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
+# SHA-256 of `passed` and the sorted-key `details` of each exact criterion
+# at the benchmark's exact-table sizes (max_n 9, seed 7), recorded before
+# the Clifford identity certificates became array sweeps.
+EXACT_TABLE_DIGEST = "514930b32efee2bad31499b914dbfae264dd905dbc7ce784ef587c3db9cc6f4c"
+
+
+def test_exact_criteria_at_the_benchmark_scale_match_their_recorded_digest():
+    from spinorlab import verify
+
+    digest = hashlib.sha256()
+    for check, kwargs in (
+        (verify.criterion_clifford_relations, {"seed": 7}),
+        (verify.criterion_admissible_table, {}),
+        (verify.criterion_null_kernel, {"seed": 7}),
+        (verify.criterion_beta, {"seed": 7}),
+        (verify.criterion_cone_iso, {}),
+        (verify.criterion_invariant_spinors, {}),
+    ):
+        result = check(max_n=9, **kwargs)
+        payload = {"passed": result.passed, "details": result.details}
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == EXACT_TABLE_DIGEST
+
+
 def test_verify_all_times_each_criterion_on_stderr(capsys):
     assert main(["verify-all", "--max-n", "3", "--seed", "7"]) == 0
     lines = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from spinorlab.clifford_core import (
     _plus_eigenbasis,
     _restrict,
+    _verify_rep,
     Signature,
     build_rep,
     clifford_relation_failures,
@@ -24,6 +26,7 @@ from spinorlab.clifford_core import (
 from spinorlab.exact_linalg import SignedPerm
 from dense_oracle import (
     Matrix,
+    clifford_relation_failures_oracle,
     dense,
     dense_scalar,
     gamma_dense,
@@ -220,6 +223,60 @@ def test_clifford_relation_failures_reports_broken_pairs():
                     want.append((k, k))
                 got = clifford_relation_failures(gens, rep.eta)
                 assert got == sorted(want), (str(sig), k, m)
+
+
+def _planted_breaks(gens):
+    """Copies of the generators, each with one break: a flipped sign or
+    two swapped perm entries in one column pair of one generator, or one
+    generator replaced by another."""
+    out = []
+    for i, g in enumerate(gens):
+        for c in range(len(g.perm)):
+            signs = g.signs[:c] + (-g.signs[c],) + g.signs[c + 1:]
+            out.append(gens[:i] + [SignedPerm(g.perm, signs)] + gens[i + 1:])
+        for c, d in itertools.combinations(range(len(g.perm)), 2):
+            perm = list(g.perm)
+            perm[c], perm[d] = perm[d], perm[c]
+            out.append(gens[:i] + [SignedPerm(tuple(perm), g.signs)] + gens[i + 1:])
+        out += [gens[:i] + [h] + gens[i + 1:] for h in gens if h is not g]
+    return out
+
+
+def test_clifford_relation_failures_matches_the_pairwise_oracle():
+    for sig in all_signatures(9):
+        rep = build_rep(sig)
+        assert clifford_relation_failures(rep.generators, rep.eta) == [], str(sig)
+        assert clifford_relation_failures_oracle(rep.generators, rep.eta) == [], str(sig)
+    for sig in (Signature(2, 2), Signature(3, 0)):
+        rep = build_rep(sig)
+        broken_pairs = set()
+        for gens in _planted_breaks(list(rep.generators)):
+            got = clifford_relation_failures(gens, rep.eta)
+            assert got == clifford_relation_failures_oracle(gens, rep.eta), (str(sig), gens)
+            assert all(type(x) is int for pair in got for x in pair)
+            broken_pairs.update(got)
+        # a break is planted at every (i, j), i <= j
+        assert broken_pairs == {(i, j) for i in range(rep.n) for j in range(i, rep.n)}
+
+
+def test_verify_rep_commutant_check_matches_the_pairwise_oracle():
+    # every tracked commutant element commutes with every generator; a
+    # planted break is reported exactly when some x g != g x
+    caught = 0
+    for sig in all_signatures(6):
+        rep = build_rep(sig)
+        _verify_rep(rep)
+        for a, x in enumerate(rep.commutant_basis):
+            for (broken,) in _planted_breaks([x]) + [[g] for g in rep.generators]:
+                basis = rep.commutant_basis[:a] + (broken,) + rep.commutant_basis[a + 1:]
+                planted = dataclasses.replace(rep, commutant_basis=basis)
+                if all(broken * g == g * broken for g in rep.generators):
+                    _verify_rep(planted)
+                    continue
+                with pytest.raises(ArithmeticError, match="commutant element fails"):
+                    _verify_rep(planted)
+                caught += 1
+    assert caught > 100
 
 
 def test_commutant_table_against_dense_solver():
