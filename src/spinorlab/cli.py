@@ -229,6 +229,8 @@ def cmd_model_verify(args):
                 "residual": float(rep.residual),
                 "dirac_residual": float(rep.dirac_residual),
                 "passed": passed,
+                "worst_sample": rep.worst_sample,
+                "worst_direction": rep.worst_direction,
             }
         )
     payload = {

@@ -5,11 +5,22 @@ R^(P,Q); constant spinor fields on the cone are parallel, and their
 restrictions are checked against the Killing equation through an
 independently assembled numeric spin connection: smooth local
 orthonormal frames, frame-rotation rates by central differences, and
-the quarter-sum bivector term.  Clifford data comes from the exact
-modules: the spin connection and the intrinsic action
-gamma^M_X = gamma_X gamma_x are bivectors, scattered in O(n^2 N) from
-the signed-permutation products G_i G_j of the cone generators, and the
-admissible form is converted to float64.
+the quarter-sum bivector term.
+
+Frames are made for whole stacks of points at once.  One modified
+Gram-Schmidt runs over an (m, dim) stack, each row with its own dropped
+ambient coordinate, and step k orthonormalizes column k of every row
+together; a row whose pivot falls below 1e-12 is marked unusable.  A
+model builds its sample table in three such calls (every point with
+every drop for the patch choice, the frames at the points, the frames
+one step either side along every frame direction), and forms all
+rotation rates, connections and gamma^M from those stacks.  A single
+point is a batch of one through the same code, so it gets the same
+bits.  Clifford data comes from the exact modules: the spin connection
+and the intrinsic action gamma^M_X = gamma_X gamma_x are bivectors,
+scattered in O(n^2 N) per matrix from the signed-permutation products
+G_i G_j of the cone generators, and the admissible form is converted to
+float64.
 """
 
 from __future__ import annotations
@@ -69,19 +80,30 @@ def _worst(values) -> float:
 class SamplePoint:
     """Geometry at one sample point x: its frame patch and tangent frame,
     and per frame direction e_i the spin connection Omega(x, e_i) and the
-    intrinsic action gamma^M_(e_i)."""
+    intrinsic action gamma^M_(e_i), as (n, N, N) stacks."""
 
     x: np.ndarray
     patch: tuple
     frame: np.ndarray
-    omegas: tuple
-    gammas: tuple
+    omegas: np.ndarray
+    gammas: np.ndarray
+
+
+def _as_batch(value, patch, rank):
+    """One value of the given rank (a point has rank 1, a frame rank 2)
+    with its patch, or a stack of them with one patch per row, as a
+    stack and a patch list."""
+    return (value[None], [patch]) if np.ndim(value) == rank else (value, patch)
 
 
 class HyperquadricModel:
     """Unit hyperquadric of a flat cone with deterministic sample points.
 
     cone_signature: the ambient (P, Q); the base has signature (P-1, Q).
+
+    The geometry methods take one point, or an (m, dim) stack of points
+    with one patch per row, and answer in kind: every frame is made by
+    one modified Gram-Schmidt over the whole stack.
     """
 
     def __init__(self, cone_signature: Signature, num_samples=32, step=1e-4):
@@ -100,7 +122,6 @@ class HyperquadricModel:
         table = generator_table(self.rep.generators)
         perm, sign = signed_products(table, table)
         self.pair_perms, self.pair_signs = perm[self.pairs], sign[self.pairs].astype(float)
-        self._pair_cells = (self.pair_perms * self.N + np.arange(self.N)).ravel()
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
@@ -110,7 +131,8 @@ class HyperquadricModel:
     # -- geometry ---------------------------------------------------------
 
     def g_hat(self, x, y):
-        return float(np.dot(x * self.eta_hat, y))
+        """g(x, y), over the last axis of stacks of vectors."""
+        return (x * self.eta_hat * y).sum(axis=-1)
 
     def _sample_points(self, count):
         bases = _first_primes(self.dim)
@@ -126,97 +148,124 @@ class HyperquadricModel:
 
     def sample_points(self, count=None):
         """The SamplePoint of each of samples[:count], built on first use
-        and shared by every field, candidate lambda and residual sweep."""
+        and shared by every field, candidate lambda and residual sweep.
+        The points still missing are built together, in three batched
+        frame calls: every point with every dropped coordinate for the
+        patch choice, the frames at the points, and the frames one step
+        either side of each point along each frame direction."""
         wanted = len(self.samples[:count])
-        while len(self._points) < wanted:
-            x = self.samples[len(self._points)]
-            patch = self.select_patch(x)
-            frame = self.tangent_frame(x, patch)
-            cone_frame = np.column_stack([x, frame])
-            omegas = tuple(spin_connection(self, cone_frame, e, patch) for e in frame.T)
-            gammas = tuple(self.gamma_intrinsic(x, e) for e in frame.T)
-            self._points.append(SamplePoint(x, patch, frame, omegas, gammas))
+        if len(self._points) < wanted:
+            xs = np.array(self.samples[len(self._points) : wanted])
+            patches = self.select_patch(xs)
+            frames = self.tangent_frame(xs, patches)
+            # one row per point and frame direction, point-major
+            at = np.repeat(xs, self.n, axis=0)
+            directions = np.swapaxes(frames, 1, 2).reshape(-1, self.dim)
+            cones = np.repeat(np.concatenate([xs[:, :, None], frames], axis=2), self.n, axis=0)
+            row_patches = [patch for patch in patches for _ in range(self.n)]
+            omegas = spin_connection(self, cones, directions, row_patches)
+            gammas = self.gamma_intrinsic(at, directions)
+            for k, (x, patch, frame) in enumerate(zip(xs, patches, frames)):
+                rows = slice(k * self.n, (k + 1) * self.n)
+                self._points.append(SamplePoint(x, patch, frame, omegas[rows], gammas[rows]))
         return self._points[:wanted]
 
     def curve(self, x, direction, t):
-        """Point on the quadric with position x and velocity `direction`."""
+        """Point on the quadric with position x and velocity `direction`;
+        x, direction and t broadcast against each other as stacks."""
         y = x + t * direction
-        return y / np.sqrt(self.g_hat(y, y))
+        return y / np.sqrt(self.g_hat(y, y))[..., None]
 
     def tangent_projector(self, x):
-        return np.eye(self.dim) - np.outer(x, x * self.eta_hat)
+        return np.eye(self.dim) - x[..., :, None] * (x * self.eta_hat)[..., None, :]
+
+    def _orthonormalize(self, ys, drops):
+        """Modified Gram-Schmidt over a stack: row r orthonormalizes, in
+        ambient order, the columns of the tangent projector at ys[r] other
+        than column drops[r], and step k does column k of every row at
+        once.  Returns the (m, n, dim) vectors, their (m, n) signs
+        g(e, e), each row's smallest pivot |g(u, u)|, and which rows are
+        usable: a row stops being usable once a pivot falls below 1e-12
+        or is NaN, and its later columns are then meaningless."""
+        m, n = len(ys), self.n
+        keep = np.arange(n) + (np.arange(n) >= np.asarray(drops)[:, None])
+        columns = np.swapaxes(self.tangent_projector(ys), 1, 2)
+        vecs = columns[np.arange(m)[:, None], keep]
+        pivots, signs = np.empty((m, n)), np.empty((m, n))
+        for k in range(n):
+            u = vecs[:, k]
+            norm = self.g_hat(u, u)
+            pivot = pivots[:, k] = np.abs(norm)
+            sign = signs[:, k] = np.where(norm > 0, 1.0, -1.0)
+            e = vecs[:, k] = u / np.sqrt(np.where(pivot >= 1e-12, pivot, 1.0))[:, None]
+            rest = vecs[:, k + 1 :]
+            rest -= (sign[:, None] * self.g_hat(rest, e[:, None, :]))[:, :, None] * e[:, None, :]
+        usable = np.all(pivots >= 1e-12, axis=1)
+        return vecs, signs, np.min(pivots, axis=1, initial=np.inf), usable
 
     def select_patch(self, x):
         """Deterministic frame patch at x: the ambient coordinate to drop
         plus the sign-sorting permutation, chosen to maximize the smallest
-        Gram-Schmidt pivot."""
-        best = None
-        for drop in range(self.dim):
-            result = self._gram_schmidt(x, drop)
-            if result is None:
-                continue
-            if best is None or result[2] > best[1][2]:
-                best = (drop, result)
-        if best is None or best[1][2] < 1e-8:
+        Gram-Schmidt pivot (the first drop wins a tie); one patch per row
+        of a stack."""
+        xs = np.reshape(x, (-1, self.dim))
+        m, dim = len(xs), self.dim
+        _, signs, pivots, usable = self._orthonormalize(
+            np.repeat(xs, dim, axis=0), np.tile(np.arange(dim), m)
+        )
+        pivots = np.where(usable, pivots, -np.inf).reshape(m, dim)
+        drops = np.argmax(pivots, axis=1)
+        if not np.all(pivots[np.arange(m), drops] >= 1e-8):
             raise ArithmeticError("no usable frame patch at this sample point")
-        drop, (_, signs, _) = best
-        order = sorted(range(self.n), key=lambda i: (-signs[i], i))
-        return (drop, tuple(order))
-
-    def _gram_schmidt(self, y, drop):
-        proj = self.tangent_projector(y)
-        vecs = []
-        signs = []
-        min_pivot = np.inf
-        for k in range(self.dim):
-            if k == drop:
-                continue
-            u = proj[:, k].copy()
-            for e, s in zip(vecs, signs):
-                u -= s * self.g_hat(u, e) * e
-            norm = self.g_hat(u, u)
-            if abs(norm) < 1e-12:
-                return None
-            min_pivot = min(min_pivot, abs(norm))
-            signs.append(1.0 if norm > 0 else -1.0)
-            vecs.append(u / np.sqrt(abs(norm)))
-        return vecs, signs, min_pivot
+        signs = signs.reshape(m, dim, self.n)[np.arange(m), drops]
+        patches = [
+            (int(drop), tuple(int(i) for i in np.argsort(-row, kind="stable")))
+            for drop, row in zip(drops, signs)
+        ]
+        return patches[0] if np.ndim(x) == 1 else patches
 
     def tangent_frame(self, y, patch):
         """Orthonormal tangent frame at y, ordered to match the base
-        signature pattern (+1 x p, -1 x q); smooth in y within the patch."""
-        drop, order = patch
-        result = self._gram_schmidt(y, drop)
-        if result is None:
+        signature pattern (+1 x p, -1 x q); smooth in y within the patch.
+        A stack of points with one patch per row gives an (m, dim, n)
+        stack of frames."""
+        ys, patches = _as_batch(y, patch, 1)
+        drops = [drop for drop, _ in patches]
+        order = np.array([order for _, order in patches], dtype=int).reshape(len(ys), self.n)
+        vecs, signs, _, usable = self._orthonormalize(ys, drops)
+        if not np.all(usable):
             raise ArithmeticError("frame degenerated inside its patch")
-        vecs, signs, _ = result
-        frame = [vecs[i] for i in order]
-        eta = [signs[i] for i in order]
-        p = self.base_signature.p
-        if not all(e > 0 for e in eta[:p]) or not all(e < 0 for e in eta[p:]):
+        rows = np.arange(len(ys))[:, None]
+        if np.any(signs[rows, order] != np.array(self.base_signature.eta(), float)):
             raise ArithmeticError("frame sign pattern does not match the base")
-        return np.column_stack(frame)
+        frames = np.ascontiguousarray(np.swapaxes(vecs[rows, order], 1, 2))
+        return frames[0] if np.ndim(y) == 1 else frames
 
     def cone_frame(self, y, patch):
         """Frame of the cone at y: the position vector then the tangent frame."""
-        return np.column_stack([y, self.tangent_frame(y, patch)])
+        return np.concatenate([y[..., :, None], self.tangent_frame(y, patch)], axis=-1)
 
     # -- Clifford data ------------------------------------------------------
 
     def bivector(self, coeffs):
         """The sum over pairs k of coeffs[k] G_i G_j, (i, j) = pairs[:, k],
-        as a dense N x N array: one scatter of n(n+1)/2 signed
-        permutations, O(n^2 N)."""
-        weights = (coeffs[:, None] * self.pair_signs).ravel()
-        cells = np.bincount(self._pair_cells, weights, minlength=self.N * self.N)
-        return cells.reshape(self.N, self.N)
+        as a dense N x N array: n(n+1)/2 signed-permutation scatters,
+        O(n^2 N).  Coefficients stacked on leading axes give a stack of
+        matrices, each pair scattered into all of them at once."""
+        out = np.zeros(np.shape(coeffs)[:-1] + (self.N, self.N))
+        columns = np.arange(self.N)
+        for k, (perm, signs) in enumerate(zip(self.pair_perms, self.pair_signs)):
+            out[..., perm, columns] += coeffs[..., k, None] * signs
+        return out
 
     def gamma_intrinsic(self, x, v):
         """gamma^M_v = gamma_v gamma_x through the cone identification:
-        -g(v, x) Id plus the bivector with coefficients v_i x_j - v_j x_i."""
+        -g(v, x) Id plus the bivector with coefficients v_i x_j - v_j x_i;
+        stacks of x and v give a stack."""
         i, j = self.pairs
-        out = self.bivector(v[i] * x[j] - v[j] * x[i])
-        out.flat[:: self.N + 1] -= self.g_hat(v, x)
+        out = self.bivector(v[..., i] * x[..., j] - v[..., j] * x[..., i])
+        diagonal = np.arange(self.N)
+        out[..., diagonal, diagonal] -= self.g_hat(v, x)[..., None]
         return out
 
     @cached_property
@@ -241,19 +290,26 @@ class ConstantSpinorField:
 def frame_rotation_rates(model, frame, direction, patch):
     """Lowered rotation-rate matrix of the cone-adapted frame, given at x
     as frame = (x, tangent frame), along a tangent direction, by central
-    differences; antisymmetric up to the truncation error."""
-    h = model.step
-    x = frame[:, 0]
-    fp = model.cone_frame(model.curve(x, direction, h), patch)
-    fm = model.cone_frame(model.curve(x, direction, -h), patch)
-    df = (fp - fm) / (2.0 * h)
-    return frame.T @ np.diag(model.eta_hat) @ df
+    differences; antisymmetric up to the truncation error.  A stack of
+    frames and directions, one patch per row, gives a stack, from one
+    batched frame call at the points one step either side."""
+    frames, patches = _as_batch(frame, patch, 2)
+    directions = np.reshape(direction, (-1, model.dim))
+    h, m = model.step, len(frames)
+    x = frames[:, :, 0]
+    steps = np.repeat([h, -h], m)[:, None]
+    ends = model.curve(np.tile(x, (2, 1)), np.tile(directions, (2, 1)), steps)
+    cones = model.cone_frame(ends, list(patches) * 2)
+    df = (cones[:m] - cones[m:]) / (2.0 * h)
+    rates = np.swapaxes(frames, 1, 2) @ (model.eta_hat[:, None] * df)
+    return rates[0] if np.ndim(frame) == 2 else rates
 
 
 def spin_connection(model, frame, direction, patch):
     """Connection matrix Omega with nabla_X phi = X(phi) + Omega phi for
     cone-spinor components phi in the constant ambient trivialization;
-    frame is the cone frame F at x: x, then the tangent frame E.
+    frame is the cone frame F at x: x, then the tangent frame E.  A stack
+    of frames and directions, one patch per row, gives an (m, N, N) stack.
 
     The quarter-sum terms (the full-frame term of the ambient action
     minus the tangential term of the intrinsic action gamma^M) are one
@@ -263,16 +319,21 @@ def spin_connection(model, frame, direction, patch):
     C = (F R F^T - g(x, x) E R_tt E^T) / 2, since
     gamma^M_e gamma^M_f = g(x, x) gamma_e gamma_f for e, f tangent.
     """
-    x = frame[:, 0]
-    if abs(model.g_hat(x, direction)) > 1e-9:
+    frames, patches = _as_batch(frame, patch, 2)
+    directions = np.reshape(direction, (-1, model.dim))
+    x = frames[:, :, 0]
+    if np.any(np.abs(model.g_hat(x, directions)) > 1e-9):
         raise ValueError("direction must be tangent to the hyperquadric")
-    lam_low = frame_rotation_rates(model, frame, direction, patch)
+    lam_low = frame_rotation_rates(model, frames, directions, patches)
     eta = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
-    rates = 0.5 * eta[:, None] * (lam_low - lam_low.T) * eta
-    tangent = frame[:, 1:]
-    c = frame @ rates @ frame.T - model.g_hat(x, x) * (tangent @ rates[1:, 1:] @ tangent.T)
+    rates = 0.5 * eta[:, None] * (lam_low - np.swapaxes(lam_low, 1, 2)) * eta
+    tangent = frames[:, :, 1:]
+    c = frames @ rates @ np.swapaxes(frames, 1, 2) - model.g_hat(x, x)[:, None, None] * (
+        tangent @ rates[:, 1:, 1:] @ np.swapaxes(tangent, 1, 2)
+    )
     i, j = model.pairs
-    return model.bivector(0.5 * c[i, j])
+    omegas = model.bivector(0.5 * c[:, i, j])
+    return omegas[0] if np.ndim(frame) == 2 else omegas
 
 
 def _values(model, fields, y, patch):
@@ -285,12 +346,13 @@ def _nablas(model, fields, point, here):
     fields' N x k value array (here at the point), with Omega read from
     the sample table."""
     h = model.step
-    nablas = []
-    for direction, omega in zip(point.frame.T, point.omegas):
-        plus = _values(model, fields, model.curve(point.x, direction, h), point.patch)
-        minus = _values(model, fields, model.curve(point.x, direction, -h), point.patch)
-        nablas.append((plus - minus) / (2.0 * h) + omega @ here)
-    return nablas
+    ends = zip(model.curve(point.x, point.frame.T, h), model.curve(point.x, point.frame.T, -h))
+    return [
+        (_values(model, fields, plus, point.patch) - _values(model, fields, minus, point.patch))
+        / (2.0 * h)
+        + omega @ here
+        for (plus, minus), omega in zip(ends, point.omegas)
+    ]
 
 
 def _dirac(model, point, nablas):
@@ -306,12 +368,29 @@ class KillingReport:
     killing_number: float
     residual: float
     dirac_residual: float  # max over samples of |D s + n lambda s|
+    # where the Killing residual is worst: the sample index and the frame
+    # direction, or None without sample points
+    worst_sample: int | None
+    worst_direction: int | None
+
+
+def _worst_rows(rows, width):
+    """The worst value of each column of a (rows x width) residual array
+    and the first row holding it, failing closed like _worst: a
+    non-finite value counts as inf, so it beats any finite one, and
+    without rows every column is inf, held by no row."""
+    values = np.reshape(rows, (-1, width))
+    if not len(values):
+        return [math.inf] * width, [None] * width
+    values = np.where(np.isfinite(values), values, np.inf)
+    at = np.argmax(values, axis=0)
+    return values[at, np.arange(width)].tolist(), at.tolist()
 
 
 def killing_residual(model, fields, killing_number=None) -> list:
     """One KillingReport per field: the max over samples and frame
-    directions of |nabla_X s - lambda X s|, and from the same nabla sweep
-    the Dirac residual at that lambda.
+    directions of |nabla_X s - lambda X s| and where it is reached, and
+    from the same nabla sweep the Dirac residual at that lambda.
 
     All fields share one array sweep: at each sample point and frame
     direction their values are the columns of one N x k array S, and
@@ -336,12 +415,16 @@ def killing_residual(model, fields, killing_number=None) -> list:
             d_rows.append(np.max(np.abs(d_here + model.n * lam * here), axis=0))
     # each column fails closed like _worst, even with no rows at all
     width = len(fields)
-    killing = [[_worst(col) for col in np.reshape(rows, (-1, width)).T] for rows in killing]
-    dirac = [[_worst(col) for col in np.reshape(rows, (-1, width)).T] for rows in dirac]
+    killing = [_worst_rows(rows, width) for rows in killing]
+    dirac = [_worst_rows(rows, width)[0] for rows in dirac]
     reports = []
     for col in range(width):
-        best = int(np.argmin([residuals[col] for residuals in killing]))
-        reports.append(KillingReport(candidates[best], killing[best][col], dirac[best][col]))
+        best = int(np.argmin([worst[col] for worst, _ in killing]))
+        worst, at = killing[best]
+        sample, direction = (None, None) if at[col] is None else divmod(at[col], model.n)
+        reports.append(
+            KillingReport(candidates[best], worst[col], dirac[best][col], sample, direction)
+        )
     return reports
 
 
@@ -359,12 +442,18 @@ def _bracket_vector(model, frame, gammas, s_val, t_val):
     return out
 
 
-def _bracket_at(model, s_field, t_field, y, patch):
-    """[s,t]_1 at a point off the sample table, from a fresh frame."""
-    frame = model.tangent_frame(y, patch)
-    gammas = [model.gamma_intrinsic(y, e) for e in frame.T]
-    s_val, t_val = s_field.eval(model, y, patch), t_field.eval(model, y, patch)
-    return _bracket_vector(model, frame, gammas, s_val, t_val)
+def _brackets_at(model, s_field, t_field, ys, patch):
+    """[s,t]_1 at each of the points ys off the sample table, all in one
+    patch, from one batched frame call."""
+    frames = model.tangent_frame(ys, [patch] * len(ys))
+    directions = np.swapaxes(frames, 1, 2)
+    gammas = model.gamma_intrinsic(ys[:, None, :], directions)
+    return [
+        _bracket_vector(
+            model, frame, gamma, s_field.eval(model, y, patch), t_field.eval(model, y, patch)
+        )
+        for y, frame, gamma in zip(ys, frames, gammas)
+    ]
 
 
 def _tangential_difference(model, x, plus, minus):
@@ -396,22 +485,31 @@ def bracket_field_checks(model, s_field, t_field) -> BracketFieldReport:
     (b) the Killing-vector equation, the symmetrized lowered derivative
         g(nabla_(e_i) X, e_j) + g(nabla_(e_j) X, e_i) = 0;
     (c) conservation of g(velocity, X) along geodesics.
+
+    At each sample point, X is taken one step either side along every
+    frame direction and along the geodesics of the first two, all from
+    one batched frame call.
     """
-    h = model.step
+    h, n = model.step, model.n
     conformal, killing_vec, geodesic = [], [], []
     for point in model.sample_points(12):
         x, patch, frame = point.x, point.patch, point.frame
+        probes = [_geodesic_probe(model, x, e) for e in frame.T[:2]]
+        ends = [model.curve(x, frame.T, h), model.curve(x, frame.T, -h)]
+        ends += [points for points, _ in probes]
+        brackets = _brackets_at(model, s_field, t_field, np.concatenate(ends), patch)
         nablas = []
-        for e in frame.T:
-            plus = _bracket_at(model, s_field, t_field, model.curve(x, e, h), patch)
-            minus = _bracket_at(model, s_field, t_field, model.curve(x, e, -h), patch)
-            nablas.append(_tangential_difference(model, x, plus, minus))
+        for i, e in enumerate(frame.T):
+            nablas.append(_tangential_difference(model, x, brackets[i], brackets[n + i]))
             conformal.append(abs(model.g_hat(e, nablas[-1])))
-        for i, j in combinations_with_replacement(range(model.n), 2):
+        for i, j in combinations_with_replacement(range(n), 2):
             sym = model.g_hat(nablas[i], frame[:, j]) + model.g_hat(nablas[j], frame[:, i])
             killing_vec.append(abs(sym))
-        for e in frame.T[:2]:
-            geodesic.append(_geodesic_residual(model, s_field, t_field, x, e, patch))
+        for k, (_, (v_plus, v_minus)) in enumerate(probes):
+            plus, minus = brackets[2 * n + 2 * k : 2 * n + 2 * k + 2]
+            # d/dt g(velocity, X) at t = 0, zero when X is a Killing vector
+            contraction = model.g_hat(v_plus, plus) - model.g_hat(v_minus, minus)
+            geodesic.append(abs(contraction / (2.0 * h)))
     return BracketFieldReport(
         conformal_residual=_worst(conformal),
         killing_vector_residual=_worst(killing_vec),
@@ -419,26 +517,18 @@ def bracket_field_checks(model, s_field, t_field) -> BracketFieldReport:
     )
 
 
-def _geodesic_residual(model, s_field, t_field, x, direction, patch):
-    """|d/dt g(velocity, X)| at t = 0 along the geodesic with initial data
-    (x, direction); zero when X is a Killing vector."""
+def _geodesic_probe(model, x, direction):
+    """The points and velocities at t = +h and t = -h of the geodesic
+    with initial data (x, direction), as two (2, dim) arrays."""
     gxx = model.g_hat(direction, direction)
-    h = model.step
-
-    def point_and_velocity(tt):
-        if abs(gxx - 1.0) < 1e-9:
-            return x * np.cos(tt) + direction * np.sin(tt), -x * np.sin(tt) + direction * np.cos(tt)
-        if abs(gxx + 1.0) < 1e-9:
-            return x * np.cosh(tt) + direction * np.sinh(tt), x * np.sinh(tt) + direction * np.cosh(tt)
-        if abs(gxx) < 1e-9:
-            return x + tt * direction, direction
-        raise ValueError("geodesic initial velocity must be unit or null")
-
-    def contraction(tt):
-        pt, vel = point_and_velocity(tt)
-        return model.g_hat(vel, _bracket_at(model, s_field, t_field, pt, patch))
-
-    return abs((contraction(h) - contraction(-h)) / (2.0 * h))
+    tt = np.array([[model.step], [-model.step]])
+    if abs(gxx - 1.0) < 1e-9:
+        return x * np.cos(tt) + direction * np.sin(tt), -x * np.sin(tt) + direction * np.cos(tt)
+    if abs(gxx + 1.0) < 1e-9:
+        return x * np.cosh(tt) + direction * np.sinh(tt), x * np.sinh(tt) + direction * np.cosh(tt)
+    if abs(gxx) < 1e-9:
+        return x + tt * direction, np.tile(direction, (2, 1))
+    raise ValueError("geodesic initial velocity must be unit or null")
 
 
 def homogeneity_span(model, fields):
@@ -523,13 +613,11 @@ def scalar_curvature_residual(model, killing_number) -> float:
     eta_base = np.array(model.base_signature.eta(), float)
     for point in model.sample_points(8):
         x, patch, frame = point.x, point.patch, point.frame
-        alpha = np.zeros((model.n, model.n))
-        for i in range(model.n):
-            fp = model.tangent_frame(model.curve(x, frame[:, i], h), patch)
-            fm = model.tangent_frame(model.curve(x, frame[:, i], -h), patch)
-            de = (fp - fm) / (2.0 * h)
-            for j in range(model.n):
-                alpha[i, j] = model.g_hat(de[:, j], x)
+        ends = np.concatenate([model.curve(x, frame.T, h), model.curve(x, frame.T, -h)])
+        frames = model.tangent_frame(ends, [patch] * len(ends))
+        # de[i] is the derivative of the frame along e_i
+        de = (frames[: model.n] - frames[model.n :]) / (2.0 * h)
+        alpha = model.g_hat(np.swapaxes(de, 1, 2), x)
         scal = 0.0
         for i in range(model.n):
             for j in range(model.n):

@@ -1,11 +1,14 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
 sparse-column and row-system fast path of spinorlab is checked against;
 and the per-vector and pairwise loops that the array certificates of
-spinorlab replaced.
+spinorlab replaced, with the per-point frame loops that the batched
+Gram-Schmidt of model_space replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
 """
+
+import numpy as np
 
 from spinorlab.clifford_core import gamma_vector, metric_value
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
@@ -231,3 +234,60 @@ def beta_form_oracle(rep, form, v) -> int:
         if any(anti):
             raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
     return rep.N // 2
+
+
+def gram_schmidt_oracle(model, y, drop):
+    """Per-point modified Gram-Schmidt on the tangent projector columns at
+    y other than column drop, by scalar np.dot inner products: the
+    orthonormal vectors, their signs and the smallest pivot, or None at
+    the first pivot below 1e-12."""
+
+    def g(a, b):
+        return float(np.dot(a * model.eta_hat, b))
+
+    proj = np.eye(model.dim) - np.outer(y, y * model.eta_hat)
+    vecs, signs, min_pivot = [], [], np.inf
+    for k in range(model.dim):
+        if k == drop:
+            continue
+        u = proj[:, k].copy()
+        for e, s in zip(vecs, signs):
+            u -= s * g(u, e) * e
+        norm = g(u, u)
+        if abs(norm) < 1e-12:
+            return None
+        min_pivot = min(min_pivot, abs(norm))
+        signs.append(1.0 if norm > 0 else -1.0)
+        vecs.append(u / np.sqrt(abs(norm)))
+    return vecs, signs, min_pivot
+
+
+def select_patch_oracle(model, x):
+    """The per-drop loop: the first drop with the largest smallest pivot,
+    refused below 1e-8, and the sign-sorting order of its frame."""
+    best = None
+    for drop in range(model.dim):
+        result = gram_schmidt_oracle(model, x, drop)
+        if result is None:
+            continue
+        if best is None or result[2] > best[1][2]:
+            best = (drop, result)
+    if best is None or best[1][2] < 1e-8:
+        raise ArithmeticError("no usable frame patch at this sample point")
+    drop, (_, signs, _) = best
+    return (drop, tuple(sorted(range(model.n), key=lambda i: (-signs[i], i))))
+
+
+def tangent_frame_oracle(model, y, patch):
+    """The frame of one point in its patch, with the same two refusals as
+    HyperquadricModel.tangent_frame."""
+    drop, order = patch
+    result = gram_schmidt_oracle(model, y, drop)
+    if result is None:
+        raise ArithmeticError("frame degenerated inside its patch")
+    vecs, signs, _ = result
+    eta = [signs[i] for i in order]
+    p = model.base_signature.p
+    if not all(e > 0 for e in eta[:p]) or not all(e < 0 for e in eta[p:]):
+        raise ArithmeticError("frame sign pattern does not match the base")
+    return np.column_stack([vecs[i] for i in order])

@@ -137,6 +137,9 @@ def test_model_verify(capsys):
     assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(row["passed"] for row in payload["rows"])
+    # where each spinor's Killing residual is worst: 4 samples, 2 directions
+    assert all(row["worst_sample"] in range(4) for row in payload["rows"])
+    assert all(row["worst_direction"] in range(2) for row in payload["rows"])
 
 
 def test_model_verify_on_a_cone_past_eight_dimensions(capsys):

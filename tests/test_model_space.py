@@ -11,6 +11,7 @@ from spinorlab.model_space import (
     _nablas,
     _to_numpy,
     _worst,
+    _worst_rows,
     bracket_field_checks,
     frame_rotation_rates,
     homogeneity_span,
@@ -19,7 +20,7 @@ from spinorlab.model_space import (
     scalar_curvature_residual,
     spin_connection,
 )
-from dense_oracle import dense
+from dense_oracle import dense, select_patch_oracle, tangent_frame_oracle
 
 
 class VolumeFlippedField:
@@ -478,20 +479,56 @@ def test_a_model_without_sample_points_is_refused():
 
 
 def test_spin_connection_built_once_per_sample_and_direction(monkeypatch, capsys):
+    # the batched builder returns one matrix per row it is given; over a
+    # whole model-verify its rows are each sample point once per frame
+    # direction, in sample order, whatever the number of fields
     from spinorlab import model_space
     from spinorlab.cli import main
 
-    calls = []
+    built = []
     original = model_space.spin_connection
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
+    def counting(model, frames, directions, patches):
+        omegas = original(model, frames, directions, patches)
+        built.append((model, frames[:, :, 0], directions, len(omegas)))
+        return omegas
 
     monkeypatch.setattr(model_space, "spin_connection", counting)
-    assert main(["model-verify", "--cone", "3,0", "--samples", "4"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 4 * 2  # samples x frame directions, for all N fields
+    for cone, samples in (("3,0", 4), ("4,1", 3)):
+        built.clear()
+        assert main(["model-verify", "--cone", cone, "--samples", str(samples)]) == 0
+        capsys.readouterr()
+        (model, xs, directions, count), = built
+        assert count == samples * model.n  # samples x frame directions, for all N fields
+        points = model.sample_points()
+        assert np.array_equal(xs, np.repeat([point.x for point in points], model.n, axis=0))
+        assert np.array_equal(directions, np.concatenate([point.frame.T for point in points]))
+
+
+def test_each_sample_build_makes_three_batched_frame_calls(monkeypatch):
+    # the patch trials, the frames at the points and the frames one step
+    # either side: three Gram-Schmidt calls per build, not one per point
+    calls = []
+    original = HyperquadricModel._orthonormalize
+
+    def counting(self, ys, drops):
+        calls.append(len(ys))
+        return original(self, ys, drops)
+
+    monkeypatch.setattr(HyperquadricModel, "_orthonormalize", counting)
+    for cone, samples in ((Signature(3, 0), 4), (Signature(4, 1), 16), (Signature(2, 2), 1)):
+        model = HyperquadricModel(cone, num_samples=samples)
+        calls.clear()
+        model.sample_points()
+        dim, n = model.dim, model.n
+        assert calls == [samples * dim, samples, 2 * samples * n]
+        model.sample_points()  # built once
+        assert len(calls) == 3
+    model = HyperquadricModel(Signature(4, 1), num_samples=16)
+    calls.clear()
+    model.sample_points(5)
+    model.sample_points()  # the eleven missing points in one more build
+    assert calls == [5 * 5, 5, 2 * 5 * 4, 11 * 5, 11, 2 * 11 * 4]
 
 
 def test_one_killing_residual_call_per_model_verify(monkeypatch, capsys):
@@ -623,3 +660,126 @@ def test_zero_step_and_empty_samples_fail_every_field_closed():
         reports = killing_residual(model, fields, lam)
         assert len(reports) == 3
         assert all(rep.residual == rep.dirac_residual == np.inf for rep in reports)
+
+
+def test_batched_frames_match_the_per_point_oracle():
+    # every cone with p + q <= 10: at 4 samples and at their points one
+    # step either side along each frame direction, the same patch as the
+    # per-drop loop and frames within 1e-12 of per-point Gram-Schmidt
+    cones = [Signature(p, n - p) for n in range(2, 11) for p in range(1, n + 1)]
+    assert len(cones) == 54
+    for cone in cones:
+        model = HyperquadricModel(cone, num_samples=4)
+        xs = np.array(model.samples)
+        patches = model.select_patch(xs)
+        assert patches == [select_patch_oracle(model, x) for x in xs], str(cone)
+        frames = model.tangent_frame(xs, patches)
+        for x, patch, frame in zip(xs, patches, frames):
+            assert np.max(np.abs(frame - tangent_frame_oracle(model, x, patch))) < 1e-12
+            ends = np.concatenate(
+                [model.curve(x, frame.T, model.step), model.curve(x, frame.T, -model.step)]
+            )
+            assert model.select_patch(ends) == [select_patch_oracle(model, y) for y in ends]
+            got = model.tangent_frame(ends, [patch] * len(ends))
+            for y, frame_y in zip(ends, got):
+                want = tangent_frame_oracle(model, y, patch)
+                assert np.max(np.abs(frame_y - want)) < 1e-12, str(cone)
+
+
+def test_single_points_are_batches_of_one_bit_for_bit():
+    model = HyperquadricModel(Signature(5, 3), num_samples=6)
+    xs = np.array(model.samples)
+    patches = model.select_patch(xs)
+    frames = model.tangent_frame(xs, patches)
+    for x, patch, frame in zip(xs, patches, frames):
+        assert model.select_patch(x) == patch
+        assert model.tangent_frame(x, patch).tobytes() == frame.tobytes()
+        cone = model.cone_frame(x, patch)
+        cones = np.repeat(cone[None], model.n, axis=0)
+        omegas = spin_connection(model, cones, frame.T, [patch] * model.n)
+        for e, omega in zip(frame.T, omegas):
+            assert spin_connection(model, cone, e, patch).tobytes() == omega.tobytes()
+
+
+def test_planted_frames_raise_the_oracle_errors():
+    # (1, 1, 1) on the (2, 1) cone has a zero first pivot in every patch:
+    # the first kept projector column is null whichever coordinate drops
+    model = HyperquadricModel(Signature(2, 1), num_samples=2)
+    bad = np.array([1.0, 1.0, 1.0])
+    good = model.samples[0]
+    for drop in range(3):
+        patch = (drop, (0, 1))
+        with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
+            tangent_frame_oracle(model, bad, patch)
+        with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
+            model.tangent_frame(bad, patch)
+    with pytest.raises(ArithmeticError, match="no usable frame patch"):
+        select_patch_oracle(model, bad)
+    for points in (bad, np.array([good, bad]), np.array([bad, good, good])):
+        with pytest.raises(ArithmeticError, match="no usable frame patch"):
+            model.select_patch(points)
+    # a stack mixing good rows and a degenerate row
+    patch = model.select_patch(good)
+    with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
+        model.tangent_frame(np.array([good, bad, good]), [patch, (0, (0, 1)), patch])
+    # a sign-sorting order that does not match the base, alone and in a stack
+    model = HyperquadricModel(Signature(2, 2), num_samples=2)
+    x, y = model.samples
+    patch = model.select_patch(x)
+    flipped = (patch[0], patch[1][::-1])
+    with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
+        tangent_frame_oracle(model, x, flipped)
+    with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
+        model.tangent_frame(x, flipped)
+    with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
+        model.tangent_frame(np.array([y, x]), [model.select_patch(y), flipped])
+    with pytest.raises(ValueError, match="tangent"):
+        cones = np.array([model.cone_frame(x, patch)] * 2)
+        spin_connection(model, cones, np.array([x, x]), [patch] * 2)
+
+
+def test_worst_rows_take_the_first_worst_and_fail_closed():
+    values, rows = _worst_rows([[1.0, 2.0, 0.5], [3.0, 2.0, 0.5], [3.0, 1.0, 0.25]], 3)
+    assert (values, rows) == ([3.0, 2.0, 0.5], [1, 0, 0])  # ties: the first row
+    nan, inf = float("nan"), float("inf")
+    values, rows = _worst_rows([[5.0, 1.0, 9.0], [nan, inf, 1.0], [inf, nan, nan]], 3)
+    assert (values, rows) == ([inf, inf, inf], [1, 1, 2])  # any non-finite value wins
+    assert _worst_rows(np.empty((0, 2)), 2) == ([inf, inf], [None, None])
+
+
+class _NanNearField:
+    """_LinearField, with NaN values within 1e-3 of one point."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def eval(self, model, y, patch):
+        if np.max(np.abs(y - self.point)) < 1e-3:
+            return np.full(model.N, np.nan)
+        return _LinearField().eval(model, y, patch)
+
+
+def test_killing_report_names_the_worst_sample_and_direction():
+    model = HyperquadricModel(Signature(4, 1), num_samples=4, step=1e-4)
+    for field in (_LinearField(), VolumeFlippedField(ConstantSpinorField(np.eye(model.N)[1]))):
+        (report,) = killing_residual(model, [field])
+        lam = report.killing_number
+        residuals = []
+        for x in model.samples:
+            patch = model.select_patch(x)
+            frame = model.tangent_frame(x, patch)
+            s_here = field.eval(model, x, patch)
+            for i in range(model.n):
+                gamma = model.gamma_intrinsic(x, frame[:, i])
+                nabla = covariant_derivative(model, field, x, frame[:, i], patch)
+                residuals.append(float(np.max(np.abs(nabla - lam * gamma @ s_here))))
+        worst = int(np.argmax(residuals))
+        assert (report.worst_sample, report.worst_direction) == divmod(worst, model.n)
+        assert report.residual == residuals[worst]
+    # a non-finite residual at sample 2 beats larger finite ones elsewhere
+    (report,) = killing_residual(model, [_NanNearField(model.samples[2])])
+    assert report.residual == np.inf
+    assert (report.worst_sample, report.worst_direction) == (2, 0)
+    model.samples = []
+    (report,) = killing_residual(model, [_LinearField()])
+    assert (report.worst_sample, report.worst_direction) == (None, None)
