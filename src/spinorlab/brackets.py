@@ -8,6 +8,7 @@ linear algebra on a fixed spinor module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -17,11 +18,11 @@ from .clifford_core import (
     CliffordRep,
     blade_index_list,
     gamma_blade,
-    gamma_stack,
     gamma_vector,
     generator_table,
     metric_value,
     null_direction,
+    signed_products,
 )
 from .exact_linalg import Echelon, clear_denominators, dense_rows
 
@@ -178,46 +179,80 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     return len(_pairing_echelon(rep, form, a, b))
 
 
-def _vanishes(stack) -> list:
-    """For each matrix of a (B, N, N) stack, whether it is zero."""
-    return (~(stack != 0).any(axis=(1, 2))).tolist()
+def _sorted_terms(keys, index, sign):
+    """Terms (key, index, sign) sorted by key, as (index, sign, starts of
+    the runs of one key); index and sign in the smallest dtypes that fit."""
+    order = np.argsort(keys)
+    keys, small = keys[order], np.min_scalar_type
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return index[order].astype(small(index.max())), sign[order].astype(np.int8), starts
 
 
-def squares_to_scalar(rep: CliffordRep, vectors, gammas) -> list:
-    """Whether gamma_v^2 = -g(v,v) Id, for each v of the vectors and its
-    gamma_v in the gamma_stack gammas.  gamma_v^2 = sum_i v_i gamma_v G_i
-    is formed from n signed column gathers of the stack, O(B n N^2)."""
+def _coefficients(rows) -> np.ndarray:
+    """The rows in int64 when all are ints and each row's sum of absolute
+    values is below 2^62, else as Python ints and Fractions (object)."""
+    small = all(type(x) is int for row in rows for x in row)
+    small = small and max(sum(map(abs, row)) for row in rows) < 2**62
+    return np.array(rows, dtype=np.int64 if small else object)
+
+
+def _sums_vanish(terms, rows) -> list:
+    """For each coefficient row, whether the sum of signed permutations
+    that the sorted terms describe vanishes: sum_t row[index_t] sign_t = 0
+    over the terms t of each key (row, col), by one np.add.reduceat.  A
+    key's terms read distinct coefficients, so no partial sum exceeds the
+    row's sum of absolute values, the bound of _coefficients."""
+    if not rows:
+        return []
+    index, sign, starts = terms
+    weights = _coefficients(rows)[:, index]
+    weights *= sign
+    return (np.add.reduceat(weights, starts, axis=1) == 0).all(axis=1).tolist()
+
+
+@lru_cache(maxsize=1024)
+def _product_terms(generators: tuple):
+    """The terms of sum_ij C_ij G_i G_j + c Id, sorted once per generator
+    tuple: G_i G_j of signed_products puts sign[i, j, c] at (perm[i, j, c],
+    c) from coefficient i n + j, C_ij; the diagonal reads n^2, c."""
+    table = generator_table(generators)
+    n, N = table[0].shape
+    perm, sign = signed_products(table, table)
+    cols = np.arange(N)
+    keys = np.concatenate([(perm * N + cols).ravel(), cols * (N + 1)])
+    signs = np.concatenate([sign.ravel(), np.ones(N, dtype=sign.dtype)])
+    return _sorted_terms(keys, np.repeat(np.arange(n * n + 1), N), signs)
+
+
+def squares_to_scalar(rep: CliffordRep, vectors) -> list:
+    """Whether gamma_v^2 = -g(v,v) Id, for each v of the vectors: whether
+    sum_ij v_i v_j G_i G_j + g(v,v) Id vanishes, O(B n^2 N).  A sum is at
+    most M^2 + |g(v,v)| <= 2 M^2 for M = sum_k |v_k|."""
+    if any(len(v) != rep.n for v in vectors):
+        raise ValueError("vector length mismatch")
+    rows = [[a * b for a in v for b in v] + [metric_value(rep.eta, v, v)] for v in vectors]
+    return _sums_vanish(_product_terms(rep.generators), rows)
+
+
+def _anticommutator_row(rep, v) -> list:
+    """gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id for the first k with
+    v_k != 0: C_ij = v_i [j = k] + [i = k] v_j; a sum is <= 4 sum_i |v_i|."""
+    k = next(k for k, x in enumerate(v) if x)
+    row = [v[a] * (b == k) + (a == k) * v[b] for a in range(rep.n) for b in range(rep.n)]
+    return row + [2 * rep.eta[k] * v[k]]
+
+
+def _beta_terms(rep: CliffordRep, form: BilinearForm):
+    """The sorted terms of beta^T - sigma*tau beta, beta = sum_i v_i H G_i:
+    H G_i puts h_sign[perm_i[c]] sign_i[c] at (h_perm[perm_i[c]], c), read
+    at (c, row) from coefficient i, v_i, and at (row, c) from n + i,
+    -sigma*tau v_i; a sum is at most 2 sum_i |v_i|."""
     perm, sign = generator_table(rep.generators)
-    coeffs = np.array(vectors, dtype=gammas.dtype).reshape(-1, rep.n)
-    square = np.zeros_like(gammas)
-    diag = np.arange(rep.N)
-    square[:, diag, diag] = np.array(
-        [metric_value(rep.eta, v, v) for v in vectors], dtype=gammas.dtype
-    )[:, None]
-    for i in range(rep.n):
-        # column c of gamma_v G_i is sign[i, c] times column perm[i, c] of gamma_v
-        term = gammas[:, :, perm[i]]
-        term *= sign[i]
-        term *= coeffs[:, i, None, None]
-        square += term
-    return _vanishes(square)
-
-
-def _anticommutator_checks(rep: CliffordRep, vectors, gammas) -> list:
-    """For each nonzero v, with k its first index where v_k != 0, whether
-    gamma_v gamma_k + gamma_k gamma_v = -2 eta_k v_k Id: a column gather
-    and a row scatter of the stack."""
-    ks = [next(k for k, x in enumerate(v) if x) for v in vectors]
-    perm, sign = (array[ks] for array in generator_table(rep.generators))
-    # gamma_v gamma_k: column j is sign_k[j] times column perm_k[j] of gamma_v
-    total = np.take_along_axis(gammas, perm[:, None, :], axis=2) * sign[:, None, :]
-    # gamma_k gamma_v: row r of gamma_v, times sign_k[r], lands in row perm_k[r]
-    total[np.arange(len(ks))[:, None], perm] += sign[:, :, None] * gammas
-    diag = np.arange(rep.N)
-    total[:, diag, diag] += np.array(
-        [2 * rep.eta[k] * v[k] for k, v in zip(ks, vectors)], dtype=gammas.dtype
-    )[:, None]
-    return _vanishes(total)
+    n, N = perm.shape
+    at, cols = np.array(form.matrix.perm)[perm], np.arange(N)
+    signs = (np.array(form.matrix.signs)[perm] * sign).ravel()
+    keys = np.concatenate([(cols * N + at).ravel(), (at * N + cols).ravel()])
+    return _sorted_terms(keys, np.repeat(np.arange(2 * n), N), np.concatenate([signs, signs]))
 
 
 def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
@@ -231,8 +266,8 @@ def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
     gives rank 0.  For a null v != 0 take the first k with v_k != 0 and
     c = -2 eta_k v_k != 0, and check
     - gamma_v gamma_k + gamma_k gamma_v = c Id.
-    Then the rank is N/2.  The identities are certified on one
-    gamma_stack of the batch: no elimination and no dense product.
+    Then the rank is N/2.  Each identity is a vanishing sum of signed
+    permutations, with no elimination and no N x N array.
 
     Proof.  Rank is subadditive and rank(XY) <= rank X, so
     N = rank(c Id) <= rank(gamma_v gamma_k) + rank(gamma_k gamma_v)
@@ -244,37 +279,28 @@ def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
     gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
     im gamma_v.
     """
-    gammas = gamma_stack(rep, vectors)
-    squares = squares_to_scalar(rep, vectors, gammas)
-    # row perm[r] of beta is signs[r] times row r of gamma_v
-    h = form.matrix
-    beta = np.zeros_like(gammas)
-    beta[:, list(h.perm), :] = gammas * np.array(h.signs)[:, None]
-    symmetric = _vanishes(beta.swapaxes(1, 2) - form.sigma * form.tau * beta)
+    squares = squares_to_scalar(rep, vectors)
     norms = [metric_value(rep.eta, v, v) for v in vectors]
     null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]
-    checks = _anticommutator_checks(rep, [vectors[b] for b in null], gammas[null])
-    anticommutes = dict(zip(null, checks))
-    results = []
-    for b, q in enumerate(norms):
+    rows = [_anticommutator_row(rep, vectors[b]) for b in null]
+    anticommutes = dict(zip(null, _sums_vanish(_product_terms(rep.generators), rows)))
+    st = form.sigma * form.tau
+    rows = [[*v, *(-st * x for x in v)] for v in vectors]
+    symmetric = _sums_vanish(_beta_terms(rep, form), rows)
+
+    def verdict(b, q):
         if not squares[b]:
-            if q == 0:
-                results.append(ArithmeticError("gamma_v squared must vanish on a null vector"))
-            else:
-                results.append(ArithmeticError("gamma_v squared is not -g(v,v) Id"))
-        elif not symmetric[b]:
-            results.append(ArithmeticError("beta does not have symmetry sigma*tau"))
-        elif q != 0:
-            results.append(rep.N)
-        elif b not in anticommutes:
-            results.append(0)
-        elif not anticommutes[b]:
-            results.append(
-                ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
-            )
-        else:
-            results.append(rep.N // 2)
-    return results
+            wanted = "must vanish on a null vector" if q == 0 else "is not -g(v,v) Id"
+            return ArithmeticError(f"gamma_v squared {wanted}")
+        if not symmetric[b]:
+            return ArithmeticError("beta does not have symmetry sigma*tau")
+        if b not in anticommutes:  # v is not null, or v = 0
+            return rep.N if q else 0
+        if not anticommutes[b]:
+            return ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
+        return rep.N // 2
+
+    return [verdict(b, q) for b, q in enumerate(norms)]
 
 
 def random_integers(rng, count, bound) -> list:

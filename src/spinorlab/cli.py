@@ -11,7 +11,9 @@ import os
 import random
 import sys
 
-from . import serialize, verify
+import numpy as np
+
+from . import model_space, serialize, verify
 from .admissible_forms import admissible_table, first_nondegenerate
 from .brackets import beta_form, bracket_k, random_null_vector, random_spinor
 from .clifford_core import Signature, build_rep, rep_table
@@ -60,6 +62,13 @@ def _positive_float(text) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"{text} is not a finite positive number")
     return value
+
+
+def _step(text) -> float:
+    # the model has unit scale: no step above 0.1 measures a derivative
+    if _positive_float(text) > 0.1:
+        raise argparse.ArgumentTypeError(f"{text} is not a step of at most 0.1")
+    return float(text)
 
 
 def _output_path(text) -> str:
@@ -206,20 +215,12 @@ def cmd_cone_report(args):
 
 
 def cmd_model_verify(args):
-    import numpy as np
-
-    from .model_space import (
-        ConstantSpinorField,
-        HyperquadricModel,
-        killing_residual,
-    )
-
-    model = HyperquadricModel(args.cone, num_samples=args.samples, step=args.h)
-    fields = [ConstantSpinorField(column) for column in np.eye(model.N)]
+    model = model_space.HyperquadricModel(args.cone, num_samples=args.samples, step=args.h)
+    fields = [model_space.ConstantSpinorField(column) for column in np.eye(model.N)]
     lam = None if args.lambda_sign == "auto" else 0.5 * float(args.lambda_sign)
     rows = []
     ok = True
-    for i, rep in enumerate(killing_residual(model, fields, lam)):
+    for i, rep in enumerate(model_space.killing_residual(model, fields, lam)):
         passed = rep.residual < args.tol
         ok = ok and passed
         rows.append(
@@ -251,10 +252,11 @@ def cmd_verify_all(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser():
-    # argparse runs string defaults through `type`, so a malformed
-    # SPINORLAB_SEED exits 2 from whichever seeded subcommand reads it
-    seed = os.environ.get("SPINORLAB_SEED", "0")
+@functools.lru_cache(maxsize=None)
+def build_parser(seed="0"):
+    # built once per process and seed default; argparse runs string
+    # defaults through `type`, so a malformed SPINORLAB_SEED exits 2
+    # from whichever seeded subcommand reads it
     parser = argparse.ArgumentParser(prog="spinorlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,7 +301,7 @@ def build_parser():
     p = sub.add_parser("model-verify", help="numeric Killing checks on a hyperquadric")
     p.add_argument("--cone", type=_parse_cone, required=True)
     p.add_argument("--lambda-sign", default="auto", choices=("auto", "1", "-1"))
-    p.add_argument("--h", type=_positive_float, default=1e-4)
+    p.add_argument("--h", type=_step, default=1e-4)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--samples", type=_positive_int, default=16)
     p.set_defaults(func=cmd_model_verify)
@@ -314,8 +316,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(os.environ.get("SPINORLAB_SEED", "0")).parse_args(argv)
     try:
         return args.func(args)
     except ArithmeticError as err:  # a verified identity failed

@@ -301,32 +301,6 @@ def gamma_vector(rep: CliffordRep, v) -> list:
     return cols
 
 
-def gamma_stack(rep: CliffordRep, vectors) -> np.ndarray:
-    """gamma_v for each of the vectors, as an exact (B, N, N) stack from
-    n signed scatters: generator i adds v_i sign[i, c] at row perm[i, c]
-    of column c.
-
-    The dtype is int64 only when every entry is an int and
-    N M^2 < 2^62 for M the largest sum_k |v_k|.  Then no certificate on
-    the stack overflows: an entry of gamma_v is at most M in absolute
-    value, a partial sum of gamma_v^2 + g(v,v) Id at most 2 M^2, and one
-    of beta or of the anticommutator check at most 4 M.  Otherwise the
-    dtype is object, on Python ints and Fractions; no entry goes through
-    a float.
-    """
-    if any(len(v) != rep.n for v in vectors):
-        raise ValueError("vector length mismatch")
-    perm, sign = generator_table(rep.generators)
-    M = max((sum(map(abs, v)) for v in vectors), default=0)
-    small = rep.N * M * M < 2**62 and all(type(x) is int for v in vectors for x in v)
-    coeffs = np.array(vectors, dtype=np.int64 if small else object).reshape(-1, rep.n)
-    out = np.zeros((len(coeffs), rep.N, rep.N), dtype=coeffs.dtype)
-    cols = np.arange(rep.N)
-    for i in range(rep.n):
-        out[:, perm[i], cols] += coeffs[:, i, None] * sign[i]
-    return out
-
-
 def metric_value(eta, v, w):
     return sum(e * a * b for e, a, b in zip(eta, v, w))
 

@@ -31,7 +31,6 @@ from .clifford_core import (
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
-    gamma_stack,
 )
 from .cone_split import (
     invariant_spinors,
@@ -118,9 +117,8 @@ def criterion_clifford_relations(max_n=8, seed=0):
     for sig in _signatures(max_n):
         rep = build_rep(sig)
         vectors = [random_integers(rng, rep.n, 3) for _ in range(10)]
-        for v, ok in zip(vectors, squares_to_scalar(rep, vectors, gamma_stack(rep, vectors))):
-            if not ok:
-                failures.append(f"{sig}:square({v})")
+        squares = squares_to_scalar(rep, vectors)
+        failures += [f"{sig}:square({v})" for v, ok in zip(vectors, squares) if not ok]
     return not failures, {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures}
 
 
@@ -279,9 +277,7 @@ def criterion_cone_iso(max_n=8):
             quoted_disagreements.append(f"{sig}(s%8={sig.s_mod8})")
     # the quoted residue lists are falsified exactly on the s = 0 bases;
     # anything else disagreeing is a failure
-    unexpected = [d for d in quoted_disagreements if "s%8=0" not in d]
-    if unexpected:
-        failures.extend(unexpected)
+    failures += [d for d in quoted_disagreements if "s%8=0" not in d]
     return not failures, {"quoted_list_falsified_on": quoted_disagreements, "failures": failures}
 
 

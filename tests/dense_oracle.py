@@ -1,7 +1,9 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
 sparse-column and row-system fast path of spinorlab is checked against;
-and the per-vector and pairwise loops that the array certificates of
-spinorlab replaced, with the per-point frame loops that the batched
+the per-vector and pairwise loops that the array certificates of
+spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
+which the signed-permutation sums of brackets replaced and which scale
+to N >= 128; and the per-point frame loops that the batched
 Gram-Schmidt of model_space replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
@@ -10,7 +12,7 @@ entries and starts each sum from int 0, so an all-int product stays int.
 
 import numpy as np
 
-from spinorlab.clifford_core import gamma_vector, metric_value
+from spinorlab.clifford_core import gamma_vector, generator_table, metric_value
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 
 
@@ -234,6 +236,97 @@ def beta_form_oracle(rep, form, v) -> int:
         if any(anti):
             raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
     return rep.N // 2
+
+
+def gamma_stack(rep, vectors) -> np.ndarray:
+    """gamma_v for each of the vectors, as an exact (B, N, N) stack from
+    n signed scatters: generator i adds v_i sign[i, c] at row perm[i, c]
+    of column c.  int64 only when every entry is an int and
+    N M^2 < 2^62 for M the largest sum_k |v_k|, so that no check below
+    overflows; dtype object otherwise."""
+    perm, sign = generator_table(rep.generators)
+    M = max((sum(map(abs, v)) for v in vectors), default=0)
+    small = rep.N * M * M < 2**62 and all(type(x) is int for v in vectors for x in v)
+    coeffs = np.array(vectors, dtype=np.int64 if small else object).reshape(-1, rep.n)
+    out = np.zeros((len(coeffs), rep.N, rep.N), dtype=coeffs.dtype)
+    cols = np.arange(rep.N)
+    for i in range(rep.n):
+        out[:, perm[i], cols] += coeffs[:, i, None] * sign[i]
+    return out
+
+
+def _stack_vanishes(stack) -> list:
+    """For each matrix of a (B, N, N) stack, whether it is zero."""
+    return (~(stack != 0).any(axis=(1, 2))).tolist()
+
+
+def squares_to_scalar_stack(rep, vectors, gammas) -> list:
+    """Whether gamma_v^2 = -g(v,v) Id for each v and its gamma_v in the
+    gamma_stack: n signed column gathers of the stack, O(B n N^2)."""
+    perm, sign = generator_table(rep.generators)
+    coeffs = np.array(vectors, dtype=gammas.dtype).reshape(-1, rep.n)
+    square = np.zeros_like(gammas)
+    diag = np.arange(rep.N)
+    square[:, diag, diag] = np.array(
+        [metric_value(rep.eta, v, v) for v in vectors], dtype=gammas.dtype
+    )[:, None]
+    for i in range(rep.n):
+        # column c of gamma_v G_i is sign[i, c] times column perm[i, c] of gamma_v
+        square += gammas[:, :, perm[i]] * sign[i] * coeffs[:, i, None, None]
+    return _stack_vanishes(square)
+
+
+def _anticommutator_stack(rep, vectors, gammas) -> list:
+    """For each nonzero v, with k its first index where v_k != 0, whether
+    gamma_v gamma_k + gamma_k gamma_v = -2 eta_k v_k Id: a column gather
+    and a row scatter of the stack."""
+    ks = [next(k for k, x in enumerate(v) if x) for v in vectors]
+    perm, sign = (array[ks] for array in generator_table(rep.generators))
+    # gamma_v gamma_k: column j is sign_k[j] times column perm_k[j] of gamma_v
+    total = np.take_along_axis(gammas, perm[:, None, :], axis=2) * sign[:, None, :]
+    # gamma_k gamma_v: row r of gamma_v, times sign_k[r], lands in row perm_k[r]
+    total[np.arange(len(ks))[:, None], perm] += sign[:, :, None] * gammas
+    diag = np.arange(rep.N)
+    total[:, diag, diag] += np.array(
+        [2 * rep.eta[k] * v[k] for k, v in zip(ks, vectors)], dtype=gammas.dtype
+    )[:, None]
+    return _stack_vanishes(total)
+
+
+def beta_form_stack(rep, form, vectors) -> list:
+    """brackets.beta_form on one gamma_stack of the batch: its results,
+    each error as its message.  The square is squares_to_scalar_stack,
+    beta one row scatter of the stack, and the anticommutator
+    _anticommutator_stack."""
+    gammas = gamma_stack(rep, vectors)
+    squares = squares_to_scalar_stack(rep, vectors, gammas)
+    # row perm[r] of beta is signs[r] times row r of gamma_v
+    h = form.matrix
+    beta = np.zeros_like(gammas)
+    beta[:, list(h.perm), :] = gammas * np.array(h.signs)[:, None]
+    symmetric = _stack_vanishes(beta.swapaxes(1, 2) - form.sigma * form.tau * beta)
+    norms = [metric_value(rep.eta, v, v) for v in vectors]
+    null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]
+    checks = _anticommutator_stack(rep, [vectors[b] for b in null], gammas[null])
+    anticommutes = dict(zip(null, checks))
+    results = []
+    for b, q in enumerate(norms):
+        if not squares[b]:
+            if q == 0:
+                results.append("gamma_v squared must vanish on a null vector")
+            else:
+                results.append("gamma_v squared is not -g(v,v) Id")
+        elif not symmetric[b]:
+            results.append("beta does not have symmetry sigma*tau")
+        elif q != 0:
+            results.append(rep.N)
+        elif b not in anticommutes:
+            results.append(0)
+        elif not anticommutes[b]:
+            results.append("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
+        else:
+            results.append(rep.N // 2)
+    return results
 
 
 def gram_schmidt_oracle(model, y, drop):

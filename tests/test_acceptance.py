@@ -128,9 +128,9 @@ def test_c01_c03_c04_draw_the_vectors_of_a_randint_loop(monkeypatch):
     drawn = []
     squares, beta = verify.squares_to_scalar, verify.beta_form
 
-    def record_squares(rep, vectors, gammas):
+    def record_squares(rep, vectors):
         drawn.append((rep.signature, vectors))
-        return squares(rep, vectors, gammas)
+        return squares(rep, vectors)
 
     def record_beta(rep, form, vectors):
         drawn.append((rep.signature, vectors))

@@ -24,19 +24,31 @@ from spinorlab.brackets import (
     random_null_vector,
     random_spinor,
     random_subspace,
+    squares_to_scalar,
 )
 from spinorlab.clifford_core import (
     Signature,
     blade_index_list,
     build_rep,
     gamma_blade,
-    gamma_stack,
     gamma_vector,
     metric_value,
 )
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
-from dense_oracle import Matrix, beta_form_oracle, dense, gamma_dense, is_zero, kernel, rank, zero_matrix
+from dense_oracle import (
+    Matrix,
+    beta_form_oracle,
+    beta_form_stack,
+    dense,
+    gamma_dense,
+    gamma_stack,
+    is_zero,
+    kernel,
+    rank,
+    squares_to_scalar_stack,
+    zero_matrix,
+)
 from dense_oracle import column as _column
 from test_clifford_core import _permutation_sign, gamma_alternating
 from test_exact_linalg import bareiss_kernel, bareiss_rank
@@ -405,7 +417,21 @@ def _swap_perm(rep, i):
     return dataclasses.replace(rep, generators=gens)
 
 
-def test_batched_beta_form_matches_the_per_vector_oracle():
+def _record_coefficients(monkeypatch) -> list:
+    """Each coefficient array the certificate sums run on, in call order."""
+    arrays = []
+    coefficients = brackets._coefficients
+
+    def record(rows):
+        arrays.append(coefficients(rows))
+        return arrays[-1]
+
+    monkeypatch.setattr(brackets, "_coefficients", record)
+    return arrays
+
+
+def test_batched_beta_form_matches_the_per_vector_oracle(monkeypatch):
+    arrays = _record_coefficients(monkeypatch)
     rng = random.Random(37)
     for n in range(1, 9):
         for p in range(n + 1):
@@ -415,12 +441,12 @@ def test_batched_beta_form_matches_the_per_vector_oracle():
             ints = [[0] * n] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]
             if not sig.is_definite():
                 ints += [random_null_vector(sig, rng) for _ in range(4)]
-            assert gamma_stack(rep, ints).dtype == np.int64
             mixed = _certificate_vectors(sig, rng)  # holds a Fraction vector
-            assert gamma_stack(rep, mixed).dtype == object
-            for vectors in (ints, mixed):
+            for vectors, dtype in ((ints, np.int64), (mixed, object)):
                 want = _oracle_verdicts(rep, form, vectors)
+                arrays.clear()
                 assert _verdicts(beta_form(rep, form, vectors)) == want, sig
+                assert {a.dtype for a in arrays} == {np.dtype(dtype)}, sig
     assert beta_form(rep, form, []) == []
 
 
@@ -449,27 +475,64 @@ def test_batched_beta_form_matches_the_oracle_on_planted_reps():
     }
 
 
-def test_beta_form_takes_the_object_path_past_the_int64_bound():
-    # entries near 2^40 put N M^2 past 2^62: the stack holds Python ints,
-    # and the verdicts are the oracle's, where int64 would overflow
+def test_beta_form_takes_the_object_path_past_the_int64_bound(monkeypatch):
+    # entries near 2^40 put a square's entries, at most 2 M^2, past 2^62:
+    # its sums run on Python ints, and the verdicts are the oracle's,
+    # where int64 would overflow
+    arrays = _record_coefficients(monkeypatch)
     rng = random.Random(43)
     for sig in (Signature(2, 3), Signature(4, 4), Signature(1, 1)):
         rep = build_rep(sig)
         form = first_nondegenerate(rep)
         null = random_null_vector(sig, rng)
         big = [[2**40 * x for x in null], [2**40 + rng.randint(-9, 9) for _ in range(sig.n)]]
-        stack = gamma_stack(rep, big)
-        assert stack.dtype == object and {type(x) for x in stack.ravel()} == {int}
+        arrays.clear()
         got = _verdicts(beta_form(rep, form, big))
         assert got == _oracle_verdicts(rep, form, big) and got[0] == rep.N // 2
+        # the squares go to Python ints; the anticommutator's sums, at
+        # most 4 M, and beta's, at most 2 M, stay int64
+        assert [a.dtype for a in arrays] == [object, np.int64, np.int64]
+        assert {type(x) for x in arrays[0].ravel()} == {int}
         for broken in (_flip_sign(rep, 0), _swap_perm(rep, 0)):
             assert _verdicts(beta_form(broken, form, big)) == _oracle_verdicts(broken, form, big)
-        assert gamma_stack(rep, [null]).dtype == np.int64
-    # the bound itself: N M^2 < 2^62 keeps int64, and one more does not
+        arrays.clear()
+        beta_form(rep, form, [null])
+        assert [a.dtype for a in arrays] == [np.int64] * 3
+    # the bound itself: 2 M^2 < 2^62 keeps the square in int64, and M + 1 does not
     rep = build_rep(Signature(2, 0))
-    edge = math.isqrt((2**62 - 1) // rep.N)
-    assert gamma_stack(rep, [[edge, 0]]).dtype == np.int64
-    assert gamma_stack(rep, [[edge + 1, 0]]).dtype == object
+    edge = math.isqrt((2**62 - 1) // 2)
+    arrays.clear()
+    assert squares_to_scalar(rep, [[edge, 0]]) == squares_to_scalar(rep, [[edge + 1, 0]]) == [True]
+    assert [a.dtype for a in arrays] == [np.int64, object]
+    broken = _flip_sign(rep, 0)
+    assert squares_to_scalar(broken, [[edge, 0], [0, edge + 1]]) == [False, True]
+
+
+def test_sum_certificates_match_the_dense_stack_at_N_128():
+    # the per-vector Matrix oracle is too slow here; the dense (B, N, N)
+    # stack checks are the oracle, on the valid rep and with one
+    # generator's sign flipped or two of its perm entries swapped
+    rng = random.Random(47)
+    sig = Signature(7, 5)
+    rep = build_rep(sig)
+    assert rep.N == 128
+    form = first_nondegenerate(rep)
+    vectors = [[0] * sig.n, [rng.randint(-3, 3) for _ in range(sig.n)]]
+    vectors += [random_null_vector(sig, rng) for _ in range(3)]
+    seen = set()
+    for broken in (rep, _flip_sign(rep, 3), _swap_perm(rep, 3)):
+        want = beta_form_stack(broken, form, vectors)
+        assert _verdicts(beta_form(broken, form, vectors)) == want
+        squares = squares_to_scalar_stack(broken, vectors, gamma_stack(broken, vectors))
+        assert squares_to_scalar(broken, vectors) == squares
+        seen.update(want)
+    assert seen == {
+        0,
+        rep.N,
+        rep.N // 2,
+        "gamma_v squared must vanish on a null vector",
+        "gamma_v squared is not -g(v,v) Id",
+    }
 
 
 def test_random_subspace_rank():

@@ -201,6 +201,8 @@ def test_verify_all_passes(capsys):
         ["--samples", "-3"],
         ["--cone", "1,0"],
         ["--cone", "0,3"],
+        ["--h", "1e308"],  # overflowed the model's metric before the parser bounded it
+        ["--h", "1"],
     ],
 )
 def test_model_verify_rejects_bad_values_in_parser(flags):
@@ -208,6 +210,65 @@ def test_model_verify_rejects_bad_values_in_parser(flags):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_model_verify_huge_step_exits_2_without_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["model-verify", "--cone", "3,0", "--samples", "2", "--h", "1e308"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --h: 1e308 is not a step of at most 0.1" in captured.err
+
+
+TOP_HELP = """\
+usage: spinorlab [-h]
+                 {rep-table,admissible-table,bracket,bound-search,spin23,spin45,cone-report,model-verify,verify-all}
+                 ...
+
+positional arguments:
+  {rep-table,admissible-table,bracket,bound-search,spin23,spin45,cone-report,model-verify,verify-all}
+    rep-table           signature, module dimension, commutant type
+    admissible-table    admissible form table per signature
+    bracket             seeded bracket evaluation and lemma checks
+    bound-search        random subspace surjectivity sweep
+    spin23              isotropic-plane bracket scan on (2,3)
+    spin45              search for the dim-4 bracket witness on (4,5)
+    cone-report         semi-spinor split and invariant dims
+    model-verify        numeric Killing checks on a hyperquadric
+    verify-all          run the acceptance suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_help_text_is_stable_across_calls(monkeypatch, capsys):
+    # the parser is built once per process; each call prints the same help
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == TOP_HELP
+
+
+def test_usage_errors_are_stable_across_calls(monkeypatch, capsys):
+    # the SPINORLAB_SEED default is read on each call, not when the
+    # parser was built
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: spinorlab spin23 [-h] [--trials TRIALS] [--seed SEED]\n"
+    for seed, argv, error in [
+        ("0", ["spin23", "--trials", "0"], "argument --trials: 0 is not a positive integer"),
+        ("abc", ["spin23"], "argument --seed: invalid int value: 'abc'"),
+        ("0", ["spin23", "--trials", "0"], "argument --trials: 0 is not a positive integer"),
+        ("x1", ["spin23"], "argument --seed: invalid int value: 'x1'"),
+    ]:
+        monkeypatch.setenv("SPINORLAB_SEED", seed)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"{usage}spinorlab spin23: error: {error}\n")
 
 
 @pytest.mark.parametrize(
