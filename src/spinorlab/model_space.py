@@ -7,20 +7,21 @@ independently assembled numeric spin connection: smooth local
 orthonormal frames, frame-rotation rates by central differences, and
 the quarter-sum bivector term.
 
-Frames are made for whole stacks of points at once.  One modified
-Gram-Schmidt runs over an (m, dim) stack, each row with its own dropped
-ambient coordinate, and step k orthonormalizes column k of every row
-together; a row whose pivot falls below 1e-12 is marked unusable.  A
-model builds its sample table in three such calls (every point with
-every drop for the patch choice, the frames at the points, the frames
-one step either side along every frame direction), and forms all
-rotation rates, connections and gamma^M from those stacks.  A single
-point is a batch of one through the same code, so it gets the same
-bits.  Clifford data comes from the exact modules: the spin connection
-and the intrinsic action gamma^M_X = gamma_X gamma_x are bivectors,
-scattered in O(n^2 N) per matrix from the signed-permutation products
-G_i G_j of the cone generators, and the admissible form is converted to
-float64.
+Frames are made for whole stacks of points at once, by one modified
+Gram-Schmidt over an (m, dim) stack in which each row drops its own
+ambient coordinate; a row whose pivot falls below 1e-12 is unusable.
+A model builds its sample table in three such calls (the patch trials,
+the frames at the points, the frames one step either side along every
+frame direction) and forms all connections and gamma^M from them.  The
+spin connection and gamma^M_X = gamma_X gamma_x are bivectors scattered
+from the signed-permutation products G_i G_j of the cone generators.
+
+Each residual check is one array pass.  The Killing and Dirac sweep
+takes every field at a sample point and one step either side along all
+frame directions as one array, and its stacked products are per
+direction the contiguous 2-D products of a loop, so the bits are the
+loop's.  The bracket and curvature checks take all their sample points
+at once, with one frame call for every end point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -67,13 +68,11 @@ def _first_primes(count):
 
 
 def _worst(values) -> float:
-    """Largest of non-negative residuals, failing closed: a NaN or
-    infinite residual, or no residual at all, makes the result inf,
+    """Largest magnitude of an array of residuals, failing closed: a NaN
+    or infinite residual, or no residual at all, makes the result inf,
     which no tolerance passes."""
-    values = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in values):
-        return math.inf
-    return max(values, default=math.inf)
+    values = np.abs(np.ravel(values))
+    return float(values.max()) if values.size and np.all(np.isfinite(values)) else math.inf
 
 
 @dataclass(frozen=True)
@@ -336,33 +335,6 @@ def spin_connection(model, frame, direction, patch):
     return omegas[0] if np.ndim(frame) == 2 else omegas
 
 
-def _values(model, fields, y, patch):
-    """The fields at y as the columns of one N x k array."""
-    return np.column_stack([field.eval(model, y, patch) for field in fields])
-
-
-def _nablas(model, fields, point, here):
-    """nabla_(e_i) S at a sample point for every frame direction e_i, S the
-    fields' N x k value array (here at the point), with Omega read from
-    the sample table."""
-    h = model.step
-    ends = zip(model.curve(point.x, point.frame.T, h), model.curve(point.x, point.frame.T, -h))
-    return [
-        (_values(model, fields, plus, point.patch) - _values(model, fields, minus, point.patch))
-        / (2.0 * h)
-        + omega @ here
-        for (plus, minus), omega in zip(ends, point.omegas)
-    ]
-
-
-def _dirac(model, point, nablas):
-    """Frame Dirac sum sum_i eta_i gamma^M_(e_i) nabla_(e_i) at a sample point."""
-    dirac = np.zeros_like(nablas[0])
-    for eta, gamma, nabla in zip(model.base_signature.eta(), point.gammas, nablas):
-        dirac += eta * gamma @ nabla
-    return dirac
-
-
 @dataclass
 class KillingReport:
     killing_number: float
@@ -387,87 +359,58 @@ def _worst_rows(rows, width):
     return values[at, np.arange(width)].tolist(), at.tolist()
 
 
+def _residuals_at(model, fields, point, candidates):
+    """Per candidate lambda, the (n, k) Killing and (k,) Dirac column
+    maxima of the fields at one sample point."""
+    ys = [point.x, *_ends(model, point.x, point.frame.T).reshape(-1, model.dim)]
+    values = [[field.eval(model, y, point.patch) for field in fields] for y in ys]
+    # C-contiguous N x k blocks: BLAS sums a strided operand in another order
+    values = np.ascontiguousarray(np.array(values, dtype=float).transpose(0, 2, 1))
+    here, around = values[0], values[1:].reshape(model.n, 2, model.N, len(fields))
+    nablas = around[:, 0]  # nabla S, in place over the values one step ahead
+    nablas -= around[:, 1]
+    nablas /= 2.0 * model.step
+    nablas += point.omegas @ here
+    eta = np.array(model.base_signature.eta(), float)[:, None, None]
+    dirac = sum(point.gammas @ nablas * eta)  # in frame order, as the sum is written
+    gamma_here = point.gammas @ here
+    out = []
+    for lam in candidates:
+        # |nabla S - lambda gamma^M S|, in place over the values one step behind
+        gap = np.multiply(lam, gamma_here, out=around[:, 1])
+        gap = np.abs(np.subtract(nablas, gap, out=gap), out=gap)
+        out.append((gap.max(axis=1), np.abs(dirac + model.n * lam * here).max(axis=0)))
+    return out
+
+
 def killing_residual(model, fields, killing_number=None) -> list:
     """One KillingReport per field: the max over samples and frame
     directions of |nabla_X s - lambda X s| and where it is reached, and
     from the same nabla sweep the Dirac residual at that lambda.
 
-    All fields share one array sweep: at each sample point and frame
-    direction their values are the columns of one N x k array S, and
-    nabla S = dS/dt + Omega S.  With killing_number None the sign of
-    lambda = +-1/2 is auto-detected per field by picking the smaller
-    residual.  No fields give no reports.
+    With killing_number None the sign of lambda = +-1/2 is auto-detected per
+    field by picking the smaller residual.  No fields give no reports.
     """
     if not fields:
         return []
     candidates = [killing_number] if killing_number is not None else [0.5, -0.5]
-    killing = [[] for _ in candidates]  # column maxima per point and direction
-    dirac = [[] for _ in candidates]  # column maxima per point
-    for point in model.sample_points():
-        here = _values(model, fields, point.x, point.patch)
-        nablas = _nablas(model, fields, point, here)
-        d_here = _dirac(model, point, nablas)
-        for lam, k_rows, d_rows in zip(candidates, killing, dirac):
-            k_rows.extend(
-                np.max(np.abs(nabla - lam * gamma @ here), axis=0)
-                for nabla, gamma in zip(nablas, point.gammas)
-            )
-            d_rows.append(np.max(np.abs(d_here + model.n * lam * here), axis=0))
-    # each column fails closed like _worst, even with no rows at all
-    width = len(fields)
-    killing = [_worst_rows(rows, width) for rows in killing]
-    dirac = [_worst_rows(rows, width)[0] for rows in dirac]
-    reports = []
-    for col in range(width):
-        best = int(np.argmin([worst[col] for worst, _ in killing]))
-        worst, at = killing[best]
-        sample, direction = (None, None) if at[col] is None else divmod(at[col], model.n)
+    rows = [_residuals_at(model, fields, point, candidates) for point in model.sample_points()]
+    reports = []  # one row of reports per candidate
+    for c, lam in enumerate(candidates):
+        # each column fails closed like _worst, even with no rows at all
+        worst, at = _worst_rows([row[c][0] for row in rows], len(fields))
+        dirac, _ = _worst_rows([row[c][1] for row in rows], len(fields))
         reports.append(
-            KillingReport(candidates[best], worst[col], dirac[best][col], sample, direction)
+            [
+                KillingReport(lam, w, d, *((None, None) if a is None else divmod(a, model.n)))
+                for w, d, a in zip(worst, dirac, at)
+            ]
         )
-    return reports
+    # per field the candidate with the smaller residual, the first on a tie
+    return [min(column, key=lambda report: report.residual) for column in zip(*reports)]
 
 
 # -- the degree-one bracket ----------------------------------------------------
-
-
-def _bracket_vector(model, frame, gammas, s_val, t_val):
-    """X = [s,t]_1 = sum_i eta_i h(gamma^M_(e_i) s, t) e_i as an ambient
-    vector, from a point's frame and the frame's gamma^M."""
-    out = np.zeros(model.dim)
-    for eta, gamma, e in zip(model.base_signature.eta(), gammas, frame.T):
-        c = float((gamma @ s_val) @ model.form_matrix @ t_val) / eta
-        if c:
-            out = out + c * e
-    return out
-
-
-def _brackets_at(model, s_field, t_field, ys, patch):
-    """[s,t]_1 at each of the points ys off the sample table, all in one
-    patch, from one batched frame call."""
-    frames = model.tangent_frame(ys, [patch] * len(ys))
-    directions = np.swapaxes(frames, 1, 2)
-    gammas = model.gamma_intrinsic(ys[:, None, :], directions)
-    return [
-        _bracket_vector(
-            model, frame, gamma, s_field.eval(model, y, patch), t_field.eval(model, y, patch)
-        )
-        for y, frame, gamma in zip(ys, frames, gammas)
-    ]
-
-
-def _tangential_difference(model, x, plus, minus):
-    """Tangential projection at x of the central difference of two ambient
-    vectors taken one model step either side of x.  The projector's
-    columns are added one at a time in ambient order, so the last bits do
-    not depend on a BLAS summation order."""
-    diff = (plus - minus) / (2.0 * model.step)
-    proj = model.tangent_projector(x)
-    out = np.zeros(model.dim)
-    for d, column in zip(diff, proj.T):
-        if d:
-            out = out + d * column
-    return out
 
 
 @dataclass
@@ -486,49 +429,75 @@ def bracket_field_checks(model, s_field, t_field) -> BracketFieldReport:
         g(nabla_(e_i) X, e_j) + g(nabla_(e_j) X, e_i) = 0;
     (c) conservation of g(velocity, X) along geodesics.
 
-    At each sample point, X is taken one step either side along every
-    frame direction and along the geodesics of the first two, all from
-    one batched frame call.
+    X is taken one step either side of every sample point along every
+    frame direction and along the geodesics of the first two; gamma^M
+    is formed for one sample point's end points at a time.
     """
-    h, n = model.step, model.n
-    conformal, killing_vec, geodesic = [], [], []
-    for point in model.sample_points(12):
-        x, patch, frame = point.x, point.patch, point.frame
-        probes = [_geodesic_probe(model, x, e) for e in frame.T[:2]]
-        ends = [model.curve(x, frame.T, h), model.curve(x, frame.T, -h)]
-        ends += [points for points, _ in probes]
-        brackets = _brackets_at(model, s_field, t_field, np.concatenate(ends), patch)
-        nablas = []
-        for i, e in enumerate(frame.T):
-            nablas.append(_tangential_difference(model, x, brackets[i], brackets[n + i]))
-            conformal.append(abs(model.g_hat(e, nablas[-1])))
-        for i, j in combinations_with_replacement(range(n), 2):
-            sym = model.g_hat(nablas[i], frame[:, j]) + model.g_hat(nablas[j], frame[:, i])
-            killing_vec.append(abs(sym))
-        for k, (_, (v_plus, v_minus)) in enumerate(probes):
-            plus, minus = brackets[2 * n + 2 * k : 2 * n + 2 * k + 2]
-            # d/dt g(velocity, X) at t = 0, zero when X is a Killing vector
-            contraction = model.g_hat(v_plus, plus) - model.g_hat(v_minus, minus)
-            geodesic.append(abs(contraction / (2.0 * h)))
+    h, n, dim = model.step, model.n, model.dim
+    points = model.sample_points(12)
+    xs, directions = _stack(model, points)
+    probes, velocities = _geodesic_probes(model, xs, directions[:, :2])
+    ends = np.concatenate([_ends(model, xs, directions), probes], axis=1)
+    ys = ends.reshape(-1, dim)
+    per_point = 2 * ends.shape[1]
+    patches = [point.patch for point in points for _ in range(per_point)]
+    frames = model.tangent_frame(ys, patches)
+    s_vals, t_vals = (
+        np.reshape([f.eval(model, y, patch) for y, patch in zip(ys, patches)], (-1, 1, model.N, 1))
+        for f in (s_field, t_field)
+    )
+    c = np.empty((len(ys), n))
+    for r in range(0, len(ys), per_point):
+        rows = slice(r, r + per_point)
+        gs = model.gamma_intrinsic(ys[rows, None], np.swapaxes(frames[rows], 1, 2)) @ s_vals[rows]
+        c[rows] = (np.swapaxes(gs, 2, 3) @ model.form_matrix @ t_vals[rows])[..., 0, 0]
+    c /= np.array(model.base_signature.eta(), float)
+    brackets = sum(c[:, i, None] * frames[:, :, i] for i in range(n)).reshape(ends.shape)
+    diff = (brackets[:, :n, 0] - brackets[:, :n, 1]) / (2.0 * h)
+    proj = model.tangent_projector(xs)
+    nablas = sum(diff[:, :, d, None] * proj[:, None, :, d] for d in range(dim))
+    # lowered[:, i, j] = g(nabla_(e_i) X, e_j); numpy's summation order
+    # follows the memory layout, so g_hat sums contiguous rows
+    lowered = model.g_hat(nablas[:, :, None], np.ascontiguousarray(directions)[:, None])
+    i, j = np.triu_indices(n)
+    # g(velocity, X) along the geodesics: its t-derivative vanishes for a Killing vector
+    contractions = model.g_hat(velocities, brackets[:, n:])
     return BracketFieldReport(
-        conformal_residual=_worst(conformal),
-        killing_vector_residual=_worst(killing_vec),
-        geodesic_residual=_worst(geodesic),
+        conformal_residual=_worst(np.diagonal(lowered, axis1=1, axis2=2)),
+        killing_vector_residual=_worst(lowered[:, i, j] + lowered[:, j, i]),
+        geodesic_residual=_worst((contractions[..., 0] - contractions[..., 1]) / (2.0 * h)),
     )
 
 
-def _geodesic_probe(model, x, direction):
-    """The points and velocities at t = +h and t = -h of the geodesic
-    with initial data (x, direction), as two (2, dim) arrays."""
-    gxx = model.g_hat(direction, direction)
+def _stack(model, points):
+    """The points as an (m, dim) stack and their frame directions as an
+    (m, n, dim) view of the frames, laid out like frame.T: numpy's
+    summation order in curve follows the layout."""
+    xs = np.reshape([point.x for point in points], (-1, model.dim))
+    frames = np.reshape([point.frame for point in points], (-1, model.dim, model.n))
+    return xs, np.swapaxes(frames, 1, 2)
+
+
+def _ends(model, xs, directions):
+    """The points one step ahead of and behind xs along each direction
+    row, as (..., n, 2, dim)."""
+    steps = np.array([[model.step], [-model.step]])
+    return model.curve(xs[..., None, None, :], directions[..., None, :], steps)
+
+
+def _geodesic_probes(model, xs, directions):
+    """Points and velocities at t = +h and -h of the geodesics through xs
+    along unit directions[:, k] of sign eta_k, as two (m, K, 2, dim) stacks."""
     tt = np.array([[model.step], [-model.step]])
-    if abs(gxx - 1.0) < 1e-9:
-        return x * np.cos(tt) + direction * np.sin(tt), -x * np.sin(tt) + direction * np.cos(tt)
-    if abs(gxx + 1.0) < 1e-9:
-        return x * np.cosh(tt) + direction * np.sinh(tt), x * np.sinh(tt) + direction * np.cosh(tt)
-    if abs(gxx) < 1e-9:
-        return x + tt * direction, np.tile(direction, (2, 1))
-    raise ValueError("geodesic initial velocity must be unit or null")
+    x, points, velocities = xs[:, None], [], []
+    for e, eta in zip(np.swapaxes(directions[:, :, None], 0, 1), model.base_signature.eta()):
+        if eta > 0:
+            points.append(x * np.cos(tt) + e * np.sin(tt))
+            velocities.append(-x * np.sin(tt) + e * np.cos(tt))
+        else:
+            points.append(x * np.cosh(tt) + e * np.sinh(tt))
+            velocities.append(x * np.sinh(tt) + e * np.cosh(tt))
+    return np.stack(points, axis=1), np.stack(velocities, axis=1)
 
 
 def homogeneity_span(model, fields):
@@ -536,15 +505,12 @@ def homogeneity_span(model, fields):
     the type -1 intrinsic form; singular values below 1e-6 of the largest
     count as zero."""
     dims = []
+    eta = np.array(model.base_signature.eta(), float)[:, None, None]
     for point in model.sample_points(8):
-        values = [s.eval(model, point.x, point.patch) for s in fields]
-        mat = np.array(
-            [
-                _bracket_vector(model, point.frame, point.gammas, s_val, t_val)
-                for s_val in values
-                for t_val in values
-            ]
-        )
+        values = np.array([s.eval(model, point.x, point.patch) for s in fields], dtype=float).T
+        # c[i, a, b] = h(gamma^M_(e_i) s_a, s_b) / eta_i
+        c = np.swapaxes(point.gammas @ values, 1, 2) @ model.form_matrix @ values / eta
+        mat = (np.moveaxis(c, 0, -1) @ point.frame.T).reshape(-1, model.dim)
         svals = np.linalg.svd(mat, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         dims.append(int(np.sum(svals > 1e-6 * scale)))
@@ -607,23 +573,19 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
 def scalar_curvature_residual(model, killing_number) -> float:
     """|scal_numeric - 4 n (n-1) lambda^2| with scal from the numeric
     second fundamental form through the flat-ambient curvature relation."""
-    residuals = []
-    target = 4.0 * model.n * (model.n - 1) * killing_number**2
-    h = model.step
-    eta_base = np.array(model.base_signature.eta(), float)
-    for point in model.sample_points(8):
-        x, patch, frame = point.x, point.patch, point.frame
-        ends = np.concatenate([model.curve(x, frame.T, h), model.curve(x, frame.T, -h)])
-        frames = model.tangent_frame(ends, [patch] * len(ends))
-        # de[i] is the derivative of the frame along e_i
-        de = (frames[: model.n] - frames[model.n :]) / (2.0 * h)
-        alpha = model.g_hat(np.swapaxes(de, 1, 2), x)
-        scal = 0.0
-        for i in range(model.n):
-            for j in range(model.n):
-                if i != j:
-                    scal += eta_base[i] * eta_base[j] * (
-                        alpha[i, i] * alpha[j, j] - alpha[i, j] ** 2
-                    )
-        residuals.append(abs(scal - target))
-    return _worst(residuals)
+    h, n = model.step, model.n
+    target = 4.0 * n * (n - 1) * killing_number**2
+    points = model.sample_points(8)
+    xs, directions = _stack(model, points)
+    patches = [point.patch for point in points for _ in range(2 * n)]
+    ends = _ends(model, xs, directions).reshape(-1, model.dim)
+    frames = model.tangent_frame(ends, patches).reshape(len(xs), n, 2, model.dim, n)
+    # de[:, i] is the derivative of the frame along e_i
+    de = (frames[:, :, 0] - frames[:, :, 1]) / (2.0 * h)
+    alpha = model.g_hat(np.swapaxes(de, 2, 3), xs[:, None, None])
+    diag = np.diagonal(alpha, axis1=1, axis2=2)
+    eta = np.array(model.base_signature.eta(), float)
+    terms = eta[:, None] * eta * (diag[:, :, None] * diag[:, None, :] - alpha**2)
+    # the terms i = j vanish; accumulate adds the others in the order (i, j)
+    scal = np.cumsum(terms.reshape(len(xs), n * n), axis=1)[:, -1]
+    return _worst(scal - target)

@@ -3,17 +3,27 @@ sparse-column and row-system fast path of spinorlab is checked against;
 the per-vector and pairwise loops that the array certificates of
 spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
 which the signed-permutation sums of brackets replaced and which scale
-to N >= 128; and the per-point frame loops that the batched
-Gram-Schmidt of model_space replaced.
+to N >= 128; the per-point frame loops that the batched Gram-Schmidt
+of model_space replaced; and the per-point, per-direction residual
+sweeps (Killing, Dirac, bracket, homogeneity and curvature) that the
+array passes of model_space replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from spinorlab.clifford_core import gamma_vector, generator_table, metric_value
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
+from spinorlab.model_space import (
+    BracketFieldReport,
+    KillingReport,
+    _worst,
+    _worst_rows,
+)
 
 
 class Matrix:
@@ -384,3 +394,186 @@ def tangent_frame_oracle(model, y, patch):
     if not all(e > 0 for e in eta[:p]) or not all(e < 0 for e in eta[p:]):
         raise ArithmeticError("frame sign pattern does not match the base")
     return np.column_stack([vecs[i] for i in order])
+
+
+# -- the per-point residual sweeps ---------------------------------------------
+
+
+def values_at(model, fields, y, patch):
+    """The fields at y as the columns of one N x k array."""
+    return np.column_stack([field.eval(model, y, patch) for field in fields])
+
+
+def nablas_at(model, fields, point, here):
+    """nabla_(e_i) S at a sample point for every frame direction e_i, S the
+    fields' N x k value array (here at the point), with Omega read from
+    the sample table."""
+    h = model.step
+    ends = zip(model.curve(point.x, point.frame.T, h), model.curve(point.x, point.frame.T, -h))
+    return [
+        (values_at(model, fields, plus, point.patch) - values_at(model, fields, minus, point.patch))
+        / (2.0 * h)
+        + omega @ here
+        for (plus, minus), omega in zip(ends, point.omegas)
+    ]
+
+
+def dirac_at(model, point, nablas):
+    """Frame Dirac sum sum_i eta_i gamma^M_(e_i) nabla_(e_i) at a sample point."""
+    dirac = np.zeros_like(nablas[0])
+    for eta, gamma, nabla in zip(model.base_signature.eta(), point.gammas, nablas):
+        dirac += eta * gamma @ nabla
+    return dirac
+
+
+def killing_residual_oracle(model, fields, killing_number=None) -> list:
+    """killing_residual as one loop per sample point, frame direction and
+    candidate lambda."""
+    if not fields:
+        return []
+    candidates = [killing_number] if killing_number is not None else [0.5, -0.5]
+    killing = [[] for _ in candidates]  # column maxima per point and direction
+    dirac = [[] for _ in candidates]  # column maxima per point
+    for point in model.sample_points():
+        here = values_at(model, fields, point.x, point.patch)
+        nablas = nablas_at(model, fields, point, here)
+        d_here = dirac_at(model, point, nablas)
+        for lam, k_rows, d_rows in zip(candidates, killing, dirac):
+            k_rows.extend(
+                np.max(np.abs(nabla - lam * gamma @ here), axis=0)
+                for nabla, gamma in zip(nablas, point.gammas)
+            )
+            d_rows.append(np.max(np.abs(d_here + model.n * lam * here), axis=0))
+    width = len(fields)
+    killing = [_worst_rows(rows, width) for rows in killing]
+    dirac = [_worst_rows(rows, width)[0] for rows in dirac]
+    reports = []
+    for col in range(width):
+        best = int(np.argmin([worst[col] for worst, _ in killing]))
+        worst, at = killing[best]
+        sample, direction = (None, None) if at[col] is None else divmod(at[col], model.n)
+        reports.append(
+            KillingReport(candidates[best], worst[col], dirac[best][col], sample, direction)
+        )
+    return reports
+
+
+def bracket_vector(model, frame, gammas, s_val, t_val):
+    """X = [s,t]_1 = sum_i eta_i h(gamma^M_(e_i) s, t) e_i as an ambient
+    vector, from a point's frame and the frame's gamma^M."""
+    out = np.zeros(model.dim)
+    for eta, gamma, e in zip(model.base_signature.eta(), gammas, frame.T):
+        c = float((gamma @ s_val) @ model.form_matrix @ t_val) / eta
+        if c:
+            out = out + c * e
+    return out
+
+
+def brackets_at(model, s_field, t_field, ys, patch):
+    """[s,t]_1 at each of the points ys, all in one patch."""
+    frames = model.tangent_frame(ys, [patch] * len(ys))
+    directions = np.swapaxes(frames, 1, 2)
+    gammas = model.gamma_intrinsic(ys[:, None, :], directions)
+    return [
+        bracket_vector(
+            model, frame, gamma, s_field.eval(model, y, patch), t_field.eval(model, y, patch)
+        )
+        for y, frame, gamma in zip(ys, frames, gammas)
+    ]
+
+
+def tangential_difference(model, x, plus, minus):
+    """Tangential projection at x of the central difference of two ambient
+    vectors taken one model step either side of x, column by column."""
+    diff = (plus - minus) / (2.0 * model.step)
+    proj = model.tangent_projector(x)
+    out = np.zeros(model.dim)
+    for d, column in zip(diff, proj.T):
+        if d:
+            out = out + d * column
+    return out
+
+
+def geodesic_probe(model, x, direction):
+    """The points and velocities at t = +h and t = -h of the geodesic
+    with initial data (x, direction), as two (2, dim) arrays."""
+    gxx = model.g_hat(direction, direction)
+    tt = np.array([[model.step], [-model.step]])
+    if abs(gxx - 1.0) < 1e-9:
+        return x * np.cos(tt) + direction * np.sin(tt), -x * np.sin(tt) + direction * np.cos(tt)
+    if abs(gxx + 1.0) < 1e-9:
+        return x * np.cosh(tt) + direction * np.sinh(tt), x * np.sinh(tt) + direction * np.cosh(tt)
+    if abs(gxx) < 1e-9:
+        return x + tt * direction, np.tile(direction, (2, 1))
+    raise ValueError("geodesic initial velocity must be unit or null")
+
+
+def bracket_field_checks_oracle(model, s_field, t_field) -> BracketFieldReport:
+    """bracket_field_checks as one batched frame call per sample point and
+    one bracket vector per end point."""
+    h, n = model.step, model.n
+    conformal, killing_vec, geodesic = [], [], []
+    for point in model.sample_points(12):
+        x, patch, frame = point.x, point.patch, point.frame
+        probes = [geodesic_probe(model, x, e) for e in frame.T[:2]]
+        ends = [model.curve(x, frame.T, h), model.curve(x, frame.T, -h)]
+        ends += [points for points, _ in probes]
+        brackets = brackets_at(model, s_field, t_field, np.concatenate(ends), patch)
+        nablas = []
+        for i, e in enumerate(frame.T):
+            nablas.append(tangential_difference(model, x, brackets[i], brackets[n + i]))
+            conformal.append(abs(model.g_hat(e, nablas[-1])))
+        for i, j in combinations_with_replacement(range(n), 2):
+            sym = model.g_hat(nablas[i], frame[:, j]) + model.g_hat(nablas[j], frame[:, i])
+            killing_vec.append(abs(sym))
+        for k, (_, (v_plus, v_minus)) in enumerate(probes):
+            plus, minus = brackets[2 * n + 2 * k : 2 * n + 2 * k + 2]
+            contraction = model.g_hat(v_plus, plus) - model.g_hat(v_minus, minus)
+            geodesic.append(abs(contraction / (2.0 * h)))
+    return BracketFieldReport(
+        conformal_residual=_worst(conformal),
+        killing_vector_residual=_worst(killing_vec),
+        geodesic_residual=_worst(geodesic),
+    )
+
+
+def homogeneity_span_oracle(model, fields):
+    """homogeneity_span with one bracket vector per pair of fields."""
+    dims = []
+    for point in model.sample_points(8):
+        values = [s.eval(model, point.x, point.patch) for s in fields]
+        mat = np.array(
+            [
+                bracket_vector(model, point.frame, point.gammas, s_val, t_val)
+                for s_val in values
+                for t_val in values
+            ]
+        )
+        svals = np.linalg.svd(mat, compute_uv=False)
+        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
+        dims.append(int(np.sum(svals > 1e-6 * scale)))
+    return dims
+
+
+def scalar_curvature_residual_oracle(model, killing_number) -> float:
+    """scalar_curvature_residual with one frame call per sample point and
+    scal summed pair by pair."""
+    residuals = []
+    target = 4.0 * model.n * (model.n - 1) * killing_number**2
+    h = model.step
+    eta_base = np.array(model.base_signature.eta(), float)
+    for point in model.sample_points(8):
+        x, patch, frame = point.x, point.patch, point.frame
+        ends = np.concatenate([model.curve(x, frame.T, h), model.curve(x, frame.T, -h)])
+        frames = model.tangent_frame(ends, [patch] * len(ends))
+        de = (frames[: model.n] - frames[model.n :]) / (2.0 * h)
+        alpha = model.g_hat(np.swapaxes(de, 1, 2), x)
+        scal = 0.0
+        for i in range(model.n):
+            for j in range(model.n):
+                if i != j:
+                    scal += eta_base[i] * eta_base[j] * (
+                        alpha[i, i] * alpha[j, j] - alpha[i, j] ** 2
+                    )
+        residuals.append(abs(scal - target))
+    return _worst(residuals)

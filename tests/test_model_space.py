@@ -4,11 +4,10 @@ import pytest
 from spinorlab.admissible_forms import first_nondegenerate
 from spinorlab.clifford_core import Signature, build_rep
 from spinorlab.model_space import (
+    BracketFieldReport,
     ConstantSpinorField,
     HyperquadricModel,
-    _dirac,
     _first_primes,
-    _nablas,
     _to_numpy,
     _worst,
     _worst_rows,
@@ -20,7 +19,17 @@ from spinorlab.model_space import (
     scalar_curvature_residual,
     spin_connection,
 )
-from dense_oracle import dense, select_patch_oracle, tangent_frame_oracle
+from dense_oracle import (
+    bracket_field_checks_oracle,
+    dense,
+    dirac_at,
+    homogeneity_span_oracle,
+    killing_residual_oracle,
+    nablas_at,
+    scalar_curvature_residual_oracle,
+    select_patch_oracle,
+    tangent_frame_oracle,
+)
 
 
 class VolumeFlippedField:
@@ -101,8 +110,8 @@ def dirac_form_consistency(model, s_field, t_field, lambda_s, lambda_t):
         x, patch = point.x, point.patch
         s_val = s_field.eval(model, x, patch)
         t_val = t_field.eval(model, x, patch)
-        ds = _dirac(model, point, _nablas(model, [s_field], point, s_val[:, None]))[:, 0]
-        dt = _dirac(model, point, _nablas(model, [t_field], point, t_val[:, None]))[:, 0]
+        ds = dirac_at(model, point, nablas_at(model, [s_field], point, s_val[:, None]))[:, 0]
+        dt = dirac_at(model, point, nablas_at(model, [t_field], point, t_val[:, None]))[:, 0]
         # the intrinsic type of the form decides tau
         tau = _intrinsic_tau(h_mat, point)
         lhs = -model.n * (lambda_s + tau * lambda_t) * float(s_val @ h_mat @ t_val)
@@ -783,3 +792,83 @@ def test_killing_report_names_the_worst_sample_and_direction():
     model.samples = []
     (report,) = killing_residual(model, [_LinearField()])
     assert (report.worst_sample, report.worst_direction) == (None, None)
+
+
+def test_killing_pass_matches_the_per_point_oracle_on_every_cone():
+    # every cone with p + q <= 10 at 4 samples, all N unit fields, the
+    # auto-detected and a fixed Killing number: the array pass gives the
+    # per-point, per-direction loop's reports bit for bit; so it does for
+    # general constant fields, whose products round
+    rng = np.random.default_rng(7)
+    cones = [Signature(p, n - p) for n in range(2, 11) for p in range(1, n + 1)]
+    assert len(cones) == 54
+    for cone in cones:
+        model = HyperquadricModel(cone, num_samples=4)
+        fields = [ConstantSpinorField(column) for column in np.eye(model.N)]
+        general = [ConstantSpinorField(rng.standard_normal(model.N)) for _ in range(2)]
+        for batch, lam in ((fields, None), (fields, 0.5), (general, None)):
+            got = killing_residual(model, batch, lam)
+            assert got == killing_residual_oracle(model, batch, lam), (str(cone), lam)
+
+
+@pytest.mark.parametrize("cone", [(3, 0), (2, 2), (4, 1), (5, 3)])
+def test_bracket_span_and_curvature_match_the_per_point_oracles(cone):
+    model = HyperquadricModel(Signature(*cone), num_samples=12)
+    s, t = (ConstantSpinorField(np.eye(model.N)[k]) for k in (0, 1))
+    assert homogeneity_span(model, [s, t]) == homogeneity_span_oracle(model, [s, t])
+    for lam in (0.5, -0.5):
+        got = scalar_curvature_residual(model, lam)
+        assert got == scalar_curvature_residual_oracle(model, lam)
+    # held to 1e-12, not to the bit: a reordered batched sum would move
+    # the last bits of these differences over 2h
+    got, want = bracket_field_checks(model, s, t), bracket_field_checks_oracle(model, s, t)
+    for name in ("conformal_residual", "killing_vector_residual", "geodesic_residual"):
+        assert abs(getattr(got, name) - getattr(want, name)) < 1e-12, name
+
+
+def test_bracket_span_and_curvature_fail_closed():
+    s, t = ConstantSpinorField(np.eye(4)[0]), ConstantSpinorField(np.eye(4)[1])
+    model = HyperquadricModel(Signature(3, 0), num_samples=4, step=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = bracket_field_checks(model, s, t)
+        assert scalar_curvature_residual(model, 0.5) == np.inf
+    assert report == BracketFieldReport(np.inf, np.inf, np.inf)
+    model = HyperquadricModel(Signature(3, 0), num_samples=4)
+    model.samples = []
+    assert bracket_field_checks(model, s, t) == BracketFieldReport(np.inf, np.inf, np.inf)
+    assert scalar_curvature_residual(model, 0.5) == np.inf
+    assert homogeneity_span(model, [s, t]) == []
+
+
+class _CountingField(ConstantSpinorField):
+    def __init__(self, column, calls):
+        super().__init__(column)
+        self.calls = calls
+
+    def eval(self, model, y, patch):
+        self.calls.append(self)
+        return super().eval(model, y, patch)
+
+
+def test_residual_checks_make_one_frame_call_once_the_table_is_built(monkeypatch):
+    frame_calls = []
+    original = HyperquadricModel._orthonormalize
+
+    def counting(self, ys, drops):
+        frame_calls.append(len(ys))
+        return original(self, ys, drops)
+
+    monkeypatch.setattr(HyperquadricModel, "_orthonormalize", counting)
+    for cone, samples in ((Signature(3, 0), 4), (Signature(4, 1), 16), (Signature(2, 2), 32)):
+        model = HyperquadricModel(cone, num_samples=samples)
+        model.sample_points()
+        evals = []
+        fields = [_CountingField(column, evals) for column in np.eye(model.N)]
+        frame_calls.clear()
+        killing_residual(model, fields)
+        assert frame_calls == []
+        assert all(evals.count(f) == (1 + 2 * model.n) * samples for f in fields)
+        bracket_field_checks(model, fields[0], fields[1])
+        assert len(frame_calls) == 1
+        scalar_curvature_residual(model, 0.5)
+        assert len(frame_calls) == 2
