@@ -8,8 +8,11 @@ Representations are assembled from explicit base cases (n <= 1) and the
 tensor recursions against the rank-2 algebras; whenever a tensor step
 produces a reducible module it is cut down by projecting onto the +1
 eigenspace of an involution in the tracked commutant.  Every generator,
-blade and tracked commutant element is a SignedPerm, and construction
-is deterministic.
+blade and tracked commutant element is a SignedPerm, construction is
+deterministic, and each (p, q) module is built once.  A rep is certified
+without a solve: first the Clifford relations, then, as these make +-G_S
+the Clifford group of order 2^(n+1), the commutant dimension by its trace
+count (commutant_dimension), which must be 1, 2 or 4 for type R, C or H.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact_linalg import SignedPerm, signed_relation_basis
+from .exact_linalg import SignedPerm
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def _reduce_module(positives, negatives, comm):
     while True:
         z = first_square_root(comm, 1)
         if z is None:
-            return positives, negatives, comm
+            return tuple(positives), tuple(negatives), tuple(comm)
         cols = _plus_eigenbasis(z)
         positives = [_restrict(g, cols) for g in positives]
         negatives = [_restrict(g, cols) for g in negatives]
@@ -148,36 +151,34 @@ def _classify_commutant(comm):
     return "H", (j1, j2, j3)
 
 
+@lru_cache(maxsize=None)
 def _build(p, q):
-    """Returns (positives, negatives, comm_elements)."""
+    """(positives, negatives, comm_elements) as tuples, built once per
+    (p, q): the tensor recursion reuses each sub-signature's module, and
+    no caller can change a cached one."""
     if (p, q) == (0, 0):
-        return [], [], []
+        return (), (), ()
     if (p, q) == (1, 0):
-        return [_F_POS], [], [_F_POS]
+        return (_F_POS,), (), (_F_POS,)
     if (p, q) == (0, 1):
-        return [], [SignedPerm((0,), (1,))], []
+        return (), (SignedPerm((0,), (1,)),), ()
     if p >= 1 and q >= 1:
         sub_pos, sub_neg, sub_comm = _build(p - 1, q - 1)
         sub_n = len((sub_pos + sub_neg)[0].perm) if sub_pos or sub_neg else 1
         ident = SignedPerm.identity(sub_n)
         vol2 = _F_POS * _F_NEG
-        positives = [ident.kron(_F_POS)] + [g.kron(vol2) for g in sub_pos]
-        negatives = [ident.kron(_F_NEG)] + [g.kron(vol2) for g in sub_neg]
-        comm = [x.kron(SignedPerm.identity(2)) for x in sub_comm]
+        positives = (ident.kron(_F_POS), *(g.kron(vol2) for g in sub_pos))
+        negatives = (ident.kron(_F_NEG), *(g.kron(vol2) for g in sub_neg))
+        comm = tuple(x.kron(SignedPerm.identity(2)) for x in sub_comm)
         return positives, negatives, comm
     if q == 0:  # p >= 2: tensor the swapped algebra with the quaternion block
         sub_pos, sub_neg, sub_comm = _build(0, p - 2)
         sub_n = len(sub_neg[0].perm) if sub_neg else 1
         ident = SignedPerm.identity(sub_n)
         vol2 = _L_I * _L_J
-        positives = [ident.kron(_L_I), ident.kron(_L_J)] + [
-            g.kron(vol2) for g in sub_neg
-        ]
+        positives = [ident.kron(_L_I), ident.kron(_L_J), *(g.kron(vol2) for g in sub_neg)]
         negatives = [g.kron(vol2) for g in sub_pos]
-        comm = []
-        for a in [ident] + list(sub_comm):
-            for r in (_R_I, _R_J, _R_K):
-                comm.append(a.kron(r))
+        comm = [a.kron(r) for a in (ident, *sub_comm) for r in (_R_I, _R_J, _R_K)]
         comm += [x.kron(SignedPerm.identity(4)) for x in sub_comm]
         return _reduce_module(positives, negatives, comm)
     # p == 0, q >= 2: mirror step with the split rank-2 block
@@ -185,11 +186,9 @@ def _build(p, q):
     sub_n = len(sub_pos[0].perm) if sub_pos else 1
     ident = SignedPerm.identity(sub_n)
     vol2 = _K_NEG2_A * _K_NEG2_B
-    positives = [g.kron(vol2) for g in sub_neg]
-    negatives = [ident.kron(_K_NEG2_A), ident.kron(_K_NEG2_B)] + [
-        g.kron(vol2) for g in sub_pos
-    ]
-    comm = [x.kron(SignedPerm.identity(2)) for x in sub_comm]
+    positives = tuple(g.kron(vol2) for g in sub_neg)
+    negatives = (ident.kron(_K_NEG2_A), ident.kron(_K_NEG2_B), *(g.kron(vol2) for g in sub_pos))
+    comm = tuple(x.kron(SignedPerm.identity(2)) for x in sub_comm)
     return positives, negatives, comm
 
 
@@ -222,8 +221,34 @@ def generator_table(generators: tuple):
 
 
 def commutant_dimension(generators, N) -> int:
-    """Dimension of {X : X G = G X for all generators G}."""
-    return len(signed_relation_basis(N, [(g, g) for g in generators]))
+    """Dimension of {X : X G = G X for all generators G}; raises unless
+    each G_i squares to -eta_i Id, eta_i = +-1, and the G_i anticommute.
+    Those relations make +-G_S the Clifford group of order 2^(n+1), so the
+    dimension is the mean of tr(g)^2 over it, 2^-n sum_S tr(G_S)^2.  Some
+    G_i anticommutes with G_S, so tr(G_S) = 0 unless S is empty or, for
+    odd n, every index: dim = (N^2 + [n odd] tr(G_1 ... G_n)^2) / 2^n,
+    exact and O(nN).  N is read only when there are no generators."""
+    generators = tuple(generators)
+    # eta as each G_i^2 reads at column 0, which the relation check certifies
+    eta = [-g.signs[0] * g.signs[g.perm[0]] for g in generators]
+    failures = generators and clifford_relation_failures(generators, eta)
+    if failures:
+        raise ArithmeticError(f"generators are not Clifford: relation fails at {failures[0]}")
+    return _character_count(generators) if generators else N * N
+
+
+def _character_count(generators) -> int:
+    """commutant_dimension's count, for generators already certified."""
+    perm, sign = generator_table(generators)
+    n, N = perm.shape
+    v_perm, v_sign = np.arange(N), np.ones(N, dtype=np.int64)
+    for g_perm, g_sign in zip(perm, sign):  # the volume G_1 ... G_n
+        v_perm, v_sign = v_perm[g_perm], g_sign * v_sign[g_perm]
+    trace = int(v_sign[v_perm == np.arange(N)].sum()) if n % 2 else 0
+    dim, rest = divmod(N * N + trace**2, 2**n)
+    if rest:
+        raise ArithmeticError(f"character count is not divisible by 2^{n}")
+    return dim
 
 
 def clifford_relation_failures(generators, eta):
@@ -256,27 +281,16 @@ def _verify_rep(rep: CliffordRep):
         x_g, g_x = signed_products(comm, gens), signed_products(gens, comm)
         if any((a != b.swapaxes(0, 1)).any() for a, b in zip(x_g, g_x)):
             raise ArithmeticError(f"commutant element fails for {rep.signature}")
-    dim = commutant_dimension(rep.generators, rep.N)
+    dim = _character_count(rep.generators)  # the relations hold: no solve
     if dim != _COMM_DIM[rep.commutant_type]:
-        raise ArithmeticError(
-            f"commutant dimension {dim} does not match type {rep.commutant_type}"
-        )
+        raise ArithmeticError(f"commutant dimension {dim} does not match type {rep.commutant_type}")
 
 
 @lru_cache(maxsize=None)
 def _build_rep_cached(p, q):
     positives, negatives, comm = _build(p, q)
-    gens = positives + negatives
-    N = len(gens[0].perm) if gens else 1
-    ctype, cbasis = _classify_commutant(comm)
-    rep = CliffordRep(
-        signature=Signature(p, q),
-        N=N,
-        generators=tuple(gens),
-        eta=Signature(p, q).eta(),
-        commutant_type=ctype,
-        commutant_basis=cbasis,
-    )
+    gens, sig = positives + negatives, Signature(p, q)
+    rep = CliffordRep(sig, len(gens[0].perm), gens, sig.eta(), *_classify_commutant(comm))
     _verify_rep(rep)
     return rep
 

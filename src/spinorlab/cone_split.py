@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .clifford_core import (
     CliffordRep,
     Signature,
+    commutant_dimension,
     even_subalgebra_images,
     first_square_root,
     null_direction,
@@ -102,7 +103,9 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     The decision comes from the commutant of the even action: the module
     is reducible exactly when that commutant contains an involution other
     than +-Id.  The outcome is cross-checked against the residue rule;
-    any mismatch is a hard failure.
+    any mismatch is a hard failure.  A central non-scalar involution omega
+    (the base volume image, odd base n) is the z found: the commutant is
+    then not solved for, only counted by commutant_dimension.
     """
     cone = rep_cone.signature
     if cone.p < 1:
@@ -110,15 +113,18 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     base = Signature(cone.p - 1, cone.q)
     N = rep_cone.N
     images = even_subalgebra_images(rep_cone)
-    comm = signed_relation_basis(N, [(e, e) for e in images])
-    # canonical candidate: the image of the base volume element, valid
-    # only when it is central in the even action (odd base dimension)
+    # the base volume image: a candidate only when central (odd base n)
     omega = SignedPerm.identity(N)
     for e in images:
         omega = omega * e
-    candidates = list(comm)
-    if all(e * omega == omega * e for e in images):
-        candidates.insert(0, dict(enumerate(zip(omega.perm, omega.signs))))
+    central = all(e * omega == omega * e for e in images)
+    candidates = [dict(enumerate(zip(omega.perm, omega.signs)))] if central else []
+    if central and first_square_root([omega], 1) is not None:
+        commutant_dim = commutant_dimension(images, N)
+    else:
+        comm = signed_relation_basis(N, [(e, e) for e in images])
+        candidates += comm
+        commutant_dim = len(comm)
     z = _find_involution(candidates, N)
     split = z is not None
     if split != (base.s_mod8 not in IRREDUCIBLE_RESIDUES):
@@ -137,7 +143,7 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
             raise ArithmeticError("projector does not commute with the even action")
     return SemiSpinorReport(
         split=split,
-        commutant_dim=len(comm),
+        commutant_dim=commutant_dim,
         residue=base.s_mod8,
         quoted_list_agrees=(split == (base.s_mod8 not in QUOTED_IRREDUCIBLE_RESIDUES)),
     )

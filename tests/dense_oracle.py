@@ -1,5 +1,6 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
 sparse-column and row-system fast path of spinorlab is checked against;
+the orbit-solve commutant dimension that the trace count replaced;
 the per-vector and pairwise loops that the array certificates of
 spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
 which the signed-permutation sums of brackets replaced and which scale
@@ -17,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from spinorlab.clifford_core import gamma_vector, generator_table, metric_value
-from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
+from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows, signed_relation_basis
 from spinorlab.model_space import (
     BracketFieldReport,
     KillingReport,
@@ -195,6 +196,13 @@ def clifford_relation_failures_oracle(generators, eta):
             if gi * gj != -(gj * gi):
                 failures.append((i, j))
     return failures
+
+
+def commutant_dimension_by_solve(generators, N) -> int:
+    """The orbit-solve commutant dimension that commutant_dimension's
+    trace count replaced: the size of the signed_relation_basis of
+    X = G X G^T over every generator G."""
+    return len(signed_relation_basis(N, [(g, g) for g in generators]))
 
 
 def squares_to_scalar_oracle(cols, c) -> bool:

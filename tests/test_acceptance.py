@@ -167,22 +167,28 @@ def test_c01_reports_a_broken_square(monkeypatch):
 def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
     # c01 leaves the generator relations to build_rep, which checks them
     # on every rep it builds: a sign flipped inside the tensor recursion
-    # is a falsification before any criterion reports
+    # is a falsification before any criterion reports.  _build memoizes
+    # immutable tuples: the planted module is a fresh tuple, and both
+    # caches are cleared around the run so no broken module outlives it
     build = clifford_core._build
 
     def broken(p, q):
         positives, negatives, comm = build(p, q)
         if (p, q) == (1, 1):
             g = positives[0]
-            positives[0] = SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:])
+            positives = (SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:]), *positives[1:])
         return positives, negatives, comm
 
+    def clear_caches():
+        build.cache_clear()
+        clifford_core._build_rep_cached.cache_clear()
+
     monkeypatch.setattr(clifford_core, "_build", broken)
-    clifford_core._build_rep_cached.cache_clear()
+    clear_caches()
     try:
         code = main(["verify-all", "--max-n", "2", "--seed", str(SEED)])
     finally:
-        clifford_core._build_rep_cached.cache_clear()
+        clear_caches()
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab.clifford_core import (
+    _COMM_DIM,
     _plus_eigenbasis,
     _restrict,
     _verify_rep,
@@ -27,6 +28,7 @@ from spinorlab.exact_linalg import SignedPerm
 from dense_oracle import (
     Matrix,
     clifford_relation_failures_oracle,
+    commutant_dimension_by_solve,
     dense,
     dense_scalar,
     gamma_dense,
@@ -161,6 +163,92 @@ def test_commutant_dimension_rejects_non_monomial_generators():
     assert _commutant_dimension_dense([shear], 2) == 2
 
 
+def _clifford_sets(max_n):
+    """(label, generators, N): every rep with n <= max_n, and the even
+    images of every cone with 2 <= n <= max_n, which satisfy the base
+    relations."""
+    for sig in all_signatures(max_n):
+        rep = build_rep(sig)
+        yield str(sig), rep.generators, rep.N
+        if sig.p >= 1 and sig.n >= 2:
+            yield f"even {sig}", tuple(even_subalgebra_images(rep)), rep.N
+
+
+def test_commutant_count_matches_the_orbit_solve_and_the_dense_solver():
+    solved = dense_checked = 0
+    for label, gens, N in _clifford_sets(10):
+        count = commutant_dimension(gens, N)
+        assert count == commutant_dimension_by_solve(gens, N), label
+        solved += 1
+        if len(gens) <= 6:  # the dense N^2 x N^2 system is slow past N = 16
+            assert count == _commutant_dimension_dense([dense(g) for g in gens], N), label
+            dense_checked += 1
+    assert (solved, dense_checked) == (65 + 54, 27 + 27)
+
+
+def test_commutant_count_raises_on_generators_that_are_not_clifford():
+    raised = 0
+    for sig in all_signatures(5):
+        for gens in _planted_breaks(list(build_rep(sig).generators)):
+            squares = [(g * g).is_scalar_multiple_of_identity() for g in gens]
+            anticommute = all(a * b == -(b * a) for a, b in itertools.combinations(gens, 2))
+            N = len(gens[0].perm)
+            if None not in squares and anticommute:  # still Clifford, for another eta
+                assert commutant_dimension(gens, N) == commutant_dimension_by_solve(gens, N)
+                continue
+            with pytest.raises(ArithmeticError, match="not Clifford"):
+                commutant_dimension(gens, N)
+            raised += 1
+    assert raised > 1000
+    rep = build_rep(Signature(2, 1))
+    for gens in [rep.generators[:1] * 2, (SignedPerm((1, 2, 0, 3), (1,) * 4),)]:
+        with pytest.raises(ArithmeticError, match="not Clifford"):
+            commutant_dimension(gens, 4)
+    assert commutant_dimension((), 3) == 9
+
+
+def test_verify_rep_rejects_a_reducible_module_by_the_count():
+    # G (x) Id_2 satisfies the relations and its commutant holds X (x) M
+    # for every 2 x 2 M: four times the count, which no type matches
+    ident = SignedPerm.identity(2)
+    for sig in all_signatures(6):
+        rep = build_rep(sig)
+        doubled = dataclasses.replace(
+            rep,
+            N=2 * rep.N,
+            generators=tuple(g.kron(ident) for g in rep.generators),
+            commutant_basis=tuple(x.kron(ident) for x in rep.commutant_basis),
+        )
+        dim = 4 * _COMM_DIM[rep.commutant_type]
+        assert commutant_dimension(doubled.generators, doubled.N) == dim
+        with pytest.raises(ArithmeticError, match=f"commutant dimension {dim} does not match"):
+            _verify_rep(doubled)
+
+
+def test_build_memo_runs_each_signature_once(monkeypatch):
+    from spinorlab import clifford_core
+
+    sigs = list(all_signatures(10))
+    memo = clifford_core._build
+    # the unmemoized recursion: every sub-signature is rebuilt on each path
+    calls = []
+    monkeypatch.setattr(
+        clifford_core, "_build", lambda p, q: calls.append((p, q)) or memo.__wrapped__(p, q)
+    )
+    unmemoized = {sig: clifford_core._build(sig.p, sig.q) for sig in sigs}
+    monkeypatch.undo()
+    memo.cache_clear()
+    clifford_core._build_rep_cached.cache_clear()
+    reps = {sig: build_rep(sig) for sig in sigs}
+    info = memo.cache_info()
+    assert info.misses == info.currsize == len(set(calls)) < len(calls)
+    for sig in sigs:
+        positives, negatives, comm = memo(sig.p, sig.q)
+        assert (positives, negatives, comm) == unmemoized[sig]
+        assert all(type(x) is tuple for x in (positives, negatives, comm))
+        assert reps[sig].generators == positives + negatives
+
+
 def _restrict_dense(m, cols, reps):
     """The dense restriction _restrict replaced: w = m b, coefficients
     read at the representatives, and an exact reconstruction check;
@@ -288,9 +376,10 @@ def test_commutant_table_against_dense_solver():
 
 
 def test_build_determinism():
-    from spinorlab.clifford_core import _build_rep_cached
+    from spinorlab.clifford_core import _build, _build_rep_cached
 
     rep1 = build_rep(Signature(3, 2))
+    _build.cache_clear()
     _build_rep_cached.cache_clear()
     rep2 = build_rep(Signature(3, 2))
     assert rep1.generators == rep2.generators

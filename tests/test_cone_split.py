@@ -20,7 +20,16 @@ from spinorlab.cone_split import (
     semispinor_projectors,
 )
 from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
-from dense_oracle import Matrix, dense, dense_cells, dense_scalar, is_zero, rank, zero_matrix
+from dense_oracle import (
+    Matrix,
+    commutant_dimension_by_solve,
+    dense,
+    dense_cells,
+    dense_scalar,
+    is_zero,
+    rank,
+    zero_matrix,
+)
 from test_clifford_core import gamma_alternating
 from test_exact_linalg import bareiss_rank
 
@@ -441,23 +450,38 @@ def test_find_involution_tries_only_monomial_differences():
 
 def test_semispinor_residue_rule_all_bases(monkeypatch):
     # the involution z behind each split gives the projectors (Id +- z)/2
-    found = []
-    find = cone_split._find_involution
+    found, solves = [], []
+    find, solve = cone_split._find_involution, cone_split.signed_relation_basis
 
     def recording(candidates, N):
         found.append(find(candidates, N))
         return found[-1]
 
     monkeypatch.setattr(cone_split, "_find_involution", recording)
+    monkeypatch.setattr(cone_split, "signed_relation_basis", lambda *a: solves.append(a) or solve(*a))
+    omega_path = 0
     for n in range(1, 10):  # every cone with n <= 10
         for p in range(n + 1):
             base = Signature(p, n - p)
             cone = build_rep(Signature(p + 1, n - p))
+            before = len(solves)
             report = semispinor_projectors(cone)
             assert report.split == (base.s_mod8 in (0, 1, 3, 7)), str(base)
             # the quoted residue lists disagree exactly on the s = 0 bases
             assert report.quoted_list_agrees == (base.s_mod8 != 0), str(base)
             assert report.split == (found[-1] is not None), str(base)
+            images = even_subalgebra_images(cone)
+            assert report.commutant_dim == commutant_dimension_by_solve(images, cone.N), str(base)
+            # the solve is skipped exactly where z is the volume image omega:
+            # odd bases with s = 3 or 7 mod 8
+            skipped = len(solves) == before
+            assert skipped == (n % 2 == 1 and base.s_mod8 in (3, 7)), str(base)
+            if skipped:
+                omega = gamma_blade(cone, ())
+                for e in images:
+                    omega = omega * e
+                assert found[-1] == omega, str(base)
+                omega_path += 1
             # the dense search picks the same z, so the same split
             want = _dense_involution(_dense_candidates(cone), cone.N)
             assert (want is None) == (found[-1] is None), str(base)
@@ -473,6 +497,7 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                     assert 2 * rank(proj.data) == cone.N
                     # the library reads the rank off the trace of z
                     assert rank(proj.data) == sum(proj[i, i] for i in range(cone.N)) // 2
+    assert omega_path == 15
 
 
 def test_semispinor_specific_cases():
@@ -494,19 +519,31 @@ def _mixed_sign_diagonal(N):
     return SignedPerm(tuple(range(N)), (1,) * (N // 2) + (-1,) * (N // 2))
 
 
-@pytest.mark.parametrize(
-    "bad_z, message",
-    [
-        # swaps columns 2k, 2k + 1 with signs +1, -1: z^2 = -Id
-        (lambda N: SignedPerm(tuple(j ^ 1 for j in range(N)), (1, -1) * (N // 2)), "not idempotent"),
-        (lambda N: SignedPerm.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
-        (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
-    ],
-)
+_BAD_INVOLUTIONS = [
+    # swaps columns 2k, 2k + 1 with signs +1, -1: z^2 = -Id
+    (lambda N: SignedPerm(tuple(j ^ 1 for j in range(N)), (1, -1) * (N // 2)), "not idempotent"),
+    (lambda N: SignedPerm.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
+    (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
+]
+
+
+@pytest.mark.parametrize("bad_z, message", _BAD_INVOLUTIONS)
 def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, monkeypatch):
     # (4,0) splits by the residue rule, so a planted z reaches the
-    # projector checks instead of the split/residue comparison
+    # projector checks instead of the split/residue comparison; its base
+    # (3,0) takes omega as z without solving for the commutant basis
     cone = build_rep(Signature(4, 0))
+    monkeypatch.setattr("spinorlab.cone_split._find_involution", lambda cands, N: bad_z(N))
+    with pytest.raises(ArithmeticError, match=message):
+        semispinor_projectors(cone)
+
+
+@pytest.mark.parametrize("bad_z, message", _BAD_INVOLUTIONS)
+def test_semispinor_projector_checks_reject_a_bad_involution_after_a_solve(
+    bad_z, message, monkeypatch
+):
+    # the base (1,1) of (2,1) splits too, with z from the solved basis
+    cone = build_rep(Signature(2, 1))
     monkeypatch.setattr("spinorlab.cone_split._find_involution", lambda cands, N: bad_z(N))
     with pytest.raises(ArithmeticError, match=message):
         semispinor_projectors(cone)
