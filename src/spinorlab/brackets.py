@@ -188,12 +188,29 @@ def _sorted_terms(keys, index, sign):
     return index[order].astype(small(index.max())), sign[order].astype(np.int8), starts
 
 
-def _coefficients(rows) -> np.ndarray:
-    """The rows in int64 when all are ints and each row's sum of absolute
-    values is below 2^62, else as Python ints and Fractions (object)."""
-    small = all(type(x) is int for row in rows for x in row)
-    small = small and max(sum(map(abs, row)) for row in rows) < 2**62
-    return np.array(rows, dtype=np.int64 if small else object)
+def _vector_array(vectors, n):
+    """A call's vectors as one (B, n) array, and M = sum_k |v_k| of each
+    when every entry is a Python int (else None).  The array is int64
+    when every M is below 2^62, and holds the entries themselves
+    (dtype object) otherwise."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector length mismatch")
+    mass = None
+    if all(type(x) is int for v in vectors for x in v):
+        mass = [sum(map(abs, v)) for v in vectors]
+        if max(mass, default=0) < 2**62:
+            return np.array(vectors, dtype=np.int64).reshape(-1, n), mass
+    return np.array(vectors, dtype=object).reshape(-1, n), mass
+
+
+def _coefficients(values, bounds) -> np.ndarray:
+    """The vectors in the dtype of their coefficient rows: int64 when
+    every entry is an int (bounds is not None) and each row's sum of
+    absolute values, its bound, is below 2^62; else Python ints and
+    Fractions (object)."""
+    if bounds is not None and max(bounds) < 2**62:
+        return values
+    return values.astype(object)
 
 
 def _sums_vanish(terms, rows) -> list:
@@ -202,10 +219,8 @@ def _sums_vanish(terms, rows) -> list:
     over the terms t of each key (row, col), by one np.add.reduceat.  A
     key's terms read distinct coefficients, so no partial sum exceeds the
     row's sum of absolute values, the bound of _coefficients."""
-    if not rows:
-        return []
     index, sign, starts = terms
-    weights = _coefficients(rows)[:, index]
+    weights = rows[:, index]
     weights *= sign
     return (np.add.reduceat(weights, starts, axis=1) == 0).all(axis=1).tolist()
 
@@ -224,33 +239,62 @@ def _product_terms(generators: tuple):
     return _sorted_terms(keys, np.repeat(np.arange(n * n + 1), N), signs)
 
 
+def _square_rows(values, mass, norms) -> np.ndarray:
+    """The coefficients of sum_ij v_i v_j G_i G_j + g(v,v) Id for each
+    vector: v (x) v flattened, then g(v,v).  A row's sum of absolute
+    values is M^2 + |g(v,v)|."""
+    bounds = None if mass is None else [m * m + abs(q) for m, q in zip(mass, norms)]
+    values = _coefficients(values, bounds)
+    B, n = values.shape
+    outer = (values[:, :, None] * values[:, None, :]).reshape(B, n * n)
+    return np.concatenate([outer, np.array(norms, dtype=values.dtype).reshape(B, 1)], axis=1)
+
+
+def _anticommutator_rows(eta, values, mass) -> np.ndarray:
+    """The coefficients of gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id for
+    each nonzero v, with k its first index where v_k != 0:
+    C = v e_k^T + e_k v^T flattened, then 2 eta_k v_k.  A row's sum of
+    absolute values is 2 M + 2 |v_k|."""
+    B, n = values.shape
+    at, k = np.arange(B), (values != 0).argmax(axis=1)
+    pivots = values[at, k].tolist()
+    bounds = None if mass is None else [2 * m + 2 * abs(x) for m, x in zip(mass, pivots)]
+    values = _coefficients(values, bounds)
+    C = np.zeros((B, n, n), dtype=values.dtype)
+    C[at, :, k] += values
+    C[at, k, :] += values
+    last = 2 * np.array(eta, dtype=values.dtype)[k] * values[at, k]
+    return np.concatenate([C.reshape(B, n * n), last[:, None]], axis=1)
+
+
+def _beta_rows(st, values, mass) -> np.ndarray:
+    """The coefficients of beta^T - sigma*tau beta for each vector: v, then
+    -sigma*tau v.  A row's sum of absolute values is 2 M."""
+    values = _coefficients(values, None if mass is None else [2 * m for m in mass])
+    return np.concatenate([values, -st * values], axis=1)
+
+
 def squares_to_scalar(rep: CliffordRep, vectors) -> list:
     """Whether gamma_v^2 = -g(v,v) Id, for each v of the vectors: whether
-    sum_ij v_i v_j G_i G_j + g(v,v) Id vanishes, O(B n^2 N).  A sum is at
-    most M^2 + |g(v,v)| <= 2 M^2 for M = sum_k |v_k|."""
-    if any(len(v) != rep.n for v in vectors):
-        raise ValueError("vector length mismatch")
-    rows = [[a * b for a in v for b in v] + [metric_value(rep.eta, v, v)] for v in vectors]
-    return _sums_vanish(_product_terms(rep.generators), rows)
+    sum_ij v_i v_j G_i G_j + g(v,v) Id vanishes, O(B n^2 N)."""
+    values, mass = _vector_array(vectors, rep.n)
+    if not len(values):
+        return []
+    norms = [metric_value(rep.eta, v, v) for v in vectors]
+    return _sums_vanish(_product_terms(rep.generators), _square_rows(values, mass, norms))
 
 
-def _anticommutator_row(rep, v) -> list:
-    """gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id for the first k with
-    v_k != 0: C_ij = v_i [j = k] + [i = k] v_j; a sum is <= 4 sum_i |v_i|."""
-    k = next(k for k, x in enumerate(v) if x)
-    row = [v[a] * (b == k) + (a == k) * v[b] for a in range(rep.n) for b in range(rep.n)]
-    return row + [2 * rep.eta[k] * v[k]]
-
-
-def _beta_terms(rep: CliffordRep, form: BilinearForm):
-    """The sorted terms of beta^T - sigma*tau beta, beta = sum_i v_i H G_i:
-    H G_i puts h_sign[perm_i[c]] sign_i[c] at (h_perm[perm_i[c]], c), read
-    at (c, row) from coefficient i, v_i, and at (row, c) from n + i,
-    -sigma*tau v_i; a sum is at most 2 sum_i |v_i|."""
-    perm, sign = generator_table(rep.generators)
+@lru_cache(maxsize=1024)
+def _beta_terms(generators: tuple, h_perm: tuple, h_signs: tuple):
+    """The terms of beta^T - sigma*tau beta, beta = sum_i v_i H G_i,
+    sorted once per generator tuple and form H = (h_perm, h_signs): H G_i
+    puts h_sign[perm_i[c]] sign_i[c] at (h_perm[perm_i[c]], c), read at
+    (c, row) from coefficient i, v_i, and at (row, c) from n + i,
+    -sigma*tau v_i."""
+    perm, sign = generator_table(generators)
     n, N = perm.shape
-    at, cols = np.array(form.matrix.perm)[perm], np.arange(N)
-    signs = (np.array(form.matrix.signs)[perm] * sign).ravel()
+    at, cols = np.array(h_perm)[perm], np.arange(N)
+    signs = (np.array(h_signs)[perm] * sign).ravel()
     keys = np.concatenate([(cols * N + at).ravel(), (at * N + cols).ravel()])
     return _sorted_terms(keys, np.repeat(np.arange(2 * n), N), np.concatenate([signs, signs]))
 
@@ -279,14 +323,20 @@ def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
     gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
     im gamma_v.
     """
-    squares = squares_to_scalar(rep, vectors)
+    values, mass = _vector_array(vectors, rep.n)
+    if not len(values):
+        return []
     norms = [metric_value(rep.eta, v, v) for v in vectors]
+    squares = _sums_vanish(_product_terms(rep.generators), _square_rows(values, mass, norms))
     null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]
-    rows = [_anticommutator_row(rep, vectors[b]) for b in null]
-    anticommutes = dict(zip(null, _sums_vanish(_product_terms(rep.generators), rows)))
-    st = form.sigma * form.tau
-    rows = [[*v, *(-st * x for x in v)] for v in vectors]
-    symmetric = _sums_vanish(_beta_terms(rep, form), rows)
+    anticommutes = {}
+    if null:
+        masses = None if mass is None else [mass[b] for b in null]
+        rows = _anticommutator_rows(rep.eta, values[null], masses)
+        anticommutes = dict(zip(null, _sums_vanish(_product_terms(rep.generators), rows)))
+    h = form.matrix
+    rows = _beta_rows(form.sigma * form.tau, values, mass)
+    symmetric = _sums_vanish(_beta_terms(rep.generators, h.perm, h.signs), rows)
 
     def verdict(b, q):
         if not squares[b]:

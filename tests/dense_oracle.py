@@ -4,10 +4,12 @@ the orbit-solve commutant dimension that the trace count replaced;
 the per-vector and pairwise loops that the array certificates of
 spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
 which the signed-permutation sums of brackets replaced and which scale
-to N >= 128; the per-point frame loops that the batched Gram-Schmidt
-of model_space replaced; and the per-point, per-direction residual
-sweeps (Killing, Dirac, bracket, homogeneity and curvature) that the
-array passes of model_space replaced.
+to N >= 128; the entry-by-entry coefficient rows of those sums and
+their dtype rule, which brackets now builds as arrays; the per-point
+frame loops that the batched Gram-Schmidt of model_space replaced; and
+the per-point, per-direction residual sweeps (Killing, Dirac, bracket,
+homogeneity and curvature) that the array passes of model_space
+replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
@@ -345,6 +347,36 @@ def beta_form_stack(rep, form, vectors) -> list:
         else:
             results.append(rep.N // 2)
     return results
+
+
+def square_row(eta, v) -> list:
+    """The coefficient row of sum_ij v_i v_j G_i G_j + g(v,v) Id, built
+    entry by entry: v_a v_b at a n + b, then g(v,v)."""
+    return [a * b for a in v for b in v] + [metric_value(eta, v, v)]
+
+
+def anticommutator_row(eta, v) -> list:
+    """The coefficient row of gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id
+    for the first k with v_k != 0, built entry by entry:
+    C_ab = v_a [b = k] + [a = k] v_b, then 2 eta_k v_k."""
+    n = len(v)
+    k = next(k for k, x in enumerate(v) if x)
+    row = [v[a] * (b == k) + (a == k) * v[b] for a in range(n) for b in range(n)]
+    return row + [2 * eta[k] * v[k]]
+
+
+def beta_row(st, v) -> list:
+    """The coefficient row of beta^T - st beta: v, then -st v."""
+    return [*v, *(-st * x for x in v)]
+
+
+def coefficients(rows) -> np.ndarray:
+    """The rows in int64 when every entry is an int and each row's sum of
+    absolute values is below 2^62, else as Python ints and Fractions
+    (object): the dtype rule of the sum certificates, read off the rows."""
+    small = all(type(x) is int for row in rows for x in row)
+    small = small and max(sum(map(abs, row)) for row in rows) < 2**62
+    return np.array(rows, dtype=np.int64 if small else object)
 
 
 def gram_schmidt_oracle(model, y, drop):

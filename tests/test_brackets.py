@@ -38,14 +38,18 @@ from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
 from dense_oracle import (
     Matrix,
+    anticommutator_row,
     beta_form_oracle,
     beta_form_stack,
+    beta_row,
+    coefficients,
     dense,
     gamma_dense,
     gamma_stack,
     is_zero,
     kernel,
     rank,
+    square_row,
     squares_to_scalar_stack,
     zero_matrix,
 )
@@ -418,12 +422,13 @@ def _swap_perm(rep, i):
 
 
 def _record_coefficients(monkeypatch) -> list:
-    """Each coefficient array the certificate sums run on, in call order."""
+    """The vectors of each coefficient row set the certificate sums run
+    on, in the dtype chosen for its rows, in call order."""
     arrays = []
     coefficients = brackets._coefficients
 
-    def record(rows):
-        arrays.append(coefficients(rows))
+    def record(values, bounds):
+        arrays.append(coefficients(values, bounds))
         return arrays[-1]
 
     monkeypatch.setattr(brackets, "_coefficients", record)
@@ -489,8 +494,8 @@ def test_beta_form_takes_the_object_path_past_the_int64_bound(monkeypatch):
         arrays.clear()
         got = _verdicts(beta_form(rep, form, big))
         assert got == _oracle_verdicts(rep, form, big) and got[0] == rep.N // 2
-        # the squares go to Python ints; the anticommutator's sums, at
-        # most 4 M, and beta's, at most 2 M, stay int64
+        # the squares go to Python ints; the anticommutator's rows, whose
+        # sums are 2 M + 2 |v_k|, and beta's, 2 M, stay int64
         assert [a.dtype for a in arrays] == [object, np.int64, np.int64]
         assert {type(x) for x in arrays[0].ravel()} == {int}
         for broken in (_flip_sign(rep, 0), _swap_perm(rep, 0)):
@@ -506,6 +511,85 @@ def test_beta_form_takes_the_object_path_past_the_int64_bound(monkeypatch):
     assert [a.dtype for a in arrays] == [np.int64, object]
     broken = _flip_sign(rep, 0)
     assert squares_to_scalar(broken, [[edge, 0], [0, edge + 1]]) == [False, True]
+
+
+def _row_sets(eta, vectors):
+    """(name, array rows, entry-by-entry oracle rows) of the three sum
+    certificates on the vectors; the anticommutator's on the nonzero ones."""
+    values, mass = brackets._vector_array(vectors, len(eta))
+    norms = [metric_value(eta, v, v) for v in vectors]
+    nonzero = [b for b, v in enumerate(vectors) if any(v)]
+    masses = None if mass is None else [mass[b] for b in nonzero]
+    squares = brackets._square_rows(values, mass, norms)
+    anticommutators = brackets._anticommutator_rows(eta, values[nonzero], masses)
+    sets = [
+        ("square", squares, [square_row(eta, v) for v in vectors]),
+        ("anticommutator", anticommutators, [anticommutator_row(eta, vectors[b]) for b in nonzero]),
+    ]
+    for st in (1, -1):
+        betas = brackets._beta_rows(st, values, mass)
+        sets.append(("beta", betas, [beta_row(st, v) for v in vectors]))
+    return sets
+
+
+def _assert_rows_match(eta, vectors, label) -> set:
+    """Each row set equals its oracle entry for entry, in the dtype the
+    oracle's rule picks from the rows; the (name, dtype) pairs seen."""
+    seen = set()
+    for name, got, rows in _row_sets(eta, vectors):
+        want = coefficients(rows)
+        assert got.dtype == want.dtype and got.shape == want.shape, (label, name)
+        assert (got == want).all(), (label, name)
+        seen.add((name, got.dtype))
+    return seen
+
+
+def test_coefficient_rows_match_the_entry_by_entry_oracle():
+    rng = random.Random(53)
+    seen = set()
+    for n in range(1, 10):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            eta = build_rep(sig).eta
+            ints = [[0] * n] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]
+            if not sig.is_definite():
+                ints += [random_null_vector(sig, rng) for _ in range(2)]
+            fractions = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]]
+            fractions += ints[1:3]
+            big = [[2**40 * x + rng.randint(-9, 9) for x in v] for v in ints]
+            for vectors in (ints, fractions, big):
+                seen |= _assert_rows_match(eta, vectors, sig)
+    dtypes = {np.dtype(np.int64), np.dtype(object)}
+    assert seen == {(name, d) for name in ("square", "anticommutator", "beta") for d in dtypes}
+
+
+def test_coefficient_rows_switch_dtype_at_the_exact_bound():
+    # M^2 + |g(v,v)|, 2 M + 2 |v_k| and 2 M are all even, so 2^62 - 2 is
+    # the largest row sum below 2^62: it stays int64 and 2^62 does not
+    assert brackets._coefficients(np.zeros((1, 2), dtype=np.int64), [2**62 - 1]).dtype == np.int64
+    assert brackets._coefficients(np.zeros((1, 2), dtype=np.int64), [2**62]).dtype == object
+    rep = build_rep(Signature(2, 1))
+    i, j = [a for a, e in enumerate(rep.eta) if e == 1]
+    (k,) = [a for a, e in enumerate(rep.eta) if e == -1]
+    below, at = [0] * 3, [0] * 3
+    below[i], below[j], below[k] = 1, 2**30, 2**30 - 2  # M = 2^31 - 1, g = 2^32 - 3
+    at[i], at[k] = 2**30, 2**30  # M = 2^31, g = 0
+    cases = {
+        "square": (below, at),
+        "anticommutator": ([1, 2**61 - 3, 0], [1, 2**61 - 2, 0]),  # k = 0, |v_k| = 1
+        "beta": ([2**61 - 1, 0, 0], [2**61, 0, 0]),
+    }
+    for name, (small, large) in cases.items():
+        for v, total, dtype in ((small, 2**62 - 2, np.int64), (large, 2**62, object)):
+            rows = next(rows for set_name, _, rows in _row_sets(rep.eta, [v]) if set_name == name)
+            assert sum(map(abs, rows[0])) == total, name
+            assert (name, np.dtype(dtype)) in _assert_rows_match(rep.eta, [v], name)
+    assert squares_to_scalar(rep, [below, at]) == [True, True]
+    # one call per vector, so the first runs in int64 on its own
+    broken = _flip_sign(rep, k)
+    want = squares_to_scalar_stack(broken, [below, at], gamma_stack(broken, [below, at]))
+    assert squares_to_scalar(broken, [below]) + squares_to_scalar(broken, [at]) == want
+    assert want[0] is False
 
 
 def test_sum_certificates_match_the_dense_stack_at_N_128():

@@ -33,6 +33,7 @@ from dense_oracle import (
     dense_scalar,
     gamma_dense,
     is_zero,
+    kernel,
     matrix_kernel,
     sparse_dense,
     zero_matrix,
@@ -143,7 +144,8 @@ def test_commutant_matches_mod8_table():
 
 
 def _commutant_dimension_dense(generators, N):
-    """Brute-force oracle: kernel of the stacked N^2 x N^2 system GX - XG."""
+    """Brute-force oracle: kernel of the stacked N^2 x N^2 system GX - XG
+    over N^2 unknowns, all of them with no generators."""
     rows = []
     for g in generators:
         for r in range(N):
@@ -155,7 +157,7 @@ def _commutant_dimension_dense(generators, N):
                     if g.data[k][s]:
                         row[r * N + k] -= g.data[k][s]
                 rows.append(row)
-    return matrix_kernel(Matrix(rows)).cols
+    return len(kernel(rows, N * N))
 
 
 def test_commutant_dimension_rejects_non_monomial_generators():
@@ -165,12 +167,12 @@ def test_commutant_dimension_rejects_non_monomial_generators():
 
 def _clifford_sets(max_n):
     """(label, generators, N): every rep with n <= max_n, and the even
-    images of every cone with 2 <= n <= max_n, which satisfy the base
-    relations."""
+    images of every cone with n <= max_n, which satisfy the base
+    relations (none for the cone (1,0))."""
     for sig in all_signatures(max_n):
         rep = build_rep(sig)
         yield str(sig), rep.generators, rep.N
-        if sig.p >= 1 and sig.n >= 2:
+        if sig.p >= 1:
             yield f"even {sig}", tuple(even_subalgebra_images(rep)), rep.N
 
 
@@ -183,7 +185,7 @@ def test_commutant_count_matches_the_orbit_solve_and_the_dense_solver():
         if len(gens) <= 6:  # the dense N^2 x N^2 system is slow past N = 16
             assert count == _commutant_dimension_dense([dense(g) for g in gens], N), label
             dense_checked += 1
-    assert (solved, dense_checked) == (65 + 54, 27 + 27)
+    assert (solved, dense_checked) == (65 + 55, 27 + 28)
 
 
 def test_commutant_count_raises_on_generators_that_are_not_clifford():
