@@ -88,21 +88,10 @@ class SamplePoint:
     gammas: np.ndarray
 
 
-def _as_batch(value, patch, rank):
-    """One value of the given rank (a point has rank 1, a frame rank 2)
-    with its patch, or a stack of them with one patch per row, as a
-    stack and a patch list."""
-    return (value[None], [patch]) if np.ndim(value) == rank else (value, patch)
-
-
 class HyperquadricModel:
     """Unit hyperquadric of a flat cone with deterministic sample points.
 
     cone_signature: the ambient (P, Q); the base has signature (P-1, Q).
-
-    The geometry methods take one point, or an (m, dim) stack of points
-    with one patch per row, and answer in kind: every frame is made by
-    one modified Gram-Schmidt over the whole stack.
     """
 
     def __init__(self, cone_signature: Signature, num_samples=32, step=1e-4):
@@ -202,12 +191,11 @@ class HyperquadricModel:
         usable = np.all(pivots >= 1e-12, axis=1)
         return vecs, signs, np.min(pivots, axis=1, initial=np.inf), usable
 
-    def select_patch(self, x):
-        """Deterministic frame patch at x: the ambient coordinate to drop
-        plus the sign-sorting permutation, chosen to maximize the smallest
-        Gram-Schmidt pivot (the first drop wins a tie); one patch per row
-        of a stack."""
-        xs = np.reshape(x, (-1, self.dim))
+    def select_patch(self, xs):
+        """Deterministic frame patch at each row of an (m, dim) stack, as a
+        list: the ambient coordinate to drop plus the sign-sorting
+        permutation, chosen to maximize the smallest Gram-Schmidt pivot
+        (the first drop wins a tie)."""
         m, dim = len(xs), self.dim
         _, signs, pivots, usable = self._orthonormalize(
             np.repeat(xs, dim, axis=0), np.tile(np.arange(dim), m)
@@ -217,18 +205,16 @@ class HyperquadricModel:
         if not np.all(pivots[np.arange(m), drops] >= 1e-8):
             raise ArithmeticError("no usable frame patch at this sample point")
         signs = signs.reshape(m, dim, self.n)[np.arange(m), drops]
-        patches = [
+        return [
             (int(drop), tuple(int(i) for i in np.argsort(-row, kind="stable")))
             for drop, row in zip(drops, signs)
         ]
-        return patches[0] if np.ndim(x) == 1 else patches
 
-    def tangent_frame(self, y, patch):
-        """Orthonormal tangent frame at y, ordered to match the base
-        signature pattern (+1 x p, -1 x q); smooth in y within the patch.
-        A stack of points with one patch per row gives an (m, dim, n)
-        stack of frames."""
-        ys, patches = _as_batch(y, patch, 1)
+    def tangent_frame(self, ys, patches):
+        """Orthonormal tangent frames at an (m, dim) stack of points, one
+        patch per row, as an (m, dim, n) stack; each is ordered to match
+        the base signature pattern (+1 x p, -1 x q) and smooth in its
+        point within the patch."""
         drops = [drop for drop, _ in patches]
         order = np.array([order for _, order in patches], dtype=int).reshape(len(ys), self.n)
         vecs, signs, _, usable = self._orthonormalize(ys, drops)
@@ -237,12 +223,11 @@ class HyperquadricModel:
         rows = np.arange(len(ys))[:, None]
         if np.any(signs[rows, order] != np.array(self.base_signature.eta(), float)):
             raise ArithmeticError("frame sign pattern does not match the base")
-        frames = np.ascontiguousarray(np.swapaxes(vecs[rows, order], 1, 2))
-        return frames[0] if np.ndim(y) == 1 else frames
+        return np.ascontiguousarray(np.swapaxes(vecs[rows, order], 1, 2))
 
-    def cone_frame(self, y, patch):
-        """Frame of the cone at y: the position vector then the tangent frame."""
-        return np.concatenate([y[..., :, None], self.tangent_frame(y, patch)], axis=-1)
+    def cone_frame(self, ys, patches):
+        """Cone frames at a stack of points: x, then the tangent frame."""
+        return np.concatenate([ys[:, :, None], self.tangent_frame(ys, patches)], axis=-1)
 
     # -- Clifford data ------------------------------------------------------
 
@@ -286,29 +271,26 @@ class ConstantSpinorField:
         return self.column
 
 
-def frame_rotation_rates(model, frame, direction, patch):
-    """Lowered rotation-rate matrix of the cone-adapted frame, given at x
-    as frame = (x, tangent frame), along a tangent direction, by central
-    differences; antisymmetric up to the truncation error.  A stack of
-    frames and directions, one patch per row, gives a stack, from one
-    batched frame call at the points one step either side."""
-    frames, patches = _as_batch(frame, patch, 2)
-    directions = np.reshape(direction, (-1, model.dim))
+def frame_rotation_rates(model, frames, directions, patches):
+    """Lowered rotation-rate matrices of cone-adapted frames (x, tangent
+    frame) along tangent directions, by central differences; antisymmetric
+    up to the truncation error.  A stack of frames, directions and patches,
+    one per row, gives a stack, from one batched frame call at the points
+    one step either side."""
     h, m = model.step, len(frames)
     x = frames[:, :, 0]
     steps = np.repeat([h, -h], m)[:, None]
     ends = model.curve(np.tile(x, (2, 1)), np.tile(directions, (2, 1)), steps)
     cones = model.cone_frame(ends, list(patches) * 2)
     df = (cones[:m] - cones[m:]) / (2.0 * h)
-    rates = np.swapaxes(frames, 1, 2) @ (model.eta_hat[:, None] * df)
-    return rates[0] if np.ndim(frame) == 2 else rates
+    return np.swapaxes(frames, 1, 2) @ (model.eta_hat[:, None] * df)
 
 
-def spin_connection(model, frame, direction, patch):
+def spin_connection(model, frames, directions, patches):
     """Connection matrix Omega with nabla_X phi = X(phi) + Omega phi for
-    cone-spinor components phi in the constant ambient trivialization;
-    frame is the cone frame F at x: x, then the tangent frame E.  A stack
-    of frames and directions, one patch per row, gives an (m, N, N) stack.
+    cone-spinor components phi in the constant ambient trivialization, as
+    an (m, N, N) stack for a stack of cone frames F (at x: x, then the
+    tangent frame E), directions and patches, one per row.
 
     The quarter-sum terms (the full-frame term of the ambient action
     minus the tangential term of the intrinsic action gamma^M) are one
@@ -318,8 +300,6 @@ def spin_connection(model, frame, direction, patch):
     C = (F R F^T - g(x, x) E R_tt E^T) / 2, since
     gamma^M_e gamma^M_f = g(x, x) gamma_e gamma_f for e, f tangent.
     """
-    frames, patches = _as_batch(frame, patch, 2)
-    directions = np.reshape(direction, (-1, model.dim))
     x = frames[:, :, 0]
     if np.any(np.abs(model.g_hat(x, directions)) > 1e-9):
         raise ValueError("direction must be tangent to the hyperquadric")
@@ -331,8 +311,7 @@ def spin_connection(model, frame, direction, patch):
         tangent @ rates[:, 1:, 1:] @ np.swapaxes(tangent, 1, 2)
     )
     i, j = model.pairs
-    omegas = model.bivector(0.5 * c[:, i, j])
-    return omegas[0] if np.ndim(frame) == 2 else omegas
+    return model.bivector(0.5 * c[:, i, j])
 
 
 @dataclass
@@ -503,7 +482,8 @@ def _geodesic_probes(model, xs, directions):
 def homogeneity_span(model, fields):
     """Dimension of span{[s_i, s_j]_1(x)} at every sample point, against
     the type -1 intrinsic form; singular values below 1e-6 of the largest
-    count as zero."""
+    count as zero.  It fails closed: a point whose bracket matrix has a
+    NaN or infinite entry gets dimension -1, which no check accepts."""
     dims = []
     eta = np.array(model.base_signature.eta(), float)[:, None, None]
     for point in model.sample_points(8):
@@ -511,6 +491,9 @@ def homogeneity_span(model, fields):
         # c[i, a, b] = h(gamma^M_(e_i) s_a, s_b) / eta_i
         c = np.swapaxes(point.gammas @ values, 1, 2) @ model.form_matrix @ values / eta
         mat = (np.moveaxis(c, 0, -1) @ point.frame.T).reshape(-1, model.dim)
+        if not np.isfinite(mat).all():
+            dims.append(-1)
+            continue
         svals = np.linalg.svd(mat, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         dims.append(int(np.sum(svals > 1e-6 * scale)))

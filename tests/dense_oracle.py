@@ -6,10 +6,11 @@ spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
 which the signed-permutation sums of brackets replaced and which scale
 to N >= 128; the entry-by-entry coefficient rows of those sums and
 their dtype rule, which brackets now builds as arrays; the per-point
-frame loops that the batched Gram-Schmidt of model_space replaced; and
-the per-point, per-direction residual sweeps (Killing, Dirac, bracket,
-homogeneity and curvature) that the array passes of model_space
-replaced.
+frame loops that the batched Gram-Schmidt of model_space replaced; the
+single-point geometry call, which model_space answers only as a batch
+of one; and the per-point, per-direction residual sweeps (Killing,
+Dirac, bracket, homogeneity and curvature) that the array passes of
+model_space replaced.
 
 Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
@@ -434,6 +435,17 @@ def tangent_frame_oracle(model, y, patch):
     if not all(e > 0 for e in eta[:p]) or not all(e < 0 for e in eta[p:]):
         raise ArithmeticError("frame sign pattern does not match the base")
     return np.column_stack([vecs[i] for i in order])
+
+
+def at_one_point(call, *args):
+    """A stacks-only geometry call of model_space for one point: each
+    array argument gains a leading axis, a patch tuple becomes a list of
+    one, anything else (the model) passes as it is; returns row 0."""
+    batch = [
+        arg[None] if isinstance(arg, np.ndarray) else [arg] if isinstance(arg, tuple) else arg
+        for arg in args
+    ]
+    return call(*batch)[0]
 
 
 # -- the per-point residual sweeps ---------------------------------------------

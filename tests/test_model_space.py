@@ -1,3 +1,7 @@
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from spinorlab.model_space import (
     spin_connection,
 )
 from dense_oracle import (
+    at_one_point,
     bracket_field_checks_oracle,
     dense,
     dirac_at,
@@ -40,7 +45,7 @@ class VolumeFlippedField:
         self.inner = inner
 
     def eval(self, model, y, patch):
-        frame = model.tangent_frame(y, patch)
+        frame = at_one_point(model.tangent_frame, y, patch)
         vol = np.eye(model.N)
         for i in range(model.n):
             vol = vol @ model.gamma_intrinsic(y, frame[:, i])
@@ -53,7 +58,8 @@ def covariant_derivative(model, field, x, direction, patch):
     h = model.step
     plus = field.eval(model, model.curve(x, direction, h), patch)
     minus = field.eval(model, model.curve(x, direction, -h), patch)
-    omega = spin_connection(model, model.cone_frame(x, patch), direction, patch)
+    cone = at_one_point(model.cone_frame, x, patch)
+    omega = at_one_point(spin_connection, model, cone, direction, patch)
     return (plus - minus) / (2.0 * h) + omega @ field.eval(model, x, patch)
 
 
@@ -75,7 +81,7 @@ def dense_spin_connection(model, frame, direction, patch):
     """Omega assembled term by term from dense products: minus the
     full-frame quarter sum of the ambient action plus the tangential
     quarter sum of the intrinsic action gamma^M."""
-    lam_low = frame_rotation_rates(model, frame, direction, patch)
+    lam_low = at_one_point(frame_rotation_rates, model, frame, direction, patch)
     lam_low = 0.5 * (lam_low - lam_low.T)
     eta_frame = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
     frame_gammas = [dense_gamma(model, f) for f in frame.T]
@@ -211,8 +217,8 @@ def test_every_cone_up_to_ten_builds_its_sample_points():
 def test_frames_orthonormal(sphere, pseudo_sphere):
     for model in (sphere, pseudo_sphere):
         x = model.samples[0]
-        patch = model.select_patch(x)
-        frame = model.tangent_frame(x, patch)
+        patch = at_one_point(model.select_patch, x)
+        frame = at_one_point(model.tangent_frame, x, patch)
         eta = model.base_signature.eta()
         for i in range(model.n):
             assert abs(model.g_hat(frame[:, i], x)) < 1e-12
@@ -223,24 +229,25 @@ def test_frames_orthonormal(sphere, pseudo_sphere):
 
 def test_rotation_rates_antisymmetric(sphere):
     x = sphere.samples[0]
-    patch = sphere.select_patch(x)
-    frame = sphere.tangent_frame(x, patch)
-    lam = frame_rotation_rates(sphere, sphere.cone_frame(x, patch), frame[:, 0], patch)
+    patch = at_one_point(sphere.select_patch, x)
+    frame = at_one_point(sphere.tangent_frame, x, patch)
+    cone = at_one_point(sphere.cone_frame, x, patch)
+    lam = at_one_point(frame_rotation_rates, sphere, cone, frame[:, 0], patch)
     assert np.max(np.abs(lam + lam.T)) < 1e-8
 
 
 def test_spin_connection_rejects_non_tangent(sphere):
     x = sphere.samples[0]
-    patch = sphere.select_patch(x)
+    patch = at_one_point(sphere.select_patch, x)
     with pytest.raises(ValueError):
-        spin_connection(sphere, sphere.cone_frame(x, patch), x, patch)
+        at_one_point(spin_connection, sphere, at_one_point(sphere.cone_frame, x, patch), x, patch)
 
 
 def test_constant_field_flat_along_rays(sphere):
     # ambient differences of a constant spinor along the radial line vanish
     s = ConstantSpinorField(np.eye(4)[0])
     x = sphere.samples[0]
-    patch = sphere.select_patch(x)
+    patch = at_one_point(sphere.select_patch, x)
     h = sphere.step
     plus = s.eval(sphere, (1 + h) * x, patch)
     minus = s.eval(sphere, (1 - h) * x, patch)
@@ -394,24 +401,25 @@ def test_connection_clifford_compatibility(sphere):
     # connection assembly independently of the Killing equation
     s = ConstantSpinorField(np.eye(4)[2])
     x = sphere.samples[1]
-    patch = sphere.select_patch(x)
-    frame = sphere.tangent_frame(x, patch)
+    patch = at_one_point(sphere.select_patch, x)
+    frame = at_one_point(sphere.tangent_frame, x, patch)
     h = sphere.step
     for i in range(sphere.n):
         direction = frame[:, i]
         for j in range(sphere.n):
 
             def product_field(y):
-                fr = sphere.tangent_frame(y, patch)
+                fr = at_one_point(sphere.tangent_frame, y, patch)
                 return sphere.gamma_intrinsic(y, fr[:, j]) @ s.eval(sphere, y, patch)
 
             plus = product_field(sphere.curve(x, direction, h))
             minus = product_field(sphere.curve(x, direction, -h))
             d_field = (plus - minus) / (2.0 * h)
-            omega = spin_connection(sphere, sphere.cone_frame(x, patch), direction, patch)
+            cone = at_one_point(sphere.cone_frame, x, patch)
+            omega = at_one_point(spin_connection, sphere, cone, direction, patch)
             lhs = d_field + omega @ product_field(x)
-            fp = sphere.tangent_frame(sphere.curve(x, direction, h), patch)
-            fm = sphere.tangent_frame(sphere.curve(x, direction, -h), patch)
+            fp = at_one_point(sphere.tangent_frame, sphere.curve(x, direction, h), patch)
+            fm = at_one_point(sphere.tangent_frame, sphere.curve(x, direction, -h), patch)
             de = sphere.tangent_projector(x) @ ((fp[:, j] - fm[:, j]) / (2.0 * h))
             rhs = sphere.gamma_intrinsic(x, de) @ s.eval(sphere, x, patch)
             rhs = rhs + sphere.gamma_intrinsic(x, frame[:, j]) @ covariant_derivative(
@@ -566,8 +574,8 @@ def test_table_residuals_match_public_derivative_bit_for_bit():
         killing, dirac = 0.0, 0.0
         eta = model.base_signature.eta()
         for x in model.samples:
-            patch = model.select_patch(x)
-            frame = model.tangent_frame(x, patch)
+            patch = at_one_point(model.select_patch, x)
+            frame = at_one_point(model.tangent_frame, x, patch)
             s_here = field.eval(model, x, patch)
             d_sum = np.zeros(model.N)
             for i in range(model.n):
@@ -617,7 +625,7 @@ def test_bivector_scatter_matches_dense_oracles(cone):
     # from float generator products, at every direction of two samples
     model = HyperquadricModel(Signature(*cone), num_samples=2)
     for point in model.sample_points():
-        frame = model.cone_frame(point.x, point.patch)
+        frame = at_one_point(model.cone_frame, point.x, point.patch)
         for e, omega, gamma in zip(point.frame.T, point.omegas, point.gammas):
             want = dense_spin_connection(model, frame, e, point.patch)
             assert np.max(np.abs(omega - want)) < 1e-12
@@ -701,13 +709,14 @@ def test_single_points_are_batches_of_one_bit_for_bit():
     patches = model.select_patch(xs)
     frames = model.tangent_frame(xs, patches)
     for x, patch, frame in zip(xs, patches, frames):
-        assert model.select_patch(x) == patch
-        assert model.tangent_frame(x, patch).tobytes() == frame.tobytes()
-        cone = model.cone_frame(x, patch)
+        assert at_one_point(model.select_patch, x) == patch
+        assert at_one_point(model.tangent_frame, x, patch).tobytes() == frame.tobytes()
+        cone = at_one_point(model.cone_frame, x, patch)
         cones = np.repeat(cone[None], model.n, axis=0)
         omegas = spin_connection(model, cones, frame.T, [patch] * model.n)
         for e, omega in zip(frame.T, omegas):
-            assert spin_connection(model, cone, e, patch).tobytes() == omega.tobytes()
+            single = at_one_point(spin_connection, model, cone, e, patch)
+            assert single.tobytes() == omega.tobytes()
 
 
 def test_planted_frames_raise_the_oracle_errors():
@@ -721,29 +730,31 @@ def test_planted_frames_raise_the_oracle_errors():
         with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
             tangent_frame_oracle(model, bad, patch)
         with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
-            model.tangent_frame(bad, patch)
+            at_one_point(model.tangent_frame, bad, patch)
     with pytest.raises(ArithmeticError, match="no usable frame patch"):
         select_patch_oracle(model, bad)
-    for points in (bad, np.array([good, bad]), np.array([bad, good, good])):
+    with pytest.raises(ArithmeticError, match="no usable frame patch"):
+        at_one_point(model.select_patch, bad)
+    for points in (np.array([good, bad]), np.array([bad, good, good])):
         with pytest.raises(ArithmeticError, match="no usable frame patch"):
             model.select_patch(points)
     # a stack mixing good rows and a degenerate row
-    patch = model.select_patch(good)
+    patch = at_one_point(model.select_patch, good)
     with pytest.raises(ArithmeticError, match="frame degenerated inside its patch"):
         model.tangent_frame(np.array([good, bad, good]), [patch, (0, (0, 1)), patch])
     # a sign-sorting order that does not match the base, alone and in a stack
     model = HyperquadricModel(Signature(2, 2), num_samples=2)
     x, y = model.samples
-    patch = model.select_patch(x)
+    patch = at_one_point(model.select_patch, x)
     flipped = (patch[0], patch[1][::-1])
     with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
         tangent_frame_oracle(model, x, flipped)
     with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
-        model.tangent_frame(x, flipped)
+        at_one_point(model.tangent_frame, x, flipped)
     with pytest.raises(ArithmeticError, match="sign pattern does not match the base"):
-        model.tangent_frame(np.array([y, x]), [model.select_patch(y), flipped])
+        model.tangent_frame(np.array([y, x]), [at_one_point(model.select_patch, y), flipped])
     with pytest.raises(ValueError, match="tangent"):
-        cones = np.array([model.cone_frame(x, patch)] * 2)
+        cones = np.array([at_one_point(model.cone_frame, x, patch)] * 2)
         spin_connection(model, cones, np.array([x, x]), [patch] * 2)
 
 
@@ -775,8 +786,8 @@ def test_killing_report_names_the_worst_sample_and_direction():
         lam = report.killing_number
         residuals = []
         for x in model.samples:
-            patch = model.select_patch(x)
-            frame = model.tangent_frame(x, patch)
+            patch = at_one_point(model.select_patch, x)
+            frame = at_one_point(model.tangent_frame, x, patch)
             s_here = field.eval(model, x, patch)
             for i in range(model.n):
                 gamma = model.gamma_intrinsic(x, frame[:, i])
@@ -840,6 +851,24 @@ def test_bracket_span_and_curvature_fail_closed():
     assert homogeneity_span(model, [s, t]) == []
 
 
+def test_homogeneity_span_fails_closed_on_non_finite_values():
+    # a point whose bracket matrix holds a NaN or inf gets dimension -1,
+    # which no check accepts, where the SVD would raise LinAlgError; the
+    # other points keep the oracle's dimensions
+    model = HyperquadricModel(Signature(3, 0), num_samples=8)
+    s = ConstantSpinorField(np.eye(model.N)[0])
+    for bad in (np.nan, np.inf):
+        t = ConstantSpinorField(np.full(model.N, bad))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert homogeneity_span(model, [s, t]) == [-1] * 8
+            assert homogeneity_span(model, [t]) == [-1] * 8
+    want = homogeneity_span_oracle(model, [s, _LinearField()])
+    with np.errstate(invalid="ignore"):
+        got = homogeneity_span(model, [s, _NanNearField(model.samples[2])])
+    assert got == want[:2] + [-1] + want[3:]
+    assert homogeneity_span(model, [s, _LinearField()]) == want
+
+
 class _CountingField(ConstantSpinorField):
     def __init__(self, column, calls):
         super().__init__(column)
@@ -872,3 +901,21 @@ def test_residual_checks_make_one_frame_call_once_the_table_is_built(monkeypatch
         assert len(frame_calls) == 1
         scalar_curvature_residual(model, 0.5)
         assert len(frame_calls) == 2
+
+
+def test_benchmark_counted_methods_are_stack_methods_of_the_model():
+    # the benchmark's tracer looks these names up on HyperquadricModel with
+    # getattr; a rename or a single-point signature breaks every traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    model = HyperquadricModel(Signature(4, 1), num_samples=3)
+    xs = np.array(model.samples)
+    patches = model.select_patch(xs)
+    stacks = {"select_patch": (xs,), "tangent_frame": (xs, patches)}
+    assert tracer._COUNTED_METHODS
+    for name in tracer._COUNTED_METHODS:
+        method = getattr(HyperquadricModel, name, None)
+        assert inspect.isfunction(method), name
+        assert len(method(model, *stacks[name])) == len(xs), name
