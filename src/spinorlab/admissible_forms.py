@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford_core import CliffordRep, Signature, build_rep
+import numpy as np
+
+from .clifford_core import CliffordRep, Signature, build_rep, generator_table
 from .exact_linalg import SignedPerm, signed_relation_basis
 
 
@@ -57,6 +59,26 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearFor
             )
         forms.append(BilinearForm(matrix, sigma, tau))
     return tuple(forms)
+
+
+def form_relation_failures(rep: CliffordRep, form: BilinearForm) -> list:
+    """The relations of an admissible form that fail for form on rep:
+    None first when H^T != sigma H, then each generator index i with
+    G_i^T H != tau H G_i, in order.
+
+    G_i^T = G_i^-1 for a signed permutation, so the generator relation
+    is H = tau G_i H G_i: two index gathers on generator_table, O(nN).
+    """
+    h = form.matrix
+    failures = [] if h.transpose() == (h if form.sigma == 1 else -h) else [None]
+    perm, sign = generator_table(rep.generators)
+    h_perm, h_sign = np.array(h.perm), np.array(h.signs)
+    # column c of G_i H is h_sign[c] sign[i, h_perm[c]] at row perm[i, h_perm[c]],
+    # and column c of (G_i H) G_i is sign[i, c] times its column perm[i, c]
+    ghg_perm = np.take_along_axis(perm[:, h_perm], perm, axis=1)
+    ghg_sign = np.take_along_axis(sign[:, h_perm] * h_sign, perm, axis=1) * sign
+    bad = (ghg_perm != h_perm).any(axis=1) | (form.tau * ghg_sign != h_sign).any(axis=1)
+    return failures + np.flatnonzero(bad).tolist()
 
 
 def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:

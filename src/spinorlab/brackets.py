@@ -8,21 +8,17 @@ linear algebra on a fixed spinor module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
-import numpy as np
-
-from .admissible_forms import BilinearForm
+from .admissible_forms import BilinearForm, form_relation_failures
 from .clifford_core import (
     CliffordRep,
     blade_index_list,
+    certify_relations,
     gamma_blade,
     gamma_vector,
-    generator_table,
     metric_value,
     null_direction,
-    signed_products,
 )
 from .exact_linalg import Echelon, clear_denominators, dense_rows
 
@@ -95,14 +91,12 @@ def check_null_vector(rep: CliffordRep, v):
 def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     """A basis of L_v = ker gamma_v for a nonzero null vector.
 
-    beta_form certifies the lemma (dim = N/2, ker = im, h-isotropic);
-    the basis comes from an elimination, and its count and its
-    h-pairing are checked again here.
+    beta_form certifies the lemma's premises (so dim = N/2, ker = im,
+    h-isotropic) and raises when one fails; the basis comes from an
+    elimination, and its count and its h-pairing are checked again here.
     """
     check_null_vector(rep, v)
-    (result,) = beta_form(rep, form, [v])
-    if isinstance(result, ArithmeticError):
-        raise result
+    beta_form(rep, form, [v])
     basis = Echelon(dense_rows(gamma_vector(rep, v))).kernel(rep.N)
     if 2 * len(basis) != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
@@ -179,178 +173,42 @@ def pi_image(rep: CliffordRep, form: BilinearForm, a: SpinorSubspace, b: SpinorS
     return len(_pairing_echelon(rep, form, a, b))
 
 
-def _sorted_terms(keys, index, sign):
-    """Terms (key, index, sign) sorted by key, as (index, sign, starts of
-    the runs of one key); index and sign in the smallest dtypes that fit."""
-    order = np.argsort(keys)
-    keys, small = keys[order], np.min_scalar_type
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return index[order].astype(small(index.max())), sign[order].astype(np.int8), starts
-
-
-def _vector_array(vectors, n):
-    """A call's vectors as one (B, n) array, and M = sum_k |v_k| of each
-    when every entry is a Python int (else None).  The array is int64
-    when every M is below 2^62, and holds the entries themselves
-    (dtype object) otherwise."""
-    if any(len(v) != n for v in vectors):
-        raise ValueError("vector length mismatch")
-    mass = None
-    if all(type(x) is int for v in vectors for x in v):
-        mass = [sum(map(abs, v)) for v in vectors]
-        if max(mass, default=0) < 2**62:
-            return np.array(vectors, dtype=np.int64).reshape(-1, n), mass
-    return np.array(vectors, dtype=object).reshape(-1, n), mass
-
-
-def _coefficients(values, bounds) -> np.ndarray:
-    """The vectors in the dtype of their coefficient rows: int64 when
-    every entry is an int (bounds is not None) and each row's sum of
-    absolute values, its bound, is below 2^62; else Python ints and
-    Fractions (object)."""
-    if bounds is not None and max(bounds) < 2**62:
-        return values
-    return values.astype(object)
-
-
-def _sums_vanish(terms, rows) -> list:
-    """For each coefficient row, whether the sum of signed permutations
-    that the sorted terms describe vanishes: sum_t row[index_t] sign_t = 0
-    over the terms t of each key (row, col), by one np.add.reduceat.  A
-    key's terms read distinct coefficients, so no partial sum exceeds the
-    row's sum of absolute values, the bound of _coefficients."""
-    index, sign, starts = terms
-    weights = rows[:, index]
-    weights *= sign
-    return (np.add.reduceat(weights, starts, axis=1) == 0).all(axis=1).tolist()
-
-
-@lru_cache(maxsize=1024)
-def _product_terms(generators: tuple):
-    """The terms of sum_ij C_ij G_i G_j + c Id, sorted once per generator
-    tuple: G_i G_j of signed_products puts sign[i, j, c] at (perm[i, j, c],
-    c) from coefficient i n + j, C_ij; the diagonal reads n^2, c."""
-    table = generator_table(generators)
-    n, N = table[0].shape
-    perm, sign = signed_products(table, table)
-    cols = np.arange(N)
-    keys = np.concatenate([(perm * N + cols).ravel(), cols * (N + 1)])
-    signs = np.concatenate([sign.ravel(), np.ones(N, dtype=sign.dtype)])
-    return _sorted_terms(keys, np.repeat(np.arange(n * n + 1), N), signs)
-
-
-def _square_rows(values, mass, norms) -> np.ndarray:
-    """The coefficients of sum_ij v_i v_j G_i G_j + g(v,v) Id for each
-    vector: v (x) v flattened, then g(v,v).  A row's sum of absolute
-    values is M^2 + |g(v,v)|."""
-    bounds = None if mass is None else [m * m + abs(q) for m, q in zip(mass, norms)]
-    values = _coefficients(values, bounds)
-    B, n = values.shape
-    outer = (values[:, :, None] * values[:, None, :]).reshape(B, n * n)
-    return np.concatenate([outer, np.array(norms, dtype=values.dtype).reshape(B, 1)], axis=1)
-
-
-def _anticommutator_rows(eta, values, mass) -> np.ndarray:
-    """The coefficients of gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id for
-    each nonzero v, with k its first index where v_k != 0:
-    C = v e_k^T + e_k v^T flattened, then 2 eta_k v_k.  A row's sum of
-    absolute values is 2 M + 2 |v_k|."""
-    B, n = values.shape
-    at, k = np.arange(B), (values != 0).argmax(axis=1)
-    pivots = values[at, k].tolist()
-    bounds = None if mass is None else [2 * m + 2 * abs(x) for m, x in zip(mass, pivots)]
-    values = _coefficients(values, bounds)
-    C = np.zeros((B, n, n), dtype=values.dtype)
-    C[at, :, k] += values
-    C[at, k, :] += values
-    last = 2 * np.array(eta, dtype=values.dtype)[k] * values[at, k]
-    return np.concatenate([C.reshape(B, n * n), last[:, None]], axis=1)
-
-
-def _beta_rows(st, values, mass) -> np.ndarray:
-    """The coefficients of beta^T - sigma*tau beta for each vector: v, then
-    -sigma*tau v.  A row's sum of absolute values is 2 M."""
-    values = _coefficients(values, None if mass is None else [2 * m for m in mass])
-    return np.concatenate([values, -st * values], axis=1)
-
-
-def squares_to_scalar(rep: CliffordRep, vectors) -> list:
-    """Whether gamma_v^2 = -g(v,v) Id, for each v of the vectors: whether
-    sum_ij v_i v_j G_i G_j + g(v,v) Id vanishes, O(B n^2 N)."""
-    values, mass = _vector_array(vectors, rep.n)
-    if not len(values):
-        return []
-    norms = [metric_value(rep.eta, v, v) for v in vectors]
-    return _sums_vanish(_product_terms(rep.generators), _square_rows(values, mass, norms))
-
-
-@lru_cache(maxsize=1024)
-def _beta_terms(generators: tuple, h_perm: tuple, h_signs: tuple):
-    """The terms of beta^T - sigma*tau beta, beta = sum_i v_i H G_i,
-    sorted once per generator tuple and form H = (h_perm, h_signs): H G_i
-    puts h_sign[perm_i[c]] sign_i[c] at (h_perm[perm_i[c]], c), read at
-    (c, row) from coefficient i, v_i, and at (row, c) from n + i,
-    -sigma*tau v_i."""
-    perm, sign = generator_table(generators)
-    n, N = perm.shape
-    at, cols = np.array(h_perm)[perm], np.arange(N)
-    signs = (np.array(h_signs)[perm] * sign).ravel()
-    keys = np.concatenate([(cols * N + at).ravel(), (at * N + cols).ravel()])
-    return _sorted_terms(keys, np.repeat(np.arange(2 * n), N), np.concatenate([signs, signs]))
-
-
 def beta_form(rep: CliffordRep, form: BilinearForm, vectors) -> list:
     """For each v of the vectors, rank beta = rank gamma_v for
-    beta = H gamma_v (H is a signed permutation, so invertible), or the
-    ArithmeticError naming the first of these Clifford identities that
-    fails for v:
-    - gamma_v^2 = -g(v,v) Id;
-    - beta^T = sigma*tau beta.
-    Then g(v,v) != 0 gives rank N, as gamma_v is invertible, and v = 0
-    gives rank 0.  For a null v != 0 take the first k with v_k != 0 and
-    c = -2 eta_k v_k != 0, and check
-    - gamma_v gamma_k + gamma_k gamma_v = c Id.
-    Then the rank is N/2.  Each identity is a vanishing sum of signed
-    permutations, with no elimination and no N x N array.
+    beta = H gamma_v (H is a signed permutation, so invertible): N when
+    g(v,v) != 0, 0 when v = 0, and N/2 for a nonzero null v.
 
-    Proof.  Rank is subadditive and rank(XY) <= rank X, so
-    N = rank(c Id) <= rank(gamma_v gamma_k) + rank(gamma_k gamma_v)
+    The lemma's premises are facts of the rep and the form, certified
+    once per call on the ones given, which need not come from build_rep:
+    the relation table G_i G_j + G_j G_i = -2 eta_ij Id
+    (certify_relations), and H^T = sigma H with G_i^T H = tau H G_i for
+    every generator (form_relation_failures).  Either failing raises the
+    ArithmeticError that names the failed pair or generator; each vector
+    then needs only its length and g(v,v), exactly.
+
+    Proof.  By polarization the table gives, for every v,
+    gamma_v^2 = sum_i v_i^2 G_i^2 + sum_(i<j) v_i v_j (G_i G_j + G_j G_i)
+    = -g(v,v) Id, so g(v,v) != 0 makes gamma_v invertible.  Let v be null
+    and nonzero, and k the first index with v_k != 0.  The table also
+    gives gamma_v G_k + G_k gamma_v = c Id with c = -2 eta_k v_k != 0.
+    Rank is subadditive and rank(XY) <= rank X, so
+    N = rank(c Id) <= rank(gamma_v G_k) + rank(G_k gamma_v)
     <= 2 rank gamma_v.  gamma_v^2 = 0 puts im gamma_v inside ker gamma_v,
     so rank gamma_v <= N/2.  Hence rank gamma_v = N/2 and
-    L_v = ker gamma_v = im gamma_v.  (So P = gamma_v gamma_k / c, which
-    these identities make idempotent, has trace N/2 without a separate
-    check.)  L_v is h-isotropic: beta = sigma*tau beta^T gives
-    gamma_v^T beta = sigma*tau (H gamma_v^2)^T = 0, so h vanishes on
+    L_v = ker gamma_v = im gamma_v.  L_v is h-isotropic: the form
+    relations give beta^T = sum_i v_i G_i^T H^T = sigma tau beta, so
+    gamma_v^T beta = sigma tau (H gamma_v^2)^T = 0, and h vanishes on
     im gamma_v.
     """
-    values, mass = _vector_array(vectors, rep.n)
-    if not len(values):
-        return []
-    norms = [metric_value(rep.eta, v, v) for v in vectors]
-    squares = _sums_vanish(_product_terms(rep.generators), _square_rows(values, mass, norms))
-    null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]
-    anticommutes = {}
-    if null:
-        masses = None if mass is None else [mass[b] for b in null]
-        rows = _anticommutator_rows(rep.eta, values[null], masses)
-        anticommutes = dict(zip(null, _sums_vanish(_product_terms(rep.generators), rows)))
-    h = form.matrix
-    rows = _beta_rows(form.sigma * form.tau, values, mass)
-    symmetric = _sums_vanish(_beta_terms(rep.generators, h.perm, h.signs), rows)
-
-    def verdict(b, q):
-        if not squares[b]:
-            wanted = "must vanish on a null vector" if q == 0 else "is not -g(v,v) Id"
-            return ArithmeticError(f"gamma_v squared {wanted}")
-        if not symmetric[b]:
-            return ArithmeticError("beta does not have symmetry sigma*tau")
-        if b not in anticommutes:  # v is not null, or v = 0
-            return rep.N if q else 0
-        if not anticommutes[b]:
-            return ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
-        return rep.N // 2
-
-    return [verdict(b, q) for b, q in enumerate(norms)]
+    if any(len(v) != rep.n for v in vectors):
+        raise ValueError("vector length mismatch")
+    certify_relations(rep)
+    failures = form_relation_failures(rep, form)
+    if failures:
+        i = failures[0]
+        wrong = "H^T = sigma H" if i is None else f"G_{i}^T H = tau H G_{i}"
+        raise ArithmeticError(f"admissible form relation {wrong} fails for {rep.signature}")
+    return [rep.N if metric_value(rep.eta, v, v) else rep.N // 2 if any(v) else 0 for v in vectors]
 
 
 def random_integers(rng, count, bound) -> list:

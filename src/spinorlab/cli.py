@@ -17,11 +17,7 @@ from . import model_space, serialize, verify
 from .admissible_forms import admissible_table, first_nondegenerate
 from .brackets import beta_form, bracket_k, random_null_vector, random_spinor
 from .clifford_core import Signature, build_rep, rep_table
-from .cone_split import (
-    invariant_spinors,
-    null_plane_rotations,
-    semispinor_projectors,
-)
+from .cone_split import null_plane_invariants, semispinor_projectors
 from .subspace_lab import (
     IsotropicSearchError,
     extremal_witness,
@@ -127,8 +123,6 @@ def cmd_bracket(args):
     if not sig.is_definite():
         v = random_null_vector(sig, rng)
         (rank,) = beta_form(rep, form, [v])
-        if isinstance(rank, ArithmeticError):
-            raise rank
         dim = rep.N - rank  # dim ker gamma_v
         payload["null_kernel"] = {
             "v": [serialize.scalar_to_json(x) for x in v],
@@ -205,7 +199,7 @@ def cmd_cone_report(args):
         "even_commutant_dim": report.commutant_dim,
     }
     if min(sig.p, sig.q) >= 1 and sig.n >= 3:
-        dim = invariant_spinors(rep, null_plane_rotations(rep))
+        dim = null_plane_invariants(rep)
         payload["null_plane_invariants"] = {
             "dim": dim,
             "half_module": 2 * dim == rep.N,

@@ -269,13 +269,17 @@ def clifford_relation_failures(generators, eta):
     return [(int(i), int(j)) for i, j in np.argwhere(np.triu(bad))]
 
 
-def _verify_rep(rep: CliffordRep):
+def certify_relations(rep: CliffordRep):
+    """Raise ArithmeticError naming the first (i, j) of
+    clifford_relation_failures on the rep's generators and eta."""
     failures = clifford_relation_failures(rep.generators, rep.eta)
     if failures:
         i, j = failures[0]
-        raise ArithmeticError(
-            f"Clifford relation failed at ({i},{j}) for {rep.signature}"
-        )
+        raise ArithmeticError(f"Clifford relation failed at ({i},{j}) for {rep.signature}")
+
+
+def _verify_rep(rep: CliffordRep):
+    certify_relations(rep)
     if rep.commutant_basis:
         gens, comm = generator_table(rep.generators), _stack(rep.commutant_basis)
         x_g, g_x = signed_products(comm, gens), signed_products(gens, comm)

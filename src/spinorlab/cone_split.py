@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .clifford_core import (
     CliffordRep,
     Signature,
+    certify_relations,
     commutant_dimension,
     even_subalgebra_images,
     first_square_root,
@@ -39,20 +40,22 @@ def invariant_spinors(rep: CliffordRep, operators) -> int:
     return rep.N - len(echelon)
 
 
-def null_plane_rotations(rep: CliffordRep):
-    """The actions gamma_p gamma_e of the abelian set {p ^ e : e in E},
-    for the rational null direction p and the definite complement E of
-    the hyperbolic plane; e is orthogonal to p, so gamma_{p ^ e} is the
-    product.  Each is returned as the terms (p_i, G_i G_j) of
-    gamma_p G_j = sum_i p_i G_i G_j."""
-    sig = rep.signature
-    p_vec = null_direction(sig)
-    gens = rep.generators
-    return [
-        [(c, g * gj) for c, g in zip(p_vec, gens) if c]
-        for j, gj in enumerate(gens)
-        if j not in (0, sig.p)
-    ]
+def null_plane_invariants(rep: CliffordRep) -> int:
+    """Dimension of the spinors invariant under the abelian set
+    {p ^ e : e in E}, for the rational null direction p and the definite
+    complement E of the hyperbolic plane, n >= 3: the joint kernel of the
+    actions gamma_p G_j, j not in {0, p}.
+
+    Each such G_j is invertible (G_j^2 = -eta_j Id) and anticommutes with
+    gamma_p (g(p, e_j) = 0), so ker gamma_p G_j = ker G_j gamma_p =
+    ker gamma_p.  certify_relations certifies that reduction, and one
+    invariant_spinors call on gamma_p = sum_i p_i G_i, N rows, counts.
+    """
+    if rep.n < 3:
+        raise ValueError("the null-plane rotations need n >= 3")
+    certify_relations(rep)
+    p_vec = null_direction(rep.signature)
+    return invariant_spinors(rep, [[(c, g) for c, g in zip(p_vec, rep.generators) if c]])
 
 
 def _find_involution(candidates, N):

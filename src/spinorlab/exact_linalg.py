@@ -3,9 +3,9 @@
 Scalars are python ints and fractions.Fraction; any other entry type
 is a TypeError in elimination.  A vector is a list of scalars, a
 subspace basis a sequence of column vectors, and a row system a list of
-rows; the only matrices are SignedPerms, apart from the exact integer
-arrays of clifford_core (generator tables and gamma_v stacks, int64 only
-under a proven overflow bound, else Python ints).  The exact elimination is
+rows; the only matrices are SignedPerms, apart from the read-only int64
+(perm, sign) generator tables of clifford_core, whose entries are
+indices and signs and never grow.  The exact elimination is
 Echelon: it clears each vector's denominators and reduces it over Z
 against the rows accepted so far, so rank certificates, span tests and
 kernels are reproducible bit for bit.  Echelon.kernel's

@@ -487,7 +487,8 @@ def homogeneity_span(model, fields):
     dims = []
     eta = np.array(model.base_signature.eta(), float)[:, None, None]
     for point in model.sample_points(8):
-        values = np.array([s.eval(model, point.x, point.patch) for s in fields], dtype=float).T
+        values = [s.eval(model, point.x, point.patch) for s in fields]
+        values = np.array(values, dtype=float).reshape(len(fields), model.N).T
         # c[i, a, b] = h(gamma^M_(e_i) s_a, s_b) / eta_i
         c = np.swapaxes(point.gammas @ values, 1, 2) @ model.form_matrix @ values / eta
         mat = (np.moveaxis(c, 0, -1) @ point.frame.T).reshape(-1, model.dim)

@@ -19,24 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .admissible_forms import first_nondegenerate, nondegenerate_tau_exists
-from .brackets import (
-    beta_form,
-    check_null_vector,
-    random_integers,
-    random_null_vector,
-    squares_to_scalar,
-)
+from .brackets import beta_form, check_null_vector, random_null_vector
 from .clifford_core import (
     Signature,
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
 )
-from .cone_split import (
-    invariant_spinors,
-    null_plane_rotations,
-    semispinor_projectors,
-)
+from .cone_split import null_plane_invariants, semispinor_projectors
 from .model_space import (
     ConstantSpinorField,
     HyperquadricModel,
@@ -110,15 +100,13 @@ def _indefinite_signatures(max_n):
 
 @_criterion(1, "clifford_relations", 30.0)
 def criterion_clifford_relations(max_n=8, seed=0):
-    # build_rep has checked every generator relation; this checks
-    # gamma_v^2 = -g(v,v) Id on ten random v per signature
+    # the relation table of each rep, which by polarization gives
+    # gamma_v^2 = -g(v,v) Id for every v; the seed draws nothing
     failures = []
-    rng = random.Random(seed)
     for sig in _signatures(max_n):
         rep = build_rep(sig)
-        vectors = [random_integers(rng, rep.n, 3) for _ in range(10)]
-        squares = squares_to_scalar(rep, vectors)
-        failures += [f"{sig}:square({v})" for v, ok in zip(vectors, squares) if not ok]
+        failures += [f"{sig}:relation({i},{j})" for i, j in
+                     clifford_relation_failures(rep.generators, rep.eta)]
     return not failures, {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures}
 
 
@@ -144,7 +132,8 @@ def _beta_rank_details(max_n, rng_offset, key, suffix):
     """beta_form on ten seeded null vectors per indefinite signature,
     drawn from random.Random(rng_offset + 64 p + q): the count that
     certified under key, and a failure {sig}:{suffix} where rank beta is
-    not N/2, or {sig}:{err} where an identity fails."""
+    not N/2, or one {sig}:{err} where a certificate of the rep or form
+    fails."""
     failures = []
     checked = 0
     for sig in _indefinite_signatures(max_n):
@@ -154,13 +143,13 @@ def _beta_rank_details(max_n, rng_offset, key, suffix):
         vectors = [random_null_vector(sig, rng) for _ in range(10)]
         for v in vectors:
             check_null_vector(rep, v)
-        for rank in beta_form(rep, form, vectors):
-            if isinstance(rank, ArithmeticError):
-                failures.append(f"{sig}:{rank}")
-                continue
-            checked += 1
-            if 2 * rank != rep.N:
-                failures.append(f"{sig}:{suffix}")
+        try:
+            ranks = beta_form(rep, form, vectors)
+        except ArithmeticError as err:
+            failures.append(f"{sig}:{err}")
+            continue
+        checked += len(ranks)
+        failures += [f"{sig}:{suffix}" for rank in ranks if 2 * rank != rep.N]
     return {key: checked, "failures": failures}
 
 
@@ -288,7 +277,7 @@ def criterion_invariant_spinors(max_n=8):
     for n in range(3, max_n + 2):
         for (p, q) in {(1, n - 1), (n - 1, 1)}:
             rep = build_rep(Signature(p, q))
-            dim = invariant_spinors(rep, null_plane_rotations(rep))
+            dim = null_plane_invariants(rep)
             checked += 1
             if 2 * dim != rep.N:
                 failures.append(f"({p},{q}): dim {dim}")

@@ -224,9 +224,11 @@ def squares_to_scalar_oracle(cols, c) -> bool:
 
 
 def beta_form_oracle(rep, form, v) -> int:
-    """The per-vector loop for brackets.beta_form on gamma_vector's
-    sparse columns: rank beta, or ArithmeticError naming the first
-    identity that fails, checked in beta_form's order."""
+    """brackets.beta_form's rank for one vector, from the identities of
+    the null-kernel lemma checked on gamma_vector's sparse columns rather
+    than from the rep and form certificates: rank beta, or ArithmeticError
+    naming the first identity that fails, in the order gamma_v^2, beta's
+    symmetry, then the anticommutator with G_k."""
     cols = gamma_vector(rep, v)
     q = metric_value(rep.eta, v, v)
     if not squares_to_scalar_oracle(cols, -q):
@@ -315,7 +317,7 @@ def _anticommutator_stack(rep, vectors, gammas) -> list:
 
 
 def beta_form_stack(rep, form, vectors) -> list:
-    """brackets.beta_form on one gamma_stack of the batch: its results,
+    """beta_form_oracle on one gamma_stack of the batch: its results,
     each error as its message.  The square is squares_to_scalar_stack,
     beta one row scatter of the stack, and the anticommutator
     _anticommutator_stack."""
@@ -348,36 +350,6 @@ def beta_form_stack(rep, form, vectors) -> list:
         else:
             results.append(rep.N // 2)
     return results
-
-
-def square_row(eta, v) -> list:
-    """The coefficient row of sum_ij v_i v_j G_i G_j + g(v,v) Id, built
-    entry by entry: v_a v_b at a n + b, then g(v,v)."""
-    return [a * b for a in v for b in v] + [metric_value(eta, v, v)]
-
-
-def anticommutator_row(eta, v) -> list:
-    """The coefficient row of gamma_v G_k + G_k gamma_v + 2 eta_k v_k Id
-    for the first k with v_k != 0, built entry by entry:
-    C_ab = v_a [b = k] + [a = k] v_b, then 2 eta_k v_k."""
-    n = len(v)
-    k = next(k for k, x in enumerate(v) if x)
-    row = [v[a] * (b == k) + (a == k) * v[b] for a in range(n) for b in range(n)]
-    return row + [2 * eta[k] * v[k]]
-
-
-def beta_row(st, v) -> list:
-    """The coefficient row of beta^T - st beta: v, then -st v."""
-    return [*v, *(-st * x for x in v)]
-
-
-def coefficients(rows) -> np.ndarray:
-    """The rows in int64 when every entry is an int and each row's sum of
-    absolute values is below 2^62, else as Python ints and Fractions
-    (object): the dtype rule of the sum certificates, read off the rows."""
-    small = all(type(x) is int for row in rows for x in row)
-    small = small and max(sum(map(abs, row)) for row in rows) < 2**62
-    return np.array(rows, dtype=np.int64 if small else object)
 
 
 def gram_schmidt_oracle(model, y, drop):

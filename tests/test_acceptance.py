@@ -52,6 +52,10 @@ def _wrong_sigma(form):
     return BilinearForm(form.matrix, -form.sigma, form.tau)
 
 
+def _wrong_tau(form):
+    return BilinearForm(form.matrix, form.sigma, -form.tau)
+
+
 def _negated_eta(rep):
     """rep with -eta: null vectors stay null and gamma_v is unchanged, but
     the anticommutator constant -2 eta_k v_k changes sign."""
@@ -61,29 +65,29 @@ def _negated_eta(rep):
 @pytest.mark.parametrize("check", [verify.criterion_null_kernel, verify.criterion_beta],
                          ids=["c03", "c04"])
 @pytest.mark.parametrize(
-    "break_rep, break_form, message, everywhere",
+    "break_rep, break_form, message",
     [
-        (lambda rep: _flip_sign(rep, 0), _unchanged,
-         "gamma_v squared must vanish on a null vector", False),
-        (_unchanged, _wrong_sigma, "beta does not have symmetry sigma*tau", True),
-        (_negated_eta, _unchanged, "gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id", True),
+        (lambda rep: _flip_sign(rep, 0), _unchanged, "Clifford relation failed at (0,0) for {sig}"),
+        (_unchanged, _wrong_sigma, "admissible form relation H^T = sigma H fails for {sig}"),
+        (_negated_eta, _unchanged, "Clifford relation failed at (0,0) for {sig}"),
+        (_unchanged, _wrong_tau, "admissible form relation G_0^T H = tau H G_0 fails for {sig}"),
     ],
-    ids=["square", "symmetry", "anticommutator"],
+    ids=["square", "symmetry", "anticommutator", "tau"],
 )
-def test_c03_c04_report_each_failed_identity(monkeypatch, check, break_rep, break_form,
-                                             message, everywhere):
-    # the admissible form is found on the true rep, then broken or not
+def test_c03_c04_report_each_failed_identity(monkeypatch, check, break_rep, break_form, message):
+    # the admissible form is found on the true rep, then broken or not; the
+    # identities of the null-kernel lemma follow from the rep and form
+    # certificates, so a broken one fails each signature once, by name
     build, first = verify.build_rep, verify.first_nondegenerate
     monkeypatch.setattr(verify, "build_rep", lambda sig: break_rep(build(sig)))
     monkeypatch.setattr(verify, "first_nondegenerate",
                         lambda rep: break_form(first(build(rep.signature))))
     result = check(max_n=4, seed=SEED)
-    failures = result.details["failures"]
     assert not result.passed
-    named = [f for f in failures if f.endswith(":" + message)]
-    assert named
-    if everywhere:  # all 10 vectors on each of the 6 indefinite signatures
-        assert named == failures and len(failures) == 60
+    signatures = list(verify._indefinite_signatures(4))
+    assert len(signatures) == 6
+    assert result.details["failures"] == [f"{sig}:{message.format(sig=sig)}" for sig in signatures]
+    assert next(v for k, v in result.details.items() if k.endswith("_checked")) == 0
 
 
 def test_c03_c04_run_without_elimination_or_dense_products(monkeypatch):
@@ -122,28 +126,18 @@ def _randint_null_vector(sig, rng):
             return v
 
 
-def test_c01_c03_c04_draw_the_vectors_of_a_randint_loop(monkeypatch):
+def test_c03_c04_draw_the_vectors_of_a_randint_loop(monkeypatch):
     # each signature's ten vectors are drawn before its one batched call,
     # through random_integers; they are the vectors of the randint loop
     drawn = []
-    squares, beta = verify.squares_to_scalar, verify.beta_form
-
-    def record_squares(rep, vectors):
-        drawn.append((rep.signature, vectors))
-        return squares(rep, vectors)
+    beta = verify.beta_form
 
     def record_beta(rep, form, vectors):
         drawn.append((rep.signature, vectors))
         return beta(rep, form, vectors)
 
-    monkeypatch.setattr(verify, "squares_to_scalar", record_squares)
     monkeypatch.setattr(verify, "beta_form", record_beta)
     signatures = [clifford_core.Signature(p, n - p) for n in range(1, 10) for p in range(n + 1)]
-    rng = random.Random(SEED)
-    want = [(sig, [[rng.randint(-3, 3) for _ in range(sig.n)] for _ in range(10)])
-            for sig in signatures]
-    assert verify.criterion_clifford_relations(max_n=9, seed=SEED).passed
-    assert drawn == want
     for check, offset in ((verify.criterion_null_kernel, SEED * 7919),
                           (verify.criterion_beta, SEED * 104729)):
         drawn.clear()
@@ -157,11 +151,44 @@ def test_c01_c03_c04_draw_the_vectors_of_a_randint_loop(monkeypatch):
 
 
 def test_c01_reports_a_broken_square(monkeypatch):
+    # the relation table, which gives every square gamma_v^2 by polarization
     build = verify.build_rep
     monkeypatch.setattr(verify, "build_rep", lambda sig: _flip_sign(build(sig), 0))
     result = verify.criterion_clifford_relations(max_n=2, seed=SEED)
     assert not result.passed
-    assert any(":square([" in f for f in result.details["failures"])
+    assert "(1,1):relation(0,0)" in result.details["failures"]
+    assert all(":relation(" in f for f in result.details["failures"])
+
+
+def test_exact_criteria_add_at_most_one_elimination_row_per_spinor(monkeypatch):
+    # c01, c03 and c04 read certificates and eliminate nothing; c10 adds
+    # the N rows of gamma_p per cone, where the stacked joint kernel of the
+    # null-plane rotations would add (n - 2) N
+    added = []
+    add = Echelon.add
+
+    def counted(self, vector):
+        added.append(len(vector))
+        return add(self, vector)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    for check in (verify.criterion_clifford_relations, verify.criterion_null_kernel,
+                  verify.criterion_beta):
+        assert check(max_n=9, seed=SEED).passed
+        assert added == [], check.__name__
+    per_cone = []
+    invariants = verify.null_plane_invariants
+
+    def one_cone(rep):
+        added.clear()
+        dim = invariants(rep)
+        per_cone.append((rep.N, len(added)))
+        return dim
+
+    monkeypatch.setattr(verify, "null_plane_invariants", one_cone)
+    result = verify.criterion_invariant_spinors(max_n=9)
+    assert result.passed and len(per_cone) == result.details["cones_checked"] == 16
+    assert all(rows <= N for N, rows in per_cone), per_cone
 
 
 def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from spinorlab.clifford_core import (
 from spinorlab import cone_split
 from spinorlab.cone_split import (
     invariant_spinors,
-    null_plane_rotations,
+    null_plane_invariants,
     semispinor_projectors,
 )
 from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
@@ -374,6 +374,22 @@ def test_invariant_spinors_full_rotation_algebra():
     assert invariant_spinors(rep, rotations) == _joint_kernel_dim(rep, rotations) == 0
 
 
+def null_plane_rotations(rep):
+    """The actions gamma_p gamma_e of the abelian set {p ^ e : e in E},
+    for the rational null direction p and the definite complement E of
+    the hyperbolic plane; e is orthogonal to p, so gamma_{p ^ e} is the
+    product.  Each is returned as the terms (p_i, G_i G_j) of
+    gamma_p G_j = sum_i p_i G_i G_j."""
+    sig = rep.signature
+    p_vec = null_direction(sig)
+    gens = rep.generators
+    return [
+        [(c, g * gj) for c, g in zip(p_vec, gens) if c]
+        for j, gj in enumerate(gens)
+        if j not in (0, sig.p)
+    ]
+
+
 def test_null_plane_invariants_lorentzian_cones():
     # one positive plus one negative direction in the null plane; the rest
     # definite: every Lorentzian-type cone signature with p+q <= 9
@@ -387,10 +403,34 @@ def test_null_plane_invariants_lorentzian_cones():
             for j, rotation in zip(directions, rotations, strict=True):
                 e = [int(a == j) for a in range(n)]
                 assert _operator_dense(rotation, rep.N) == gamma_alternating(rep, [p_vec, e]), (p, q, j)
-            dim = invariant_spinors(rep, rotations)
+            dim = null_plane_invariants(rep)
             assert 2 * dim == rep.N, f"({p},{q})"
             if n <= 6:
                 assert dim == _joint_kernel_dim(rep, rotations), f"({p},{q})"
+
+
+def test_null_plane_invariants_match_the_stacked_joint_kernel():
+    # the reduction ker gamma_p G_j = ker gamma_p, checked against the
+    # stacked elimination of every rotation on each indefinite signature
+    # with n <= 9
+    checked = 0
+    for n in range(3, 10):
+        for p in range(1, n):
+            rep = build_rep(Signature(p, n - p))
+            assert null_plane_invariants(rep) == invariant_spinors(rep, null_plane_rotations(rep))
+            checked += 1
+    assert checked == 35
+    with pytest.raises(ValueError, match="n >= 3"):
+        null_plane_invariants(build_rep(Signature(1, 1)))
+
+
+def test_null_plane_invariants_certify_the_reduction():
+    # a generator that no longer anticommutes with gamma_p breaks the
+    # reduction: the relation table raises before anything is counted
+    rep = build_rep(Signature(1, 3))
+    gens = rep.generators[:2] + (rep.generators[1],) + rep.generators[3:]
+    with pytest.raises(ArithmeticError, match=r"Clifford relation failed at \(1,2\)"):
+        null_plane_invariants(dataclasses.replace(rep, generators=gens))
 
 
 def test_null_plane_scale_invariance():

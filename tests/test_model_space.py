@@ -851,6 +851,14 @@ def test_bracket_span_and_curvature_fail_closed():
     assert homogeneity_span(model, [s, t]) == []
 
 
+def test_homogeneity_span_of_no_fields_is_zero_at_each_point():
+    # the span of no brackets, at every one of the sample points
+    model = HyperquadricModel(Signature(3, 0), num_samples=3)
+    assert homogeneity_span(model, []) == [0, 0, 0]
+    model = HyperquadricModel(Signature(2, 2), num_samples=2)
+    assert homogeneity_span(model, []) == [0, 0]
+
+
 def test_homogeneity_span_fails_closed_on_non_finite_values():
     # a point whose bracket matrix holds a NaN or inf gets dimension -1,
     # which no check accepts, where the SVD would raise LinAlgError; the
