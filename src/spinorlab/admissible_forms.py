@@ -4,7 +4,8 @@ A form h is admissible of symmetry sigma and type tau when
 h(s,t) = sigma h(t,s) and h(gamma_X s, t) = tau h(s, gamma_X t); in
 matrix terms H^T = sigma H and G_i^T H = tau H G_i for every generator.
 The full solution space is exact_linalg's signed_relation_basis of the
-pairs (G_i, G_i^T) with the transposition move, one SignedPerm per form.
+generator stack and its transpose with the transposition move, one
+SignedPerm per form.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .clifford_core import CliffordRep, Signature, build_rep, generator_table
+from .clifford_core import CliffordRep, Signature, build_rep
 from .exact_linalg import SignedPerm, signed_relation_basis
 
 
@@ -41,17 +40,17 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearFor
     orbit is a signed permutation (ker H is a submodule, so a nonzero
     admissible H is invertible); an orbit that is not one raises
     ArithmeticError.  Solved once per (rep, sigma, tau), keyed on the
-    whole rep rather than its signature, and returned as a tuple so that
-    no caller can change what later callers get.
+    whole rep rather than its signature (a rep hashes and compares by
+    the bytes of its stacks), and returned as a tuple so that no caller
+    can change what later callers get.
     """
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
-    N = rep.N
     # G^T H = tau H G is H = tau G H G, since G^T = G^-1
-    pairs = [(g, g.transpose()) for g in rep.generators]
+    gens = rep.generators
     forms = []
-    for element in signed_relation_basis(N, pairs, tau, sigma):
-        matrix = SignedPerm.from_cells(element, N)
+    for element in signed_relation_basis(gens, gens.transpose(), tau, sigma):
+        matrix = SignedPerm.from_cells(element, rep.N)
         if matrix is None:
             raise ArithmeticError(
                 f"admissible form of {rep.signature} with (sigma, tau) = "
@@ -67,18 +66,12 @@ def form_relation_failures(rep: CliffordRep, form: BilinearForm) -> list:
     G_i^T H != tau H G_i, in order.
 
     G_i^T = G_i^-1 for a signed permutation, so the generator relation
-    is H = tau G_i H G_i: two index gathers on generator_table, O(nN).
+    is H = tau G_i H G_i: two index gathers on the generator stack, O(nN).
     """
-    h = form.matrix
+    h, gens = form.matrix, rep.generators
     failures = [] if h.transpose() == (h if form.sigma == 1 else -h) else [None]
-    perm, sign = generator_table(rep.generators)
-    h_perm, h_sign = np.array(h.perm), np.array(h.signs)
-    # column c of G_i H is h_sign[c] sign[i, h_perm[c]] at row perm[i, h_perm[c]],
-    # and column c of (G_i H) G_i is sign[i, c] times its column perm[i, c]
-    ghg_perm = np.take_along_axis(perm[:, h_perm], perm, axis=1)
-    ghg_sign = np.take_along_axis(sign[:, h_perm] * h_sign, perm, axis=1) * sign
-    bad = (ghg_perm != h_perm).any(axis=1) | (form.tau * ghg_sign != h_sign).any(axis=1)
-    return failures + np.flatnonzero(bad).tolist()
+    bad = ~(gens * h * gens).equal(h if form.tau == 1 else -h)
+    return failures + bad.nonzero()[0].tolist()
 
 
 def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:

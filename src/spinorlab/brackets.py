@@ -134,11 +134,11 @@ def _pairing_echelon(rep, form, a: SpinorSubspace, b: SpinorSubspace) -> Echelon
     (sigma*tau)-symmetric, so row (j, i) is +-row (i, j).
     """
     echelon = Echelon()
-    ht = form.matrix.transpose()
+    ht, gens = form.matrix.transpose(), list(rep.generators)
     a_cols = _integer_columns(a.basis)
     h_a = [ht.apply(c) for c in a_cols]
     for j, b_j in enumerate(a_cols if a is b else _integer_columns(b.basis)):
-        g_b = [g.apply(b_j) for g in rep.generators]
+        g_b = [g.apply(b_j) for g in gens]
         for h_ai in h_a[: j + 1] if a is b else h_a:
             if echelon.add([sum(map(mul, h_ai, x)) for x in g_b]) and len(echelon) == rep.n:
                 return echelon

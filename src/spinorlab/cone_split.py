@@ -33,7 +33,7 @@ def invariant_spinors(rep: CliffordRep, operators) -> int:
     for terms in operators:
         rows = [[0] * rep.N for _ in range(rep.N)]
         for c, g in terms:
-            for j, (i, s) in enumerate(zip(g.perm, g.signs)):
+            for j, (i, s) in enumerate(zip(g.perm.tolist(), g.signs.tolist())):
                 rows[i][j] += c * s
         for row in rows:
             echelon.add(row)
@@ -69,17 +69,16 @@ def _find_involution(candidates, N):
     rows are disjoint too.  The residue cross-check rejects a split missed
     for want of a dense, non-monomial involution.
     """
-    perms = (SignedPerm.from_cells(x, N) for x in candidates)
-    z = first_square_root((x for x in perms if x is not None), 1)
-    if z is not None:
-        return z
-    differences = (
+    perms = [SignedPerm.from_cells(x, N) for x in candidates]
+    differences = (  # made only when no candidate is an involution
         SignedPerm.from_cells({**x, **{col: (row, -sign) for col, (row, sign) in y.items()}}, N)
-        for i, x in enumerate(candidates)
-        for y in candidates[i + 1 :]
-        if x.keys().isdisjoint(y)
+        for i, x in enumerate(candidates) for y in candidates[i + 1 :] if x.keys().isdisjoint(y)
     )
-    return first_square_root((z for z in differences if z is not None), 1)
+    for group in (perms, differences):
+        group = [x for x in group if x is not None]
+        if group and (z := first_square_root(SignedPerm.concat(group), 1)) is not None:
+            return z
+    return None
 
 
 # residues (base s mod 8) with irreducible even restriction, certified by
@@ -117,15 +116,13 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     N = rep_cone.N
     images = even_subalgebra_images(rep_cone)
     # the base volume image: a candidate only when central (odd base n)
-    omega = SignedPerm.identity(N)
-    for e in images:
-        omega = omega * e
-    central = all(e * omega == omega * e for e in images)
-    candidates = [dict(enumerate(zip(omega.perm, omega.signs)))] if central else []
-    if central and first_square_root([omega], 1) is not None:
-        commutant_dim = commutant_dimension(images, N)
+    omega = images.product()
+    central = images * omega == omega * images
+    candidates = [dict(enumerate(zip(omega.perm.tolist(), omega.signs.tolist())))] if central else []
+    if central and first_square_root(omega[None], 1) is not None:
+        commutant_dim = commutant_dimension(images)
     else:
-        comm = signed_relation_basis(N, [(e, e) for e in images])
+        comm = signed_relation_basis(images, images)
         candidates += comm
         commutant_dim = len(comm)
     z = _find_involution(candidates, N)
@@ -140,9 +137,9 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
         # ranks (N +- trace z)/2 are N/2 once trace z = 0
         if z * z != SignedPerm.identity(N):
             raise ArithmeticError("projector is not idempotent")
-        if sum(s for j, (i, s) in enumerate(zip(z.perm, z.signs)) if i == j):
+        if z.trace():
             raise ArithmeticError("projector rank is not N/2")
-        if any(e * z != z * e for e in images):
+        if images * z != z * images:
             raise ArithmeticError("projector does not commute with the even action")
     return SemiSpinorReport(
         split=split,

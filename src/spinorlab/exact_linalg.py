@@ -3,9 +3,9 @@
 Scalars are python ints and fractions.Fraction; any other entry type
 is a TypeError in elimination.  A vector is a list of scalars, a
 subspace basis a sequence of column vectors, and a row system a list of
-rows; the only matrices are SignedPerms, apart from the read-only int64
-(perm, sign) generator tables of clifford_core, whose entries are
-indices and signs and never grow.  The exact elimination is
+rows.  The only matrices are SignedPerms, read-only (..., N) stacks of
+signed permutations whose entries are indices and signs and never
+grow.  The exact elimination is
 Echelon: it clears each vector's denominators and reduces it over Z
 against the rows accepted so far, so rank certificates, span tests and
 kernels are reproducible bit for bit.  Echelon.kernel's
@@ -15,12 +15,11 @@ once.  The only other elimination is full_rank_mod_p, a
 one-sided certificate on a stack of integer matrices at once: full rank
 mod PRIME implies full rank over Q, and a failed certificate proves
 nothing.  signed_relation_basis solves the monomial relations
-X = c L X R^T of SignedPerm pairs by orbit walks, without elimination.
+X = c L X R^T of SignedPerm stacks by orbit walks, without elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -41,20 +40,44 @@ def _denominator_lcm(x):
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
-@dataclass(frozen=True)
 class SignedPerm:
-    """Signed permutation matrix: column j is signs[j] * e_perm[j].
+    """Signed permutation matrices as read-only integer arrays of shape
+    (..., N): one (N,) element has signs[j] at row perm[j] of column j,
+    and a stack, such as a rep's (n, N) generators, holds many; len,
+    indexing and iteration run over its first axis.  Products,
+    transposes, negation and Kronecker products are index gathers that
+    broadcast over the leading axes, so a[:, None] * a[None] is the
+    (n, n, N) table of all products.  == compares whole stacks, equal
+    element by element.  Arrays of the right dtype are held as they are
+    and made read-only."""
 
-    Products, transposes and Kronecker products stay signed permutations
-    and cost O(N), as does apply on a vector.
-    """
+    __slots__ = ("perm", "signs")
 
-    perm: tuple
-    signs: tuple
+    def __init__(self, perm, signs):
+        perm, signs = np.asarray(perm, dtype=np.intp), np.asarray(signs, dtype=np.int64)
+        if perm.ndim == 0 or perm.shape != signs.shape:
+            raise ValueError("perm and signs must share one shape (..., N)")
+        perm.setflags(write=False)
+        signs.setflags(write=False)
+        self.perm, self.signs = perm, signs
+
+    @property
+    def N(self) -> int:
+        return self.perm.shape[-1]
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(range(n)), (1,) * n)
+        return cls(np.arange(n), np.ones(n))
+
+    @classmethod
+    def concat(cls, parts):
+        """The (k, N) stack of the elements of parts, each one element or
+        a stack of them, in order."""
+        N = parts[0].N
+        return cls(
+            np.concatenate([x.perm.reshape(-1, N) for x in parts]),
+            np.concatenate([x.signs.reshape(-1, N) for x in parts]),
+        )
 
     @classmethod
     def from_cells(cls, cells, n):
@@ -63,45 +86,85 @@ class SignedPerm:
         cells fill all n columns and n distinct rows with signs +-1."""
         if cells.keys() != set(range(n)):
             return None
-        perm = tuple(cells[j][0] for j in range(n))
-        signs = tuple(cells[j][1] for j in range(n))
+        perm, signs = zip(*(cells[j] for j in range(n)))
         if {*perm} != set(range(n)) or not {*signs} <= {1, -1}:
             return None
         return cls(perm, signs)
 
+    def __len__(self):
+        return len(self.perm)
+
+    def __getitem__(self, index):
+        return SignedPerm(self.perm[index], self.signs[index])
+
     def __mul__(self, other):
         if not isinstance(other, SignedPerm):
             return NotImplemented
-        return SignedPerm(
-            tuple(self.perm[k] for k in other.perm),
-            tuple(s * self.signs[k] for k, s in zip(other.perm, other.signs)),
-        )
+        at = _positions(self.perm.shape, other.perm)
+        return SignedPerm(self.perm.take(at), self.signs.take(at) * other.signs)
+
+    def __neg__(self):
+        return SignedPerm(self.perm, -self.signs)
+
+    def _key(self):
+        return self.perm.shape, self.perm.tobytes(), self.signs.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SignedPerm) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def equal(self, other):
+        """Per element of the broadcast stacks, whether self and other are
+        the same matrix, as a bool array of the leading shape."""
+        return ((self.perm == other.perm) & (self.signs == other.signs)).all(axis=-1)
 
     def apply(self, x):
-        """self times the vector x, as a list: a signed gather, O(N)."""
+        """This one element times the vector x, as a list: a signed
+        gather, O(N).  It reads the arrays as lists, so the entries of x
+        stay python ints and Fractions."""
         out = [0] * len(x)
-        for xj, i, s in zip(x, self.perm, self.signs):
+        for xj, i, s in zip(x, self.perm.tolist(), self.signs.tolist()):
             out[i] = xj if s == 1 else -xj
         return out
 
-    def __neg__(self):
-        return SignedPerm(self.perm, tuple(-s for s in self.signs))
-
     def transpose(self):
-        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
-        return SignedPerm(tuple(inverse), tuple(self.signs[j] for j in inverse))
+        inverse = np.argsort(self.perm, axis=-1)
+        return SignedPerm(inverse, self.signs.take(_positions(self.perm.shape, inverse)))
 
     def kron(self, other):
-        n = len(other.perm)
-        return SignedPerm(
-            tuple(i * n + k for i in self.perm for k in other.perm),
-            tuple(s * t for s in self.signs for t in other.signs),
-        )
+        perm = self.perm[..., :, None] * other.N + other.perm[..., None, :]
+        signs = self.signs[..., :, None] * other.signs[..., None, :]
+        shape = perm.shape[:-2] + (self.N * other.N,)
+        return SignedPerm(perm.reshape(shape), signs.reshape(shape))
 
-    def is_scalar_multiple_of_identity(self):
-        if self.perm == tuple(range(len(self.perm))) and len(set(self.signs)) == 1:
-            return self.signs[0]
-        return None
+    def product(self):
+        """The ordered product of the elements of a (k, N) stack, one
+        element: the identity when k = 0."""
+        perm, signs = np.arange(self.N), np.ones(self.N, dtype=np.int64)
+        for p, s in zip(self.perm, self.signs):
+            perm, signs = perm[p], signs[p] * s
+        return SignedPerm(perm, signs)
+
+    def trace(self):
+        """The trace of each element: its signs summed over the diagonal."""
+        return np.where(self.perm == np.arange(self.N), self.signs, 0).sum(axis=-1)
+
+    def scalar(self):
+        """Per element, c where it is c Id, else 0, as an int array of the
+        leading shape."""
+        diagonal = (self.perm == np.arange(self.N)).all(axis=-1)
+        constant = (self.signs == self.signs[..., :1]).all(axis=-1)
+        return np.where(diagonal & constant, self.signs[..., 0], 0)
+
+
+def _positions(shape, index):
+    """The flat positions, in an array of this (..., N) shape, of x[..., index]
+    element by element: each element of x read at the matching element of
+    index, over the broadcast leading axes.  x.take of them gathers."""
+    *lead, N = shape
+    return np.arange(0, prod(lead) * N, N).reshape(*lead, 1) + index if lead else index
 
 
 def clear_denominators(row):
@@ -220,17 +283,19 @@ def dense_rows(columns) -> list:
     return rows
 
 
-def signed_relation_basis(N, pairs, c=1, sigma=None):
-    """Solution basis of X = c L X R^T on N x N matrices X for every
-    SignedPerm pair (L, R) in pairs, and of X^T = sigma X unless sigma
-    is None: one dict {column: (row, sign)} per surviving cell orbit,
-    +1 at its lowest row-major cell, in order of that cell.
+def signed_relation_basis(left, right, c=1, sigma=None):
+    """Solution basis of X = c L_k X R_k^T on N x N matrices X for every
+    element pair (L_k, R_k) of the (k, N) SignedPerm stacks left and
+    right, and of X^T = sigma X unless sigma is None: one dict
+    {column: (row, sign)} per surviving cell orbit, +1 at its lowest
+    row-major cell, in order of that cell.
 
     Every cell orbit meets the lowest column of some column orbit of the
     R's, so walks start at each row of those columns.  A surviving orbit
     with two rows in one column raises ArithmeticError.
     """
-    moves = [(l.perm, l.signs, r.perm, r.signs) for l, r in pairs]
+    N = left.N
+    moves = list(zip(left.perm.tolist(), left.signs.tolist(), right.perm.tolist(), right.signs.tolist()))
     roots, columns = [], set()
     for s0 in range(N):
         if s0 in columns:

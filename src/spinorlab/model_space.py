@@ -35,16 +35,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .admissible_forms import first_nondegenerate
-from .clifford_core import Signature, build_rep, generator_table, signed_products
-from .exact_linalg import SignedPerm
-
-
-def _to_numpy(m: SignedPerm) -> np.ndarray:
-    """m as a float64 array: signs[j] at row perm[j] of column j."""
-    n = len(m.perm)
-    out = np.zeros((n, n))
-    out[m.perm, range(n)] = m.signs
-    return out
+from .clifford_core import Signature, build_rep
 
 
 def _halton(index, base):
@@ -107,9 +98,9 @@ class HyperquadricModel:
         # the products G_i G_j, i < j, of the cone generators: pair k puts
         # pair_signs[k, c] at row pair_perms[k, c] of column c
         self.pairs = np.triu_indices(cone_signature.n, 1)
-        table = generator_table(self.rep.generators)
-        perm, sign = signed_products(table, table)
-        self.pair_perms, self.pair_signs = perm[self.pairs], sign[self.pairs].astype(float)
+        gens = self.rep.generators
+        products = (gens[:, None] * gens[None])[self.pairs]
+        self.pair_perms, self.pair_signs = products.perm, products.signs.astype(float)
         self.eta_hat = np.array(cone_signature.eta(), dtype=float)
         self.dim = cone_signature.n
         self.n = cone_signature.n - 1
@@ -257,7 +248,10 @@ class HyperquadricModel:
         """H of the first nondegenerate cone-admissible form; constant on
         the cone, hence parallel, and of intrinsic type -1 for every cone
         type, since gamma^M_X = gamma_X gamma_x."""
-        return _to_numpy(first_nondegenerate(self.rep).matrix)
+        h = first_nondegenerate(self.rep).matrix
+        out = np.zeros((self.N, self.N))
+        out[h.perm, np.arange(self.N)] = h.signs
+        return out
 
 
 class ConstantSpinorField:
@@ -521,7 +515,8 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
     if sum(factors) != signature.n:
         raise ValueError("the factor dimensions must add up to n")
     rep = build_rep(signature)
-    n, eta, gammas = signature.n, signature.eta(), rep.generators
+    n, eta = signature.n, signature.eta()
+    gammas = rep.generators[:, None] * rep.generators[None]  # gamma_k gamma_l at [k, l]
     block = [b for b, size in enumerate(factors) for _ in range(size)]
     lam_sq = Fraction(killing_number) ** 2
 
@@ -533,12 +528,12 @@ def kappa_upper_bound(signature: Signature, factors, killing_number) -> int:
     for i, j in combinations(range(n), 2):
         # 4 R_spin(e_i, e_j) = -sum over k != l of R_ijkl eta_k eta_l gamma_k gamma_l
         terms = [
-            (-r * eta[k] * eta[l], gammas[k] * gammas[l])
+            (-r * eta[k] * eta[l], gammas[k, l])
             for k, l in permutations(range(n), 2)
             if (r := riemann(i, j, k, l))
         ]
-        terms += [(4 * lam_sq, gammas[i] * gammas[j]), (-4 * lam_sq, gammas[j] * gammas[i])]
-        g_ij = gammas[i] * gammas[j]
+        terms += [(4 * lam_sq, gammas[i, j]), (-4 * lam_sq, gammas[j, i])]
+        g_ij = gammas[i, j]
         c = 0
         for coeff, g in terms:
             if g == g_ij:

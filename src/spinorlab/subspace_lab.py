@@ -202,8 +202,9 @@ def extremal_obstructed_subspace(
         raise ArithmeticError("kernel columns are not independent")
     comp = [c for c in range(rep.N) if echelon.add([int(i == c) for i in range(rep.N)])]
     # column c of beta = H gamma_v gathers column c of gamma_v through H
-    h, gamma = form.matrix, gamma_vector(rep, v)
-    beta = [{h.perm[r]: h.signs[r] * x for r, x in gamma[c].items()} for c in comp]
+    h_perm, h_signs = form.matrix.perm.tolist(), form.matrix.signs.tolist()
+    gamma = gamma_vector(rep, v)
+    beta = [{h_perm[r]: h_signs[r] * x for r, x in gamma[c].items()} for c in comp]
     gram = [[col.get(a, 0) for col in beta] for a in comp]
     st = form.sigma * form.tau
     iso = isotropic_subspace(gram, symmetric=(st == 1), target_dim=rep.N // 4)
@@ -304,9 +305,9 @@ def _block_surjective(rep, form, dim, seed, block):
     b = bt.transpose(0, 2, 1)
     upper = tuple(zip(*((a, c) for c in range(dim) for a in range(c + 1))))  # a <= c
     obstruction = np.empty((len(block), rows, n), dtype=np.int64)
-    for i, g in enumerate(rep.generators):
-        hg = form.matrix * g  # column j of B^T H gamma_i: signs[j] * column perm[j] of B^T
-        pairing = (bt[:, :, hg.perm] * np.array(hg.signs)) @ b
+    for i, hg in enumerate(form.matrix * rep.generators):
+        # column j of B^T H gamma_i: signs[j] * column perm[j] of B^T
+        pairing = (bt[:, :, hg.perm] * hg.signs) @ b
         obstruction[:, :, i] = pairing[:, upper[0], upper[1]]
     return full_rank_mod_p(b) & full_rank_mod_p(obstruction)
 

@@ -1,6 +1,8 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
 sparse-column and row-system fast path of spinorlab is checked against;
 the orbit-solve commutant dimension that the trace count replaced;
+the planted-defect copies of signed permutations that the failure tests
+feed in, each checked to differ from its original where it says;
 the per-vector and pairwise loops that the array certificates of
 spinorlab replaced; the dense (B, N, N) gamma_v stack and its checks,
 which the signed-permutation sums of brackets replaced and which scale
@@ -20,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from spinorlab.clifford_core import gamma_vector, generator_table, metric_value
+from spinorlab.clifford_core import gamma_vector, metric_value
 from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows, signed_relation_basis
 from spinorlab.model_space import (
     BracketFieldReport,
@@ -107,8 +109,36 @@ class Matrix:
 
 def dense(p: SignedPerm) -> Matrix:
     """The dense matrix of a signed permutation: column j is signs[j] e_perm[j]."""
-    pairs = list(zip(p.perm, p.signs))
+    pairs = list(zip(p.perm.tolist(), p.signs.tolist()))
     return Matrix([[s if i == r else 0 for i, s in pairs] for r in range(len(pairs))])
+
+
+def planted(original: SignedPerm, cells, perm=None, signs=None) -> SignedPerm:
+    """A broken copy of original, with perm and signs in place of its
+    arrays where given, asserted to differ from original at exactly the
+    cells, a set of (..., column) index tuples: a planted defect that is
+    neither silently absent nor spread beyond what its test names."""
+    copy = SignedPerm(
+        original.perm if perm is None else perm, original.signs if signs is None else signs
+    )
+    differ = (copy.perm != original.perm) | (copy.signs != original.signs)
+    assert cells and {tuple(map(int, index)) for index in np.argwhere(differ)} == set(cells)
+    return copy
+
+
+def flip_sign(original: SignedPerm, index) -> SignedPerm:
+    """original with the sign at index, a (..., column) tuple, negated."""
+    signs = original.signs.copy()
+    signs[index] = -signs[index]
+    return planted(original, {index}, signs=signs)
+
+
+def swap_entries(original: SignedPerm, index, other) -> SignedPerm:
+    """original with the perm entries at two (..., column) tuples of one
+    element swapped."""
+    perm = original.perm.copy()
+    perm[index], perm[other] = perm[other], perm[index]
+    return planted(original, {index, other}, perm=perm)
 
 
 def sparse_dense(columns) -> Matrix:
@@ -140,7 +170,7 @@ def is_zero(m: Matrix):
 
 def dense_scalar(m: Matrix):
     """c when the square Matrix m is c Id, else None: the dense oracle
-    for SignedPerm.is_scalar_multiple_of_identity."""
+    for SignedPerm.scalar."""
     c = m.data[0][0]
     if m.rows == m.cols and m == Matrix.identity(m.rows).scale(c):
         return c
@@ -192,7 +222,7 @@ def clifford_relation_failures_oracle(generators, eta):
     G_i G_j != -G_j G_i."""
     failures = []
     for i, gi in enumerate(generators):
-        if (gi * gi).is_scalar_multiple_of_identity() != -eta[i]:
+        if (gi * gi).scalar() != -eta[i]:
             failures.append((i, i))
         for j in range(i + 1, len(generators)):
             gj = generators[j]
@@ -201,11 +231,11 @@ def clifford_relation_failures_oracle(generators, eta):
     return failures
 
 
-def commutant_dimension_by_solve(generators, N) -> int:
+def commutant_dimension_by_solve(generators) -> int:
     """The orbit-solve commutant dimension that commutant_dimension's
     trace count replaced: the size of the signed_relation_basis of
-    X = G X G^T over every generator G."""
-    return len(signed_relation_basis(N, [(g, g) for g in generators]))
+    X = G X G^T over every generator G of the stack."""
+    return len(signed_relation_basis(generators, generators))
 
 
 def squares_to_scalar_oracle(cols, c) -> bool:
@@ -236,8 +266,8 @@ def beta_form_oracle(rep, form, v) -> int:
             raise ArithmeticError("gamma_v squared must vanish on a null vector")
         raise ArithmeticError("gamma_v squared is not -g(v,v) Id")
     # column j of beta gathers column j of gamma_v through H
-    h = form.matrix
-    beta = [{h.perm[r]: x * h.signs[r] for r, x in col.items()} for col in cols]
+    h_perm, h_signs = form.matrix.perm.tolist(), form.matrix.signs.tolist()
+    beta = [{h_perm[r]: x * h_signs[r] for r, x in col.items()} for col in cols]
     st = form.sigma * form.tau
     if any(beta[r].get(j, 0) != st * x for j, col in enumerate(beta) for r, x in col.items()):
         raise ArithmeticError("beta does not have symmetry sigma*tau")
@@ -246,16 +276,17 @@ def beta_form_oracle(rep, form, v) -> int:
     k = next((k for k, x in enumerate(v) if x), None)
     if k is None:
         return 0
-    g, c = rep.generators[k], -2 * rep.eta[k] * v[k]
+    c = -2 * rep.eta[k] * v[k]
+    g_perm, g_signs = rep.generators.perm[k].tolist(), rep.generators.signs[k].tolist()
     for j, col in enumerate(cols):
         anti = [0] * rep.N
         anti[j] = -c
         # gamma_v gamma_k e_j = signs[j] gamma_v e_perm[j] (a column gather)
-        for r, x in cols[g.perm[j]].items():
-            anti[r] += x * g.signs[j]
+        for r, x in cols[g_perm[j]].items():
+            anti[r] += x * g_signs[j]
         # gamma_k gamma_v e_j (a row gather)
         for r, x in col.items():
-            anti[g.perm[r]] += x * g.signs[r]
+            anti[g_perm[r]] += x * g_signs[r]
         if any(anti):
             raise ArithmeticError("gamma_v gamma_k + gamma_k gamma_v is not -2 eta_k v_k Id")
     return rep.N // 2
@@ -267,7 +298,7 @@ def gamma_stack(rep, vectors) -> np.ndarray:
     of column c.  int64 only when every entry is an int and
     N M^2 < 2^62 for M the largest sum_k |v_k|, so that no check below
     overflows; dtype object otherwise."""
-    perm, sign = generator_table(rep.generators)
+    perm, sign = rep.generators.perm, rep.generators.signs
     M = max((sum(map(abs, v)) for v in vectors), default=0)
     small = rep.N * M * M < 2**62 and all(type(x) is int for v in vectors for x in v)
     coeffs = np.array(vectors, dtype=np.int64 if small else object).reshape(-1, rep.n)
@@ -286,7 +317,7 @@ def _stack_vanishes(stack) -> list:
 def squares_to_scalar_stack(rep, vectors, gammas) -> list:
     """Whether gamma_v^2 = -g(v,v) Id for each v and its gamma_v in the
     gamma_stack: n signed column gathers of the stack, O(B n N^2)."""
-    perm, sign = generator_table(rep.generators)
+    perm, sign = rep.generators.perm, rep.generators.signs
     coeffs = np.array(vectors, dtype=gammas.dtype).reshape(-1, rep.n)
     square = np.zeros_like(gammas)
     diag = np.arange(rep.N)
@@ -304,7 +335,7 @@ def _anticommutator_stack(rep, vectors, gammas) -> list:
     gamma_v gamma_k + gamma_k gamma_v = -2 eta_k v_k Id: a column gather
     and a row scatter of the stack."""
     ks = [next(k for k, x in enumerate(v) if x) for v in vectors]
-    perm, sign = (array[ks] for array in generator_table(rep.generators))
+    perm, sign = rep.generators.perm[ks], rep.generators.signs[ks]
     # gamma_v gamma_k: column j is sign_k[j] times column perm_k[j] of gamma_v
     total = np.take_along_axis(gammas, perm[:, None, :], axis=2) * sign[:, None, :]
     # gamma_k gamma_v: row r of gamma_v, times sign_k[r], lands in row perm_k[r]
@@ -326,7 +357,7 @@ def beta_form_stack(rep, form, vectors) -> list:
     # row perm[r] of beta is signs[r] times row r of gamma_v
     h = form.matrix
     beta = np.zeros_like(gammas)
-    beta[:, list(h.perm), :] = gammas * np.array(h.signs)[:, None]
+    beta[:, h.perm, :] = gammas * h.signs[:, None]
     symmetric = _stack_vanishes(beta.swapaxes(1, 2) - form.sigma * form.tau * beta)
     norms = [metric_value(rep.eta, v, v) for v in vectors]
     null = [b for b, (v, q) in enumerate(zip(vectors, norms)) if q == 0 and any(v)]

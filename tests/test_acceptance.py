@@ -9,8 +9,9 @@ import pytest
 from spinorlab import brackets, clifford_core, subspace_lab, verify
 from spinorlab.admissible_forms import BilinearForm
 from spinorlab.cli import main
-from spinorlab.exact_linalg import Echelon, SignedPerm
+from spinorlab.exact_linalg import Echelon
 from spinorlab.subspace_lab import IsotropicSearchError
+from dense_oracle import flip_sign
 from test_brackets import _flip_sign
 
 SEED = 7
@@ -195,16 +196,15 @@ def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
     # c01 leaves the generator relations to build_rep, which checks them
     # on every rep it builds: a sign flipped inside the tensor recursion
     # is a falsification before any criterion reports.  _build memoizes
-    # immutable tuples: the planted module is a fresh tuple, and both
+    # read-only stacks: the planted module is a fresh stack, and both
     # caches are cleared around the run so no broken module outlives it
     build = clifford_core._build
 
     def broken(p, q):
-        positives, negatives, comm = build(p, q)
+        gens, comm = build(p, q)
         if (p, q) == (1, 1):
-            g = positives[0]
-            positives = (SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:]), *positives[1:])
-        return positives, negatives, comm
+            gens = flip_sign(gens, (0, 0))
+        return gens, comm
 
     def clear_caches():
         build.cache_clear()
@@ -286,8 +286,7 @@ def test_c09_reports_broken_even_relations(monkeypatch):
 
     def broken_on_31(cone):
         if cone.signature == verify.Signature(3, 1):
-            c = cone.generators
-            cone = dataclasses.replace(cone, generators=(c[0], c[1], c[1], c[3]))
+            cone = dataclasses.replace(cone, generators=cone.generators[[0, 1, 1, 3]])
         return images(cone)
 
     monkeypatch.setattr(verify, "even_subalgebra_images", broken_on_31)

@@ -251,19 +251,19 @@ def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
     target = "spinorlab.admissible_forms.signed_relation_basis"
     with monkeypatch.context() as patch:
         find_admissible.cache_clear()  # solve afresh with each planted walker
-        patch.setattr(target, lambda N, pairs, c, sigma: monomial)
+        patch.setattr(target, lambda left, right, c, sigma: monomial)
         forms = find_admissible(rep, 1, 1)
         assert [dense(f.matrix).to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
         for element in not_monomial:
             find_admissible.cache_clear()
-            patch.setattr(target, lambda N, pairs, c, sigma: [element])
+            patch.setattr(target, lambda left, right, c, sigma: [element])
             with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
                 find_admissible(rep, 1, 1)
     find_admissible.cache_clear()  # drop the planted forms
     # two rows in one column: the walk itself refuses the orbit, here
     # {(0, 2), (1, 2), (2, 0), (2, 1)} of a generator that fixes column 2
-    swap = SignedPerm((1, 0, 2), (1, 1, 1))
-    planted = dataclasses.replace(rep, N=3, generators=(swap,))
+    swap = SignedPerm([[1, 0, 2]], [[1, 1, 1]])
+    planted = dataclasses.replace(rep, generators=swap)
     with pytest.raises(ArithmeticError, match="two rows in column 2"):
         find_admissible(planted, 1, 1)
 

@@ -31,19 +31,21 @@ from spinorlab.clifford_core import (
     gamma_vector,
     metric_value,
 )
-from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows
+from spinorlab.exact_linalg import Echelon, dense_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
 from dense_oracle import (
     Matrix,
     beta_form_oracle,
     beta_form_stack,
     dense,
+    flip_sign,
     gamma_dense,
     gamma_stack,
     is_zero,
     kernel,
     rank,
     squares_to_scalar_stack,
+    swap_entries,
     zero_matrix,
 )
 from dense_oracle import column as _column
@@ -360,10 +362,7 @@ def test_beta_form_rank_matches_elimination_and_bareiss_oracles():
 
 def _flip_sign(rep, i):
     """A broken copy of rep: column 0 of generator i negated."""
-    g = rep.generators[i]
-    flipped = SignedPerm(g.perm, (-g.signs[0],) + g.signs[1:])
-    gens = rep.generators[:i] + (flipped,) + rep.generators[i + 1:]
-    return dataclasses.replace(rep, generators=gens)
+    return dataclasses.replace(rep, generators=flip_sign(rep.generators, (i, 0)))
 
 
 def test_beta_form_names_each_failed_identity():
@@ -405,10 +404,7 @@ def _oracle_verdicts(rep, form, vectors):
 
 def _swap_perm(rep, i):
     """A broken copy of rep: entries 0 and 1 of generator i's perm swapped."""
-    g = rep.generators[i]
-    swapped = SignedPerm((g.perm[1], g.perm[0]) + g.perm[2:], g.signs)
-    gens = rep.generators[:i] + (swapped,) + rep.generators[i + 1:]
-    return dataclasses.replace(rep, generators=gens)
+    return dataclasses.replace(rep, generators=swap_entries(rep.generators, (i, 0), (i, 1)))
 
 
 def test_batched_beta_form_matches_the_per_vector_oracle():
@@ -435,13 +431,10 @@ def _planted_forms(form):
     """Copies of the form, each with one break: a sign flipped or two perm
     entries swapped in H, or a wrong sigma or tau."""
     h, out = form.matrix, []
-    for c in range(len(h.perm)):
-        signs = h.signs[:c] + (-h.signs[c],) + h.signs[c + 1:]
-        out.append(BilinearForm(SignedPerm(h.perm, signs), form.sigma, form.tau))
-    for c, d in itertools.combinations(range(len(h.perm)), 2):
-        perm = list(h.perm)
-        perm[c], perm[d] = perm[d], perm[c]
-        out.append(BilinearForm(SignedPerm(tuple(perm), h.signs), form.sigma, form.tau))
+    for c in range(h.N):
+        out.append(BilinearForm(flip_sign(h, (c,)), form.sigma, form.tau))
+    for c, d in itertools.combinations(range(h.N), 2):
+        out.append(BilinearForm(swap_entries(h, (c,), (d,)), form.sigma, form.tau))
     out.append(BilinearForm(h, -form.sigma, form.tau))
     return out + [BilinearForm(h, form.sigma, -form.tau)]
 
@@ -457,8 +450,8 @@ def test_batched_beta_form_matches_the_oracle_on_planted_reps():
         rep = build_rep(sig)
         form = first_nondegenerate(rep)
         copies = [(dataclasses.replace(rep, eta=tuple(-e for e in rep.eta)), form)]
-        for gens in _planted_breaks(list(rep.generators)):
-            copies.append((dataclasses.replace(rep, generators=tuple(gens)), form))
+        for gens in _planted_breaks(rep.generators):
+            copies.append((dataclasses.replace(rep, generators=gens), form))
         copies += [(rep, broken) for broken in _planted_forms(form)]
         vectors = [[0] * sig.n, [rng.randint(-3, 3) for _ in range(sig.n)]]
         vectors += [random_null_vector(sig, rng) for _ in range(3)]

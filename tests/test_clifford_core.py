@@ -3,13 +3,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab.clifford_core import (
     _COMM_DIM,
-    _plus_eigenbasis,
     _restrict,
     _verify_rep,
     Signature,
@@ -31,11 +31,14 @@ from dense_oracle import (
     commutant_dimension_by_solve,
     dense,
     dense_scalar,
+    flip_sign,
     gamma_dense,
     is_zero,
     kernel,
     matrix_kernel,
+    planted,
     sparse_dense,
+    swap_entries,
     zero_matrix,
 )
 from test_exact_linalg import signed_perms
@@ -139,7 +142,7 @@ def test_commutant_matches_mod8_table():
     for sig in all_signatures(8):
         rep = build_rep(sig)
         assert rep.commutant_type == EXPECTED_COMMUTANT[sig.s_mod8], str(sig)
-        dim = commutant_dimension(rep.generators, rep.N)
+        dim = commutant_dimension(rep.generators)
         assert dim == {"R": 1, "C": 2, "H": 4}[rep.commutant_type]
 
 
@@ -166,24 +169,24 @@ def test_commutant_dimension_rejects_non_monomial_generators():
 
 
 def _clifford_sets(max_n):
-    """(label, generators, N): every rep with n <= max_n, and the even
+    """(label, generator stack): every rep with n <= max_n, and the even
     images of every cone with n <= max_n, which satisfy the base
     relations (none for the cone (1,0))."""
     for sig in all_signatures(max_n):
         rep = build_rep(sig)
-        yield str(sig), rep.generators, rep.N
+        yield str(sig), rep.generators
         if sig.p >= 1:
-            yield f"even {sig}", tuple(even_subalgebra_images(rep)), rep.N
+            yield f"even {sig}", even_subalgebra_images(rep)
 
 
 def test_commutant_count_matches_the_orbit_solve_and_the_dense_solver():
     solved = dense_checked = 0
-    for label, gens, N in _clifford_sets(10):
-        count = commutant_dimension(gens, N)
-        assert count == commutant_dimension_by_solve(gens, N), label
+    for label, gens in _clifford_sets(10):
+        count = commutant_dimension(gens)
+        assert count == commutant_dimension_by_solve(gens), label
         solved += 1
         if len(gens) <= 6:  # the dense N^2 x N^2 system is slow past N = 16
-            assert count == _commutant_dimension_dense([dense(g) for g in gens], N), label
+            assert count == _commutant_dimension_dense([dense(g) for g in gens], gens.N), label
             dense_checked += 1
     assert (solved, dense_checked) == (65 + 55, 27 + 28)
 
@@ -191,22 +194,21 @@ def test_commutant_count_matches_the_orbit_solve_and_the_dense_solver():
 def test_commutant_count_raises_on_generators_that_are_not_clifford():
     raised = 0
     for sig in all_signatures(5):
-        for gens in _planted_breaks(list(build_rep(sig).generators)):
-            squares = [(g * g).is_scalar_multiple_of_identity() for g in gens]
+        for gens in _planted_breaks(build_rep(sig).generators):
+            squares = (gens * gens).scalar()
             anticommute = all(a * b == -(b * a) for a, b in itertools.combinations(gens, 2))
-            N = len(gens[0].perm)
-            if None not in squares and anticommute:  # still Clifford, for another eta
-                assert commutant_dimension(gens, N) == commutant_dimension_by_solve(gens, N)
+            if squares.all() and anticommute:  # still Clifford, for another eta
+                assert commutant_dimension(gens) == commutant_dimension_by_solve(gens)
                 continue
             with pytest.raises(ArithmeticError, match="not Clifford"):
-                commutant_dimension(gens, N)
+                commutant_dimension(gens)
             raised += 1
     assert raised > 1000
     rep = build_rep(Signature(2, 1))
-    for gens in [rep.generators[:1] * 2, (SignedPerm((1, 2, 0, 3), (1,) * 4),)]:
+    for gens in [rep.generators[[0, 0]], SignedPerm([[1, 2, 0, 3]], [[1] * 4])]:
         with pytest.raises(ArithmeticError, match="not Clifford"):
-            commutant_dimension(gens, 4)
-    assert commutant_dimension((), 3) == 9
+            commutant_dimension(gens)
+    assert commutant_dimension(SignedPerm(np.zeros((0, 3)), np.zeros((0, 3)))) == 9
 
 
 def test_verify_rep_rejects_a_reducible_module_by_the_count():
@@ -217,12 +219,12 @@ def test_verify_rep_rejects_a_reducible_module_by_the_count():
         rep = build_rep(sig)
         doubled = dataclasses.replace(
             rep,
-            N=2 * rep.N,
-            generators=tuple(g.kron(ident) for g in rep.generators),
-            commutant_basis=tuple(x.kron(ident) for x in rep.commutant_basis),
+            generators=rep.generators.kron(ident),
+            commutant_basis=rep.commutant_basis.kron(ident),
         )
+        assert doubled.N == 2 * rep.N
         dim = 4 * _COMM_DIM[rep.commutant_type]
-        assert commutant_dimension(doubled.generators, doubled.N) == dim
+        assert commutant_dimension(doubled.generators) == dim
         with pytest.raises(ArithmeticError, match=f"commutant dimension {dim} does not match"):
             _verify_rep(doubled)
 
@@ -245,10 +247,10 @@ def test_build_memo_runs_each_signature_once(monkeypatch):
     info = memo.cache_info()
     assert info.misses == info.currsize == len(set(calls)) < len(calls)
     for sig in sigs:
-        positives, negatives, comm = memo(sig.p, sig.q)
-        assert (positives, negatives, comm) == unmemoized[sig]
-        assert all(type(x) is tuple for x in (positives, negatives, comm))
-        assert reps[sig].generators == positives + negatives
+        gens, comm = memo(sig.p, sig.q)
+        assert (gens, comm) == unmemoized[sig]
+        assert not any(x.perm.flags.writeable or x.signs.flags.writeable for x in (gens, comm))
+        assert reps[sig].generators is gens  # the rep holds the one cached stack
 
 
 def _restrict_dense(m, cols, reps):
@@ -267,7 +269,23 @@ def _restrict_dense(m, cols, reps):
     return Matrix(out)
 
 
+def _plus_eigencolumns(z):
+    """The dense basis of z's +1 eigenspace that _restrict works in,
+    e_s + z e_s over the s with z.perm[s] > s and e_s alone where
+    z e_s = e_s, and its representatives s."""
+    cols, reps = [], []
+    for s, (t, sign) in enumerate(zip(z.perm.tolist(), z.signs.tolist())):
+        if t > s or (t == s and sign == 1):
+            col = [0] * z.N
+            col[s], col[t] = 1, sign
+            cols.append(col)
+            reps.append(s)
+    return cols, reps
+
+
 def test_restrict_matches_dense_restriction_on_every_signed_perm_of_size_4():
+    # _restrict takes only what commutes with z, which preserves the
+    # eigenspace; the dense restriction of each such m is its answer
     involutions = [
         SignedPerm((1, 0, 2, 3), (1, 1, 1, -1)),
         SignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
@@ -276,24 +294,26 @@ def test_restrict_matches_dense_restriction_on_every_signed_perm_of_size_4():
     ]
     kept = rejected = 0
     for z in involutions:
-        sparse = _plus_eigenbasis(z)
-        cols = [[dict(col).get(i, 0) for i in range(4)] for col in sparse]
-        reps = [col[0][0] for col in sparse]
+        cols, reps = _plus_eigencolumns(z)
         assert all(cols[a][r] == 1 for a, r in enumerate(reps))
         ident = Matrix.identity(4)
         assert all(dense(z) * Matrix.from_columns([c]) == Matrix.from_columns([c]) for c in cols)
         assert len(cols) == matrix_kernel(dense(z) - ident).cols
+        commuting = []
         for perm in itertools.permutations(range(4)):
             for signs in itertools.product((1, -1), repeat=4):
                 m = SignedPerm(perm, signs)
-                want = _restrict_dense(dense(m), cols, reps)
-                if want is None:
-                    with pytest.raises(ArithmeticError, match="does not preserve the eigenspace"):
-                        _restrict(m, sparse)
+                if dense(m) * dense(z) != dense(z) * dense(m):
+                    with pytest.raises(ArithmeticError, match="does not commute with the involution"):
+                        _restrict(m, z)
                     rejected += 1
-                else:
-                    assert dense(_restrict(m, sparse)) == want, (z, m)
-                    kept += 1
+                    continue
+                want = _restrict_dense(dense(m), cols, reps)
+                assert want is not None and dense(_restrict(m, z)) == want, (z, m)
+                commuting.append(m)
+                kept += 1
+        # a stack restricts element by element
+        assert list(_restrict(SignedPerm.concat(commuting), z)) == [_restrict(m, z) for m in commuting]
     assert kept and rejected
 
 
@@ -306,8 +326,7 @@ def test_clifford_relation_failures_reports_broken_pairs():
             for m in range(rep.n):
                 if k == m:
                     continue
-                gens = list(rep.generators)
-                gens[k] = gens[m]
+                gens = rep.generators[[m if i == k else i for i in range(rep.n)]]
                 want = [tuple(sorted((k, m)))]
                 if rep.eta[k] != rep.eta[m]:
                     want.append((k, k))
@@ -316,19 +335,21 @@ def test_clifford_relation_failures_reports_broken_pairs():
 
 
 def _planted_breaks(gens):
-    """Copies of the generators, each with one break: a flipped sign or
-    two swapped perm entries in one column pair of one generator, or one
-    generator replaced by another."""
+    """Copies of the (n, N) generator stack, each with one break: a
+    flipped sign or two swapped perm entries in one column pair of one
+    generator, or one generator replaced by another.  Each copy differs
+    from gens in exactly its planted entries."""
     out = []
-    for i, g in enumerate(gens):
-        for c in range(len(g.perm)):
-            signs = g.signs[:c] + (-g.signs[c],) + g.signs[c + 1:]
-            out.append(gens[:i] + [SignedPerm(g.perm, signs)] + gens[i + 1:])
-        for c, d in itertools.combinations(range(len(g.perm)), 2):
-            perm = list(g.perm)
-            perm[c], perm[d] = perm[d], perm[c]
-            out.append(gens[:i] + [SignedPerm(tuple(perm), g.signs)] + gens[i + 1:])
-        out += [gens[:i] + [h] + gens[i + 1:] for h in gens if h is not g]
+    n, N = gens.perm.shape
+    for i in range(n):
+        out += [flip_sign(gens, (i, c)) for c in range(N)]
+        out += [swap_entries(gens, (i, c), (i, d)) for c, d in itertools.combinations(range(N), 2)]
+        for h in range(n):
+            if h != i:
+                replaced = gens[[h if k == i else k for k in range(n)]]
+                changed = (replaced.perm[i] != gens.perm[i]) | (replaced.signs[i] != gens.signs[i])
+                cells = {(i, c) for c in np.flatnonzero(changed).tolist()}
+                out.append(planted(gens, cells, replaced.perm, replaced.signs))
     return out
 
 
@@ -340,7 +361,7 @@ def test_clifford_relation_failures_matches_the_pairwise_oracle():
     for sig in (Signature(2, 2), Signature(3, 0)):
         rep = build_rep(sig)
         broken_pairs = set()
-        for gens in _planted_breaks(list(rep.generators)):
+        for gens in _planted_breaks(rep.generators):
             got = clifford_relation_failures(gens, rep.eta)
             assert got == clifford_relation_failures_oracle(gens, rep.eta), (str(sig), gens)
             assert all(type(x) is int for pair in got for x in pair)
@@ -356,15 +377,16 @@ def test_verify_rep_commutant_check_matches_the_pairwise_oracle():
     for sig in all_signatures(6):
         rep = build_rep(sig)
         _verify_rep(rep)
-        for a, x in enumerate(rep.commutant_basis):
-            for (broken,) in _planted_breaks([x]) + [[g] for g in rep.generators]:
-                basis = rep.commutant_basis[:a] + (broken,) + rep.commutant_basis[a + 1:]
-                planted = dataclasses.replace(rep, commutant_basis=basis)
+        comm = rep.commutant_basis
+        for a, x in enumerate(comm):
+            for (broken,) in _planted_breaks(x[None]) + [[g] for g in rep.generators]:
+                basis = SignedPerm.concat([comm[:a], broken, comm[a + 1:]])
+                broken_rep = dataclasses.replace(rep, commutant_basis=basis)
                 if all(broken * g == g * broken for g in rep.generators):
-                    _verify_rep(planted)
+                    _verify_rep(broken_rep)
                     continue
                 with pytest.raises(ArithmeticError, match="commutant element fails"):
-                    _verify_rep(planted)
+                    _verify_rep(broken_rep)
                 caught += 1
     assert caught > 100
 
@@ -450,7 +472,7 @@ def test_volume_element():
     for sig, square in ((Signature(2, 0), -1), (Signature(1, 1), 1)):
         rep = build_rep(sig)
         nu = gamma_blade(rep, range(rep.n))
-        assert (nu * nu).is_scalar_multiple_of_identity() == square
+        assert (nu * nu).scalar() == square
 
 
 def test_null_direction():
@@ -499,7 +521,9 @@ def test_hypercomplex_commutant_examples():
 
 
 @given(
-    st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(signed_perms(n), max_size=6)),
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(signed_perms(n), min_size=1, max_size=6)
+    ),
     st.sampled_from([1, -1]),
 )
 @settings(max_examples=150)
@@ -512,5 +536,4 @@ def test_first_square_root_matches_dense_search(elements, c):
         if dense_scalar(d) is None and dense_scalar(d * d) == c:
             want = x
             break
-    assert first_square_root(elements, c) == want
-    assert first_square_root(iter(elements), c) == want
+    assert first_square_root(SignedPerm.concat(elements), c) == want

@@ -218,39 +218,47 @@ def test_column_space_basis():
 ID2 = SignedPerm.identity(2)
 
 
+def _solve(N, pairs, c=1, sigma=None):
+    """signed_relation_basis on the (k, N) left and right stacks of a
+    list of (L, R) pairs of N x N signed permutations, k >= 0."""
+    none = SignedPerm.identity(N)[None][:0]
+    left = SignedPerm.concat([none, *(l for l, _ in pairs)])
+    return signed_relation_basis(left, SignedPerm.concat([none, *(r for _, r in pairs)]), c, sigma)
+
+
 def test_signed_relations_simple():
     # X = X R^T reads X[a, 0] == X[a, 1], X[a, 1] == -X[a, 2] and
     # X[a, 2] == -X[a, 0] on every row a: one orbit (1, 1, -1) per row
     chain = SignedPerm((1, 2, 0), (1, -1, -1))
-    basis = signed_relation_basis(3, [(SignedPerm.identity(3), chain)])
+    basis = signed_relation_basis(SignedPerm.identity(3)[None], chain[None])
     assert basis == [{0: (a, 1), 1: (a, 1), 2: (a, -1)} for a in range(3)]
 
 
 def test_signed_relations_contradiction():
     # X[a, 0] == X[a, 1] and X[a, 1] == -X[a, 0]
-    assert signed_relation_basis(2, [(ID2, SignedPerm((1, 0), (1, -1)))]) == []
+    assert _solve(2, [(ID2, SignedPerm((1, 0), (1, -1)))]) == []
 
 
 def test_signed_relations_self_negative():
     # X[a, 0] == -X[a, 0]; column 1 is free, one cell per row
-    basis = signed_relation_basis(2, [(ID2, SignedPerm((0, 1), (-1, 1)))])
+    basis = _solve(2, [(ID2, SignedPerm((0, 1), (-1, 1)))])
     assert basis == [{1: (0, 1)}, {1: (1, 1)}]
 
 
 def test_signed_relations_transposition_move():
     # X^T = -X: the diagonal dies, and X[1, 0] == -X[0, 1]
-    assert signed_relation_basis(2, [], sigma=-1) == [{1: (0, 1), 0: (1, -1)}]
+    assert _solve(2, [], sigma=-1) == [{1: (0, 1), 0: (1, -1)}]
     # with no relation at all, every cell is its own orbit, row-major
-    assert signed_relation_basis(2, []) == [{s: (a, 1)} for a in range(2) for s in range(2)]
+    assert _solve(2, []) == [{s: (a, 1)} for a in range(2) for s in range(2)]
 
 
 def test_signed_relations_reject_two_rows_in_a_column():
     # X = L X with L the row swap: X[0, s] == X[1, s] survives with two rows
     swap = SignedPerm((1, 0), (1, 1))
     with pytest.raises(ArithmeticError, match="two rows in column 0"):
-        signed_relation_basis(2, [(swap, ID2)])
+        _solve(2, [(swap, ID2)])
     # with a sign clash the orbit dies instead, and nothing is left to raise on
-    assert signed_relation_basis(2, [(SignedPerm((1, 0), (1, -1)), ID2)]) == []
+    assert _solve(2, [(SignedPerm((1, 0), (1, -1)), ID2)]) == []
 
 
 def _random_signed_perm(rng, N):
@@ -308,7 +316,7 @@ def test_signed_relations_match_dense_kernel():
         N, pairs, c, sigma = _random_pair_system(rng)
         constraints = Matrix(_relation_rows(N, pairs, c, sigma))
         try:
-            basis = signed_relation_basis(N, pairs, c, sigma)
+            basis = _solve(N, pairs, c, sigma)
         except ArithmeticError:
             raised += 1
             continue
@@ -402,7 +410,8 @@ def _monomial_relations(pairs, N, c=1):
     N x N matrices X, one block per pair (L, R) of signed permutations."""
     relations = []
     for left, right in pairs:
-        (lp, ls), (rp, rs) = (left.perm, left.signs), (right.perm, right.signs)
+        lp, ls = left.perm.tolist(), left.signs.tolist()
+        rp, rs = right.perm.tolist(), right.signs.tolist()
         for r in range(N):
             for s in range(N):
                 relations.append((lp[r] * N + s, r * N + rp[s], c * ls[r] * rs[s]))
@@ -448,7 +457,7 @@ def test_orbit_solver_matches_union_find_on_reps():
             rep = build_rep(Signature(p, n - p))
             gens, N = rep.generators, rep.N
             pairs = [(g, g) for g in gens]
-            assert signed_relation_basis(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
+            assert _solve(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
             for sigma in (1, -1):
                 for tau in (1, -1):
                     system = (N, [(g, g.transpose()) for g in gens], tau, sigma)
@@ -457,11 +466,11 @@ def test_orbit_solver_matches_union_find_on_reps():
                     assert got == want, (p, n - p, sigma, tau)
             if p >= 1 and n >= 2:
                 pairs = [(g, g) for g in even_subalgebra_images(rep)]
-                assert signed_relation_basis(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
+                assert _solve(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
 
 
 def _column_orbits(N, pairs):
-    return len(_union_find_basis(N, [(s, r.perm[s], 1) for _, r in pairs for s in range(N)]))
+    return len(_union_find_basis(N, [(s, r.perm.tolist()[s], 1) for _, r in pairs for s in range(N)]))
 
 
 def test_orbit_solver_matches_union_find_on_random_maps():
@@ -472,7 +481,7 @@ def test_orbit_solver_matches_union_find_on_random_maps():
     for _ in range(300):
         system = _random_pair_system(rng)
         want = _outcome(_union_find_solution, *system)
-        assert _outcome(signed_relation_basis, *system) == want, system
+        assert _outcome(_solve, *system) == want, system
         N, pairs, c, sigma = system
         seen["raised" if want == "raises" else "solved"] += 1
         rels = _pair_relations(*system)
@@ -506,7 +515,7 @@ def signed_pair_systems(draw):
 @given(signed_pair_systems())
 @DIFFERENTIAL
 def test_orbit_solver_matches_union_find_on_drawn_maps(system):
-    assert _outcome(signed_relation_basis, *system) == _outcome(_union_find_solution, *system)
+    assert _outcome(_solve, *system) == _outcome(_union_find_solution, *system)
 
 
 # SignedPerm against the dense product it replaced: every operation is
@@ -575,11 +584,60 @@ def test_signed_perm_kron_matches_dense(a, b):
 @DIFFERENTIAL
 def test_signed_perm_scalar_check_matches_dense(a):
     for m in (a, a * a):
-        assert m.is_scalar_multiple_of_identity() == dense_scalar(dense(m))
+        assert (m.scalar() or None) == dense_scalar(dense(m))
+
+
+@st.composite
+def element_lists(draw):
+    """Two lists of 1 to 4 signed permutations of one size."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    return tuple(draw(st.lists(signed_perms(n), min_size=1, max_size=4)) for _ in range(2))
+
+
+@given(element_lists())
+@DIFFERENTIAL
+def test_signed_perm_stacks_act_element_by_element(lists):
+    # a stack's operations broadcast over its leading axes, and each of
+    # its elements is the one the single-element operation gives
+    a, b = lists
+    sa, sb = SignedPerm.concat(a), SignedPerm.concat(b)
+    assert len(sa) == len(a) and list(sa) == a
+    table = sa[:, None] * sb[None]
+    assert table.perm.shape == (len(a), len(b), sa.N)
+    assert [list(row) for row in table] == [[x * y for y in b] for x in a]
+    assert list(sa * b[0]) == [x * b[0] for x in a]
+    assert list(b[0] * sa) == [b[0] * x for x in a]
+    assert list(sa.transpose()) == [x.transpose() for x in a]
+    assert list(-sa) == [-x for x in a]
+    kron_table = sa[:, None].kron(sb)
+    assert [list(row) for row in kron_table] == [[x.kron(y) for y in b] for x in a]
+    assert sa.trace().tolist() == [sum(dense(x)[i, i] for i in range(x.N)) for x in a]
+    assert sa.equal(sa[::-1]).tolist() == [x == y for x, y in zip(a, a[::-1])]
+    assert sa.scalar().tolist() == [dense_scalar(dense(x)) or 0 for x in a]
+    product = SignedPerm.identity(sa.N)
+    for x in a:
+        product = product * x
+    assert sa.product() == product and sa[:0].product() == SignedPerm.identity(sa.N)
+
+
+def test_signed_perm_arrays_are_read_only_and_of_one_shape():
+    a = SignedPerm([1, 0], [1, -1])
+    with pytest.raises(ValueError):
+        a.perm[0] = 0
+    source = np.array([1, 0])
+    b = SignedPerm(source, [1, -1])
+    with pytest.raises(ValueError):
+        source[0] = 0  # held as it is, and read-only now
+    assert b == a and hash(b) == hash(a)
+    assert a != a[None] and a[None][0] == a
+    with pytest.raises(ValueError, match="one shape"):
+        SignedPerm([1, 0], [1])
+    with pytest.raises(ValueError, match="one shape"):
+        list(a)  # one element has no elements to iterate
 
 
 def _cells(a: SignedPerm):
-    return dict(enumerate(zip(a.perm, a.signs)))
+    return dict(enumerate(zip(a.perm.tolist(), a.signs.tolist())))
 
 
 @given(signed_perms())

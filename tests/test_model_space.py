@@ -12,7 +12,6 @@ from spinorlab.model_space import (
     ConstantSpinorField,
     HyperquadricModel,
     _first_primes,
-    _to_numpy,
     _worst,
     _worst_rows,
     bracket_field_checks,
@@ -63,12 +62,20 @@ def covariant_derivative(model, field, x, direction, patch):
     return (plus - minus) / (2.0 * h) + omega @ field.eval(model, x, patch)
 
 
+def _float_matrix(g):
+    """The signed permutation g as a float64 array: signs[j] at row
+    perm[j] of column j."""
+    out = np.zeros((g.N, g.N))
+    out[g.perm, np.arange(g.N)] = g.signs
+    return out
+
+
 def dense_gamma(model, v):
     """gamma_v = sum_i v^i G_i as a dense sum of the float generators."""
     out = np.zeros((model.N, model.N))
     for c, g in zip(v, model.rep.generators):
         if c:
-            out += c * _to_numpy(g)
+            out += c * _float_matrix(g)
     return out
 
 
@@ -612,8 +619,8 @@ def test_float_clifford_data_is_the_dense_conversion_bit_for_bit():
         assert model.pair_perms.shape == model.pair_signs.shape == (len(pairs), rep.N)
         for k, (i, j) in enumerate(pairs):
             product = gens[i] * gens[j]
-            assert model.pair_perms[k].tolist() == list(product.perm)
-            assert model.pair_signs[k].tobytes() == np.array(product.signs, float).tobytes()
+            assert model.pair_perms[k].tolist() == product.perm.tolist()
+            assert model.pair_signs[k].tobytes() == product.signs.astype(float).tobytes()
         got, want = model.form_matrix, from_dense(first_nondegenerate(rep).matrix)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

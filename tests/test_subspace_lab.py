@@ -497,7 +497,7 @@ def test_random_max_isotropic_symmetric_form():
 def _planted_nonisotropic_basis(rep, form):
     """N/2 independent Fraction coordinate columns, among them e_0 and
     e_perm[0], whose pairing h(e_perm[0], e_0) = signs[0] is nonzero."""
-    first = [0, form.matrix.perm[0]]
+    first = [0, int(form.matrix.perm[0])]
     picks = list(dict.fromkeys(first + list(range(rep.N))))[: rep.N // 2]
     basis = [[Fraction(1, k + 2) if r == j else 0 for r in range(rep.N)] for k, j in enumerate(picks)]
     dense_basis = Matrix.from_columns(basis)
