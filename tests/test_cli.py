@@ -382,6 +382,28 @@ def test_exact_criteria_at_the_benchmark_scale_match_their_recorded_digest():
     assert digest.hexdigest() == EXACT_TABLE_DIGEST
 
 
+# SHA-256 of the stdout of `bound-search --trials 5 --seed 3` on every
+# indefinite signature with N % 4 == 0 and n <= 8, in order of n then p:
+# the extremal construction on its symmetric Witt branch ((2,1), (2,2))
+# and its skew branch (the rest).
+BOUND_SEARCH_DIGEST = "43164bca9cfc646cf053b2d0c46d51f1e7c6a690d2ec5bd4745dc034cb6cc5d6"
+
+
+def test_bound_search_on_every_extremal_signature_matches_its_recorded_digest(capsys, monkeypatch):
+    from spinorlab.clifford_core import Signature, build_rep
+
+    monkeypatch.delenv("SPINORLAB_SEED", raising=False)
+    signatures = [
+        (p, n - p) for n in range(2, 9) for p in range(1, n) if build_rep(Signature(p, n - p)).N % 4 == 0
+    ]
+    assert len(signatures) == 26
+    digest = hashlib.sha256()
+    for p, q in signatures:
+        assert main(["bound-search", "--sig", f"{p},{q}", "--trials", "5", "--seed", "3"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BOUND_SEARCH_DIGEST
+
+
 def test_verify_all_times_each_criterion_on_stderr(capsys):
     assert main(["verify-all", "--max-n", "3", "--seed", "7"]) == 0
     lines = capsys.readouterr().err.splitlines()
