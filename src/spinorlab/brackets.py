@@ -20,7 +20,7 @@ from .clifford_core import (
     metric_value,
     null_direction,
 )
-from .exact_linalg import Echelon, clear_denominators, dense_rows
+from .exact_linalg import Echelon, term_rows
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     """
     check_null_vector(rep, v)
     beta_form(rep, form, [v])
-    basis = Echelon(dense_rows(gamma_vector(rep, v))).kernel(rep.N)
+    basis = Echelon(term_rows(gamma_vector(rep, v), rep.N)).kernel(rep.N)
     if 2 * len(basis) != rep.N:
         raise ArithmeticError("kernel dimension is not N/2")
     if not isotropic(form, basis):
@@ -105,42 +105,31 @@ def null_kernel(rep: CliffordRep, form: BilinearForm, v) -> SpinorSubspace:
     return SpinorSubspace(rep, basis)
 
 
-def _integer_columns(basis) -> list:
-    """The basis columns, each times the lcm of its denominators.  The
-    scales are positive integers, so each pairing h(a_i, gamma b_j) below
-    changes by a positive integer factor: zero stays zero, and a row
-    system keeps its row space, hence its kernel and its rank."""
-    return [clear_denominators(c) for c in basis]
-
-
 def isotropic(form: BilinearForm, basis) -> bool:
     """Whether h(b_i, b_j) = 0 for every pair of basis columns, checked
-    for i <= j (h is sigma-symmetric) as (H^T b_i) . b_j, H^T a gather."""
-    cols = _integer_columns(basis)
-    ht = form.matrix.transpose()
-    h_cols = [ht.apply(c) for c in cols]
-    return not any(
-        sum(map(mul, h_bi, b_j)) for j, b_j in enumerate(cols) for h_bi in h_cols[: j + 1]
-    )
+    for i <= j (h is sigma-symmetric) as b_i . (H b_j), H b_j a gather."""
+    for j, b_j in enumerate(basis):
+        h_bj = form.matrix.apply(b_j)
+        if any(sum(map(mul, b_i, h_bj)) for b_i in basis[: j + 1]):
+            return False
+    return True
 
 
 def _pairing_echelon(rep, form, a: SpinorSubspace, b: SpinorSubspace) -> Echelon:
     """An Echelon of the h-pairing rows r_(i,j) = (h(a_i, gamma_k b_j))_k,
     k < n, over the basis pairs, j-major, stopped at rank n.
 
-    Row (i, j) is (H^T a_i) . (gamma_k b_j): H^T gathers a_i and each
-    generator gathers b_j, on _integer_columns.  When a is b only the
-    rows i <= j are formed: every block B^T H gamma_k B is
-    (sigma*tau)-symmetric, so row (j, i) is +-row (i, j).
+    Row (i, j) is a_i . (H G_k b_j): each element of the (n, N) stack
+    H G gathers b_j.  When a is b only the rows i <= j are formed: every
+    block B^T H gamma_k B is (sigma*tau)-symmetric, so row (j, i) is
+    +-row (i, j).
     """
     echelon = Echelon()
-    ht, gens = form.matrix.transpose(), list(rep.generators)
-    a_cols = _integer_columns(a.basis)
-    h_a = [ht.apply(c) for c in a_cols]
-    for j, b_j in enumerate(a_cols if a is b else _integer_columns(b.basis)):
-        g_b = [g.apply(b_j) for g in gens]
-        for h_ai in h_a[: j + 1] if a is b else h_a:
-            if echelon.add([sum(map(mul, h_ai, x)) for x in g_b]) and len(echelon) == rep.n:
+    hg = list(form.matrix * rep.generators)
+    for j, b_j in enumerate(b.basis):
+        hg_b = [x.apply(b_j) for x in hg]
+        for a_i in a.basis[: j + 1] if a is b else a.basis:
+            if echelon.add([sum(map(mul, a_i, x)) for x in hg_b]) and len(echelon) == rep.n:
                 return echelon
     return echelon
 

@@ -253,17 +253,11 @@ def build_rep(sig: Signature) -> CliffordRep:
 
 
 def gamma_vector(rep: CliffordRep, v) -> list:
-    """gamma_v's N columns as {row: coefficient} dicts with at most n
-    entries each, some of which may cancel to 0: column j is
-    sum_i v_i signs_i[j] e_{perm_i[j]}."""
+    """gamma_v = sum_i v_i G_i as its terms (v_i, G_i), over the nonzero
+    v_i in generator order."""
     if len(v) != rep.n:
         raise ValueError("vector length mismatch")
-    cols = [{} for _ in range(rep.N)]
-    for c, perm, signs in zip(v, rep.generators.perm.tolist(), rep.generators.signs.tolist()):
-        if c:
-            for col, i, s in zip(cols, perm, signs):
-                col[i] = col.get(i, 0) + (c if s == 1 else -c)
-    return cols
+    return [(c, g) for c, g in zip(v, rep.generators) if c]
 
 
 def metric_value(eta, v, w):

@@ -18,25 +18,17 @@ from .clifford_core import (
     commutant_dimension,
     even_subalgebra_images,
     first_square_root,
+    gamma_vector,
     null_direction,
 )
-from .exact_linalg import Echelon, SignedPerm, signed_relation_basis
+from .exact_linalg import Echelon, SignedPerm, signed_relation_basis, term_rows
 
 
 def invariant_spinors(rep: CliffordRep, operators) -> int:
     """Dimension of the joint kernel of the listed N x N operators, each
     a list of (coefficient, SignedPerm) terms; N for an empty list.
-
-    Each operator's rows are scattered from its terms' signed columns,
-    and every row of every operator goes to one Echelon."""
-    echelon = Echelon()
-    for terms in operators:
-        rows = [[0] * rep.N for _ in range(rep.N)]
-        for c, g in terms:
-            for j, (i, s) in enumerate(zip(g.perm.tolist(), g.signs.tolist())):
-                rows[i][j] += c * s
-        for row in rows:
-            echelon.add(row)
+    Every term_rows row of every operator goes to one Echelon."""
+    echelon = Echelon(row for terms in operators for row in term_rows(terms, rep.N))
     return rep.N - len(echelon)
 
 
@@ -49,13 +41,12 @@ def null_plane_invariants(rep: CliffordRep) -> int:
     Each such G_j is invertible (G_j^2 = -eta_j Id) and anticommutes with
     gamma_p (g(p, e_j) = 0), so ker gamma_p G_j = ker G_j gamma_p =
     ker gamma_p.  certify_relations certifies that reduction, and one
-    invariant_spinors call on gamma_p = sum_i p_i G_i, N rows, counts.
+    invariant_spinors call on gamma_p's terms, N rows, counts.
     """
     if rep.n < 3:
         raise ValueError("the null-plane rotations need n >= 3")
     certify_relations(rep)
-    p_vec = null_direction(rep.signature)
-    return invariant_spinors(rep, [[(c, g) for c, g in zip(p_vec, rep.generators) if c]])
+    return invariant_spinors(rep, [gamma_vector(rep, null_direction(rep.signature))])
 
 
 def _find_involution(candidates, N):

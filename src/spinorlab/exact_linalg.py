@@ -1,27 +1,32 @@
 """Exact scalar and vector substrate.
 
-Scalars are python ints and fractions.Fraction; any other entry type
-is a TypeError in elimination.  A vector is a list of scalars, a
-subspace basis a sequence of column vectors, and a row system a list of
-rows.  The only matrices are SignedPerms, read-only (..., N) stacks of
-signed permutations whose entries are indices and signs and never
-grow.  The exact elimination is
-Echelon: it clears each vector's denominators and reduces it over Z
-against the rows accepted so far, so rank certificates, span tests and
-kernels are reproducible bit for bit.  Echelon.kernel's
-back-substitution stays in Z, carrying d * x for d the determinant of
-the pivot minor, which Cramer's rule makes integral, and divides by d
-once.  The only other elimination is full_rank_mod_p, a
-one-sided certificate on a stack of integer matrices at once: full rank
-mod PRIME implies full rank over Q, and a failed certificate proves
-nothing.  signed_relation_basis solves the monomial relations
-X = c L X R^T of SignedPerm stacks by orbit walks, without elimination.
+Scalars are python ints; an Echelon also takes non-integral exact
+rationals (numbers.Rational, such as serialize parses from a witness
+file) and clears their denominators, and any other entry type is a
+TypeError in elimination.
+A vector is a list of scalars, a subspace basis a sequence of column
+vectors, and a row system a list of rows.  The only matrices are
+SignedPerms, read-only (..., N) stacks of signed permutations whose
+entries are indices and signs and never grow; a sum of them, such as
+gamma_v, is a list of (coefficient, SignedPerm) terms, which term_rows
+writes out as dense rows and apply_terms applies to a vector.  The
+exact elimination is Echelon: it clears each vector's denominators and
+reduces it over Z against the rows accepted so far, so rank
+certificates, span tests and kernels are reproducible bit for bit.
+Echelon.kernel's back-substitution stays in Z, carrying d * x for d the
+determinant of the pivot minor, which Cramer's rule makes integral, and
+returns each basis vector as its primitive integer multiple.  The only
+other elimination is full_rank_mod_p, a one-sided certificate on a
+stack of integer matrices at once: full rank mod PRIME implies full
+rank over Q, and a failed certificate proves nothing.
+signed_relation_basis solves the monomial relations X = c L X R^T of
+SignedPerm stacks by orbit walks, without elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
+from numbers import Integral, Rational
 from operator import mul
 
 import numpy as np
@@ -31,11 +36,11 @@ import numpy as np
 PRIME = 2**31 - 1
 
 
-def _denominator_lcm(x):
-    """lcm of the denominators appearing in a scalar."""
+def _denominator(x):
+    """The denominator of an int or of a non-integral exact rational."""
     if isinstance(x, int):
         return 1
-    if isinstance(x, Fraction):
+    if isinstance(x, Rational) and not isinstance(x, Integral):
         return x.denominator
     raise TypeError(f"unsupported scalar {type(x)}")
 
@@ -121,9 +126,11 @@ class SignedPerm:
         return ((self.perm == other.perm) & (self.signs == other.signs)).all(axis=-1)
 
     def apply(self, x):
-        """This one element times the vector x, as a list: a signed
-        gather, O(N).  It reads the arrays as lists, so the entries of x
-        stay python ints and Fractions."""
+        """This one element times the vector x of length N, as a list: a
+        signed gather, O(N).  It reads the arrays as lists, so the
+        entries of x keep their python types."""
+        if len(x) != self.N:
+            raise ValueError(f"a vector of length {len(x)} for an N = {self.N} signed permutation")
         out = [0] * len(x)
         for xj, i, s in zip(x, self.perm.tolist(), self.signs.tolist()):
             out[i] = xj if s == 1 else -xj
@@ -171,8 +178,8 @@ def clear_denominators(row):
     """The row times the lcm of its denominators, as ints where rational."""
     if all(type(x) is int for x in row):
         return list(row)
-    m = lcm(*map(_denominator_lcm, row))
-    return [x.numerator * (m // x.denominator) if isinstance(x, Fraction) else x * m for x in row]
+    m = lcm(*map(_denominator, row))
+    return [x.numerator * (m // x.denominator) for x in row]
 
 
 class Echelon:
@@ -213,13 +220,15 @@ class Echelon:
         return True
 
     def kernel(self, n_cols) -> list:
-        """Basis of the vectors every accepted row annihilates, one column
-        list per free (non-pivot) column f: x[f] = 1, x = 0 at the other free
-        columns, Fraction entries at the pivots.  It depends only on the
-        row space.  Row k is zero at every pivot accepted before it, so
-        the pivot minor is triangular in acceptance order, d = the product
-        of the pivot entries is its determinant, and y = d * x is solved
-        in Z in reverse acceptance order, each division exact.  An empty
+        """Basis of the vectors every accepted row annihilates, one
+        integer column list per free (non-pivot) column f: the primitive
+        integer vector that is 0 at the other free columns and positive
+        at f.  It depends only on the row space.  Row k is zero at every
+        pivot accepted before it, so the pivot minor is triangular in
+        acceptance order, d = the product of the pivot entries is its
+        determinant, and y = d * x for the x with x[f] = 1 is solved in
+        Z in reverse acceptance order, each division exact by Cramer's
+        rule; y divided by its gcd, signed as d, is the column.  An empty
         kernel is [].
         """
         pivots = {p for p, _ in self.rows}
@@ -236,11 +245,8 @@ class Echelon:
                     y[p], rem = divmod(-s, row[p])
                     if rem:
                         raise ArithmeticError("inexact integer back-substitution")
-            x = [0] * n_cols
-            x[f] = Fraction(1)
-            for p, _ in self.rows:
-                x[p] = Fraction(y[p], d)
-            basis.append(x)
+            g = gcd(*y) if d > 0 else -gcd(*y)
+            basis.append([x // g for x in y])
         return basis
 
 
@@ -273,14 +279,24 @@ def full_rank_mod_p(stack) -> np.ndarray:
     return ok
 
 
-def dense_rows(columns) -> list:
-    """The rows of the square matrix with these sparse {row: value}
-    columns, such as clifford_core.gamma_vector's."""
-    rows = [[0] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
-        for i, x in column.items():
-            rows[i][j] = x
+def term_rows(terms, N) -> list:
+    """The N rows of the N x N matrix sum_k c_k g_k of the (c_k, g_k)
+    terms, each g_k one SignedPerm element: column j of g_k adds
+    c_k signs[j] at row perm[j]."""
+    rows = [[0] * N for _ in range(N)]
+    for c, g in terms:
+        for j, (i, s) in enumerate(zip(g.perm.tolist(), g.signs.tolist())):
+            rows[i][j] += c * s
     return rows
+
+
+def apply_terms(terms, x) -> list:
+    """sum_k c_k g_k x for the (c_k, g_k) terms: one signed gather per
+    term, each raising ValueError unless x has length N."""
+    out = [0] * len(x)
+    for c, g in terms:
+        out = [a + c * y for a, y in zip(out, g.apply(x))]
+    return out
 
 
 def signed_relation_basis(left, right, c=1, sigma=None):

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -28,7 +27,7 @@ from .brackets import (
     random_subspace,
 )
 from .clifford_core import CliffordRep, Signature, build_rep, gamma_vector
-from .exact_linalg import Echelon, dense_rows, full_rank_mod_p
+from .exact_linalg import Echelon, apply_terms, full_rank_mod_p, term_rows
 from . import serialize
 
 # Trials per batched certificate in random_surjectivity_sweep.
@@ -45,21 +44,9 @@ def _trial_rng(seed, index):
     return random.Random(seed * 1_000_003 + index)
 
 
-def _rational_sqrt(x):
-    """Exact square root of a nonnegative rational, or None."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _find_null_direction(gram):
-    """Rational null vector of a symmetric form given by its Gram rows,
-    or None.
+    """Integer null vector of a symmetric form given by its integer Gram
+    rows, or None.
 
     Checks the diagonal, then coordinate pairs via the discriminant,
     then a bounded integer search over leading coordinates.
@@ -71,8 +58,9 @@ def _find_null_direction(gram):
     for i in range(d):
         for j in range(i + 1, d):
             a, b, c = gram[i][i], gram[j][j], gram[i][j]
-            root = _rational_sqrt(c * c - a * b)
-            if root is None:
+            disc = c * c - a * b
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
                 continue
             vec = [0] * d
             vec[i] = -c + root
@@ -125,13 +113,14 @@ def isotropic_subspace(gram, symmetric: bool, target_dim: int) -> list:
 
 def _skew_isotropic(pairing_row, d: int, target_dim: int, rng=None) -> list:
     """Greedy isotropic extension for an antisymmetric form on R^d, with
-    pairing_row(u) the row u^T gram: each step adds a vector of the
-    running h-orthogonal space outside the current span.  Without an rng
-    the kernel columns are tried in order; with one, up to 50 random
-    integer combinations of them."""
+    pairing_row(u) a row whose kernel is u's h-orthogonal space, such as
+    u^T gram: each step adds a vector of the running h-orthogonal space
+    outside the current span.  Without an rng the integer kernel columns
+    are tried in order; with one, up to 50 random integer combinations of
+    them."""
     iso = []
     echelon = Echelon()  # the accepted vectors
-    orthogonal = Echelon()  # their rows u^T gram
+    orthogonal = Echelon()  # their pairing rows
     space = [[int(i == j) for i in range(d)] for j in range(d)]
     while len(iso) < target_dim:
         if iso:
@@ -187,8 +176,8 @@ def extremal_obstructed_subspace(
     Built as ker(gamma_v) plus an isotropic lift of the induced pairing
     of H gamma_v on a complement; certifies tightness of the 3/4 bound.
     The complement is spanned by standard basis vectors e_c, so the
-    pairing is H gamma_v gathered at those indices, and the lift is
-    scattered back to them.
+    pairing is the minor of H gamma_v's rows at those indices, and the
+    lift is scattered back to them.
     """
     if rep.N % 4:
         raise ValueError("module dimension must be divisible by 4")
@@ -201,11 +190,9 @@ def extremal_obstructed_subspace(
     if sum(map(echelon.add, cols)) != n_half:
         raise ArithmeticError("kernel columns are not independent")
     comp = [c for c in range(rep.N) if echelon.add([int(i == c) for i in range(rep.N)])]
-    # column c of beta = H gamma_v gathers column c of gamma_v through H
-    h_perm, h_signs = form.matrix.perm.tolist(), form.matrix.signs.tolist()
-    gamma = gamma_vector(rep, v)
-    beta = [{h_perm[r]: h_signs[r] * x for r, x in gamma[c].items()} for c in comp]
-    gram = [[col.get(a, 0) for col in beta] for a in comp]
+    # beta = H gamma_v has the terms (v_i, H G_i); its gram is the comp minor
+    beta = term_rows([(c, form.matrix * g) for c, g in gamma_vector(rep, v)], rep.N)
+    gram = [[beta[a][c] for c in comp] for a in comp]
     st = form.sigma * form.tau
     iso = isotropic_subspace(gram, symmetric=(st == 1), target_dim=rep.N // 4)
     for w in iso:
@@ -315,13 +302,14 @@ def _block_surjective(rep, form, dim, seed, block):
 def random_max_isotropic(rep: CliffordRep, form: BilinearForm, rng) -> SpinorSubspace:
     """Seeded maximally isotropic subspace (dimension N/2) of a skew
     (sigma = -1) form, extended greedily inside the running h-orthogonal
-    space; each orthogonality row u^T H is the gather H^T u.  Isotropy is
-    re-verified exactly before returning.
+    space; each orthogonality row is the gather H u, which is -u^T H as
+    H^T = -H, so it has u^T H's kernel.  Isotropy is re-verified exactly
+    before returning.
     """
     if form.sigma != -1:
         raise ValueError("random_max_isotropic needs a skew (sigma = -1) form")
     # the extension's Echelon accepted every column: they are independent
-    basis = _skew_isotropic(form.matrix.transpose().apply, rep.N, rep.N // 2, rng)
+    basis = _skew_isotropic(form.matrix.apply, rep.N, rep.N // 2, rng)
     if not isotropic(form, basis):
         raise ArithmeticError("sampled subspace is not isotropic")
     return SpinorSubspace._certified(rep, basis)
@@ -358,52 +346,38 @@ class WitnessReport:
     distribution: dict
 
 
-def _apply(cols, x):
-    """The matrix with these sparse {row: value} columns times x."""
-    out = [0] * len(cols)
-    for col, xj in zip(cols, x):
-        if xj:
-            for i, c in col.items():
-                out[i] += c * xj
-    return out
-
-
 def _structured_spin45_candidate(rep, form, rng):
     """Candidate Lagrangian from a random totally null coordinate 3-plane.
 
     With K the joint kernel of the three null directions, b the line of K
     annihilated by a residual null direction, and w_i the hyperbolic
     partners, span{K, gamma_w b, gamma_w gamma_w' b} is half-dimensional;
-    isotropy is checked by the caller.  Every gamma is gamma_vector's
-    sparse columns.
+    isotropy is checked here.  Every gamma is a list of terms: for
+    v_i = e_a + s e_b the partner is taken as w_i = e_a - s e_b, twice the
+    one with g(v_i, w_i) = 1, so every column is an integer one.
     """
     pos = rng.sample(range(rep.signature.p), 3)
     neg = rng.sample(range(rep.signature.p, rep.n), 3)
     signs = [rng.choice([1, -1]) for _ in range(3)]
-    gv, gw = [], []
-    for a, b_idx, s in zip(pos, neg, signs):
-        vv = [0] * rep.n
-        vv[a], vv[b_idx] = 1, s
-        ww = [0] * rep.n
-        ww[a], ww[b_idx] = Fraction(1, 2), Fraction(-s, 2)
-        gv.append(gamma_vector(rep, vv))
-        gw.append(gamma_vector(rep, ww))
+    gens = rep.generators
+    gv = [[(1, gens[a]), (s, gens[b_idx])] for a, b_idx, s in zip(pos, neg, signs)]
+    gw = [[(1, gens[a]), (-s, gens[b_idx])] for a, b_idx, s in zip(pos, neg, signs)]
     rem_pos = [i for i in range(rep.signature.p) if i not in pos]
     rem_neg = [i for i in range(rep.signature.p, rep.n) if i not in neg]
     u = [0] * rep.n
     u[rng.choice(rem_pos)] = 1
     u[rng.choice(rem_neg)] = rng.choice([1, -1])
-    k3 = Echelon(row for g in gv for row in dense_rows(g)).kernel(rep.N)
+    k3 = Echelon(row for g in gv for row in term_rows(g, rep.N)).kernel(rep.N)
     if len(k3) != 2:
         return None
     gamma_u = gamma_vector(rep, u)
     # the rows of gamma_u K, K's columns as its two columns
-    line = Echelon(zip(*(_apply(gamma_u, k) for k in k3))).kernel(2)
+    line = Echelon(zip(*(apply_terms(gamma_u, k) for k in k3))).kernel(2)
     if len(line) != 1:
         return None
     b = _combine(k3, line[0])
-    cols = k3 + [_apply(g, b) for g in gw]
-    cols += [_apply(gw[i], _apply(gw[j], b)) for i, j in ((0, 1), (0, 2), (1, 2))]
+    cols = k3 + [apply_terms(g, b) for g in gw]
+    cols += [apply_terms(gw[i], apply_terms(gw[j], b)) for i, j in ((0, 1), (0, 2), (1, 2))]
     # the N/2 columns have rank N/2: independence is certified here
     if len(Echelon(cols)) != rep.N // 2:
         return None

@@ -1,5 +1,8 @@
 """The dense exact matrix: the slow oracle that every signed-permutation,
-sparse-column and row-system fast path of spinorlab is checked against;
+term-list and row-system fast path of spinorlab is checked against;
+the normalized Fraction kernel basis mapped to Echelon.kernel's
+primitive integer columns; gamma_v as the {row: value} columns that
+gamma_vector's term lists replaced;
 the orbit-solve commutant dimension that the trace count replaced;
 the planted-defect copies of signed permutations that the failure tests
 feed in, each checked to differ from its original where it says;
@@ -18,12 +21,14 @@ Entries are python ints and fractions.Fraction.  A product skips zero
 entries and starts each sum from int 0, so an all-int product stays int.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import numpy as np
 
-from spinorlab.clifford_core import gamma_vector, metric_value
-from spinorlab.exact_linalg import Echelon, SignedPerm, dense_rows, signed_relation_basis
+from spinorlab.clifford_core import metric_value
+from spinorlab.exact_linalg import Echelon, SignedPerm, signed_relation_basis
 from spinorlab.model_space import (
     BracketFieldReport,
     KillingReport,
@@ -141,18 +146,43 @@ def swap_entries(original: SignedPerm, index, other) -> SignedPerm:
     return planted(original, {index, other}, perm=perm)
 
 
-def sparse_dense(columns) -> Matrix:
-    """The dense matrix of sparse {row: value} columns, such as
-    gamma_vector's."""
-    return Matrix(dense_rows(columns))
+def terms_dense(terms, N) -> Matrix:
+    """The dense sum of (c, SignedPerm) terms, the oracle for term_rows
+    and apply_terms; N x N zero for no terms."""
+    out = zero_matrix(N, N)
+    for c, g in terms:
+        out = out + dense(g).scale(c)
+    return out
 
 
 def gamma_dense(rep, v) -> Matrix:
     """gamma_v as the dense sum of scaled generators."""
-    out = zero_matrix(rep.N, rep.N)
-    for c, g in zip(v, rep.generators):
+    return terms_dense([(c, g) for c, g in zip(v, rep.generators) if c], rep.N)
+
+
+def gamma_columns(rep, v) -> list:
+    """gamma_v's N columns as {row: coefficient} dicts with at most n
+    entries each, some of which may cancel to 0: column j is
+    sum_i v_i signs_i[j] e_{perm_i[j]}."""
+    cols = [{} for _ in range(rep.N)]
+    for c, perm, signs in zip(v, rep.generators.perm.tolist(), rep.generators.signs.tolist()):
         if c:
-            out = out + dense(g).scale(c)
+            for col, i, s in zip(cols, perm, signs):
+                col[i] = col.get(i, 0) + (c if s == 1 else -c)
+    return cols
+
+
+def primitive(columns) -> list:
+    """Each column of a normalized Fraction kernel basis, 1 at its free
+    column, times the least positive integer that makes it integral: the
+    primitive integer column, positive at its free column, that
+    Echelon.kernel returns.  Every entry comes out an int."""
+    out = []
+    for col in columns:
+        m = lcm(*(Fraction(x).denominator for x in col))
+        ints = [int(x * m) for x in col]
+        assert gcd(*ints) == 1
+        out.append(ints)
     return out
 
 
@@ -240,7 +270,7 @@ def commutant_dimension_by_solve(generators) -> int:
 
 def squares_to_scalar_oracle(cols, c) -> bool:
     """Whether the N x N matrix with these sparse columns squares to
-    c Id, column by column: n^2 products per gamma_vector column."""
+    c Id, column by column: n^2 products per gamma_columns column."""
     N = len(cols)
     for j, col in enumerate(cols):
         square = [0] * N
@@ -255,11 +285,11 @@ def squares_to_scalar_oracle(cols, c) -> bool:
 
 def beta_form_oracle(rep, form, v) -> int:
     """brackets.beta_form's rank for one vector, from the identities of
-    the null-kernel lemma checked on gamma_vector's sparse columns rather
+    the null-kernel lemma checked on gamma_columns' sparse columns rather
     than from the rep and form certificates: rank beta, or ArithmeticError
     naming the first identity that fails, in the order gamma_v^2, beta's
     symmetry, then the anticommutator with G_k."""
-    cols = gamma_vector(rep, v)
+    cols = gamma_columns(rep, v)
     q = metric_value(rep.eta, v, v)
     if not squares_to_scalar_oracle(cols, -q):
         if q == 0:

@@ -3,11 +3,12 @@ line with its runtime against the stated budget."""
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from spinorlab import brackets, clifford_core, subspace_lab, verify
-from spinorlab.admissible_forms import BilinearForm
+from spinorlab.admissible_forms import BilinearForm, first_nondegenerate
 from spinorlab.cli import main
 from spinorlab.exact_linalg import Echelon
 from spinorlab.subspace_lab import IsotropicSearchError
@@ -96,7 +97,7 @@ def test_c03_c04_run_without_elimination_or_dense_products(monkeypatch):
         raise AssertionError("an elimination or a dense product on the c03/c04 path")
 
     monkeypatch.setattr(Echelon, "add", refuse)
-    monkeypatch.setattr(brackets, "dense_rows", refuse)
+    monkeypatch.setattr(brackets, "term_rows", refuse)
     _report(verify.criterion_null_kernel(max_n=7, seed=SEED))
     _report(verify.criterion_beta(max_n=7, seed=SEED))
 
@@ -107,10 +108,44 @@ def test_c06_c08_form_no_dense_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense product on the bracket-image path")
 
-    monkeypatch.setattr(brackets, "dense_rows", refuse)
-    monkeypatch.setattr(subspace_lab, "dense_rows", refuse)
+    monkeypatch.setattr(brackets, "term_rows", refuse)
+    monkeypatch.setattr(subspace_lab, "term_rows", refuse)
     _report(verify.criterion_spin23(seed=SEED, trials=20))
     _report(verify.criterion_mixed_bound(seed=SEED, trials=2))
+
+
+def test_the_exact_paths_make_no_fraction(monkeypatch):
+    # kernels, null directions and spin45 columns are integer ones: with
+    # Fraction refused, each call returns what it returns with it allowed
+    def calls():
+        extremal = [
+            subspace_lab.extremal_witness(clifford_core.Signature(p, q))
+            for p, q in ((2, 1), (2, 2), (2, 3), (1, 3), (3, 3))
+        ]
+        rep = clifford_core.build_rep(clifford_core.Signature(2, 3))
+        form = first_nondegenerate(rep)
+        kernels = [brackets.null_kernel(rep, form, v).basis for v in ([1, 0, 1, 0, 0], [3, 4, 0, 0, 5])]
+        criteria = [
+            verify.criterion_spin23(seed=SEED, trials=20),
+            verify.criterion_mixed_bound(seed=SEED, trials=2),
+        ]
+        spin45 = subspace_lab.spin45_search(7, 20)
+        return (
+            [(form, v, sub.basis) for form, v, sub in extremal],
+            kernels,
+            [(c.passed, c.details) for c in criteria],
+            (spin45.found, spin45.trials_used, spin45.distribution, spin45.subspace.basis),
+        )
+
+    want = calls()
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction on an exact path")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a Fraction"):
+        Fraction(1, 2)
+    assert calls() == want
 
 
 def _randint_null_vector(sig, rng):

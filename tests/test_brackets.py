@@ -31,7 +31,7 @@ from spinorlab.clifford_core import (
     gamma_vector,
     metric_value,
 )
-from spinorlab.exact_linalg import Echelon, dense_rows
+from spinorlab.exact_linalg import Echelon, apply_terms, term_rows
 from spinorlab.subspace_lab import extremal_witness, random_max_isotropic
 from dense_oracle import (
     Matrix,
@@ -50,7 +50,7 @@ from dense_oracle import (
 )
 from dense_oracle import column as _column
 from test_clifford_core import _permutation_sign, _planted_breaks, gamma_alternating
-from test_exact_linalg import bareiss_kernel, bareiss_rank
+from test_exact_linalg import bareiss_rank, primitive_kernel
 
 
 def metric_inner(k, omega, xi, eta):
@@ -194,6 +194,28 @@ def test_null_kernel_rejections():
         null_kernel(rep2, form2, [0, 0])
 
 
+def test_spinor_lengths_other_than_n_are_refused():
+    # (2,1) has N = 4: a longer spinor or a shorter one is refused by name
+    rep = build_rep(Signature(2, 1))
+    form = first_nondegenerate(rep)
+    s = [1, -2, 0, 3]
+    gamma = gamma_vector(rep, [1, 1, 0])
+    for bad in (s + [5, 7], s[:3]):
+        message = f"length {len(bad)}"
+        for k in range(rep.n + 1):
+            with pytest.raises(ValueError, match=message):
+                bracket_k(rep, form, bad, s, k)
+            with pytest.raises(ValueError, match=message):
+                bracket_k(rep, form, s, bad, k)
+        with pytest.raises(ValueError, match=message):
+            isotropic(form, [bad])
+        with pytest.raises(ValueError, match=message):
+            apply_terms(gamma, bad)
+    with pytest.raises(ValueError, match="length 5"):
+        isotropic(form, [[1, 0, 0, 0, 9]])
+    assert isotropic(form, [[1, 0, 0, 0]]) == (dense(form.matrix)[0, 0] == 0)
+
+
 def test_spinor_subspace_accepts_kernel_bases_and_rejects_dependent_columns():
     rep = build_rep(Signature(2, 2))  # N = 4
     form = first_nondegenerate(rep)
@@ -233,8 +255,8 @@ def test_null_kernel_isotropy_check_on_planted_fraction_bases(monkeypatch):
     rep = build_rep(Signature(2, 2))  # N = 4
     form = first_nondegenerate(rep)
     v = [1, 0, 1, 0]
-    true_basis = kernel(dense_rows(gamma_vector(rep, v)), rep.N)
-    assert Matrix.from_columns(true_basis) == bareiss_kernel(gamma_dense(rep, v))
+    true_basis = kernel(term_rows(gamma_vector(rep, v), rep.N), rep.N)
+    assert Matrix.from_columns(true_basis) == primitive_kernel(gamma_dense(rep, v))
     # the true kernel with rational column scales is isotropic and accepted
     scaled = [[x * c for x in col] for col, c in zip(true_basis, (Fraction(2, 3), Fraction(-5, 7)))]
     _plant_kernel(monkeypatch, scaled)
@@ -562,7 +584,7 @@ def _obstruction_oracle(rep, form, space):
             for g_b in g_bs:
                 row.append(sum(bt_h.data[a][m] * g_b.data[m][c] for m in range(rep.N)))
             rows.append(row)
-    return bareiss_kernel(Matrix(rows))
+    return primitive_kernel(Matrix(rows))
 
 
 def _pi_image_oracle(rep, form, a, b):

@@ -24,7 +24,7 @@ from spinorlab.clifford_core import (
     null_direction,
     rep_table,
 )
-from spinorlab.exact_linalg import SignedPerm
+from spinorlab.exact_linalg import SignedPerm, term_rows
 from dense_oracle import (
     Matrix,
     clifford_relation_failures_oracle,
@@ -37,7 +37,6 @@ from dense_oracle import (
     kernel,
     matrix_kernel,
     planted,
-    sparse_dense,
     swap_entries,
     zero_matrix,
 )
@@ -98,7 +97,7 @@ def test_gamma_vector_squares():
         rep = build_rep(sig)
         for _ in range(10):
             v = [rng.randint(-3, 3) for _ in range(rep.n)]
-            gv = sparse_dense(gamma_vector(rep, v))
+            gv = Matrix(term_rows(gamma_vector(rep, v), rep.N))
             want = Matrix.identity(rep.N).scale(-metric_value(rep.eta, v, v))
             assert gv * gv == want
 
@@ -124,18 +123,19 @@ _R23 = build_rep(Signature(2, 3))
 
 
 @given(reps_and_vectors())
-@example((_R23, [Fraction(0)] * 5))  # Fraction zeros are skipped: empty columns
+@example((_R23, [Fraction(0)] * 5))  # Fraction zeros are skipped: no terms
 @example((_R23, [0] * 5))
 @example((_R23, [-1, 0, 1, 2, Fraction(1, 2)]))
 @DIFFERENTIAL
 def test_gamma_vector_matches_dense_sum_oracle(rep_and_vector):
-    # values only: a sparse column holds no typed zeros, and each entry it
-    # holds has the type of its own sum of +-v_i
+    # the terms are (v_i, G_i) over the nonzero v_i, in order; their rows
+    # match the dense sum in value (a rows entry may be a typed zero)
     rep, v = rep_and_vector
-    cols = gamma_vector(rep, v)
-    assert len(cols) == rep.N
-    assert all(len(col) <= rep.n and set(col) <= set(range(rep.N)) for col in cols)
-    assert sparse_dense(cols) == gamma_dense(rep, v)
+    terms = gamma_vector(rep, v)
+    nonzero = [i for i, c in enumerate(v) if c]
+    assert [c for c, _ in terms] == [v[i] for i in nonzero]
+    assert all(g == rep.generators[i] for (_, g), i in zip(terms, nonzero))
+    assert Matrix(term_rows(terms, rep.N)) == gamma_dense(rep, v)
 
 
 def test_commutant_matches_mod8_table():
@@ -413,9 +413,9 @@ def test_build_determinism():
 def test_gamma_null_vector():
     rep = build_rep(Signature(2, 3))
     v = [1, 0, 1, 0, 0]  # e_1 + e_3 with eta = (+,+,-,-,-)
-    gv = sparse_dense(gamma_vector(rep, v))
+    gv = Matrix(term_rows(gamma_vector(rep, v), rep.N))
     assert is_zero(gv * gv)
-    assert gamma_vector(rep, [0] * rep.n) == [{} for _ in range(rep.N)]
+    assert gamma_vector(rep, [0] * rep.n) == []
 
 
 def gamma_alternating(rep, vectors):
@@ -461,7 +461,7 @@ def test_gamma_blade_matches_antisymmetrization():
     v = [1, 2, 0]
     w = [0, 1, 1]
     lhs = gamma_alternating(rep, [v, w])
-    gv, gw = sparse_dense(gamma_vector(rep, v)), sparse_dense(gamma_vector(rep, w))
+    gv, gw = (Matrix(term_rows(gamma_vector(rep, x), rep.N)) for x in (v, w))
     rhs = gv * gw + Matrix.identity(rep.N).scale(metric_value(rep.eta, v, w))
     assert lhs == rhs
 

@@ -16,10 +16,11 @@ from spinorlab.clifford_core import (
 from spinorlab.exact_linalg import (
     SignedPerm,
     Echelon,
+    apply_terms,
     clear_denominators,
-    dense_rows,
     full_rank_mod_p,
     signed_relation_basis,
+    term_rows,
 )
 from dense_oracle import (
     Matrix,
@@ -30,7 +31,9 @@ from dense_oracle import (
     kernel,
     kron,
     matrix_kernel,
+    primitive,
     rank,
+    terms_dense,
     zero_matrix,
 )
 
@@ -678,19 +681,36 @@ def test_signed_perm_matrix_products_match_dense(a, k, int_only, data):
             assert _types(got) == _types(want)
 
 
-def test_dense_rows_of_sparse_columns():
-    columns = [{1: 2}, {}, {0: Fraction(1, 2), 2: 0}]
-    assert dense_rows(columns) == [[0, 0, Fraction(1, 2)], [2, 0, 0], [0, 0, 0]]
-    assert dense_rows([]) == []
+@st.composite
+def term_lists(draw):
+    """Up to four (c, SignedPerm) terms on one N, int or Fraction c, and a
+    vector of that length."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    terms = draw(st.lists(st.tuples(exact_entries, signed_perms(n)), max_size=4))
+    return n, terms, draw(st.lists(exact_entries, min_size=n, max_size=n))
 
 
-# rank and kernel against the Bareiss oracle.  The normalized kernel basis
-# depends only on the row space, so values and entry types must match:
-# Fraction(1) at the free variable, int 0 at the other free positions and
-# Fraction at the pivots, whatever the order in which the rows are fed.
+@given(term_lists())
+@DIFFERENTIAL
+def test_term_rows_and_apply_terms_match_the_dense_sum(case):
+    n, terms, x = case
+    want = terms_dense(terms, n)
+    assert Matrix(term_rows(terms, n)) == want
+    assert Matrix.from_columns([apply_terms(terms, x)]) == want * Matrix.from_columns([x])
+
+
+# rank and kernel against the Bareiss oracle.  The kernel basis depends
+# only on the row space, so values and entry types must match primitive's
+# map of the normalized Fraction basis: int columns, primitive and positive
+# at the free variable, whatever the order in which the rows are fed.
+
+def primitive_kernel(m: Matrix) -> Matrix:
+    """bareiss_kernel's columns mapped by primitive."""
+    return Matrix.from_columns(primitive(bareiss_kernel(m).columns()), m.cols)
+
 
 def _assert_kernel_matches_oracle(m):
-    got, want = matrix_kernel(m), bareiss_kernel(m)
+    got, want = matrix_kernel(m), primitive_kernel(m)
     assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
     assert _types(got) == _types(want)
     assert rank(m.data) == bareiss_rank(m) == m.cols - want.cols
@@ -727,7 +747,7 @@ def test_echelon_kernel_ignores_row_order(m, rng):
     shuffled = list(m.data)
     rng.shuffle(shuffled)
     got = Matrix.from_columns(Echelon(shuffled).kernel(m.cols), m.cols)
-    want = bareiss_kernel(m)
+    want = primitive_kernel(m)
     assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
     assert _types(got) == _types(want)
 

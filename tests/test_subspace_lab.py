@@ -26,7 +26,7 @@ from spinorlab.subspace_lab import (
 )
 from dense_oracle import Matrix, dense, gamma_dense, is_zero
 from test_brackets import _CountingEchelon, _pi_image_oracle
-from test_exact_linalg import bareiss_kernel, bareiss_rank
+from test_exact_linalg import bareiss_rank, primitive_kernel
 
 WITNESS_PATH = Path(__file__).resolve().parent.parent / "witnesses" / "spin45_max_isotropic.json"
 
@@ -44,7 +44,7 @@ def _greedy_isotropic_oracle(gram, target_dim):
                 [sum(u[a] * gram[a, b] for a in range(d) if u[a]) for b in range(d)]
                 for u in iso
             ]
-            space = bareiss_kernel(Matrix(rows))
+            space = primitive_kernel(Matrix(rows))
         else:
             space = Matrix.identity(d)
         added = False
@@ -71,7 +71,7 @@ def _random_skew_isotropic_oracle(gram, target, rng):
                 [sum(u[a] * gram[a, b] for a in range(n) if u[a]) for b in range(n)]
                 for u in iso
             ]
-            space = bareiss_kernel(Matrix(rows))
+            space = primitive_kernel(Matrix(rows))
         else:
             space = Matrix.identity(n)
         for _ in range(50):
@@ -100,14 +100,15 @@ def _typed_entries(columns):
 
 
 def test_skew_isotropic_replays_random_skew_branch():
-    # the gathered rows H^T u against rows read off the dense Gram matrix
+    # the gathered rows H u = -u^T H against rows u^T H read off the dense
+    # Gram matrix: one row space, so one kernel
     rep = build_rep(Signature(2, 3))
     form = first_nondegenerate(rep, tau=1)  # the spin23 form
     assert form.sigma == -1
     gram = dense(form.matrix)
     for seed in range(8):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        got = _skew_isotropic(form.matrix.transpose().apply, rep.N, rep.N // 2, rng)
+        got = _skew_isotropic(form.matrix.apply, rep.N, rep.N // 2, rng)
         want = _random_skew_isotropic_oracle(gram, rep.N // 2, oracle_rng)
         assert _typed_entries(got) == _typed_entries(want), seed
         assert rng.getstate() == oracle_rng.getstate(), seed
@@ -157,18 +158,17 @@ def test_isotropic_subspace_definite_fails():
         isotropic_subspace(gram, symmetric=True, target_dim=1)
 
 
-def test_null_direction_fractional_discriminant():
-    from fractions import Fraction
-
+def test_null_direction_square_discriminant():
     from spinorlab.subspace_lab import _find_null_direction
 
-    # no zero diagonal, discriminant (5/2)^2 - 4 = 9/4: the pair path needs
-    # the exact rational square root
-    gram = [[2, Fraction(5, 2)], [Fraction(5, 2), 2]]
+    # no zero diagonal, discriminant 5^2 - 4 * 4 = 9: the pair path needs
+    # the exact integer square root
+    gram = [[4, 5], [5, 4]]
     vec = _find_null_direction(gram)
-    assert vec is not None
+    assert vec == [-2, 4]
     val = sum(gram[i][j] * vec[i] * vec[j] for i in range(2) for j in range(2))
     assert val == 0
+    assert _find_null_direction([[4, 5], [5, 5]]) is None  # discriminant 5, no square
 
 
 def test_extremal_witness_signatures():
