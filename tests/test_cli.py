@@ -9,7 +9,7 @@ import pytest
 
 from spinorlab import cli, serialize
 from spinorlab.cli import main
-from spinorlab.subspace_lab import IsotropicSearchError, spin45_search
+from spinorlab.subspace_lab import IsotropicSearchError, load_and_verify_spin45_witness, spin45_search
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -103,12 +103,23 @@ def test_spin23_scan(capsys):
     assert payload["distribution"] == {"1": 10}
 
 
+def test_spin23_stdout_and_exit_code_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("SPINORLAB_SEED", raising=False)
+    assert main(["spin23", "--trials", "7", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '{"distribution": {"1": 7}, "schema": "spinor-lab/1", "seed": 3, "trials": 7}\n'
+    )
+
+
 def test_spin45_search(tmp_path, capsys):
     out = tmp_path / "witness.json"
     assert main(["spin45", "--seed", "7", "--budget", "40", "--out", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] and payload["image_dim"] == 4
-    assert out.exists()
+    # the witness file's bytes, and the seed it reloads with
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "1404efac13f31815276350e2775575853fd4eceddbb8b874e84ab72accc1f51e"
+    assert load_and_verify_spin45_witness(out)["seed"] == 7
 
 
 @pytest.mark.parametrize("target", ["missing/w.json", "missing/deeper/w.json", "."])
@@ -402,6 +413,22 @@ def test_bound_search_on_every_extremal_signature_matches_its_recorded_digest(ca
         assert main(["bound-search", "--sig", f"{p},{q}", "--trials", "5", "--seed", "3"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == BOUND_SEARCH_DIGEST
+
+
+# SHA-256 of the stdout of `cone-report --sig p,q` on every cone with
+# p >= 1 and n <= 8, in order of n then p: the split, the base residue
+# and the invariant counts of each.
+CONE_REPORT_DIGEST = "c87e53eeaafebcf3261493215616898f06b92f7ab9ad294f3b225bba706b0b60"
+
+
+def test_cone_report_on_every_cone_matches_its_recorded_digest(capsys):
+    cones = [(p, n - p) for n in range(1, 9) for p in range(1, n + 1)]
+    assert len(cones) == 36
+    digest = hashlib.sha256()
+    for p, q in cones:
+        assert main(["cone-report", "--sig", f"{p},{q}"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CONE_REPORT_DIGEST
 
 
 def test_verify_all_times_each_criterion_on_stderr(capsys):
