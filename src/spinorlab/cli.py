@@ -145,7 +145,7 @@ def cmd_bound_search(args):
     payload = {
         "signature": {"p": sig.p, "q": sig.q},
         "dim": dim,
-        "trials": sweep.trials,
+        "trials": args.trials,
         "in_hypothesis": sweep.in_hypothesis,
         "counterexamples": len(sweep.counterexamples),
     }
@@ -160,27 +160,27 @@ def cmd_bound_search(args):
 
 
 def cmd_spin23(args):
-    report = spin23_isotropic_scan(args.trials, args.seed)
+    distribution = spin23_isotropic_scan(args.trials, args.seed)
     payload = {
-        "trials": report.trials,
-        "seed": report.seed,
-        "distribution": {str(k): v for k, v in sorted(report.distribution.items())},
+        "trials": args.trials,
+        "seed": args.seed,
+        "distribution": {str(k): v for k, v in sorted(distribution.items())},
     }
     _emit(payload)
-    return 0 if report.distribution == {1: report.trials} else 1
+    return 0 if distribution == {1: args.trials} else 1
 
 
 def cmd_spin45(args):
     report = spin45_search(args.seed, args.budget)
     payload = {
         "found": report.found,
-        "seed": report.seed,
+        "seed": args.seed,
         "trials_used": report.trials_used,
         "image_dim": report.image_dim,
         "distribution": {str(k): v for k, v in sorted(report.distribution.items())},
     }
     if report.found and args.out:
-        save_spin45_witness(args.out, report)
+        save_spin45_witness(args.out, report, args.seed)
         payload["witness_file"] = args.out
     _emit(payload)
     return 0 if report.found else 1
@@ -194,7 +194,7 @@ def cmd_cone_report(args):
         "cone": {"p": sig.p, "q": sig.q},
         "base": {"p": sig.p - 1, "q": sig.q},
         "split": report.split,
-        "base_s_mod_8": report.residue,
+        "base_s_mod_8": Signature(sig.p - 1, sig.q).s_mod8,
         "quoted_list_agrees": report.quoted_list_agrees,
         "even_commutant_dim": report.commutant_dim,
     }

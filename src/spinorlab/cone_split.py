@@ -85,7 +85,6 @@ QUOTED_IRREDUCIBLE_RESIDUES = (0, 2, 4, 5, 6)
 class SemiSpinorReport:
     split: bool
     commutant_dim: int
-    residue: int
     quoted_list_agrees: bool
 
 
@@ -135,6 +134,5 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     return SemiSpinorReport(
         split=split,
         commutant_dim=commutant_dim,
-        residue=base.s_mod8,
         quoted_list_agrees=(split == (base.s_mod8 not in QUOTED_IRREDUCIBLE_RESIDUES)),
     )

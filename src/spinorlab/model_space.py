@@ -212,7 +212,7 @@ class HyperquadricModel:
         if not np.all(usable):
             raise ArithmeticError("frame degenerated inside its patch")
         rows = np.arange(len(ys))[:, None]
-        if np.any(signs[rows, order] != np.array(self.base_signature.eta(), float)):
+        if np.any(signs[rows, order] != self.eta_hat[1:]):
             raise ArithmeticError("frame sign pattern does not match the base")
         return np.ascontiguousarray(np.swapaxes(vecs[rows, order], 1, 2))
 
@@ -298,7 +298,7 @@ def spin_connection(model, frames, directions, patches):
     if np.any(np.abs(model.g_hat(x, directions)) > 1e-9):
         raise ValueError("direction must be tangent to the hyperquadric")
     lam_low = frame_rotation_rates(model, frames, directions, patches)
-    eta = np.concatenate([[1.0], np.array(model.base_signature.eta(), float)])
+    eta = model.eta_hat
     rates = 0.5 * eta[:, None] * (lam_low - np.swapaxes(lam_low, 1, 2)) * eta
     tangent = frames[:, :, 1:]
     c = frames @ rates @ np.swapaxes(frames, 1, 2) - model.g_hat(x, x)[:, None, None] * (
@@ -344,7 +344,7 @@ def _residuals_at(model, fields, point, candidates):
     nablas -= around[:, 1]
     nablas /= 2.0 * model.step
     nablas += point.omegas @ here
-    eta = np.array(model.base_signature.eta(), float)[:, None, None]
+    eta = model.eta_hat[1:, None, None]
     dirac = sum(point.gammas @ nablas * eta)  # in frame order, as the sum is written
     gamma_here = point.gammas @ here
     out = []
@@ -424,7 +424,7 @@ def bracket_field_checks(model, s_field, t_field) -> BracketFieldReport:
         rows = slice(r, r + per_point)
         gs = model.gamma_intrinsic(ys[rows, None], np.swapaxes(frames[rows], 1, 2)) @ s_vals[rows]
         c[rows] = (np.swapaxes(gs, 2, 3) @ model.form_matrix @ t_vals[rows])[..., 0, 0]
-    c /= np.array(model.base_signature.eta(), float)
+    c /= model.eta_hat[1:]
     brackets = sum(c[:, i, None] * frames[:, :, i] for i in range(n)).reshape(ends.shape)
     diff = (brackets[:, :n, 0] - brackets[:, :n, 1]) / (2.0 * h)
     proj = model.tangent_projector(xs)
@@ -479,7 +479,7 @@ def homogeneity_span(model, fields):
     count as zero.  It fails closed: a point whose bracket matrix has a
     NaN or infinite entry gets dimension -1, which no check accepts."""
     dims = []
-    eta = np.array(model.base_signature.eta(), float)[:, None, None]
+    eta = model.eta_hat[1:, None, None]
     for point in model.sample_points(8):
         values = [s.eval(model, point.x, point.patch) for s in fields]
         values = np.array(values, dtype=float).reshape(len(fields), model.N).T
@@ -563,7 +563,7 @@ def scalar_curvature_residual(model, killing_number) -> float:
     de = (frames[:, :, 0] - frames[:, :, 1]) / (2.0 * h)
     alpha = model.g_hat(np.swapaxes(de, 2, 3), xs[:, None, None])
     diag = np.diagonal(alpha, axis1=1, axis2=2)
-    eta = np.array(model.base_signature.eta(), float)
+    eta = model.eta_hat[1:]
     terms = eta[:, None] * eta * (diag[:, :, None] * diag[:, None, :] - alpha**2)
     # the terms i = j vanish; accumulate adds the others in the order (i, j)
     scal = np.cumsum(terms.reshape(len(xs), n * n), axis=1)[:, -1]

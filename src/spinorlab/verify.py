@@ -181,10 +181,11 @@ def criterion_bound_tightness(seed=0, trials=500):
         except (IsotropicSearchError, ArithmeticError) as err:  # a failed construction
             failures.append(f"{sig}:extremal:{err}")
         form = first_nondegenerate(rep)
-        sweep = random_surjectivity_sweep(rep, form, 3 * rep.N // 4 + 1, trials, seed)
+        dim = 3 * rep.N // 4 + 1
+        sweep = random_surjectivity_sweep(rep, form, dim, trials, seed)
         details[f"sweep{sig}"] = {
-            "dim": sweep.dim,
-            "trials": sweep.trials,
+            "dim": dim,
+            "trials": trials,
             "counterexamples": len(sweep.counterexamples),
         }
         if sweep.counterexamples:
@@ -194,8 +195,8 @@ def criterion_bound_tightness(seed=0, trials=500):
 
 @_criterion(6, "spin23_isotropic_planes")
 def criterion_spin23(seed=0, trials=200):
-    report = spin23_isotropic_scan(trials, seed)
-    return report.distribution == {1: trials}, {"distribution": report.distribution}
+    distribution = spin23_isotropic_scan(trials, seed)
+    return distribution == {1: trials}, {"distribution": distribution}
 
 
 @_criterion(7, "spin45_witness", 600.0)

@@ -59,3 +59,24 @@ def test_exact_linalg_has_no_public_elimination_for_the_tracer_hook():
     # argument of these names, which only the deleted Matrix had
     exact_linalg = importlib.import_module("spinorlab.exact_linalg")
     assert [name for name in ("rank", "kernel", "solve") if hasattr(exact_linalg, name)] == []
+
+
+def _report_attributes_the_tracer_reads():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    hooks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_hooks"]
+    assert len(hooks) == 1, "perfbench/tracer.py defines no single _hooks"
+    return {
+        node.attr for node in ast.walk(hooks[0])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "report"
+    }
+
+
+def test_spin45_report_has_every_attribute_the_tracer_reads():
+    # a missing one turns each traced subspace-search run into an
+    # AttributeError inside the tracer's hook
+    from spinorlab.subspace_lab import spin45_search
+
+    read = _report_attributes_the_tracer_reads()
+    assert read >= {"found", "trials_used"}
+    report = spin45_search(7, 1)
+    assert [name for name in sorted(read) if not hasattr(report, name)] == []
