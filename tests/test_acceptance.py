@@ -12,7 +12,7 @@ from spinorlab.admissible_forms import BilinearForm, first_nondegenerate
 from spinorlab.cli import main
 from spinorlab.exact_linalg import Echelon
 from spinorlab.subspace_lab import IsotropicSearchError
-from dense_oracle import flip_sign
+from dense_oracle import clifford_relation_failures_oracle, flip_sign
 from test_brackets import _flip_sign
 
 SEED = 7
@@ -255,6 +255,29 @@ def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "falsification: Clifford relation failed at (0,0) for (1,1)" in err
+
+
+def test_a_planted_rep_is_not_served_the_built_reps_relation_table(monkeypatch):
+    # a copy of the built (2,1) rep with one sign of G_1 flipped has the
+    # built rep's signature, eta and commutant, and its own relation
+    # table: c01 lists its failed pairs and beta_form refuses it, after
+    # the built rep's table was read by both
+    rep = verify.build_rep(verify.Signature(2, 1))
+    form = first_nondegenerate(rep)
+    vectors = [[1, 0, 1]]
+    assert brackets.beta_form(rep, form, vectors) == [rep.N // 2]
+    assert verify.criterion_clifford_relations(max_n=3).passed
+    broken = dataclasses.replace(rep, generators=flip_sign(rep.generators, (1, 0)))
+    pairs = clifford_relation_failures_oracle(broken.generators, broken.eta)
+    assert pairs
+    build = verify.build_rep
+    monkeypatch.setattr(verify, "build_rep", lambda sig: broken if sig == rep.signature else build(sig))
+    result = verify.criterion_clifford_relations(max_n=3)
+    assert not result.passed
+    assert result.details["failures"] == [f"(2,1):relation({i},{j})" for i, j in pairs]
+    i, j = pairs[0]
+    with pytest.raises(ArithmeticError, match=rf"Clifford relation failed at \({i},{j}\) for \(2,1\)"):
+        brackets.beta_form(broken, form, vectors)
 
 
 def test_c05_bound_tightness():

@@ -9,7 +9,7 @@ from spinorlab.admissible_forms import (
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
-from spinorlab.exact_linalg import SignedPerm
+from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
 from dense_oracle import Matrix, dense, is_zero, matrix_kernel, rank
 
 
@@ -101,6 +101,29 @@ def test_solution_dims_match_dense_oracle():
                 fast = len(find_admissible(rep, sigma, tau))
                 dense = admissible_space_dense(rep, sigma, tau)
                 assert fast == dense, (str(sig), sigma, tau)
+
+
+def test_admissible_dimension_counts_the_walks_basis():
+    # the character count against the orbit walk's basis length, for
+    # every (sigma, tau) on every rep with n <= 10
+    for sig in all_signatures(10):
+        rep = build_rep(sig)
+        gens = rep.generators
+        for sigma in (1, -1):
+            for tau in (1, -1):
+                walked = signed_relation_basis(gens, gens.transpose(), tau, sigma)
+                assert admissible_forms.admissible_dimension(rep, sigma, tau) == len(walked), (str(sig), sigma, tau)
+
+
+def test_admissible_dimension_raises_on_a_non_integral_count():
+    # one generator, a 3-cycle: N^2 / 2 = 9/2 forms, which no space has
+    rep = dataclasses.replace(build_rep(Signature(1, 0)), generators=SignedPerm([[1, 2, 0]], [[1, 1, 1]]))
+    for sigma in (1, -1):
+        for tau in (1, -1):
+            with pytest.raises(ArithmeticError, match="not an integer"):
+                admissible_forms.admissible_dimension(rep, sigma, tau)
+    with pytest.raises(ValueError, match="sigma and tau"):
+        admissible_forms.admissible_dimension(build_rep(Signature(1, 0)), 0, 1)
 
 
 def test_existence_of_nondegenerate_form():

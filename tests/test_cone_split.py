@@ -13,7 +13,7 @@ from spinorlab.clifford_core import (
     gamma_blade,
     null_direction,
 )
-from spinorlab import cone_split
+from spinorlab import clifford_core, cone_split
 from spinorlab.cone_split import (
     invariant_spinors,
     null_plane_invariants,
@@ -541,6 +541,20 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                     # the library reads the rank off the trace of z
                     assert rank(proj.data) == sum(proj[i, i] for i in range(cone.N)) // 2
     assert omega_path == 15
+
+
+def test_split_count_and_commutant_dim_match_the_walk():
+    # on every cone with n <= 10: the even commutant and its symmetric
+    # part, counted by character, against the orbit walk's basis lengths
+    for n in range(1, 10):
+        for p in range(n + 1):
+            cone = build_rep(Signature(p + 1, n - p))
+            images = even_subalgebra_images(cone)
+            symmetric = clifford_core.character_dimension(images, [1] * n, 1)
+            assert symmetric == len(signed_relation_basis(images, images, 1, 1)), (p, n - p)
+            report = semispinor_projectors(cone)
+            assert report.commutant_dim == len(signed_relation_basis(images, images)), (p, n - p)
+            assert report.split == (symmetric >= 2), (p, n - p)
 
 
 def test_semispinor_specific_cases():

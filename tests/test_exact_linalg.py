@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import exact_linalg
+from spinorlab import admissible_forms, exact_linalg
 from spinorlab.admissible_forms import find_admissible
 from spinorlab.clifford_core import (
     Signature,
@@ -467,6 +467,7 @@ def test_orbit_solver_matches_union_find_on_reps():
                     want = [dense_cells(e, N) for e in _union_find_solution(*system)]
                     got = [dense(f.matrix) for f in find_admissible(rep, sigma, tau)]
                     assert got == want, (p, n - p, sigma, tau)
+                    assert admissible_forms.admissible_dimension(rep, sigma, tau) == len(want), (p, n - p, sigma, tau)
             if p >= 1 and n >= 2:
                 pairs = [(g, g) for g in even_subalgebra_images(rep)]
                 assert _solve(N, pairs) == _union_find_solution(N, pairs), (p, n - p)
