@@ -3,9 +3,10 @@
 A form h is admissible of symmetry sigma and type tau when
 h(s,t) = sigma h(t,s) and h(gamma_X s, t) = tau h(s, gamma_X t); in
 matrix terms H^T = sigma H and G_i^T H = tau H G_i for every generator.
-The full solution space is exact_linalg's signed_relation_basis of the
-generator stack and its transpose with the transposition move, one
-SignedPerm per form.
+Each solution space is counted by character (admissible_dimension);
+where forms are exhibited it is exact_linalg's signed_relation_basis of
+the generator stack and its transpose with the transposition move, one
+SignedPerm per form, as many as the count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford_core import CliffordRep, Signature, build_rep
+from .clifford_core import CliffordRep, Signature, build_rep, character_dimension
 from .exact_linalg import SignedPerm, signed_relation_basis
 
 
@@ -32,17 +33,28 @@ class BilinearForm:
 
 
 @lru_cache(maxsize=None)
+def admissible_dimension(rep: CliffordRep, sigma: int, tau: int) -> int:
+    """dim {H : H^T = sigma H, G_i^T H = tau H G_i} for a rep whose
+    relations hold (build_rep certifies them), once per (rep, sigma, tau):
+    as G_i^T = -eta_i G_i, character_dimension with chi_i = -tau eta_i."""
+    if sigma not in (1, -1) or tau not in (1, -1):
+        raise ValueError("sigma and tau must be +-1")
+    gens = rep.generators  # G_i^2 = -eta_i Id
+    return character_dimension(gens, (tau * (gens * gens).signs[:, 0]).tolist(), sigma)
+
+
+@lru_cache(maxsize=None)
 def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearForm, ...]:
     """Exact basis of {H : H^T = sigma H, G_i^T H = tau H G_i}.
 
     Each basis form is one signed orbit of the relations, with value +1
     at its lowest row-major cell.  On an irreducible module every such
     orbit is a signed permutation (ker H is a submodule, so a nonzero
-    admissible H is invertible); an orbit that is not one raises
-    ArithmeticError.  Solved once per (rep, sigma, tau), keyed on the
-    whole rep rather than its signature (a rep hashes and compares by
-    the bytes of its stacks), and returned as a tuple so that no caller
-    can change what later callers get.
+    admissible H is invertible); an orbit that is not one, or a basis not
+    of admissible_dimension's length, raises ArithmeticError.  Solved
+    once per (rep, sigma, tau), keyed on the whole rep rather than its
+    signature (a rep hashes and compares by the bytes of its stacks), and
+    returned as a tuple so that no caller can change what later callers get.
     """
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +-1")
@@ -57,6 +69,9 @@ def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearFor
                 f"({sigma}, {tau}) is not a signed permutation"
             )
         forms.append(BilinearForm(matrix, sigma, tau))
+    if len(forms) != (count := admissible_dimension(rep, sigma, tau)):
+        raise ArithmeticError(f"{len(forms)} admissible forms of {rep.signature} with (sigma, "
+                              f"tau) = ({sigma}, {tau}), where the count is {count}")
     return tuple(forms)
 
 
@@ -78,18 +93,17 @@ def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:
     """Canonical admissible form (every basis form is nondegenerate).
 
     Scan order: tau = -1 before +1, sigma = +1 before -1; restricted to
-    the given tau when provided.
+    the given tau when provided; only a nonzero count is walked.
     """
     for t in ((-1, 1) if tau is None else (tau,)):
         for sigma in (1, -1):
-            forms = find_admissible(rep, sigma, t)
-            if forms:
-                return forms[0]
+            if admissible_dimension(rep, sigma, t):
+                return find_admissible(rep, sigma, t)[0]
     raise ValueError(f"no nondegenerate admissible form for {rep.signature}")
 
 
 def nondegenerate_tau_exists(rep: CliffordRep, tau: int) -> bool:
-    return any(find_admissible(rep, sigma, tau) for sigma in (1, -1))
+    return any(admissible_dimension(rep, sigma, tau) for sigma in (1, -1))
 
 
 def admissible_table(max_n: int):
@@ -99,15 +113,15 @@ def admissible_table(max_n: int):
             rep = build_rep(Signature(p, n - p))
             for sigma in (1, -1):
                 for tau in (1, -1):
-                    forms = find_admissible(rep, sigma, tau)
+                    dim = admissible_dimension(rep, sigma, tau)
                     rows.append(
                         {
                             "p": p,
                             "q": n - p,
                             "sigma": sigma,
                             "tau": tau,
-                            "dim": len(forms),
-                            "nondegenerate": bool(forms),
+                            "dim": dim,
+                            "nondegenerate": bool(dim),
                         }
                     )
     return rows

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -181,25 +182,41 @@ def commutant_dimension(generators) -> int:
     """Dimension of {X : X G = G X for all G of the (n, N) stack}; raises
     unless each G_i squares to -eta_i Id, eta_i = +-1, and the G_i
     anticommute.  Those relations make +-G_S the Clifford group of order
-    2^(n+1), so the dimension is the mean of tr(g)^2 over it,
-    2^-n sum_S tr(G_S)^2.  Some G_i anticommutes with G_S, so tr(G_S) = 0
-    unless S is empty or, for odd n, every index:
-    dim = (N^2 + [n odd] tr(G_1 ... G_n)^2) / 2^n, exact and O(nN)."""
+    2^(n+1), and character_dimension counts the commutant over it."""
     # eta as each G_i^2 reads at column 0, which the relation check certifies
     eta = -(generators * generators).signs[:, 0]
     failures = clifford_relation_failures(generators, eta)
     if failures:
         raise ArithmeticError(f"generators are not Clifford: relation fails at {failures[0]}")
-    return _character_count(generators)
+    return character_dimension(generators, [1] * len(generators))
 
 
-def _character_count(generators) -> int:
-    """commutant_dimension's count, for generators already certified."""
+def character_dimension(generators, chi, sigma=None) -> int:
+    """dim {X : X = chi_i G_i X G_i^T for every i}, or of its part with
+    X^T = sigma X, for an (n, N) stack of generators whose Clifford
+    relations hold (G_i^2 = -eta_i Id) and signs chi_i = +-1; exact, O(nN).
+
+    It is the mean of chi(g) tr(g)^2 over the Clifford group +-G_S, for
+    chi(G_S) = prod_(i in S) chi_i; tr(G_S) = 0 unless S is empty or, for
+    odd n, every index, so it is (N^2 + [n odd] chi(w) tr(w)^2) / 2^n for
+    w = G_1 ... G_n.  X -> X^T has trace 2^-n sum_S chi(G_S) tr(G_S^2) there
+    (X -> A X^T A^T has trace tr(A^2)), which is N 2^-n Re((1 - i) prod_i
+    (1 + i d_i)) for d_i = -chi_i eta_i, as G_S^2 = (-1)^(k(k-1)/2)
+    prod_(i in S) (-eta_i) Id for |S| = k and (-1)^(k(k-1)/2) = Re((1 - i) i^k).
+    The sigma part is (dim + sigma trace) / 2.  A division that is not
+    exact raises ArithmeticError."""
     n, N = generators.perm.shape
     trace = int(generators.product().trace()) if n % 2 else 0  # of the volume G_1 ... G_n
-    dim, rest = divmod(N * N + trace**2, 2**n)
+    dim, rest = divmod(N * N + int(prod(chi)) * trace**2, 2**n)
+    if sigma is not None:
+        real, imag = 1, -1
+        for c, e in zip(chi, (generators * generators).signs[:, 0].tolist()):  # e = -eta_i
+            real, imag = real - c * e * imag, imag + c * e * real
+        transposed, rest_t = divmod(N * real, 2**n)
+        dim, rest_s = divmod(dim + sigma * transposed, 2)
+        rest = rest or rest_t or rest_s
     if rest:
-        raise ArithmeticError(f"character count is not divisible by 2^{n}")
+        raise ArithmeticError(f"character count for {n} generators is not an integer")
     return dim
 
 
@@ -210,18 +227,23 @@ def clifford_relation_failures(generators, eta):
 
     The generators are an (n, N) SignedPerm stack, such as a real rep's;
     the check reads the diagonal and the antisymmetry of their (n, n, N)
-    product table."""
+    product table, whose first two axes swapped give each G_j G_i."""
     table = generators[:, None] * generators[None]
-    bad = ~table.equal(-(generators[None] * generators[:, None]))
+    bad = ~table.equal(-SignedPerm(table.perm.swapaxes(0, 1), table.signs.swapaxes(0, 1)))
     diag = np.arange(len(generators))
     bad[diag, diag] = table[diag, diag].scalar() != -np.asarray(eta)
     return [(int(i), int(j)) for i, j in np.argwhere(np.triu(bad))]
 
 
+@lru_cache(maxsize=None)
+def relation_failures(rep: CliffordRep) -> tuple:
+    """clifford_relation_failures of the rep, kept per rep by content."""
+    return tuple(clifford_relation_failures(rep.generators, rep.eta))
+
+
 def certify_relations(rep: CliffordRep):
-    """Raise ArithmeticError naming the first (i, j) of
-    clifford_relation_failures on the rep's generators and eta."""
-    failures = clifford_relation_failures(rep.generators, rep.eta)
+    """Raise ArithmeticError naming the first (i, j) of relation_failures."""
+    failures = relation_failures(rep)
     if failures:
         i, j = failures[0]
         raise ArithmeticError(f"Clifford relation failed at ({i},{j}) for {rep.signature}")
@@ -232,7 +254,7 @@ def _verify_rep(rep: CliffordRep):
     gens, comm = rep.generators, rep.commutant_basis
     if comm[:, None] * gens[None] != gens[None] * comm[:, None]:
         raise ArithmeticError(f"commutant element fails for {rep.signature}")
-    dim = _character_count(gens)  # the relations hold: no solve
+    dim = character_dimension(gens, [1] * len(gens))  # the relations hold: no solve
     if dim != _COMM_DIM[rep.commutant_type]:
         raise ArithmeticError(f"commutant dimension {dim} does not match type {rep.commutant_type}")
 

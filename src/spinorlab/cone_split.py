@@ -3,8 +3,8 @@ representations.
 
 The cone module restricted to its even subalgebra (the base Clifford
 algebra) either stays irreducible or splits into two semi-spinor halves;
-the split is decided exactly from the even commutant and cross-checked
-against the residue rule of the base signature.
+the split is counted exactly by character, cross-checked against the
+residue rule of the base signature, and exhibited by its projectors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .clifford_core import (
     CliffordRep,
     Signature,
     certify_relations,
+    character_dimension,
     commutant_dimension,
     even_subalgebra_images,
     first_square_root,
@@ -57,8 +58,8 @@ def _find_involution(candidates, N):
     A difference is tried only when x and y have disjoint columns: on a
     shared column x - y has two entries or a non-unit one, so it is not
     a signed permutation; on disjoint columns it is one exactly when the
-    rows are disjoint too.  The residue cross-check rejects a split missed
-    for want of a dense, non-monomial involution.
+    rows are disjoint too.  A counted split missed for want of a dense,
+    non-monomial involution raises in semispinor_projectors.
     """
     perms = [SignedPerm.from_cells(x, N) for x in candidates]
     differences = (  # made only when no candidate is an involution
@@ -88,44 +89,48 @@ class SemiSpinorReport:
     quoted_list_agrees: bool
 
 
+def _split_involution(rep_cone: CliffordRep, images):
+    """The first non-scalar involution of: the base volume image omega
+    when central in the even action; omega_cone C, C in Id and the cone's
+    commutant basis, each commuting with it; then _find_involution's over
+    the walked even commutant basis.  None if there is none."""
+    omega = images.product()
+    candidates = [omega[None]] if images * omega == omega * images else []
+    volume = rep_cone.generators.product()
+    candidates += [volume[None], volume * rep_cone.commutant_basis]
+    z = first_square_root(SignedPerm.concat(candidates), 1)
+    return z if z is not None else _find_involution(signed_relation_basis(images, images), rep_cone.N)
+
+
 def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     """Decide whether the cone module restricted to its even subalgebra
     splits, and verify the two rank-N/2 projectors when it does.
 
-    The decision comes from the commutant of the even action: the module
-    is reducible exactly when that commutant contains an involution other
-    than +-Id.  The outcome is cross-checked against the residue rule;
-    any mismatch is a hard failure.  A central non-scalar involution omega
-    (the base volume image, odd base n) is the z found: the commutant is
-    then not solved for, only counted by commutant_dimension.
+    The even action is orthogonal, so the module splits exactly when a
+    non-scalar symmetric element commutes with it (a submodule's
+    orthogonal projector is one; the eigenspaces of one are submodules),
+    which is counted by character, without a walk.  Any mismatch with the
+    residue rule or the projectors of _split_involution's z is a hard failure.
     """
     cone = rep_cone.signature
     if cone.p < 1:
         raise ValueError("cone signature needs a positive direction")
     base = Signature(cone.p - 1, cone.q)
-    N = rep_cone.N
     images = even_subalgebra_images(rep_cone)
-    # the base volume image: a candidate only when central (odd base n)
-    omega = images.product()
-    central = images * omega == omega * images
-    candidates = [dict(enumerate(zip(omega.perm.tolist(), omega.signs.tolist())))] if central else []
-    if central and first_square_root(omega[None], 1) is not None:
-        commutant_dim = commutant_dimension(images)
-    else:
-        comm = signed_relation_basis(images, images)
-        candidates += comm
-        commutant_dim = len(comm)
-    z = _find_involution(candidates, N)
-    split = z is not None
+    commutant_dim = commutant_dimension(images)  # certifies the base relations of the images
+    split = character_dimension(images, [1] * len(images), 1) >= 2
     if split != (base.s_mod8 not in IRREDUCIBLE_RESIDUES):
         raise ArithmeticError(
             f"computed split={split} contradicts the residue rule for base {base}"
         )
     if split:
+        z = _split_involution(rep_cone, images)
+        if z is None:
+            raise ArithmeticError(f"no involution found for the counted split of base {base}")
         # the projectors (Id +- z)/2 are idempotent, and annihilate each
         # other as their product is (Id - z z)/4, once z z = Id; their
         # ranks (N +- trace z)/2 are N/2 once trace z = 0
-        if z * z != SignedPerm.identity(N):
+        if z * z != SignedPerm.identity(rep_cone.N):
             raise ArithmeticError("projector is not idempotent")
         if z.trace():
             raise ArithmeticError("projector rank is not N/2")

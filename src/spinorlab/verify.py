@@ -25,6 +25,7 @@ from .clifford_core import (
     build_rep,
     clifford_relation_failures,
     even_subalgebra_images,
+    relation_failures,
 )
 from .cone_split import null_plane_invariants, semispinor_projectors
 from .model_space import (
@@ -100,13 +101,11 @@ def _indefinite_signatures(max_n):
 
 @_criterion(1, "clifford_relations", 30.0)
 def criterion_clifford_relations(max_n=8, seed=0):
-    # the relation table of each rep, which by polarization gives
+    # the relation table kept per rep, which by polarization gives
     # gamma_v^2 = -g(v,v) Id for every v; the seed draws nothing
     failures = []
     for sig in _signatures(max_n):
-        rep = build_rep(sig)
-        failures += [f"{sig}:relation({i},{j})" for i, j in
-                     clifford_relation_failures(rep.generators, rep.eta)]
+        failures += [f"{sig}:relation({i},{j})" for i, j in relation_failures(build_rep(sig))]
     return not failures, {"signatures": sum(1 for _ in _signatures(max_n)), "failures": failures}
 
 

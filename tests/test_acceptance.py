@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinorlab import brackets, clifford_core, subspace_lab, verify
+from spinorlab import admissible_forms, brackets, clifford_core, cone_split, subspace_lab, verify
 from spinorlab.admissible_forms import BilinearForm, first_nondegenerate
 from spinorlab.cli import main
 from spinorlab.exact_linalg import Echelon
@@ -255,6 +255,51 @@ def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "falsification: Clifford relation failed at (0,0) for (1,1)" in err
+
+
+def test_exact_criteria_walk_only_where_a_form_or_projector_is_exhibited(monkeypatch):
+    # c02 reads admissible-form counts and walks nothing; c09 counts every
+    # split and walks the even commutant only on the six cones with n <= 10
+    # whose z is neither the base volume image nor omega_cone C
+    walks = []
+    for module in (admissible_forms, cone_split):
+        solve = module.signed_relation_basis
+        monkeypatch.setattr(module, "signed_relation_basis",
+                            lambda *args, solve=solve: walks.append(args) or solve(*args))
+    assert verify.criterion_admissible_table(max_n=9).passed
+    assert walks == []
+    walked = []
+    projectors = verify.semispinor_projectors
+
+    def one_cone(rep):
+        before = len(walks)
+        report = projectors(rep)
+        walked.extend([str(rep.signature)] * (len(walks) - before))
+        return report
+
+    monkeypatch.setattr(verify, "semispinor_projectors", one_cone)
+    assert verify.criterion_cone_iso(max_n=9).passed
+    assert walked == ["(2,1)", "(3,2)", "(4,3)", "(1,8)", "(5,4)", "(9,0)"]
+    assert len(walks) == 6
+
+
+def test_exact_criteria_build_one_relation_table_per_rep(monkeypatch):
+    # c01, c03, c04 and c10 read the table kept per rep: 54 reps with
+    # n <= 9 and the cones (1,9), (9,1) of c10, each tabled once
+    tables = []
+    failures = clifford_core.clifford_relation_failures
+
+    def counted(generators, eta):
+        tables.append((generators.perm.tobytes(), generators.signs.tobytes(), tuple(eta)))
+        return failures(generators, eta)
+
+    monkeypatch.setattr(clifford_core, "clifford_relation_failures", counted)
+    clifford_core.relation_failures.cache_clear()
+    for check in (verify.criterion_clifford_relations, verify.criterion_null_kernel,
+                  verify.criterion_beta):
+        assert check(max_n=9, seed=SEED).passed
+    assert verify.criterion_invariant_spinors(max_n=9).passed
+    assert len(tables) == len(set(tables)) == 56
 
 
 def test_a_planted_rep_is_not_served_the_built_reps_relation_table(monkeypatch):

@@ -261,7 +261,9 @@ def test_every_basis_form_has_full_rank():
 
 
 def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
-    rep = build_rep(Signature(1, 1))  # N = 2
+    # (1,0), N = 2, has two forms with (sigma, tau) = (1, 1): a planted
+    # walk must return two signed permutations
+    rep = build_rep(Signature(1, 0))
     monomial = [
         {1: (0, 1), 0: (1, 1)},
         {0: (0, 1), 1: (1, -1)},
@@ -279,9 +281,14 @@ def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
         assert [dense(f.matrix).to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
         for element in not_monomial:
             find_admissible.cache_clear()
-            patch.setattr(target, lambda left, right, c, sigma: [element])
-            with pytest.raises(ArithmeticError, match=r"\(1,1\) with \(sigma, tau\) = \(1, 1\)"):
+            patch.setattr(target, lambda left, right, c, sigma: [element, monomial[1]])
+            with pytest.raises(ArithmeticError, match=r"\(1,0\) with \(sigma, tau\) = \(1, 1\) is not"):
                 find_admissible(rep, 1, 1)
+        # signed permutations, one fewer than the count
+        find_admissible.cache_clear()
+        patch.setattr(target, lambda left, right, c, sigma: monomial[:1])
+        with pytest.raises(ArithmeticError, match=r"1 admissible forms of \(1,0\) .* where the count is 2"):
+            find_admissible(rep, 1, 1)
     find_admissible.cache_clear()  # drop the planted forms
     # two rows in one column: the walk itself refuses the orbit, here
     # {(0, 2), (1, 2), (2, 0), (2, 1)} of a generator that fixes column 2

@@ -494,43 +494,45 @@ def test_find_involution_tries_only_monomial_differences():
 def test_semispinor_residue_rule_all_bases(monkeypatch):
     # the involution z behind each split gives the projectors (Id +- z)/2
     found, solves = [], []
-    find, solve = cone_split._find_involution, cone_split.signed_relation_basis
+    find, solve = cone_split._split_involution, cone_split.signed_relation_basis
 
-    def recording(candidates, N):
-        found.append(find(candidates, N))
+    def recording(rep_cone, images):
+        found.append(find(rep_cone, images))
         return found[-1]
 
-    monkeypatch.setattr(cone_split, "_find_involution", recording)
+    monkeypatch.setattr(cone_split, "_split_involution", recording)
     monkeypatch.setattr(cone_split, "signed_relation_basis", lambda *a: solves.append(a) or solve(*a))
     omega_path = 0
     for n in range(1, 10):  # every cone with n <= 10
         for p in range(n + 1):
             base = Signature(p, n - p)
             cone = build_rep(Signature(p + 1, n - p))
-            before = len(solves)
+            before, chosen = len(solves), len(found)
             report = semispinor_projectors(cone)
             assert report.split == (base.s_mod8 in (0, 1, 3, 7)), str(base)
             # the quoted residue lists disagree exactly on the s = 0 bases
             assert report.quoted_list_agrees == (base.s_mod8 != 0), str(base)
-            assert report.split == (found[-1] is not None), str(base)
+            # z is chosen, and found, exactly on the counted splits
+            assert (len(found) > chosen) == report.split, str(base)
+            assert not report.split or found[-1] is not None, str(base)
             images = even_subalgebra_images(cone)
             assert report.commutant_dim == commutant_dimension_by_solve(images), str(base)
-            # the solve is skipped exactly where z is the volume image omega:
-            # odd bases with s = 3 or 7 mod 8
-            skipped = len(solves) == before
-            assert skipped == (n % 2 == 1 and base.s_mod8 in (3, 7)), str(base)
-            if skipped:
+            # the commutant is walked exactly on the splits with an even
+            # base, where neither omega nor any omega_cone C is an involution
+            walked = len(solves) > before
+            assert walked == (report.split and n % 2 == 0), str(base)
+            # z is the volume image omega on odd bases with s = 3 or 7 mod 8
+            if n % 2 == 1 and base.s_mod8 in (3, 7):
                 omega = gamma_blade(cone, ())
                 for e in images:
                     omega = omega * e
                 assert found[-1] == omega, str(base)
                 omega_path += 1
-            # the dense search picks the same z, so the same split
+            # the dense search finds an involution exactly on the splits
             want = _dense_involution(_dense_candidates(cone), cone.N)
-            assert (want is None) == (found[-1] is None), str(base)
+            assert (want is None) == (not report.split), str(base)
             if report.split:
                 z = dense(found[-1])
-                assert z == want, str(base)
                 ident = Matrix.identity(cone.N)
                 p_plus, p_minus = (ident + z, ident - z)  # twice the projectors
                 assert (p_plus + p_minus) == ident.scale(2)
@@ -581,6 +583,7 @@ _BAD_INVOLUTIONS = [
     (lambda N: SignedPerm(tuple(j ^ 1 for j in range(N)), (1, -1) * (N // 2)), "not idempotent"),
     (lambda N: SignedPerm.identity(N), "rank is not N/2"),  # z^2 = Id, trivial split
     (_mixed_sign_diagonal, "does not commute with the even action"),  # z^2 = Id
+    (lambda N: None, "no involution found for the counted split"),
 ]
 
 
@@ -590,7 +593,7 @@ def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, mon
     # projector checks instead of the split/residue comparison; its base
     # (3,0) takes omega as z without solving for the commutant basis
     cone = build_rep(Signature(4, 0))
-    monkeypatch.setattr("spinorlab.cone_split._find_involution", lambda cands, N: bad_z(N))
+    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone, images: bad_z(cone.N))
     with pytest.raises(ArithmeticError, match=message):
         semispinor_projectors(cone)
 
@@ -601,7 +604,7 @@ def test_semispinor_projector_checks_reject_a_bad_involution_after_a_solve(
 ):
     # the base (1,1) of (2,1) splits too, with z from the solved basis
     cone = build_rep(Signature(2, 1))
-    monkeypatch.setattr("spinorlab.cone_split._find_involution", lambda cands, N: bad_z(N))
+    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone, images: bad_z(cone.N))
     with pytest.raises(ArithmeticError, match=message):
         semispinor_projectors(cone)
 
