@@ -4,9 +4,9 @@ A form h is admissible of symmetry sigma and type tau when
 h(s,t) = sigma h(t,s) and h(gamma_X s, t) = tau h(s, gamma_X t); in
 matrix terms H^T = sigma H and G_i^T H = tau H G_i for every generator.
 Each solution space is counted by character (admissible_dimension);
-where forms are exhibited it is exact_linalg's signed_relation_basis of
-the generator stack and its transpose with the transposition move, one
-SignedPerm per form, as many as the count.
+where forms are exhibited they are the symmetric or antisymmetric
+elements of clifford_core's twisted_commutant basis, one SignedPerm per
+form, as many as the count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .clifford_core import CliffordRep, Signature, build_rep, character_dimension
-from .exact_linalg import SignedPerm, signed_relation_basis
+import numpy as np
+
+from .clifford_core import CliffordRep, Signature, build_rep, character_dimension, twisted_commutant
+from .exact_linalg import SignedPerm
 
 
 @dataclass(frozen=True)
@@ -45,31 +47,23 @@ def admissible_dimension(rep: CliffordRep, sigma: int, tau: int) -> int:
 
 @lru_cache(maxsize=None)
 def find_admissible(rep: CliffordRep, sigma: int, tau: int) -> tuple[BilinearForm, ...]:
-    """Exact basis of {H : H^T = sigma H, G_i^T H = tau H G_i}.
-
-    Each basis form is one signed orbit of the relations, with value +1
-    at its lowest row-major cell.  On an irreducible module every such
-    orbit is a signed permutation (ker H is a submodule, so a nonzero
-    admissible H is invertible); an orbit that is not one, or a basis not
-    of admissible_dimension's length, raises ArithmeticError.  Solved
-    once per (rep, sigma, tau), keyed on the whole rep rather than its
-    signature (a rep hashes and compares by the bytes of its stacks), and
-    returned as a tuple so that no caller can change what later callers get.
+    """Exact basis of {H : H^T = sigma H, G_i^T H = tau H G_i}: as that is
+    H G_i = -tau eta_i G_i H, the elements of twisted_commutant(rep, chi)
+    for chi_i = -tau eta_i, each symmetric or antisymmetric, with
+    H^T = sigma H, each scaled to +1 at its lowest row-major cell (in row
+    0) and ordered by that cell.  A basis not of admissible_dimension's
+    length raises ArithmeticError.  Solved once per (rep, sigma, tau),
+    keyed on the whole rep (a rep hashes and compares by the bytes of its
+    stacks), and a tuple, so that no caller can change what later callers
+    get.
     """
-    if sigma not in (1, -1) or tau not in (1, -1):
-        raise ValueError("sigma and tau must be +-1")
-    # G^T H = tau H G is H = tau G H G, since G^T = G^-1
-    gens = rep.generators
-    forms = []
-    for element in signed_relation_basis(gens, gens.transpose(), tau, sigma):
-        matrix = SignedPerm.from_cells(element, rep.N)
-        if matrix is None:
-            raise ArithmeticError(
-                f"admissible form of {rep.signature} with (sigma, tau) = "
-                f"({sigma}, {tau}) is not a signed permutation"
-            )
-        forms.append(BilinearForm(matrix, sigma, tau))
-    if len(forms) != (count := admissible_dimension(rep, sigma, tau)):
+    count = admissible_dimension(rep, sigma, tau)  # raises unless sigma and tau are +-1
+    basis = twisted_commutant(rep, [-tau * e for e in rep.eta])
+    basis = basis[basis.transpose().equal(basis if sigma == 1 else -basis)]
+    low = (basis.perm == 0).argmax(axis=-1)  # the column of each form's row-0 cell
+    forms = [BilinearForm(basis[k] if basis.signs[k, low[k]] == 1 else -basis[k], sigma, tau)
+             for k in np.argsort(low)]
+    if len(forms) != count:
         raise ArithmeticError(f"{len(forms)} admissible forms of {rep.signature} with (sigma, "
                               f"tau) = ({sigma}, {tau}), where the count is {count}")
     return tuple(forms)
@@ -93,7 +87,7 @@ def first_nondegenerate(rep: CliffordRep, tau=None) -> BilinearForm:
     """Canonical admissible form (every basis form is nondegenerate).
 
     Scan order: tau = -1 before +1, sigma = +1 before -1; restricted to
-    the given tau when provided; only a nonzero count is walked.
+    the given tau when provided; only a nonzero count is solved.
     """
     for t in ((-1, 1) if tau is None else (tau,)):
         for sigma in (1, -1):

@@ -249,6 +249,77 @@ def certify_relations(rep: CliffordRep):
         raise ArithmeticError(f"Clifford relation failed at ({i},{j}) for {rep.signature}")
 
 
+@lru_cache(maxsize=None)
+def _conjugation(rep: CliffordRep):
+    """(J, c) for a rep of type C, kept per rep: the diagonal signed
+    permutation J = diag(d) with J G_i = c_i G_i J and J j_1 = -j_1 J,
+    that is d[A.perm[a]] = c d[a] at each point a for each such A and its
+    sign c, whatever A's signs.  A breadth-first search over these edges
+    labels each sign bit of d as an affine function over GF(2) of the
+    bits of c (bit 0 the constant, bit i + 1 c_i's, as flipped by the
+    edges of j_1, G_0, ..., G_(n-1)); each edge reaching a point labelled
+    otherwise is one linear equation on c, whose free bits are 0.
+    O(n^2 N).  Equations with no solution raise ArithmeticError."""
+    edges = np.concatenate([rep.commutant_basis.perm, rep.generators.perm]).tolist()
+    label, equations = [None] * rep.N, set()
+    for root in range(rep.N):
+        if label[root] is None:
+            label[root], queue = 0, [root]
+            for a in queue:  # grows while searched
+                for i, perm in enumerate(edges):
+                    b, step = perm[a], label[a] ^ (1 << i)
+                    if label[b] is None:
+                        label[b] = step
+                        queue.append(b)
+                    equations.add(label[b] ^ step)  # 0 where b agrees
+    rows = []  # reduced equations with distinct highest bits, in decreasing order
+    for eq in equations:
+        for row in rows:
+            eq = min(eq, eq ^ row)
+        if eq == 1:
+            raise ArithmeticError(f"no conjugation J of {rep.signature}: its sign equations clash")
+        rows = sorted(rows + [eq] * (eq > 0), reverse=True)
+    value = 1  # the constant bit, then each solved bit of c
+    for row in reversed(rows):
+        value |= ((row & value).bit_count() & 1) << (row.bit_length() - 1)
+    signs = [1 - 2 * ((x & value).bit_count() & 1) for x in label]
+    c = [1 - 2 * (value >> i & 1) for i in range(1, rep.n + 1)]
+    return SignedPerm(range(rep.N), signs), np.array(c)
+
+
+def twisted_commutant(rep: CliffordRep, chi) -> SignedPerm:
+    """Basis of {X : X G_i = chi_i G_i X for every i}, chi_i = +-1, as a
+    (k, N) stack of signed permutations G_S C J^e: C is Id or in the
+    commutant basis, and J^e is Id or, on a rep of type C, _conjugation's
+    J.  G_S C J^e meets the relations when c_i^e (-1)^(|S| - [i in S]) =
+    chi_i, which fixes S for each parity k of |S|; the first k that S
+    matches is taken (for odd n the other gives G_S times the central
+    volume element, +-Id or +-j_1).  Certified, O(knN): the rep's
+    relations, each element's relation, pairwise disjoint cells (so they
+    are independent) and the character_dimension count (so they span);
+    each failure raises ArithmeticError."""
+    certify_relations(rep)
+    gens, chi, ident = rep.generators, np.asarray(chi), SignedPerm.identity(rep.N)
+    commutant = SignedPerm.concat([ident, rep.commutant_basis])
+    twists = [(ident, 1)] + ([_conjugation(rep)] if rep.commutant_type == "C" else [])
+    parts = []
+    for j, c in twists:
+        k = (c * chi == -1).sum() % 2  # an odd S_0 leaves S_1, its complement
+        if ((in_s := (-1) ** k * c * chi == -1).sum() % 2) == k:
+            parts.append(gens[in_s].product() * commutant * j)
+    basis = SignedPerm.concat(parts) if parts else commutant[:0]
+    left, right = basis[:, None] * gens[None], gens[None] * basis[:, None]
+    for a, i in np.argwhere(~left.equal(SignedPerm(right.perm, right.signs * chi[:, None])))[:1]:
+        raise ArithmeticError(f"twisted commutant element {a} of {rep.signature} "
+                              f"fails its relation with generator {i}")
+    if (np.diff(np.sort(basis.perm, axis=0), axis=0) == 0).any():
+        raise ArithmeticError(f"twisted commutant elements of {rep.signature} share a cell")
+    if len(basis) != (count := character_dimension(gens, chi.tolist())):
+        raise ArithmeticError(f"{len(basis)} twisted commutant elements of {rep.signature} "
+                              f"where the count is {count}")
+    return basis
+
+
 def _verify_rep(rep: CliffordRep):
     certify_relations(rep)
     gens, comm = rep.generators, rep.commutant_basis

@@ -4,7 +4,8 @@ representations.
 The cone module restricted to its even subalgebra (the base Clifford
 algebra) either stays irreducible or splits into two semi-spinor halves;
 the split is counted exactly by character, cross-checked against the
-residue rule of the base signature, and exhibited by its projectors.
+residue rule of the base signature, and exhibited by its projectors,
+(Id +- z)/2 for an involution z of the cone's twisted_commutant basis.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .clifford_core import (
     first_square_root,
     gamma_vector,
     null_direction,
+    twisted_commutant,
 )
-from .exact_linalg import Echelon, SignedPerm, signed_relation_basis, term_rows
+from .exact_linalg import Echelon, SignedPerm, term_rows
 
 
 def invariant_spinors(rep: CliffordRep, operators) -> int:
@@ -50,29 +52,6 @@ def null_plane_invariants(rep: CliffordRep) -> int:
     return invariant_spinors(rep, [gamma_vector(rep, null_direction(rep.signature))])
 
 
-def _find_involution(candidates, N):
-    """The first non-scalar involution among the {column: (row, sign)}
-    candidates that are signed permutations, then among the differences
-    x - y of two of them, each in order; None if there is none.
-
-    A difference is tried only when x and y have disjoint columns: on a
-    shared column x - y has two entries or a non-unit one, so it is not
-    a signed permutation; on disjoint columns it is one exactly when the
-    rows are disjoint too.  A counted split missed for want of a dense,
-    non-monomial involution raises in semispinor_projectors.
-    """
-    perms = [SignedPerm.from_cells(x, N) for x in candidates]
-    differences = (  # made only when no candidate is an involution
-        SignedPerm.from_cells({**x, **{col: (row, -sign) for col, (row, sign) in y.items()}}, N)
-        for i, x in enumerate(candidates) for y in candidates[i + 1 :] if x.keys().isdisjoint(y)
-    )
-    for group in (perms, differences):
-        group = [x for x in group if x is not None]
-        if group and (z := first_square_root(SignedPerm.concat(group), 1)) is not None:
-            return z
-    return None
-
-
 # residues (base s mod 8) with irreducible even restriction, certified by
 # the commutant computation across all small signatures; the quoted
 # residue lists place 0 with the irreducible cases, but the exact
@@ -89,17 +68,12 @@ class SemiSpinorReport:
     quoted_list_agrees: bool
 
 
-def _split_involution(rep_cone: CliffordRep, images):
-    """The first non-scalar involution of: the base volume image omega
-    when central in the even action; omega_cone C, C in Id and the cone's
-    commutant basis, each commuting with it; then _find_involution's over
-    the walked even commutant basis.  None if there is none."""
-    omega = images.product()
-    candidates = [omega[None]] if images * omega == omega * images else []
-    volume = rep_cone.generators.product()
-    candidates += [volume[None], volume * rep_cone.commutant_basis]
-    z = first_square_root(SignedPerm.concat(candidates), 1)
-    return z if z is not None else _find_involution(signed_relation_basis(images, images), rep_cone.N)
+def _split_involution(rep_cone: CliffordRep):
+    """The first non-scalar involution of the twisted_commutant basis of
+    the cone's anticommutant (every chi_i = -1), or None: X G_i = chi_i G_i X
+    commutes with the even images G_i G_0 when chi_i = chi_0, and the
+    commutant (chi = +1) is a division algebra, with no such involution."""
+    return first_square_root(twisted_commutant(rep_cone, [-1] * rep_cone.n), 1)
 
 
 def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
@@ -109,7 +83,7 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
     The even action is orthogonal, so the module splits exactly when a
     non-scalar symmetric element commutes with it (a submodule's
     orthogonal projector is one; the eigenspaces of one are submodules),
-    which is counted by character, without a walk.  Any mismatch with the
+    which is counted by character, without a solve.  Any mismatch with the
     residue rule or the projectors of _split_involution's z is a hard failure.
     """
     cone = rep_cone.signature
@@ -124,7 +98,7 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
             f"computed split={split} contradicts the residue rule for base {base}"
         )
     if split:
-        z = _split_involution(rep_cone, images)
+        z = _split_involution(rep_cone)
         if z is None:
             raise ArithmeticError(f"no involution found for the counted split of base {base}")
         # the projectors (Id +- z)/2 are idempotent, and annihilate each

@@ -19,8 +19,6 @@ returns each basis vector as its primitive integer multiple.  The only
 other elimination is full_rank_mod_p, a one-sided certificate on a
 stack of integer matrices at once: full rank mod PRIME implies full
 rank over Q, and a failed certificate proves nothing.
-signed_relation_basis solves the monomial relations X = c L X R^T of
-SignedPerm stacks by orbit walks, without elimination.
 """
 
 from __future__ import annotations
@@ -83,18 +81,6 @@ class SignedPerm:
             np.concatenate([x.perm.reshape(-1, N) for x in parts]),
             np.concatenate([x.signs.reshape(-1, N) for x in parts]),
         )
-
-    @classmethod
-    def from_cells(cls, cells, n):
-        """The n x n signed permutation of a {column: (row, sign)} dict,
-        such as one element of signed_relation_basis; None unless the
-        cells fill all n columns and n distinct rows with signs +-1."""
-        if cells.keys() != set(range(n)):
-            return None
-        perm, signs = zip(*(cells[j] for j in range(n)))
-        if {*perm} != set(range(n)) or not {*signs} <= {1, -1}:
-            return None
-        return cls(perm, signs)
 
     def __len__(self):
         return len(self.perm)
@@ -297,68 +283,3 @@ def apply_terms(terms, x) -> list:
     for c, g in terms:
         out = [a + c * y for a, y in zip(out, g.apply(x))]
     return out
-
-
-def signed_relation_basis(left, right, c=1, sigma=None):
-    """Solution basis of X = c L_k X R_k^T on N x N matrices X for every
-    element pair (L_k, R_k) of the (k, N) SignedPerm stacks left and
-    right, and of X^T = sigma X unless sigma is None: one dict
-    {column: (row, sign)} per surviving cell orbit, +1 at its lowest
-    row-major cell, in order of that cell.
-
-    Every cell orbit meets the lowest column of some column orbit of the
-    R's, so walks start at each row of those columns.  A surviving orbit
-    with two rows in one column raises ArithmeticError.
-    """
-    N = left.N
-    moves = list(zip(left.perm.tolist(), left.signs.tolist(), right.perm.tolist(), right.signs.tolist()))
-    roots, columns = [], set()
-    for s0 in range(N):
-        if s0 in columns:
-            continue
-        roots += range(s0, N * N, N)  # every row of column s0
-        stack = [s0]
-        while stack:
-            s = stack.pop()
-            if s not in columns:
-                columns.add(s)
-                stack += [rp[s] for _, _, rp, _ in moves]
-    value = [0] * (N * N)  # 0 unvisited, else +-1, or 2 on a dead orbit
-    found = []
-    for root in roots:
-        if value[root]:
-            continue
-        orbit = _walk(value, root, N, moves, c, sigma)
-        if orbit:
-            low = min(orbit)
-            element = {}
-            for cell in orbit:
-                row, col = divmod(cell, N)
-                if col in element:
-                    raise ArithmeticError(f"an orbit holds two rows in column {col}")
-                element[col] = (row, value[low] * value[cell])
-            found.append((low, element))
-    return [element for _, element in sorted(found, key=lambda item: item[0])]
-
-
-def _walk(value, root, N, moves, c, sigma):
-    """Walk root's orbit breadth first from value +1: cell (a, s) moves
-    to (L.perm[a], R.perm[s]) with sign c * L.signs[a] * R.signs[s], and
-    to (s, a) with sign sigma.  Its cells, or None at the first sign
-    clash, after marking them dead: the orbit admits only zero."""
-    value[root], orbit = 1, [root]
-    for cell in orbit:  # grows while walked
-        a, s = divmod(cell, N)
-        v = value[cell]
-        steps = [(lp[a] * N + rp[s], c * v * ls[a] * rs[s]) for lp, ls, rp, rs in moves]
-        if sigma is not None:
-            steps.append((s * N + a, sigma * v))
-        for t, w in steps:
-            if not value[t]:
-                value[t] = w
-                orbit.append(t)
-            elif value[t] != w:  # a dead cell clashes with every value
-                for dead in orbit:
-                    value[dead] = 2
-                return None
-    return orbit

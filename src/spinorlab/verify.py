@@ -249,14 +249,14 @@ def criterion_mixed_bound(seed=0, trials=8):
 def criterion_cone_iso(max_n=8):
     failures = []
     quoted_disagreements = []
-    for sig in _signatures(6):
-        # the correspondence e_i e_0 -> e_i of the cone's even subalgebra
-        # with the base Clifford algebra respects the base relations
+    for sig in _signatures(max(6, max_n)):
         cone = build_rep(Signature(sig.p + 1, sig.q))
-        for i, j in clifford_relation_failures(even_subalgebra_images(cone), sig.eta()):
-            failures.append(f"{sig}:even_relation({i},{j})")
-    for sig in _signatures(max_n):
-        cone = build_rep(Signature(sig.p + 1, sig.q))
+        if sig.n > max_n:
+            # e_i e_0 -> e_i respects the base relations, which
+            # semispinor_projectors certifies on the cones it is given
+            failed = clifford_relation_failures(even_subalgebra_images(cone), sig.eta())
+            failures += [f"{sig}:even_relation({i},{j})" for i, j in failed]
+            continue
         try:
             report = semispinor_projectors(cone)
         except ArithmeticError as err:

@@ -4,6 +4,9 @@ the normalized Fraction kernel basis mapped to Echelon.kernel's
 primitive integer columns; gamma_v as the {row: value} columns that
 gamma_vector's term lists replaced;
 the orbit-solve commutant dimension that the trace count replaced;
+the orbit walk signed_relation_basis, its from_cells reading of a
+walked element and the walk-based split involution find_involution,
+which clifford_core's twisted_commutant basis replaced;
 the planted-defect copies of signed permutations that the failure tests
 feed in, each checked to differ from its original where it says;
 the per-vector and pairwise loops that the array certificates of
@@ -27,8 +30,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from spinorlab.clifford_core import metric_value
-from spinorlab.exact_linalg import Echelon, SignedPerm, signed_relation_basis
+from spinorlab.clifford_core import first_square_root, metric_value
+from spinorlab.exact_linalg import Echelon, SignedPerm
 from spinorlab.model_space import (
     BracketFieldReport,
     KillingReport,
@@ -259,6 +262,125 @@ def clifford_relation_failures_oracle(generators, eta):
             if gi * gj != -(gj * gi):
                 failures.append((i, j))
     return failures
+
+
+def from_cells(cells, n):
+    """The n x n signed permutation of a {column: (row, sign)} dict,
+    such as one element of signed_relation_basis; None unless the
+    cells fill all n columns and n distinct rows with signs +-1."""
+    if cells.keys() != set(range(n)):
+        return None
+    perm, signs = zip(*(cells[j] for j in range(n)))
+    if {*perm} != set(range(n)) or not {*signs} <= {1, -1}:
+        return None
+    return SignedPerm(perm, signs)
+
+
+def signed_relation_basis(left, right, c=1, sigma=None):
+    """Solution basis of X = c L_k X R_k^T on N x N matrices X for every
+    element pair (L_k, R_k) of the (k, N) SignedPerm stacks left and
+    right, and of X^T = sigma X unless sigma is None: one dict
+    {column: (row, sign)} per surviving cell orbit, +1 at its lowest
+    row-major cell, in order of that cell.
+
+    Every cell orbit meets the lowest column of some column orbit of the
+    R's, so walks start at each row of those columns.  A surviving orbit
+    with two rows in one column raises ArithmeticError.
+    """
+    N = left.N
+    moves = list(zip(left.perm.tolist(), left.signs.tolist(), right.perm.tolist(), right.signs.tolist()))
+    roots, columns = [], set()
+    for s0 in range(N):
+        if s0 in columns:
+            continue
+        roots += range(s0, N * N, N)  # every row of column s0
+        stack = [s0]
+        while stack:
+            s = stack.pop()
+            if s not in columns:
+                columns.add(s)
+                stack += [rp[s] for _, _, rp, _ in moves]
+    value = [0] * (N * N)  # 0 unvisited, else +-1, or 2 on a dead orbit
+    found = []
+    for root in roots:
+        if value[root]:
+            continue
+        orbit = _walk(value, root, N, moves, c, sigma)
+        if orbit:
+            low = min(orbit)
+            element = {}
+            for cell in orbit:
+                row, col = divmod(cell, N)
+                if col in element:
+                    raise ArithmeticError(f"an orbit holds two rows in column {col}")
+                element[col] = (row, value[low] * value[cell])
+            found.append((low, element))
+    return [element for _, element in sorted(found, key=lambda item: item[0])]
+
+
+def _walk(value, root, N, moves, c, sigma):
+    """Walk root's orbit breadth first from value +1: cell (a, s) moves
+    to (L.perm[a], R.perm[s]) with sign c * L.signs[a] * R.signs[s], and
+    to (s, a) with sign sigma.  Its cells, or None at the first sign
+    clash, after marking them dead: the orbit admits only zero."""
+    value[root], orbit = 1, [root]
+    for cell in orbit:  # grows while walked
+        a, s = divmod(cell, N)
+        v = value[cell]
+        steps = [(lp[a] * N + rp[s], c * v * ls[a] * rs[s]) for lp, ls, rp, rs in moves]
+        if sigma is not None:
+            steps.append((s * N + a, sigma * v))
+        for t, w in steps:
+            if not value[t]:
+                value[t] = w
+                orbit.append(t)
+            elif value[t] != w:  # a dead cell clashes with every value
+                for dead in orbit:
+                    value[dead] = 2
+                return None
+    return orbit
+
+
+def walked_forms(rep, sigma, tau):
+    """The walk's admissible-form basis: signed_relation_basis of the
+    generators and their transposes (G^T H = tau H G is H = tau G H G),
+    each element read by from_cells."""
+    gens = rep.generators
+    return [from_cells(x, rep.N) for x in signed_relation_basis(gens, gens.transpose(), tau, sigma)]
+
+
+def find_involution(candidates, N):
+    """The first non-scalar involution among the {column: (row, sign)}
+    candidates that are signed permutations, then among the differences
+    x - y of two of them, each in order; None if there is none.
+
+    A difference is tried only when x and y have disjoint columns: on a
+    shared column x - y has two entries or a non-unit one, so it is not
+    a signed permutation; on disjoint columns it is one exactly when the
+    rows are disjoint too."""
+    perms = [from_cells(x, N) for x in candidates]
+    differences = (  # made only when no candidate is an involution
+        from_cells({**x, **{col: (row, -sign) for col, (row, sign) in y.items()}}, N)
+        for i, x in enumerate(candidates) for y in candidates[i + 1 :] if x.keys().isdisjoint(y)
+    )
+    for group in (perms, differences):
+        group = [x for x in group if x is not None]
+        if group and (z := first_square_root(SignedPerm.concat(group), 1)) is not None:
+            return z
+    return None
+
+
+def walked_split_involution(rep_cone, images):
+    """The split involution the walk found: the base volume image omega
+    when central in the even action, then omega_cone C for C in Id and
+    the cone's commutant basis, then find_involution's over the walked
+    even commutant basis; None if there is none."""
+    omega = images.product()
+    candidates = [omega[None]] if images * omega == omega * images else []
+    volume = rep_cone.generators.product()
+    candidates += [volume[None], volume * rep_cone.commutant_basis]
+    z = first_square_root(SignedPerm.concat(candidates), 1)
+    return z if z is not None else find_involution(signed_relation_basis(images, images), rep_cone.N)
 
 
 def commutant_dimension_by_solve(generators) -> int:

@@ -258,29 +258,43 @@ def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
 
 
 def test_exact_criteria_walk_only_where_a_form_or_projector_is_exhibited(monkeypatch):
-    # c02 reads admissible-form counts and walks nothing; c09 counts every
-    # split and walks the even commutant only on the six cones with n <= 10
-    # whose z is neither the base volume image nor omega_cone C
-    walks = []
+    # no orbit walk is left in the library: c02 reads admissible-form
+    # counts and exhibits nothing, and c09 exhibits one twisted commutant
+    # basis, the cone's anticommutant, per counted split
+    from spinorlab import exact_linalg
+
+    for module in (exact_linalg, clifford_core, admissible_forms, cone_split, verify):
+        assert not hasattr(module, "signed_relation_basis") and not hasattr(module, "_walk")
+    bases = []
     for module in (admissible_forms, cone_split):
-        solve = module.signed_relation_basis
-        monkeypatch.setattr(module, "signed_relation_basis",
-                            lambda *args, solve=solve: walks.append(args) or solve(*args))
+        build = module.twisted_commutant
+        monkeypatch.setattr(module, "twisted_commutant",
+                            lambda rep, chi, build=build: bases.append(rep.signature) or build(rep, chi))
     assert verify.criterion_admissible_table(max_n=9).passed
-    assert walks == []
-    walked = []
-    projectors = verify.semispinor_projectors
-
-    def one_cone(rep):
-        before = len(walks)
-        report = projectors(rep)
-        walked.extend([str(rep.signature)] * (len(walks) - before))
-        return report
-
-    monkeypatch.setattr(verify, "semispinor_projectors", one_cone)
+    assert bases == []
     assert verify.criterion_cone_iso(max_n=9).passed
-    assert walked == ["(2,1)", "(3,2)", "(4,3)", "(1,8)", "(5,4)", "(9,0)"]
-    assert len(walks) == 6
+    splits = [verify.Signature(p + 1, n - p) for n in range(1, 10) for p in range(n + 1)
+              if (p - (n - p)) % 8 in (0, 1, 3, 7)]
+    assert bases == splits and len(splits) == 29
+
+
+def test_c09_tables_each_cones_even_images_once(monkeypatch):
+    # semispinor_projectors tables the even images of each cone it is
+    # given, so c09 at max_n 9 tables each of its 54 cones' images once
+    cones = [verify.build_rep(verify.Signature(p + 1, n - p)) for n in range(1, 10) for p in range(n + 1)]
+    images = {verify.even_subalgebra_images(cone) for cone in cones}
+    tables = []
+    failures = clifford_core.clifford_relation_failures
+
+    def counted(generators, eta):
+        tables.append(generators)
+        return failures(generators, eta)
+
+    monkeypatch.setattr(clifford_core, "clifford_relation_failures", counted)
+    monkeypatch.setattr(verify, "clifford_relation_failures", counted)
+    assert verify.criterion_cone_iso(max_n=9).passed
+    tabled = [x for x in tables if x in images]
+    assert len(tabled) == len(set(tabled)) == len(images) == 54
 
 
 def test_exact_criteria_build_one_relation_table_per_rep(monkeypatch):

@@ -9,8 +9,8 @@ from spinorlab.admissible_forms import (
     nondegenerate_tau_exists,
 )
 from spinorlab.clifford_core import Signature, blade_index_list, build_rep, gamma_blade
-from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
-from dense_oracle import Matrix, dense, is_zero, matrix_kernel, rank
+from spinorlab.exact_linalg import SignedPerm
+from dense_oracle import Matrix, dense, is_zero, matrix_kernel, rank, signed_relation_basis, walked_forms
 
 
 def all_signatures(max_n):
@@ -113,6 +113,20 @@ def test_admissible_dimension_counts_the_walks_basis():
             for tau in (1, -1):
                 walked = signed_relation_basis(gens, gens.transpose(), tau, sigma)
                 assert admissible_forms.admissible_dimension(rep, sigma, tau) == len(walked), (str(sig), sigma, tau)
+
+
+def test_find_admissible_equals_the_walks_basis_bit_for_bit():
+    # the forms from the twisted commutant basis, against the orbit
+    # walk's, on every (rep, sigma, tau) with n <= 12: 360 cases
+    cases = 0
+    for sig in all_signatures(12):
+        rep = build_rep(sig)
+        for sigma in (1, -1):
+            for tau in (1, -1):
+                forms = [f.matrix for f in find_admissible(rep, sigma, tau)]
+                assert forms == walked_forms(rep, sigma, tau), (str(sig), sigma, tau)
+                cases += 1
+    assert cases == 360
 
 
 def test_admissible_dimension_raises_on_a_non_integral_count():
@@ -262,49 +276,36 @@ def test_every_basis_form_has_full_rank():
 
 def test_planted_orbit_bases_must_be_signed_permutations(monkeypatch):
     # (1,0), N = 2, has two forms with (sigma, tau) = (1, 1): a planted
-    # walk must return two signed permutations
+    # twisted commutant basis is filtered by symmetry, scaled to +1 at
+    # row 0 and ordered by that cell, and one form short of the count
+    # raises
     rep = build_rep(Signature(1, 0))
-    monomial = [
-        {1: (0, 1), 0: (1, 1)},
-        {0: (0, 1), 1: (1, -1)},
-    ]
-    not_monomial = [
-        {0: (0, 1), 1: (0, 1)},  # both in row 0
-        {0: (0, 1)},  # too few columns
-        {0: (0, 2), 1: (1, 1)},  # not a unit sign
-    ]
-    target = "spinorlab.admissible_forms.signed_relation_basis"
+    planted = SignedPerm([[0, 1], [1, 0], [1, 0]], [[-1, 1], [1, -1], [1, 1]])  # -diag(1, -1), F, swap
+    target = "spinorlab.admissible_forms.twisted_commutant"
     with monkeypatch.context() as patch:
-        find_admissible.cache_clear()  # solve afresh with each planted walker
-        patch.setattr(target, lambda left, right, c, sigma: monomial)
+        find_admissible.cache_clear()  # solve afresh with each planted basis
+        patch.setattr(target, lambda rep, chi: planted)
         forms = find_admissible(rep, 1, 1)
-        assert [dense(f.matrix).to_lists() for f in forms] == [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
-        for element in not_monomial:
-            find_admissible.cache_clear()
-            patch.setattr(target, lambda left, right, c, sigma: [element, monomial[1]])
-            with pytest.raises(ArithmeticError, match=r"\(1,0\) with \(sigma, tau\) = \(1, 1\) is not"):
-                find_admissible(rep, 1, 1)
-        # signed permutations, one fewer than the count
+        assert [dense(f.matrix).to_lists() for f in forms] == [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]
         find_admissible.cache_clear()
-        patch.setattr(target, lambda left, right, c, sigma: monomial[:1])
+        patch.setattr(target, lambda rep, chi: planted[:2])
         with pytest.raises(ArithmeticError, match=r"1 admissible forms of \(1,0\) .* where the count is 2"):
             find_admissible(rep, 1, 1)
     find_admissible.cache_clear()  # drop the planted forms
-    # two rows in one column: the walk itself refuses the orbit, here
-    # {(0, 2), (1, 2), (2, 0), (2, 1)} of a generator that fixes column 2
+    # a generator that is no signed square root of -eta Id: the rep's
+    # relation table refuses it before any form is built
     swap = SignedPerm([[1, 0, 2]], [[1, 1, 1]])
-    planted = dataclasses.replace(rep, generators=swap)
-    with pytest.raises(ArithmeticError, match="two rows in column 2"):
-        find_admissible(planted, 1, 1)
+    with pytest.raises(ArithmeticError, match=r"Clifford relation failed at \(0,0\) for \(1,0\)"):
+        find_admissible(dataclasses.replace(rep, generators=swap), 1, 1)
 
 
 def test_find_admissible_is_solved_once_per_rep_and_form_type(monkeypatch):
     rep = build_rep(Signature(2, 3))
     find_admissible.cache_clear()
     solves = []
-    original = admissible_forms.signed_relation_basis
+    original = admissible_forms.twisted_commutant
     monkeypatch.setattr(
-        admissible_forms, "signed_relation_basis", lambda *args: solves.append(args) or original(*args)
+        admissible_forms, "twisted_commutant", lambda *args: solves.append(args) or original(*args)
     )
     first = find_admissible(rep, -1, 1)
     assert isinstance(first, tuple) and first
@@ -314,8 +315,16 @@ def test_find_admissible_is_solved_once_per_rep_and_form_type(monkeypatch):
     assert len(solves) == 2
     assert first_nondegenerate(rep, tau=1) is first[0]  # both are cached now
     assert len(solves) == 2
-    # a rep built by hand with the same signature is not served rep's forms
-    one_generator = dataclasses.replace(rep, generators=rep.generators[:1])
-    assert len(find_admissible(one_generator, -1, 1)) == 2
+    # a rep built by hand with the same signature is not served rep's
+    # forms: conjugated by D = diag(-1, 1, ..., 1), its forms are D H D
+    d = SignedPerm(range(rep.N), [-1] + [1] * (rep.N - 1))
+    conjugated = dataclasses.replace(
+        rep, generators=d * rep.generators * d, commutant_basis=d * rep.commutant_basis * d
+    )
+    forms = find_admissible(conjugated, -1, 1)
     assert len(solves) == 3
+    assert len(forms) == len(first) and forms != first
+    assert {f.matrix for f in forms} == {
+        (lambda h: h if h.signs[(h.perm == 0).argmax()] == 1 else -h)(d * f.matrix * d) for f in first
+    }
     find_admissible.cache_clear()  # drop the hand-built rep

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinorlab import clifford_core
 from spinorlab.clifford_core import (
     _COMM_DIM,
+    _conjugation,
     _restrict,
     _verify_rep,
     Signature,
     build_rep,
+    character_dimension,
     clifford_relation_failures,
     commutant_dimension,
     even_subalgebra_images,
@@ -23,6 +26,7 @@ from spinorlab.clifford_core import (
     metric_value,
     null_direction,
     rep_table,
+    twisted_commutant,
 )
 from spinorlab.exact_linalg import SignedPerm, term_rows
 from dense_oracle import (
@@ -36,7 +40,9 @@ from dense_oracle import (
     is_zero,
     kernel,
     matrix_kernel,
+    from_cells,
     planted,
+    signed_relation_basis,
     swap_entries,
     zero_matrix,
 )
@@ -537,3 +543,100 @@ def test_first_square_root_matches_dense_search(elements, c):
             want = x
             break
     assert first_square_root(SignedPerm.concat(elements), c) == want
+
+
+def test_conjugation_on_every_type_c_rep():
+    # J is diagonal, J G_i = c_i G_i J and J j_1 = -j_1 J on each of the
+    # 55 reps of type C (all of odd n) with n <= 19, N <= 512
+    checked = 0
+    for sig in all_signatures(19):
+        rep = build_rep(sig)
+        if rep.commutant_type != "C":
+            continue
+        assert sig.n % 2 == 1
+        j, c = _conjugation(rep)
+        assert j.perm.tolist() == list(range(rep.N))
+        for g, sign in zip(rep.generators, c.tolist()):
+            assert j * g == (g * j if sign == 1 else -(g * j)), str(sig)
+        j1 = rep.commutant_basis[0]
+        assert j * j1 == -(j1 * j), str(sig)
+        checked += 1
+    assert checked == 55
+
+
+def _normalized(x):
+    """x scaled to +1 at its lowest row-major cell, the walk's normalization."""
+    return x if x.signs[(x.perm == 0).argmax()] == 1 else -x
+
+
+def test_twisted_commutant_counts_and_disjoint_cells_on_seeded_chi():
+    # every element meets its relation, no two share a cell, and there are
+    # as many as the character counts: checked element by element for
+    # chi = +1, -1 and three seeded draws on every rep with n <= 12, and
+    # against the orbit walk's basis of X = chi_i G_i X G_i^T for n <= 8
+    rng = random.Random(38)
+    cases = 0
+    for sig in all_signatures(12):
+        rep = build_rep(sig)
+        gens = rep.generators
+        draws = [[1] * sig.n, [-1] * sig.n] + [[rng.choice((1, -1)) for _ in gens] for _ in range(3)]
+        for chi in draws:
+            basis = twisted_commutant(rep, chi)
+            for x in basis:
+                for c, g in zip(chi, gens):
+                    assert x * g == (g * x if c == 1 else -(g * x)), (str(sig), chi)
+            cells = [(row, col) for x in basis for col, row in enumerate(x.perm.tolist())]
+            assert len(cells) == len(set(cells)), (str(sig), chi)
+            assert len(basis) == character_dimension(gens, chi), (str(sig), chi)
+            if sig.n <= 8:
+                twisted = SignedPerm(gens.perm, gens.signs * np.array(chi)[:, None])
+                walked = [from_cells(e, rep.N) for e in signed_relation_basis(twisted, gens)]
+                assert len(walked) == len(basis), (str(sig), chi)
+                assert {_normalized(x) for x in basis} == set(walked), (str(sig), chi)
+            cases += 1
+    assert cases == 5 * 90
+
+
+def test_a_planted_conjugation_or_generator_sign_raises(monkeypatch):
+    # (3,2) is of type C: a J with one sign flipped breaks the relation of
+    # every element that carries it, and a copy of the rep with one sign
+    # of G_1 flipped fails its relation table before any basis is built
+    rep = build_rep(Signature(3, 2))
+    assert rep.commutant_type == "C"
+    chis = [list(x) for x in itertools.product((1, -1), repeat=rep.n)]
+    j, c = _conjugation(rep)
+    # the chi whose basis carries J: the sign rule with c fixes an S of
+    # the right parity
+    carries_j = [chi for chi in chis
+                 if any(sum((-1) ** k * a * b == -1 for a, b in zip(c.tolist(), chi)) % 2 == k
+                        for k in (0, 1))]
+    with monkeypatch.context() as patch:
+        patch.setattr(clifford_core, "_conjugation", lambda r: (flip_sign(j, (0,)), c))
+        raised = []
+        for chi in chis:
+            try:
+                twisted_commutant(rep, chi)
+            except ArithmeticError as err:
+                assert "fails its relation with generator" in str(err)
+                raised.append(chi)
+    assert raised == carries_j and 0 < len(raised) < len(chis)
+    broken = dataclasses.replace(rep, generators=flip_sign(rep.generators, (1, 0)))
+    for chi in chis:
+        with pytest.raises(ArithmeticError, match=r"Clifford relation failed at \(\d,\d\) for \(3,2\)"):
+            twisted_commutant(broken, chi)
+
+
+def test_twisted_commutant_refuses_repeated_or_missing_elements():
+    # a commutant basis that repeats Id makes two elements share every
+    # cell, and one that drops the quaternion triple leaves the basis
+    # short of the character count
+    rep = build_rep(Signature(3, 0))
+    assert rep.commutant_type == "H"
+    chi = [1] * rep.n
+    assert len(twisted_commutant(rep, chi)) == 4
+    repeated = dataclasses.replace(rep, commutant_basis=SignedPerm.identity(rep.N)[None])
+    with pytest.raises(ArithmeticError, match=r"twisted commutant elements of \(3,0\) share a cell"):
+        twisted_commutant(repeated, chi)
+    short = dataclasses.replace(rep, commutant_basis=rep.commutant_basis[:0])
+    with pytest.raises(ArithmeticError, match=r"1 twisted commutant elements of \(3,0\) where the count is 4"):
+        twisted_commutant(short, chi)

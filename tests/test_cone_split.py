@@ -19,16 +19,19 @@ from spinorlab.cone_split import (
     null_plane_invariants,
     semispinor_projectors,
 )
-from spinorlab.exact_linalg import SignedPerm, signed_relation_basis
+from spinorlab.exact_linalg import SignedPerm
 from dense_oracle import (
     Matrix,
     commutant_dimension_by_solve,
     dense,
     dense_cells,
     dense_scalar,
+    find_involution,
     flip_sign,
     is_zero,
     rank,
+    signed_relation_basis,
+    walked_split_involution,
     zero_matrix,
 )
 from test_clifford_core import gamma_alternating
@@ -486,28 +489,27 @@ def test_find_involution_tries_only_monomial_differences():
         ([{0: (0, 1)}, {1: (0, 1)}], 2, None),  # disjoint columns, one row
     ]
     for candidates, N, want in cases:
-        assert cone_split._find_involution(candidates, N) == want
+        assert find_involution(candidates, N) == want
         found = _dense_involution([dense_cells(x, N) for x in candidates], N)
         assert found == (None if want is None else dense(want))
 
 
 def test_semispinor_residue_rule_all_bases(monkeypatch):
     # the involution z behind each split gives the projectors (Id +- z)/2
-    found, solves = [], []
-    find, solve = cone_split._split_involution, cone_split.signed_relation_basis
+    found = []
+    find = cone_split._split_involution
 
-    def recording(rep_cone, images):
-        found.append(find(rep_cone, images))
+    def recording(rep_cone):
+        found.append(find(rep_cone))
         return found[-1]
 
     monkeypatch.setattr(cone_split, "_split_involution", recording)
-    monkeypatch.setattr(cone_split, "signed_relation_basis", lambda *a: solves.append(a) or solve(*a))
-    omega_path = 0
+    omega_path = conjugated = 0
     for n in range(1, 10):  # every cone with n <= 10
         for p in range(n + 1):
             base = Signature(p, n - p)
             cone = build_rep(Signature(p + 1, n - p))
-            before, chosen = len(solves), len(found)
+            chosen = len(found)
             report = semispinor_projectors(cone)
             assert report.split == (base.s_mod8 in (0, 1, 3, 7)), str(base)
             # the quoted residue lists disagree exactly on the s = 0 bases
@@ -517,17 +519,20 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
             assert not report.split or found[-1] is not None, str(base)
             images = even_subalgebra_images(cone)
             assert report.commutant_dim == commutant_dimension_by_solve(images), str(base)
-            # the commutant is walked exactly on the splits with an even
-            # base, where neither omega nor any omega_cone C is an involution
-            walked = len(solves) > before
-            assert walked == (report.split and n % 2 == 0), str(base)
-            # z is the volume image omega on odd bases with s = 3 or 7 mod 8
+            # on odd bases with s = 3 or 7 mod 8, z is +-omega, the volume
+            # image, as the walk's search found; on the splits with an
+            # even base, z anticommutes with every cone generator only
+            # through the conjugation J of a type C cone
             if n % 2 == 1 and base.s_mod8 in (3, 7):
                 omega = gamma_blade(cone, ())
                 for e in images:
                     omega = omega * e
-                assert found[-1] == omega, str(base)
+                assert found[-1] in (omega, -omega), str(base)
+                assert walked_split_involution(cone, images) == omega, str(base)
                 omega_path += 1
+            if report.split and n % 2 == 0:
+                assert cone.commutant_type == "C", str(base)
+                conjugated += 1
             # the dense search finds an involution exactly on the splits
             want = _dense_involution(_dense_candidates(cone), cone.N)
             assert (want is None) == (not report.split), str(base)
@@ -542,7 +547,27 @@ def test_semispinor_residue_rule_all_bases(monkeypatch):
                     assert 2 * rank(proj.data) == cone.N
                     # the library reads the rank off the trace of z
                     assert rank(proj.data) == sum(proj[i, i] for i in range(cone.N)) // 2
-    assert omega_path == 15
+    assert (omega_path, conjugated) == (15, 6)
+
+
+def test_split_involution_identities_on_every_split_cone():
+    # on every split cone with base n <= 12, z is a non-scalar involution
+    # of trace 0 that anticommutes with every cone generator, so it
+    # commutes with the even action
+    splits = 0
+    for n in range(1, 13):
+        for p in range(n + 1):
+            cone = build_rep(Signature(p + 1, n - p))
+            if not semispinor_projectors(cone).split:
+                continue
+            z = cone_split._split_involution(cone)
+            assert z.scalar() == 0 and z * z == SignedPerm.identity(cone.N), (p, n - p)
+            assert z.trace() == 0, (p, n - p)
+            assert all(z * g == -(g * z) for g in cone.generators), (p, n - p)
+            images = even_subalgebra_images(cone)
+            assert images * z == z * images, (p, n - p)
+            splits += 1
+    assert splits == 44
 
 
 def test_split_count_and_commutant_dim_match_the_walk():
@@ -591,9 +616,9 @@ _BAD_INVOLUTIONS = [
 def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, monkeypatch):
     # (4,0) splits by the residue rule, so a planted z reaches the
     # projector checks instead of the split/residue comparison; its base
-    # (3,0) takes omega as z without solving for the commutant basis
+    # (3,0) would take omega_cone as z
     cone = build_rep(Signature(4, 0))
-    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone, images: bad_z(cone.N))
+    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone: bad_z(cone.N))
     with pytest.raises(ArithmeticError, match=message):
         semispinor_projectors(cone)
 
@@ -602,9 +627,10 @@ def test_semispinor_projector_checks_reject_a_bad_involution(bad_z, message, mon
 def test_semispinor_projector_checks_reject_a_bad_involution_after_a_solve(
     bad_z, message, monkeypatch
 ):
-    # the base (1,1) of (2,1) splits too, with z from the solved basis
+    # the base (1,1) of (2,1) splits too, where z would carry the
+    # conjugation J of the type C cone
     cone = build_rep(Signature(2, 1))
-    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone, images: bad_z(cone.N))
+    monkeypatch.setattr("spinorlab.cone_split._split_involution", lambda rep_cone: bad_z(cone.N))
     with pytest.raises(ArithmeticError, match=message):
         semispinor_projectors(cone)
 
