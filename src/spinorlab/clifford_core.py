@@ -14,7 +14,7 @@ products and restrictions are index gathers over whole stacks.
 Construction is deterministic, and each (p, q) module is built once.  A
 rep is certified without a solve: first the Clifford relations, then, as
 these make +-G_S the Clifford group of order 2^(n+1), the commutant
-dimension by its trace count (commutant_dimension), which must be 1, 2
+dimension by its trace count (character_dimension), which must be 1, 2
 or 4 for type R, C or H.
 """
 
@@ -176,19 +176,6 @@ def _build(p, q):
     ident, vol2 = SignedPerm.identity(sub.N), _K_NEG2[0] * _K_NEG2[1]
     gens = SignedPerm.concat([ident.kron(_K_NEG2), sub.kron(vol2)])
     return gens, sub_comm.kron(SignedPerm.identity(2))
-
-
-def commutant_dimension(generators) -> int:
-    """Dimension of {X : X G = G X for all G of the (n, N) stack}; raises
-    unless each G_i squares to -eta_i Id, eta_i = +-1, and the G_i
-    anticommute.  Those relations make +-G_S the Clifford group of order
-    2^(n+1), and character_dimension counts the commutant over it."""
-    # eta as each G_i^2 reads at column 0, which the relation check certifies
-    eta = -(generators * generators).signs[:, 0]
-    failures = clifford_relation_failures(generators, eta)
-    if failures:
-        raise ArithmeticError(f"generators are not Clifford: relation fails at {failures[0]}")
-    return character_dimension(generators, [1] * len(generators))
 
 
 def character_dimension(generators, chi, sigma=None) -> int:

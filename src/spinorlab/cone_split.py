@@ -1,5 +1,5 @@
-"""Semi-spinor splittings and invariant-spinor counting for cone
-representations.
+"""Semi-spinor splittings of cone representations, and the spinors a
+null plane leaves invariant.
 
 The cone module restricted to its even subalgebra (the base Clifford
 algebra) either stays irreducible or splits into two semi-spinor halves;
@@ -17,39 +17,34 @@ from .clifford_core import (
     Signature,
     certify_relations,
     character_dimension,
-    commutant_dimension,
     even_subalgebra_images,
     first_square_root,
     gamma_vector,
     null_direction,
     twisted_commutant,
 )
-from .exact_linalg import Echelon, SignedPerm, term_rows
-
-
-def invariant_spinors(rep: CliffordRep, operators) -> int:
-    """Dimension of the joint kernel of the listed N x N operators, each
-    a list of (coefficient, SignedPerm) terms; N for an empty list.
-    Every term_rows row of every operator goes to one Echelon."""
-    echelon = Echelon(row for terms in operators for row in term_rows(terms, rep.N))
-    return rep.N - len(echelon)
+from .exact_linalg import SignedPerm
 
 
 def null_plane_invariants(rep: CliffordRep) -> int:
     """Dimension of the spinors invariant under the abelian set
-    {p ^ e : e in E}, for the rational null direction p and the definite
-    complement E of the hyperbolic plane, n >= 3: the joint kernel of the
-    actions gamma_p G_j, j not in {0, p}.
+    {p ^ e : e in E}, for the rational null direction p = e_a + e_b and
+    the definite complement E of the hyperbolic plane, n >= 3: the joint
+    kernel of the actions gamma_p G_j, j not in {a, b}.
 
     Each such G_j is invertible (G_j^2 = -eta_j Id) and anticommutes with
     gamma_p (g(p, e_j) = 0), so ker gamma_p G_j = ker G_j gamma_p =
-    ker gamma_p.  certify_relations certifies that reduction, and one
-    invariant_spinors call on gamma_p's terms, N rows, counts.
+    ker gamma_p.  gamma_p = G_a + G_b = G_a (Id + M) for the signed
+    permutation M = G_a^T G_b = -G_a G_b, and G_a^2 = -Id, G_b^2 = Id and
+    G_a G_b = -G_b G_a give M^2 = -G_a^2 G_b^2 = Id.  So ker gamma_p is
+    M's -1 eigenspace, of dimension (N - trace M) / 2, with no
+    elimination; certify_relations certifies each relation used.
     """
     if rep.n < 3:
         raise ValueError("the null-plane rotations need n >= 3")
     certify_relations(rep)
-    return invariant_spinors(rep, [gamma_vector(rep, null_direction(rep.signature))])
+    (_, g_a), (_, g_b) = gamma_vector(rep, null_direction(rep.signature))
+    return (rep.N - int((g_a.transpose() * g_b).trace())) // 2
 
 
 # residues (base s mod 8) with irreducible even restriction, certified by
@@ -91,7 +86,8 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
         raise ValueError("cone signature needs a positive direction")
     base = Signature(cone.p - 1, cone.q)
     images = even_subalgebra_images(rep_cone)
-    commutant_dim = commutant_dimension(images)  # certifies the base relations of the images
+    certify_relations(rep_cone)  # eta_0 = +1: so the images meet the base relations
+    commutant_dim = character_dimension(images, [1] * len(images))
     split = character_dimension(images, [1] * len(images), 1) >= 2
     if split != (base.s_mod8 not in IRREDUCIBLE_RESIDUES):
         raise ArithmeticError(

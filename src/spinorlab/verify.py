@@ -253,7 +253,7 @@ def criterion_cone_iso(max_n=8):
         cone = build_rep(Signature(sig.p + 1, sig.q))
         if sig.n > max_n:
             # e_i e_0 -> e_i respects the base relations, which
-            # semispinor_projectors certifies on the cones it is given
+            # semispinor_projectors reads off the cone's relation table
             failed = clifford_relation_failures(even_subalgebra_images(cone), sig.eta())
             failures += [f"{sig}:even_relation({i},{j})" for i, j in failed]
             continue

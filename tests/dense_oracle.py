@@ -4,6 +4,8 @@ the normalized Fraction kernel basis mapped to Echelon.kernel's
 primitive integer columns; gamma_v as the {row: value} columns that
 gamma_vector's term lists replaced;
 the orbit-solve commutant dimension that the trace count replaced;
+the joint kernel of stacked operators, eliminated, that c10's trace
+count replaced;
 the orbit walk signed_relation_basis, its from_cells reading of a
 walked element and the walk-based split involution find_involution,
 which clifford_core's twisted_commutant basis replaced;
@@ -31,7 +33,7 @@ from math import gcd, lcm
 import numpy as np
 
 from spinorlab.clifford_core import first_square_root, metric_value
-from spinorlab.exact_linalg import Echelon, SignedPerm
+from spinorlab.exact_linalg import Echelon, SignedPerm, term_rows
 from spinorlab.model_space import (
     BracketFieldReport,
     KillingReport,
@@ -384,10 +386,18 @@ def walked_split_involution(rep_cone, images):
 
 
 def commutant_dimension_by_solve(generators) -> int:
-    """The orbit-solve commutant dimension that commutant_dimension's
+    """The orbit-solve commutant dimension that character_dimension's
     trace count replaced: the size of the signed_relation_basis of
     X = G X G^T over every generator G of the stack."""
     return len(signed_relation_basis(generators, generators))
+
+
+def invariant_spinors(rep, operators) -> int:
+    """Dimension of the joint kernel of the listed N x N operators, each
+    a list of (coefficient, SignedPerm) terms; N for an empty list.
+    Every term_rows row of every operator goes to one Echelon."""
+    echelon = Echelon(row for terms in operators for row in term_rows(terms, rep.N))
+    return rep.N - len(echelon)
 
 
 def squares_to_scalar_oracle(cols, c) -> bool:

@@ -197,9 +197,10 @@ def test_c01_reports_a_broken_square(monkeypatch):
 
 
 def test_exact_criteria_add_at_most_one_elimination_row_per_spinor(monkeypatch):
-    # c01, c03 and c04 read certificates and eliminate nothing; c10 adds
-    # the N rows of gamma_p per cone, where the stacked joint kernel of the
-    # null-plane rotations would add (n - 2) N
+    # c01, c03 and c04 read certificates and eliminate nothing; c10 reads
+    # the trace of the signed permutation G_a^T G_b per cone and adds no
+    # row either, where gamma_p's elimination added N rows and the stacked
+    # joint kernel of the null-plane rotations (n - 2) N
     added = []
     add = Echelon.add
 
@@ -224,7 +225,7 @@ def test_exact_criteria_add_at_most_one_elimination_row_per_spinor(monkeypatch):
     monkeypatch.setattr(verify, "null_plane_invariants", one_cone)
     result = verify.criterion_invariant_spinors(max_n=9)
     assert result.passed and len(per_cone) == result.details["cones_checked"] == 16
-    assert all(rows <= N for N, rows in per_cone), per_cone
+    assert all(rows == 0 for N, rows in per_cone), per_cone
 
 
 def test_a_broken_generator_relation_stops_verify_all(monkeypatch, capsys):
@@ -279,8 +280,10 @@ def test_exact_criteria_walk_only_where_a_form_or_projector_is_exhibited(monkeyp
 
 
 def test_c09_tables_each_cones_even_images_once(monkeypatch):
-    # semispinor_projectors tables the even images of each cone it is
-    # given, so c09 at max_n 9 tables each of its 54 cones' images once
+    # semispinor_projectors reads the even images' relations off the
+    # cone's own table, kept per rep: at max_n 9, c09 tables no stack of
+    # even images, and with that cache cleared it tables each of its 54
+    # cones once, through relation_failures
     cones = [verify.build_rep(verify.Signature(p + 1, n - p)) for n in range(1, 10) for p in range(n + 1)]
     images = {verify.even_subalgebra_images(cone) for cone in cones}
     tables = []
@@ -292,9 +295,11 @@ def test_c09_tables_each_cones_even_images_once(monkeypatch):
 
     monkeypatch.setattr(clifford_core, "clifford_relation_failures", counted)
     monkeypatch.setattr(verify, "clifford_relation_failures", counted)
+    clifford_core.relation_failures.cache_clear()
     assert verify.criterion_cone_iso(max_n=9).passed
-    tabled = [x for x in tables if x in images]
-    assert len(tabled) == len(set(tabled)) == len(images) == 54
+    assert [x for x in tables if x in images] == []
+    tabled = [x for x in tables if x in {cone.generators for cone in cones}]
+    assert len(tabled) == len(set(tabled)) == len(cones) == 54
 
 
 def test_exact_criteria_build_one_relation_table_per_rep(monkeypatch):

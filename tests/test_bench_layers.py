@@ -13,10 +13,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Listed names that have left the library: those gone when this guard
-# was added, and exact_linalg.signed_relation_basis, the orbit walk that
+# was added; exact_linalg.signed_relation_basis, the orbit walk that
 # clifford_core.twisted_commutant replaced and that tests/dense_oracle.py
-# keeps as an oracle.  Each removal is recorded here; a missing name not
-# recorded here fails, and so does a name here that comes back.
+# keeps as an oracle; cone_split.invariant_spinors, the joint-kernel
+# elimination that c10's trace count replaced, also kept there as an
+# oracle; and clifford_core.commutant_dimension, whose count c09 now takes
+# from character_dimension on the cone's certified relations.  Each
+# removal is recorded here; a missing name not recorded here fails, and
+# so does a name here that comes back.
 DEAD = frozenset({
     "exact_linalg.rank",
     "exact_linalg.kernel",
@@ -29,6 +33,8 @@ DEAD = frozenset({
     "model_space.dirac_residual",
     "cone_split.null_plane_rotations",
     "exact_linalg.signed_relation_basis",
+    "cone_split.invariant_spinors",
+    "clifford_core.commutant_dimension",
 })
 
 

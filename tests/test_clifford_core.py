@@ -17,8 +17,8 @@ from spinorlab.clifford_core import (
     Signature,
     build_rep,
     character_dimension,
+    certify_relations,
     clifford_relation_failures,
-    commutant_dimension,
     even_subalgebra_images,
     first_square_root,
     gamma_blade,
@@ -148,7 +148,7 @@ def test_commutant_matches_mod8_table():
     for sig in all_signatures(8):
         rep = build_rep(sig)
         assert rep.commutant_type == EXPECTED_COMMUTANT[sig.s_mod8], str(sig)
-        dim = commutant_dimension(rep.generators)
+        dim = character_dimension(rep.generators, [1] * rep.n)  # build_rep certified them
         assert dim == {"R": 1, "C": 2, "H": 4}[rep.commutant_type]
 
 
@@ -175,46 +175,34 @@ def test_commutant_dimension_rejects_non_monomial_generators():
 
 
 def _clifford_sets(max_n):
-    """(label, generator stack): every rep with n <= max_n, and the even
-    images of every cone with n <= max_n, which satisfy the base
-    relations (none for the cone (1,0))."""
+    """(label, generator stack) for certified Clifford sets: every rep
+    with n <= max_n, whose relations certify_relations certifies, and the
+    even images of every cone with n <= max_n, whose base relations the
+    cone's certified relations imply, as eta_0 = +1 (no images for the
+    cone (1,0)).  The implication is checked here on every cone, against
+    the images' own relation table."""
     for sig in all_signatures(max_n):
         rep = build_rep(sig)
+        certify_relations(rep)
         yield str(sig), rep.generators
         if sig.p >= 1:
-            yield f"even {sig}", even_subalgebra_images(rep)
+            images = even_subalgebra_images(rep)
+            assert clifford_relation_failures(images, rep.eta[1:]) == [], str(sig)
+            yield f"even {sig}", images
 
 
 def test_commutant_count_matches_the_orbit_solve_and_the_dense_solver():
     solved = dense_checked = 0
     for label, gens in _clifford_sets(10):
-        count = commutant_dimension(gens)
+        count = character_dimension(gens, [1] * len(gens))
         assert count == commutant_dimension_by_solve(gens), label
         solved += 1
         if len(gens) <= 6:  # the dense N^2 x N^2 system is slow past N = 16
             assert count == _commutant_dimension_dense([dense(g) for g in gens], gens.N), label
             dense_checked += 1
     assert (solved, dense_checked) == (65 + 55, 27 + 28)
-
-
-def test_commutant_count_raises_on_generators_that_are_not_clifford():
-    raised = 0
-    for sig in all_signatures(5):
-        for gens in _planted_breaks(build_rep(sig).generators):
-            squares = (gens * gens).scalar()
-            anticommute = all(a * b == -(b * a) for a, b in itertools.combinations(gens, 2))
-            if squares.all() and anticommute:  # still Clifford, for another eta
-                assert commutant_dimension(gens) == commutant_dimension_by_solve(gens)
-                continue
-            with pytest.raises(ArithmeticError, match="not Clifford"):
-                commutant_dimension(gens)
-            raised += 1
-    assert raised > 1000
-    rep = build_rep(Signature(2, 1))
-    for gens in [rep.generators[[0, 0]], SignedPerm([[1, 2, 0, 3]], [[1] * 4])]:
-        with pytest.raises(ArithmeticError, match="not Clifford"):
-            commutant_dimension(gens)
-    assert commutant_dimension(SignedPerm(np.zeros((0, 3)), np.zeros((0, 3)))) == 9
+    # with no generators the commutant is all of End(R^N)
+    assert character_dimension(SignedPerm(np.zeros((0, 3)), np.zeros((0, 3))), []) == 9
 
 
 def test_verify_rep_rejects_a_reducible_module_by_the_count():
@@ -230,7 +218,8 @@ def test_verify_rep_rejects_a_reducible_module_by_the_count():
         )
         assert doubled.N == 2 * rep.N
         dim = 4 * _COMM_DIM[rep.commutant_type]
-        assert commutant_dimension(doubled.generators) == dim
+        assert clifford_relation_failures(doubled.generators, rep.eta) == []
+        assert character_dimension(doubled.generators, [1] * rep.n) == dim
         with pytest.raises(ArithmeticError, match=f"commutant dimension {dim} does not match"):
             _verify_rep(doubled)
 

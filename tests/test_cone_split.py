@@ -14,27 +14,25 @@ from spinorlab.clifford_core import (
     null_direction,
 )
 from spinorlab import clifford_core, cone_split
-from spinorlab.cone_split import (
-    invariant_spinors,
-    null_plane_invariants,
-    semispinor_projectors,
-)
+from spinorlab.cone_split import null_plane_invariants, semispinor_projectors
 from spinorlab.exact_linalg import SignedPerm
 from dense_oracle import (
     Matrix,
+    clifford_relation_failures_oracle,
     commutant_dimension_by_solve,
     dense,
     dense_cells,
     dense_scalar,
     find_involution,
     flip_sign,
+    invariant_spinors,
     is_zero,
     rank,
     signed_relation_basis,
     walked_split_involution,
     zero_matrix,
 )
-from test_clifford_core import gamma_alternating
+from test_clifford_core import _planted_breaks, gamma_alternating
 from test_exact_linalg import bareiss_rank
 
 THIS = sys.modules[__name__]
@@ -416,16 +414,16 @@ def test_null_plane_invariants_lorentzian_cones():
 
 
 def test_null_plane_invariants_match_the_stacked_joint_kernel():
-    # the reduction ker gamma_p G_j = ker gamma_p, checked against the
-    # stacked elimination of every rotation on each indefinite signature
-    # with n <= 9
+    # the reduction ker gamma_p G_j = ker gamma_p and the trace count of
+    # M = G_a^T G_b, checked against the stacked elimination of every
+    # rotation on each indefinite signature with n <= 12
     checked = 0
-    for n in range(3, 10):
+    for n in range(3, 13):
         for p in range(1, n):
             rep = build_rep(Signature(p, n - p))
             assert null_plane_invariants(rep) == invariant_spinors(rep, null_plane_rotations(rep))
             checked += 1
-    assert checked == 35
+    assert checked == 65
     with pytest.raises(ValueError, match="n >= 3"):
         null_plane_invariants(build_rep(Signature(1, 1)))
 
@@ -582,6 +580,31 @@ def test_split_count_and_commutant_dim_match_the_walk():
             report = semispinor_projectors(cone)
             assert report.commutant_dim == len(signed_relation_basis(images, images)), (p, n - p)
             assert report.split == (symmetric >= 2), (p, n - p)
+
+
+def test_semispinor_projectors_reject_a_planted_broken_cone(monkeypatch):
+    # the even commutant is counted on the cone's certified relations, so
+    # a cone with one planted break (every one fails them) is refused at
+    # its first failed pair by its own relation table, before anything is
+    # counted, on every cone with base n <= 4
+    counted = []
+    count = cone_split.character_dimension
+    monkeypatch.setattr(cone_split, "character_dimension",
+                        lambda *args: counted.append(args) or count(*args))
+    raised = 0
+    for n in range(1, 5):
+        for p in range(n + 1):
+            cone = build_rep(Signature(p + 1, n - p))
+            for gens in _planted_breaks(cone.generators):
+                pairs = clifford_relation_failures_oracle(gens, cone.eta)
+                assert pairs, str(cone.signature)
+                i, j = pairs[0]
+                broken = dataclasses.replace(cone, generators=gens)
+                with pytest.raises(ArithmeticError,
+                                   match=rf"Clifford relation failed at \({i},{j}\) for \({p + 1},{n - p}\)"):
+                    semispinor_projectors(broken)
+                raised += 1
+    assert counted == [] and raised == 1403
 
 
 def test_semispinor_specific_cases():

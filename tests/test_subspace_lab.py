@@ -169,6 +169,15 @@ def test_null_direction_square_discriminant():
     val = sum(gram[i][j] * vec[i] * vec[j] for i in range(2) for j in range(2))
     assert val == 0
     assert _find_null_direction([[4, 5], [5, 5]]) is None  # discriminant 5, no square
+    # diag(1, 1, 1, -3) has no zero diagonal and no square discriminant
+    # (-1 and 3), so the bounded search finds its first null vector;
+    # x^2 + y^2 = 3 z^2 has no nonzero integer solution, so diag(1, 1, -3)
+    # has none to find
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]]
+    vec = _find_null_direction(gram)
+    assert vec == [-2, -2, -2, -2]
+    assert sum(gram[i][j] * vec[i] * vec[j] for i in range(4) for j in range(4)) == 0
+    assert _find_null_direction([[1, 0, 0], [0, 1, 0], [0, 0, -3]]) is None
 
 
 def test_extremal_witness_signatures():
