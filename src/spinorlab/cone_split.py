@@ -86,7 +86,7 @@ def semispinor_projectors(rep_cone: CliffordRep) -> SemiSpinorReport:
         raise ValueError("cone signature needs a positive direction")
     base = Signature(cone.p - 1, cone.q)
     images = even_subalgebra_images(rep_cone)
-    certify_relations(rep_cone)  # eta_0 = +1: so the images meet the base relations
+    certify_relations(rep_cone)  # with eta_0 = +1 these give the images the base relations
     commutant_dim = character_dimension(images, [1] * len(images))
     split = character_dimension(images, [1] * len(images), 1) >= 2
     if split != (base.s_mod8 not in IRREDUCIBLE_RESIDUES):

@@ -303,8 +303,9 @@ def test_c09_tables_each_cones_even_images_once(monkeypatch):
 
 
 def test_exact_criteria_build_one_relation_table_per_rep(monkeypatch):
-    # c01, c03, c04 and c10 read the table kept per rep: 54 reps with
-    # n <= 9 and the cones (1,9), (9,1) of c10, each tabled once
+    # c01, c03, c04, c09 and c10 read the table kept per rep: 54 reps
+    # with n <= 9 and the ten cones with n = 10 of c09, among them the
+    # cones (1,9), (9,1) of c10, each tabled once
     tables = []
     failures = clifford_core.clifford_relation_failures
 
@@ -317,8 +318,9 @@ def test_exact_criteria_build_one_relation_table_per_rep(monkeypatch):
     for check in (verify.criterion_clifford_relations, verify.criterion_null_kernel,
                   verify.criterion_beta):
         assert check(max_n=9, seed=SEED).passed
+    assert verify.criterion_cone_iso(max_n=9).passed
     assert verify.criterion_invariant_spinors(max_n=9).passed
-    assert len(tables) == len(set(tables)) == 56
+    assert len(tables) == len(set(tables)) == 64
 
 
 def test_a_planted_rep_is_not_served_the_built_reps_relation_table(monkeypatch):
